@@ -244,7 +244,7 @@ func main() {
 	flag.StringVar(&o.model, "model", "IC", "propagation model: IC or LT")
 	flag.Uint64Var(&o.seed, "seed", 1, "session RR-stream seed")
 	flag.IntVar(&o.workers, "sampling-workers", runtime.NumCPU(), "sampling workers per session")
-	flag.IntVar(&o.shards, "shards", 0, "RR-store shards (>=1 = id-sharded store)")
+	flag.IntVar(&o.shards, "shards", 0, "RR-store id shards (≤ 1 = one shard (default))")
 	flag.StringVar(&o.remoteWorkers, "workers", "", "imworker shard-worker addresses, comma-separated (host:port or unix:/path); one RR-store shard per worker process, overriding -shards")
 	flag.StringVar(&o.kernel, "kernel", "plan", "RR sampling kernel: plan or oracle")
 	flag.StringVar(&o.tenants, "tenants", "", "additional tenants as name=path,... (graph files opened lazily)")

@@ -123,18 +123,16 @@ func sampleStats(g *graph.Graph, rr int, model string, seed uint64, spillBudget,
 	st := ris.NewStore(s, seed, ris.StoreOptions{
 		SpillBudgetBytes: budget, SpillDir: spillDir,
 	})
-	st.Generate(rr)
+	st.GenerateTo(rr)
 	fmt.Printf("rr-sets:       %d\n", st.Len())
 	fmt.Printf("rr-items:      %d\n", st.Items())
 	fmt.Printf("rr-resident:   %.1f MB\n", float64(st.Bytes())/(1<<20))
-	if ss, ok := st.(ris.SpilledStore); ok {
-		if sp := ss.SpillStats(); sp.Enabled {
-			fmt.Printf("rr-spilled:    %.1f MB in %d blocks (budget %.1f MB)\n",
-				float64(sp.SpilledBytes)/(1<<20), sp.Blocks, float64(sp.BudgetBytes)/(1<<20))
-			fmt.Printf("spill-file:    %.1f MB\n", float64(sp.FileBytes)/(1<<20))
-			if sp.Err != "" {
-				fmt.Printf("spill-error:   %s\n", sp.Err)
-			}
+	if sp := st.SpillStats(); sp.Enabled {
+		fmt.Printf("rr-spilled:    %.1f MB in %d blocks (budget %.1f MB)\n",
+			float64(sp.SpilledBytes)/(1<<20), sp.Blocks, float64(sp.BudgetBytes)/(1<<20))
+		fmt.Printf("spill-file:    %.1f MB\n", float64(sp.FileBytes)/(1<<20))
+		if sp.Err != "" {
+			fmt.Printf("spill-error:   %s\n", sp.Err)
 		}
 	}
 	return nil

@@ -40,7 +40,7 @@ func main() {
 		delta    = flag.Float64("delta", 0, "delta (0 = 1/n)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel workers")
-		shards   = flag.Int("shards", 0, "RR-store shards (>=1 = id-sharded store; results identical)")
+		shards   = flag.Int("shards", 0, "RR-store id shards (≤ 1 = one shard (default); results identical)")
 		shardW   = flag.Int("shard-workers", 0, "per-shard workers (0 = workers/shards)")
 		kernel   = flag.String("kernel", "plan", "RR sampling kernel: plan (compiled) or oracle (Bernoulli reference)")
 		eval     = flag.Int("eval", 5000, "MC runs to score the result (0 to skip)")

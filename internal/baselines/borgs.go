@@ -50,7 +50,7 @@ func Borgs(s *ris.Sampler, opt BorgsOptions) (*Result, error) {
 	batch := 256
 	for float64(col.Width()) < tau {
 		iterations++
-		col.Generate(batch)
+		col.GenerateTo(col.Len() + batch)
 		if col.Len() > 0 && col.Width() > 0 {
 			avg := float64(col.Width()) / float64(col.Len())
 			need := (tau - float64(col.Width())) / avg

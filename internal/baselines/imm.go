@@ -25,8 +25,9 @@ type Options struct {
 	Delta   float64 // 0 ⇒ 1/n, the paper's setting
 	Seed    uint64
 	Workers int
-	// Shards ≥ 1 selects the id-sharded RR store (bit-identical results);
-	// ShardWorkers bounds per-shard parallelism (≤0 derives Workers/Shards).
+	// Shards is the number of id shards of the RR store; ≤ 1 = one shard
+	// (default), bit-identical results for any count. ShardWorkers bounds
+	// per-shard parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int
 	// Kernel selects the RR sampling implementation (plan kernels by

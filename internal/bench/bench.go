@@ -33,8 +33,8 @@ type Config struct {
 	GraphFile string
 	// Workers for sampling and Monte-Carlo evaluation.
 	Workers int
-	// Shards ≥ 1 stores RR sets id-sharded (ris.ShardedCollection) so the
-	// harness can compare flat vs sharded topologies on identical
+	// Shards is the number of id shards of the RR store; ≤ 1 = one shard
+	// (default). The harness can compare shard counts on identical
 	// workloads; results are bit-identical. ShardWorkers bounds per-shard
 	// parallelism (≤0 derives Workers/Shards).
 	Shards       int

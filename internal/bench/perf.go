@@ -90,8 +90,8 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	}
 	const streamLen = 20000
 	const hiStreamLen = 2000
-	col := ris.NewCollection(s, seed+1, 0)
-	col.Generate(streamLen)
+	col := ris.NewStore(s, seed+1, ris.StoreOptions{})
+	col.GenerateTo(streamLen)
 
 	// Seed set + mark vector for the coverage pair.
 	seeds := maxcover.Greedy(col, col.Len(), 50).Seeds
@@ -122,36 +122,25 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	add("generate/serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewCollection(s, uint64(i)+seed+100, 1)
-			c.Generate(streamLen)
+			ris.NewStore(s, uint64(i)+seed+100, ris.StoreOptions{Workers: 1}).GenerateTo(streamLen)
 		}
 	})
 	add("generate/parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewCollection(s, uint64(i)+seed+100, 0)
-			c.Generate(streamLen)
+			ris.NewStore(s, uint64(i)+seed+100, ris.StoreOptions{}).GenerateTo(streamLen)
 		}
 	})
-	// Flat vs sharded on the same workload: one shard must not regress the
-	// flat path, and multiple shards show the shard-parallel topology.
-	add("generate/sharded1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := ris.NewShardedCollection(s, uint64(i)+seed+100, 1, 0)
-			c.Generate(streamLen)
-		}
-	})
+	// The same workload on the shard-parallel topology.
 	add("generate/sharded4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewShardedCollection(s, uint64(i)+seed+100, 4, 0)
-			c.Generate(streamLen)
+			ris.NewStore(s, uint64(i)+seed+100, ris.StoreOptions{Shards: 4}).GenerateTo(streamLen)
 		}
 	})
-	// Remote pair: the sharded1 workload pushed through the cross-process
+	// Remote pair: the one-shard workload pushed through the cross-process
 	// wire protocol — an in-process ShardServer dialed over net.Pipe, so the
-	// delta against generate/sharded1 is pure protocol cost (framing, chunk
+	// delta against generate/serial is protocol cost (framing, chunk
 	// encode/decode, mirror append) without kernel sockets.
 	remoteSrv := ris.NewShardServer(g, ris.ShardServerOptions{})
 	remoteDial := func(string) (net.Conn, error) {
@@ -162,10 +151,9 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	add("generate/remote1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewStore(s, uint64(i)+seed+100, ris.StoreOptions{
+			ris.NewStore(s, uint64(i)+seed+100, ris.StoreOptions{
 				RemoteWorkers: []string{"pipe"}, RemoteDial: remoteDial,
-			})
-			c.Generate(streamLen)
+			}).GenerateTo(streamLen)
 		}
 	})
 	// Kernel pairs: plan vs oracle, 1 worker, identical workloads.
@@ -174,8 +162,7 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 			b.ReportAllocs()
 			sk := smp.WithKernel(k)
 			for i := 0; i < b.N; i++ {
-				c := ris.NewCollection(sk, uint64(i)+seed+200, 1)
-				c.Generate(n)
+				ris.NewStore(sk, uint64(i)+seed+200, ris.StoreOptions{Workers: 1}).GenerateTo(n)
 			}
 		})
 	}
@@ -188,10 +175,20 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	// Alias walk vs binary-search walk under LT on the high-degree preset.
 	genKernel("generate/oracle_lt", sHiLT, ris.KernelOracle, hiStreamLen)
 	genKernel("generate/plan_lt", sHiLT, ris.KernelPlan, hiStreamLen)
+	// The baseline of the coverage pair: one pass over the window's sets,
+	// counting those that contain a marked node — O(items in the window).
+	var scanned int64
 	add("coverage_range/scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			col.CoverageRange(mark, half, col.Len())
+			col.ForEachSet(half, col.Len(), func(_ int, set []uint32) {
+				for _, v := range set {
+					if mark[v] {
+						scanned++
+						break
+					}
+				}
+			})
 		}
 	})
 	add("coverage_range/postings", func(b *testing.B) {
@@ -202,13 +199,13 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	})
 	// Remote coverage: the same window counted worker-side from the worker's
 	// CSR blocks — one RPC shipping seed ids and one i64 back, never arenas.
-	// The identity probe pins it to the flat count before timing.
+	// The identity probe pins it to the in-process count before timing.
 	remoteCol := ris.NewStore(s, seed+1, ris.StoreOptions{
 		RemoteWorkers: []string{"pipe"}, RemoteDial: remoteDial,
 	})
 	remoteCol.GenerateTo(col.Len())
 	if got, want := remoteCol.CoverageRangeSeeds(seeds, half, col.Len()), col.CoverageRangeSeeds(seeds, half, col.Len()); got != want {
-		return nil, fmt.Errorf("bench: remote coverage %d drifted from flat %d", got, want)
+		return nil, fmt.Errorf("bench: remote coverage %d drifted from in-process %d", got, want)
 	}
 	add("coverage_range/remote", func(b *testing.B) {
 		b.ReportAllocs()

@@ -46,13 +46,12 @@ type Options struct {
 	// draw from the same distribution but consume different PRNG sequences,
 	// so results are deterministic per kernel, not across kernels.
 	Kernel ris.Kernel
-	// Shards ≥ 1 stores RR sets in an id-sharded store
-	// (ris.ShardedCollection) generated shard-parallel; ≤0 selects the
-	// flat ris.Collection. Results are bit-identical at any shard count —
-	// sharding only changes the memory topology.
+	// Shards is the number of id shards of the RR store, generated
+	// shard-parallel; ≤ 1 = one shard (default). Results are bit-identical
+	// at any shard count — sharding only changes the memory topology.
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1;
-	// ≤0 derives max(1, Workers/Shards) so the total worker budget holds.
+	// ShardWorkers bounds per-shard generation parallelism; ≤0 derives
+	// max(1, Workers/Shards) so the total worker budget holds.
 	ShardWorkers int
 	// RemoteWorkers lists shard-worker addresses; non-empty stores RR sets
 	// in a remote-sharded store (one shard per worker process), overriding
@@ -134,11 +133,12 @@ type Result struct {
 }
 
 // growthCap bounds the sample-count doubling schedules: doubling stops
-// once a count reaches it, keeping every `2·n` and `v *= 2` below int
-// overflow on any platform. (A previous fixed literal of 1<<40 itself
-// overflowed int on 32-bit builds; deriving the cap from the platform's
-// int size makes the guard portable.)
-const growthCap = math.MaxInt / 4
+// once a count reaches it. The cap is derived from the store's id width
+// (ris.MaxSets, int32 ids), not the platform's int: a schedule value stays
+// below 2·growthCap and D-SSA's 2·half below 4·growthCap ≤ ris.MaxSets, on
+// every platform. A run whose schedule saturates here ends with HitCap
+// instead of wrapping ids.
+const growthCap = ris.MaxSets / 4
 
 // Validation errors.
 var (
@@ -175,8 +175,8 @@ func (o *Options) normalize(s *ris.Sampler) error {
 	return nil
 }
 
-// newStore builds the RR-set store the options describe: flat for
-// Shards ≤ 1, sharded otherwise, remote-sharded when RemoteWorkers is set.
+// newStore builds the RR-set store the options describe: Shards in-process
+// shards (≤ 1 = one shard), or one remote shard per RemoteWorkers address.
 // All are bit-identical in results.
 func (o *Options) newStore(s *ris.Sampler) ris.Store {
 	return ris.NewStore(s, o.Seed, ris.StoreOptions{

@@ -46,13 +46,3 @@ func (c candidate) above(o candidate) bool { return c.gain > o.gain }
 func Greedy(c ris.Store, upto, k int) Result {
 	return NewSolver(c).Solve(upto, k)
 }
-
-// CoverageOf computes Cov over [0,upto) for an arbitrary seed set (used to
-// cross-check Greedy and by tests).
-func CoverageOf(c ris.Store, seeds []uint32, upto int) int64 {
-	mark := make([]bool, c.NumNodes())
-	for _, s := range seeds {
-		mark[s] = true
-	}
-	return c.CoverageRange(mark, 0, upto)
-}

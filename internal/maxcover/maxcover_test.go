@@ -10,7 +10,7 @@ import (
 	"stopandstare/internal/ris"
 )
 
-func buildCollection(t testing.TB, n, mEdges, sets int, seed uint64) *ris.Collection {
+func buildCollection(t testing.TB, n, mEdges, sets int, seed uint64) ris.Store {
 	t.Helper()
 	g, err := gen.ErdosRenyi(n, int64(mEdges), seed, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -20,14 +20,34 @@ func buildCollection(t testing.TB, n, mEdges, sets int, seed uint64) *ris.Collec
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := ris.NewCollection(s, seed+1, 2)
-	col.Generate(sets)
+	col := ris.NewStore(s, seed+1, ris.StoreOptions{Workers: 2})
+	col.GenerateTo(sets)
 	return col
+}
+
+// CoverageOf recounts Cov over [0, upto) for an arbitrary seed set by
+// scanning the sets themselves — the oracle the solvers' index-driven
+// coverage bookkeeping is cross-checked against.
+func CoverageOf(c ris.Store, seeds []uint32, upto int) int64 {
+	mark := make([]bool, c.NumNodes())
+	for _, s := range seeds {
+		mark[s] = true
+	}
+	var cov int64
+	c.ForEachSet(0, upto, func(_ int, set []uint32) {
+		for _, v := range set {
+			if mark[v] {
+				cov++
+				break
+			}
+		}
+	})
+	return cov
 }
 
 // bruteForceBest finds the optimal coverage over all size-k subsets of the
 // nodes that appear in any set (tiny instances only).
-func bruteForceBest(col *ris.Collection, upto, k int) int64 {
+func bruteForceBest(col ris.Store, upto, k int) int64 {
 	var nodes []uint32
 	seen := map[uint32]bool{}
 	for i := 0; i < upto; i++ {

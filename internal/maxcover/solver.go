@@ -29,8 +29,8 @@ import (
 //
 // The solver consumes the ris.Store interface only, and is insensitive to
 // the store's postings-run ordering (gain updates and covered-set walks are
-// order-independent sums), so flat and sharded stores yield bit-identical
-// Seeds and Coverage — the property the differential harness pins.
+// order-independent sums), so every shard count yields bit-identical Seeds
+// and Coverage — the property the differential harness pins.
 type Solver struct {
 	c       ris.Store
 	scanned int         // RR sets [0, scanned) are counted in gains

@@ -136,7 +136,7 @@ func TestSolverWeightedCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := ris.NewCollection(s, 23, 3)
+	col := ris.NewStore(s, 23, ris.StoreOptions{Workers: 3})
 	sol := NewSolver(col)
 	for _, next := range []int{40, 160, 640} {
 		col.GenerateTo(next)
@@ -150,7 +150,7 @@ func TestSolverWeightedCollection(t *testing.T) {
 // checkpoint-path benchmarks below.
 var checkpointSchedule = []int{1000, 2000, 4000, 8000, 16000, 32000}
 
-func buildBenchCollection(b *testing.B) *ris.Collection {
+func buildBenchCollection(b *testing.B) ris.Store {
 	b.Helper()
 	col := buildCollection(b, 4000, 24000, 0, 3)
 	col.GenerateTo(checkpointSchedule[len(checkpointSchedule)-1])

@@ -10,31 +10,13 @@ import "stopandstare/internal/epoch"
 // holdout half R^c_t is never rescanned — only the index runs of the k
 // candidate seeds are visited, each id counted once via an epoch-stamped
 // mark (the same trick maxcover's solvers use for covered sets, so a
-// checkpoint costs no per-call allocation in steady state). The walk is
-// shared by both Store implementations: each id is counted on first visit,
-// so the per-shard interleaving of the sharded store's runs cannot change
-// the count.
+// checkpoint costs no per-call allocation in steady state). Each id is
+// counted on first visit, so the per-shard interleaving of a multi-shard
+// store's runs cannot change the count.
 
-// coverageRange is the arena-scan oracle behind CoverageRange on both
-// stores: one pass over the window's sets, counting those that contain a
-// marked node. Built on ForEachSet so the flat store sweeps its arena
-// directly and the sharded store walks its shard runs.
-func coverageRange(st Store, seedMark []bool, from, to int) int64 {
-	var cov int64
-	st.ForEachSet(from, to, func(_ int, set []uint32) {
-		for _, v := range set {
-			if seedMark[v] {
-				cov++
-				break
-			}
-		}
-	})
-	return cov
-}
-
-// coverageRangeSeeds is the union walk behind CoverageRangeSeeds on both
-// stores: count the distinct ids in [from, to) across the seeds' postings,
-// deduplicated through the store-owned epoch-stamped marks.
+// coverageRangeSeeds is the union walk behind CoverageRangeSeeds: count the
+// distinct ids in [from, to) across the seeds' postings, deduplicated
+// through the epoch-stamped marks m.
 func coverageRangeSeeds(st Store, m *epoch.Marks, seeds []uint32, from, to int) int64 {
 	if from < 0 {
 		from = 0
@@ -68,7 +50,7 @@ func coverageRangeSeeds(st Store, m *epoch.Marks, seeds []uint32, from, to int) 
 // the union walk dedupes ids through m instead of the store-owned mark set.
 // This is the concurrency-safe form the serving layer uses — any number of
 // read-only queries may walk one store in parallel as long as each brings
-// its own marks (and no Generate runs concurrently). A remote-sharded store
+// its own marks (and no growth runs concurrently). A remote-sharded store
 // counts worker-side instead (per-shard marks, serialized per connection),
 // which needs no caller scratch and stays safe for concurrent readers.
 func CoverageRangeSeedsMarks(st Store, m *epoch.Marks, seeds []uint32, from, to int) int64 {
@@ -76,21 +58,4 @@ func CoverageRangeSeedsMarks(st Store, m *epoch.Marks, seeds []uint32, from, to 
 		return sc.remoteCoverageSeeds(seeds, from, to)
 	}
 	return coverageRangeSeeds(st, m, seeds, from, to)
-}
-
-// CoverageRangeSeeds counts how many RR sets with ids in [from, to) contain
-// at least one of the seeds — the same quantity as CoverageRange over a
-// seed-mark vector, computed from the inverted index instead of the arena.
-// Duplicate seeds are tolerated (the union dedupes them).
-//
-// The walk reuses collection-owned scratch, so calls must not race with
-// each other or with Generate (the same discipline Generate itself
-// requires; concurrent Postings/Set reads remain safe).
-func (c *Collection) CoverageRangeSeeds(seeds []uint32, from, to int) int64 {
-	return coverageRangeSeeds(c, &c.covMark, seeds, from, to)
-}
-
-// CoverageSeeds counts Cov_R(S) over the whole stream via the index.
-func (c *Collection) CoverageSeeds(seeds []uint32) int64 {
-	return c.CoverageRangeSeeds(seeds, 0, c.Len())
 }

@@ -48,7 +48,7 @@ func TestCoverageRangeSeedsMatchesArenaScan(t *testing.T) {
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := mustSampler(t, g, model)
 		for _, sc := range coverageSchedules {
-			col := NewCollection(s, 123, sc.workers)
+			col := NewShardedCollection(s, 123, 1, sc.workers)
 			for _, target := range sc.schedule {
 				col.GenerateTo(target)
 			}
@@ -58,7 +58,7 @@ func TestCoverageRangeSeedsMatchesArenaScan(t *testing.T) {
 					mark[v] = true
 				}
 				for _, w := range windows {
-					want := col.CoverageRange(mark, w[0], w[1])
+					want := scanCoverage(col, mark, w[0], w[1])
 					got := col.CoverageRangeSeeds(seeds, w[0], w[1])
 					if got != want {
 						t.Fatalf("%v/%s seeds=%v window=%v: postings %d, arena scan %d",
@@ -68,16 +68,6 @@ func TestCoverageRangeSeedsMatchesArenaScan(t *testing.T) {
 				for _, v := range seeds {
 					mark[v] = false
 				}
-			}
-			// Whole-stream convenience must agree with Coverage.
-			for _, v := range manyNodes(25) {
-				mark[v] = true
-			}
-			if got, want := col.CoverageSeeds(manyNodes(25)), col.Coverage(mark); got != want {
-				t.Fatalf("%v/%s: CoverageSeeds %d vs Coverage %d", model, sc.name, got, want)
-			}
-			for _, v := range manyNodes(25) {
-				mark[v] = false
 			}
 		}
 	}
@@ -92,15 +82,15 @@ func manyNodes(k int) []uint32 {
 }
 
 // TestPostingsRangeMatchesIndexUpto checks the windowed postings iterator
-// against the gathered IndexUpto view filtered by hand, for windows that
-// fall inside, on, and beyond CSR block boundaries.
+// against the arena-scan index (scanIndex) filtered by hand, for windows
+// that fall inside, on, and beyond CSR block boundaries.
 func TestPostingsRangeMatchesIndexUpto(t *testing.T) {
 	g, err := gen.ErdosRenyi(120, 700, 19, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 7, 3)
+	col := NewShardedCollection(s, 7, 1, 3)
 	for _, target := range []int{300, 600, 1200} {
 		col.GenerateTo(target)
 	}
@@ -111,7 +101,7 @@ func TestPostingsRangeMatchesIndexUpto(t *testing.T) {
 	for _, w := range windows {
 		for v := uint32(0); int(v) < g.NumNodes(); v += 7 {
 			var want []int32
-			for _, id := range col.Index(v) {
+			for _, id := range scanIndex(col, v, col.Len()) {
 				if int(id) >= w[0] && int(id) < w[1] {
 					want = append(want, id)
 				}
@@ -156,7 +146,7 @@ func TestIndexBlockLayoutIdenticalAcrossWorkers(t *testing.T) {
 		{4000, 8000, 16000, 30000},
 	}
 	for si, schedule := range schedules {
-		ref := NewCollection(s, 99, 1)
+		ref := NewShardedCollection(s, 99, 1, 1)
 		for _, target := range schedule {
 			ref.GenerateTo(target)
 		}
@@ -166,15 +156,15 @@ func TestIndexBlockLayoutIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("schedule %d: stream too small (%d items) to exercise the parallel build", si, ref.Items())
 		}
 		for _, workers := range []int{2, 8} {
-			col := NewCollection(s, 99, workers)
+			col := NewShardedCollection(s, 99, 1, workers)
 			for _, target := range schedule {
 				col.GenerateTo(target)
 			}
-			if len(col.blocks) != len(ref.blocks) {
-				t.Fatalf("schedule %d w=%d: %d blocks vs %d", si, workers, len(col.blocks), len(ref.blocks))
+			if len(col.segs[0].blocks) != len(ref.segs[0].blocks) {
+				t.Fatalf("schedule %d w=%d: %d blocks vs %d", si, workers, len(col.segs[0].blocks), len(ref.segs[0].blocks))
 			}
-			for bi := range ref.blocks {
-				rb, cb := &ref.blocks[bi], &col.blocks[bi]
+			for bi := range ref.segs[0].blocks {
+				rb, cb := &ref.segs[0].blocks[bi], &col.segs[0].blocks[bi]
 				if rb.from != cb.from || rb.to != cb.to {
 					t.Fatalf("schedule %d w=%d block %d: range [%d,%d) vs [%d,%d)",
 						si, workers, bi, cb.from, cb.to, rb.from, rb.to)

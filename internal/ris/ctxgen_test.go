@@ -1,4 +1,4 @@
-// Cooperative cancellation of store growth: a canceled GenerateCtx must
+// Cooperative cancellation of store growth: a canceled GenerateToCtx must
 // mutate NOTHING — stream, index and width exactly as before the call — so a
 // later identical top-up regenerates the same bit-identical sets. Tested
 // deterministically with a context whose Err() flips after a fixed number of
@@ -29,26 +29,23 @@ func (c *countCtx) Err() error {
 	return nil
 }
 
-func cancelObservables(t *testing.T, label string, st Store) (int, int64, int64) {
-	t.Helper()
-	return st.Len(), st.Items(), st.Width()
-}
-
 func TestGenerateCtxCancellation(t *testing.T) {
 	s := snapTestSampler(t)
 	const seed = 771
+	// Shards 0 and 1 are the same one-shard store; both stay in the grid so
+	// the default configuration is named explicitly.
 	for _, shards := range []int{0, 1, 3} {
-		st := NewStore(s, seed, snapOpt(shards)).(ContextStore)
-		ref := NewStore(s, seed, StoreOptions{Workers: 2})
-		st.Generate(40)
-		ref.Generate(40)
+		st := NewStore(s, seed, snapOpt(shards))
+		ref := NewRefStore(s, seed)
+		st.GenerateTo(40)
+		ref.GenerateTo(40)
 		wantLen, wantItems, wantWidth := st.Len(), st.Items(), st.Width()
 
 		// Pre-canceled context: immediate error, nothing mutated.
 		pre, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := st.GenerateCtx(pre, 50); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d pre-canceled GenerateCtx err = %v, want Canceled", shards, err)
+		if err := st.GenerateToCtx(pre, st.Len()+50); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d pre-canceled GenerateToCtx err = %v, want Canceled", shards, err)
 		}
 
 		// Mid-flight cancellation at several flip points: workers poll
@@ -59,18 +56,18 @@ func TestGenerateCtxCancellation(t *testing.T) {
 		canceled := 0
 		for _, after := range []int64{1, 2, 5, 9} {
 			ctx := &countCtx{Context: context.Background(), after: after}
-			err := st.GenerateCtx(ctx, 120)
+			err := st.GenerateToCtx(ctx, st.Len()+120)
 			if err == nil {
-				ref.Generate(120)
-				storeObservables(t, "late-cancel full growth", ref, st)
-				wantLen, wantItems, wantWidth = cancelObservables(t, "grown", st)
+				ref.GenerateTo(ref.Len() + 120)
+				AssertStoresEqual(t, "late-cancel full growth", ref, st)
+				wantLen, wantItems, wantWidth = st.Len(), st.Items(), st.Width()
 				continue
 			}
 			canceled++
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d after=%d GenerateCtx err = %v, want Canceled", shards, after, err)
+				t.Fatalf("shards=%d after=%d GenerateToCtx err = %v, want Canceled", shards, after, err)
 			}
-			l, it, w := cancelObservables(t, "mid", st)
+			l, it, w := st.Len(), st.Items(), st.Width()
 			if l != wantLen || it != wantItems || w != wantWidth {
 				t.Fatalf("shards=%d after=%d store mutated by canceled growth: len %d→%d items %d→%d width %d→%d",
 					shards, after, wantLen, l, wantItems, it, wantWidth, w)
@@ -80,26 +77,22 @@ func TestGenerateCtxCancellation(t *testing.T) {
 			t.Fatalf("shards=%d no flip point canceled — test exercised nothing", shards)
 		}
 
-		// GenerateToCtx shares the path (and is a no-op at or below Len).
-		if err := st.GenerateToCtx(&countCtx{Context: context.Background(), after: 1}, st.Len()+80); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d GenerateToCtx want Canceled", shards)
-		}
+		// At or below Len the call is a no-op even on a canceled context.
 		if err := st.GenerateToCtx(pre, st.Len()); err != nil {
 			t.Fatalf("shards=%d GenerateToCtx at target: %v", shards, err)
 		}
 
 		// The abandoned growth left no trace: the same top-up, uncanceled,
-		// lands bit-identical to a never-interrupted twin.
-		st.Generate(120)
-		ref.Generate(120)
-		storeObservables(t, "post-cancel regrow", ref, st)
+		// lands bit-identical to the never-interrupted reference stream.
+		st.GenerateTo(st.Len() + 120)
+		ref.GenerateTo(ref.Len() + 120)
+		AssertStoresEqual(t, "post-cancel regrow", ref, st)
 
-		// A canceled context also works through the GenerateToCtx success
-		// path when growth is still needed.
+		// An uncanceled context goes through the same path and grows.
 		if err := st.GenerateToCtx(context.Background(), st.Len()+7); err != nil {
 			t.Fatalf("shards=%d GenerateToCtx grow: %v", shards, err)
 		}
-		ref.Generate(7)
-		storeObservables(t, "ctx regrow", ref, st)
+		ref.GenerateTo(ref.Len() + 7)
+		AssertStoresEqual(t, "ctx regrow", ref, st)
 	}
 }

@@ -1,4 +1,4 @@
-// Remote-tier cancellation: a GenerateCtx abandoned mid-flight while some
+// Remote-tier cancellation: a GenerateToCtx abandoned mid-flight while some
 // workers already appended must roll back every mirror (segSnap restore) and
 // leave the coordinator exactly at its pre-call state; workers that ran
 // ahead are reconciled by the idempotent redelivery path on the next growth.
@@ -39,17 +39,17 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 		RemoteWorkers: []string{"w0", "w1"},
 		RemoteDial:    cl.dial,
 	}
-	st := ris.NewStore(s, seed, opt).(ris.ContextStore)
-	ref := ris.NewStore(s, seed, ris.StoreOptions{Workers: 2})
-	st.Generate(50)
-	ref.Generate(50)
+	st := ris.NewStore(s, seed, opt)
+	ref := ris.NewRefStore(s, seed)
+	st.GenerateTo(50)
+	ref.GenerateTo(50)
 	wantLen, wantItems, wantWidth := st.Len(), st.Items(), st.Width()
 
 	// Pre-canceled: upfront check fires before any RPC.
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := st.GenerateCtx(pre, 40); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled GenerateCtx err = %v, want Canceled", err)
+	if err := st.GenerateToCtx(pre, st.Len()+40); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled GenerateToCtx err = %v, want Canceled", err)
 	}
 
 	// Flip the context at increasing poll counts: depending on scheduling
@@ -60,16 +60,16 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 	canceled := 0
 	for _, after := range []int64{1, 2, 3, 4} {
 		ctx := &remoteCountCtx{Context: context.Background(), after: after}
-		err := st.GenerateCtx(ctx, 90)
+		err := st.GenerateToCtx(ctx, st.Len()+90)
 		if err == nil {
-			ref.Generate(90)
-			remoteObservables(t, "late-cancel full growth", ref, st)
+			ref.GenerateTo(ref.Len() + 90)
+			ris.AssertStoresEqual(t, "late-cancel full growth", ref, st)
 			wantLen, wantItems, wantWidth = st.Len(), st.Items(), st.Width()
 			continue
 		}
 		canceled++
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("after=%d GenerateCtx err = %v, want Canceled", after, err)
+			t.Fatalf("after=%d GenerateToCtx err = %v, want Canceled", after, err)
 		}
 		if st.Len() != wantLen || st.Items() != wantItems || st.Width() != wantWidth {
 			t.Fatalf("after=%d mirrors not rolled back: len %d→%d items %d→%d width %d→%d",
@@ -82,8 +82,8 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 
 	// Workers may now hold sets the coordinator rolled back; the next growth
 	// replays/redelivers deterministically and everything converges
-	// bit-identical to the uninterrupted twin.
-	st.Generate(90)
-	ref.Generate(90)
-	remoteObservables(t, "post-cancel regrow", ref, st)
+	// bit-identical to the uninterrupted reference stream.
+	st.GenerateTo(st.Len() + 90)
+	ref.GenerateTo(ref.Len() + 90)
+	ris.AssertStoresEqual(t, "post-cancel regrow", ref, st)
 }

@@ -1,9 +1,11 @@
 // Package ris_test hosts the differential harness of the Store interface:
 // the full algorithms (SSA, D-SSA, the TVM budget sweep) are run on the
-// flat Collection and on ShardedCollection across shard and worker counts,
-// and every observable output — Seeds, Coverage, CoverageSamples, and the
+// definition-level reference stream (ris.NewRefStore: set i drawn straight
+// from Sampler.Sample on stream (seed, i), candidates solved from scratch)
+// and on the production store across shard and worker counts, and every
+// observable output — Seeds, Coverage, CoverageSamples, and the
 // per-checkpoint traces — must be bit-identical. This is what turns the
-// "sharding cannot change results" claim from a comment into a tested
+// "topology cannot change results" claim from a comment into a tested
 // invariant: any drift in shard-boundary bookkeeping, postings dedup, or
 // gain accounting shows up as a trace mismatch here.
 package ris_test
@@ -22,11 +24,9 @@ import (
 	"stopandstare/internal/tvm"
 )
 
-// The differential grid of the issue: shard counts {1, 2, 3, 7} × per-shard
-// worker counts {1, 4}. Shards ≥ 1 in the option structs selects a real
-// ShardedCollection (1 is a genuine single-shard sharded store, not an
-// alias for flat), so every grid point exercises the sharded code path;
-// the flat reference uses Shards = 0.
+// The differential grid: shard counts {1, 2, 3, 7} × per-shard worker
+// counts {1, 4}. Shards = 1 is the default one-shard store (identity ids);
+// the others exercise the gid tables and epoch split.
 var (
 	diffShardCounts  = []int{1, 2, 3, 7}
 	diffWorkerCounts = []int{1, 4}
@@ -90,12 +90,56 @@ func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int, ker
 	return res, trace
 }
 
+// refExec is the core.Exec of the reference side: the definition-level
+// stream, every candidate solved from scratch (no incremental solver state),
+// coverage counted by scanning the window's sets.
+type refExec struct{ st ris.Store }
+
+func (e refExec) Store() ris.Store { return e.st }
+func (e refExec) Ensure(target int) bool {
+	grew := e.st.Len() < target
+	e.st.GenerateTo(target)
+	return grew
+}
+func (e refExec) Acquire() {}
+func (e refExec) Release() {}
+func (e refExec) Solve(upto, k int) maxcover.Result {
+	return maxcover.Greedy(e.st, upto, k)
+}
+func (e refExec) Coverage(seeds []uint32, from, to int) int64 {
+	return e.st.CoverageRangeSeeds(seeds, from, to)
+}
+
+// runCoreRef executes runCore's workload on the reference stream: what the
+// Store contract says the answer is, computed without any store code.
+func runCoreRef(t *testing.T, s *ris.Sampler, algo string, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+	t.Helper()
+	var trace []core.Checkpoint
+	opt := core.Options{
+		K: 8, Epsilon: 0.3, Seed: 71,
+		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
+	}
+	env := refExec{ris.NewRefStore(s.WithKernel(kernel), opt.Seed)}
+	var res *core.Result
+	var err error
+	if algo == "ssa" {
+		res, err = core.SSAWith(opt, env)
+	} else {
+		res, err = core.DSSAWith(opt, env)
+	}
+	if err != nil {
+		t.Fatalf("%s reference: %v", algo, err)
+	}
+	return res, trace
+}
+
 // TestDifferentialSSAFlatVsSharded and its D-SSA sibling run the full
 // stop-and-stare loops — doubling schedule, incremental max-coverage,
 // index-driven (D-SSA) or stopping-rule (SSA) verification — on every
-// store topology of the grid and demand bit-identical traces. The traces
-// are compared checkpoint by checkpoint, so a divergence pinpoints the
-// first iteration at which a store implementation leaked into results.
+// store topology of the grid and demand traces bit-identical to the
+// reference stream's. The traces are compared checkpoint by checkpoint, so
+// a divergence pinpoints the first iteration at which the store leaked into
+// results.
 func TestDifferentialSSAFlatVsSharded(t *testing.T) {
 	differentialCore(t, "ssa")
 }
@@ -105,9 +149,9 @@ func TestDifferentialDSSAFlatVsSharded(t *testing.T) {
 }
 
 // differentialCore runs the grid under BOTH sampling kernels: the compiled
-// plan kernels (the default since PR 4) and the Bernoulli oracle. The flat
-// vs sharded bit-identity must hold per kernel — kernels consume different
-// PRNG sequences, so cross-kernel traces legitimately differ, but within a
+// plan kernels (the default since PR 4) and the Bernoulli oracle. The
+// bit-identity must hold per kernel — kernels consume different PRNG
+// sequences, so cross-kernel traces legitimately differ, but within a
 // kernel no store topology may leak into results.
 func differentialCore(t *testing.T, algo string) {
 	g := diffGraph(t)
@@ -116,10 +160,10 @@ func differentialCore(t *testing.T, algo string) {
 		t.Fatal(err)
 	}
 	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		refRes, refTrace := runCore(t, s, algo, 0, 0, kernel) // flat, default workers
-		// The flat store must itself be worker-count independent.
-		res1, trace1 := runCore(t, s, algo, 0, 0, kernel)
-		assertResultsIdentical(t, fmt.Sprintf("%s/%v/flat-repeat", algo, kernel), refRes, res1, refTrace, trace1)
+		refRes, refTrace := runCoreRef(t, s, algo, kernel)
+		// The default configuration (Shards 0, default workers).
+		res0, trace0 := runCore(t, s, algo, 0, 0, kernel)
+		assertResultsIdentical(t, fmt.Sprintf("%s/%v/default", algo, kernel), refRes, res0, refTrace, trace0)
 		for _, shards := range diffShardCounts {
 			for _, workers := range diffWorkerCounts {
 				ctx := fmt.Sprintf("%s/%v/shards=%d/shardWorkers=%d", algo, kernel, shards, workers)
@@ -130,10 +174,48 @@ func differentialCore(t *testing.T, algo string) {
 	}
 }
 
+// sweepRef is the reference side of the TVM sweep differentials: each
+// budget solved from scratch by maxcover.GreedyBudgeted over the first
+// `samples` sets of the definition-level WRIS stream.
+func sweepRef(t *testing.T, inst *tvm.Instance, model diffusion.Model, kernel ris.Kernel,
+	costs, budgets []float64, seed uint64, samples int) []*tvm.BudgetedResult {
+	t.Helper()
+	s, err := inst.Sampler(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := ris.NewRefStore(s.WithKernel(kernel), seed)
+	ref.GenerateTo(samples)
+	out := make([]*tvm.BudgetedResult, len(budgets))
+	for i, b := range budgets {
+		mc := maxcover.GreedyBudgeted(ref, samples, costs, b)
+		out[i] = &tvm.BudgetedResult{Seeds: mc.Seeds, Benefit: mc.Influence(inst.Gamma),
+			Budget: b, Cost: mc.Cost, Samples: int64(mc.Upto)}
+	}
+	return out
+}
+
+// assertSweepsIdentical compares two sweeps budget by budget.
+func assertSweepsIdentical(t *testing.T, ctx string, budgets []float64, ref, got []*tvm.BudgetedResult) {
+	t.Helper()
+	for i := range ref {
+		ctx := fmt.Sprintf("%s/budget=%v", ctx, budgets[i])
+		if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
+			t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
+		}
+		if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
+			got[i].Samples != ref[i].Samples {
+			t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
+				got[i].Benefit, got[i].Cost, got[i].Samples,
+				ref[i].Benefit, ref[i].Cost, ref[i].Samples)
+		}
+	}
+}
+
 // TestDifferentialBudgetedSweepFlatVsSharded runs the cost-aware TVM sweep
 // (WRIS sampling + incremental ratio greedy + KMN fix-up) over several
-// budgets on one shared store, flat vs sharded, asserting identical seeds,
-// benefit estimates, costs and sample counts per budget.
+// budgets on one shared store per topology, asserting seeds, benefit
+// estimates, costs and sample counts identical to the reference per budget.
 func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 	g := diffGraph(t)
 	weights := make([]float64, g.NumNodes())
@@ -160,22 +242,12 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 		return res
 	}
 	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		ref := run(0, 0, kernel)
+		ref := sweepRef(t, inst, diffusion.LT, kernel, costs, budgets, 13, 3000)
+		assertSweepsIdentical(t, fmt.Sprintf("sweep/%v/default", kernel), budgets, ref, run(0, 0, kernel))
 		for _, shards := range diffShardCounts {
 			for _, workers := range diffWorkerCounts {
-				got := run(shards, workers, kernel)
-				for i := range ref {
-					ctx := fmt.Sprintf("sweep/%v/shards=%d/workers=%d/budget=%v", kernel, shards, workers, budgets[i])
-					if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
-						t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
-					}
-					if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
-						got[i].Samples != ref[i].Samples {
-						t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
-							got[i].Benefit, got[i].Cost, got[i].Samples,
-							ref[i].Benefit, ref[i].Cost, ref[i].Samples)
-					}
-				}
+				ctx := fmt.Sprintf("sweep/%v/shards=%d/workers=%d", kernel, shards, workers)
+				assertSweepsIdentical(t, ctx, budgets, ref, run(shards, workers, kernel))
 			}
 		}
 	}
@@ -183,15 +255,15 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 
 // TestDifferentialSolversOnShardedStore closes the loop below the
 // algorithms: the incremental Solver and BudgetedSolver, fed checkpoints on
-// a sharded store, must match from-scratch solves on a flat store of the
-// same stream — the maxcover layer's own flat-vs-sharded differential.
+// the store at every shard count, must match from-scratch solves on the
+// reference stream — the maxcover layer's own differential.
 func TestDifferentialSolversOnShardedStore(t *testing.T) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := ris.NewCollection(s, 31, 2)
+	ref := ris.NewRefStore(s, 31)
 	costs := make([]float64, g.NumNodes())
 	for v := range costs {
 		costs[v] = float64(v%3) + 1
@@ -201,18 +273,18 @@ func TestDifferentialSolversOnShardedStore(t *testing.T) {
 		solver := maxcover.NewSolver(sharded)
 		budgeted := maxcover.NewBudgetedSolver(sharded, costs)
 		for _, upto := range []int{60, 120, 240, 480, 900} {
-			flat.GenerateTo(upto)
+			ref.GenerateTo(upto)
 			sharded.GenerateTo(upto)
 			got := solver.Solve(upto, 7)
-			want := maxcover.Greedy(flat, upto, 7)
+			want := maxcover.Greedy(ref, upto, 7)
 			if !slices.Equal(got.Seeds, want.Seeds) || got.Coverage != want.Coverage {
-				t.Fatalf("shards=%d upto=%d: solver %v/%d vs flat %v/%d",
+				t.Fatalf("shards=%d upto=%d: solver %v/%d vs reference %v/%d",
 					shards, upto, got.Seeds, got.Coverage, want.Seeds, want.Coverage)
 			}
 			gotB := budgeted.Solve(upto, 25)
-			wantB := maxcover.GreedyBudgeted(flat, upto, costs, 25)
+			wantB := maxcover.GreedyBudgeted(ref, upto, costs, 25)
 			if !slices.Equal(gotB.Seeds, wantB.Seeds) || gotB.Coverage != wantB.Coverage || gotB.Cost != wantB.Cost {
-				t.Fatalf("shards=%d upto=%d: budgeted %v/%d/%v vs flat %v/%d/%v",
+				t.Fatalf("shards=%d upto=%d: budgeted %v/%d/%v vs reference %v/%d/%v",
 					shards, upto, gotB.Seeds, gotB.Coverage, gotB.Cost,
 					wantB.Seeds, wantB.Coverage, wantB.Cost)
 			}

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,20 +43,20 @@ func TestRISEqualsForwardOnReverseGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 3, 2)
+	col := NewShardedCollection(s, 3, 1, 2)
 	const N = 200000
-	col.Generate(N)
-	freq := float64(len(col.Index(0))) / N * s.Scale()
+	col.GenerateTo(N)
+	freq := float64(len(gatherPostings(col, 0, 0, N))) / N * s.Scale()
 	if math.Abs(freq-exact) > 0.05 {
 		t.Fatalf("RR frequency estimate %v vs exact %v", freq, exact)
 	}
 }
 
 // TestArenaBitIdenticalAcrossWorkersAndSchedules pins the determinism
-// contract of the arena-backed collection: for a fixed seed, the arena
-// contents, offsets, aggregates and CSR index postings are bit-identical
-// regardless of worker count AND regardless of how the stream growth is
-// sliced into Generate calls (which changes the CSR block boundaries).
+// contract of the arena-backed store: for a fixed seed, the arena contents,
+// aggregates and CSR index postings equal the definition-level reference
+// stream regardless of worker count AND regardless of how the stream growth
+// is sliced into GenerateTo calls (which changes the CSR block boundaries).
 func TestArenaBitIdenticalAcrossWorkersAndSchedules(t *testing.T) {
 	g, err := gen.ChungLu(250, 1400, 2.1, 83, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -63,8 +64,7 @@ func TestArenaBitIdenticalAcrossWorkersAndSchedules(t *testing.T) {
 	}
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := mustSampler(t, g, model)
-		ref := NewCollection(s, 123, 1)
-		ref.Generate(2500)
+		ref := refStream(s, 123, 2500)
 		variants := []struct {
 			name     string
 			workers  int
@@ -75,57 +75,33 @@ func TestArenaBitIdenticalAcrossWorkersAndSchedules(t *testing.T) {
 			{"w8-irregular", 8, []int{1, 3, 700, 701, 2499, 2500}},
 		}
 		for _, vc := range variants {
-			col := NewCollection(s, 123, vc.workers)
+			col := NewShardedCollection(s, 123, 1, vc.workers)
 			for _, target := range vc.schedule {
 				col.GenerateTo(target)
 			}
-			if col.Len() != ref.Len() || col.Items() != ref.Items() || col.Width() != ref.Width() {
-				t.Fatalf("%v/%s: aggregates differ from reference", model, vc.name)
-			}
-			for i := 0; i < ref.Len(); i++ {
-				a, b := ref.Set(i), col.Set(i)
-				if len(a) != len(b) {
-					t.Fatalf("%v/%s: set %d length differs", model, vc.name, i)
-				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("%v/%s: set %d differs at %d", model, vc.name, i, j)
-					}
-				}
-			}
-			// The index must present the same postings even though the two
-			// collections carry different CSR block boundaries.
-			for v := uint32(0); int(v) < g.NumNodes(); v++ {
-				ia, ib := ref.Index(v), col.Index(v)
-				if len(ia) != len(ib) {
-					t.Fatalf("%v/%s: node %d postings length differs", model, vc.name, v)
-				}
-				for j := range ia {
-					if ia[j] != ib[j] {
-						t.Fatalf("%v/%s: node %d postings differ", model, vc.name, v)
-					}
-				}
-			}
+			// Sets, aggregates, and the postings each variant's own CSR block
+			// boundaries present.
+			AssertStoresEqual(t, fmt.Sprintf("%v/%s", model, vc.name), ref, col)
 		}
 	}
 }
 
 // TestPostingsMatchIndexUpto checks the zero-allocation postings iterator
-// against the gathered IndexUpto view for cutoffs that fall inside, on, and
-// beyond CSR block boundaries.
+// against the arena-scan index (scanIndex) for cutoffs that fall inside, on,
+// and beyond CSR block boundaries.
 func TestPostingsMatchIndexUpto(t *testing.T) {
 	g, err := gen.ErdosRenyi(120, 700, 19, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 7, 3)
+	col := NewShardedCollection(s, 7, 1, 3)
 	for _, target := range []int{300, 600, 1200} { // three CSR blocks
 		col.GenerateTo(target)
 	}
 	for _, upto := range []int{0, 1, 299, 300, 301, 600, 750, 1200, 5000} {
 		for v := uint32(0); int(v) < g.NumNodes(); v += 5 {
-			want := col.IndexUpto(v, upto)
+			want := scanIndex(col, v, upto)
 			var got []int32
 			it := col.PostingsUpto(v, upto)
 			prev := int32(-1)

@@ -3,7 +3,6 @@ package ris_test
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"stopandstare/internal/diffusion"
@@ -40,9 +39,10 @@ func mappedTwin(t *testing.T, g *graph.Graph) *graph.Graph {
 	return m
 }
 
-// TestDifferentialHeapVsMapped runs SSA and D-SSA on the heap reference
-// and on its mapped twin across both kernels, the flat store, and the
-// sharded grid, demanding bit-identical results and traces throughout.
+// TestDifferentialHeapVsMapped runs SSA and D-SSA on the reference stream
+// over the heap graph and on the graph's mapped twin across both kernels,
+// the default store, and the sharded grid, demanding bit-identical results
+// and traces throughout.
 func TestDifferentialHeapVsMapped(t *testing.T) {
 	heap := diffGraph(t)
 	mapped := mappedTwin(t, heap)
@@ -56,9 +56,9 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
 		for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-			refRes, refTrace := runCore(t, hs, algo, 0, 0, kernel)
+			refRes, refTrace := runCoreRef(t, hs, algo, kernel)
 			res, trace := runCore(t, ms, algo, 0, 0, kernel)
-			assertResultsIdentical(t, fmt.Sprintf("%s/%v/mapped-flat", algo, kernel),
+			assertResultsIdentical(t, fmt.Sprintf("%s/%v/mapped-default", algo, kernel),
 				refRes, res, refTrace, trace)
 			for _, shards := range diffShardCounts {
 				for _, workers := range diffWorkerCounts {
@@ -88,12 +88,15 @@ func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 		costs[v] = float64((v*7)%4) + 1
 	}
 	budgets := []float64{3, 9, 27, 81}
-	run := func(g *graph.Graph, kernel ris.Kernel) []*tvm.BudgetedResult {
+	instOf := func(g *graph.Graph) *tvm.Instance {
 		inst, err := tvm.NewInstance(g, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tvm.BudgetedSweep(inst, diffusion.LT, budgets, tvm.BudgetedOptions{
+		return inst
+	}
+	run := func(g *graph.Graph, kernel ris.Kernel) []*tvm.BudgetedResult {
+		res, err := tvm.BudgetedSweep(instOf(g), diffusion.LT, budgets, tvm.BudgetedOptions{
 			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: 2,
 			Samples: 3000, Kernel: kernel,
 		})
@@ -103,19 +106,8 @@ func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 		return res
 	}
 	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		ref := run(heap, kernel)
-		got := run(mapped, kernel)
-		for i := range ref {
-			ctx := fmt.Sprintf("sweep/%v/budget=%v", kernel, budgets[i])
-			if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
-				t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
-			}
-			if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
-				got[i].Samples != ref[i].Samples {
-				t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
-					got[i].Benefit, got[i].Cost, got[i].Samples,
-					ref[i].Benefit, ref[i].Cost, ref[i].Samples)
-			}
-		}
+		ref := sweepRef(t, instOf(heap), diffusion.LT, kernel, costs, budgets, 13, 3000)
+		assertSweepsIdentical(t, fmt.Sprintf("sweep/%v/heap", kernel), budgets, ref, run(heap, kernel))
+		assertSweepsIdentical(t, fmt.Sprintf("sweep/%v/mapped", kernel), budgets, ref, run(mapped, kernel))
 	}
 }

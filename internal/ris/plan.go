@@ -32,8 +32,8 @@ import (
 // (Sampler.appendOracle), so individual RR sets differ set-by-set between
 // kernels — but the invariants every store and algorithm relies on are
 // kernel-independent and still hold: RR set i is a pure function of
-// (seed, i), generation is worker-count independent, and flat vs sharded
-// stores stay bit-identical (the differential harness runs under both
+// (seed, i), generation is worker-count independent, and every store
+// topology stays bit-identical (the differential harness runs under both
 // kernels). The oracle remains available behind KernelOracle as the
 // distribution reference; plan_test.go's statistical harness proves the two
 // kernels draw from the same distribution.

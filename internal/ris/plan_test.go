@@ -240,14 +240,14 @@ func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, k Kernel, s
 		t.Fatal(err)
 	}
 	s = s.WithKernel(k)
-	col := NewCollection(s, 97, 2)
+	col := NewShardedCollection(s, 97, 1, 2)
 	const N = 400000
-	col.Generate(N)
+	col.GenerateTo(N)
 	mark := make([]bool, g.NumNodes())
 	for _, v := range seeds {
 		mark[v] = true
 	}
-	cov := col.Coverage(mark)
+	cov := scanCoverage(col, mark, 0, N)
 	est := s.Scale() * float64(cov) / float64(N)
 	p := float64(cov) / float64(N)
 	se := s.Scale() * math.Sqrt(p*(1-p)/float64(N))

@@ -17,13 +17,13 @@ func TestPrefixStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.LT)
-	col := NewCollection(s, 277, 3)
-	col.Generate(500)
+	col := NewShardedCollection(s, 277, 1, 3)
+	col.GenerateTo(500)
 	snapshot := make([][]uint32, 500)
 	for i := 0; i < 500; i++ {
 		snapshot[i] = append([]uint32(nil), col.Set(i)...)
 	}
-	col.Generate(1500) // grow 4x
+	col.GenerateTo(col.Len() + 1500) // grow 4x
 	if col.Len() != 2000 {
 		t.Fatalf("len %d", col.Len())
 	}
@@ -38,10 +38,9 @@ func TestPrefixStability(t *testing.T) {
 			}
 		}
 	}
-	// And the grown stream matches a from-scratch generation of the same
-	// 2000 ids (append-only ≡ restart, the resumability property).
-	fresh := NewCollection(s, 277, 1)
-	fresh.Generate(2000)
+	// And the grown stream matches a from-scratch draw of the same 2000 ids
+	// from the definition (append-only ≡ restart, the resumability property).
+	fresh := refStream(s, 277, 2000)
 	for i := 0; i < 2000; i++ {
 		a, b := col.Set(i), fresh.Set(i)
 		if len(a) != len(b) {

@@ -3,7 +3,6 @@ package ris
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,7 +70,7 @@ func openSnapFile(path string) (*snapFile, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < snapHdrSize {
+	if size < blockHdrSize {
 		f.Close()
 		return nil, &SnapshotCorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes", size)}
 	}
@@ -97,32 +96,33 @@ func (sf *snapFile) close() {
 	}
 }
 
-// blockPayload validates the block expected at off — header structure,
-// expected kind and payload length, CRC32C — and returns its payload
-// aliasing the mapping, or nil if anything fails. Recovery treats nil as
+// blockPayload returns the validated payload of the block expected at off,
+// aliasing the mapping, or nil if any check fails. Recovery treats nil as
 // "this unit is gone", never as a store-level error.
 func (sf *snapFile) blockPayload(off int64, kind byte, plen int64) []byte {
-	if off < 0 || plen < 0 || off+snapHdrSize > sf.size || plen > sf.size-snapHdrSize-off {
-		return nil
-	}
-	hdr := sf.m.data[off : off+snapHdrSize]
-	if binary.LittleEndian.Uint32(hdr[0:]) != snapMagic || hdr[4] != kind {
-		return nil
-	}
-	if int64(binary.LittleEndian.Uint64(hdr[8:])) != plen {
-		return nil
-	}
-	payload := sf.m.data[off+snapHdrSize : off+snapHdrSize+plen]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[16:]) {
+	payload, err := blockPayload(sf.m.data, off, snapMagic, kind, plen)
+	if err != nil {
 		return nil
 	}
 	return payload
 }
 
+// metaPayload validates the leading meta block of the given kind — its
+// length is not known in advance, so it is read from the header first — and
+// returns its payload and the offset of the first data block.
+func (sf *snapFile) metaPayload(kind byte) ([]byte, int64, error) {
+	plen := int64(binary.LittleEndian.Uint64(sf.m.data[8:]))
+	payload, err := blockPayload(sf.m.data, 0, snapMagic, kind, plen)
+	if err != nil {
+		return nil, 0, &SnapshotCorruptError{Path: sf.path, Reason: "meta block: " + err.Error()}
+	}
+	return payload, snapAdvance(0, plen), nil
+}
+
 // snapAdvance returns the offset of the block after one at off with the
 // given payload length.
 func snapAdvance(off, plen int64) int64 {
-	return off + snapHdrSize + snapAlignUp(plen)
+	return off + blockHdrSize + snapAlignUp(plen)
 }
 
 // Decoded meta-block mirror of the encode side.
@@ -236,6 +236,12 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 	if md.n < 0 || md.length < 0 || md.shards < 0 || md.shards > 1<<20 {
 		return nil, corrupt("meta n=%d length=%d shards=%d", md.n, md.length, md.shards)
 	}
+	if md.shards == 0 {
+		// Written by the retired flat store: a topology this build cannot
+		// hold, not a damaged file. Callers start cold, as for any other
+		// topology change.
+		return nil, &SnapshotMismatchError{Reason: "snapshot was taken by a flat (shards=0) store"}
+	}
 	if md.remote {
 		for i := 0; i < md.shards && r.err == nil; i++ {
 			md.keys = append(md.keys, r.str())
@@ -260,23 +266,20 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 		md.epochs = append(md.epochs, e)
 	}
 	nsegs := int(r.u32())
-	want := 1
-	if md.shards > 0 {
-		want = md.shards
-	}
 	for i := 0; i < nsegs && r.err == nil; i++ {
 		md.segs = append(md.segs, decodeSegMeta(&r))
 	}
 	if r.err != nil {
 		return nil, corrupt("meta payload: %v", r.err)
 	}
-	if nsegs != want {
+	if nsegs != md.shards {
 		return nil, corrupt("meta declares %d segments for %d shards", nsegs, md.shards)
 	}
 	for i := range md.segs {
 		sm := &md.segs[i]
-		if sm.hasGids != (md.shards > 0) {
-			return nil, corrupt("segment %d gids flag %v under %d shards", i, sm.hasGids, md.shards)
+		// Only a lone in-process shard may run on identity ids.
+		if !sm.hasGids && (md.remote || md.shards > 1) {
+			return nil, corrupt("segment %d has no gid table under %d shards (remote=%v)", i, md.shards, md.remote)
 		}
 		if err := validateSegMeta(sm, md.n); err != nil {
 			return nil, corrupt("segment %d: %v", i, err)
@@ -296,7 +299,7 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 		}
 		prev = e.to
 	}
-	if md.shards > 0 && prev != md.length {
+	if prev != md.length {
 		return nil, corrupt("epochs cover %d of %d sets", prev, md.length)
 	}
 	return md, nil
@@ -320,19 +323,12 @@ func validateMeta(md *snapMetaD, s *Sampler, seed uint64, opt StoreOptions) erro
 	if md.weighted != (s.root != nil) || md.whash != weightsHash(s.weights) {
 		return mism("weight vector differs")
 	}
-	switch {
-	case len(opt.RemoteWorkers) > 0:
-		if !md.remote || md.shards != len(opt.RemoteWorkers) {
-			return mism("store has %d remote shards, snapshot %d (remote=%v)", len(opt.RemoteWorkers), md.shards, md.remote)
-		}
-	case opt.Shards < 1:
-		if md.shards != 0 {
-			return mism("store is flat, snapshot has %d shards", md.shards)
-		}
-	default:
-		if md.remote || md.shards != opt.Shards {
-			return mism("store has %d shards, snapshot %d (remote=%v)", opt.Shards, md.shards, md.remote)
-		}
+	remote, shards := len(opt.RemoteWorkers) > 0, max(opt.Shards, 1)
+	if remote {
+		shards = len(opt.RemoteWorkers)
+	}
+	if md.remote != remote || md.shards != shards {
+		return mism("store has %d shards (remote=%v), snapshot %d (remote=%v)", shards, remote, md.shards, md.remote)
 	}
 	return nil
 }
@@ -357,7 +353,7 @@ func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64)
 	r := segRestore{sm: sm, badFrom: sm.nsets}
 	plen := int64(sm.nsets+1) * 8
 	if p := sf.blockPayload(off, snapKindOffsets, plen); p != nil {
-		offs := append([]int64(nil), castSnapI64(p)...)
+		offs := append([]int64(nil), castSlice[int64](p)...)
 		ok := offs[0] == 0
 		for i := 1; i < len(offs) && ok; i++ {
 			ok = offs[i] >= offs[i-1]
@@ -373,7 +369,7 @@ func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64)
 	if sm.hasGids {
 		plen = int64(sm.nsets) * 4
 		if p := sf.blockPayload(off, snapKindGids, plen); p != nil {
-			gids := append([]int32(nil), castSpillI32(p)...)
+			gids := append([]int32(nil), castSlice[int32](p)...)
 			ok := true
 			for i := 1; i < len(gids) && ok; i++ {
 				ok = gids[i] > gids[i-1]
@@ -405,7 +401,7 @@ func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64)
 		p := sf.blockPayload(off, snapKindIndex, plen)
 		off = snapAdvance(off, plen)
 		if good && p != nil {
-			all := castSpillI32(p)
+			all := castSlice[int32](p)
 			if int(all[b.nStarts-1]) == b.nIds {
 				r.iblocks = append(r.iblocks, p)
 				continue
@@ -454,7 +450,7 @@ func restoreSegment(sg *segment, r *segRestore, c int, sf *snapFile, g *graph.Gr
 		sg.exts = append(sg.exts, arenaExtent{
 			setFrom: x.setFrom, setTo: setTo,
 			base: sg.offsets[x.setFrom], end: sg.offsets[setTo],
-			data: castSpillU32(r.arenas[ei]), mapped: sf.m,
+			data: castSlice[uint32](r.arenas[ei]), mapped: sf.m,
 		})
 	}
 	sg.tailSet = c
@@ -483,7 +479,7 @@ func restoreSegment(sg *segment, r *segRestore, c int, sf *snapFile, g *graph.Gr
 		if bm.lto > c {
 			break
 		}
-		all := castSpillI32(p)
+		all := castSlice[int32](p)
 		starts := all[:bm.nStarts:bm.nStarts]
 		ids := all[bm.nStarts : bm.nStarts+bm.nIds]
 		sg.blocks = append(sg.blocks, csrBlock{
@@ -579,8 +575,8 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 		}
 		var g int
 		switch {
-		case md.shards == 0:
-			g = r.badFrom
+		case !r.sm.hasGids:
+			g = r.badFrom // identity ids
 		case r.gids != nil:
 			g = int(r.gids[r.badFrom])
 		default:
@@ -592,7 +588,7 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	}
 
 	epochs := md.epochs
-	if cutoff < md.length && md.shards > 0 {
+	if cutoff < md.length {
 		kept := make([]genEpoch, 0, len(epochs))
 		for i := range epochs {
 			e := epochs[i]
@@ -618,38 +614,28 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 
 	// Per-segment kept-set counts under the cutoff.
 	cs := make([]int, len(md.segs))
-	if md.shards == 0 {
-		cs[0] = cutoff
-	} else {
-		for i := range epochs {
-			e := &epochs[i]
-			for s := range cs {
-				cs[s] += e.bounds[s+1] - e.bounds[s]
-			}
+	for i := range epochs {
+		e := &epochs[i]
+		for s := range cs {
+			cs[s] += e.bounds[s+1] - e.bounds[s]
 		}
 	}
 
-	st := NewStore(s, seed, opt)
+	st := newStore(s, seed, opt)
 	info := &RecoveryInfo{
 		Discarded:     md.length - cutoff,
 		SnapshotBytes: sf.size,
 		Generation:    man.Generation,
 	}
-	switch c := st.(type) {
-	case *Collection:
-		info.RebuiltIndexBlocks += restoreSegment(&c.segment, &restores[0], cs[0], sf, s.g, true)
-		c.snap = sf
-	case *ShardedCollection:
-		for i := range c.segs {
-			info.RebuiltIndexBlocks += restoreSegment(c.segs[i], &restores[i], cs[i], sf, s.g, c.remotes == nil)
-		}
-		c.epochs = epochs
-		c.length = cutoff
-		c.snap = sf
-		for i, rs := range c.remotes {
-			rs.key = md.keys[i]
-			rs.nonce = md.nonces[i]
-		}
+	for i := range st.segs {
+		info.RebuiltIndexBlocks += restoreSegment(st.segs[i], &restores[i], cs[i], sf, s.g, st.remotes == nil)
+	}
+	st.epochs = epochs
+	st.length = cutoff
+	st.snap = sf
+	for i, rs := range st.remotes {
+		rs.key = md.keys[i]
+		rs.nonce = md.nonces[i]
 	}
 
 	// Resample the discarded suffix deterministically. A remote store may be
@@ -675,18 +661,13 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 // readStoreMeta validates and decodes the leading meta block, returning the
 // decoded meta and the offset of the first data block.
 func readStoreMeta(sf *snapFile) (*snapMetaD, int64, error) {
-	hdr := sf.m.data[:snapHdrSize]
-	if binary.LittleEndian.Uint32(hdr[0:]) != snapMagic || hdr[4] != snapKindMeta {
-		return nil, 0, &SnapshotCorruptError{Path: sf.path, Reason: "bad meta block header"}
-	}
-	plen := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	payload := sf.blockPayload(0, snapKindMeta, plen)
-	if payload == nil {
-		return nil, 0, &SnapshotCorruptError{Path: sf.path, Reason: "meta block failed validation"}
+	payload, off, err := sf.metaPayload(snapKindMeta)
+	if err != nil {
+		return nil, 0, err
 	}
 	md, err := decodeStoreMeta(payload, sf.path)
 	if err != nil {
 		return nil, 0, err
 	}
-	return md, snapAdvance(0, plen), nil
+	return md, off, nil
 }

@@ -1,0 +1,232 @@
+package ris
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"sort"
+	"testing"
+
+	"stopandstare/internal/rng"
+)
+
+// This file holds the independent references the store tests compare
+// against, so that no test checks the production store against itself.
+//
+// refStore is the Store contract's DEFINITION: RR set i is Sampler.Sample
+// on the PRNG stream (seed, i), kept as one slice per set with per-node id
+// lists appended in id order, every query answered by the obvious scan. It
+// shares no code with segment, the CSR index, the spill tier, the snapshot
+// format or the parallel chunk sampler, so agreement with it is evidence
+// about those rather than a tautology. It implements Store so the full
+// algorithms (core.SSAWith/DSSAWith, the maxcover solvers) can run on it;
+// the tiering methods are inert.
+//
+// scanCoverage and scanIndex are the mark-vector / arena-scan oracles for a
+// store under test: O(items) passes over ForEachSet that never touch the
+// inverted index they are used to check.
+
+type refStore struct {
+	s     *Sampler
+	seed  uint64
+	st    *State
+	sets  [][]uint32
+	post  [][]int32 // post[v] = ascending ids of the sets containing v
+	items int64
+	width int64
+}
+
+// NewRefStore returns the empty definition-level reference stream for
+// (s, seed). Exported so the external differential harness (package
+// ris_test) can use it.
+func NewRefStore(s *Sampler, seed uint64) Store {
+	return &refStore{s: s, seed: seed, st: s.NewState(), post: make([][]int32, s.g.NumNodes())}
+}
+
+// refStream is NewRefStore grown to count sets.
+func refStream(s *Sampler, seed uint64, count int) Store {
+	r := NewRefStore(s, seed)
+	r.GenerateTo(count)
+	return r
+}
+
+func (r *refStore) Sampler() *Sampler  { return r.s }
+func (r *refStore) Len() int           { return len(r.sets) }
+func (r *refStore) Items() int64       { return r.items }
+func (r *refStore) Width() int64       { return r.width }
+func (r *refStore) Bytes() int64       { return 0 }
+func (r *refStore) NumNodes() int      { return r.s.g.NumNodes() }
+func (r *refStore) Scale() float64     { return r.s.scale }
+func (r *refStore) Set(i int) []uint32 { return r.sets[i] }
+
+func (r *refStore) ForEachSet(from, to int, fn func(i int, set []uint32)) {
+	for i := max(from, 0); i < min(to, len(r.sets)); i++ {
+		fn(i, r.sets[i])
+	}
+}
+
+func (r *refStore) GenerateTo(target int) {
+	for i := len(r.sets); i < target; i++ {
+		set, w := r.s.Sample(rng.NewStream(r.seed, uint64(i)), r.st)
+		r.sets = append(r.sets, set)
+		for _, v := range set {
+			r.post[v] = append(r.post[v], int32(i))
+		}
+		r.items += int64(len(set))
+		r.width += w
+	}
+}
+
+func (r *refStore) GenerateToCtx(ctx context.Context, target int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	r.GenerateTo(target)
+	return nil
+}
+
+func (r *refStore) PostingsUpto(v uint32, upto int) Postings {
+	return r.PostingsRange(v, 0, upto)
+}
+
+func (r *refStore) PostingsRange(v uint32, from, upto int) Postings {
+	ids := r.post[v]
+	lo := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= from })
+	hi := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= upto })
+	if lo >= hi {
+		return Postings{}
+	}
+	return Postings{pre: [][]int32{ids[lo:hi]}}
+}
+
+func (r *refStore) CoverageRangeSeeds(seeds []uint32, from, to int) int64 {
+	mark := make([]bool, r.NumNodes())
+	for _, v := range seeds {
+		mark[v] = true
+	}
+	return scanCoverage(r, mark, from, to)
+}
+
+func (r *refStore) SpillTo(int64) error    { return nil }
+func (r *refStore) SpillStats() SpillStats { return SpillStats{} }
+
+var errRefStore = errors.New("ris: the reference store has no durable form")
+
+func (r *refStore) Persist(string) (SnapshotInfo, error) { return SnapshotInfo{}, errRefStore }
+func (r *refStore) PersistFS(string, SnapshotFS) (SnapshotInfo, error) {
+	return SnapshotInfo{}, errRefStore
+}
+
+// scanCoverage counts the sets in [from, to) containing a marked node: the
+// naive O(items in the window) form of Cov_R(S) (Eq. (1) restricted to a
+// window) that CoverageRangeSeeds is checked against.
+func scanCoverage(st Store, seedMark []bool, from, to int) int64 {
+	var cov int64
+	st.ForEachSet(from, to, func(_ int, set []uint32) {
+		for _, v := range set {
+			if seedMark[v] {
+				cov++
+				break
+			}
+		}
+	})
+	return cov
+}
+
+// scanIndex returns the ascending ids < upto of the sets containing v, found
+// by scanning the sets themselves — the oracle for PostingsUpto/Range.
+func scanIndex(st Store, v uint32, upto int) []int32 {
+	var out []int32
+	st.ForEachSet(0, upto, func(i int, set []uint32) {
+		if slices.Contains(set, v) {
+			out = append(out, int32(i))
+		}
+	})
+	return out
+}
+
+// gatherPostings collects the ids in [from, upto) of sets containing v from
+// the store's postings iterator, sorted, verifying that every run is
+// non-empty and strictly ascending and that each id appears exactly once
+// across runs.
+func gatherPostings(st Store, v uint32, from, upto int) []int32 {
+	var out []int32
+	it := st.PostingsRange(v, from, upto)
+	for {
+		run, ok := it.Next()
+		if !ok {
+			break
+		}
+		if len(run) == 0 {
+			panic("postings iterator yielded an empty run")
+		}
+		prev := int32(-1)
+		for _, id := range run {
+			if id <= prev {
+				panic("postings run not strictly ascending")
+			}
+			prev = id
+		}
+		out = append(out, run...)
+	}
+	slices.Sort(out)
+	for i := 1; i < len(out); i++ {
+		if out[i] == out[i-1] {
+			panic("duplicate id across postings runs")
+		}
+	}
+	return out
+}
+
+// assertStoresEqual checks the observable Store surface of got against ref
+// (the definition-level reference stream, or a never-spilled / never-crashed
+// twin where a test needs one): lengths, aggregates, every Set (through both
+// Set and ForEachSet), per-node postings (as id sets — runs from different
+// shards interleave), and both coverage paths over a few windows.
+func AssertStoresEqual(t *testing.T, ctx string, ref, got Store) {
+	t.Helper()
+	if got.Len() != ref.Len() || got.Items() != ref.Items() || got.Width() != ref.Width() {
+		t.Fatalf("%s: aggregates differ: len %d/%d items %d/%d width %d/%d", ctx,
+			got.Len(), ref.Len(), got.Items(), ref.Items(), got.Width(), ref.Width())
+	}
+	for i := 0; i < ref.Len(); i++ {
+		if !slices.Equal(ref.Set(i), got.Set(i)) {
+			t.Fatalf("%s: set %d differs", ctx, i)
+		}
+	}
+	next := 0
+	got.ForEachSet(0, got.Len(), func(i int, set []uint32) {
+		if i != next || !slices.Equal(ref.Set(i), set) {
+			t.Fatalf("%s: ForEachSet yielded id %d (want %d) or a differing set", ctx, i, next)
+		}
+		next++
+	})
+	if next != ref.Len() {
+		t.Fatalf("%s: ForEachSet visited %d of %d sets", ctx, next, ref.Len())
+	}
+	n := ref.NumNodes()
+	for v := uint32(0); int(v) < n; v++ {
+		want, have := gatherPostings(ref, v, 0, ref.Len()), gatherPostings(got, v, 0, got.Len())
+		if !slices.Equal(want, have) {
+			t.Fatalf("%s: node %d postings differ: %v vs %v", ctx, v, have, want)
+		}
+	}
+	// Coverage parity on the index-driven path and on the store's own arena
+	// scan, over whole-stream and half-window ranges.
+	mark := make([]bool, n)
+	var seeds []uint32
+	for v := 0; v < n; v += 3 {
+		mark[v] = true
+		seeds = append(seeds, uint32(v))
+	}
+	half := ref.Len() / 2
+	for _, w := range [][2]int{{0, ref.Len()}, {half, ref.Len()}, {half / 2, half}, {1, ref.Len() - 1}} {
+		want := scanCoverage(ref, mark, w[0], w[1])
+		if c := scanCoverage(got, mark, w[0], w[1]); c != want {
+			t.Fatalf("%s: arena-scan coverage [%d,%d) %d vs %d", ctx, w[0], w[1], c, want)
+		}
+		if c := got.CoverageRangeSeeds(seeds, w[0], w[1]); c != want {
+			t.Fatalf("%s: CoverageRangeSeeds[%d,%d) %d vs %d", ctx, w[0], w[1], c, want)
+		}
+	}
+}

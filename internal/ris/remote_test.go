@@ -2,9 +2,9 @@
 // against remote-sharded stores whose shard workers are in-process
 // ShardServers dialed over net.Pipe — the full wire protocol (open, stats,
 // streamed generate, postings, coverage) runs, minus only the kernel socket.
-// Flat, in-process-sharded and remote-sharded must stay bit-identical in
-// every observable, and worker failures must surface as typed errors, never
-// hangs.
+// The reference stream, in-process-sharded and remote-sharded must stay
+// bit-identical in every observable, and worker failures must surface as
+// typed errors, never hangs.
 package ris_test
 
 import (
@@ -120,11 +120,11 @@ func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nw
 	return res, trace
 }
 
-// TestDifferentialRemoteVsFlat runs SSA and D-SSA under both kernels on
-// flat, in-process-sharded and remote-sharded stores across {1, 2} workers,
-// demanding bit-identical Seeds, Influence, sample counts and per-checkpoint
-// traces. This is the issue's core acceptance: cross-process sharding must
-// be invisible in every observable.
+// TestDifferentialRemoteVsFlat runs SSA and D-SSA under both kernels on the
+// reference stream and on in-process-sharded and remote-sharded stores
+// across {1, 2} workers, demanding bit-identical Seeds, Influence, sample
+// counts and per-checkpoint traces: cross-process sharding must be
+// invisible in every observable.
 func TestDifferentialRemoteVsFlat(t *testing.T) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
@@ -133,13 +133,13 @@ func TestDifferentialRemoteVsFlat(t *testing.T) {
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
 		for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-			refRes, refTrace := runCore(t, s, algo, 0, 0, kernel) // flat reference
+			refRes, refTrace := runCoreRef(t, s, algo, kernel)
 			for _, nw := range []int{1, 2} {
 				ctx := fmt.Sprintf("%s/%v/remote-workers=%d", algo, kernel, nw)
 				res, trace := runCoreRemote(t, g, s, algo, nw, kernel)
 				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-				// The in-process sharded store at the same shard count must
-				// agree too (flat vs sharded is covered elsewhere; this pins
+				// The in-process store at the same shard count must agree too
+				// (reference vs in-process is covered elsewhere; this pins
 				// remote against both in one place).
 				sres, strace := runCore(t, s, algo, nw, 1, kernel)
 				assertResultsIdentical(t, ctx+"/vs-inprocess", sres, res, strace, trace)
@@ -148,8 +148,8 @@ func TestDifferentialRemoteVsFlat(t *testing.T) {
 	}
 }
 
-// TestRemoteStoreParity exercises the store surface directly against a flat
-// reference — Set/ForEachSet over the mirror arena, PostingsRange and
+// TestRemoteStoreParity exercises the store surface directly against the
+// reference stream — Set/ForEachSet over the mirror arena, PostingsRange and
 // CoverageRangeSeeds answered worker-side — through a connection blip
 // (reconnect, same worker state) and a worker restart (empty state,
 // deterministic replay). Parity must hold after each disruption.
@@ -159,7 +159,7 @@ func TestRemoteStoreParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := ris.NewCollection(s, 31, 2)
+	ref := ris.NewRefStore(s, 31)
 	cluster := newRemoteCluster(g, "w0", "w1")
 	st := ris.NewStore(s, 31, ris.StoreOptions{
 		RemoteWorkers: []string{"w0", "w1"}, RemoteDial: cluster.dial,
@@ -172,21 +172,21 @@ func TestRemoteStoreParity(t *testing.T) {
 	seeds := []uint32{3, 17, 42, 99, 151}
 	checkParity := func(phase string, upto int) {
 		t.Helper()
-		flat.GenerateTo(upto)
+		ref.GenerateTo(upto)
 		st.GenerateTo(upto)
-		if st.Len() != flat.Len() || st.Items() != flat.Items() || st.Width() != flat.Width() {
-			t.Fatalf("%s: len/items/width %d/%d/%d vs flat %d/%d/%d", phase,
-				st.Len(), st.Items(), st.Width(), flat.Len(), flat.Items(), flat.Width())
+		if st.Len() != ref.Len() || st.Items() != ref.Items() || st.Width() != ref.Width() {
+			t.Fatalf("%s: len/items/width %d/%d/%d vs reference %d/%d/%d", phase,
+				st.Len(), st.Items(), st.Width(), ref.Len(), ref.Items(), ref.Width())
 		}
 		for i := 0; i < upto; i++ {
-			if !slices.Equal(st.Set(i), flat.Set(i)) {
-				t.Fatalf("%s: Set(%d) = %v, flat %v", phase, i, st.Set(i), flat.Set(i))
+			if !slices.Equal(st.Set(i), ref.Set(i)) {
+				t.Fatalf("%s: Set(%d) = %v, reference %v", phase, i, st.Set(i), ref.Set(i))
 			}
 		}
 		n := 0
 		st.ForEachSet(0, upto, func(i int, set []uint32) {
-			if !slices.Equal(set, flat.Set(i)) {
-				t.Fatalf("%s: ForEachSet(%d) = %v, flat %v", phase, i, set, flat.Set(i))
+			if !slices.Equal(set, ref.Set(i)) {
+				t.Fatalf("%s: ForEachSet(%d) = %v, reference %v", phase, i, set, ref.Set(i))
 			}
 			n++
 		})
@@ -203,7 +203,7 @@ func TestRemoteStoreParity(t *testing.T) {
 				}
 				got = append(got, run...)
 			}
-			fit := flat.PostingsRange(v, 0, upto)
+			fit := ref.PostingsRange(v, 0, upto)
 			for {
 				run, ok := fit.Next()
 				if !ok {
@@ -211,18 +211,18 @@ func TestRemoteStoreParity(t *testing.T) {
 				}
 				want = append(want, run...)
 			}
-			// Remote postings are ascending per shard, flat globally; the
+			// Remote postings are ascending per shard, the reference globally; the
 			// contract only promises set equality across runs.
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s: postings(%d) = %v, flat %v", phase, v, got, want)
+				t.Fatalf("%s: postings(%d) = %v, reference %v", phase, v, got, want)
 			}
 		}
-		if got, want := st.CoverageRangeSeeds(seeds, 0, upto), flat.CoverageRangeSeeds(seeds, 0, upto); got != want {
-			t.Fatalf("%s: coverage %d vs flat %d", phase, got, want)
+		if got, want := st.CoverageRangeSeeds(seeds, 0, upto), ref.CoverageRangeSeeds(seeds, 0, upto); got != want {
+			t.Fatalf("%s: coverage %d vs reference %d", phase, got, want)
 		}
-		if got, want := st.CoverageSeeds(seeds), flat.CoverageSeeds(seeds); got != want {
-			t.Fatalf("%s: full coverage %d vs flat %d", phase, got, want)
+		if got, want := st.CoverageRangeSeeds(seeds, upto/3, upto), ref.CoverageRangeSeeds(seeds, upto/3, upto); got != want {
+			t.Fatalf("%s: window coverage %d vs reference %d", phase, got, want)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -154,14 +155,14 @@ func lemma1Check(t *testing.T, g *graph.Graph, model diffusion.Model, seeds []ui
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, model)
-	col := NewCollection(s, 23, 2)
+	col := NewShardedCollection(s, 23, 1, 2)
 	const N = 400000
-	col.Generate(N)
+	col.GenerateTo(N)
 	mark := make([]bool, g.NumNodes())
 	for _, v := range seeds {
 		mark[v] = true
 	}
-	cov := col.Coverage(mark)
+	cov := scanCoverage(col, mark, 0, N)
 	est := s.Scale() * float64(cov) / float64(N)
 	// Binomial stderr of the coverage estimate.
 	p := float64(cov) / float64(N)
@@ -200,8 +201,8 @@ func TestFigure1Example(t *testing.T) {
 		{U: 0, V: 3, W: 0.7}, // a -> d
 	})
 	s := mustSampler(t, g, diffusion.LT)
-	col := NewCollection(s, 29, 1)
-	col.Generate(20000)
+	col := NewShardedCollection(s, 29, 1, 1)
+	col.GenerateTo(20000)
 	counts := make([]int, 4)
 	for i := 0; i < col.Len(); i++ {
 		for _, v := range col.Set(i) {
@@ -224,9 +225,9 @@ func TestWRISWeightedRootDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollection(s, 31, 2)
+	col := NewShardedCollection(s, 31, 1, 2)
 	const N = 200000
-	col.Generate(N)
+	col.GenerateTo(N)
 	counts := make([]int, 4)
 	for i := 0; i < N; i++ {
 		counts[col.Set(i)[0]]++
@@ -255,12 +256,12 @@ func TestWRISBenefitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []uint32{0}
-	col := NewCollection(s, 37, 2)
+	col := NewShardedCollection(s, 37, 1, 2)
 	const N = 300000
-	col.Generate(N)
+	col.GenerateTo(N)
 	mark := make([]bool, 5)
 	mark[0] = true
-	est := s.Scale() * float64(col.Coverage(mark)) / float64(N)
+	est := s.Scale() * float64(scanCoverage(col, mark, 0, N)) / float64(N)
 	mc, se, err := diffusion.Spread(g, diffusion.IC, seeds, diffusion.SpreadOptions{
 		Runs: 300000, Seed: 41, Workers: 2, Weights: w,
 	})
@@ -279,28 +280,14 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := mustSampler(t, g, model)
-		c1 := NewCollection(s, 99, 1)
-		c4 := NewCollection(s, 99, 4)
-		c1.Generate(3000)
-		c4.Generate(1000) // grow incrementally too
-		c4.Generate(2000)
-		if c1.Len() != c4.Len() {
-			t.Fatal("length mismatch")
-		}
-		if c1.Items() != c4.Items() || c1.Width() != c4.Width() {
-			t.Fatalf("%v: aggregate mismatch across workers", model)
-		}
-		for i := 0; i < c1.Len(); i++ {
-			a, b := c1.Set(i), c4.Set(i)
-			if len(a) != len(b) {
-				t.Fatalf("%v: set %d length differs", model, i)
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("%v: set %d differs", model, i)
-				}
-			}
-		}
+		ref := refStream(s, 99, 3000)
+		c1 := NewShardedCollection(s, 99, 1, 1)
+		c4 := NewShardedCollection(s, 99, 1, 4)
+		c1.GenerateTo(3000)
+		c4.GenerateTo(1000) // grow incrementally too
+		c4.GenerateTo(3000)
+		AssertStoresEqual(t, fmt.Sprintf("%v/workers=1", model), ref, c1)
+		AssertStoresEqual(t, fmt.Sprintf("%v/workers=4", model), ref, c4)
 	}
 }
 
@@ -310,11 +297,11 @@ func TestCollectionIndexConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 51, 2)
-	col.Generate(2000)
-	// index[v] lists exactly the sets containing v, ascending.
+	col := NewShardedCollection(s, 51, 1, 2)
+	col.GenerateTo(2000)
+	// The postings of v list exactly the sets containing v, ascending.
 	for v := uint32(0); int(v) < g.NumNodes(); v++ {
-		idx := col.Index(v)
+		idx := gatherPostings(col, v, 0, col.Len())
 		for i := 1; i < len(idx); i++ {
 			if idx[i-1] >= idx[i] {
 				t.Fatal("index not ascending")
@@ -335,7 +322,7 @@ func TestCollectionIndexConsistency(t *testing.T) {
 	}
 	total := 0
 	for v := uint32(0); int(v) < g.NumNodes(); v++ {
-		total += len(col.Index(v))
+		total += len(gatherPostings(col, v, 0, col.Len()))
 	}
 	if int64(total) != col.Items() {
 		t.Fatalf("index total %d != items %d", total, col.Items())
@@ -348,12 +335,15 @@ func TestCoverageRangeAgainstNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.LT)
-	col := NewCollection(s, 57, 2)
-	col.Generate(1500)
+	col := NewShardedCollection(s, 57, 1, 2)
+	col.GenerateTo(1500)
 	mark := make([]bool, 80)
 	mark[3], mark[17], mark[42] = true, true, true
 	for _, rangeCase := range [][2]int{{0, 1500}, {0, 750}, {750, 1500}, {100, 200}, {-5, 9999}} {
-		got := col.CoverageRange(mark, rangeCase[0], rangeCase[1])
+		got := col.CoverageRangeSeeds([]uint32{3, 17, 42}, rangeCase[0], rangeCase[1])
+		if scan := scanCoverage(col, mark, rangeCase[0], rangeCase[1]); scan != got {
+			t.Fatalf("range %v: arena scan %d, postings walk %d", rangeCase, scan, got)
+		}
 		lo, hi := rangeCase[0], rangeCase[1]
 		if lo < 0 {
 			lo = 0
@@ -382,16 +372,16 @@ func TestIndexUpto(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 61, 1)
-	col.Generate(1000)
+	col := NewShardedCollection(s, 61, 1, 1)
+	col.GenerateTo(1000)
 	for v := uint32(0); v < 50; v += 7 {
-		pre := col.IndexUpto(v, 400)
+		pre := gatherPostings(col, v, 0, 400)
 		for _, id := range pre {
 			if id >= 400 {
-				t.Fatal("IndexUpto returned id beyond cutoff")
+				t.Fatal("PostingsUpto returned id beyond cutoff")
 			}
 		}
-		full := col.Index(v)
+		full := gatherPostings(col, v, 0, col.Len())
 		count := 0
 		for _, id := range full {
 			if id < 400 {
@@ -399,7 +389,7 @@ func TestIndexUpto(t *testing.T) {
 			}
 		}
 		if count != len(pre) {
-			t.Fatal("IndexUpto dropped ids")
+			t.Fatal("PostingsUpto dropped ids")
 		}
 	}
 }
@@ -411,8 +401,8 @@ func TestWidthMatchesDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 71, 2)
-	col.Generate(500)
+	col := NewShardedCollection(s, 71, 1, 2)
+	col.GenerateTo(500)
 	var want int64
 	for i := 0; i < col.Len(); i++ {
 		for _, v := range col.Set(i) {
@@ -440,9 +430,9 @@ func TestCollectionBytesGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 77, 1)
+	col := NewShardedCollection(s, 77, 1, 1)
 	b0 := col.Bytes()
-	col.Generate(1000)
+	col.GenerateTo(1000)
 	if col.Bytes() <= b0 {
 		t.Fatal("Bytes did not grow with generation")
 	}
@@ -454,14 +444,14 @@ func TestGenerateToIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 83, 1)
+	col := NewShardedCollection(s, 83, 1, 1)
 	col.GenerateTo(100)
 	col.GenerateTo(50) // no-op
 	if col.Len() != 100 {
 		t.Fatalf("len %d want 100", col.Len())
 	}
-	col.Generate(0) // no-op
-	col.Generate(-5)
+	col.GenerateTo(0) // no-op
+	col.GenerateTo(-5)
 	if col.Len() != 100 {
 		t.Fatalf("len %d want 100", col.Len())
 	}
@@ -475,8 +465,8 @@ func BenchmarkGenerateIC(b *testing.B) {
 	s := mustSampler(b, g, diffusion.IC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewCollection(s, uint64(i), 2)
-		col.Generate(10000)
+		col := NewShardedCollection(s, uint64(i), 1, 2)
+		col.GenerateTo(10000)
 	}
 }
 
@@ -488,8 +478,8 @@ func BenchmarkGenerateLT(b *testing.B) {
 	s := mustSampler(b, g, diffusion.LT)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewCollection(s, uint64(i), 2)
-		col.Generate(10000)
+		col := NewShardedCollection(s, uint64(i), 1, 2)
+		col.GenerateTo(10000)
 	}
 }
 

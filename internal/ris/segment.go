@@ -2,6 +2,7 @@ package ris
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -12,17 +13,22 @@ import (
 	"stopandstare/internal/rng"
 )
 
-// This file is the storage engine both RR-set stores are built from:
+// This file is the storage engine the RR-set store is built from:
 //
 //   - segment: a flat arena of RR sets plus a size-tiered CSR inverted
-//     index over them. Collection wraps a single segment covering the whole
-//     stream; ShardedCollection wraps one segment per shard, with gids
-//     mapping segment-local set indices to global stream ids.
+//     index over them. ShardedCollection wraps one segment per shard; with
+//     several shards (and in worker processes) gids maps segment-local set
+//     indices to global stream ids, a lone in-process shard uses identity.
 //   - sampleChunks: deterministic parallel generation of a global id range
 //     (RR set i is always produced by the PRNG stream (seed, i), so the
 //     output is bit-identical for any worker count and any sharding).
-//   - Postings: the zero-allocation iterator over a node's postings runs,
-//     able to walk one segment (flat) or a sequence of them (sharded).
+//   - Postings: the zero-allocation iterator over a node's postings runs
+//     across a store's segments.
+
+// MaxSets is the largest stream a store can hold: RR-set ids are int32 in
+// the CSR index blocks and the gid tables. Growth schedules must cap below
+// it (core.growthCap does).
+const MaxSets = math.MaxInt32
 
 // chunkSize is the number of RR sets per parallel work unit.
 const chunkSize = 512
@@ -36,9 +42,9 @@ const indexItemsPerWorker = 1 << 13
 // segment-local sets [lfrom, lto): the sets containing node v within the
 // run are ids[starts[v]:starts[v+1]], ascending. The stored ids are GLOBAL
 // stream ids ([from, to) bounds them), so postings runs can be handed to
-// algorithms as-is regardless of which shard they came from; for the flat
-// Collection local and global indices coincide. One block is appended per
-// Generate call; small trailing blocks are merged size-tiered (see
+// algorithms as-is regardless of which shard they came from; in a one-shard
+// store local and global indices coincide. One block is appended per
+// growth call; small trailing blocks are merged size-tiered (see
 // segment.appendIndexBlock), so any call pattern leaves O(log |R|) blocks.
 type csrBlock struct {
 	from, to   int     // global id bounds: every stored id is in [from, to)
@@ -51,13 +57,13 @@ type csrBlock struct {
 }
 
 // segment is one arena + CSR index over a sub-stream of RR sets. It is not
-// a Store by itself: Collection and ShardedCollection layer id mapping,
-// generation and coverage queries on top.
+// a Store by itself: ShardedCollection layers id mapping, generation and
+// coverage queries on top.
 type segment struct {
 	n       int      // node count of the underlying graph
 	buf     []uint32 // arena tail: entries of sets not yet frozen into extents
 	offsets []int64  // len = nsets()+1; absolute item offsets across extents+tail
-	gids    []int32  // global id per local set; nil ⇒ identity (flat store)
+	gids    []int32  // global id per local set; nil ⇒ identity (lone in-process shard)
 	blocks  []csrBlock
 	width   int64   // Σ w(R_j) over the segment's sets
 	cursor  []int32 // scratch for CSR construction, len = n
@@ -74,7 +80,7 @@ type segment struct {
 // [setFrom, setTo) whose items span absolute offsets [base, end). data is
 // either the original heap slice (resident) or an alias of the spill file's
 // shared mapping (mapped != nil). Extents are created by seal() only under
-// spill pressure, so the flat store's single-slice fast path is untouched
+// spill pressure, so the unspilled single-slice fast path is untouched
 // when spilling is off.
 type arenaExtent struct {
 	setFrom, setTo int
@@ -220,7 +226,7 @@ type chunkResult struct {
 // parallel chunks. RR set i is always produced by the PRNG stream
 // (seed, i), so the output is bit-identical for any worker count — and for
 // any partition of the id space across segments, which is what makes the
-// sharded store's sample stream equal the flat one's.
+// sample stream independent of the shard count.
 func sampleChunks(s *Sampler, seed uint64, gfrom, gto, workers int) []chunkResult {
 	results, _ := sampleChunksCtx(context.Background(), s, seed, gfrom, gto, workers)
 	return results
@@ -309,7 +315,7 @@ func (sg *segment) appendResults(results []chunkResult) {
 // appendIndexBlock indexes local sets [from, to) into a new CSR block.
 // Small trailing blocks are first absorbed (size-tiered, Bentley–Saxe
 // style): any block no larger than the batch being appended is merged into
-// it, so pathological many-small-Generate loops still leave O(log |R|)
+// it, so pathological many-small-growth loops still leave O(log |R|)
 // blocks and every posting is re-placed O(log |R|) times in total, while a
 // doubling schedule keeps exactly one block per call. The build itself is
 // O(items + n): a counting pass, a prefix sum, and a placement pass in
@@ -455,14 +461,13 @@ func (sg *segment) buildBlockParallel(from, to int, starts, ids []int32, workers
 // ascending runs (one per CSR block). Obtain one via PostingsUpto or
 // PostingsRange on a Store. Within every run the global ids are strictly
 // ascending and each id appears exactly once across the whole iteration;
-// runs from a flat Collection are additionally ascending across run
-// boundaries, while a ShardedCollection yields each shard's runs in turn
-// (still disjoint, but interleaved in global id across shards). No consumer
-// of the Store interface may rely on cross-run ordering.
+// each shard's runs are yielded in turn, so across shards they are disjoint
+// but interleaved in global id. No consumer of the Store interface may rely
+// on cross-run ordering.
 type Postings struct {
 	pre    [][]int32   // pre-fetched runs (remote shards), drained first
 	blocks []csrBlock  // blocks of the segment currently being walked
-	more   []*segment  // remaining segments (sharded stores only)
+	more   []*segment  // remaining segments
 	sp     *spillState // non-nil ⇒ stamp resident blocks' LRU recency
 	v      uint32
 	from   int

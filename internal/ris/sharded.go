@@ -12,36 +12,37 @@ import (
 	"stopandstare/internal/epoch"
 )
 
-// ShardedCollection is the id-sharded RR-set store: the global stream of RR
-// sets is partitioned across N shards, each owning its own arena + CSR
-// index (a segment). Every Generate call splits its contiguous global id
-// range [from, to) into N contiguous sub-ranges — one per shard, mirroring
-// how the flat store's CSR blocks each own a disjoint id range — and the
-// shards generate their sub-ranges in parallel, each with its own worker
-// pool and per-set re-seeded rng.Source streams.
+// ShardedCollection is the RR-set store: the global stream of RR sets
+// R₁, R₂, … partitioned by id across N ≥ 1 shards, each owning its own arena
+// + CSR index (a segment). It serves the access patterns of every algorithm
+// in this repository — SSA doubles the whole stream and max-covers all of
+// it; D-SSA splits it into a prefix R_t and a holdout R^c_t (Alg. 4 lines
+// 6–7), so range queries are first-class; IMM/TIM grow it to an explicit θ.
 //
-// Because RR set i is always produced by the PRNG stream (seed, i)
-// (SeedStream), the sharded store holds exactly the sample stream the flat
-// Collection would: Set(i), Width, Items, every coverage count, and
-// therefore every algorithm result (Seeds, Coverage, checkpoint traces) are
-// bit-identical for any shard count and any worker count. That equivalence
-// is what makes sharding safe to grow into a NUMA- or machine-distributed
-// serving layer: the algorithms cannot observe the topology.
+// Every growth call splits its contiguous global id range [from, to) into N
+// contiguous sub-ranges, one per shard, and the shards generate theirs in
+// parallel, each with its own worker pool and per-set re-seeded rng.Source
+// streams. Because RR set i is always produced by the PRNG stream (seed, i)
+// (SeedStream), Set(i), Width, Items, every coverage count, and therefore
+// every algorithm result (Seeds, Coverage, checkpoint traces) are
+// bit-identical for any shard count and any worker count: the algorithms
+// cannot observe the topology.
 //
-// Postings and coverage queries are answered by per-shard walks of the
-// epoch-aligned CSR blocks, merged at the shard boundary: each shard's
-// blocks store global ids (ascending within the shard), and the Postings
-// iterator simply walks the shards in turn. Consumers of the Store
-// interface are order-insensitive across runs (see Store), so no k-way
-// merge is needed on the hot path.
+// The default is one shard, and that path pays nothing for the generality:
+// global ids are local indices (no gid table, locate short-circuits), so it
+// is one flat arena with an offset table and one CSR block per growth call.
+// With N > 1 each shard's blocks store global ids (ascending within the
+// shard) and the Postings iterator walks the shards in turn; consumers of
+// the Store interface are order-insensitive across runs (see Store), so no
+// k-way merge is needed on the hot path.
 //
 // Shards may also live in other processes: with remotes non-nil, shard s is
 // proxied by a RemoteShard client and segs[s] is the mirror arena its
-// Generate stream fills (see RemoteShard). Set/ForEachSet/CoverageRange are
-// served from the mirrors exactly as in-process; Generate, PostingsRange
-// and CoverageRangeSeeds fan out to the workers. Bit-identity holds by the
-// same argument as in-process sharding — set content depends only on the
-// global id — and the differential harness proves it per topology.
+// generate stream fills (see RemoteShard). Set/ForEachSet are served from
+// the mirrors exactly as in-process; growth, PostingsRange and
+// CoverageRangeSeeds fan out to the workers. Bit-identity holds by the same
+// argument as in-process sharding — set content depends only on the global
+// id — and the differential harness proves it per topology.
 type ShardedCollection struct {
 	sampler      *Sampler
 	seed         uint64
@@ -58,7 +59,7 @@ type ShardedCollection struct {
 	snap *snapFile // recovered-from snapshot; keeps its mapping alive
 }
 
-// genEpoch records how one Generate call's global id range [from, to) was
+// genEpoch records how one growth call's global id range [from, to) was
 // split across shards: shard s owns global ids [bounds[s], bounds[s+1]),
 // which start at local set index base[s] within its segment. The table is
 // what makes Set(i) O(log epochs): binary-search the epoch, compute the
@@ -69,10 +70,11 @@ type genEpoch struct {
 	base     []int // len = shards; local index of bounds[s] in segs[s]
 }
 
-// NewShardedCollection creates an empty sharded store with the given shard
-// count (≥ 1) and per-shard generation workers (≤ 0 selects
-// max(1, GOMAXPROCS/shards), keeping the total worker budget close to the
-// flat default).
+// NewShardedCollection creates an empty in-process store with the given
+// shard count (≤ 1 = one shard) and per-shard generation workers (≤ 0
+// selects max(1, GOMAXPROCS/shards)): generation and index builds are
+// bit-identical at any worker count, so defaulting to all cores is a free
+// speedup.
 func NewShardedCollection(s *Sampler, seed uint64, shards, shardWorkers int) *ShardedCollection {
 	if shards < 1 {
 		shards = 1
@@ -92,7 +94,9 @@ func NewShardedCollection(s *Sampler, seed uint64, shards, shardWorkers int) *Sh
 	n := s.g.NumNodes()
 	for i := range sc.segs {
 		sc.segs[i] = newSegment(n)
-		sc.segs[i].gids = []int32{} // non-nil: local indices map through gids
+		if shards > 1 {
+			sc.segs[i].gids = []int32{} // non-nil: local indices map through gids
+		}
 	}
 	return sc
 }
@@ -209,7 +213,7 @@ func (sc *ShardedCollection) Bytes() int64 {
 // SpillTo spills cold units across all shards until their total resident RR
 // bytes are ≤ budget (0 spills everything spillable); a no-op without a
 // spill tier. Counts as a mutation: callers must hold the same exclusivity
-// as Generate.
+// as growth.
 func (sc *ShardedCollection) SpillTo(budget int64) error {
 	if sc.spill == nil {
 		return nil
@@ -266,9 +270,9 @@ func (sc *ShardedCollection) locate(i int) (*segment, int) {
 	return sc.segs[s], e.base[s] + (i - e.bounds[s])
 }
 
-// Set returns RR set i. Identical content to the flat store's Set(i); the
-// lookup costs a binary search over generate-epochs, so bulk scans should
-// use ForEachSet instead.
+// Set returns RR set i as a sub-slice of its shard's arena. With several
+// shards the lookup costs a binary search over generate-epochs, so bulk
+// scans should use ForEachSet instead.
 func (sc *ShardedCollection) Set(i int) []uint32 {
 	sg, local := sc.locate(i)
 	return sg.setAt(local)
@@ -312,43 +316,30 @@ func (sc *ShardedCollection) ForEachSet(from, to int, fn func(i int, set []uint3
 
 // GenerateTo grows the store until it holds at least target RR sets.
 func (sc *ShardedCollection) GenerateTo(target int) {
-	if extra := target - sc.length; extra > 0 {
-		sc.Generate(extra)
-	}
-}
-
-// GenerateToCtx is GenerateTo with cooperative cancellation (see
-// GenerateCtx).
-func (sc *ShardedCollection) GenerateToCtx(ctx context.Context, target int) error {
-	if extra := target - sc.length; extra > 0 {
-		return sc.GenerateCtx(ctx, extra)
-	}
-	return nil
-}
-
-// Generate appends count new RR sets: the global id range [Len, Len+count)
-// is split into one contiguous sub-range per shard (balanced by SET COUNT
-// via the even-split formula — RR-set sizes are skewed, so shard item loads
-// can differ; balancing by items is impossible before sampling) and the
-// shards sample their sub-ranges concurrently,
-// each appending to its own arena and CSR index. Output is bit-identical
-// to the flat store for any shard/worker count, because set content depends
-// only on the global id.
-func (sc *ShardedCollection) Generate(count int) {
 	// Background never cancels, and non-cancellation failures panic as
 	// *ShardError inside, so the error is structurally nil.
-	sc.GenerateCtx(context.Background(), count)
+	_ = sc.GenerateToCtx(context.Background(), target)
 }
 
-// GenerateCtx is Generate with cooperative cancellation. In-process shards
-// run a two-phase epoch — every shard SAMPLES its sub-range first (workers
+// GenerateToCtx grows the store to at least target RR sets: the new global
+// id range [Len, target) is split into one contiguous sub-range per shard
+// (balanced by SET COUNT via the even-split formula — RR-set sizes are
+// skewed, so shard item loads can differ; balancing by items is impossible
+// before sampling) and the shards sample their sub-ranges concurrently, each
+// appending to its own arena and one new CSR index block. Output is
+// bit-identical for any shard/worker count, because set content depends
+// only on the global id.
+//
+// Cancellation is cooperative and all-or-nothing. In-process shards run a
+// two-phase epoch — every shard SAMPLES its sub-range first (workers
 // checking ctx between chunk claims), and only if all sampling completed is
 // anything appended — so a canceled call mutates nothing. Remote shards
 // reuse the all-or-nothing mirror rollback (segSnap): on cancellation every
 // mirror is restored to its pre-call extent and ctx.Err() is returned;
 // workers that did append stay ahead and the idempotent generate redelivery
 // absorbs that on the next top-up.
-func (sc *ShardedCollection) GenerateCtx(ctx context.Context, count int) error {
+func (sc *ShardedCollection) GenerateToCtx(ctx context.Context, target int) error {
+	count := target - sc.length
 	if count <= 0 {
 		return nil
 	}
@@ -359,7 +350,7 @@ func (sc *ShardedCollection) GenerateCtx(ctx context.Context, count int) error {
 	S := len(sc.segs)
 	e := genEpoch{
 		from:   from,
-		to:     from + count,
+		to:     target,
 		bounds: make([]int, S+1),
 		base:   make([]int, S),
 	}
@@ -408,9 +399,11 @@ func (sc *ShardedCollection) GenerateCtx(ctx context.Context, count int) error {
 				defer wg.Done()
 				lfrom := sg.nsets()
 				sg.appendResults(results)
-				sg.gids = slices.Grow(sg.gids, ghi-glo)
-				for g := glo; g < ghi; g++ {
-					sg.gids = append(sg.gids, int32(g))
+				if sg.gids != nil {
+					sg.gids = slices.Grow(sg.gids, ghi-glo)
+					for g := glo; g < ghi; g++ {
+						sg.gids = append(sg.gids, int32(g))
+					}
 				}
 				sg.appendIndexBlock(lfrom, sg.nsets(), sc.shardWorkers)
 			}(sc.segs[s], sampled[s], glo, ghi)
@@ -418,7 +411,7 @@ func (sc *ShardedCollection) GenerateCtx(ctx context.Context, count int) error {
 		wg.Wait()
 	}
 	sc.epochs = append(sc.epochs, e)
-	sc.length = from + count
+	sc.length = target
 	if sc.spill != nil {
 		sc.spill.enforce(sc.spill.budget, sc.segs)
 	}
@@ -515,22 +508,13 @@ func (sc *ShardedCollection) PostingsRange(v uint32, from, upto int) Postings {
 	return Postings{more: sc.segs, sp: sc.spill, v: v, from: from, upto: upto}
 }
 
-// CoverageRange counts how many RR sets with ids in [from, to) contain at
-// least one marked node — the arena-scan oracle, identical to the flat
-// store's count.
-func (sc *ShardedCollection) CoverageRange(seedMark []bool, from, to int) int64 {
-	return coverageRange(sc, seedMark, from, to)
-}
-
-// Coverage counts Cov_R(S) over the whole stream for a seed mark vector.
-func (sc *ShardedCollection) Coverage(seedMark []bool) int64 {
-	return sc.CoverageRange(seedMark, 0, sc.length)
-}
-
 // CoverageRangeSeeds counts the sets in [from, to) containing at least one
 // seed via per-shard postings walks merged through the shared epoch-stamped
-// mark set. Same scratch-reuse discipline as the flat store: calls must not
-// race each other or Generate. Remote shards count worker-side — each walks
+// mark set — O(Σ seed postings in the window), not O(items in the window).
+// Duplicate seeds are tolerated (the union dedupes them). The walk reuses
+// store-owned scratch, so calls must not race each other or growth
+// (concurrent Postings/Set reads remain safe; CoverageRangeSeedsMarks is the
+// caller-scratch form). Remote shards count worker-side — each walks
 // its own CSR blocks and dedupes with its own marks — and since shards own
 // disjoint global id ranges, the union count is the sum of shard counts and
 // no arena or postings data crosses the wire.
@@ -575,9 +559,4 @@ func (sc *ShardedCollection) remoteCoverageSeeds(seeds []uint32, from, to int) i
 		}
 	}
 	return total
-}
-
-// CoverageSeeds counts Cov_R(S) over the whole stream via the index.
-func (sc *ShardedCollection) CoverageSeeds(seeds []uint32) int64 {
-	return sc.CoverageRangeSeeds(seeds, 0, sc.length)
 }

@@ -11,81 +11,11 @@ import (
 	"stopandstare/internal/rng"
 )
 
-// assertStoresEqual checks the observable Store surface of got against the
-// flat reference: lengths, aggregates, every Set, per-node postings (as id
-// sets — the sharded store may order runs differently), and both coverage
-// paths over a few windows.
-func assertStoresEqual(t *testing.T, ctx string, ref *Collection, got Store) {
-	t.Helper()
-	if got.Len() != ref.Len() || got.Items() != ref.Items() || got.Width() != ref.Width() {
-		t.Fatalf("%s: aggregates differ: len %d/%d items %d/%d width %d/%d", ctx,
-			got.Len(), ref.Len(), got.Items(), ref.Items(), got.Width(), ref.Width())
-	}
-	for i := 0; i < ref.Len(); i++ {
-		if !slices.Equal(ref.Set(i), got.Set(i)) {
-			t.Fatalf("%s: set %d differs", ctx, i)
-		}
-	}
-	n := ref.NumNodes()
-	for v := uint32(0); int(v) < n; v++ {
-		want := ref.Index(v)
-		have := gatherPostings(got, v, 0, got.Len())
-		if !slices.Equal(want, have) {
-			t.Fatalf("%s: node %d postings differ: %v vs %v", ctx, v, have, want)
-		}
-	}
-	// Coverage parity on a mark vector and on the index-driven path, over
-	// whole-stream and half-window ranges.
-	mark := make([]bool, n)
-	var seeds []uint32
-	for v := 0; v < n; v += 3 {
-		mark[v] = true
-		seeds = append(seeds, uint32(v))
-	}
-	half := ref.Len() / 2
-	for _, w := range [][2]int{{0, ref.Len()}, {half, ref.Len()}, {half / 2, half}} {
-		if a, b := ref.CoverageRange(mark, w[0], w[1]), got.CoverageRange(mark, w[0], w[1]); a != b {
-			t.Fatalf("%s: CoverageRange[%d,%d) %d vs %d", ctx, w[0], w[1], b, a)
-		}
-		if a, b := ref.CoverageRangeSeeds(seeds, w[0], w[1]), got.CoverageRangeSeeds(seeds, w[0], w[1]); a != b {
-			t.Fatalf("%s: CoverageRangeSeeds[%d,%d) %d vs %d", ctx, w[0], w[1], b, a)
-		}
-	}
-}
-
-// gatherPostings collects the ids in [from, upto) of sets containing v,
-// sorted, verifying each id appears exactly once across runs.
-func gatherPostings(st Store, v uint32, from, upto int) []int32 {
-	var out []int32
-	it := st.PostingsRange(v, from, upto)
-	for {
-		run, ok := it.Next()
-		if !ok {
-			break
-		}
-		prev := int32(-1)
-		for _, id := range run {
-			if id <= prev {
-				panic("postings run not strictly ascending")
-			}
-			prev = id
-		}
-		out = append(out, run...)
-	}
-	slices.Sort(out)
-	for i := 1; i < len(out); i++ {
-		if out[i] == out[i-1] {
-			panic("duplicate id across postings runs")
-		}
-	}
-	return out
-}
-
-// TestShardedBitIdenticalToFlat pins the tentpole contract at the store
-// level: for any shard count and any per-shard worker count, the sharded
-// store holds exactly the flat store's sample stream — same sets, same
-// postings, same coverage counts — for uniform RIS and WRIS samplers and
-// both one-shot and doubling schedules.
+// TestShardedBitIdenticalToFlat pins the Store contract at the store level:
+// for any shard count (the default one-shard store included) and any
+// per-shard worker count, the store holds exactly the definition's sample
+// stream — same sets, same postings, same coverage counts — for uniform RIS
+// and WRIS samplers and both one-shot and doubling schedules.
 func TestShardedBitIdenticalToFlat(t *testing.T) {
 	g, err := gen.ChungLu(180, 1100, 2.1, 47, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -105,10 +35,7 @@ func TestShardedBitIdenticalToFlat(t *testing.T) {
 	}
 	for sname, s := range samplers {
 		for schedName, schedule := range schedules {
-			ref := NewCollection(s, 909, 1)
-			for _, target := range schedule {
-				ref.GenerateTo(target)
-			}
+			ref := refStream(s, 909, schedule[len(schedule)-1])
 			for _, shards := range []int{1, 2, 3, 7} {
 				for _, workers := range []int{1, 4} {
 					ctx := fmt.Sprintf("%s/%s/shards=%d/workers=%d", sname, schedName, shards, workers)
@@ -116,7 +43,7 @@ func TestShardedBitIdenticalToFlat(t *testing.T) {
 					for _, target := range schedule {
 						sc.GenerateTo(target)
 					}
-					assertStoresEqual(t, ctx, ref, sc)
+					AssertStoresEqual(t, ctx, ref, sc)
 				}
 			}
 		}
@@ -127,7 +54,7 @@ func TestShardedBitIdenticalToFlat(t *testing.T) {
 // +1, +3, and prefix-doubling, in seeded-random order — to pin
 // shard-boundary off-by-ones in the epoch split tables, reusing the WRIS
 // irregular schedules of equivalence_test.go as fixed prefixes. Every
-// intermediate state is compared against a flat collection grown in
+// intermediate state is compared against the reference stream grown in
 // lockstep.
 func TestShardedGenerateToRandomizedSchedules(t *testing.T) {
 	g, err := gen.ChungLu(150, 900, 2.1, 83, graph.BuildOptions{Model: graph.WeightedCascade})
@@ -144,9 +71,9 @@ func TestShardedGenerateToRandomizedSchedules(t *testing.T) {
 		{100, 200, 400, 800},
 		{1, 3, 700, 701, 800},
 	}
-	for _, shards := range []int{2, 3, 7} {
+	for _, shards := range []int{1, 2, 3, 7} {
 		for fi, prefix := range fixed {
-			ref := NewCollection(s, 4242, 2)
+			ref := NewRefStore(s, 4242)
 			sc := NewShardedCollection(s, 4242, shards, 2)
 			grow := func(target int) {
 				ref.GenerateTo(target)
@@ -183,7 +110,7 @@ func TestShardedGenerateToRandomizedSchedules(t *testing.T) {
 					}
 				}
 			}
-			assertStoresEqual(t, fmt.Sprintf("shards=%d fixed=%d", shards, fi), ref, sc)
+			AssertStoresEqual(t, fmt.Sprintf("shards=%d fixed=%d", shards, fi), ref, sc)
 		}
 	}
 }
@@ -231,6 +158,39 @@ func TestShardedSetMatchesForEachSet(t *testing.T) {
 		})
 		if n != want {
 			t.Fatalf("ForEachSet[%d,%d) visited %d sets, want %d", lo, hi, n, want)
+		}
+	}
+}
+
+// TestOneShardStoreLayout pins what makes one shard the default at no cost:
+// ids are identity (no gid table is ever allocated) and Bytes() carries no
+// per-set term beyond the offset table — what is left after the arena, the
+// offset table and the CSR index is per-growth-call and per-node metadata,
+// far below the 4 bytes per set a gid table would add.
+func TestOneShardStoreLayout(t *testing.T) {
+	g, err := gen.ErdosRenyi(100, 600, 47, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSampler(t, g, diffusion.IC)
+	for _, shards := range []int{0, 1} {
+		sc := NewStore(s, 5, StoreOptions{Workers: 2, Shards: shards}).(*ShardedCollection)
+		for _, target := range []int{1000, 20000, 50000} {
+			sc.GenerateTo(target)
+		}
+		if len(sc.segs) != 1 {
+			t.Fatalf("Shards=%d built %d shards, want 1", shards, len(sc.segs))
+		}
+		sg := sc.segs[0]
+		if sg.gids != nil {
+			t.Fatalf("Shards=%d: one-shard store allocated a gid table (%d entries)", shards, len(sg.gids))
+		}
+		data := int64(cap(sg.buf))*4 + int64(cap(sg.offsets))*8
+		for i := range sg.blocks {
+			data += int64(cap(sg.blocks[i].starts))*4 + int64(cap(sg.blocks[i].ids))*4
+		}
+		if rest := sc.Bytes() - s.PlanBytes() - data; rest < 0 || rest >= 4*int64(sc.Len()) {
+			t.Fatalf("Shards=%d: %d bytes beyond arena+offsets+index for %d sets, want < 4 per set", shards, rest, sc.Len())
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -13,19 +12,18 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-	"unsafe"
 )
 
-// This file is the durable half of the RR-set stores: a versioned on-disk
+// This file is the durable half of the RR-set store: a versioned on-disk
 // snapshot format plus the atomic manifest protocol that commits it.
 //
-// A snapshot is a sequence of 64-byte-aligned blocks, mirroring the spill
-// file's layout (and the .sasg convention): each block is a 64-byte header
-// (magic, kind, payload length, CRC32C) followed by the payload, padded to
-// the next 64-byte boundary. The first block is the store meta — seed,
-// model/kernel, shard topology, epoch table and per-segment descriptors —
-// and the rest are the raw offset tables, gid tables, arena extents and CSR
-// index blocks, in the order the meta declares them. Payloads are host-order
+// A snapshot is a sequence of 64-byte-aligned blocks in the spill file's
+// block format (blockfile.go): a 64-byte header (magic, kind, payload
+// length, CRC32C) followed by the payload, padded to the next 64-byte
+// boundary. The first block is the store meta — seed, model/kernel, shard
+// topology, epoch table and per-segment descriptors — and the rest are the
+// raw offset tables, gid tables, arena extents and CSR index blocks, in the
+// order the meta declares them. Payloads are host-order
 // images (like the spill file, the snapshot is per-host state, not an
 // interchange format), so recovery maps the file read-only and casts the
 // arena and index payloads in place: a warm restart costs one sequential
@@ -49,9 +47,6 @@ import (
 const (
 	// snapMagic is "RRSN" read as a little-endian uint32.
 	snapMagic = 0x4E535252
-	// snapHdrSize is the per-block header size; payloads start this many
-	// bytes past the block's offset, keeping them 64-byte aligned.
-	snapHdrSize = 64
 	// snapAlign is the block alignment granularity.
 	snapAlign = 64
 	// snapVersion is the snapshot format version (manifest and meta block).
@@ -72,9 +67,6 @@ const (
 	manifestName = "manifest.json"
 	snapSuffix   = ".rrsnap"
 )
-
-// castagnoli is the CRC32C table shared by snapshot and spill blocks.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var snapZeros [snapAlign]byte
 
@@ -155,25 +147,6 @@ type SnapshotInfo struct {
 	Sets       int
 }
 
-// PersistentStore is the optional Store extension of stores that can write
-// crash-safe snapshots of their RR state. Both built-in stores implement it.
-// Persist reads the store, so callers must hold the same exclusivity as
-// Generate (no concurrent mutation; concurrent reads are fine).
-type PersistentStore interface {
-	Store
-	// Persist writes a snapshot of the store into dir and atomically commits
-	// it via the manifest. The previous snapshot stays committed until the
-	// new one is durable.
-	Persist(dir string) (SnapshotInfo, error)
-	// PersistFS is Persist through an injected filesystem (fault tests).
-	PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error)
-}
-
-var (
-	_ PersistentStore = (*Collection)(nil)
-	_ PersistentStore = (*ShardedCollection)(nil)
-)
-
 // snapManifest is the committed pointer to the current snapshot. It is the
 // single atomic commit point of the protocol: written to manifest.json.tmp,
 // fsynced, then renamed over manifest.json.
@@ -243,20 +216,9 @@ func (sw *snapWriter) write(p []byte) {
 	sw.off += int64(len(p))
 }
 
-// block appends one header + payload-parts block, padded to snapAlign, with
-// the CRC32C of the concatenated parts in the header.
+// block appends one header + payload-parts block, padded to snapAlign.
 func (sw *snapWriter) block(kind byte, parts ...[]byte) {
-	var plen int64
-	var crc uint32
-	for _, p := range parts {
-		plen += int64(len(p))
-		crc = crc32.Update(crc, castagnoli, p)
-	}
-	var hdr [snapHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], snapMagic)
-	hdr[4] = kind
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(plen))
-	binary.LittleEndian.PutUint32(hdr[16:], crc)
+	hdr, plen := blockHeader(snapMagic, kind, parts)
 	sw.write(hdr[:])
 	for _, p := range parts {
 		sw.write(p)
@@ -278,7 +240,7 @@ type storeMeta struct {
 	scale    float64
 	n        int
 	length   int
-	shards   int // 0 = flat Collection
+	shards   int
 	remote   bool
 	keys     []string // remote only: per-shard worker keys
 	nonces   []uint64 // remote only: per-shard open nonces
@@ -374,20 +336,20 @@ func encodeSegMeta(w *wbuf, sg *segment) {
 }
 
 // writeSegBlocks appends one segment's data blocks in the order its
-// descriptor declares: offsets, gids (sharded segments), arena extents, CSR
-// index blocks.
+// descriptor declares: offsets, gids (segments with a gid table), arena
+// extents, CSR index blocks.
 func writeSegBlocks(sw *snapWriter, sg *segment) {
 	ns := sg.nsets()
-	sw.block(snapKindOffsets, i64SnapBytes(sg.offsets[:ns+1]))
+	sw.block(snapKindOffsets, rawBytes(sg.offsets[:ns+1]))
 	if sg.gids != nil {
-		sw.block(snapKindGids, i32SpillBytes(sg.gids[:ns]))
+		sw.block(snapKindGids, rawBytes(sg.gids[:ns]))
 	}
 	for _, x := range persistExtents(sg) {
-		sw.block(snapKindArena, u32SpillBytes(x.data))
+		sw.block(snapKindArena, rawBytes(x.data))
 	}
 	for i := range sg.blocks {
 		b := &sg.blocks[i]
-		sw.block(snapKindIndex, i32SpillBytes(b.starts), i32SpillBytes(b.ids))
+		sw.block(snapKindIndex, rawBytes(b.starts), rawBytes(b.ids))
 	}
 }
 
@@ -429,19 +391,7 @@ func encodeStoreMeta(m storeMeta, segs []*segment) []byte {
 	return w.b
 }
 
-// Persist writes a snapshot of the flat store into dir and commits it.
-func (c *Collection) Persist(dir string) (SnapshotInfo, error) {
-	return c.PersistFS(dir, OSSnapshotFS)
-}
-
-// PersistFS is Persist through an injected filesystem (fault tests).
-func (c *Collection) PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error) {
-	m := storeMetaOf(c.sampler, c.seed)
-	m.length = c.Len()
-	return persistStore(dir, fs, m, []*segment{&c.segment})
-}
-
-// Persist writes a snapshot of the sharded store into dir and commits it.
+// Persist writes a snapshot of the store into dir and commits it.
 // For a remote-sharded store the mirrors and the per-shard keys and nonces
 // are persisted: a recovered coordinator re-opens each worker shard under
 // its old identity, so a worker that kept (or itself recovered) that state
@@ -632,21 +582,4 @@ func CleanSpillDir(dir string) ([]string, error) {
 		}
 	}
 	return removed, nil
-}
-
-// Raw host-order image of the offset table (see the spill cast helpers —
-// same per-host-scratch argument).
-
-func i64SnapBytes(s []int64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
-}
-
-func castSnapI64(b []byte) []int64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
 }

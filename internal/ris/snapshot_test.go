@@ -3,6 +3,7 @@ package ris
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -120,7 +121,7 @@ func snapTestSampler(t *testing.T) *Sampler {
 
 func growPattern(st Store) {
 	for _, c := range []int{1, 3, 40, 2, 90, 17} {
-		st.Generate(c)
+		st.GenerateTo(st.Len() + c)
 	}
 }
 
@@ -143,7 +144,7 @@ func snapBlockTable(t *testing.T, path string) []snapBlockPos {
 	}
 	var out []snapBlockPos
 	off := int64(0)
-	for off+snapHdrSize <= int64(len(data)) {
+	for off+blockHdrSize <= int64(len(data)) {
 		hdr := data[off:]
 		if binary.LittleEndian.Uint32(hdr[0:]) != snapMagic {
 			t.Fatalf("bad magic at offset %d", off)
@@ -174,22 +175,22 @@ func flipFileByte(t *testing.T, path string, off int64) {
 
 // TestSnapshotRoundTrip is the recovery-exactness leg: persist an
 // irregularly grown (and partially spilled) store, recover it, and require
-// every observable bit-identical to the uninterrupted twin — then grow both
+// every observable bit-identical to the reference stream — then grow both
 // and require identity to hold across post-recovery growth and a second
 // persist/recover generation.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := snapTestSampler(t)
 	for _, shards := range []int{0, 1, 3} {
-		ctx := map[int]string{0: "flat", 1: "one-shard", 3: "sharded"}[shards]
+		ctx := fmt.Sprintf("shards=%d", shards)
 		dir := t.TempDir()
 		opt := snapOpt(shards)
 
-		ref := NewStore(s, 42, opt)
+		ref := NewRefStore(s, 42)
 		growPattern(ref)
 		st := NewStore(s, 42, opt)
 		growPattern(st)
 
-		info, err := st.(PersistentStore).Persist(dir)
+		info, err := st.Persist(dir)
 		if err != nil {
 			t.Fatalf("%s: persist: %v", ctx, err)
 		}
@@ -204,15 +205,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if rinfo.Discarded != 0 || rinfo.Sets != ref.Len() || rinfo.RebuiltIndexBlocks != 0 {
 			t.Fatalf("%s: recovery info %+v, want clean %d sets", ctx, rinfo, ref.Len())
 		}
-		storeObservables(t, ctx+"/recovered", ref, rec)
+		AssertStoresEqual(t, ctx+"/recovered", ref, rec)
 
 		// Growth on top of recovered state stays bit-identical.
-		ref.Generate(60)
-		rec.Generate(60)
-		storeObservables(t, ctx+"/regrown", ref, rec)
+		ref.GenerateTo(ref.Len() + 60)
+		rec.GenerateTo(rec.Len() + 60)
+		AssertStoresEqual(t, ctx+"/regrown", ref, rec)
 
 		// Second generation: persist the recovered store, recover again.
-		info2, err := rec.(PersistentStore).Persist(dir)
+		info2, err := rec.Persist(dir)
 		if err != nil {
 			t.Fatalf("%s: re-persist: %v", ctx, err)
 		}
@@ -223,7 +224,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: re-recover: %v", ctx, err)
 		}
-		storeObservables(t, ctx+"/gen2", ref, rec2)
+		AssertStoresEqual(t, ctx+"/gen2", ref, rec2)
 
 		// The superseded generation was swept.
 		ents, _ := os.ReadDir(dir)
@@ -237,6 +238,26 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %d snapshot files after re-persist, want 1", ctx, snaps)
 		}
 	}
+
+	// Shards 0 and 1 are one configuration: a state dir written under either
+	// recovers cleanly under the other.
+	for _, p := range [][2]int{{0, 1}, {1, 0}} {
+		ctx := fmt.Sprintf("persist shards=%d, recover shards=%d", p[0], p[1])
+		dir := t.TempDir()
+		st := NewStore(s, 42, snapOpt(p[0]))
+		growPattern(st)
+		if _, err := st.Persist(dir); err != nil {
+			t.Fatalf("%s: persist: %v", ctx, err)
+		}
+		rec, rinfo, err := Recover(s, 42, snapOpt(p[1]), dir)
+		if err != nil {
+			t.Fatalf("%s: recover: %v", ctx, err)
+		}
+		if rinfo.Discarded != 0 || rinfo.RebuiltIndexBlocks != 0 {
+			t.Fatalf("%s: recovery info %+v, want clean", ctx, rinfo)
+		}
+		AssertStoresEqual(t, ctx, refStream(s, 42, st.Len()), rec)
+	}
 }
 
 // TestSnapshotSpilledRoundTrip persists a store whose extents and index
@@ -244,16 +265,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // snapshot is self-contained regardless of where payloads were resident.
 func TestSnapshotSpilledRoundTrip(t *testing.T) {
 	s := snapTestSampler(t)
-	ref := NewStore(s, 7, snapOpt(0))
+	ref := NewRefStore(s, 7)
 	growPattern(ref)
 
 	st := spilledStore(t, s, 7, 0, 1)
 	growPattern(st)
-	if err := st.(SpilledStore).SpillTo(0); err != nil {
+	if err := st.SpillTo(0); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := st.(PersistentStore).Persist(dir); err != nil {
+	if _, err := st.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	rec, rinfo, err := Recover(s, 7, snapOpt(0), dir)
@@ -263,7 +284,7 @@ func TestSnapshotSpilledRoundTrip(t *testing.T) {
 	if rinfo.Discarded != 0 {
 		t.Fatalf("recovery info %+v, want clean", rinfo)
 	}
-	storeObservables(t, "spilled", ref, rec)
+	AssertStoresEqual(t, "spilled", ref, rec)
 
 	// And the inverse: recover INTO a spill-enabled store and keep growing.
 	recSp, _, err := Recover(s, 7, StoreOptions{
@@ -272,9 +293,9 @@ func TestSnapshotSpilledRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Generate(80)
-	recSp.Generate(80)
-	storeObservables(t, "spilled-recover-spill", ref, recSp)
+	ref.GenerateTo(ref.Len() + 80)
+	recSp.GenerateTo(recSp.Len() + 80)
+	AssertStoresEqual(t, "spilled-recover-spill", ref, recSp)
 }
 
 // TestSnapshotEmptyStore pins the degenerate shape: persisting an empty
@@ -283,7 +304,7 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	s := snapTestSampler(t)
 	dir := t.TempDir()
 	st := NewStore(s, 9, snapOpt(0))
-	if _, err := st.(PersistentStore).Persist(dir); err != nil {
+	if _, err := st.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	rec, rinfo, err := Recover(s, 9, snapOpt(0), dir)
@@ -293,10 +314,9 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	if rec.Len() != 0 || rinfo.Sets != 0 {
 		t.Fatalf("recovered %d sets from empty snapshot", rec.Len())
 	}
-	ref := NewStore(s, 9, snapOpt(0))
-	ref.Generate(50)
-	rec.Generate(50)
-	storeObservables(t, "empty", ref, rec)
+	ref := refStream(s, 9, 50)
+	rec.GenerateTo(50)
+	AssertStoresEqual(t, "empty", ref, rec)
 }
 
 // TestSnapshotMismatch covers the refuse-to-recover paths: no snapshot,
@@ -309,8 +329,8 @@ func TestSnapshotMismatch(t *testing.T) {
 
 	dir := t.TempDir()
 	st := NewStore(s, 42, snapOpt(0))
-	st.Generate(40)
-	if _, err := st.(PersistentStore).Persist(dir); err != nil {
+	st.GenerateTo(40)
+	if _, err := st.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	var mm *SnapshotMismatchError
@@ -323,6 +343,20 @@ func TestSnapshotMismatch(t *testing.T) {
 	lt := mustSampler(t, s.Graph(), diffusion.LT)
 	if _, _, err := Recover(lt, 42, snapOpt(0), dir); !errors.As(err, &mm) {
 		t.Fatalf("wrong model: %v, want SnapshotMismatchError", err)
+	}
+
+	// A meta block with shards == 0 is what the retired flat store wrote (no
+	// epoch table, one segment on identity ids): a topology this build
+	// cannot hold, reported like any other topology change.
+	flatDir := t.TempDir()
+	sc := st.(*ShardedCollection)
+	m := storeMetaOf(s, 42)
+	m.length = sc.length
+	if _, err := persistStore(flatDir, OSSnapshotFS, m, sc.segs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(s, 42, snapOpt(0), flatDir); !errors.As(err, &mm) {
+		t.Fatalf("shards == 0 meta: %v, want SnapshotMismatchError", err)
 	}
 
 	// A mangled manifest is corrupt, not torn.
@@ -338,15 +372,15 @@ func TestSnapshotMismatch(t *testing.T) {
 // TestSnapshotCorruptBlock is the graceful-degradation leg: flip a payload
 // byte in an arena block of a committed snapshot and recovery must discard
 // exactly the unrecoverable suffix and resample it deterministically —
-// observables end up bit-identical to the twin. A corrupt CSR index block
-// alone loses nothing (rebuilt from the arena), and a corrupt offsets table
-// discards the whole segment's stream suffix.
+// observables end up bit-identical to the reference stream. A corrupt CSR
+// index block alone loses nothing (rebuilt from the arena), and a corrupt
+// offsets table discards the whole segment's stream suffix.
 func TestSnapshotCorruptBlock(t *testing.T) {
 	s := snapTestSampler(t)
 	for _, shards := range []int{0, 3} {
-		ctx := map[int]string{0: "flat", 3: "sharded"}[shards]
+		ctx := fmt.Sprintf("shards=%d", shards)
 		opt := snapOpt(shards)
-		ref := NewStore(s, 11, opt)
+		ref := NewRefStore(s, 11)
 		growPattern(ref)
 
 		persist := func() (string, string) {
@@ -360,7 +394,7 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 			growPattern(stSp)
 			_ = st
 			dir := t.TempDir()
-			info, err := stSp.(PersistentStore).Persist(dir)
+			info, err := stSp.Persist(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +413,7 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 			t.Fatalf("%s: %d arena blocks, need >= 2", ctx, len(arenas))
 		}
 		last := arenas[len(arenas)-1]
-		flipFileByte(t, path, last.off+snapHdrSize+last.plen/2)
+		flipFileByte(t, path, last.off+blockHdrSize+last.plen/2)
 		rec, rinfo, err := Recover(s, 11, opt, dir)
 		if err != nil {
 			t.Fatalf("%s: recover with corrupt arena: %v", ctx, err)
@@ -387,7 +421,7 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 		if rinfo.Discarded == 0 || rinfo.Discarded >= ref.Len() || rinfo.Resampled != rinfo.Discarded {
 			t.Fatalf("%s: recovery info %+v, want partial discard+resample of %d sets", ctx, rinfo, ref.Len())
 		}
-		storeObservables(t, ctx+"/corrupt-arena", ref, rec)
+		AssertStoresEqual(t, ctx+"/corrupt-arena", ref, rec)
 
 		// Index corruption: rebuilt from the arena, nothing discarded.
 		if shards == 0 { // remote-less sharded stores also keep indexes, but one leg suffices
@@ -401,7 +435,7 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 			if len(idx) == 0 {
 				t.Fatal("no index blocks persisted")
 			}
-			flipFileByte(t, path, idx[0].off+snapHdrSize+idx[0].plen/2)
+			flipFileByte(t, path, idx[0].off+blockHdrSize+idx[0].plen/2)
 			rec, rinfo, err = Recover(s, 11, opt, dir)
 			if err != nil {
 				t.Fatal(err)
@@ -409,14 +443,14 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 			if rinfo.Discarded != 0 || rinfo.RebuiltIndexBlocks == 0 {
 				t.Fatalf("recovery info %+v, want 0 discarded and a rebuilt index", rinfo)
 			}
-			storeObservables(t, "corrupt-index", ref, rec)
+			AssertStoresEqual(t, "corrupt-index", ref, rec)
 
 			// Offsets corruption: whole segment gone, fully resampled.
 			dir, path = persist()
 			blocks := snapBlockTable(t, path)
 			for _, b := range blocks {
 				if b.kind == snapKindOffsets {
-					flipFileByte(t, path, b.off+snapHdrSize+b.plen/2)
+					flipFileByte(t, path, b.off+blockHdrSize+b.plen/2)
 					break
 				}
 			}
@@ -427,7 +461,7 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 			if rinfo.Discarded != ref.Len() || rec.Len() != ref.Len() {
 				t.Fatalf("recovery info %+v, want full discard and resample to %d", rinfo, ref.Len())
 			}
-			storeObservables(t, "corrupt-offsets", ref, rec)
+			AssertStoresEqual(t, "corrupt-offsets", ref, rec)
 		}
 	}
 }
@@ -444,7 +478,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 		st := NewStore(s, 42, opt)
 		growPattern(st)
 		if extra > 0 {
-			st.Generate(extra)
+			st.GenerateTo(st.Len() + extra)
 		}
 		return st
 	}
@@ -455,7 +489,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 
 	// Probe a clean persist of state B to count protocol writes.
 	probe := &crashFS{}
-	if _, err := stateB.(PersistentStore).PersistFS(t.TempDir(), probe); err != nil {
+	if _, err := stateB.PersistFS(t.TempDir(), probe); err != nil {
 		t.Fatal(err)
 	}
 	writes := probe.writes
@@ -475,16 +509,14 @@ func TestSnapshotCrashFaults(t *testing.T) {
 		if !slices.Contains(wantLens, rinfo.Sets) {
 			t.Fatalf("%s: recovered %d sets (info %+v), want one of %v", name, rinfo.Sets, rinfo, wantLens)
 		}
-		twin := NewStore(s, 42, opt)
-		twin.GenerateTo(rec.Len())
-		storeObservables(t, name, twin, rec)
+		AssertStoresEqual(t, name, refStream(s, 42, rec.Len()), rec)
 	}
 
 	for k := 1; k <= writes; k++ {
 		for _, torn := range []bool{false, true} {
 			name := map[bool]string{false: "fail", true: "torn"}[torn]
 			dir := t.TempDir()
-			if _, err := stateA.(PersistentStore).Persist(dir); err != nil {
+			if _, err := stateA.Persist(dir); err != nil {
 				t.Fatal(err)
 			}
 			fs := &crashFS{}
@@ -493,7 +525,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 			} else {
 				fs.failAt = k
 			}
-			if _, err := stateB.(PersistentStore).PersistFS(dir, fs); err == nil {
+			if _, err := stateB.PersistFS(dir, fs); err == nil {
 				t.Fatalf("%s@%d: persist succeeded despite injection", name, k)
 			}
 			fs.Crash()
@@ -505,11 +537,11 @@ func TestSnapshotCrashFaults(t *testing.T) {
 
 	// Dropped rename: the new snapshot is fully written but never committed.
 	dir := t.TempDir()
-	if _, err := stateA.(PersistentStore).Persist(dir); err != nil {
+	if _, err := stateA.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	fs := &crashFS{dropRen: true}
-	if _, err := stateB.(PersistentStore).PersistFS(dir, fs); err == nil {
+	if _, err := stateB.PersistFS(dir, fs); err == nil {
 		t.Fatal("persist succeeded despite dropped rename")
 	}
 	fs.Crash()
@@ -517,11 +549,11 @@ func TestSnapshotCrashFaults(t *testing.T) {
 
 	// Dropped fsyncs with a crash before the rename: nothing new is durable.
 	dir = t.TempDir()
-	if _, err := stateA.(PersistentStore).Persist(dir); err != nil {
+	if _, err := stateA.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	fs = &crashFS{dropSync: true, dropRen: true}
-	if _, err := stateB.(PersistentStore).PersistFS(dir, fs); err == nil {
+	if _, err := stateB.PersistFS(dir, fs); err == nil {
 		t.Fatal("persist succeeded despite dropped rename")
 	}
 	fs.Crash()
@@ -532,11 +564,11 @@ func TestSnapshotCrashFaults(t *testing.T) {
 	// payload is lost, so its blocks fail validation and recovery resamples
 	// the discarded suffix — landing on the new state.
 	dir = t.TempDir()
-	if _, err := stateA.(PersistentStore).Persist(dir); err != nil {
+	if _, err := stateA.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	fs = &crashFS{dropSync: true}
-	if _, err := stateB.(PersistentStore).PersistFS(dir, fs); err != nil {
+	if _, err := stateB.PersistFS(dir, fs); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash()
@@ -552,7 +584,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 		if rinfo.Sets != lenB {
 			t.Fatalf("lying-fsync recovered %d sets, want %d (info %+v)", rinfo.Sets, lenB, rinfo)
 		}
-		storeObservables(t, "lying-fsync", stateB, rec)
+		AssertStoresEqual(t, "lying-fsync", stateB, rec)
 	}
 
 	// Silent bit flips on every write of the snapshot payload: recovery must
@@ -564,7 +596,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 	for k := 1; k <= writes; k++ {
 		dir := t.TempDir()
 		fs := &crashFS{flipAt: k}
-		if _, err := stateB.(PersistentStore).PersistFS(dir, fs); err != nil {
+		if _, err := stateB.PersistFS(dir, fs); err != nil {
 			t.Fatalf("flip@%d: persist: %v", k, err)
 		}
 		rec, rinfo, err := Recover(s, 42, opt, dir)
@@ -581,7 +613,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 		if rinfo.Discarded > 0 {
 			resampled++
 		}
-		storeObservables(t, "flip", stateB, rec)
+		AssertStoresEqual(t, "flip", stateB, rec)
 	}
 	if resampled == 0 {
 		t.Fatal("no flip exercised the discard+resample path")
@@ -595,8 +627,8 @@ func TestCleanStateDir(t *testing.T) {
 	s := snapTestSampler(t)
 	dir := t.TempDir()
 	st := NewStore(s, 42, snapOpt(0))
-	st.Generate(30)
-	if _, err := st.(PersistentStore).Persist(dir); err != nil {
+	st.GenerateTo(30)
+	if _, err := st.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, junk := range []string{"manifest.json.tmp", "snapshot-000099.rrsnap", "notes.txt"} {
@@ -661,7 +693,7 @@ func TestSpillPayloadBitFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sf.f.WriteAt([]byte{payload[500] ^ 1}, sf.blocks[0].off+spillHdrSize+500); err != nil {
+	if _, err := sf.f.WriteAt([]byte{payload[500] ^ 1}, sf.blocks[0].off+blockHdrSize+500); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sf.mapPayload(0, spillKindArena); !errors.Is(err, ErrBadSpill) {

@@ -1,17 +1,14 @@
 package ris
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 )
 
-// This file is the disk spill tier of the RR-set stores: when a store is
+// This file is the disk spill tier of the RR-set store: when a store is
 // built with StoreOptions.SpillBudgetBytes, cold frozen arena extents and
 // cold CSR index blocks are serialized to an append-only SpillFile and
 // immediately re-read through a shared read-only mapping, so every access
@@ -19,27 +16,21 @@ import (
 // the exact same slices-of-block layout — "fault-in" is the OS paging the
 // bytes back through the mapping, and the page cache is the hot tier.
 //
-// Layout: blocks are appended at mapping-granularity-aligned offsets, each
-// prefixed by a 64-byte header (magic, kind, payload length), mirroring the
-// .sasg convention of 64-byte-aligned sections validated before any cast.
+// Layout: blocks (see blockfile.go for the shared header codec) are appended
+// at mapping-granularity-aligned offsets, so each can be mapped on its own.
 // Payload bytes are raw host-order []uint32 / []int32 images: the file is
 // process-private scratch (created in SpillDir, never an interchange
 // format), so casting them back in the same process is endian-agnostic.
 //
 // Concurrency: spilling happens only under the store's mutation exclusivity
-// (the same discipline as Generate — the session layer holds its write lock
+// (the same discipline as growth — the session layer holds its write lock
 // across both), and a mapping, once created, is never released until the
 // whole SpillFile closes. Concurrent readers therefore never observe a unit
 // mid-move and can never fault on an unmapped page. LRU recency stamps are
 // the single spill-tier field readers touch, and they are atomic.
 
-const (
-	// spillMagic is "SPIL" read as a little-endian uint32.
-	spillMagic = 0x4C495053
-	// spillHdrSize is the per-block header size; payloads start this many
-	// bytes past the block's aligned offset, so they are 64-byte aligned.
-	spillHdrSize = 64
-)
+// spillMagic is "SPIL" read as a little-endian uint32.
+const spillMagic = 0x4C495053
 
 // Spill block kinds (header byte 4).
 const (
@@ -98,10 +89,7 @@ func newSpillFile(dir string) (*SpillFile, error) {
 	if err != nil {
 		return nil, &SpillWriteError{Path: dir, Err: err}
 	}
-	sf := &SpillFile{f: f, path: f.Name(), align: int64(os.Getpagesize())}
-	if sf.align < spillHdrSize {
-		sf.align = spillHdrSize
-	}
+	sf := &SpillFile{f: f, path: f.Name(), align: max(int64(os.Getpagesize()), blockHdrSize)}
 	sf.writeAt = f.WriteAt
 	if runtime.GOOS != "windows" {
 		if os.Remove(sf.path) == nil {
@@ -117,24 +105,12 @@ func newSpillFile(dir string) (*SpillFile, error) {
 // boundary so every byte of a future mapping is file-backed. On error
 // nothing is recorded and the file is reused at the same offset.
 func (sf *SpillFile) append(kind byte, parts ...[]byte) (int, error) {
-	var plen int64
-	for _, p := range parts {
-		plen += int64(len(p))
-	}
 	off := sf.size
-	var crc uint32
-	for _, p := range parts {
-		crc = crc32.Update(crc, castagnoli, p)
-	}
-	var hdr [spillHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], spillMagic)
-	hdr[4] = kind
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(plen))
-	binary.LittleEndian.PutUint32(hdr[16:], crc)
+	hdr, plen := blockHeader(spillMagic, kind, parts)
 	if _, err := sf.writeAt(hdr[:], off); err != nil {
 		return 0, &SpillWriteError{Path: sf.path, Err: err}
 	}
-	pos := off + spillHdrSize
+	pos := off + blockHdrSize
 	for _, p := range parts {
 		if len(p) == 0 {
 			continue
@@ -155,44 +131,33 @@ func (sf *SpillFile) append(kind byte, parts ...[]byte) (int, error) {
 }
 
 // mapPayload maps block id read-only and returns its payload bytes. The
-// header is re-read from the file and validated first, so a truncated or
-// corrupted spill file surfaces as ErrBadSpill instead of a fault. The
-// returned slice stays valid until the SpillFile closes.
+// file's size is checked before mapping (touching a mapped page past EOF
+// faults) and the mapped block is validated before it is handed out, so a
+// truncated or corrupted spill file surfaces as ErrBadSpill instead of a
+// fault. The returned slice stays valid until the SpillFile closes.
 func (sf *SpillFile) mapPayload(id int, kind byte) ([]byte, error) {
 	if id < 0 || id >= len(sf.blocks) {
 		return nil, fmt.Errorf("%w: block %d out of range (%d blocks)", ErrBadSpill, id, len(sf.blocks))
 	}
 	meta := sf.blocks[id]
-	var hdr [spillHdrSize]byte
-	if _, err := sf.f.ReadAt(hdr[:], meta.off); err != nil {
-		return nil, fmt.Errorf("%w: block %d header at offset %d: %v", ErrBadSpill, id, meta.off, err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != spillMagic {
-		return nil, fmt.Errorf("%w: block %d magic %#x, want %#x", ErrBadSpill, id, got, uint32(spillMagic))
-	}
-	if hdr[4] != kind || meta.kind != kind {
-		return nil, fmt.Errorf("%w: block %d kind %d, want %d", ErrBadSpill, id, hdr[4], kind)
-	}
-	if got := int64(binary.LittleEndian.Uint64(hdr[8:])); got != meta.length {
-		return nil, fmt.Errorf("%w: block %d payload length %d, want %d", ErrBadSpill, id, got, meta.length)
+	if meta.kind != kind {
+		return nil, fmt.Errorf("%w: block %d kind %d, want %d", ErrBadSpill, id, meta.kind, kind)
 	}
 	fi, err := sf.f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrBadSpill, id, err)
 	}
-	if need := meta.off + spillHdrSize + meta.length; fi.Size() < need {
+	if need := meta.off + blockHdrSize + meta.length; fi.Size() < need {
 		return nil, fmt.Errorf("%w: block %d truncated: file is %d bytes, need %d", ErrBadSpill, id, fi.Size(), need)
 	}
-	m, err := mapSpillBlock(sf.f, meta.off, spillHdrSize+meta.length)
+	m, err := mapSpillBlock(sf.f, meta.off, blockHdrSize+meta.length)
 	if err != nil {
 		return nil, err
 	}
-	payload := m.data[spillHdrSize : spillHdrSize+meta.length]
-	// CRC32C over the payload catches silent bit rot, not just clobbered
-	// headers or truncation.
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[16:]); got != want {
+	payload, err := blockPayload(m.data, 0, spillMagic, kind, meta.length)
+	if err != nil {
 		m.release()
-		return nil, fmt.Errorf("%w: block %d checksum %#x, want %#x", ErrBadSpill, id, got, want)
+		return nil, fmt.Errorf("%w: block %d: %v", ErrBadSpill, id, err)
 	}
 	sf.maps = append(sf.maps, m)
 	return payload, nil
@@ -258,7 +223,7 @@ func (sp *spillState) file() (*SpillFile, error) {
 // to budget. When every frozen unit is already spilled it seals the active
 // arena tails into new extents and continues; the irreducible floor is the
 // offset/gid tables and per-unit metadata, which always stay resident.
-// Must run under the store's mutation exclusivity (the Generate discipline).
+// Must run under the store's mutation exclusivity (the growth discipline).
 // A spill failure is recorded, returned, and stops all future spilling.
 func (sp *spillState) enforce(budget int64, segs []*segment) error {
 	if sp.err != nil {
@@ -334,7 +299,7 @@ func (sp *spillState) spillExtent(e *arenaExtent) error {
 	if err != nil {
 		return err
 	}
-	id, err := f.append(spillKindArena, u32SpillBytes(e.data))
+	id, err := f.append(spillKindArena, rawBytes(e.data))
 	if err != nil {
 		return err
 	}
@@ -345,7 +310,7 @@ func (sp *spillState) spillExtent(e *arenaExtent) error {
 	if int64(len(payload)) != 4*int64(len(e.data)) {
 		return fmt.Errorf("%w: arena block %d payload %d bytes, want %d", ErrBadSpill, id, len(payload), 4*len(e.data))
 	}
-	e.data = castSpillU32(payload)
+	e.data = castSlice[uint32](payload)
 	e.mapped = f.maps[len(f.maps)-1]
 	return nil
 }
@@ -357,7 +322,7 @@ func (sp *spillState) spillBlock(b *csrBlock) error {
 	if err != nil {
 		return err
 	}
-	id, err := f.append(spillKindIndex, i32SpillBytes(b.starts), i32SpillBytes(b.ids))
+	id, err := f.append(spillKindIndex, rawBytes(b.starts), rawBytes(b.ids))
 	if err != nil {
 		return err
 	}
@@ -369,7 +334,7 @@ func (sp *spillState) spillBlock(b *csrBlock) error {
 	if int64(len(payload)) != 4*int64(ns+ni) {
 		return fmt.Errorf("%w: index block %d payload %d bytes, want %d", ErrBadSpill, id, len(payload), 4*(ns+ni))
 	}
-	all := castSpillI32(payload)
+	all := castSlice[int32](payload)
 	b.starts = all[:ns:ns]
 	b.ids = all[ns : ns+ni]
 	b.spilled = f.maps[len(f.maps)-1]
@@ -412,36 +377,4 @@ func spillStatsOf(sp *spillState, segs []*segment) SpillStats {
 		st.Err = sp.err.Error()
 	}
 	return st
-}
-
-// Raw host-order byte images of arena/index slices. The spill file is
-// process-private scratch, so writing host order and casting it straight
-// back is correct on any endianness.
-
-func u32SpillBytes(s []uint32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-}
-
-func i32SpillBytes(s []int32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-}
-
-func castSpillU32(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func castSpillI32(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }

@@ -3,8 +3,8 @@ package ris
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -102,7 +102,7 @@ func TestSpillFileCorruption(t *testing.T) {
 	}
 
 	// Truncate block 2's payload away (header survives).
-	if err := sf.f.Truncate(sf.blocks[2].off + spillHdrSize); err != nil {
+	if err := sf.f.Truncate(sf.blocks[2].off + blockHdrSize); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sf.mapPayload(2, spillKindIndex); !errors.Is(err, ErrBadSpill) {
@@ -115,76 +115,11 @@ func TestSpillFileCorruption(t *testing.T) {
 	}
 }
 
-// storeObservables compares every Store observable of two stores holding
-// the same stream: per-set contents, bulk scans, postings and coverage.
-func storeObservables(t *testing.T, ctx string, ref, got Store) {
-	t.Helper()
-	if got.Len() != ref.Len() || got.Items() != ref.Items() || got.Width() != ref.Width() {
-		t.Fatalf("%s: len/items/width %d/%d/%d vs %d/%d/%d", ctx,
-			got.Len(), got.Items(), got.Width(), ref.Len(), ref.Items(), ref.Width())
-	}
-	for i := 0; i < ref.Len(); i++ {
-		if !slices.Equal(got.Set(i), ref.Set(i)) {
-			t.Fatalf("%s: set %d differs", ctx, i)
-		}
-	}
-	sets := 0
-	got.ForEachSet(0, got.Len(), func(i int, set []uint32) {
-		if !slices.Equal(set, ref.Set(i)) {
-			t.Fatalf("%s: ForEachSet %d differs", ctx, i)
-		}
-		sets++
-	})
-	if sets != ref.Len() {
-		t.Fatalf("%s: ForEachSet visited %d of %d", ctx, sets, ref.Len())
-	}
-	collect := func(st Store, v uint32, from, upto int) []int32 {
-		var ids []int32
-		p := st.PostingsRange(v, from, upto)
-		for {
-			run, ok := p.Next()
-			if !ok {
-				break
-			}
-			ids = append(ids, run...)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		return ids
-	}
-	n := ref.NumNodes()
-	for v := 0; v < n; v++ {
-		if !slices.Equal(collect(got, uint32(v), 0, got.Len()), collect(ref, uint32(v), 0, ref.Len())) {
-			t.Fatalf("%s: postings for node %d differ", ctx, v)
-		}
-	}
-	var seeds []uint32
-	for _, c := range []int{1, n / 3, n - 2} {
-		if c >= 0 && c < n && !slices.Contains(seeds, uint32(c)) {
-			seeds = append(seeds, uint32(c))
-		}
-	}
-	if len(seeds) == 0 {
-		seeds = []uint32{0}
-	}
-	mark := make([]bool, n)
-	for _, s := range seeds {
-		mark[s] = true
-	}
-	for _, r := range [][2]int{{0, ref.Len()}, {ref.Len() / 3, 2 * ref.Len() / 3}, {1, ref.Len() - 1}} {
-		if g, w := got.CoverageRangeSeeds(seeds, r[0], r[1]), ref.CoverageRangeSeeds(seeds, r[0], r[1]); g != w {
-			t.Fatalf("%s: CoverageRangeSeeds[%d,%d) %d vs %d", ctx, r[0], r[1], g, w)
-		}
-		if g, w := got.CoverageRange(mark, r[0], r[1]), ref.CoverageRange(mark, r[0], r[1]); g != w {
-			t.Fatalf("%s: CoverageRange[%d,%d) %d vs %d", ctx, r[0], r[1], g, w)
-		}
-	}
-}
-
 // TestSpillStoreBitIdentical is the store-level round-trip property test:
 // an irregular growth pattern (uneven index blocks), a full mid-life spill,
 // growth on top of spilled state, and a second spill must leave every
-// observable bit-identical to a never-spilled store of the same stream —
-// flat and sharded.
+// observable bit-identical to the definition-level reference stream — one
+// shard and several.
 func TestSpillStoreBitIdentical(t *testing.T) {
 	g, err := gen.ChungLu(300, 2000, 2.1, 5, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -193,40 +128,37 @@ func TestSpillStoreBitIdentical(t *testing.T) {
 	s := mustSampler(t, g, diffusion.IC)
 	pattern := []int{1, 3, 60, 2, 250, 17, 400, 1, 128}
 
+	total := 300
+	for _, c := range pattern {
+		total += c
+	}
+	ref := refStream(s, 42, total)
 	for _, shards := range []int{0, 3} {
-		ref := NewStore(s, 42, StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2})
-		for _, c := range pattern {
-			ref.Generate(c)
-		}
-		ref.Generate(300)
+		// A never-spilled twin sizes the ~50% budget.
+		unspilled := NewStore(s, 42, StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2})
+		unspilled.GenerateTo(total)
 
-		for _, budget := range []int64{1, ref.Bytes() / 2} {
+		for _, budget := range []int64{1, unspilled.Bytes() / 2} {
 			st := spilledStore(t, s, 42, shards, budget)
 			for _, c := range pattern {
-				st.Generate(c)
+				st.GenerateTo(st.Len() + c)
 			}
-			ss := st.(SpilledStore)
-			if err := ss.SpillTo(0); err != nil {
+			if err := st.SpillTo(0); err != nil {
 				t.Fatal(err)
 			}
-			st.Generate(300) // growth over spilled state
-			if err := ss.SpillTo(0); err != nil {
+			st.GenerateTo(st.Len() + 300) // growth over spilled state
+			if err := st.SpillTo(0); err != nil {
 				t.Fatal(err)
 			}
-			ctx := ""
-			if shards == 0 {
-				ctx = "flat"
-			} else {
-				ctx = "sharded"
-			}
-			stats := ss.SpillStats()
+			ctx := fmt.Sprintf("shards=%d", shards)
+			stats := st.SpillStats()
 			if !stats.Enabled || stats.Blocks == 0 || stats.FileBytes == 0 {
 				t.Fatalf("%s/budget=%d: spilling never happened: %+v", ctx, budget, stats)
 			}
 			if stats.Err != "" {
 				t.Fatalf("%s/budget=%d: spill error: %s", ctx, budget, stats.Err)
 			}
-			storeObservables(t, ctx, ref, st)
+			AssertStoresEqual(t, ctx, ref, st)
 		}
 	}
 }
@@ -238,15 +170,14 @@ func TestSpillEdgeCases(t *testing.T) {
 	// n = 1: sets are all {0}.
 	g1 := mustGraph(t, 1, nil)
 	s1 := mustSampler(t, g1, diffusion.IC)
-	ref := NewCollection(s1, 9, 1)
-	ref.Generate(50)
+	ref := refStream(s1, 9, 50)
 	st := spilledStore(t, s1, 9, 0, 1)
-	st.Generate(20)
-	st.Generate(30)
-	if err := st.(SpilledStore).SpillTo(0); err != nil {
+	st.GenerateTo(20)
+	st.GenerateTo(50)
+	if err := st.SpillTo(0); err != nil {
 		t.Fatal(err)
 	}
-	storeObservables(t, "n=1", ref, st)
+	AssertStoresEqual(t, "n=1", ref, st)
 
 	// Zero-length sets inside a spilled extent: setAt must return empty
 	// slices exactly where the offsets say so.
@@ -279,17 +210,15 @@ func TestSpillDiskFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	ref := NewCollection(s, 3, 2)
-	ref.Generate(400)
-	ref.Generate(200)
+	ref := refStream(s, 3, 600)
 
-	c := spilledStore(t, s, 3, 0, 1).(*Collection)
+	c := spilledStore(t, s, 3, 0, 1).(*ShardedCollection)
 	diskFull := errors.New("no space left on device")
-	c.segment.spill.testWriteAt = func(p []byte, off int64) (int, error) { return 0, diskFull }
-	c.Generate(400) // growth crosses the 1-byte budget; the spill attempt fails
+	c.spill.testWriteAt = func(p []byte, off int64) (int, error) { return 0, diskFull }
+	c.GenerateTo(400) // growth crosses the 1-byte budget; the spill attempt fails
 
 	var we *SpillWriteError
-	if err := c.segment.spill.err; !errors.As(err, &we) || !errors.Is(err, diskFull) {
+	if err := c.spill.err; !errors.As(err, &we) || !errors.Is(err, diskFull) {
 		t.Fatalf("recorded error %v, want *SpillWriteError wrapping the injected failure", err)
 	}
 	stats := c.SpillStats()
@@ -299,8 +228,8 @@ func TestSpillDiskFull(t *testing.T) {
 	if err := c.SpillTo(0); !errors.Is(err, diskFull) {
 		t.Fatalf("SpillTo after failure = %v, want the sticky error", err)
 	}
-	c.Generate(200) // further growth must not retry or corrupt anything
-	storeObservables(t, "disk-full", ref, c)
+	c.GenerateTo(600) // further growth must not retry or corrupt anything
+	AssertStoresEqual(t, "disk-full", ref, c)
 }
 
 // TestSpillAccounting pins the satellite accounting fix: per-unit metadata
@@ -322,8 +251,8 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	c := spilledStore(t, s, 17, 0, 1<<40).(*Collection) // huge budget: nothing spills on its own
-	c.Generate(900)
+	c := spilledStore(t, s, 17, 0, 1<<40) // huge budget: nothing spills on its own
+	c.GenerateTo(900)
 	before := c.Bytes()
 	if err := c.SpillTo(0); err != nil {
 		t.Fatal(err)
@@ -334,7 +263,7 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatalf("resident dropped %d for %d spilled bytes: spilled data still double-counted",
 			before-after, stats.SpilledBytes)
 	}
-	if stats.Blocks == 0 || stats.FileBytes < stats.SpilledBytes+int64(stats.Blocks)*spillHdrSize {
+	if stats.Blocks == 0 || stats.FileBytes < stats.SpilledBytes+int64(stats.Blocks)*blockHdrSize {
 		t.Fatalf("file accounting misses header/padding overhead: %+v", stats)
 	}
 	// The spilled session stats split must agree with the store.

@@ -1,9 +1,9 @@
 // Spilled leg of the differential harness: SSA and D-SSA run on stores
 // whose resident budget forces 0%, ~50% and ~90% of the RR data onto the
-// disk spill tier — flat, in-process-sharded, and remote-sharded with
+// disk spill tier — one shard, in-process-sharded, and remote-sharded with
 // spilling workers — and every observable must stay bit-identical to the
-// flat unspilled reference. Spilling only moves bytes; this is the test
-// that keeps it that way.
+// definition-level reference stream. Spilling only moves bytes; this is the
+// test that keeps it that way.
 package ris_test
 
 import (
@@ -40,16 +40,16 @@ func runCoreSpilled(t *testing.T, s *ris.Sampler, algo string, shards int, budge
 	return res, trace
 }
 
-// spillBudgets derives the issue's 0%/50%/90% spill points from the flat
-// run's store footprint, plus the degenerate 1-byte budget (spill
-// everything spillable, every Generate).
-func spillBudgets(flatBytes int64) []int64 {
-	return []int64{2 * flatBytes, flatBytes / 2, flatBytes / 10, 1}
+// spillBudgets derives the 0%/50%/90% spill points from an unspilled run's
+// store footprint, plus the degenerate 1-byte budget (spill everything
+// spillable, every growth).
+func spillBudgets(unspilledBytes int64) []int64 {
+	return []int64{2 * unspilledBytes, unspilledBytes / 2, unspilledBytes / 10, 1}
 }
 
 // TestDifferentialSpilledVsFlat runs SSA and D-SSA at every spill budget on
-// flat and sharded stores, demanding Seeds, Influence, sample counts and
-// per-checkpoint traces bit-identical to the unspilled flat reference.
+// one-shard and sharded stores, demanding Seeds, Influence, sample counts
+// and per-checkpoint traces bit-identical to the reference stream's.
 func TestDifferentialSpilledVsFlat(t *testing.T) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
@@ -57,13 +57,14 @@ func TestDifferentialSpilledVsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
-		refRes, refTrace := runCore(t, s, algo, 0, 0, ris.KernelPlan)
+		refRes, refTrace := runCoreRef(t, s, algo, ris.KernelPlan)
+		unspilled, _ := runCore(t, s, algo, 0, 0, ris.KernelPlan)
 		for _, shards := range []int{0, 3} {
 			// Resident footprint is only comparable within the same
-			// topology: sharded stores carry mirror arenas and per-shard
-			// metadata a flat store doesn't.
+			// topology: several shards carry gid tables and per-shard
+			// metadata one shard doesn't.
 			shapeRef, _ := runCore(t, s, algo, shards, 2, ris.KernelPlan)
-			for _, budget := range spillBudgets(refRes.MemoryBytes) {
+			for _, budget := range spillBudgets(unspilled.MemoryBytes) {
 				ctx := fmt.Sprintf("%s/shards=%d/budget=%d", algo, shards, budget)
 				res, trace := runCoreSpilled(t, s, algo, shards, budget, ris.KernelPlan)
 				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
@@ -92,14 +93,14 @@ func newSpillCluster(t *testing.T, g *graph.Graph, budget int64, addrs ...string
 
 // TestDifferentialRemoteSpilledWorkers runs D-SSA against remote-sharded
 // stores whose workers spill under a tiny budget, asserting bit-identity
-// with the flat reference and that the workers actually spilled.
+// with the reference stream and that the workers actually spilled.
 func TestDifferentialRemoteSpilledWorkers(t *testing.T) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, refTrace := runCore(t, s, "dssa", 0, 0, ris.KernelPlan)
+	refRes, refTrace := runCoreRef(t, s, "dssa", ris.KernelPlan)
 	for _, nw := range []int{1, 2} {
 		addrs := make([]string, nw)
 		for i := range addrs {

@@ -2,37 +2,37 @@ package ris
 
 import (
 	"context"
-	"runtime"
 	"time"
 )
 
 // Store is the RR-set store surface that SSA, D-SSA, IMM, TIM/TIM+, the
-// max-coverage solvers and the TVM sweeps actually consume. The paper's
-// optimality arguments (Thms 3–5) are agnostic to where RR sets live — only
-// Len, coverage and the doubling schedule matter — so the algorithms are
-// written against this interface and any implementation that honours the
-// contract below slots in unchanged.
+// max-coverage solvers, the TVM sweeps and the serving layer consume. The
+// paper's optimality arguments (Thms 3–5) are agnostic to where RR sets
+// live — only Len, coverage and the doubling schedule matter — so the
+// algorithms are written against this interface. ShardedCollection is the
+// one implementation; its topology (one shard, N in-process shards, remote
+// worker shards; heap, spilled or recovered-from-snapshot) is chosen by
+// StoreOptions and is invisible through this surface.
 //
-// Contract (what makes implementations interchangeable bit-for-bit):
+// Contract (what makes every topology interchangeable bit-for-bit):
 //
 //   - RR set i is always the output of the PRNG stream (Seed, i), so
 //     Set(i), Items, Width and every coverage count are identical across
-//     implementations, worker counts and shard counts.
-//   - The stream is append-only: Generate never moves or mutates an
-//     existing set (D-SSA's prefix-stability requirement).
+//     worker counts, shard counts and storage tiers.
+//   - The stream is append-only: growth never moves or mutates an existing
+//     set (D-SSA's prefix-stability requirement).
 //   - PostingsRange yields each matching id exactly once, in ascending
-//     runs; cross-run global ordering is implementation-defined (the flat
-//     Collection is globally ascending, ShardedCollection is ascending per
-//     shard). Consumers must therefore be order-insensitive across runs —
-//     the greedy solvers and the epoch-stamped coverage walks are.
-//   - Stores are not safe for concurrent mutation; Generate and the
-//     scratch-reusing coverage walks must not race each other (concurrent
-//     Set/Postings reads remain safe).
+//     runs; cross-run global ordering is unspecified (runs are ascending
+//     per shard). Consumers must therefore be order-insensitive across
+//     runs — the greedy solvers and the epoch-stamped coverage walks are.
+//   - Stores are not safe for concurrent mutation; growth, SpillTo, Persist
+//     and the scratch-reusing CoverageRangeSeeds must not race each other
+//     (concurrent Set/Postings reads remain safe).
 //
 // The differential harness (differential_test.go) enforces the
-// interchangeability: SSA, D-SSA and the TVM budget sweep must return
-// bit-identical Seeds, Coverage and checkpoint traces on every
-// implementation for any shard/worker count.
+// interchangeability against a definition-level reference stream: SSA,
+// D-SSA and the TVM budget sweep must return bit-identical Seeds, Coverage
+// and checkpoint traces for any shard/worker count and spill budget.
 type Store interface {
 	// Sampler returns the sampler the store draws RR sets from.
 	Sampler() *Sampler
@@ -49,92 +49,71 @@ type Store interface {
 	// Scale returns the estimator scale (n for RIS, Γ for WRIS).
 	Scale() float64
 	// Set returns RR set i; the slice must not be modified and is
-	// invalidated (never mutated in place) by the next Generate.
+	// invalidated (never mutated in place) by the next growth.
 	Set(i int) []uint32
 	// ForEachSet calls fn for every RR set with id in [from, to), in
 	// ascending id order — the bulk-scan primitive solvers use to fold new
 	// stream suffixes into gain counts without per-id lookup cost.
 	ForEachSet(from, to int, fn func(i int, set []uint32))
-	// Generate appends count new RR sets to the stream.
-	Generate(count int)
-	// GenerateTo grows the stream to at least target RR sets.
+	// GenerateTo grows the stream to at least target RR sets. Remote shard
+	// failures escape as *ShardError panics (see ShardError).
 	GenerateTo(target int)
+	// GenerateToCtx is GenerateTo with cooperative cancellation, checked
+	// between sampling chunk claims (and between remote RPC attempts). On
+	// cancellation it returns the context's error having mutated NOTHING —
+	// stream, index and width are exactly as before the call, so a later
+	// identical top-up regenerates the same bit-identical sets.
+	GenerateToCtx(ctx context.Context, target int) error
 	// PostingsUpto iterates the ids < upto of RR sets containing v.
 	PostingsUpto(v uint32, upto int) Postings
 	// PostingsRange iterates the ids in [from, upto) of RR sets containing v.
 	PostingsRange(v uint32, from, upto int) Postings
-	// CoverageRange counts sets in [from, to) hitting the seed mark vector
-	// (the arena-scan oracle).
-	CoverageRange(seedMark []bool, from, to int) int64
-	// Coverage counts Cov_R(S) over the whole stream for a mark vector.
-	Coverage(seedMark []bool) int64
 	// CoverageRangeSeeds counts sets in [from, to) containing at least one
-	// seed, via the inverted index (the hot-path form).
+	// seed, via the inverted index.
 	CoverageRangeSeeds(seeds []uint32, from, to int) int64
-	// CoverageSeeds counts Cov_R(S) over the whole stream via the index.
-	CoverageSeeds(seeds []uint32) int64
-}
-
-// SpilledStore is the optional Store extension of stores that can tier cold
-// RR data (frozen arena extents and CSR index blocks) onto a disk spill
-// file. Both built-in stores implement it; whether spilling is ENABLED is a
-// per-store property (StoreOptions.SpillBudgetBytes > 0), reported by
-// SpillStats().Enabled.
-type SpilledStore interface {
-	Store
 	// SpillTo spills globally-coldest units until resident RR bytes drop to
-	// budget (0 spills everything spillable). Counts as a mutation: callers
-	// must hold the same exclusivity as Generate. Returns the first spill
-	// failure; after one the store stops spilling and stays consistent
-	// resident-only.
+	// budget (0 spills everything spillable); a no-op on a store built
+	// without a spill budget (SpillStats().Enabled reports which). Counts
+	// as a mutation. Returns the first spill failure; after one the store
+	// stops spilling and stays consistent resident-only.
 	SpillTo(budget int64) error
 	// SpillStats reports the spill tier's accounting.
 	SpillStats() SpillStats
+	// Persist writes a snapshot of the store into dir and atomically commits
+	// it via the manifest. The previous snapshot stays committed until the
+	// new one is durable. Persist reads the store, so callers must hold the
+	// same exclusivity as growth (concurrent reads are fine).
+	Persist(dir string) (SnapshotInfo, error)
+	// PersistFS is Persist through an injected filesystem (fault tests).
+	PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error)
 }
 
-// ContextStore is the optional Store extension for cancelable growth: both
-// generate forms take a context checked cooperatively between sampling
-// chunk claims (and between remote RPC attempts). On cancellation the call
-// returns the context's error having mutated NOTHING — stream, index and
-// width are exactly as before the call, so a later identical top-up
-// regenerates the same bit-identical sets. Both built-in stores implement
-// it.
-type ContextStore interface {
-	Store
-	// GenerateCtx is Generate with cooperative cancellation.
-	GenerateCtx(ctx context.Context, count int) error
-	// GenerateToCtx is GenerateTo with cooperative cancellation.
-	GenerateToCtx(ctx context.Context, target int) error
-}
-
-// Both stores implement Store, SpilledStore and ContextStore.
-var (
-	_ SpilledStore = (*Collection)(nil)
-	_ SpilledStore = (*ShardedCollection)(nil)
-	_ ContextStore = (*Collection)(nil)
-	_ ContextStore = (*ShardedCollection)(nil)
+// SpilledStore and PersistentStore were optional extensions before every
+// store implemented them; they survive only as aliases because the frozen
+// benchmarks/imperf harness type-asserts on both names.
+type (
+	SpilledStore    = Store
+	PersistentStore = Store
 )
 
-// StoreOptions selects and sizes a Store implementation.
+var _ Store = (*ShardedCollection)(nil)
+
+// StoreOptions sizes a Store and selects its topology.
 type StoreOptions struct {
-	// Workers bounds generation/index parallelism of the flat store (and
-	// is the total-worker hint ShardWorkers is derived from); ≤0 selects
-	// runtime.GOMAXPROCS(0).
+	// Workers is the total generation/index-build parallelism the per-shard
+	// worker count is derived from; ≤0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Shards ≥ 1 selects ShardedCollection with that many id shards (1 is
-	// a real single-shard sharded store, so the sharded code path can be
-	// exercised and compared at every count); ≤0 selects the flat
-	// Collection. Results are bit-identical either way.
+	// Shards is the number of in-process id shards; ≤ 1 = one shard
+	// (default). Results are bit-identical at every count.
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1;
-	// ≤0 derives max(1, Workers/Shards) so the total worker budget holds.
-	// For remote shards this is the sampling parallelism requested on each
-	// worker (0 = the worker's own default).
+	// ShardWorkers bounds per-shard generation parallelism; ≤0 derives
+	// max(1, Workers/Shards) so the total worker budget holds. For remote
+	// shards this is the sampling parallelism requested on each worker
+	// (0 = the worker's own default).
 	ShardWorkers int
 	// RemoteWorkers lists shard-worker addresses ("host:port" TCP or
-	// "unix:/path"); non-empty selects a remote-sharded ShardedCollection
-	// with one shard per worker, and Shards is ignored. Results remain
-	// bit-identical to every in-process topology.
+	// "unix:/path"); non-empty puts one shard on each worker, and Shards is
+	// ignored. Results remain bit-identical to every in-process topology.
 	RemoteWorkers []string
 	// RemoteDial overrides the worker transport (tests inject net.Pipe).
 	RemoteDial DialFunc
@@ -154,43 +133,30 @@ type StoreOptions struct {
 	SpillDir string
 }
 
-// NewStore builds the Store described by opt: the flat Collection for
-// Shards ≤ 0, ShardedCollection otherwise, remote-sharded when
-// RemoteWorkers is set. Every implementation yields bit-identical results
-// for a fixed seed, so the choice is purely about memory topology and
-// generation parallelism.
+// NewStore builds the Store described by opt. Every topology yields
+// bit-identical results for a fixed seed, so the choice is purely about
+// memory layout and generation parallelism.
 func NewStore(s *Sampler, seed uint64, opt StoreOptions) Store {
-	var st Store
-	switch {
-	case len(opt.RemoteWorkers) > 0:
-		st = NewRemoteShardedCollection(s, seed, opt)
-	case opt.Shards < 1:
-		st = NewCollection(s, seed, opt.Workers)
-	default:
+	return newStore(s, seed, opt)
+}
+
+func newStore(s *Sampler, seed uint64, opt StoreOptions) *ShardedCollection {
+	var sc *ShardedCollection
+	if len(opt.RemoteWorkers) > 0 {
+		sc = NewRemoteShardedCollection(s, seed, opt)
+	} else {
+		shards := max(opt.Shards, 1)
 		w := opt.ShardWorkers
-		if w <= 0 {
-			total := opt.Workers
-			if total <= 0 {
-				total = runtime.GOMAXPROCS(0)
-			}
-			w = total / opt.Shards
-			if w < 1 {
-				w = 1
-			}
+		if w <= 0 && opt.Workers > 0 {
+			w = max(opt.Workers/shards, 1)
 		}
-		st = NewShardedCollection(s, seed, opt.Shards, w)
+		sc = NewShardedCollection(s, seed, shards, w) // w ≤ 0 ⇒ GOMAXPROCS/shards
 	}
 	if opt.SpillBudgetBytes > 0 {
-		sp := newSpillState(opt.SpillBudgetBytes, opt.SpillDir)
-		switch c := st.(type) {
-		case *Collection:
-			c.segment.spill = sp
-		case *ShardedCollection:
-			c.spill = sp
-			for _, sg := range c.segs {
-				sg.spill = sp
-			}
+		sc.spill = newSpillState(opt.SpillBudgetBytes, opt.SpillDir)
+		for _, sg := range sc.segs {
+			sg.spill = sc.spill
 		}
 	}
-	return st
+	return sc
 }

@@ -1,7 +1,6 @@
 package ris
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -163,16 +162,10 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	hdr := sf.m.data[:snapHdrSize]
-	if binary.LittleEndian.Uint32(hdr[0:]) != snapMagic || hdr[4] != snapKindWorker {
+	payload, off, err := sf.metaPayload(snapKindWorker)
+	if err != nil {
 		sf.close()
-		return 0, &SnapshotCorruptError{Path: sf.path, Reason: "bad worker meta block header"}
-	}
-	plen := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	payload := sf.blockPayload(0, snapKindWorker, plen)
-	if payload == nil {
-		sf.close()
-		return 0, &SnapshotCorruptError{Path: sf.path, Reason: "worker meta block failed validation"}
+		return 0, err
 	}
 	metas, err := decodeWorkerMeta(payload, sf.path, s.g.NumNodes())
 	if err != nil {
@@ -180,7 +173,6 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 		return 0, err
 	}
 
-	off := snapAdvance(0, plen)
 	restored := 0
 	for i := range metas {
 		wm := &metas[i]

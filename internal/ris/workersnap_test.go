@@ -8,7 +8,6 @@ package ris_test
 import (
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"testing"
 
@@ -105,15 +104,15 @@ func TestWorkerSnapshotRoundTrip(t *testing.T) {
 		Workers: 2, Shards: 4, ShardWorkers: 2,
 		RemoteWorkers: []string{"w0", "w1"}, RemoteDial: cluster.dial,
 	}
-	ref := ris.NewStore(s, 42, ris.StoreOptions{Workers: 2})
+	ref := ris.NewRefStore(s, 42)
 
 	st := ris.NewStore(s, 42, opt)
 	for _, c := range []int{1, 3, 40, 2, 90, 17} {
-		st.Generate(c)
-		ref.Generate(c)
+		st.GenerateTo(st.Len() + c)
+		ref.GenerateTo(ref.Len() + c)
 	}
 	coordDir := t.TempDir()
-	if _, err := st.(ris.PersistentStore).Persist(coordDir); err != nil {
+	if _, err := st.Persist(coordDir); err != nil {
 		t.Fatal(err)
 	}
 	cluster.persistAll(t)
@@ -135,17 +134,17 @@ func TestWorkerSnapshotRoundTrip(t *testing.T) {
 	if rinfo.Discarded != 0 || rinfo.Sets != ref.Len() {
 		t.Fatalf("recovery info %+v, want clean %d sets", rinfo, ref.Len())
 	}
-	remoteObservables(t, "recovered", ref, rec)
+	ris.AssertStoresEqual(t, "recovered", ref, rec)
 
 	// Growth continues across the recovered coordinator and workers.
-	ref.Generate(60)
-	rec.Generate(60)
-	remoteObservables(t, "regrown", ref, rec)
+	ref.GenerateTo(ref.Len() + 60)
+	rec.GenerateTo(rec.Len() + 60)
+	ris.AssertStoresEqual(t, "regrown", ref, rec)
 
 	// Worker behind the coordinator: w0 restarts from its (now stale)
 	// snapshot while the coordinator persisted after more growth. The
 	// coordinator must replay only the missing suffix onto w0's prefix.
-	if _, err := rec.(ris.PersistentStore).Persist(coordDir); err != nil {
+	if _, err := rec.Persist(coordDir); err != nil {
 		t.Fatal(err)
 	}
 	cluster.restart(t, "w0", true)
@@ -153,7 +152,7 @@ func TestWorkerSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteObservables(t, "worker-behind", ref, rec2)
+	ris.AssertStoresEqual(t, "worker-behind", ref, rec2)
 
 	// Worker lost everything — process and disk: deterministic replay
 	// rebuilds the whole shard from the persisted spec.
@@ -164,46 +163,7 @@ func TestWorkerSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteObservables(t, "worker-wiped", ref, rec3)
-}
-
-// remoteObservables compares the observables the remote store serves:
-// length, width, coverage over ranges, and postings for every node.
-func remoteObservables(t *testing.T, ctx string, ref, got ris.Store) {
-	t.Helper()
-	if got.Len() != ref.Len() || got.Items() != ref.Items() || got.Width() != ref.Width() {
-		t.Fatalf("%s: len/items/width (%d,%d,%d) vs (%d,%d,%d)", ctx,
-			got.Len(), got.Items(), got.Width(), ref.Len(), ref.Items(), ref.Width())
-	}
-	n := ref.NumNodes()
-	gather := func(st ris.Store, v uint32) []int32 {
-		var out []int32
-		it := st.PostingsUpto(v, st.Len())
-		for {
-			run, ok := it.Next()
-			if !ok {
-				break
-			}
-			out = append(out, run...)
-		}
-		slices.Sort(out)
-		return out
-	}
-	for v := 0; v < n; v++ {
-		a, b := gather(ref, uint32(v)), gather(got, uint32(v))
-		if !slices.Equal(a, b) {
-			t.Fatalf("%s: node %d postings differ (%d vs %d ids)", ctx, v, len(b), len(a))
-		}
-	}
-	mark := make([]bool, n)
-	for v := 0; v < n; v += 7 {
-		mark[v] = true
-	}
-	for _, span := range [][2]int{{0, ref.Len()}, {ref.Len() / 3, 2 * ref.Len() / 3}, {ref.Len() / 2, ref.Len()}} {
-		if a, b := ref.CoverageRange(mark, span[0], span[1]), got.CoverageRange(mark, span[0], span[1]); a != b {
-			t.Fatalf("%s: coverage[%d,%d) %d vs %d", ctx, span[0], span[1], b, a)
-		}
-	}
+	ris.AssertStoresEqual(t, "worker-wiped", ref, rec3)
 }
 
 func mustRemoteSampler(t *testing.T, g *graph.Graph) *ris.Sampler {

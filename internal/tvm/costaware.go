@@ -28,9 +28,9 @@ type BudgetedOptions struct {
 	// Workers bounds sampling parallelism; ≤0 selects
 	// runtime.GOMAXPROCS(0) (results are worker-count-independent).
 	Workers int
-	// Shards ≥ 1 stores the WRIS samples in an id-sharded store
-	// (bit-identical results for any shard count); ShardWorkers bounds
-	// per-shard parallelism (≤0 derives Workers/Shards).
+	// Shards is the number of id shards of the WRIS sample store; ≤ 1 = one
+	// shard (default), bit-identical results for any count. ShardWorkers
+	// bounds per-shard parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int
 	// Kernel selects the RR sampling implementation (plan kernels by

@@ -49,8 +49,8 @@ func TestBudgetedSessionMatchesColdSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, 2)
-	refCol.Generate(opt.Samples)
+	refCol := ris.NewStore(s, opt.Seed, ris.StoreOptions{Workers: 2})
+	refCol.GenerateTo(opt.Samples)
 
 	for _, budget := range []float64{12, 4, 40, 12, 4, 25} {
 		got, err := bs.Maximize(budget)
@@ -86,7 +86,7 @@ func TestBudgetedSessionDerivedThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, 2)
+	refCol := ris.NewStore(s, opt.Seed, ris.StoreOptions{Workers: 2})
 	prev := 0
 	for _, budget := range []float64{6, 30, 6} {
 		got, err := bs.Maximize(budget)
@@ -144,8 +144,8 @@ func TestBudgetedSessionConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, 2)
-	refCol.Generate(opt.Samples)
+	refCol := ris.NewStore(s, opt.Seed, ris.StoreOptions{Workers: 2})
+	refCol.GenerateTo(opt.Samples)
 	for bi, b := range budgets {
 		want := maxcover.GreedyBudgeted(refCol, opt.Samples, costs, b)
 		for rep, got := range results[bi] {

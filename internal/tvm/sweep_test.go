@@ -34,8 +34,8 @@ func TestBudgetedSweepMatchesGreedyPerBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, opt.Workers)
-	refCol.Generate(opt.Samples)
+	refCol := ris.NewStore(s, opt.Seed, ris.StoreOptions{Workers: opt.Workers})
+	refCol.GenerateTo(opt.Samples)
 	for si, sweep := range sweeps {
 		results, err := BudgetedSweep(inst, diffusion.LT, sweep, opt)
 		if err != nil {

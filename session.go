@@ -27,10 +27,10 @@ var ErrShardUnreachable = ris.ErrShardUnreachable
 //   - one sampler whose compiled ris.Plan comes from the process-wide plan
 //     cache, so every session and one-shot run on the same graph compiles
 //     the plan exactly once;
-//   - one persistent RR-set store (flat or id-sharded) that only ever grows:
-//     a query's doubling loop tops up past the current stream length and
-//     never resamples a prefix — D-SSA's "no sample is discarded" principle
-//     extended across runs;
+//   - one persistent RR-set store that only ever grows: a query's doubling
+//     loop tops up past the current stream length and never resamples a
+//     prefix — D-SSA's "no sample is discarded" principle extended across
+//     runs;
 //   - a small cache of incremental max-coverage solvers, one per requested
 //     k, each scanning only the stream suffix added since it last ran.
 //
@@ -94,12 +94,13 @@ type SessionOptions struct {
 	Seed uint64
 	// Workers bounds sampling parallelism (≤0 ⇒ runtime.GOMAXPROCS(0)).
 	Workers int
-	// Shards ≥ 1 keeps the stream in an id-sharded store; ≤0 selects flat.
-	// Bit-identical either way (see Options.Shards).
+	// Shards is the number of in-process id shards of the RR store;
+	// ≤ 1 = one shard (default). Bit-identical at every count (see
+	// Options.Shards).
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1.
-	// For remote shards it is the sampling parallelism requested on each
-	// worker (0 = the worker process's own default).
+	// ShardWorkers bounds per-shard generation parallelism. For remote
+	// shards it is the sampling parallelism requested on each worker (0 =
+	// the worker process's own default).
 	ShardWorkers int
 	// RemoteWorkers lists imworker addresses ("host:port" TCP or
 	// "unix:/path"); non-empty keeps the RR stream in a remote-sharded
@@ -279,16 +280,12 @@ func (s *Session) Persist() (ris.SnapshotInfo, error) {
 	if s.opt.StateDir == "" {
 		return ris.SnapshotInfo{}, ris.ErrNoSnapshot
 	}
-	ps, ok := s.store.(ris.PersistentStore)
-	if !ok {
-		return ris.SnapshotInfo{}, fmt.Errorf("stopandstare: store is not persistent")
-	}
 	if err := os.MkdirAll(s.opt.StateDir, 0o755); err != nil {
 		return ris.SnapshotInfo{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, err := ps.Persist(s.opt.StateDir)
+	info, err := s.store.Persist(s.opt.StateDir)
 	if err == nil {
 		s.snapshotBytes.Store(info.Bytes)
 	}
@@ -401,10 +398,7 @@ func (s *Session) Stats() SessionStats {
 	// sampler on the same graph compiles the plan mid-snapshot.
 	plan := s.sampler.PlanBytes()
 	total := s.store.Bytes()
-	var spill ris.SpillStats
-	if ss, ok := s.store.(ris.SpilledStore); ok {
-		spill = ss.SpillStats()
-	}
+	spill := s.store.SpillStats()
 	s.mu.RUnlock()
 	s.solMu.Lock()
 	nsolv := len(s.solvers)
@@ -434,17 +428,13 @@ func (s *Session) Stats() SessionStats {
 // losing its warm store. Results of subsequent queries are unchanged —
 // spilling only moves bytes.
 func (s *Session) SpillTo(budget int64) (int64, error) {
-	ss, ok := s.store.(ris.SpilledStore)
-	if !ok {
-		return 0, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !ss.SpillStats().Enabled {
+	if !s.store.SpillStats().Enabled {
 		return 0, nil
 	}
 	before := s.store.Bytes()
-	err := ss.SpillTo(budget)
+	err := s.store.SpillTo(budget)
 	freed := before - s.store.Bytes()
 	if freed < 0 {
 		freed = 0
@@ -510,13 +500,9 @@ func (e sessionEnv) Ensure(target int) bool {
 		// write lock on its way to maximize's recover.
 		defer s.mu.Unlock()
 		grew = s.store.Len() < target // another query may have topped up first
-		if cs, ok := s.store.(ris.ContextStore); ok {
-			if err := cs.GenerateToCtx(e.ctx, target); err != nil {
-				grew = false // canceled top-ups mutate nothing
-				panic(&growthCanceled{err: err})
-			}
-		} else {
-			s.store.GenerateTo(target)
+		if err := s.store.GenerateToCtx(e.ctx, target); err != nil {
+			grew = false // canceled top-ups mutate nothing
+			panic(&growthCanceled{err: err})
 		}
 	}()
 	if grew {

@@ -119,14 +119,14 @@ type Options struct {
 	// Workers bounds parallelism (≤0 ⇒ runtime.GOMAXPROCS(0); results are
 	// bit-identical at any worker count).
 	Workers int
-	// Shards ≥ 1 keeps RR sets in an id-sharded store (one arena + index
-	// per shard, generated shard-parallel) instead of the flat store; ≤0
-	// selects flat. Results are bit-identical at any shard count —
-	// sharding only changes memory topology and generation parallelism.
-	// Applies to the RIS algorithms (SSA/D-SSA/IMM/TIM/TIM+/Borgs).
+	// Shards is the number of id shards of the RR store (one arena + index
+	// per shard, generated shard-parallel); ≤ 1 = one shard (default).
+	// Results are bit-identical at any shard count — sharding only changes
+	// memory topology and generation parallelism. Applies to the RIS
+	// algorithms (SSA/D-SSA/IMM/TIM/TIM+/Borgs).
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1
-	// (≤0 derives max(1, Workers/Shards)).
+	// ShardWorkers bounds per-shard generation parallelism (≤0 derives
+	// max(1, Workers/Shards)).
 	ShardWorkers int
 	// Kernel selects the RR sampling implementation for the RIS algorithms:
 	// the compiled plan kernels (KernelPlan, the default) or the Bernoulli

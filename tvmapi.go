@@ -88,7 +88,8 @@ type BudgetedOptions struct {
 	Delta   float64
 	Seed    uint64
 	Workers int
-	// Shards/ShardWorkers select the id-sharded RR store, as in Options.
+	// Shards/ShardWorkers shape the RR store, as in Options (≤ 1 = one
+	// shard (default)).
 	Shards       int
 	ShardWorkers int
 	// Kernel selects the RR sampling implementation, as in Options.
