@@ -2,7 +2,8 @@
 // (binary .ssg, mmap-able .sasg, or text edge list). With -rr it also
 // samples that many RR sets into a store and reports the store's
 // accounting, including the resident/spilled byte split when -spill-budget
-// gives the store a disk spill tier.
+// gives the store a disk spill tier, and what a max-coverage solver holds on
+// top of it (solver_bytes, as in a serving session's /stats).
 //
 // With -state-dir it reports the committed RR-store snapshot in a
 // durability state directory (imserve tenant subdirectory or imworker
@@ -23,6 +24,7 @@ import (
 	"stopandstare/internal/cliutil"
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/graph"
+	"stopandstare/internal/maxcover"
 	"stopandstare/internal/ris"
 )
 
@@ -106,7 +108,9 @@ func snapshotStats(dir string) error {
 
 // sampleStats generates rr RR sets into a store (spill-tiered when
 // spillBudget is set) and prints its accounting — the resident/spilled
-// split the serving budget decisions are based on.
+// split the serving budget decisions are based on — and the footprint of a
+// solver that has answered one query over the whole sample: its gain counts
+// and one greedy run, the unit a serving session retains a bounded number of.
 func sampleStats(g *graph.Graph, rr int, model string, seed uint64, spillBudget, spillDir string) error {
 	mdl, err := diffusion.ParseModel(model)
 	if err != nil {
@@ -135,5 +139,10 @@ func sampleStats(g *graph.Graph, rr int, model string, seed uint64, spillBudget,
 			fmt.Printf("spill-error:   %s\n", sp.Err)
 		}
 	}
+	sol := maxcover.NewSolver(st)
+	sol.Solve(st.Len(), 1)
+	_, solverBytes := sol.Retained()
+	fmt.Printf("solver_bytes:  %.1f MB (gain counts + one greedy run over the sample)\n",
+		float64(solverBytes)/(1<<20))
 	return nil
 }

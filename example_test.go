@@ -61,7 +61,7 @@ func ExampleSession() {
 	// Output:
 	// true true
 	// false true
-	// 25 3 2 true
+	// 25 3 4 true
 }
 
 // ExampleMaximize_baselineComparison runs the same instance through the

@@ -282,13 +282,14 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 		}
 	})
 
-	// Serving-session trio: the cost of one D-SSA query served cold (fresh
-	// session: new store, resampled stream) vs warm (long-lived session:
-	// the repeated query tops up nothing and pays selection only) vs warm
-	// with a new k (zero sampling, but the new k's solver folds the
-	// resident stream into fresh gain counts). The warm records are the
-	// PR 5 claim; the suite first proves the warm result bit-identical to
-	// the cold one before timing anything.
+	// Serving-session records: the cost of one D-SSA query served cold
+	// (fresh session: new store, resampled stream) vs warm (long-lived
+	// session: the repeated query tops up nothing and copies its seeds out
+	// of the greedy runs the session's solver retains per checkpoint) vs
+	// warm at other k (zero sampling; a k above what a run holds resumes
+	// that run once, after which it too is a copy), singly and as a sweep.
+	// The suite first proves the warm result bit-identical to the cold one
+	// before timing anything.
 	sessOpt := stopandstare.SessionOptions{Seed: seed + 300}
 	sessQuery := stopandstare.Query{K: 50, Epsilon: 0.1}
 	coldCheck, err := func() (*stopandstare.Result, error) {
@@ -339,14 +340,32 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	})
 	add("session/warm_newk", func(b *testing.B) {
 		b.ReportAllocs()
-		// Alternate two fresh k values so every op pays the new-k cost
-		// (each query rewinds the other k's solver to a smaller prefix).
+		// Two k the warm-up never asked for, on the checkpoints it solved
+		// at k = 50: 40 is a prefix of those runs, 60 extends each by ten
+		// picks the first time and is a prefix ever after.
 		ks := [2]int{40, 60}
 		for i := 0; i < b.N; i++ {
 			q := sessQuery
 			q.K = ks[i%2]
 			if _, err := warmSess.Maximize(q); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	// The spill records below budget against the store the k = 50 queries
+	// grew; the sweep's larger k grow it further, so it is read first.
+	flatStoreBytes := warmSess.Stats().StoreBytes
+	add("session/warm_sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		// One op is an ascending sweep k = 10, 20, …, 200: twenty queries
+		// whose schedules share checkpoints (the unit depends on k only
+		// through the iteration cap), each resuming the runs the last left.
+		for i := 0; i < b.N; i++ {
+			q := sessQuery
+			for q.K = 10; q.K <= 200; q.K += 10 {
+				if _, err := warmSess.Maximize(q); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -361,7 +380,6 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	// flat) next to the warm-latency one (warm_spilled90 ≤ 2× warm_flat).
 	// Identity probes run before any timing: every budget must reproduce
 	// the flat session's Seeds and sample count exactly.
-	flatStoreBytes := warmSess.Stats().StoreBytes
 	gauge := func(name string, bytes int64) {
 		rep.Results = append(rep.Results, PerfRecord{Name: name, Iterations: 1, BytesPerOp: bytes})
 	}

@@ -11,12 +11,16 @@ import (
 // store reads. SSA and D-SSA are written against this interface so the
 // same loop serves two callers:
 //
-//   - the one-shot path (SSA/DSSA): a fresh store and a fresh incremental
-//     solver per run, no locking — soloExec below;
+//   - the one-shot path (SSA/DSSA): a fresh store and a fresh solver per
+//     run, no locking — soloExec below. Its schedule never returns to a
+//     prefix, so the solver retains one greedy run and recycles its arrays
+//     from checkpoint to checkpoint;
 //   - the serving path (stopandstare.Session): a long-lived store shared by
-//     a query stream, per-k cached solvers, and an RWMutex-or-epoch
-//     discipline where read-only queries run concurrently and only store
-//     growth takes the write lock.
+//     a query stream, one solver for every k that retains a resumable
+//     greedy run per checkpoint prefix (queries at other k, and repeats,
+//     copy or resume instead of selecting again), and an RWMutex discipline
+//     where read-only queries run concurrently and only store growth takes
+//     the write lock.
 //
 // The algorithms promise to call Ensure with no read lock held, and to
 // bracket every store read (Solve, Coverage, Stats reads like Bytes)
@@ -57,8 +61,8 @@ func locked(env Exec, f func()) {
 	f()
 }
 
-// soloExec is the one-shot environment: a private store and one
-// incremental solver, no locking. SSA and DSSA build one per run.
+// soloExec is the one-shot environment: a private store and a one-run
+// solver, no locking. SSA and DSSA build one per run.
 type soloExec struct {
 	col ris.Store
 	sol *maxcover.Solver

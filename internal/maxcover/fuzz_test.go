@@ -1,6 +1,7 @@
 package maxcover
 
 import (
+	"math/bits"
 	"testing"
 )
 
@@ -75,6 +76,11 @@ func coverSets(col interface{ Set(int) []uint32 }, covered []bool, upto int, see
 //     Coverage;
 //  3. the reported Coverage equals an independent recount over the raw
 //     sets.
+//
+// A second solver, retaining 1–3 runs, then revisits the same checkpoints in
+// a sched-driven order with k jumping up and down (into the padded tail of
+// the 14-node graph): cached, resumed, evicted and recycled runs must all
+// answer as a fresh Greedy does.
 func FuzzSolverAgainstGreedyOracle(f *testing.F) {
 	f.Add(uint64(1), uint64(40), uint64(3), uint64(0x010307))
 	f.Add(uint64(7), uint64(9), uint64(1), uint64(0x050505))
@@ -85,7 +91,8 @@ func FuzzSolverAgainstGreedyOracle(f *testing.F) {
 		k := int(kRaw%7) + 1
 		col := buildCollection(t, 14, 45, 0, seed%4096+1)
 		sol := NewSolver(col)
-		for _, upto := range checkpointsFrom(sched, nSets) {
+		cuts := checkpointsFrom(sched, nSets)
+		for _, upto := range cuts {
 			col.GenerateTo(upto)
 			got := sol.Solve(upto, k)
 			want := Greedy(col, upto, k)
@@ -114,6 +121,11 @@ func FuzzSolverAgainstGreedyOracle(f *testing.F) {
 			if total != got.Coverage {
 				t.Fatalf("oracle gain sum %d != reported coverage %d", total, got.Coverage)
 			}
+		}
+		inter := NewCachedSolver(col, int(sched>>24)%3+1)
+		for i, w := 0, sched^seed; i < 10; i, w = i+1, bits.RotateLeft64(w, -5) {
+			upto, kk := cuts[w%uint64(len(cuts))], int((w>>2)%16)+1
+			assertSameResult(t, "fuzz interleaved vs fresh", inter.Solve(upto, kk), Greedy(col, upto, kk))
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package maxcover
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"stopandstare/internal/diffusion"
@@ -77,8 +79,8 @@ func TestSolverIrregularSchedule(t *testing.T) {
 }
 
 // TestSolverNonMonotonicFallsBack asserts a shrinking upto still returns
-// the exact Greedy solution (via the from-scratch fallback) and leaves the
-// incremental state usable.
+// the exact Greedy solution (the gain cursor moves backward) and leaves the
+// solver usable.
 func TestSolverNonMonotonicFallsBack(t *testing.T) {
 	col := buildCollection(t, 40, 250, 600, 55)
 	sol := NewSolver(col)
@@ -88,6 +90,119 @@ func TestSolverNonMonotonicFallsBack(t *testing.T) {
 	assertSameResult(t, "shrunk", small, Greedy(col, 100, 5))
 	again := sol.Solve(600, 5)
 	assertSameResult(t, "recovered", again, full)
+}
+
+// interleavedStores builds the same RR stream three ways — one shard, three
+// shards, and one shard with everything spillable on disk — so the
+// interleaving tests run over every read path a solver has.
+func interleavedStores(t *testing.T, sets int) map[string]ris.Store {
+	t.Helper()
+	g, err := gen.ErdosRenyi(70, 420, 9, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ris.NewSampler(g, diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]ris.Store{
+		"shards=1": ris.NewStore(s, 5, ris.StoreOptions{Workers: 2}),
+		"shards=3": ris.NewStore(s, 5, ris.StoreOptions{Workers: 2, Shards: 3}),
+		"spilled": ris.NewStore(s, 5, ris.StoreOptions{Workers: 2,
+			SpillBudgetBytes: 1, SpillDir: t.TempDir()}),
+	}
+	for _, st := range stores {
+		st.GenerateTo(sets)
+	}
+	if !stores["spilled"].SpillStats().Enabled || stores["spilled"].SpillStats().SpilledBytes == 0 {
+		t.Fatal("the spilled store spilled nothing")
+	}
+	return stores
+}
+
+// TestSolverInterleavedMatchesGreedy is the caching contract: ONE solver
+// asked a random sequence of (upto, k) — prefixes going up, down and
+// repeating, k growing and shrinking past the number of useful nodes —
+// answers every call exactly as a fresh Greedy does, at run limits that make
+// every other call an eviction (1: recycled arrays, the cursor seeking both
+// ways), some (2) and none (32).
+func TestSolverInterleavedMatchesGreedy(t *testing.T) {
+	prefixes := []int{0, 3, 40, 41, 300, 520, 900}
+	for name, col := range interleavedStores(t, 900) {
+		for _, limit := range []int{1, 2, 32} {
+			rng := rand.New(rand.NewSource(int64(limit)))
+			sol := NewCachedSolver(col, limit)
+			for i := 0; i < 120; i++ {
+				upto := prefixes[rng.Intn(len(prefixes))]
+				k := 1 + rng.Intn(12)
+				if rng.Intn(4) == 0 {
+					k = 1 + rng.Intn(col.NumNodes()+3) // into the padded tail, past n
+				}
+				ctx := fmt.Sprintf("%s limit=%d call %d (upto=%d k=%d)", name, limit, i, upto, k)
+				assertSameResult(t, ctx, sol.Solve(upto, k), Greedy(col, upto, k))
+				if runs, _ := sol.Retained(); runs > limit {
+					t.Fatalf("%s: %d runs retained", ctx, runs)
+				}
+			}
+		}
+	}
+}
+
+// TestSolverSmallerKIsPrefix: the seeds for k are the first k seeds for any
+// k′ > k on the same prefix, through the padded tail (a 3-set prefix has at
+// most 3 useful nodes), whichever of the two is asked first.
+func TestSolverSmallerKIsPrefix(t *testing.T) {
+	for name, col := range interleavedStores(t, 400) {
+		n := col.NumNodes()
+		for _, upto := range []int{3, 400} {
+			sol := NewCachedSolver(col, 4)
+			full := sol.Solve(upto, n)
+			for _, k := range []int{n - 1, 1, 2, 5, 30, 4} {
+				got := sol.Solve(upto, k)
+				if len(got.Seeds) != k {
+					t.Fatalf("%s upto=%d k=%d: %d seeds", name, upto, k, len(got.Seeds))
+				}
+				for i, v := range got.Seeds {
+					if v != full.Seeds[i] {
+						t.Fatalf("%s upto=%d: seed %d of k=%d is %d, of k=%d is %d",
+							name, upto, i, k, v, n, full.Seeds[i])
+					}
+				}
+				if got.Coverage > full.Coverage {
+					t.Fatalf("%s upto=%d k=%d: coverage %d above k=%d's %d",
+						name, upto, k, got.Coverage, n, full.Coverage)
+				}
+			}
+		}
+	}
+}
+
+// TestSolverRetainedBytes pins the accounting Session.Stats reports: the
+// gain counts alone before any solve, every retained run's arrays after, and
+// no growth from answering again what a run already holds.
+func TestSolverRetainedBytes(t *testing.T) {
+	col := buildCollection(t, 80, 500, 600, 13)
+	n := int64(col.NumNodes())
+	sol := NewCachedSolver(col, 2)
+	if runs, bytes := sol.Retained(); runs != 0 || bytes != 4*n {
+		t.Fatalf("fresh solver: %d runs, %d bytes, want 0 and %d", runs, bytes, 4*n)
+	}
+	sol.Solve(600, 5)
+	_, one := sol.Retained()
+	// work + covered bitset + at least the 5 picks and their sums.
+	if floor := 4*n + (4*n + 8*((600+63)/64) + 5*12); one < floor {
+		t.Fatalf("one run: %d bytes, below its arrays' %d", one, floor)
+	}
+	sol.Solve(600, 3)
+	if _, again := sol.Retained(); again != one {
+		t.Fatalf("a cached answer moved the footprint %d → %d", one, again)
+	}
+	sol.Solve(300, 5)
+	sol.Solve(100, 5) // evicts 600
+	runs, two := sol.Retained()
+	if runs != 2 || two <= 4*n || two >= 2*one {
+		t.Fatalf("after eviction: %d runs, %d bytes (one run was %d)", runs, two, one)
+	}
 }
 
 // TestSolverSeedsAreFreshSlices guards the retention contract: callers keep

@@ -44,9 +44,11 @@ type Config struct {
 	// SpillBudgetBytes > 0) to push cold arena segments and index blocks to
 	// disk — spilling is non-destructive, so even the busy tenant that just
 	// answered can shed bytes — and only then evicts least recently used
-	// idle sessions (store and solvers dropped, graph and compiled plan
-	// kept) until the total fits. ≤ 0 disables both. Only resident bytes
-	// count against the budget; spilled bytes live in the page cache.
+	// idle sessions (store and solver dropped, graph and compiled plan
+	// kept) until the total fits. ≤ 0 disables both. Only resident store
+	// bytes count against the budget: spilled bytes live in the page cache,
+	// and the solver's retained greedy runs (SessionStats.SolverBytes,
+	// bounded per session) are reported but not budgeted.
 	BudgetBytes int64
 	// MaxInFlight bounds concurrently executing queries (≤0 selects
 	// runtime.GOMAXPROCS(0)).
@@ -159,10 +161,11 @@ func (t *tenant) persistLocked() {
 	}
 }
 
-// evict drops the tenant's session — the RR store and per-k solvers — but
-// keeps the graph open and the compiled plan cached, so a later query
-// rebuilds the store bit-identically without recompiling anything. Durable
-// tenants snapshot first: re-admission then recovers instead of resampling.
+// evict drops the tenant's session — the RR store and the solver's retained
+// greedy runs — but keeps the graph open and the compiled plan cached, so a
+// later query rebuilds the store bit-identically without recompiling
+// anything. Durable tenants snapshot first: re-admission then recovers
+// instead of resampling.
 func (t *tenant) evict() {
 	t.mu.Lock()
 	t.persistLocked()

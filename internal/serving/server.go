@@ -85,6 +85,7 @@ type TenantStatsResponse struct {
 	GraphResidentBytes int64  `json:"graph_resident_bytes"`
 	GraphMappedBytes   int64  `json:"graph_mapped_bytes"`
 	Solvers            int    `json:"solvers"`
+	SolverBytes        int64  `json:"solver_bytes"`
 	Recovered          int    `json:"recovered,omitempty"`
 	SnapshotBytes      int64  `json:"snapshot_bytes,omitempty"`
 	Persists           int64  `json:"persists,omitempty"`
@@ -393,6 +394,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			GraphResidentBytes: t.Session.GraphResidentBytes,
 			GraphMappedBytes:   t.Session.GraphMappedBytes,
 			Solvers:            t.Session.Solvers,
+			SolverBytes:        t.Session.SolverBytes,
 			Recovered:          t.Session.Recovered,
 			SnapshotBytes:      t.Session.SnapshotBytes,
 			Persists:           t.Persists,

@@ -89,7 +89,8 @@ func TestServeTenantRouting(t *testing.T) {
 	if len(st.Tenants) != 2 || st.Tenants[0].Name != "alpha" || st.Tenants[1].Name != "beta" {
 		t.Fatalf("stats tenants: %+v", st.Tenants)
 	}
-	if st.Tenants[0].Samples <= 0 || st.Tenants[0].StoreBytes <= 0 || st.Tenants[0].Growths <= 0 {
+	if st.Tenants[0].Samples <= 0 || st.Tenants[0].StoreBytes <= 0 || st.Tenants[0].Growths <= 0 ||
+		st.Tenants[0].Solvers <= 0 || st.Tenants[0].SolverBytes <= 0 {
 		t.Fatalf("alpha stats empty after query: %+v", st.Tenants[0])
 	}
 }

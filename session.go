@@ -31,8 +31,10 @@ var ErrShardUnreachable = ris.ErrShardUnreachable
 //     loop tops up past the current stream length and never resamples a
 //     prefix — D-SSA's "no sample is discarded" principle extended across
 //     runs;
-//   - a small cache of incremental max-coverage solvers, one per requested
-//     k, each scanning only the stream suffix added since it last ran.
+//   - one max-coverage solver for every k, caching a resumable greedy run
+//     per checkpoint prefix: a query whose checkpoints an earlier query
+//     (at any k) already solved copies the picks, and a larger k resumes
+//     the run where the smaller one stopped.
 //
 // Because RR set i is a pure function of (seed, i), warm reuse is not an
 // approximation: Session.Maximize returns results bit-identical — Seeds,
@@ -43,9 +45,9 @@ var ErrShardUnreachable = ris.ErrShardUnreachable
 // Concurrency: any number of Maximize calls may run in parallel. Queries
 // that need no store growth share a read lock and proceed concurrently
 // (each coverage walk uses pooled per-query scratch); a query that must
-// grow the stream briefly takes the write lock per top-up. Queries with
-// the same k serialize on that k's solver; different k values do not
-// contend.
+// grow the stream briefly takes the write lock per top-up. Selection
+// serializes per checkpoint prefix: queries wait for each other only while
+// one of them extends a greedy run the other needs.
 type Session struct {
 	opt     SessionOptions
 	g       *Graph
@@ -53,37 +55,22 @@ type Session struct {
 	inst    *tvm.Instance // non-nil for weighted (TVM) sessions
 	store   ris.Store
 
-	mu      sync.RWMutex // store growth: writers top up, readers query
-	solMu   sync.Mutex   // guards solvers + solverLRU
-	solvers map[int]*kSolver
-	// solverLRU orders the cached k values, most recently used last; the
-	// cache is capped at sessionSolverLimit so an adversarial or sweeping
-	// k stream cannot grow per-session memory without bound (each solver
-	// holds O(n) gain/scratch arrays). Eviction is safe mid-query: a query
-	// holding an evicted solver keeps using it; only the map forgets it.
-	solverLRU []int
-	marks     sync.Pool // *epoch.Marks, per-query coverage scratch
-	queries   atomic.Int64
-	growths   atomic.Int64
+	mu      sync.RWMutex     // store growth: writers top up, readers query
+	solver  *maxcover.Solver // one for every k; locks itself
+	marks   sync.Pool        // *epoch.Marks, per-query coverage scratch
+	queries atomic.Int64
+	growths atomic.Int64
 
 	recovered     int          // RR sets restored from a snapshot at build
 	snapshotBytes atomic.Int64 // last committed/recovered snapshot file size
 }
 
-// sessionSolverLimit bounds the per-k solver cache. Each solver costs
-// ~13·NumNodes bytes of gains/scratch; a handful covers any realistic
-// serving mix of k values, and an evicted k simply rebuilds its gain
-// counts (one stream scan) on its next query.
-const sessionSolverLimit = 16
-
-// kSolver is one per-k incremental solver slot. Queries with the same k
-// serialize on mu; the solver is replaced (not rescanned per checkpoint)
-// when a query's schedule starts below the already-scanned prefix, so a
-// warm repeated query still folds the stream in exactly once.
-type kSolver struct {
-	mu  sync.Mutex
-	sol *maxcover.Solver
-}
+// sessionRunLimit bounds the greedy runs the session's solver retains, so a
+// sweeping ε or δ stream cannot grow per-session memory without bound (a run
+// holds ~13·NumNodes bytes). Checkpoint prefixes depend on ε, δ and the
+// iteration cap but on k only through that cap, so a serving mix of k values
+// shares a few dozen; an evicted prefix is solved again on its next use.
+const sessionRunLimit = 32
 
 // SessionOptions fixes the per-session parameters: everything that selects
 // the RR-sample stream itself. Queries (k, ε, δ, algorithm) vary per call;
@@ -200,8 +187,13 @@ type SessionStats struct {
 	// demand and shared across every process serving the same file, so it
 	// is reported separately from resident memory.
 	GraphMappedBytes int64
-	// Solvers is the number of cached per-k incremental solvers.
+	// Solvers is the number of greedy runs the session's max-coverage
+	// solver retains: one per checkpoint prefix recently solved, shared by
+	// every k.
 	Solvers int
+	// SolverBytes is the exact heap footprint of those runs plus the
+	// solver's gain counts. Not part of StoreBytes.
+	SolverBytes int64
 	// Recovered is the number of RR sets restored from a StateDir snapshot
 	// when the session was built (0 for cold starts and non-durable
 	// sessions). Those sets were not resampled: a recovered session's
@@ -217,6 +209,13 @@ type SessionStats struct {
 // lazy: the plan compiles (once per graph and model, process-wide) on first
 // sampling, and the store grows on first query.
 func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
+	return newSession(g, model, opt, sessionRunLimit)
+}
+
+// newSession is NewSession with the solver's run limit as a parameter: the
+// throw-away session of a one-shot Maximize never revisits a prefix and
+// retains one run.
+func newSession(g *Graph, model Model, opt SessionOptions, runLimit int) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("stopandstare: nil graph")
 	}
@@ -249,7 +248,6 @@ func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
 		g:       g,
 		sampler: sampler,
 		inst:    inst,
-		solvers: make(map[int]*kSolver),
 	}
 	if opt.StateDir != "" {
 		// Best-effort recovery: a committed, matching snapshot warms the
@@ -266,6 +264,7 @@ func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
 	if s.store == nil {
 		s.store = ris.NewStore(sampler, opt.Seed, sopt)
 	}
+	s.solver = maxcover.NewCachedSolver(s.store, runLimit)
 	s.marks.New = func() any { return new(epoch.Marks) }
 	return s, nil
 }
@@ -400,9 +399,7 @@ func (s *Session) Stats() SessionStats {
 	total := s.store.Bytes()
 	spill := s.store.SpillStats()
 	s.mu.RUnlock()
-	s.solMu.Lock()
-	nsolv := len(s.solvers)
-	s.solMu.Unlock()
+	runs, solverBytes := s.solver.Retained()
 	return SessionStats{
 		Queries:            s.queries.Load(),
 		Growths:            s.growths.Load(),
@@ -414,7 +411,8 @@ func (s *Session) Stats() SessionStats {
 		PlanBytes:          plan,
 		GraphResidentBytes: s.g.ResidentBytes(),
 		GraphMappedBytes:   s.g.MappedBytes(),
-		Solvers:            nsolv,
+		Solvers:            runs,
+		SolverBytes:        solverBytes,
 		Recovered:          s.recovered,
 		SnapshotBytes:      s.snapshotBytes.Load(),
 	}
@@ -442,31 +440,6 @@ func (s *Session) SpillTo(budget int64) (int64, error) {
 	return freed, err
 }
 
-// solverFor returns the per-k solver slot, creating it on first use and
-// evicting the least recently used k beyond sessionSolverLimit.
-func (s *Session) solverFor(k int) *kSolver {
-	s.solMu.Lock()
-	defer s.solMu.Unlock()
-	ks, ok := s.solvers[k]
-	if ok {
-		for i, kk := range s.solverLRU {
-			if kk == k {
-				s.solverLRU = append(append(s.solverLRU[:i], s.solverLRU[i+1:]...), k)
-				break
-			}
-		}
-		return ks
-	}
-	ks = &kSolver{sol: maxcover.NewSolver(s.store)}
-	s.solvers[k] = ks
-	s.solverLRU = append(s.solverLRU, k)
-	if len(s.solverLRU) > sessionSolverLimit {
-		delete(s.solvers, s.solverLRU[0])
-		s.solverLRU = s.solverLRU[1:]
-	}
-	return ks
-}
-
 // DropCachedPlans evicts g's compiled sampling plans from the process-wide
 // plan cache, releasing the graph key. Live sessions and samplers keep the
 // plans they already hold; only future compilations are affected. Call this
@@ -475,7 +448,7 @@ func DropCachedPlans(g *Graph) { ris.DropCachedPlans(g) }
 
 // sessionEnv adapts a Session to core.Exec: read-only query phases share
 // the session's read lock, store top-ups take the write lock (honouring the
-// query's context), solves go through the per-k solver cache, and coverage
+// query's context), solves go to the session's one solver, and coverage
 // walks use pooled scratch so concurrent queries never share mutable state.
 type sessionEnv struct {
 	s   *Session
@@ -514,20 +487,7 @@ func (e sessionEnv) Ensure(target int) bool {
 func (e sessionEnv) Acquire() { e.s.mu.RLock() }
 func (e sessionEnv) Release() { e.s.mu.RUnlock() }
 
-func (e sessionEnv) Solve(upto, k int) maxcover.Result {
-	ks := e.s.solverFor(k)
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if upto < ks.sol.Scanned() {
-		// A fresh query's schedule restarts below the scanned prefix.
-		// Replace the solver rather than letting every checkpoint fall back
-		// to a from-scratch solve: the checkpoints of this query then fold
-		// the stream in incrementally, one scan total. Results are
-		// unchanged either way (Solve ≡ Greedy at any upto).
-		ks.sol = maxcover.NewSolver(e.s.store)
-	}
-	return ks.sol.Solve(upto, k)
-}
+func (e sessionEnv) Solve(upto, k int) maxcover.Result { return e.s.solver.Solve(upto, k) }
 
 func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
 	m := e.s.marks.Get().(*epoch.Marks)

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the serving-layer differential harness: a warm Session —
-// whose store, solvers and plan persist across a randomized stream of
+// whose store, solver and plan persist across a randomized stream of
 // queries — must return results bit-identical to cold Maximize runs at the
 // same seed, for every store topology and sampling kernel. Since RR set i
 // is a pure function of (seed, i) and the stop-and-stare loops consume only
@@ -184,39 +184,150 @@ func TestSessionDifferentialWeighted(t *testing.T) {
 	}
 }
 
-// TestSessionSolverCacheBounded: the per-k solver cache is an LRU capped at
-// 16 entries, so a k-sweeping (or adversarial HTTP) query stream cannot
-// grow per-session memory without bound — and a query whose k was evicted
-// still returns its exact cold-run result (the rebuilt solver rescans).
+// TestSessionDifferentialKSweeps is the cross-k caching contract: one
+// session answers an ascending, a descending and a shuffled sweep of k at
+// ε ∈ {0.1, 0.2} under both algorithms — so greedy runs are resumed upward,
+// copied from downward, and shared between SSA and D-SSA and between k whose
+// checkpoints coincide — and every answer equals, field for field and
+// checkpoint for checkpoint, the cold Maximize at the same parameters.
+func TestSessionDifferentialKSweeps(t *testing.T) {
+	g, err := stopandstare.GeneratePowerLaw(220, 1400, 2.1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 71
+	sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{Seed: seed, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type coldAnswer struct {
+		res   *stopandstare.Result
+		trace []stopandstare.Checkpoint
+	}
+	colds := map[sessionQuery]coldAnswer{}
+	up := []int{1, 2, 3, 5, 8, 13, 21, 34}
+	down := slices.Clone(up)
+	slices.Reverse(down)
+	shuffled := slices.Clone(up)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for oi, order := range [][]int{up, down, shuffled} {
+		for _, eps := range []float64{0.1, 0.2} {
+			for _, algo := range []stopandstare.Algorithm{stopandstare.SSA, stopandstare.DSSA} {
+				for _, k := range order {
+					q := sessionQuery{algo, k, eps}
+					ctx := fmt.Sprintf("order %d/%s/k=%d/eps=%v", oi, algo, k, eps)
+					var warmTrace []stopandstare.Checkpoint
+					warm, err := sess.Maximize(stopandstare.Query{Algorithm: algo, K: k, Epsilon: eps,
+						OnCheckpoint: func(cp stopandstare.Checkpoint) { warmTrace = append(warmTrace, cp) }})
+					if err != nil {
+						t.Fatalf("%s: warm: %v", ctx, err)
+					}
+					cold, ok := colds[q]
+					if !ok {
+						cold.res, err = stopandstare.Maximize(g, stopandstare.IC, algo, stopandstare.Options{
+							K: k, Epsilon: eps, Seed: seed, Workers: 2,
+							OnCheckpoint: func(cp stopandstare.Checkpoint) { cold.trace = append(cold.trace, cp) }})
+						if err != nil {
+							t.Fatalf("%s: cold: %v", ctx, err)
+						}
+						colds[q] = cold
+					}
+					assertSameResult(t, ctx, warm, cold.res, warmTrace, cold.trace)
+				}
+			}
+		}
+	}
+}
+
+// TestSessionSolverCacheBounded: the solver retains at most 32 greedy runs,
+// so an ε-sweeping (or adversarial HTTP) query stream — every ε has its own
+// checkpoint prefixes — cannot grow per-session memory without bound, and a
+// query whose runs were evicted still returns its exact cold-run result.
 func TestSessionSolverCacheBounded(t *testing.T) {
 	g, err := stopandstare.GeneratePowerLaw(300, 1500, 2.1, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seed = 31
+	const seed, runLimit = 31, 32
 	sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{Seed: seed, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := sess.Maximize(stopandstare.Query{K: 1, Epsilon: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 2; k <= 24; k++ { // sweep past the cache limit, evicting k=1
-		if _, err := sess.Maximize(stopandstare.Query{K: k, Epsilon: 0.4}); err != nil {
+	prefixes := 0
+	var bytesAtLimit int64
+	for i := 0; i <= 24; i++ { // ε = 0.40, 0.39, …: a few new prefixes each
+		q := stopandstare.Query{K: 3, Epsilon: 0.4 - 0.01*float64(i)}
+		res, err := sess.Maximize(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		prefixes += res.Iterations
+		st := sess.Stats()
+		if st.Solvers > runLimit || st.Solvers != min(prefixes, runLimit) {
+			t.Fatalf("ε=%v: %d runs retained after %d distinct prefixes, limit %d",
+				q.Epsilon, st.Solvers, prefixes, runLimit)
+		}
+		if st.Solvers == runLimit && bytesAtLimit == 0 {
+			bytesAtLimit = st.SolverBytes
+		}
 	}
-	if st := sess.Stats(); st.Solvers > 16 {
-		t.Fatalf("solver cache grew to %d entries, cap is 16", st.Solvers)
+	if prefixes <= 2*runLimit {
+		t.Fatalf("the sweep made only %d prefixes; it must pass the limit of %d well", prefixes, runLimit)
 	}
-	again, err := sess.Maximize(stopandstare.Query{K: 1, Epsilon: 0.4})
+	// Later runs cover longer prefixes, so the footprint may rise, but by
+	// bitsets and heaps, not by whole runs.
+	if st := sess.Stats(); st.SolverBytes <= 0 || st.SolverBytes > 2*bytesAtLimit {
+		t.Fatalf("SolverBytes %d after the sweep, %d when the limit was reached", st.SolverBytes, bytesAtLimit)
+	}
+	again, err := sess.Maximize(stopandstare.Query{K: 3, Epsilon: 0.4}) // its runs are long evicted
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(again.Seeds, first.Seeds) || again.Samples != first.Samples {
-		t.Fatalf("evicted-k requery drifted: %v/%d vs %v/%d",
-			again.Seeds, again.Samples, first.Seeds, first.Samples)
+	cold, err := stopandstare.Maximize(g, stopandstare.IC, stopandstare.DSSA,
+		stopandstare.Options{K: 3, Epsilon: 0.4, Seed: seed, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again.Seeds, cold.Seeds) || again.Samples != cold.Samples ||
+		again.InfluenceEstimate != cold.InfluenceEstimate || again.Iterations != cold.Iterations {
+		t.Fatalf("evicted-prefix requery drifted: %v/%d/%v vs cold %v/%d/%v",
+			again.Seeds, again.Samples, again.InfluenceEstimate,
+			cold.Seeds, cold.Samples, cold.InfluenceEstimate)
+	}
+}
+
+// TestSessionWarmQueryAllocations is the serving-side allocation guard,
+// counted rather than timed so CI can hold it: a warm repeated query copies
+// its seeds out of retained greedy runs — one slice per checkpoint plus the
+// result structs — and allocates nothing that scales with the graph. (Before
+// runs were cached, every warm query built a solver: three O(n) arrays, a
+// heap grown by append and fresh covered marks per checkpoint; 26 allocations
+// at n = 300, 39 at n = 30 000.) The slack of 8 covers the result, the
+// environment and what the race detector's sync.Pool drops.
+func TestSessionWarmQueryAllocations(t *testing.T) {
+	for _, n := range []int{300, 30000} {
+		g, err := stopandstare.GeneratePowerLaw(n, int64(6*n), 2.1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpoints := 0
+		allocs := testing.AllocsPerRun(20, func() { // its warm-up call is the cold query
+			res, err := sess.Maximize(stopandstare.Query{K: 20, Epsilon: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpoints = res.Iterations
+		})
+		if allocs > float64(checkpoints+8) {
+			t.Fatalf("n=%d: a warm repeated query made %.0f allocations over %d checkpoints, want ≤ %d",
+				n, allocs, checkpoints, checkpoints+8)
+		}
 	}
 }
 
@@ -292,7 +403,10 @@ func TestSessionAccounting(t *testing.T) {
 	if st.PlanBytes != plan {
 		t.Fatalf("Stats.PlanBytes %d != cached plan bytes %d", st.PlanBytes, plan)
 	}
-	if st.StoreBytes <= 0 || st.Queries != 1 || st.Samples <= 0 || st.Solvers != 1 {
+	// One D-SSA query leaves one greedy run per checkpoint; their arrays
+	// and the gain counts (4 B per node) are reported, outside StoreBytes.
+	if st.StoreBytes <= 0 || st.Queries != 1 || st.Samples <= 0 ||
+		st.Solvers != res.Iterations || st.SolverBytes <= 4*int64(g.NumNodes()) {
 		t.Fatalf("stats snapshot off: %+v", st)
 	}
 	if got := st.StoreBytes + st.PlanBytes; got != res.MemoryBytes {

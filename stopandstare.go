@@ -211,12 +211,14 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 	case SSA, DSSA:
 		// A one-shot run is exactly a session serving a single query: the
 		// same loops, store and solver machinery, so the cold path and the
-		// serving path cannot drift apart.
-		sess, err := NewSession(g, model, SessionOptions{
+		// serving path cannot drift apart. Its schedule never returns to a
+		// prefix, so the solver retains one greedy run, not a serving
+		// session's cache of them.
+		sess, err := newSession(g, model, SessionOptions{
 			Seed: opt.Seed, Workers: opt.Workers,
 			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
 			Kernel: opt.Kernel,
-		})
+		}, 1)
 		if err != nil {
 			return nil, err
 		}
