@@ -6,7 +6,6 @@
 //	imbench -exp table3,fig8        # selected artifacts
 //	imbench -exp fig4 -quick        # reduced sweep
 //	imbench -list                   # show the registry
-//	imbench -perf BENCH_PR2.json    # machine-readable hot-path perf report
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"strings"
 
 	"stopandstare/internal/bench"
-	"stopandstare/internal/ris"
 )
 
 func main() {
@@ -31,13 +29,11 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel workers")
 		shards   = flag.Int("shards", 0, "RR-store id shards (≤ 1 = one shard (default); results identical)")
 		shardW   = flag.Int("shard-workers", 0, "per-shard workers (0 = workers/shards)")
-		kernel   = flag.String("kernel", "plan", "RR sampling kernel: plan (compiled) or oracle (Bernoulli reference)")
 		graphF   = flag.String("graph", "", "run experiments on this graph file (.ssg or .sasg) instead of generated presets")
 		scaleMul = flag.Float64("scale", 1.0, "multiplier on default dataset scales")
 		mcRuns   = flag.Int("mc", 0, "MC runs for scoring seed sets (0 = default)")
 		kList    = flag.String("k", "", "override k sweep, comma-separated")
 		celf     = flag.Bool("celf", false, "include CELF++ on nethept sweeps (slow)")
-		perf     = flag.String("perf", "", "write the hot-path perf suite as JSON to this path and exit")
 	)
 	flag.Parse()
 	if *list {
@@ -46,26 +42,13 @@ func main() {
 		}
 		return
 	}
-	if *perf != "" {
-		if err := bench.WritePerfJSON(*perf, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "imbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("perf report written to %s\n", *perf)
-		return
-	}
 	if *exps == "" {
 		fmt.Fprintln(os.Stderr, "imbench: need -exp (or -list)")
 		os.Exit(1)
 	}
-	krn, err := ris.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "imbench: %v\n", err)
-		os.Exit(1)
-	}
 	cfg := bench.Config{
 		Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-		Shards: *shards, ShardWorkers: *shardW, Kernel: krn, GraphFile: *graphF,
+		Shards: *shards, ShardWorkers: *shardW, GraphFile: *graphF,
 		ScaleMul: *scaleMul, MCRuns: *mcRuns, Quick: *quick,
 		IncludeCELF: *celf,
 	}

@@ -3,7 +3,7 @@
 // HTTP clients over uniform, Zipf, coalescing, and overload mixes, with
 // client-observed p50/p99 latency and queries/sec written as JSON.
 //
-//	go run ./cmd/imload -out BENCH_PR7.json          # full measurement
+//	go run ./cmd/imload                              # full measurement
 //	go run ./cmd/imload -smoke -out load-report.json # CI scale
 package main
 
@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "BENCH_PR7.json", "path for the JSON load report")
+	out := flag.String("out", "load-report.json", "path for the JSON load report")
 	smoke := flag.Bool("smoke", false, "run a scaled-down suite (CI smoke mode)")
 	seed := flag.Uint64("seed", 1, "RNG seed for graphs and sessions")
 	flag.Parse()

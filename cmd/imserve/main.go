@@ -73,7 +73,6 @@ type options struct {
 	workers       int
 	shards        int
 	remoteWorkers string // imworker addresses, "host:port,host:port"
-	kernel        string
 
 	tenants       string // extra tenants, "name=path,name=path"
 	defaultTenant string
@@ -137,10 +136,6 @@ func buildManager(o options) (*serving.Manager, serving.ServerConfig, error) {
 	if err != nil {
 		return nil, scfg, err
 	}
-	krn, err := stopandstare.ParseKernel(o.kernel)
-	if err != nil {
-		return nil, scfg, err
-	}
 	budget, err := parseSize(o.budget)
 	if err != nil {
 		return nil, scfg, err
@@ -157,7 +152,7 @@ func buildManager(o options) (*serving.Manager, serving.ServerConfig, error) {
 		return nil, scfg, fmt.Errorf("need -graph, -preset or -tenants")
 	}
 	sessOpts := stopandstare.SessionOptions{
-		Seed: o.seed, Workers: o.workers, Shards: o.shards, Kernel: krn,
+		Seed: o.seed, Workers: o.workers, Shards: o.shards,
 		RemoteWorkers:    parseWorkers(o.remoteWorkers),
 		SpillBudgetBytes: spillBudget, SpillDir: o.spillDir,
 	}
@@ -246,7 +241,6 @@ func main() {
 	flag.IntVar(&o.workers, "sampling-workers", runtime.NumCPU(), "sampling workers per session")
 	flag.IntVar(&o.shards, "shards", 0, "RR-store id shards (≤ 1 = one shard (default))")
 	flag.StringVar(&o.remoteWorkers, "workers", "", "imworker shard-worker addresses, comma-separated (host:port or unix:/path); one RR-store shard per worker process, overriding -shards")
-	flag.StringVar(&o.kernel, "kernel", "plan", "RR sampling kernel: plan or oracle")
 	flag.StringVar(&o.tenants, "tenants", "", "additional tenants as name=path,... (graph files opened lazily)")
 	flag.StringVar(&o.defaultTenant, "default-tenant", "", "tenant answering requests that omit one")
 	flag.StringVar(&o.budget, "budget", "", "global RR-store budget, e.g. 512MiB or 2GiB (empty = unbounded)")

@@ -31,7 +31,6 @@ func Borgs(s *ris.Sampler, opt BorgsOptions) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	if opt.C <= 0 {
 		opt.C = 48
 	}

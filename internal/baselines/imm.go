@@ -30,9 +30,6 @@ type Options struct {
 	// per-shard parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int
-	// Kernel selects the RR sampling implementation (plan kernels by
-	// default, ris.KernelOracle for the Bernoulli oracle).
-	Kernel ris.Kernel
 }
 
 // Result reports a baseline run with the same metrics as core.Result.
@@ -90,7 +87,6 @@ func IMM(s *ris.Sampler, opt Options) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	g := s.Graph()
 	n := float64(g.NumNodes())
 	k := opt.K

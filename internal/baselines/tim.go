@@ -79,7 +79,6 @@ func tim(s *ris.Sampler, opt Options, refine bool) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	g := s.Graph()
 	n := float64(g.NumNodes())
 	k := opt.K

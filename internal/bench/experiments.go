@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"time"
 
 	"stopandstare/internal/baselines"
 	"stopandstare/internal/core"
@@ -292,7 +293,6 @@ func runAblationEps(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s = s.WithKernel(cfg.Kernel)
 	k := 50
 	if cfg.Quick {
 		k = 20
@@ -340,7 +340,6 @@ func runAblationTheta(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s = s.WithKernel(cfg.Kernel)
 	n := d.Graph.NumNodes()
 	k := 50
 	if cfg.Quick {
@@ -399,7 +398,6 @@ func runAblationCertify(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s = s.WithKernel(cfg.Kernel)
 	t := &Table{
 		Title:   "Ablation: scoring a seed set — DKLR certificate vs forward MC (nethept, LT)",
 		Headers: []string{"k", "certificate", "cert-time", "cert-rr-sets", "mc", "mc-time", "mc-runs"},
@@ -423,14 +421,14 @@ func runAblationCertify(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		mcStart := timeNow()
+		mcStart := time.Now()
 		mc, _, err := diffusion.Spread(d.Graph, diffusion.LT, res.Seeds, diffusion.SpreadOptions{
 			Runs: cfg.MCRuns, Seed: cfg.Seed + 10, Workers: cfg.Workers,
 		})
 		if err != nil {
 			return err
 		}
-		mcTime := timeSince(mcStart)
+		mcTime := time.Since(mcStart)
 		t.AddRow(k, cert.Influence, cert.Elapsed, cert.Samples, mc, mcTime, cfg.MCRuns)
 	}
 	return t.Format(w)

@@ -24,9 +24,8 @@ import (
 // This file is the serving load bench: imserve's stack (serving.Manager
 // behind serving.Server) talking to itself over real localhost HTTP, so
 // the measured p50/p99 and queries/sec include JSON, the admission gate,
-// coalescing and the kernel — everything a client would see. The report
-// (conventionally BENCH_PR7.json) joins the CI-guarded perf trajectory:
-// CI runs the suite in smoke mode and jq-asserts the serving claims
+// coalescing and the sampler — everything a client would see. CI runs the
+// suite in smoke mode and jq-asserts the serving claims
 // (coalesced throughput at least serial, overload sheds 429s without
 // erroring) on every commit.
 
@@ -279,11 +278,11 @@ func RunLoadSuite(seed uint64, smoke bool) (*LoadReport, error) {
 	// Coalescing pair: the same nco identical queries, unshared-serial vs
 	// concurrent. Serial resets the tenant between queries so each pays
 	// its own cold execution — the no-sharing baseline; with a warm
-	// session the repeats would be near-free (that amortization is
-	// guarded separately by the session perf suite) and the comparison
-	// would measure HTTP noise. Coalescing collapses the same N
-	// executions into one when the arrivals overlap, which is what the
-	// qps ratio — CI-guarded as concurrent ≥ serial — shows.
+	// session the repeats would be near-free (a different effect, not
+	// coalescing's) and the comparison would measure HTTP noise.
+	// Coalescing collapses the same N executions into one when the
+	// arrivals overlap, which is what the qps ratio — CI-guarded as
+	// concurrent ≥ serial — shows.
 	nco := sc.clients * 2
 	body := queryBody(tenantName(0), 10, eps, 0)
 	{
@@ -400,8 +399,7 @@ func coalesceGrowths(mgr *serving.Manager, g *graph.Graph, seed uint64) (got, wa
 	return got, sess.Stats().Growths
 }
 
-// WriteLoadJSON runs the load suite and writes the report to path
-// (conventionally BENCH_PR<N>.json at the repo root).
+// WriteLoadJSON runs the load suite and writes the report to path.
 func WriteLoadJSON(path string, seed uint64, smoke bool) error {
 	rep, err := RunLoadSuite(seed, smoke)
 	if err != nil {

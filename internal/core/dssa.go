@@ -27,12 +27,11 @@ func DSSA(s *ris.Sampler, opt Options) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	return DSSAWith(opt, newSoloExec(opt.newStore(s)))
 }
 
-// DSSAWith runs D-SSA inside the given execution environment. The store's
-// sampler is used as-is (opt.Kernel is not re-applied). Every size the loop
+// DSSAWith runs D-SSA inside the given execution environment, sampling
+// through the environment store's sampler. Every size the loop
 // consumes — prefix, holdout window, reported sample counts — comes from
 // the deterministic doubling schedule, never from Store.Len(), so a warm
 // store yields bit-identical results.

@@ -28,13 +28,11 @@ func SSA(s *ris.Sampler, opt Options) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	return SSAWith(opt, newSoloExec(opt.newStore(s)))
 }
 
-// SSAWith runs SSA inside the given execution environment. The store's
-// sampler is used as-is (opt.Kernel is not re-applied — the environment's
-// store is already bound to its kernel). Every size the loop consumes comes
+// SSAWith runs SSA inside the given execution environment, sampling through
+// the environment store's sampler. Every size the loop consumes comes
 // from the deterministic doubling schedule, never from Store.Len(), so a
 // pre-grown warm store yields results bit-identical to a cold run at the
 // same seed.

@@ -36,24 +36,20 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateKernels compares the compiled plan kernels against the
-// Bernoulli/binary-search oracle on identical single-worker workloads, per
-// model — the per-PR perf suite (imbench -perf) runs the same pair on a
-// high-degree preset where the win is larger.
-func BenchmarkGenerateKernels(b *testing.B) {
+// BenchmarkGenerateSingleWorker measures the compiled plan's sampling cost
+// per model on one worker, so the number is pure sampler cost.
+func BenchmarkGenerateSingleWorker(b *testing.B) {
 	g := benchGraph(b)
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, kernel := range []Kernel{KernelPlan, KernelOracle} {
-			b.Run(model.String()+"/"+kernel.String(), func(b *testing.B) {
-				s := mustSampler(b, g, model).WithKernel(kernel)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					col := NewShardedCollection(s, uint64(i)+1, 1, 1)
-					col.GenerateTo(20000)
-				}
-			})
-		}
+		b.Run(model.String(), func(b *testing.B) {
+			s := mustSampler(b, g, model)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				col := NewShardedCollection(s, uint64(i)+1, 1, 1)
+				col.GenerateTo(20000)
+			}
+		})
 	}
 }
 

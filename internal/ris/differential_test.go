@@ -68,13 +68,13 @@ func assertResultsIdentical(t *testing.T, ctx string, ref, got *core.Result, ref
 }
 
 // runCore executes SSA or D-SSA with a trace recorder and the given store
-// topology and sampling kernel, on a fixed (seed, k, epsilon) workload.
-func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+// topology, on a fixed (seed, k, epsilon) workload.
+func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	var trace []core.Checkpoint
 	opt := core.Options{
 		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		Shards: shards, ShardWorkers: workers, Kernel: kernel,
+		Shards: shards, ShardWorkers: workers,
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
 	var res *core.Result
@@ -112,14 +112,14 @@ func (e refExec) Coverage(seeds []uint32, from, to int) int64 {
 
 // runCoreRef executes runCore's workload on the reference stream: what the
 // Store contract says the answer is, computed without any store code.
-func runCoreRef(t *testing.T, s *ris.Sampler, algo string, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+func runCoreRef(t *testing.T, s *ris.Sampler, algo string) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	var trace []core.Checkpoint
 	opt := core.Options{
 		K: 8, Epsilon: 0.3, Seed: 71,
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
-	env := refExec{ris.NewRefStore(s.WithKernel(kernel), opt.Seed)}
+	env := refExec{ris.NewRefStore(s, opt.Seed)}
 	var res *core.Result
 	var err error
 	if algo == "ssa" {
@@ -148,28 +148,22 @@ func TestDifferentialDSSAFlatVsSharded(t *testing.T) {
 	differentialCore(t, "dssa")
 }
 
-// differentialCore runs the grid under BOTH sampling kernels: the compiled
-// plan kernels (the default since PR 4) and the Bernoulli oracle. The
-// bit-identity must hold per kernel — kernels consume different PRNG
-// sequences, so cross-kernel traces legitimately differ, but within a
-// kernel no store topology may leak into results.
+// differentialCore runs the grid: no store topology may leak into results.
 func differentialCore(t *testing.T, algo string) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		refRes, refTrace := runCoreRef(t, s, algo, kernel)
-		// The default configuration (Shards 0, default workers).
-		res0, trace0 := runCore(t, s, algo, 0, 0, kernel)
-		assertResultsIdentical(t, fmt.Sprintf("%s/%v/default", algo, kernel), refRes, res0, refTrace, trace0)
-		for _, shards := range diffShardCounts {
-			for _, workers := range diffWorkerCounts {
-				ctx := fmt.Sprintf("%s/%v/shards=%d/shardWorkers=%d", algo, kernel, shards, workers)
-				res, trace := runCore(t, s, algo, shards, workers, kernel)
-				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-			}
+	refRes, refTrace := runCoreRef(t, s, algo)
+	// The default configuration (Shards 0, default workers).
+	res0, trace0 := runCore(t, s, algo, 0, 0)
+	assertResultsIdentical(t, algo+"/default", refRes, res0, refTrace, trace0)
+	for _, shards := range diffShardCounts {
+		for _, workers := range diffWorkerCounts {
+			ctx := fmt.Sprintf("%s/shards=%d/shardWorkers=%d", algo, shards, workers)
+			res, trace := runCore(t, s, algo, shards, workers)
+			assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
 		}
 	}
 }
@@ -177,14 +171,14 @@ func differentialCore(t *testing.T, algo string) {
 // sweepRef is the reference side of the TVM sweep differentials: each
 // budget solved from scratch by maxcover.GreedyBudgeted over the first
 // `samples` sets of the definition-level WRIS stream.
-func sweepRef(t *testing.T, inst *tvm.Instance, model diffusion.Model, kernel ris.Kernel,
+func sweepRef(t *testing.T, inst *tvm.Instance, model diffusion.Model,
 	costs, budgets []float64, seed uint64, samples int) []*tvm.BudgetedResult {
 	t.Helper()
 	s, err := inst.Sampler(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := ris.NewRefStore(s.WithKernel(kernel), seed)
+	ref := ris.NewRefStore(s, seed)
 	ref.GenerateTo(samples)
 	out := make([]*tvm.BudgetedResult, len(budgets))
 	for i, b := range budgets {
@@ -231,24 +225,22 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 		costs[v] = float64((v*7)%4) + 1
 	}
 	budgets := []float64{3, 9, 27, 81}
-	run := func(shards, workers int, kernel ris.Kernel) []*tvm.BudgetedResult {
+	run := func(shards, workers int) []*tvm.BudgetedResult {
 		res, err := tvm.BudgetedSweep(inst, diffusion.LT, budgets, tvm.BudgetedOptions{
 			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: 2,
-			Samples: 3000, Shards: shards, ShardWorkers: workers, Kernel: kernel,
+			Samples: 3000, Shards: shards, ShardWorkers: workers,
 		})
 		if err != nil {
 			t.Fatalf("sweep shards=%d workers=%d: %v", shards, workers, err)
 		}
 		return res
 	}
-	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		ref := sweepRef(t, inst, diffusion.LT, kernel, costs, budgets, 13, 3000)
-		assertSweepsIdentical(t, fmt.Sprintf("sweep/%v/default", kernel), budgets, ref, run(0, 0, kernel))
-		for _, shards := range diffShardCounts {
-			for _, workers := range diffWorkerCounts {
-				ctx := fmt.Sprintf("sweep/%v/shards=%d/workers=%d", kernel, shards, workers)
-				assertSweepsIdentical(t, ctx, budgets, ref, run(shards, workers, kernel))
-			}
+	ref := sweepRef(t, inst, diffusion.LT, costs, budgets, 13, 3000)
+	assertSweepsIdentical(t, "sweep/default", budgets, ref, run(0, 0))
+	for _, shards := range diffShardCounts {
+		for _, workers := range diffWorkerCounts {
+			ctx := fmt.Sprintf("sweep/shards=%d/workers=%d", shards, workers)
+			assertSweepsIdentical(t, ctx, budgets, ref, run(shards, workers))
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // The out-of-core differential: a graph opened from its .sasg mapping must
 // be indistinguishable from the heap graph it was written from in every
 // observable — same seeds, same influence, same traces, for every algorithm
-// × store topology × sampling kernel of the grid. The RR-set purity
+// × store topology of the grid. The RR-set purity
 // invariant (set i is a function of (seed, i)) only survives the mmap
 // refactor if the mapped sections really are bit-identical aliases; this
 // harness is what pins that.
@@ -40,9 +40,9 @@ func mappedTwin(t *testing.T, g *graph.Graph) *graph.Graph {
 }
 
 // TestDifferentialHeapVsMapped runs SSA and D-SSA on the reference stream
-// over the heap graph and on the graph's mapped twin across both kernels,
-// the default store, and the sharded grid, demanding bit-identical results
-// and traces throughout.
+// over the heap graph and on the graph's mapped twin across the default
+// store and the sharded grid, demanding bit-identical results and traces
+// throughout.
 func TestDifferentialHeapVsMapped(t *testing.T) {
 	heap := diffGraph(t)
 	mapped := mappedTwin(t, heap)
@@ -55,27 +55,24 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
-		for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-			refRes, refTrace := runCoreRef(t, hs, algo, kernel)
-			res, trace := runCore(t, ms, algo, 0, 0, kernel)
-			assertResultsIdentical(t, fmt.Sprintf("%s/%v/mapped-default", algo, kernel),
-				refRes, res, refTrace, trace)
-			for _, shards := range diffShardCounts {
-				for _, workers := range diffWorkerCounts {
-					ctx := fmt.Sprintf("%s/%v/mapped-shards=%d/workers=%d", algo, kernel, shards, workers)
-					res, trace := runCore(t, ms, algo, shards, workers, kernel)
-					assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-				}
+		refRes, refTrace := runCoreRef(t, hs, algo)
+		res, trace := runCore(t, ms, algo, 0, 0)
+		assertResultsIdentical(t, algo+"/mapped-default", refRes, res, refTrace, trace)
+		for _, shards := range diffShardCounts {
+			for _, workers := range diffWorkerCounts {
+				ctx := fmt.Sprintf("%s/mapped-shards=%d/workers=%d", algo, shards, workers)
+				res, trace := runCore(t, ms, algo, shards, workers)
+				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
 			}
 		}
 	}
 }
 
 // TestDifferentialBudgetedSweepHeapVsMapped runs the LT-model TVM budget
-// sweep on heap vs mapped. LT sampling walks the mapped inCum prefix sums
-// (binary search in the oracle kernel) and compiles the alias tables from
-// mapped sections (plan kernel), so this closes the loop on the two
-// sections the IC harness never touches.
+// sweep on heap vs mapped. LT plans compile their alias tables from the
+// mapped weight and in-sum sections, which the IC harness never touches.
+// (The mapped inCum prefix sums feed only the test reference sampler; the
+// .sasg round-trip tests in internal/graph pin them.)
 func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 	heap := diffGraph(t)
 	mapped := mappedTwin(t, heap)
@@ -95,19 +92,17 @@ func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 		}
 		return inst
 	}
-	run := func(g *graph.Graph, kernel ris.Kernel) []*tvm.BudgetedResult {
+	run := func(g *graph.Graph) []*tvm.BudgetedResult {
 		res, err := tvm.BudgetedSweep(instOf(g), diffusion.LT, budgets, tvm.BudgetedOptions{
 			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: 2,
-			Samples: 3000, Kernel: kernel,
+			Samples: 3000,
 		})
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
 		return res
 	}
-	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		ref := sweepRef(t, instOf(heap), diffusion.LT, kernel, costs, budgets, 13, 3000)
-		assertSweepsIdentical(t, fmt.Sprintf("sweep/%v/heap", kernel), budgets, ref, run(heap, kernel))
-		assertSweepsIdentical(t, fmt.Sprintf("sweep/%v/mapped", kernel), budgets, ref, run(mapped, kernel))
-	}
+	ref := sweepRef(t, instOf(heap), diffusion.LT, costs, budgets, 13, 3000)
+	assertSweepsIdentical(t, "sweep/heap", budgets, ref, run(heap))
+	assertSweepsIdentical(t, "sweep/mapped", budgets, ref, run(mapped))
 }

@@ -1,7 +1,6 @@
 package ris
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -28,47 +27,13 @@ import (
 //     reverse-walk step costs one draw and O(1) work instead of the
 //     O(log d_in) binary search of graph.SampleLTInNeighbor.
 //
-// Plan kernels consume a DIFFERENT draw sequence than the Bernoulli oracle
-// (Sampler.appendOracle), so individual RR sets differ set-by-set between
-// kernels — but the invariants every store and algorithm relies on are
-// kernel-independent and still hold: RR set i is a pure function of
-// (seed, i), generation is worker-count independent, and every store
-// topology stays bit-identical (the differential harness runs under both
-// kernels). The oracle remains available behind KernelOracle as the
-// distribution reference; plan_test.go's statistical harness proves the two
-// kernels draw from the same distribution.
-
-// Kernel selects the RR-set sampling implementation.
-type Kernel uint8
-
-const (
-	// KernelPlan (the default) samples through the compiled plan: geometric
-	// edge-skipping, integer-threshold Bernoulli and alias LT walks.
-	KernelPlan Kernel = iota
-	// KernelOracle samples through the direct per-edge float Bernoulli /
-	// binary-search-LT implementation — the distribution oracle the plan
-	// kernels are validated against.
-	KernelOracle
-)
-
-// String returns the CLI-facing kernel name.
-func (k Kernel) String() string {
-	if k == KernelOracle {
-		return "oracle"
-	}
-	return "plan"
-}
-
-// ParseKernel resolves "plan" or "oracle".
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "plan", "":
-		return KernelPlan, nil
-	case "oracle":
-		return KernelOracle, nil
-	}
-	return 0, fmt.Errorf("ris: unknown kernel %q (have plan, oracle)", s)
-}
+// The plan is the only production sampler. Its draw sequence differs from
+// the direct per-edge Bernoulli translation of Def. 2 (refSampler in
+// reference_test.go), so the two agree in distribution, not set by set —
+// and the distribution is all the paper's guarantees depend on.
+// plan_test.go's statistical harness checks that agreement. RR set i is a
+// pure function of (seed, i), generation is worker-count independent, and
+// every store topology stays bit-identical (the differential harness).
 
 // IC node classes.
 const (
@@ -100,9 +65,8 @@ type ltSlot struct {
 
 // Plan is a compiled sampling plan for one (graph, model) pair: immutable
 // after compilation and safe to share across goroutines, like the graph it
-// was compiled from. Samplers compile one lazily on first plan-kernel use
-// (oracle-only samplers never pay for it — see Sampler.Plan), and WithKernel
-// copies share the compilation.
+// was compiled from. Samplers compile one lazily on first use (see
+// Sampler.Plan), shared process-wide per (graph, model).
 type Plan struct {
 	model diffusion.Model
 	n     int
@@ -323,7 +287,7 @@ func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, r
 		}
 		u := s.nbr
 		if !st.marks.Visit(int32(u)) {
-			break // revisit terminates the walk, as in the oracle
+			break // revisit terminates the walk (Def. 2's LT reverse walk)
 		}
 		buf = append(buf, u)
 		width += int64(p.deg[u])

@@ -11,20 +11,39 @@ import (
 )
 
 // This file is the statistical-equivalence harness of the compiled sampling
-// plans: the plan kernels consume different PRNG sequences than the
-// Bernoulli oracle, so set-by-set comparison is meaningless — instead the
-// harness proves the two kernels draw from the same DISTRIBUTION:
+// plan: the plan consumes different PRNG sequences than the direct Bernoulli
+// translation of Def. 2 (refSampler, reference_test.go), so set-by-set
+// comparison is meaningless — instead the harness proves the two draw from
+// the same DISTRIBUTION:
 //
 //   - per-edge activation frequencies (chi-square against the exact edge
-//     probabilities, for the geometric, threshold and alias kernels);
-//   - mean RR-set size and width agreement between kernels on a
+//     probabilities, for the geometric, threshold and alias paths);
+//   - mean RR-set size and width agreement between plan and reference on a
 //     weighted-cascade graph under both models;
-//   - influence estimates against the exact possible-world oracle
-//     (internal/diffusion.Exact) under both kernels.
+//   - influence estimates of both against the exact possible-world oracle
+//     (internal/diffusion.Exact).
 //
 // Structural invariants (root membership, reverse-path validity, width
-// definition, worker-count determinism) are covered by ris_test.go, which
-// runs under the plan kernels by default.
+// definition, worker-count determinism) are covered by ris_test.go.
+
+// rrSampler is the sampling surface the harness compares: the production
+// *Sampler and the refSampler definition.
+type rrSampler interface {
+	NewState() *State
+	AppendSample(r *rng.Source, st *State, buf []uint32) ([]uint32, int, int64)
+}
+
+// namedSampler labels one side of a comparison in failure messages.
+type namedSampler struct {
+	name string
+	rrSampler
+}
+
+// planAndRef returns the compiled plan and the reference definition over the
+// same sampler configuration (graph, model, root distribution).
+func planAndRef(s *Sampler) []namedSampler {
+	return []namedSampler{{"plan", s}, {"ref", refSampler{s}}}
+}
 
 // forcedRootSampler returns a WRIS sampler whose root is always node 0, so
 // per-edge frequencies at node 0 can be measured directly.
@@ -177,9 +196,9 @@ func TestPlanLTStepFrequencies(t *testing.T) {
 	}
 }
 
-// kernelMoments generates N sets under the given kernel and returns the
-// mean and variance of the set sizes plus the mean width.
-func kernelMoments(s *Sampler, seed uint64, N int) (meanSize, varSize, meanWidth float64) {
+// sampleMoments generates N sets and returns the mean and variance of the
+// set sizes plus the mean width.
+func sampleMoments(s rrSampler, seed uint64, N int) (meanSize, varSize, meanWidth float64) {
 	st := s.NewState()
 	var r rng.Source
 	var buf []uint32
@@ -211,25 +230,25 @@ func TestPlanVsOracleSizeWidthAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, pv, pw := kernelMoments(s, 1009, N)
-		om, ov, ow := kernelMoments(s.WithKernel(KernelOracle), 2017, N)
+		pm, pv, pw := sampleMoments(s, 1009, N)
+		om, ov, ow := sampleMoments(refSampler{s}, 2017, N)
 		// Two-sample z-test on the means; the shared variance estimate is
-		// conservative enough at N = 60k per kernel.
+		// conservative enough at N = 60k per sampler.
 		se := math.Sqrt((pv + ov) / N)
 		if d := math.Abs(pm - om); d > 6*se+1e-9 {
-			t.Fatalf("%v: mean size plan %.4f vs oracle %.4f (6se=%.4f)", model, pm, om, 6*se)
+			t.Fatalf("%v: mean size plan %.4f vs reference %.4f (6se=%.4f)", model, pm, om, 6*se)
 		}
 		// Width is a size-correlated heavy-tail; a relative tolerance keeps
 		// the check meaningful without modelling its variance.
 		if d := math.Abs(pw - ow); d > 0.05*math.Max(pw, ow)+1 {
-			t.Fatalf("%v: mean width plan %.2f vs oracle %.2f", model, pw, ow)
+			t.Fatalf("%v: mean width plan %.2f vs reference %.2f", model, pw, ow)
 		}
 	}
 }
 
-// exactCheck estimates I(S) from N plan- or oracle-kernel RR sets and
-// compares against the exact possible-world influence.
-func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, k Kernel, seeds []uint32) {
+// exactCheck estimates I(S) from N RR sets of the plan and of the reference
+// and compares each against the exact possible-world influence.
+func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, seeds []uint32) {
 	t.Helper()
 	exact, err := diffusion.Exact(g, model, seeds)
 	if err != nil {
@@ -239,20 +258,32 @@ func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, k Kernel, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	s = s.WithKernel(k)
-	col := NewShardedCollection(s, 97, 1, 2)
-	const N = 400000
-	col.GenerateTo(N)
 	mark := make([]bool, g.NumNodes())
 	for _, v := range seeds {
 		mark[v] = true
 	}
-	cov := scanCoverage(col, mark, 0, N)
-	est := s.Scale() * float64(cov) / float64(N)
-	p := float64(cov) / float64(N)
-	se := s.Scale() * math.Sqrt(p*(1-p)/float64(N))
-	if math.Abs(est-exact) > 5*se+0.01 {
-		t.Fatalf("%v/%v: estimate %.4f vs exact %.4f (se %.4f)", model, k, est, exact, se)
+	const N = 400000
+	for _, smp := range planAndRef(s) {
+		st := smp.NewState()
+		var r rng.Source
+		var buf []uint32
+		var cov int64
+		for i := 0; i < N; i++ {
+			r.SeedStream(97, uint64(i))
+			buf, _, _ = smp.AppendSample(&r, st, buf[:0])
+			for _, v := range buf {
+				if mark[v] {
+					cov++
+					break
+				}
+			}
+		}
+		est := s.Scale() * float64(cov) / float64(N)
+		p := float64(cov) / float64(N)
+		se := s.Scale() * math.Sqrt(p*(1-p)/float64(N))
+		if math.Abs(est-exact) > 5*se+0.01 {
+			t.Fatalf("%v/%s: estimate %.4f vs exact %.4f (se %.4f)", model, smp.name, est, exact, se)
+		}
 	}
 }
 
@@ -265,31 +296,28 @@ func TestPlanInfluenceMatchesExactOracle(t *testing.T) {
 		{U: 0, V: 1, W: 0.5}, {U: 2, V: 1, W: 0.3}, {U: 1, V: 3, W: 0.6},
 		{U: 0, V: 3, W: 0.2}, {U: 3, V: 4, W: 0.8},
 	})
-	for _, k := range []Kernel{KernelPlan, KernelOracle} {
-		exactCheck(t, gIC, diffusion.IC, k, []uint32{0})
-		exactCheck(t, gIC, diffusion.IC, k, []uint32{1, 2})
-		exactCheck(t, gLT, diffusion.LT, k, []uint32{0})
-		exactCheck(t, gLT, diffusion.LT, k, []uint32{0, 2})
-	}
+	exactCheck(t, gIC, diffusion.IC, []uint32{0})
+	exactCheck(t, gIC, diffusion.IC, []uint32{1, 2})
+	exactCheck(t, gLT, diffusion.LT, []uint32{0})
+	exactCheck(t, gLT, diffusion.LT, []uint32{0, 2})
 }
 
 func TestPlanCertainEdges(t *testing.T) {
-	// Weight-1 edges (d_in = 1 under weighted cascade) must ALWAYS fire
-	// under both kernels: the chain 3→2→1→0 with w=1 makes every RR set
-	// from root 0 the full chain.
+	// Weight-1 edges (d_in = 1 under weighted cascade) must ALWAYS fire,
+	// under the plan and the reference: the chain 3→2→1→0 with w=1 makes
+	// every RR set from root 0 the full chain.
 	g := mustGraph(t, 4, []graph.Edge{
 		{U: 3, V: 2, W: 1}, {U: 2, V: 1, W: 1}, {U: 1, V: 0, W: 1},
 	})
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, k := range []Kernel{KernelPlan, KernelOracle} {
-			s := forcedRootSampler(t, g, model).WithKernel(k)
+		for _, s := range planAndRef(forcedRootSampler(t, g, model)) {
 			st := s.NewState()
 			var r rng.Source
 			for i := 0; i < 2000; i++ {
 				r.SeedStream(7, uint64(i))
 				buf, setLen, _ := s.AppendSample(&r, st, nil)
 				if setLen != 4 {
-					t.Fatalf("%v/%v: certain chain gave set %v", model, k, buf)
+					t.Fatalf("%v/%s: certain chain gave set %v", model, s.name, buf)
 				}
 			}
 		}
@@ -297,39 +325,20 @@ func TestPlanCertainEdges(t *testing.T) {
 }
 
 func TestPlanZeroWeightEdges(t *testing.T) {
-	// Weight-0 edges must NEVER fire under either kernel (uniform class
-	// with p = 0 exercises the Geometric MaxSkip sentinel).
+	// Weight-0 edges must NEVER fire, under the plan or the reference
+	// (uniform class with p = 0 exercises the Geometric MaxSkip sentinel).
 	g := mustGraph(t, 3, []graph.Edge{{U: 1, V: 0, W: 0}, {U: 2, V: 0, W: 0}})
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, k := range []Kernel{KernelPlan, KernelOracle} {
-			s := forcedRootSampler(t, g, model).WithKernel(k)
+		for _, s := range planAndRef(forcedRootSampler(t, g, model)) {
 			st := s.NewState()
 			var r rng.Source
 			for i := 0; i < 2000; i++ {
 				r.SeedStream(11, uint64(i))
 				_, setLen, _ := s.AppendSample(&r, st, nil)
 				if setLen != 1 {
-					t.Fatalf("%v/%v: zero-weight edge fired", model, k)
+					t.Fatalf("%v/%s: zero-weight edge fired", model, s.name)
 				}
 			}
 		}
-	}
-}
-
-func TestWithKernelSharesPlan(t *testing.T) {
-	g := starGraph(t, []float64{0.5})
-	s, err := NewSampler(g, diffusion.IC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := s.WithKernel(KernelOracle)
-	if o == s || o.Kernel() != KernelOracle || s.Kernel() != KernelPlan {
-		t.Fatal("WithKernel must copy, not mutate")
-	}
-	if o.Plan() != s.Plan() {
-		t.Fatal("WithKernel must share the compiled plan")
-	}
-	if s.WithKernel(KernelPlan) != s {
-		t.Fatal("WithKernel with the same kernel should return the receiver")
 	}
 }

@@ -11,12 +11,11 @@ import (
 
 // This file is the process-wide plan cache: compiled sampling plans are
 // keyed by (graph, model), so every sampler on the same graph — plain RIS,
-// weighted WRIS, kernel copies, samplers inside long-lived serving Sessions
-// and throwaway samplers inside one-shot Maximize calls — shares one
-// compilation. The plan depends only on the graph topology/weights and the
-// propagation model (the kernel merely selects whether the plan is consulted
-// at all), so one entry per (graph, model) means "compiled exactly once per
-// (graph, model, kernel)" holds trivially for any kernel mix.
+// weighted WRIS, samplers inside long-lived serving Sessions and throwaway
+// samplers inside one-shot Maximize calls — shares one compilation. The plan
+// depends only on the graph topology/weights and the propagation model, so
+// one entry per (graph, model) means "compiled exactly once per
+// (graph, model)".
 //
 // Keys are graph *pointers*: graphs are immutable after construction in this
 // codebase, and pointer identity is exactly the sharing the serving layer
@@ -113,7 +112,7 @@ func lookupPlanCache(g *graph.Graph, model diffusion.Model) (*planCache, bool) {
 // PlanCompilations reports how many times a plan was compiled for the LIVE
 // registry entry of (g, model) — 0 before first use, and 1 forever after
 // unless the entry is evicted and recompiled. The serving layer's "plan
-// compiled exactly once per (graph, model, kernel) across all sessions and
+// compiled exactly once per (graph, model) across all sessions and
 // samplers" invariant is pinned against this counter.
 func PlanCompilations(g *graph.Graph, model diffusion.Model) int64 {
 	if pc, ok := lookupPlanCache(g, model); ok {

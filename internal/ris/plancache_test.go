@@ -20,8 +20,8 @@ func cacheGraph(t *testing.T, seed uint64) *graph.Graph {
 }
 
 // TestPlanCacheSharedAcrossSamplers: all samplers on one (graph, model) —
-// plain, weighted, kernel copies, racing first uses — share one compiled
-// plan, and the registry counts exactly one compilation.
+// plain, weighted, separately constructed, racing first uses — share one
+// compiled plan, and the registry counts exactly one compilation.
 func TestPlanCacheSharedAcrossSamplers(t *testing.T) {
 	g := cacheGraph(t, 301)
 	defer DropCachedPlans(g)
@@ -41,7 +41,11 @@ func TestPlanCacheSharedAcrossSamplers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samplers := []*Sampler{s1, s2, s1.WithKernel(KernelOracle), s2.WithKernel(KernelOracle).WithKernel(KernelPlan)}
+	s3, err := NewSampler(g, diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := []*Sampler{s1, s2, s3}
 
 	// Race the first compilation from every sampler at once.
 	var wg sync.WaitGroup

@@ -148,7 +148,6 @@ type snapSegMeta struct {
 type snapMetaD struct {
 	seed     uint64
 	model    uint8
-	kernel   uint8
 	weighted bool
 	whash    uint64
 	scale    float64
@@ -222,10 +221,10 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 		return nil, corrupt("meta version %d, want %d", v, snapVersion)
 	}
 	md := &snapMetaD{
-		seed:   r.u64(),
-		model:  r.u8(),
-		kernel: r.u8(),
+		seed:  r.u64(),
+		model: r.u8(),
 	}
+	reserved := r.u8()
 	md.weighted = r.u8() != 0
 	md.whash = r.u64()
 	md.scale = r.f64()
@@ -241,6 +240,11 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 		// hold, not a damaged file. Callers start cold, as for any other
 		// topology change.
 		return nil, &SnapshotMismatchError{Reason: "snapshot was taken by a flat (shards=0) store"}
+	}
+	if reserved != 0 {
+		// Written by a sampler other than the compiled plan: a different RR
+		// stream, so nothing in it can be reused.
+		return nil, &SnapshotMismatchError{Reason: fmt.Sprintf("snapshot sampled with kernel %d", reserved)}
 	}
 	if md.remote {
 		for i := 0; i < md.shards && r.err == nil; i++ {
@@ -317,8 +321,8 @@ func validateMeta(md *snapMetaD, s *Sampler, seed uint64, opt StoreOptions) erro
 	if md.seed != seed {
 		return mism("seed %d, snapshot %d", seed, md.seed)
 	}
-	if md.model != uint8(s.model) || md.kernel != uint8(s.kernel) {
-		return mism("model/kernel %d/%d, snapshot %d/%d", s.model, s.kernel, md.model, md.kernel)
+	if md.model != uint8(s.model) {
+		return mism("model %d, snapshot %d", s.model, md.model)
 	}
 	if md.weighted != (s.root != nil) || md.whash != weightsHash(s.weights) {
 		return mism("weight vector differs")
@@ -531,7 +535,7 @@ func rebuildIndexBlock(sg *segment, from, to int) {
 // Recover rebuilds the Store described by (s, seed, opt) from the committed
 // snapshot in dir. On success the returned store serves answers
 // bit-identical to the persisted one: RR set i is a pure function of
-// (kernel, seed, i), so even a corrupt-suffix discard is repaired exactly by
+// (seed, i), so even a corrupt-suffix discard is repaired exactly by
 // deterministic resampling (performed here; for remote stores an unreachable
 // worker defers the top-up to the first query).
 //

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"stopandstare/internal/diffusion"
 	"stopandstare/internal/rng"
 )
 
@@ -25,6 +26,69 @@ import (
 // scanCoverage and scanIndex are the mark-vector / arena-scan oracles for a
 // store under test: O(items) passes over ForEachSet that never touch the
 // inverted index they are used to check.
+//
+// refSampler is the sampling DEFINITION (Def. 2) that the compiled plan is
+// checked against in plan_test.go.
+
+// refSampler draws RR sets by the direct translation of Def. 2: one float
+// Bernoulli draw per IC in-edge examined, one binary search
+// (graph.SampleLTInNeighbor) per LT step, the graph read only through its
+// accessors. It draws the root exactly as Sampler.AppendSample does and
+// shares nothing else with the compiled plan, so the two consume different
+// draw sequences and agree only in distribution — which is what the
+// harness checks.
+type refSampler struct{ s *Sampler }
+
+func (rs refSampler) NewState() *State { return rs.s.NewState() }
+
+// AppendSample has Sampler.AppendSample's contract: one RR set appended to
+// buf, its length and its width Σ d_in.
+func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uint32, int, int64) {
+	s, g := rs.s, rs.s.g
+	var root uint32
+	if s.root != nil {
+		root = uint32(s.root.Sample(r))
+	} else {
+		root = uint32(r.Intn(g.NumNodes()))
+	}
+	st.marks.Reset(st.n)
+	start := len(buf)
+	st.marks.Visit(int32(root))
+	buf = append(buf, root)
+	width := int64(g.InDegree(root))
+	if s.model == diffusion.IC {
+		// Reverse BFS: edge (u,x) is live with probability w(u,x); every
+		// in-edge of a member is examined exactly once.
+		for head := start; head < len(buf); head++ {
+			x := buf[head]
+			adj, ws := g.InNeighbors(x)
+			for i, u := range adj {
+				if st.marks.Contains(int32(u)) {
+					continue
+				}
+				if r.Float64() < float64(ws[i]) {
+					st.marks.Visit(int32(u))
+					buf = append(buf, u)
+					width += int64(g.InDegree(u))
+				}
+			}
+		}
+	} else {
+		// LT reverse walk: at x pick one in-neighbour proportionally to
+		// w(u,x) (stop with probability 1 − Σw); terminate on revisit.
+		x := root
+		for {
+			u, ok := g.SampleLTInNeighbor(x, r.Float64())
+			if !ok || !st.marks.Visit(int32(u)) {
+				break
+			}
+			buf = append(buf, u)
+			width += int64(g.InDegree(u))
+			x = u
+		}
+	}
+	return buf, len(buf) - start, width
+}
 
 type refStore struct {
 	s     *Sampler

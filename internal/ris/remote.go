@@ -17,7 +17,7 @@ import (
 // shardserver.go). The protocol is deliberately tiny: length-prefixed binary
 // frames over a stream transport (TCP or unix socket), little-endian, one
 // request in flight per connection. Determinism does the heavy lifting —
-// RR set i is a pure function of (kernel, seed, i) — so the coordinator and
+// RR set i is a pure function of (seed, i) — so the coordinator and
 // worker never negotiate state beyond "how many sets do you hold": any
 // divergence is repaired by deterministic regeneration, not by shipping
 // arenas.
@@ -310,7 +310,7 @@ func (r *rbuf) f64s() []float64 {
 type shardSpec struct {
 	n       uint32 // graph node count, validated against the worker's graph
 	model   uint8
-	kernel  uint8
+	kernel  uint8 // reserved: always 0; a worker rejects any other value
 	seed    uint64
 	workers uint32    // sampling parallelism on the worker; 0 = worker default
 	weights []float64 // WRIS benefit weights; empty = uniform roots

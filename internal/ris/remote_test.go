@@ -1,7 +1,7 @@
 // Remote leg of the differential harness: the same SSA/D-SSA workloads run
 // against remote-sharded stores whose shard workers are in-process
 // ShardServers dialed over net.Pipe — the full wire protocol (open, stats,
-// streamed generate, postings, coverage) runs, minus only the kernel socket.
+// streamed generate, postings, coverage) runs, minus only the OS socket.
 // The reference stream, in-process-sharded and remote-sharded must stay
 // bit-identical in every observable, and worker failures must surface as
 // typed errors, never hangs.
@@ -94,7 +94,7 @@ func (c *remoteCluster) kill(addr string) {
 
 // runCoreRemote is runCore on a remote-sharded store: one shard per
 // in-process pipe worker.
-func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nworkers int, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nworkers int) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	addrs := make([]string, nworkers)
 	for i := range addrs {
@@ -104,7 +104,7 @@ func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nw
 	var trace []core.Checkpoint
 	opt := core.Options{
 		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		RemoteWorkers: addrs, RemoteDial: cluster.dial, Kernel: kernel,
+		RemoteWorkers: addrs, RemoteDial: cluster.dial,
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
 	var res *core.Result
@@ -120,8 +120,7 @@ func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nw
 	return res, trace
 }
 
-// TestDifferentialRemoteVsFlat runs SSA and D-SSA under both kernels on the
-// reference stream and on in-process-sharded and remote-sharded stores
+// TestDifferentialRemoteVsFlat runs SSA and D-SSA on the reference stream and on in-process-sharded and remote-sharded stores
 // across {1, 2} workers, demanding bit-identical Seeds, Influence, sample
 // counts and per-checkpoint traces: cross-process sharding must be
 // invisible in every observable.
@@ -132,18 +131,16 @@ func TestDifferentialRemoteVsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
-		for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-			refRes, refTrace := runCoreRef(t, s, algo, kernel)
-			for _, nw := range []int{1, 2} {
-				ctx := fmt.Sprintf("%s/%v/remote-workers=%d", algo, kernel, nw)
-				res, trace := runCoreRemote(t, g, s, algo, nw, kernel)
-				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-				// The in-process store at the same shard count must agree too
-				// (reference vs in-process is covered elsewhere; this pins
-				// remote against both in one place).
-				sres, strace := runCore(t, s, algo, nw, 1, kernel)
-				assertResultsIdentical(t, ctx+"/vs-inprocess", sres, res, strace, trace)
-			}
+		refRes, refTrace := runCoreRef(t, s, algo)
+		for _, nw := range []int{1, 2} {
+			ctx := fmt.Sprintf("%s/remote-workers=%d", algo, nw)
+			res, trace := runCoreRemote(t, g, s, algo, nw)
+			assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
+			// The in-process store at the same shard count must agree too
+			// (reference vs in-process is covered elsewhere; this pins
+			// remote against both in one place).
+			sres, strace := runCore(t, s, algo, nw, 1)
+			assertResultsIdentical(t, ctx+"/vs-inprocess", sres, res, strace, trace)
 		}
 	}
 }

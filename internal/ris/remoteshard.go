@@ -20,7 +20,7 @@ import (
 // only on the worker and coverage walks never ship arenas.
 //
 // Failure handling is reconnect-with-backoff plus deterministic resync:
-// because RR set i is a pure function of (kernel, seed, i), the client can
+// because RR set i is a pure function of (seed, i), the client can
 // always drive a restarted or evicted worker back to the mirror's state by
 // replaying Generate ranges, and the worker's idempotent redelivery covers
 // the inverse (worker ahead after a coordinator rollback). Only when the

@@ -132,7 +132,6 @@ func NewRemoteShardedCollection(s *Sampler, seed uint64, opt StoreOptions) *Shar
 	spec := shardSpec{
 		n:       uint32(n),
 		model:   uint8(s.model),
-		kernel:  uint8(s.kernel),
 		seed:    seed,
 		workers: uint32(workers),
 		weights: s.weights,

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"stopandstare/internal/diffusion"
 	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 )
@@ -272,17 +271,10 @@ func (s *ShardServer) handleOpen(bw *bufio.Writer, payload []byte) error {
 		return writeFrame(bw, respOK, nil)
 	}
 	// New instance (or an explicit wipe request): build fresh state.
-	var sampler *Sampler
-	var err error
-	if len(spec.weights) > 0 {
-		sampler, err = NewWeightedSampler(s.g, diffusion.Model(spec.model), spec.weights)
-	} else {
-		sampler, err = NewSampler(s.g, diffusion.Model(spec.model))
-	}
+	sampler, err := samplerForSpec(s, spec)
 	if err != nil {
 		return &fatalError{msg: err.Error()}
 	}
-	sampler = sampler.WithKernel(Kernel(spec.kernel))
 	workers := int(spec.workers)
 	if workers <= 0 {
 		workers = s.workers
@@ -441,7 +433,7 @@ func (s *ShardServer) handleGenerate(bw *bufio.Writer, payload []byte) error {
 	case containedRun(gids, gfrom, gto):
 		// Redelivery of a range this shard already holds: re-stream from
 		// the arena in chunk-sized slices. Width is recomputed from
-		// in-degrees — the same Σ d_in(v) the kernels report.
+		// in-degrees — the same Σ d_in(v) the sampler reports.
 		if mirror {
 			lo := localIndexOf(gids, gfrom)
 			count := gto - gfrom

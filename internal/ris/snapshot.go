@@ -20,10 +20,10 @@ import (
 // A snapshot is a sequence of 64-byte-aligned blocks in the spill file's
 // block format (blockfile.go): a 64-byte header (magic, kind, payload
 // length, CRC32C) followed by the payload, padded to the next 64-byte
-// boundary. The first block is the store meta — seed, model/kernel, shard
-// topology, epoch table and per-segment descriptors — and the rest are the
-// raw offset tables, gid tables, arena extents and CSR index blocks, in the
-// order the meta declares them. Payloads are host-order
+// boundary. The first block is the store meta — seed, model, a reserved
+// zero byte, shard topology, epoch table and per-segment descriptors — and
+// the rest are the raw offset tables, gid tables, arena extents and CSR
+// index blocks, in the order the meta declares them. Payloads are host-order
 // images (like the spill file, the snapshot is per-host state, not an
 // interchange format), so recovery maps the file read-only and casts the
 // arena and index payloads in place: a warm restart costs one sequential
@@ -77,7 +77,7 @@ func snapAlignUp(v int64) int64 { return (v + snapAlign - 1) &^ (snapAlign - 1) 
 var ErrNoSnapshot = errors.New("ris: no snapshot")
 
 // SnapshotMismatchError reports a committed snapshot that describes a
-// different store than the one being recovered (other seed, graph, kernel or
+// different store than the one being recovered (other seed, graph, model or
 // shard topology). Callers start cold and may keep or replace the snapshot.
 type SnapshotMismatchError struct{ Reason string }
 
@@ -234,7 +234,6 @@ func (sw *snapWriter) block(kind byte, parts ...[]byte) {
 type storeMeta struct {
 	seed     uint64
 	model    uint8
-	kernel   uint8
 	weighted bool
 	whash    uint64
 	scale    float64
@@ -266,7 +265,6 @@ func storeMetaOf(s *Sampler, seed uint64) storeMeta {
 	return storeMeta{
 		seed:     seed,
 		model:    uint8(s.model),
-		kernel:   uint8(s.kernel),
 		weighted: s.root != nil,
 		whash:    weightsHash(s.weights),
 		scale:    s.scale,
@@ -358,7 +356,7 @@ func encodeStoreMeta(m storeMeta, segs []*segment) []byte {
 	w.u32(snapVersion)
 	w.u64(m.seed)
 	w.u8(m.model)
-	w.u8(m.kernel)
+	w.u8(0) // reserved; recovery treats any other value as a mismatch
 	w.u8(b2u(m.weighted))
 	w.u64(m.whash)
 	w.f64(m.scale)

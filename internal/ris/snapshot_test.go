@@ -359,6 +359,32 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatalf("shards == 0 meta: %v, want SnapshotMismatchError", err)
 	}
 
+	// The byte after the model once selected between two samplers and is
+	// now always written 0. A non-zero byte names another RR stream, so the
+	// snapshot is refused as a mismatch (the caller starts cold), never
+	// reused.
+	const kernelByte = 4 + 8 + 1 // version u32, seed u64, model u8
+	km := storeMetaOf(s, 42)
+	km.length, km.shards, km.epochs = sc.length, len(sc.segs), sc.epochs
+	meta := encodeStoreMeta(km, sc.segs)
+	if meta[kernelByte] != 0 {
+		t.Fatalf("kernel byte written as %d, want 0", meta[kernelByte])
+	}
+	for _, kb := range []byte{0, 1} {
+		kdir := t.TempDir()
+		meta[kernelByte] = kb
+		if _, err := persistSnapshot(kdir, OSSnapshotFS, snapKindMeta, meta, sc.segs, sc.length); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Recover(s, 42, snapOpt(0), kdir)
+		if kb == 0 && err != nil {
+			t.Fatalf("kernel byte 0: %v", err)
+		}
+		if kb != 0 && !errors.As(err, &mm) {
+			t.Fatalf("kernel byte %d: %v, want SnapshotMismatchError", kb, err)
+		}
+	}
+
 	// A mangled manifest is corrupt, not torn.
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{oops"), 0o644); err != nil {
 		t.Fatal(err)

@@ -274,4 +274,17 @@ func TestSpillAccounting(t *testing.T) {
 	} else if stats.SpilledBytes == 0 {
 		t.Fatal("SpillTo(0) spilled nothing")
 	}
+
+	// The point of tiering: a budget of a tenth of the unspilled footprint
+	// (~90% of the bytes on disk) leaves at most half of them resident.
+	if !spillMappedResident {
+		flat := spilledStore(t, s, 17, 0, 1<<40)
+		flat.GenerateTo(900)
+		tight := spilledStore(t, s, 17, 0, flat.Bytes()/10)
+		tight.GenerateTo(900)
+		if got, limit := tight.Bytes(), flat.Bytes()/2; got > limit {
+			t.Fatalf("resident %d at a 90%% spill budget, want <= %d (half of %d unspilled)",
+				got, limit, flat.Bytes())
+		}
+	}
 }

@@ -18,12 +18,12 @@ import (
 )
 
 // runCoreSpilled is runCore with a spill budget on the store.
-func runCoreSpilled(t *testing.T, s *ris.Sampler, algo string, shards int, budget int64, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+func runCoreSpilled(t *testing.T, s *ris.Sampler, algo string, shards int, budget int64) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	var trace []core.Checkpoint
 	opt := core.Options{
 		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		Shards: shards, ShardWorkers: 2, Kernel: kernel,
+		Shards: shards, ShardWorkers: 2,
 		SpillBudgetBytes: budget, SpillDir: t.TempDir(),
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
@@ -57,16 +57,16 @@ func TestDifferentialSpilledVsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
-		refRes, refTrace := runCoreRef(t, s, algo, ris.KernelPlan)
-		unspilled, _ := runCore(t, s, algo, 0, 0, ris.KernelPlan)
+		refRes, refTrace := runCoreRef(t, s, algo)
+		unspilled, _ := runCore(t, s, algo, 0, 0)
 		for _, shards := range []int{0, 3} {
 			// Resident footprint is only comparable within the same
 			// topology: several shards carry gid tables and per-shard
 			// metadata one shard doesn't.
-			shapeRef, _ := runCore(t, s, algo, shards, 2, ris.KernelPlan)
+			shapeRef, _ := runCore(t, s, algo, shards, 2)
 			for _, budget := range spillBudgets(unspilled.MemoryBytes) {
 				ctx := fmt.Sprintf("%s/shards=%d/budget=%d", algo, shards, budget)
-				res, trace := runCoreSpilled(t, s, algo, shards, budget, ris.KernelPlan)
+				res, trace := runCoreSpilled(t, s, algo, shards, budget)
 				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
 				// On platforms without the mmap spill path the payloads
 				// stay resident, so only linux pins the byte reduction.
@@ -100,7 +100,7 @@ func TestDifferentialRemoteSpilledWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, refTrace := runCoreRef(t, s, "dssa", ris.KernelPlan)
+	refRes, refTrace := runCoreRef(t, s, "dssa")
 	for _, nw := range []int{1, 2} {
 		addrs := make([]string, nw)
 		for i := range addrs {
@@ -110,7 +110,7 @@ func TestDifferentialRemoteSpilledWorkers(t *testing.T) {
 		var trace []core.Checkpoint
 		res, err := core.DSSA(s, core.Options{
 			K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-			RemoteWorkers: addrs, RemoteDial: cluster.dial, Kernel: ris.KernelPlan,
+			RemoteWorkers: addrs, RemoteDial: cluster.dial,
 			Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 		})
 		if err != nil {

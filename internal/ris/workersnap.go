@@ -130,20 +130,23 @@ func decodeWorkerMeta(payload []byte, path string, n int) ([]workerShardMeta, er
 	return out, nil
 }
 
-// samplerForSpec builds the sampler a shard spec describes (the open path
-// and the recovery path must agree exactly).
+// samplerForSpec is the one place a shard spec becomes a sampler, so the
+// open path and the recovery path agree exactly. A spec arrives from the
+// network or from a snapshot on disk, so its bytes are validated here: an
+// unknown model or a non-zero reserved kernel byte is an error, never a
+// silently different RR stream.
 func samplerForSpec(s *ShardServer, spec shardSpec) (*Sampler, error) {
-	var sampler *Sampler
-	var err error
+	model := diffusion.Model(spec.model)
+	if model != diffusion.IC && model != diffusion.LT {
+		return nil, fmt.Errorf("ris: unknown model %d in shard spec", spec.model)
+	}
+	if spec.kernel != 0 {
+		return nil, fmt.Errorf("ris: unsupported kernel %d in shard spec", spec.kernel)
+	}
 	if len(spec.weights) > 0 {
-		sampler, err = NewWeightedSampler(s.g, diffusion.Model(spec.model), spec.weights)
-	} else {
-		sampler, err = NewSampler(s.g, diffusion.Model(spec.model))
+		return NewWeightedSampler(s.g, model, spec.weights)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return sampler.WithKernel(Kernel(spec.kernel)), nil
+	return NewSampler(s.g, model)
 }
 
 // recoverShards restores shard states from the committed snapshot in dir.

@@ -92,7 +92,7 @@ type TenantConfig struct {
 	// Model is the propagation model.
 	Model stopandstare.Model
 	// Session carries the per-session sampling parameters (seed, workers,
-	// shards, kernel, weights).
+	// shards, weights).
 	Session stopandstare.SessionOptions
 }
 

@@ -111,7 +111,7 @@ type SessionOptions struct {
 	SpillDir string
 	// StateDir, when non-empty, makes the session durable: NewSession
 	// recovers the RR store from the directory's committed snapshot (if its
-	// seed, kernel, model and shard topology match — verified, with
+	// seed, model and shard topology match — verified, with
 	// corrupted block suffixes discarded and resampled deterministically),
 	// and Session.Persist writes crash-safe snapshots back. Recovery is
 	// best-effort: a missing, mismatched or unreadable snapshot simply
@@ -119,8 +119,6 @@ type SessionOptions struct {
 	// bit-identical either way — a recovered store holds exactly the sets a
 	// cold one would regenerate.
 	StateDir string
-	// Kernel selects the RR sampling implementation (see Options.Kernel).
-	Kernel Kernel
 	// Weights, when non-nil, makes this a weighted (targeted viral
 	// marketing) session: roots are drawn proportionally to Weights[v] ≥ 0
 	// and results estimate benefit B(S) instead of influence. Must have one
@@ -174,8 +172,8 @@ type SessionStats struct {
 	// alignment padding included (the spill-tier overhead is the difference
 	// from StoreSpilledBytes).
 	SpillFileBytes int64
-	// PlanBytes is the compiled sampling plan's memory (0 if the session's
-	// kernel never forced a compile). Shared per (graph, model).
+	// PlanBytes is the compiled sampling plan's memory (0 until the plan is
+	// first compiled). Shared per (graph, model).
 	PlanBytes int64
 	// GraphResidentBytes is the graph arrays' private heap footprint — the
 	// whole graph for built/loaded graphs, 0 for mmap-ed ones. Like
@@ -237,7 +235,6 @@ func newSession(g *Graph, model Model, opt SessionOptions, runLimit int) (*Sessi
 	} else if sampler, err = ris.NewSampler(g, model); err != nil {
 		return nil, err
 	}
-	sampler = sampler.WithKernel(opt.Kernel)
 	sopt := ris.StoreOptions{
 		Workers: opt.Workers, Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
 		RemoteWorkers: opt.RemoteWorkers, RemoteTimeout: opt.RemoteTimeout,
@@ -352,8 +349,7 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 	copt := core.Options{
 		K: q.K, Epsilon: q.Epsilon, Delta: q.Delta,
 		Seed: s.opt.Seed, Workers: s.opt.Workers,
-		Kernel: s.opt.Kernel,
-		Eps1:   q.Eps1, Eps2: q.Eps2, Eps3: q.Eps3,
+		Eps1: q.Eps1, Eps2: q.Eps2, Eps3: q.Eps3,
 		Trace: q.OnCheckpoint,
 	}
 	if s.inst != nil && q.K >= 1 {

@@ -15,7 +15,7 @@ import (
 // This file is the serving-layer differential harness: a warm Session —
 // whose store, solver and plan persist across a randomized stream of
 // queries — must return results bit-identical to cold Maximize runs at the
-// same seed, for every store topology and sampling kernel. Since RR set i
+// same seed, for every store topology. Since RR set i
 // is a pure function of (seed, i) and the stop-and-stare loops consume only
 // schedule-derived sizes, warm reuse is not an approximation; this harness
 // is what turns that claim into a tested invariant. MemoryBytes and Elapsed
@@ -75,7 +75,7 @@ func assertSameResult(t *testing.T, ctx string, warm, cold *stopandstare.Result,
 }
 
 // TestSessionDifferentialWarmVsCold runs randomized query sequences on warm
-// sessions across flat/sharded stores × both kernels, comparing every query
+// sessions across flat/sharded stores, comparing every query
 // against a cold Maximize run with identical parameters — and pins the
 // first cold result against the solo core path, so session execution, the
 // one-shot wrapper, and the underlying algorithms cannot drift apart.
@@ -86,57 +86,55 @@ func TestSessionDifferentialWarmVsCold(t *testing.T) {
 	}
 	const seed = 71
 	for _, shards := range []int{0, 3} {
-		for _, kernel := range []stopandstare.Kernel{stopandstare.KernelPlan, stopandstare.KernelOracle} {
-			sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
-				Seed: seed, Workers: 2, Shards: shards, ShardWorkers: 2, Kernel: kernel,
+		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
+			Seed: seed, Workers: 2, Shards: shards, ShardWorkers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range randomQuerySequence(int64(shards)*31+5, 8) {
+			ctx := fmt.Sprintf("shards=%d/q%d(%s,k=%d,eps=%v)",
+				shards, qi, q.algo, q.k, q.eps)
+			var warmTrace []stopandstare.Checkpoint
+			warm, err := sess.Maximize(stopandstare.Query{
+				Algorithm: q.algo, K: q.k, Epsilon: q.eps,
+				OnCheckpoint: func(cp stopandstare.Checkpoint) { warmTrace = append(warmTrace, cp) },
 			})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: warm: %v", ctx, err)
 			}
-			for qi, q := range randomQuerySequence(int64(shards)*31+int64(kernel)+5, 8) {
-				ctx := fmt.Sprintf("shards=%d/kernel=%v/q%d(%s,k=%d,eps=%v)",
-					shards, kernel, qi, q.algo, q.k, q.eps)
-				var warmTrace []stopandstare.Checkpoint
-				warm, err := sess.Maximize(stopandstare.Query{
-					Algorithm: q.algo, K: q.k, Epsilon: q.eps,
-					OnCheckpoint: func(cp stopandstare.Checkpoint) { warmTrace = append(warmTrace, cp) },
-				})
-				if err != nil {
-					t.Fatalf("%s: warm: %v", ctx, err)
-				}
-				var coldTrace []stopandstare.Checkpoint
-				cold, err := stopandstare.Maximize(g, stopandstare.IC, q.algo, stopandstare.Options{
-					K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
-					Shards: shards, ShardWorkers: 2, Kernel: kernel,
-					OnCheckpoint: func(cp stopandstare.Checkpoint) { coldTrace = append(coldTrace, cp) },
-				})
-				if err != nil {
-					t.Fatalf("%s: cold: %v", ctx, err)
-				}
-				assertSameResult(t, ctx, warm, cold, warmTrace, coldTrace)
+			var coldTrace []stopandstare.Checkpoint
+			cold, err := stopandstare.Maximize(g, stopandstare.IC, q.algo, stopandstare.Options{
+				K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
+				Shards: shards, ShardWorkers: 2,
+				OnCheckpoint: func(cp stopandstare.Checkpoint) { coldTrace = append(coldTrace, cp) },
+			})
+			if err != nil {
+				t.Fatalf("%s: cold: %v", ctx, err)
+			}
+			assertSameResult(t, ctx, warm, cold, warmTrace, coldTrace)
 
-				if qi == 0 {
-					// Pin the session/wrapper path against the solo core
-					// entry points the internal differential harness uses.
-					s, err := ris.NewSampler(g, diffusion.IC)
-					if err != nil {
-						t.Fatal(err)
-					}
-					copt := core.Options{K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
-						Shards: shards, ShardWorkers: 2, Kernel: kernel}
-					var solo *core.Result
-					if q.algo == stopandstare.DSSA {
-						solo, err = core.DSSA(s, copt)
-					} else {
-						solo, err = core.SSA(s, copt)
-					}
-					if err != nil {
-						t.Fatalf("%s: solo: %v", ctx, err)
-					}
-					if !slices.Equal(solo.Seeds, cold.Seeds) || solo.TotalSamples != cold.Samples {
-						t.Fatalf("%s: solo core drifted from session path: %v/%d vs %v/%d",
-							ctx, solo.Seeds, solo.TotalSamples, cold.Seeds, cold.Samples)
-					}
+			if qi == 0 {
+				// Pin the session/wrapper path against the solo core
+				// entry points the internal differential harness uses.
+				s, err := ris.NewSampler(g, diffusion.IC)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copt := core.Options{K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
+					Shards: shards, ShardWorkers: 2}
+				var solo *core.Result
+				if q.algo == stopandstare.DSSA {
+					solo, err = core.DSSA(s, copt)
+				} else {
+					solo, err = core.SSA(s, copt)
+				}
+				if err != nil {
+					t.Fatalf("%s: solo: %v", ctx, err)
+				}
+				if !slices.Equal(solo.Seeds, cold.Seeds) || solo.TotalSamples != cold.Samples {
+					t.Fatalf("%s: solo core drifted from session path: %v/%d vs %v/%d",
+						ctx, solo.Seeds, solo.TotalSamples, cold.Seeds, cold.Samples)
 				}
 			}
 		}
@@ -375,8 +373,8 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 	}
 }
 
-// TestSessionAccounting pins the memory-accounting satellite: a plan-kernel
-// run's MemoryBytes includes the compiled plan, and Session.Stats reports
+// TestSessionAccounting pins the memory-accounting satellite: a run's
+// MemoryBytes includes the compiled plan, and Session.Stats reports
 // plan and store bytes separately (summing back to the store's total).
 func TestSessionAccounting(t *testing.T) {
 	g, err := stopandstare.GeneratePowerLaw(300, 1500, 2.1, 321)
@@ -394,7 +392,7 @@ func TestSessionAccounting(t *testing.T) {
 	}
 	plan := ris.CachedPlanBytes(g, diffusion.IC)
 	if plan <= 0 {
-		t.Fatal("plan kernel run left no cached plan")
+		t.Fatal("run left no cached plan")
 	}
 	if res.MemoryBytes < plan {
 		t.Fatalf("Result.MemoryBytes %d excludes the plan (%d bytes)", res.MemoryBytes, plan)
