@@ -92,11 +92,22 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("imtvm output: %s", out)
 	}
 
-	// imtvm cost-aware mode.
+	// imtvm cost-aware mode: -budget is the one-entry -budgets sweep, one
+	// "cost-aware:" line per budget.
 	out = run(t, filepath.Join(bin, "imtvm"),
 		"-graph", graphFile, "-budget", "10", "-eps", "0.4", "-eval", "0")
-	if !strings.Contains(out, "cost-aware:") {
+	if strings.Count(out, "cost-aware:") != 1 || !strings.Contains(out, "of 10.0") {
 		t.Fatalf("imtvm budgeted output: %s", out)
+	}
+	out = run(t, filepath.Join(bin, "imtvm"),
+		"-graph", graphFile, "-budgets", "5,10", "-eps", "0.4", "-eval", "0")
+	if strings.Count(out, "cost-aware:") != 2 || !strings.Contains(out, "of 5.0") ||
+		!strings.Contains(out, "of 10.0") {
+		t.Fatalf("imtvm -budgets output: %s", out)
+	}
+	if out, err := exec.Command(filepath.Join(bin, "imtvm"),
+		"-graph", graphFile, "-budget", "NaN", "-eval", "0").CombinedOutput(); err == nil {
+		t.Fatalf("imtvm -budget NaN succeeded: %s", out)
 	}
 
 	// The out-of-core leg: write the same preset as a mmap-able .sasg,

@@ -9,7 +9,9 @@
 //	imtvm -graph twitter.ssg -weights weights.txt -algo tim+ -k 100
 //
 // -budgets sweeps several spending caps over one shared sample collection
-// (one RR stream scan for the whole sweep instead of one per budget).
+// (one RR stream scan for the whole sweep instead of one per budget);
+// -budget B is the same as -budgets B. Each budget prints one "cost-aware:"
+// line, followed by its -eval score and seeds.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 		topicIdx = flag.Int("topic", 1, "synthetic topic number (1 or 2) when -weights is absent")
 		algo     = flag.String("algo", "dssa", "dssa, ssa, or tim+ (KB-TIM)")
 		k        = flag.Int("k", 50, "seed budget (cardinality mode)")
-		budget   = flag.Float64("budget", 0, "if > 0, run cost-aware mode with this budget")
+		budget   = flag.Float64("budget", 0, "if non-zero, run cost-aware mode with this budget (must be positive)")
 		budgets  = flag.String("budgets", "", "comma-separated budget sweep (cost-aware, one sample collection)")
 		costExp  = flag.Float64("cost-exponent", 0.5, "cost-aware: cost(v) = (1+outdeg(v))^exp")
 		model    = flag.String("model", "LT", "IC or LT")
@@ -78,8 +80,9 @@ func main() {
 			*topicIdx, tp.Name, tp.Users, tp.Gamma)
 	}
 
+	// Cost-aware mode: -budget is the one-entry -budgets sweep.
+	var sweep []float64
 	if *budgets != "" {
-		var sweep []float64
 		for _, f := range strings.Split(*budgets, ",") {
 			b, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
@@ -87,33 +90,22 @@ func main() {
 			}
 			sweep = append(sweep, b)
 		}
-		costs := degreeCosts(g, *costExp)
+	} else if *budget != 0 {
+		sweep = []float64{*budget}
+	}
+	if sweep != nil {
 		results, err := stopandstare.MaximizeBudgetedSweep(g, mdl, weights, sweep, stopandstare.BudgetedOptions{
-			Costs: costs, Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
+			Costs: degreeCosts(g, *costExp), Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
 			Shards: *shards, ShardWorkers: *shardW,
 		})
 		if err != nil {
-			fail("budget sweep: %v", err)
+			fail("cost-aware: %v", err)
 		}
 		for _, res := range results {
-			fmt.Printf("budget %.1f: %d seeds, cost %.1f, est. benefit %.1f, %d RR sets (shared), %v\n",
-				res.Budget, len(res.Seeds), res.Cost, res.BenefitEstimate, res.Samples, res.Elapsed)
+			fmt.Printf("cost-aware: %d seeds, cost %.1f of %.1f, est. benefit %.1f, %d RR sets (shared), %v\n",
+				len(res.Seeds), res.Cost, res.Budget, res.BenefitEstimate, res.Samples, res.Elapsed)
+			report(g, mdl, weights, res.Seeds, *eval, *seed, *workers)
 		}
-		return
-	}
-
-	if *budget > 0 {
-		costs := degreeCosts(g, *costExp)
-		res, err := stopandstare.MaximizeBudgeted(g, mdl, weights, stopandstare.BudgetedOptions{
-			Budget: *budget, Costs: costs, Epsilon: *eps, Delta: *delta,
-			Seed: *seed, Workers: *workers, Shards: *shards, ShardWorkers: *shardW,
-		})
-		if err != nil {
-			fail("budgeted maximize: %v", err)
-		}
-		fmt.Printf("cost-aware: %d seeds, cost %.1f of %.1f, est. benefit %.1f, %d RR sets, %v\n",
-			len(res.Seeds), res.Cost, *budget, res.BenefitEstimate, res.Samples, res.Elapsed)
-		report(g, mdl, weights, res.Seeds, *eval, *seed, *workers)
 		return
 	}
 

@@ -7,13 +7,13 @@ import (
 	"sort"
 	"time"
 
+	"stopandstare"
 	"stopandstare/internal/baselines"
 	"stopandstare/internal/core"
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/ris"
 	"stopandstare/internal/stats"
-	"stopandstare/internal/tvm"
 )
 
 // Experiment reproduces one table or figure of the paper.
@@ -244,36 +244,25 @@ func runFig8(cfg Config, w io.Writer) error {
 		}
 	}
 	ks = dedupKs(clampKs(ks, n))
+	algos := []struct {
+		name string
+		algo stopandstare.Algorithm
+	}{{"D-SSA", stopandstare.DSSA}, {"SSA", stopandstare.SSA}, {"KB-TIM", stopandstare.TIMPlus}}
 	for ti, topic := range topics {
-		inst, err := tvm.NewInstance(d.Graph, topic.Weights)
-		if err != nil {
-			return err
-		}
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 8(%c): TVM on topic %d — runtime vs k (LT)", 'a'+ti, ti+1),
 			Headers: []string{"algorithm", "k", "time", "rr-sets", "benefit-est"},
 		}
 		for _, k := range ks {
-			copt := core.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-				Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers}
-			dres, err := tvm.DSSA(inst, diffusion.LT, copt)
-			if err != nil {
-				return err
+			for _, a := range algos {
+				res, err := stopandstare.MaximizeTargeted(d.Graph, diffusion.LT, topic.Weights, a.algo,
+					stopandstare.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
+						Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers})
+				if err != nil {
+					return err
+				}
+				t.AddRow(a.name, k, res.Elapsed, res.Samples, res.BenefitEstimate)
 			}
-			t.AddRow("D-SSA", k, dres.Elapsed, dres.TotalSamples, dres.Influence)
-			sres, err := tvm.SSA(inst, diffusion.LT, copt)
-			if err != nil {
-				return err
-			}
-			t.AddRow("SSA", k, sres.Elapsed, sres.TotalSamples, sres.Influence)
-			kb, err := tvm.KBTIM(inst, diffusion.LT, baselines.Options{
-				K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-				Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers,
-			})
-			if err != nil {
-				return err
-			}
-			t.AddRow("KB-TIM", k, kb.Elapsed, kb.TotalSamples, kb.Influence)
 		}
 		t.Notes = append(t.Notes, "paper shape: SSA/D-SSA up to 500x faster than KB-TIM")
 		if err := t.Format(w); err != nil {

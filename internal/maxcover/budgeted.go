@@ -30,56 +30,55 @@ type ratioCand struct {
 // above orders the ratio-greedy max-heap on benefit/cost (see heap.go).
 func (c ratioCand) above(o ratioCand) bool { return c.ratio > o.ratio }
 
-// BudgetedSolver is the ratio-greedy analogue of Solver: an incremental
-// budgeted max-coverage solver over a growing RR stream. A budget sweep —
-// TipTop-style repeated solves of one sample collection under different
-// spending caps — rescans the entire stream once per budget when done with
-// GreedyBudgeted. A BudgetedSolver keeps the selection-free gain counts
-// alive across solves, so each Solve(upto, budget) scans only RR sets added
-// since the previous call; for a sweep over a fixed collection that is one
-// stream scan total, with per-budget cost proportional to the covered
+// BudgetedSolver is budgeted max-coverage over one fixed stream prefix
+// [0, upto), solved under many spending caps. A budget sweep — TipTop-style
+// repeated solves of one sample collection under different caps — rescans
+// the whole prefix once per budget when done with GreedyBudgeted. A
+// BudgetedSolver counts the selection-free gains once, at construction, so
+// each Solve(budget) is a selection pass proportional to the covered
 // items. Scratch (the working gain copy, the epoch-stamped covered marks,
 // and the heap backing array) is reused across solves.
 //
-// Equivalence with GreedyBudgeted is exact: the persistent gains after
-// scanning [0, upto) equal the from-scratch counts, the heap is rebuilt per
-// solve in ascending node order under the same affordability filter, and
-// the selection loop replicates the lazy ratio-greedy plus the
+// Equivalence with GreedyBudgeted is exact: the heap is rebuilt per solve
+// in ascending node order under the same affordability filter, and the
+// selection loop replicates the lazy ratio-greedy plus the
 // Khuller–Moss–Naor single-node fix-up step for step. GreedyBudgeted is a
-// thin wrapper over a fresh BudgetedSolver.
+// fresh BudgetedSolver solved once.
 //
-// Solve expects upto to be non-decreasing across calls; a smaller upto
-// falls back to a fresh from-scratch solve, preserving semantics at the
-// old cost. The costs slice must not be mutated between solves. Like
-// Solver, it consumes the ris.Store interface and is insensitive to the
-// store's postings-run ordering.
+// The costs slice must not be mutated between solves. Like Solver, it
+// consumes the ris.Store interface and is insensitive to the store's
+// postings-run ordering.
 type BudgetedSolver struct {
 	c       ris.Store
+	upto    int
 	costs   []float64
-	scanned int         // RR sets [0, scanned) are counted in gains
-	gains   []int32     // selection-free occurrence counts
+	gains   []int32     // selection-free occurrence counts over [0, upto)
 	work    []int32     // per-Solve gain copy, decremented during selection
 	covered epoch.Marks // covered RR-set ids, cleared per Solve by epoch bump
-	inSeed  []bool      // selection marks, reset before Solve returns
 	h       []ratioCand // heap backing array reused across Solves
 }
 
-// NewBudgetedSolver creates an incremental budgeted solver bound to an
-// RR-set store. Costs[v] is the price of seeding v (entries ≤ 0 default
-// to 1, and a short or nil slice defaults the missing tail).
-func NewBudgetedSolver(c ris.Store, costs []float64) *BudgetedSolver {
+// NewBudgetedSolver creates a budgeted solver over RR sets [0, upto) of c
+// (upto is clamped to c.Len()), counting gains in one ForEachSet pass.
+// Costs[v] is the price of seeding v (entries ≤ 0 default to 1, and a
+// short or nil slice defaults the missing tail).
+func NewBudgetedSolver(c ris.Store, upto int, costs []float64) *BudgetedSolver {
+	upto = min(upto, c.Len())
 	n := c.NumNodes()
-	return &BudgetedSolver{
-		c:      c,
-		costs:  costs,
-		gains:  make([]int32, n),
-		work:   make([]int32, n),
-		inSeed: make([]bool, n),
+	s := &BudgetedSolver{
+		c:     c,
+		upto:  upto,
+		costs: costs,
+		gains: make([]int32, n),
+		work:  make([]int32, n),
 	}
+	c.ForEachSet(0, upto, func(_ int, set []uint32) {
+		for _, v := range set {
+			s.gains[v]++
+		}
+	})
+	return s
 }
-
-// Scanned returns the stream prefix length folded into the gain counts.
-func (s *BudgetedSolver) Scanned() int { return s.scanned }
 
 func (s *BudgetedSolver) costOf(v uint32) float64 {
 	if int(v) < len(s.costs) && s.costs[v] > 0 {
@@ -88,35 +87,15 @@ func (s *BudgetedSolver) costOf(v uint32) float64 {
 	return 1
 }
 
-// Solve returns the lazy ratio-greedy budgeted solution over RR sets
-// [0, upto), identical to GreedyBudgeted(c, upto, costs, budget). Only sets
-// [scanned, upto) are read to update gains; the selection cost is
-// proportional to the covered items, not the stream length.
-func (s *BudgetedSolver) Solve(upto int, budget float64) BudgetedResult {
-	c := s.c
+// Solve returns the lazy ratio-greedy budgeted solution over the solver's
+// prefix, identical to GreedyBudgeted(c, upto, costs, budget).
+func (s *BudgetedSolver) Solve(budget float64) BudgetedResult {
+	c, upto := s.c, s.upto
 	n := c.NumNodes()
-	if upto > c.Len() {
-		upto = c.Len()
-	}
 	res := BudgetedResult{Upto: upto}
 	if budget <= 0 {
 		return res
 	}
-	if upto < s.scanned {
-		// Non-monotonic use: recompute from scratch without disturbing the
-		// incremental state.
-		return NewBudgetedSolver(c, s.costs).Solve(upto, budget)
-	}
-	// Incremental gain update: only the new suffix is scanned (ForEachSet,
-	// so a sharded store walks its shard runs without per-id lookups).
-	gains := s.gains
-	c.ForEachSet(s.scanned, upto, func(_ int, set []uint32) {
-		for _, v := range set {
-			gains[v]++
-		}
-	})
-	s.scanned = upto
-
 	copy(s.work, s.gains)
 	// Rebuild the heap in ascending node order into the reused backing
 	// array under this budget's affordability filter: the initial state is
@@ -146,8 +125,8 @@ func (s *BudgetedSolver) Solve(upto int, budget float64) BudgetedResult {
 	for len(s.h) > 0 {
 		top := heapPop(&s.h)
 		v := top.node
-		if s.inSeed[v] || s.work[v] <= 0 {
-			continue
+		if s.work[v] <= 0 {
+			continue // covered out, or already selected
 		}
 		cost := s.costOf(v)
 		if cost > remaining {
@@ -157,8 +136,7 @@ func (s *BudgetedSolver) Solve(upto int, budget float64) BudgetedResult {
 			heapPush(&s.h, ratioCand{node: v, gain: s.work[v], ratio: cur})
 			continue
 		}
-		// Select.
-		s.inSeed[v] = true
+		// Select; covering v's sets zeroes work[v].
 		remaining -= cost
 		res.Cost += cost
 		res.Seeds = append(res.Seeds, v)
@@ -178,9 +156,6 @@ func (s *BudgetedSolver) Solve(upto int, budget float64) BudgetedResult {
 				}
 			}
 		}
-	}
-	for _, v := range res.Seeds {
-		s.inSeed[v] = false
 	}
 
 	// Khuller–Moss–Naor: the better of {ratio-greedy set, best single}.
@@ -203,9 +178,9 @@ func (s *BudgetedSolver) Solve(upto int, budget float64) BudgetedResult {
 // authors' cost-aware follow-up (BCT, INFOCOM'16 — reference [12] of the
 // paper under reproduction).
 //
-// GreedyBudgeted is the from-scratch entry point: it is exactly a fresh
+// GreedyBudgeted is the one-solve entry point: exactly a fresh
 // BudgetedSolver solved once. Budget sweeps should hold a BudgetedSolver
-// instead, which scans the stream once for the entire sweep.
+// instead, which scans the prefix once for the entire sweep.
 func GreedyBudgeted(c ris.Store, upto int, costs []float64, budget float64) BudgetedResult {
-	return NewBudgetedSolver(c, costs).Solve(upto, budget)
+	return NewBudgetedSolver(c, upto, costs).Solve(budget)
 }

@@ -2,6 +2,8 @@ package maxcover
 
 import (
 	"testing"
+
+	"stopandstare/internal/ris"
 )
 
 func assertSameBudgeted(t *testing.T, ctx string, got, want BudgetedResult) {
@@ -30,68 +32,57 @@ var budgetSweeps = [][]float64{
 	{7, 0.5, 7, 100, 3, 100, 0.5},
 }
 
-// TestBudgetedSolverMatchesGreedySweeps is the core incremental contract:
-// one persistent BudgetedSolver solving a sweep of budgets returns
-// bit-identical Seeds/Coverage/Cost to a from-scratch GreedyBudgeted per
-// budget, in any budget order.
+// TestBudgetedSolverMatchesGreedySweeps is the core sweep contract: one
+// BudgetedSolver solving a sweep of budgets returns bit-identical
+// Seeds/Coverage/Cost to a from-scratch GreedyBudgeted per budget, in any
+// budget order, at the full stream and at a prefix shorter than it.
 func TestBudgetedSolverMatchesGreedySweeps(t *testing.T) {
 	col := buildCollection(t, 60, 400, 900, 33)
 	costs := make([]float64, 60)
 	for v := range costs {
 		costs[v] = float64(v%4)*0.75 + 0.5
 	}
-	for si, sweep := range budgetSweeps {
-		sol := NewBudgetedSolver(col, costs)
-		for bi, b := range sweep {
-			got := sol.Solve(col.Len(), b)
-			want := GreedyBudgeted(col, col.Len(), costs, b)
-			assertSameBudgeted(t, "sweep", got, want)
-			if got.Upto != col.Len() {
-				t.Fatalf("sweep %d budget %d: upto %d", si, bi, got.Upto)
+	for _, upto := range []int{col.Len(), 250} {
+		for si, sweep := range budgetSweeps {
+			sol := NewBudgetedSolver(col, upto, costs)
+			for bi, b := range sweep {
+				got := sol.Solve(b)
+				assertSameBudgeted(t, "sweep", got, GreedyBudgeted(col, upto, costs, b))
+				if got.Upto != upto {
+					t.Fatalf("sweep %d budget %d: upto %d want %d", si, bi, got.Upto, upto)
+				}
 			}
 		}
 	}
 }
 
-// TestBudgetedSolverIncrementalGrowth interleaves stream growth with budget
-// solves (the serving-layer pattern: a slowly growing collection answering
-// budget queries), checking only the new suffix is scanned and results stay
-// identical to from-scratch.
-func TestBudgetedSolverIncrementalGrowth(t *testing.T) {
-	col := buildCollection(t, 50, 300, 0, 41)
-	costs := make([]float64, 50)
-	for v := range costs {
-		costs[v] = float64(v%5) + 1
-	}
-	sol := NewBudgetedSolver(col, costs)
-	budgets := []float64{3, 12, 6, 25, 25, 1}
-	for i, upto := range []int{50, 50, 200, 450, 900, 900} {
-		col.GenerateTo(upto)
-		got := sol.Solve(upto, budgets[i])
-		want := GreedyBudgeted(col, upto, costs, budgets[i])
-		assertSameBudgeted(t, "growth", got, want)
-		if sol.Scanned() != upto {
-			t.Fatalf("step %d: scanned %d want %d", i, sol.Scanned(), upto)
-		}
-	}
+// countingStore counts the RR sets a solver visits through ForEachSet.
+type countingStore struct {
+	ris.Store
+	visited int
 }
 
-// TestBudgetedSolverNonMonotonicFallsBack asserts a shrinking upto still
-// returns the exact from-scratch solution and leaves the incremental state
-// usable afterwards.
-func TestBudgetedSolverNonMonotonicFallsBack(t *testing.T) {
-	col := buildCollection(t, 40, 250, 700, 45)
-	costs := make([]float64, 40)
-	for v := range costs {
-		costs[v] = float64(v%3) + 1
+func (c *countingStore) ForEachSet(from, to int, fn func(i int, set []uint32)) {
+	c.Store.ForEachSet(from, to, func(i int, set []uint32) {
+		c.visited++
+		fn(i, set)
+	})
+}
+
+// TestBudgetedSolverScansPrefixOnce pins the one-scan property a sweep
+// exists for: N solves on one solver read exactly upto sets through
+// ForEachSet — the construction-time gain count — however many budgets
+// follow.
+func TestBudgetedSolverScansPrefixOnce(t *testing.T) {
+	col := &countingStore{Store: buildCollection(t, 50, 300, 800, 37)}
+	const upto = 600
+	sol := NewBudgetedSolver(col, upto, nil)
+	for _, b := range []float64{1, 4, 16, 4, 64, 0} {
+		sol.Solve(b)
 	}
-	sol := NewBudgetedSolver(col, costs)
-	full := sol.Solve(700, 15)
-	assertSameBudgeted(t, "full", full, GreedyBudgeted(col, 700, costs, 15))
-	small := sol.Solve(100, 15)
-	assertSameBudgeted(t, "shrunk", small, GreedyBudgeted(col, 100, costs, 15))
-	again := sol.Solve(700, 15)
-	assertSameBudgeted(t, "recovered", again, full)
+	if col.visited != upto {
+		t.Fatalf("ForEachSet visited %d sets over 6 solves, want %d", col.visited, upto)
+	}
 }
 
 // TestBudgetedSolverNilAndShortCosts covers the cost-defaulting contract
@@ -100,10 +91,10 @@ func TestBudgetedSolverNilAndShortCosts(t *testing.T) {
 	col := buildCollection(t, 30, 200, 500, 49)
 	short := []float64{2, 0, 3, -1} // holes and the short tail default to 1
 	for _, costs := range [][]float64{nil, short} {
-		sol := NewBudgetedSolver(col, costs)
+		sol := NewBudgetedSolver(col, col.Len(), costs)
 		for _, b := range []float64{1, 4, 9} {
 			assertSameBudgeted(t, "costs-default",
-				sol.Solve(col.Len(), b), GreedyBudgeted(col, col.Len(), costs, b))
+				sol.Solve(b), GreedyBudgeted(col, col.Len(), costs, b))
 		}
 	}
 }
@@ -111,20 +102,20 @@ func TestBudgetedSolverNilAndShortCosts(t *testing.T) {
 // TestBudgetedSolverZeroBudget must select nothing and leave state clean.
 func TestBudgetedSolverZeroBudget(t *testing.T) {
 	col := buildCollection(t, 20, 100, 200, 53)
-	sol := NewBudgetedSolver(col, nil)
-	res := sol.Solve(col.Len(), 0)
+	sol := NewBudgetedSolver(col, col.Len(), nil)
+	res := sol.Solve(0)
 	if len(res.Seeds) != 0 || res.Coverage != 0 || res.Cost != 0 {
 		t.Fatalf("zero budget must select nothing: %+v", res)
 	}
 	// State must be untouched enough that a real solve still matches.
 	assertSameBudgeted(t, "after-zero",
-		sol.Solve(col.Len(), 8), GreedyBudgeted(col, col.Len(), nil, 8))
+		sol.Solve(8), GreedyBudgeted(col, col.Len(), nil, 8))
 }
 
 // sweepBudgets is the budget list shared by the sweep benchmarks.
 var sweepBudgets = []float64{5, 10, 20, 40, 80, 160}
 
-// BenchmarkBudgetSweepRescan is the pre-refactor sweep: a from-scratch
+// BenchmarkBudgetSweepRescan is the naive sweep: a from-scratch
 // GreedyBudgeted per budget, each rescanning the entire stream.
 func BenchmarkBudgetSweepRescan(b *testing.B) {
 	col := buildBenchCollection(b)
@@ -153,9 +144,9 @@ func BenchmarkBudgetSweepIncremental(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol := NewBudgetedSolver(col, costs)
+		sol := NewBudgetedSolver(col, col.Len(), costs)
 		for _, bud := range sweepBudgets {
-			sol.Solve(col.Len(), bud)
+			sol.Solve(bud)
 		}
 	}
 }

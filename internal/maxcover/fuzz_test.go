@@ -2,6 +2,7 @@ package maxcover
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -130,10 +131,11 @@ func FuzzSolverAgainstGreedyOracle(f *testing.F) {
 	})
 }
 
-// FuzzBudgetedSolverAgainstRatioOracle is the budgeted analogue: the
-// incremental BudgetedSolver must match from-scratch GreedyBudgeted at
-// every checkpoint of a randomized schedule and budget sweep, and the
-// returned solution must satisfy the brute-force ratio-greedy invariants:
+// FuzzBudgetedSolverAgainstRatioOracle is the budgeted analogue: one
+// BudgetedSolver bound to a random prefix of a longer stream solves a
+// sched-driven budget order (ascending, descending, or with repeats), and
+// every solve must match a fresh GreedyBudgeted at that prefix and satisfy
+// the brute-force ratio-greedy invariants:
 //
 //   - multi-seed solutions: each selected node's gain/cost ratio is the
 //     maximum over unselected affordable positive-gain nodes at its
@@ -148,26 +150,37 @@ func FuzzBudgetedSolverAgainstRatioOracle(f *testing.F) {
 	f.Add(uint64(42), uint64(90), uint64(13), uint64(0x3f0101))
 	f.Add(uint64(11), uint64(2), uint64(1), uint64(0))
 	f.Fuzz(func(t *testing.T, seed, nSetsRaw, budgetRaw, sched uint64) {
-		nSets := int(nSetsRaw%96) + 1
-		budget := float64(budgetRaw%16) + 1
-		col := buildCollection(t, 14, 45, 0, seed%4096+3)
+		upto := int(nSetsRaw%96) + 1
+		col := buildCollection(t, 14, 45, upto+int(sched>>8)%8, seed%4096+3)
 		costs := make([]float64, col.NumNodes())
 		for v := range costs {
 			costs[v] = float64((uint64(v)*2654435761+seed)%4) + 1
 		}
 		costOf := func(v uint32) float64 { return costs[v] }
-		sol := NewBudgetedSolver(col, costs)
-		for _, upto := range checkpointsFrom(sched, nSets) {
-			col.GenerateTo(upto)
-			got := sol.Solve(upto, budget)
+		budgets := make([]float64, 4)
+		for i := range budgets {
+			budgets[i] = float64((budgetRaw>>(4*i))%16) + 1
+		}
+		switch sched % 3 {
+		case 0:
+			slices.Sort(budgets)
+		case 1:
+			slices.Sort(budgets)
+			slices.Reverse(budgets)
+		default:
+			budgets = append(budgets, budgets...)
+		}
+		sol := NewBudgetedSolver(col, upto, costs)
+		for _, budget := range budgets {
+			got := sol.Solve(budget)
 			want := GreedyBudgeted(col, upto, costs, budget)
-			if got.Coverage != want.Coverage || got.Cost != want.Cost ||
+			if got.Upto != upto || got.Coverage != want.Coverage || got.Cost != want.Cost ||
 				len(got.Seeds) != len(want.Seeds) {
-				t.Fatalf("incremental vs fresh differ: %+v vs %+v", got, want)
+				t.Fatalf("solver vs fresh differ: %+v vs %+v", got, want)
 			}
 			for i := range got.Seeds {
 				if got.Seeds[i] != want.Seeds[i] {
-					t.Fatalf("incremental vs fresh seed %d: %d vs %d", i, got.Seeds[i], want.Seeds[i])
+					t.Fatalf("solver vs fresh seed %d: %d vs %d", i, got.Seeds[i], want.Seeds[i])
 				}
 			}
 			if rec := CoverageOf(col, got.Seeds, upto); rec != got.Coverage {

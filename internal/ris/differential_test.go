@@ -207,7 +207,7 @@ func assertSweepsIdentical(t *testing.T, ctx string, budgets []float64, ref, got
 }
 
 // TestDifferentialBudgetedSweepFlatVsSharded runs the cost-aware TVM sweep
-// (WRIS sampling + incremental ratio greedy + KMN fix-up) over several
+// (WRIS sampling + one-scan ratio greedy + KMN fix-up) over several
 // budgets on one shared store per topology, asserting seeds, benefit
 // estimates, costs and sample counts identical to the reference per budget.
 func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
@@ -246,9 +246,10 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 }
 
 // TestDifferentialSolversOnShardedStore closes the loop below the
-// algorithms: the incremental Solver and BudgetedSolver, fed checkpoints on
-// the store at every shard count, must match from-scratch solves on the
-// reference stream — the maxcover layer's own differential.
+// algorithms: the incremental Solver fed checkpoints, and a BudgetedSolver
+// built per checkpoint, on the store at every shard count, must match
+// from-scratch solves on the reference stream — the maxcover layer's own
+// differential.
 func TestDifferentialSolversOnShardedStore(t *testing.T) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
@@ -263,7 +264,6 @@ func TestDifferentialSolversOnShardedStore(t *testing.T) {
 	for _, shards := range diffShardCounts {
 		sharded := ris.NewShardedCollection(s, 31, shards, 2)
 		solver := maxcover.NewSolver(sharded)
-		budgeted := maxcover.NewBudgetedSolver(sharded, costs)
 		for _, upto := range []int{60, 120, 240, 480, 900} {
 			ref.GenerateTo(upto)
 			sharded.GenerateTo(upto)
@@ -273,7 +273,7 @@ func TestDifferentialSolversOnShardedStore(t *testing.T) {
 				t.Fatalf("shards=%d upto=%d: solver %v/%d vs reference %v/%d",
 					shards, upto, got.Seeds, got.Coverage, want.Seeds, want.Coverage)
 			}
-			gotB := budgeted.Solve(upto, 25)
+			gotB := maxcover.NewBudgetedSolver(sharded, upto, costs).Solve(25)
 			wantB := maxcover.GreedyBudgeted(ref, upto, costs, 25)
 			if !slices.Equal(gotB.Seeds, wantB.Seeds) || gotB.Coverage != wantB.Coverage || gotB.Cost != wantB.Cost {
 				t.Fatalf("shards=%d upto=%d: budgeted %v/%d/%v vs reference %v/%d/%v",

@@ -2,9 +2,13 @@ package tvm
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"stopandstare/internal/diffusion"
+	"stopandstare/internal/gen"
+	"stopandstare/internal/graph"
 	"stopandstare/internal/maxcover"
 	"stopandstare/internal/ris"
 )
@@ -68,8 +72,7 @@ func TestBudgetedSweepMatchesGreedyPerBudget(t *testing.T) {
 }
 
 // TestBudgetedSweepMatchesSingleSolves: with Samples pinned, each sweep
-// entry must equal a standalone BudgetedMaximize at that budget (the
-// one-budget special case goes through the same path).
+// entry must equal a one-budget sweep at that budget.
 func TestBudgetedSweepMatchesSingleSolves(t *testing.T) {
 	inst := topicInstance(t, 400, 2000, 131)
 	opt := BudgetedOptions{Epsilon: 0.3, Seed: 137, Workers: 2, Samples: 6000}
@@ -79,9 +82,7 @@ func TestBudgetedSweepMatchesSingleSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range budgets {
-		single, err := BudgetedMaximize(inst, diffusion.IC, BudgetedOptions{
-			Budget: b, Epsilon: 0.3, Seed: 137, Workers: 2, Samples: 6000,
-		})
+		single, err := budgetedMaximize(inst, diffusion.IC, b, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,70 @@ func TestBudgetedSweepValidation(t *testing.T) {
 	if _, err := BudgetedSweep(inst, diffusion.IC, []float64{5, -1}, BudgetedOptions{}); !errors.Is(err, ErrBadBudget) {
 		t.Fatalf("negative budget: %v", err)
 	}
+	for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := BudgetedSweep(inst, diffusion.IC, []float64{5, bad}, BudgetedOptions{}); !errors.Is(err, ErrBadBudget) {
+			t.Fatalf("budget %v: %v", bad, err)
+		}
+	}
 	if _, err := BudgetedSweep(inst, diffusion.IC, []float64{5}, BudgetedOptions{Epsilon: 3}); err == nil {
 		t.Fatal("epsilon out of range should fail")
+	}
+}
+
+func sessionInstance(t *testing.T) (*Instance, []float64) {
+	t.Helper()
+	g, err := gen.ChungLu(240, 1500, 2.1, 55, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]float64, g.NumNodes())
+	for v := range weights {
+		weights[v] = float64(v%6) + 0.5
+	}
+	inst, err := NewInstance(g, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := make([]float64, g.NumNodes())
+	for v := range costs {
+		costs[v] = float64((v*5)%4) + 1
+	}
+	return inst, costs
+}
+
+// TestBudgetedSweepDerivedThresholds: without pinned Samples the sweep is
+// sized at the largest derived θ over its budgets, and every entry matches
+// a cold GreedyBudgeted at that prefix.
+func TestBudgetedSweepDerivedThresholds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("derived thresholds generate larger streams")
+	}
+	inst, costs := sessionInstance(t)
+	opt := BudgetedOptions{Costs: costs, Epsilon: 0.4, Seed: 23, Workers: 2}
+	budgets := []float64{6, 30, 6}
+	got, err := BudgetedSweep(inst, diffusion.IC, budgets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := opt
+	if err := norm.normalize(inst.G.NumNodes()); err != nil {
+		t.Fatal(err)
+	}
+	theta := 0
+	for _, b := range budgets {
+		theta = max(theta, inst.sampleSize(norm, b))
+	}
+	s, err := inst.Sampler(diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCol := ris.NewStore(s, opt.Seed, ris.StoreOptions{Workers: 2})
+	refCol.GenerateTo(theta)
+	for i, b := range budgets {
+		want := maxcover.GreedyBudgeted(refCol, theta, costs, b)
+		if !slices.Equal(got[i].Seeds, want.Seeds) || got[i].Samples != int64(want.Upto) {
+			t.Fatalf("budget %v: sweep %v/%d vs cold %v/%d", b,
+				got[i].Seeds, got[i].Samples, want.Seeds, int64(want.Upto))
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"stopandstare/internal/baselines"
-	"stopandstare/internal/core"
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/ris"
@@ -82,30 +81,6 @@ func (t *Instance) OptLowerBound(k int) float64 {
 		sum = 1
 	}
 	return sum
-}
-
-// SSA runs the Stop-and-Stare algorithm on the TVM instance.
-func SSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result, error) {
-	s, err := t.Sampler(model)
-	if err != nil {
-		return nil, err
-	}
-	if opt.OptLowerBound <= 0 {
-		opt.OptLowerBound = t.OptLowerBound(opt.K)
-	}
-	return core.SSA(s, opt)
-}
-
-// DSSA runs the dynamic Stop-and-Stare algorithm on the TVM instance.
-func DSSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result, error) {
-	s, err := t.Sampler(model)
-	if err != nil {
-		return nil, err
-	}
-	if opt.OptLowerBound <= 0 {
-		opt.OptLowerBound = t.OptLowerBound(opt.K)
-	}
-	return core.DSSA(s, opt)
 }
 
 // KBTIM is the paper's TVM comparator: TIM+ running on WRIS samples

@@ -28,6 +28,27 @@ func topicInstance(t testing.TB, n int, m int64, seed uint64) *Instance {
 	return inst
 }
 
+// runSSA and runDSSA run the stop-and-stare loops on the instance's WRIS
+// stream with OPT lower-bounded by the top-k benefit sum, as a weighted
+// session does.
+func runSSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result, error) {
+	s, err := t.Sampler(model)
+	if err != nil {
+		return nil, err
+	}
+	opt.OptLowerBound = t.OptLowerBound(opt.K)
+	return core.SSA(s, opt)
+}
+
+func runDSSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result, error) {
+	s, err := t.Sampler(model)
+	if err != nil {
+		return nil, err
+	}
+	opt.OptLowerBound = t.OptLowerBound(opt.K)
+	return core.DSSA(s, opt)
+}
+
 func TestNewInstanceValidation(t *testing.T) {
 	g, err := gen.ErdosRenyi(50, 250, 1, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -80,11 +101,11 @@ func TestOptLowerBound(t *testing.T) {
 func TestTVMSSAAndDSSA(t *testing.T) {
 	inst := topicInstance(t, 1500, 7500, 5)
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		ssa, err := SSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7, Workers: 2})
+		ssa, err := runSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dssa, err := DSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7, Workers: 2})
+		dssa, err := runDSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +122,7 @@ func TestTVMSSAAndDSSA(t *testing.T) {
 
 func TestTVMBenefitEstimateMatchesMC(t *testing.T) {
 	inst := topicInstance(t, 1500, 7500, 11)
-	res, err := DSSA(inst, diffusion.LT, core.Options{K: 10, Epsilon: 0.1, Seed: 13, Workers: 2})
+	res, err := runDSSA(inst, diffusion.LT, core.Options{K: 10, Epsilon: 0.1, Seed: 13, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestTVMBeatsUntargetedIM(t *testing.T) {
 	// benefit as optimising plain influence with the same budget.
 	inst := topicInstance(t, 2000, 10000, 19)
 	k := 10
-	tvmRes, err := DSSA(inst, diffusion.LT, core.Options{K: k, Epsilon: 0.15, Seed: 23, Workers: 2})
+	tvmRes, err := runDSSA(inst, diffusion.LT, core.Options{K: k, Epsilon: 0.15, Seed: 23, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +191,7 @@ func TestStopAndStareFewerSamplesThanKBTIM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dssa, err := DSSA(inst, diffusion.LT, core.Options{K: 20, Epsilon: 0.1, Seed: 43, Workers: 2})
+	dssa, err := runDSSA(inst, diffusion.LT, core.Options{K: 20, Epsilon: 0.1, Seed: 43, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +234,7 @@ func TestTVMGuaranteeOnTinyInstance(t *testing.T) {
 			}
 		}
 	}
-	res, err := DSSA(inst, diffusion.IC, core.Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 53, Workers: 2})
+	res, err := runDSSA(inst, diffusion.IC, core.Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 53, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,22 +183,7 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 	opt = opt.fill()
 	switch algo {
 	case SSA, DSSA:
-		// A one-shot run is exactly a session serving a single query: the
-		// same loops, store and solver machinery, so the cold path and the
-		// serving path cannot drift apart. Its schedule never returns to a
-		// prefix, so the solver retains one greedy run, not a serving
-		// session's cache of them.
-		sess, err := newSession(g, model, SessionOptions{
-			Seed: opt.Seed, Workers: opt.Workers,
-			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-		}, 1)
-		if err != nil {
-			return nil, err
-		}
-		return sess.Maximize(Query{Algorithm: algo, K: opt.K,
-			Epsilon: opt.Epsilon, Delta: opt.Delta,
-			Eps1: opt.Eps1, Eps2: opt.Eps2, Eps3: opt.Eps3,
-			OnCheckpoint: opt.OnCheckpoint})
+		return maximizeOnce(g, model, algo, opt, nil)
 	case IMM, TIM, TIMPlus:
 		s, err := ris.NewSampler(g, model)
 		if err != nil {
@@ -271,6 +256,26 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 	default:
 		return nil, fmt.Errorf("stopandstare: unknown algorithm %q", algo)
 	}
+}
+
+// maximizeOnce runs SSA/D-SSA as a session serving a single query — over
+// the weighted (WRIS) stream when weights is non-nil: the same loops, store
+// and solver machinery, so the cold path and the serving path cannot drift
+// apart. Its schedule never returns to a prefix, so the solver retains one
+// greedy run, not a serving session's cache of them. opt must be filled.
+func maximizeOnce(g *Graph, model Model, algo Algorithm, opt Options, weights []float64) (*Result, error) {
+	sess, err := newSession(g, model, SessionOptions{
+		Seed: opt.Seed, Workers: opt.Workers,
+		Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
+		Weights: weights,
+	}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Maximize(Query{Algorithm: algo, K: opt.K,
+		Epsilon: opt.Epsilon, Delta: opt.Delta,
+		Eps1: opt.Eps1, Eps2: opt.Eps2, Eps3: opt.Eps3,
+		OnCheckpoint: opt.OnCheckpoint})
 }
 
 // EvaluateSpread scores a seed set by forward Monte-Carlo simulation:

@@ -2,6 +2,7 @@ package stopandstare
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -294,5 +295,48 @@ func TestOnCheckpointFacade(t *testing.T) {
 	}
 	if count != res.Iterations || count == 0 {
 		t.Fatalf("checkpoints %d, iterations %d", count, res.Iterations)
+	}
+}
+
+// TestMaximizeTargetedForwardsStopAndStareOptions: the TVM SSA/D-SSA path
+// is the one-shot weighted session, so OnCheckpoint fires and an explicit
+// SSA ε-split gives exactly what a weighted Session query with that split
+// gives.
+func TestMaximizeTargetedForwardsStopAndStareOptions(t *testing.T) {
+	g := testGraph(t)
+	topics, err := GenerateTopics(g, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := topics[0].Weights
+	var count int
+	if _, err := MaximizeTargeted(g, LT, w, DSSA, Options{K: 10, Epsilon: 0.2, Seed: 19, Workers: 2,
+		OnCheckpoint: func(Checkpoint) { count++ }}); err != nil {
+		t.Fatal(err)
+	}
+	if count == 0 {
+		t.Fatal("MaximizeTargeted(DSSA) reported no checkpoints")
+	}
+	e1, e2, e3, ok := RecommendedEpsilonSplit(0.2, 1<<30)
+	if !ok {
+		t.Fatal("no split")
+	}
+	got, err := MaximizeTargeted(g, LT, w, SSA, Options{K: 10, Epsilon: 0.2, Seed: 19, Workers: 2,
+		Eps1: e1, Eps2: e2, Eps3: e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(g, LT, SessionOptions{Seed: 19, Workers: 2, Weights: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.Maximize(Query{Algorithm: SSA, K: 10, Epsilon: 0.2, Eps1: e1, Eps2: e2, Eps3: e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Seeds, want.Seeds) || got.BenefitEstimate != want.InfluenceEstimate ||
+		got.Samples != want.Samples {
+		t.Fatalf("MaximizeTargeted %v/%v/%d vs session %v/%v/%d", got.Seeds, got.BenefitEstimate,
+			got.Samples, want.Seeds, want.InfluenceEstimate, want.Samples)
 	}
 }

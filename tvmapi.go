@@ -45,17 +45,7 @@ func MaximizeTargeted(g *Graph, model Model, weights []float64, algo Algorithm, 
 	opt = opt.fill()
 	switch algo {
 	case DSSA, SSA:
-		// One-shot weighted session: same machinery as the serving path.
-		sess, err := NewSession(g, model, SessionOptions{
-			Seed: opt.Seed, Workers: opt.Workers,
-			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-			Weights: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sess.Maximize(Query{Algorithm: algo, K: opt.K,
-			Epsilon: opt.Epsilon, Delta: opt.Delta})
+		res, err := maximizeOnce(g, model, algo, opt, weights)
 		if err != nil {
 			return nil, err
 		}
@@ -109,32 +99,22 @@ type BudgetedTVMResult struct {
 // MaximizeBudgeted solves cost-aware TVM: maximise the targeted benefit
 // subject to a seeding budget, using WRIS sampling and the
 // Khuller–Moss–Naor ratio greedy ((1−1/√e)-approximate selection over the
-// sampled coverage instance).
+// sampled coverage instance). It is the one-budget MaximizeBudgetedSweep.
 func MaximizeBudgeted(g *Graph, model Model, weights []float64, opt BudgetedOptions) (*BudgetedTVMResult, error) {
-	inst, err := tvm.NewInstance(g, weights)
+	res, err := MaximizeBudgetedSweep(g, model, weights, []float64{opt.Budget}, opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := tvm.BudgetedMaximize(inst, model, tvm.BudgetedOptions{
-		Budget: opt.Budget, Costs: opt.Costs, Epsilon: opt.Epsilon,
-		Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-		Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &BudgetedTVMResult{Seeds: res.Seeds, BenefitEstimate: res.Benefit,
-		Budget: res.Budget, Cost: res.Cost, Samples: res.Samples,
-		Elapsed: res.Elapsed}, nil
+	return res[0], nil
 }
 
 // MaximizeBudgetedSweep solves cost-aware TVM for every budget in the list
 // against one shared WRIS sample collection: the RR stream is generated and
-// scanned once (sized for the largest budget), and each budget is then an
-// incremental selection pass — each result is identical to running
-// MaximizeBudgeted on that collection, at a fraction of the cost of N
-// separate runs. Budgets may be in any order; results come back in input
-// order.
+// scanned once (sized for the largest sample requirement), and each budget
+// is then a selection pass — each result is identical to a single-budget
+// solve on that collection, at a fraction of the cost of N separate runs.
+// opt.Budget is ignored. Budgets may be in any order; results come back in
+// input order.
 func MaximizeBudgetedSweep(g *Graph, model Model, weights []float64, budgets []float64, opt BudgetedOptions) ([]*BudgetedTVMResult, error) {
 	inst, err := tvm.NewInstance(g, weights)
 	if err != nil {
