@@ -17,6 +17,11 @@ import (
 // space (ris.VerifyStream), guaranteeing independence from the coverage
 // collection as Alg. 1 line 10 requires ("independently generates another
 // collection of RR sets R′").
+//
+// The rule only asks whether each RR set touches S, so each id is tested by
+// a Sampler.HitsMarked walk that stops at the first seed; the draws, and so
+// the answer, are those of the full set (refEstimate in estimate_test.go
+// builds the full set).
 type estimator struct {
 	sampler *ris.Sampler
 	seed    uint64
@@ -25,7 +30,7 @@ type estimator struct {
 	mark    []bool
 	buf     []uint32
 	r       rng.Source // re-seeded per sample: no per-sample allocation
-	total   int64      // RR sets generated across all calls
+	total   int64      // RR sets tested across all calls
 }
 
 func newEstimator(s *ris.Sampler, seed uint64) *estimator {
@@ -55,14 +60,9 @@ func (e *estimator) estimate(seeds []uint32, epsPrime, deltaPrime float64, tmax 
 	for t := int64(1); t <= tmax; t++ {
 		ris.SeedVerifyStream(&e.r, e.seed, e.nextID)
 		e.nextID++
-		var setLen int
-		e.buf, setLen, _ = e.sampler.AppendSample(&e.r, e.state, e.buf[:0])
-		set := e.buf[len(e.buf)-setLen:]
-		for _, v := range set {
-			if e.mark[v] {
-				cov++
-				break
-			}
+		var hit bool
+		if hit, e.buf = e.sampler.HitsMarked(&e.r, e.state, e.buf, e.mark); hit {
+			cov++
 		}
 		if cov >= lambda2 {
 			e.total += t

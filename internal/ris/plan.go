@@ -237,8 +237,13 @@ func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32)
 // appendSample runs one RR-set generation under the compiled kernels. The
 // caller has drawn the root, reset st, marked and appended the root at
 // buf[start]. Returns the grown buffer and the set's width Σ d_in.
-func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, root uint32) ([]uint32, int64) {
-	width := int64(p.deg[root])
+//
+// A non-nil stop turns the walk into a hit test: it ends with hit = true at
+// the first newly visited node u with stop[u], before appending u. Up to
+// that point it makes exactly the draws of the full walk, so hit is
+// "the full set meets stop". The store path passes nil.
+func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, root uint32, stop []bool) (_ []uint32, width int64, hit bool) {
+	width = int64(p.deg[root])
 	if p.model == diffusion.IC {
 		for head := start; head < len(buf); head++ {
 			x := buf[head]
@@ -247,6 +252,9 @@ func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, r
 				for _, e := range p.gen[p.genOff[x]:p.genOff[x+1]] {
 					if r.Bernoulli64(e.thr) {
 						if u := e.nbr; st.marks.Visit(int32(u)) {
+							if stop != nil && stop[u] {
+								return buf, width, true
+							}
 							buf = append(buf, u)
 							width += int64(p.deg[u])
 						}
@@ -263,12 +271,15 @@ func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, r
 			lnq := p.lnq[x]
 			for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
 				if u := adj[i]; st.marks.Visit(int32(u)) {
+					if stop != nil && stop[u] {
+						return buf, width, true
+					}
 					buf = append(buf, u)
 					width += int64(p.deg[u])
 				}
 			}
 		}
-		return buf, width
+		return buf, width, false
 	}
 	// LT reverse walk over alias tables: one draw per step — high product
 	// bits pick the slot, low bits resolve the alias redirect.
@@ -289,9 +300,12 @@ func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, r
 		if !st.marks.Visit(int32(u)) {
 			break // revisit terminates the walk (Def. 2's LT reverse walk)
 		}
+		if stop != nil && stop[u] {
+			return buf, width, true
+		}
 		buf = append(buf, u)
 		width += int64(p.deg[u])
 		x = u
 	}
-	return buf, width
+	return buf, width, false
 }

@@ -124,18 +124,39 @@ func (s *Sampler) NewState() *State {
 // needs). The set occupies buf[len(buf)-setLen:]. For the LT model the
 // nodes appear in reverse-walk order (root first), which tests rely on.
 func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf []uint32, setLen int, width int64) {
+	start := len(buf)
+	buf, width, _ = s.walk(r, st, buf, nil)
+	return buf, len(buf) - start, width
+}
+
+// HitsMarked reports whether the RR set AppendSample would draw from r
+// contains a node v with marked[v]. It is the same walk with the same
+// draws, stopped at the root or at the first marked node it visits, so a
+// hit costs a fraction of the full set. buf is the walk's queue scratch;
+// the grown buffer is returned for reuse and holds the nodes visited
+// before the stop.
+func (s *Sampler) HitsMarked(r *rng.Source, st *State, buf []uint32, marked []bool) (hit bool, newBuf []uint32) {
+	buf, _, hit = s.walk(r, st, buf[:0], marked)
+	return hit, buf
+}
+
+// walk draws the root and runs the plan's kernel from it, appending to buf;
+// a non-nil stop ends it at the first node in stop (see Plan.appendSample).
+func (s *Sampler) walk(r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, int64, bool) {
 	var root uint32
 	if s.root != nil {
 		root = uint32(s.root.Sample(r))
 	} else {
 		root = uint32(r.Intn(s.g.NumNodes()))
 	}
+	if stop != nil && stop[root] {
+		return buf, 0, true
+	}
 	st.marks.Reset(st.n)
 	start := len(buf)
 	st.marks.Visit(int32(root))
 	buf = append(buf, root)
-	buf, width = s.Plan().appendSample(r, st, buf, start, root)
-	return buf, len(buf) - start, width
+	return s.Plan().appendSample(r, st, buf, start, root, stop)
 }
 
 // Sample generates one RR set into a fresh slice (convenience for tests).

@@ -329,6 +329,42 @@ func TestSessionWarmQueryAllocations(t *testing.T) {
 	}
 }
 
+// TestSessionWarmSSAQueryAllocations is the SSA twin of the guard above. A
+// warm SSA query still runs Estimate-Inf on fresh verification sets, whose
+// scratch — the seed marks, the visited set and the walk queue — is
+// allocated once per run, not per checkpoint or per verification set.
+// c = 10 covers the estimator, the visited set (two allocations), the seed
+// marks and the queue, which doubles up to the longest walk of the run
+// (measured: 13 allocations over 2 checkpoints at n = 300, 16 over 3 at
+// n = 30 000).
+func TestSessionWarmSSAQueryAllocations(t *testing.T) {
+	for _, n := range []int{300, 30000} {
+		g, err := stopandstare.GeneratePowerLaw(n, int64(6*n), 2.1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := stopandstare.Query{Algorithm: stopandstare.SSA, K: 20, Epsilon: 0.3}
+		checkpoints := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := sess.Maximize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpoints = res.Iterations
+		})
+		const c = 10
+		if ceiling := checkpoints + c + 8; allocs > float64(ceiling) {
+			t.Fatalf("n=%d: a warm SSA query made %.0f allocations over %d checkpoints, want ≤ %d",
+				n, allocs, checkpoints, ceiling)
+		}
+		t.Logf("n=%d: %.0f allocations, %d checkpoints", n, allocs, checkpoints)
+	}
+}
+
 // TestSessionPlanCompiledOnce pins the acceptance invariant: any number of
 // sessions, samplers and one-shot runs on one (graph, model) compile the
 // sampling plan exactly once, process-wide.
