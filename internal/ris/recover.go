@@ -10,11 +10,13 @@ import (
 	"stopandstare/internal/graph"
 )
 
-// This file is the read half of the durability subsystem: ris.Recover maps a
-// committed snapshot read-only, verifies every block's CRC32C, and rebuilds
-// a Store whose arena extents and CSR index blocks alias the mapping — the
-// same fault-in path spilled blocks use, so a recovered store starts near
-// zero-resident and serves bit-identical answers immediately.
+// This file is the read half of the durability subsystem: ris.Recover opens
+// a committed snapshot as a blockFile, verifies every block's CRC32C, and
+// rebuilds a Store whose arena extents and CSR index blocks alias the
+// snapshot's mappings through mapBlock — the very path a spilled unit takes,
+// so a recovered store starts near zero-resident and serves bit-identical
+// answers immediately. Recovery is opening a block file this process did
+// not write.
 //
 // Corruption degrades gracefully instead of failing the store: a bad arena
 // or table block discards the stream suffix from the first unrecoverable RR
@@ -37,24 +39,16 @@ type RecoveryInfo struct {
 	Resampled int
 	// RebuiltIndexBlocks counts CSR index blocks rebuilt from the arena.
 	RebuiltIndexBlocks int
-	// SnapshotBytes is the mapped snapshot file's size.
+	// SnapshotBytes is the recovered snapshot file's size.
 	SnapshotBytes int64
 	// Generation is the recovered snapshot's generation number.
 	Generation uint64
 }
 
-// snapFile is an open, read-only mapped snapshot. The store recovered from
-// it holds a reference so the mapping outlives every aliasing slice; the
-// finalizer releases it when the store becomes unreachable (stores have no
-// Close — the SpillFile discipline).
-type snapFile struct {
-	f    *os.File
-	path string
-	size int64
-	m    *spillMapping
-}
-
-func openSnapFile(path string) (*snapFile, error) {
+// openSnapshot opens a committed snapshot file read-only for mapBlock. The
+// store recovered from it holds it, so its mappings outlive every aliasing
+// slice; the finalizer closes it once that store is unreachable.
+func openSnapshot(path string) (*blockFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -69,60 +63,25 @@ func openSnapFile(path string) (*snapFile, error) {
 		f.Close()
 		return nil, err
 	}
-	size := fi.Size()
-	if size < blockHdrSize {
-		f.Close()
-		return nil, &SnapshotCorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes", size)}
+	bf := &blockFile{path: path, f: f, size: fi.Size()}
+	runtime.SetFinalizer(bf, (*blockFile).close)
+	return bf, nil
+}
+
+// metaBlock maps the leading meta block of the given kind — its length is
+// not known in advance, so it is read from the header first — and returns
+// its payload and the offset of the first data block.
+func metaBlock(bf *blockFile, kind byte) ([]byte, int64, error) {
+	var hdr [blockHdrSize]byte
+	if _, err := bf.f.ReadAt(hdr[:], 0); err != nil {
+		return nil, 0, &SnapshotCorruptError{Path: bf.path, Reason: "meta block header: " + err.Error()}
 	}
-	m, err := mapSpillBlock(f, 0, size)
+	plen := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	payload, err := bf.mapBlock(0, kind, plen)
 	if err != nil {
-		f.Close()
-		return nil, &SnapshotCorruptError{Path: path, Reason: err.Error()}
+		return nil, 0, &SnapshotCorruptError{Path: bf.path, Reason: "meta block: " + err.Error()}
 	}
-	sf := &snapFile{f: f, path: path, size: size, m: m}
-	runtime.SetFinalizer(sf, func(sf *snapFile) { sf.close() })
-	return sf, nil
-}
-
-func (sf *snapFile) close() {
-	runtime.SetFinalizer(sf, nil)
-	if sf.m != nil {
-		sf.m.release()
-		sf.m = nil
-	}
-	if sf.f != nil {
-		sf.f.Close()
-		sf.f = nil
-	}
-}
-
-// blockPayload returns the validated payload of the block expected at off,
-// aliasing the mapping, or nil if any check fails. Recovery treats nil as
-// "this unit is gone", never as a store-level error.
-func (sf *snapFile) blockPayload(off int64, kind byte, plen int64) []byte {
-	payload, err := blockPayload(sf.m.data, off, snapMagic, kind, plen)
-	if err != nil {
-		return nil
-	}
-	return payload
-}
-
-// metaPayload validates the leading meta block of the given kind — its
-// length is not known in advance, so it is read from the header first — and
-// returns its payload and the offset of the first data block.
-func (sf *snapFile) metaPayload(kind byte) ([]byte, int64, error) {
-	plen := int64(binary.LittleEndian.Uint64(sf.m.data[8:]))
-	payload, err := blockPayload(sf.m.data, 0, snapMagic, kind, plen)
-	if err != nil {
-		return nil, 0, &SnapshotCorruptError{Path: sf.path, Reason: "meta block: " + err.Error()}
-	}
-	return payload, snapAdvance(0, plen), nil
-}
-
-// snapAdvance returns the offset of the block after one at off with the
-// given payload length.
-func snapAdvance(off, plen int64) int64 {
-	return off + blockHdrSize + snapAlignUp(plen)
+	return payload, nextBlock(0, plen), nil
 }
 
 // Decoded meta-block mirror of the encode side.
@@ -254,6 +213,11 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 	}
 	S := md.shards
 	nep := int(r.u32())
+	// An epoch is 16·(S+1)+8 bytes, so the payload bounds the count before
+	// any bounds table is allocated.
+	if nep > r.remaining()/(16*S+24) {
+		return nil, corrupt("meta declares %d epochs in %d bytes", nep, r.remaining())
+	}
 	for i := 0; i < nep && r.err == nil; i++ {
 		e := genEpoch{
 			from:   int(r.u64()),
@@ -349,14 +313,16 @@ type segRestore struct {
 	badFrom int
 }
 
-// readSegBlocks walks one segment's blocks starting at off, validating each
-// against the meta descriptor, and returns the restore plan plus the offset
-// of the next segment's blocks. Block positions depend only on the meta, so
-// one corrupt payload never desynchronizes the walk.
-func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64) {
+// readSegBlocks walks one segment's blocks starting at off, mapping and
+// validating each against the meta descriptor, and returns the restore plan
+// plus the offset of the next segment's blocks. A block that fails
+// validation maps to nil: that unit is gone, never a store-level error.
+// Block positions depend only on the meta, so one corrupt payload never
+// desynchronizes the walk.
+func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) (segRestore, int64) {
 	r := segRestore{sm: sm, badFrom: sm.nsets}
 	plen := int64(sm.nsets+1) * 8
-	if p := sf.blockPayload(off, snapKindOffsets, plen); p != nil {
+	if p, _ := bf.mapBlock(off, snapKindOffsets, plen); p != nil {
 		offs := append([]int64(nil), castSlice[int64](p)...)
 		ok := offs[0] == 0
 		for i := 1; i < len(offs) && ok; i++ {
@@ -369,10 +335,10 @@ func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64)
 	if r.offsets == nil {
 		r.badFrom = 0
 	}
-	off = snapAdvance(off, plen)
+	off = nextBlock(off, plen)
 	if sm.hasGids {
 		plen = int64(sm.nsets) * 4
-		if p := sf.blockPayload(off, snapKindGids, plen); p != nil {
+		if p, _ := bf.mapBlock(off, snapKindGids, plen); p != nil {
 			gids := append([]int32(nil), castSlice[int32](p)...)
 			ok := true
 			for i := 1; i < len(gids) && ok; i++ {
@@ -385,12 +351,12 @@ func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64)
 		if r.gids == nil {
 			r.badFrom = 0
 		}
-		off = snapAdvance(off, plen)
+		off = nextBlock(off, plen)
 	}
 	for _, x := range sm.exts {
 		plen = x.items * 4
-		p := sf.blockPayload(off, snapKindArena, plen)
-		off = snapAdvance(off, plen)
+		p, _ := bf.mapBlock(off, snapKindArena, plen)
+		off = nextBlock(off, plen)
 		if p != nil && r.offsets != nil && r.offsets[x.setTo]-r.offsets[x.setFrom] != x.items {
 			p = nil // meta and offset table disagree; the extent is unusable
 		}
@@ -402,8 +368,8 @@ func readSegBlocks(sf *snapFile, sm *snapSegMeta, off int64) (segRestore, int64)
 	good := true
 	for _, b := range sm.blks {
 		plen = int64(b.nStarts+b.nIds) * 4
-		p := sf.blockPayload(off, snapKindIndex, plen)
-		off = snapAdvance(off, plen)
+		p, _ := bf.mapBlock(off, snapKindIndex, plen)
+		off = nextBlock(off, plen)
 		if good && p != nil {
 			all := castSlice[int32](p)
 			if int(all[b.nStarts-1]) == b.nIds {
@@ -429,13 +395,13 @@ func gidOfLocalZero(epochs []genEpoch, s int) int {
 }
 
 // restoreSegment populates sg from the restore plan, truncated to its first
-// c local sets. Extents and index blocks alias the snapshot mapping (their
-// mapped/spilled fields carry it), so they are excluded from resident
-// accounting and from spill eviction exactly like spilled units; the tail
-// restarts empty, so growth appends normally. keepIndex is false for remote
-// mirror segments (their CSR blocks live worker-side). Returns the number of
-// index blocks rebuilt from the arena.
-func restoreSegment(sg *segment, r *segRestore, c int, sf *snapFile, g *graph.Graph, keepIndex bool) int {
+// c local sets. Extents and index blocks alias the snapshot's mappings
+// (marked mapped), so they are excluded from resident accounting and from
+// spill eviction exactly like spilled units; the tail restarts empty, so
+// growth appends normally. keepIndex is false for remote mirror segments
+// (their CSR blocks live worker-side). Returns the number of index blocks
+// rebuilt from the arena.
+func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex bool) int {
 	if c <= 0 {
 		return 0
 	}
@@ -454,7 +420,7 @@ func restoreSegment(sg *segment, r *segRestore, c int, sf *snapFile, g *graph.Gr
 		sg.exts = append(sg.exts, arenaExtent{
 			setFrom: x.setFrom, setTo: setTo,
 			base: sg.offsets[x.setFrom], end: sg.offsets[setTo],
-			data: castSlice[uint32](r.arenas[ei]), mapped: sf.m,
+			data: castSlice[uint32](r.arenas[ei]), mapped: true,
 		})
 	}
 	sg.tailSet = c
@@ -489,7 +455,7 @@ func restoreSegment(sg *segment, r *segRestore, c int, sf *snapFile, g *graph.Gr
 		sg.blocks = append(sg.blocks, csrBlock{
 			from: sg.gid(bm.lfrom), to: sg.gid(bm.lto-1) + 1,
 			lfrom: bm.lfrom, lto: bm.lto,
-			starts: starts, ids: ids, spilled: sf.m,
+			starts: starts, ids: ids, mapped: true,
 		})
 		lcov = bm.lto
 	}
@@ -549,23 +515,22 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 		return nil, nil, err
 	}
 	path := filepath.Join(dir, man.Snapshot)
-	sf, err := openSnapFile(path)
+	bf, err := openSnapshot(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	md, off, err := readStoreMeta(sf)
-	if err != nil {
-		sf.close()
-		return nil, nil, err
+	md, off, err := readStoreMeta(bf)
+	if err == nil {
+		err = validateMeta(md, s, seed, opt)
 	}
-	if err := validateMeta(md, s, seed, opt); err != nil {
-		sf.close()
+	if err != nil {
+		bf.close()
 		return nil, nil, err
 	}
 
 	restores := make([]segRestore, len(md.segs))
 	for i := range md.segs {
-		restores[i], off = readSegBlocks(sf, &md.segs[i], off)
+		restores[i], off = readSegBlocks(bf, &md.segs[i], off)
 	}
 
 	// Global cutoff: the stream must stay a prefix of (seed, i), so the
@@ -628,15 +593,15 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	st := newStore(s, seed, opt)
 	info := &RecoveryInfo{
 		Discarded:     md.length - cutoff,
-		SnapshotBytes: sf.size,
+		SnapshotBytes: bf.size,
 		Generation:    man.Generation,
 	}
 	for i := range st.segs {
-		info.RebuiltIndexBlocks += restoreSegment(st.segs[i], &restores[i], cs[i], sf, s.g, st.remotes == nil)
+		info.RebuiltIndexBlocks += restoreSegment(st.segs[i], &restores[i], cs[i], s.g, st.remotes == nil)
 	}
 	st.epochs = epochs
 	st.length = cutoff
-	st.snap = sf
+	st.snap = bf
 	for i, rs := range st.remotes {
 		rs.key = md.keys[i]
 		rs.nonce = md.nonces[i]
@@ -664,12 +629,12 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 
 // readStoreMeta validates and decodes the leading meta block, returning the
 // decoded meta and the offset of the first data block.
-func readStoreMeta(sf *snapFile) (*snapMetaD, int64, error) {
-	payload, off, err := sf.metaPayload(snapKindMeta)
+func readStoreMeta(bf *blockFile) (*snapMetaD, int64, error) {
+	payload, off, err := metaBlock(bf, snapKindMeta)
 	if err != nil {
 		return nil, 0, err
 	}
-	md, err := decodeStoreMeta(payload, sf.path)
+	md, err := decodeStoreMeta(payload, bf.path)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -52,8 +52,8 @@ type csrBlock struct {
 	starts     []int32 // len = NumNodes+1; block-local offsets into ids
 	ids        []int32 // global RR-set ids, ascending within each node's run
 
-	spilled *spillMapping // non-nil ⇒ starts/ids alias the spill file
-	lastUse uint64        // spill-LRU recency; read/written atomically
+	mapped  bool   // starts/ids alias a block-file mapping (spill or snapshot)
+	lastUse uint64 // spill-LRU recency; read/written atomically
 }
 
 // segment is one arena + CSR index over a sub-stream of RR sets. It is not
@@ -78,15 +78,15 @@ type segment struct {
 
 // arenaExtent is a frozen, immutable slice of the arena: local sets
 // [setFrom, setTo) whose items span absolute offsets [base, end). data is
-// either the original heap slice (resident) or an alias of the spill file's
-// shared mapping (mapped != nil). Extents are created by seal() only under
+// either the original heap slice (resident) or an alias of a block-file
+// mapping — the spill file's, or a recovered snapshot's (mapped). Extents are created by seal() only under
 // spill pressure, so the unspilled single-slice fast path is untouched
 // when spilling is off.
 type arenaExtent struct {
 	setFrom, setTo int
 	base, end      int64
 	data           []uint32
-	mapped         *spillMapping
+	mapped         bool
 	lastUse        uint64 // spill-LRU recency; read/written atomically
 }
 
@@ -123,7 +123,7 @@ func (sg *segment) extentAt(i int) *arenaExtent {
 		}
 	}
 	e := &sg.exts[lo]
-	if e.mapped == nil && sg.spill != nil {
+	if !e.mapped && sg.spill != nil {
 		atomic.StoreUint64(&e.lastUse, sg.spill.tick())
 	}
 	return e
@@ -173,7 +173,7 @@ func (sg *segment) gid(i int) int {
 // offset/gid/cursor tables, resident extents and index blocks, plus the
 // per-block and per-extent metadata records themselves (capacities, since
 // grown backing arrays are what the process actually retains). Units that
-// alias the spill file's mapping are excluded — spilledBytes counts those.
+// alias a block-file mapping are excluded — spilledBytes counts those.
 func (sg *segment) residentBytes() int64 {
 	b := int64(cap(sg.buf))*4 + int64(cap(sg.offsets))*8 +
 		int64(cap(sg.gids))*4 + int64(cap(sg.cursor))*4 +
@@ -181,35 +181,35 @@ func (sg *segment) residentBytes() int64 {
 		int64(cap(sg.exts))*int64(unsafe.Sizeof(arenaExtent{}))
 	for i := range sg.blocks {
 		blk := &sg.blocks[i]
-		if blk.spilled == nil || spillMappedResident {
+		if !blk.mapped || mappedResident {
 			b += int64(cap(blk.starts))*4 + int64(cap(blk.ids))*4
 		}
 	}
 	for i := range sg.exts {
 		e := &sg.exts[i]
-		if e.mapped == nil || spillMappedResident {
+		if !e.mapped || mappedResident {
 			b += int64(cap(e.data)) * 4
 		}
 	}
 	return b
 }
 
-// spilledBytes reports the RR data aliasing the spill file's shared mapping
+// spilledBytes reports the RR data aliasing a block-file mapping
 // (zero on platforms whose fallback keeps "mapped" payloads on the heap).
 func (sg *segment) spilledBytes() int64 {
-	if spillMappedResident {
+	if mappedResident {
 		return 0
 	}
 	var b int64
 	for i := range sg.blocks {
 		blk := &sg.blocks[i]
-		if blk.spilled != nil {
+		if blk.mapped {
 			b += int64(len(blk.starts))*4 + int64(len(blk.ids))*4
 		}
 	}
 	for i := range sg.exts {
 		e := &sg.exts[i]
-		if e.mapped != nil {
+		if e.mapped {
 			b += int64(len(e.data)) * 4
 		}
 	}
@@ -330,7 +330,7 @@ func (sg *segment) appendIndexBlock(from, to, workers int) {
 		last := &sg.blocks[len(sg.blocks)-1]
 		// Spilled blocks are immutable, and blocks over frozen extents are
 		// outside the tail a rebuild would slice — merging stops at either.
-		if last.spilled != nil || last.lfrom < sg.tailSet || len(last.ids) > newItems {
+		if last.mapped || last.lfrom < sg.tailSet || len(last.ids) > newItems {
 			break
 		}
 		newItems += len(last.ids)
@@ -500,7 +500,7 @@ func (p *Postings) Next() ([]int32, bool) {
 			if b.to <= p.from {
 				continue
 			}
-			if p.sp != nil && b.spilled == nil {
+			if p.sp != nil && !b.mapped {
 				atomic.StoreUint64(&b.lastUse, p.sp.tick())
 			}
 			run := b.ids[b.starts[p.v]:b.starts[p.v+1]]

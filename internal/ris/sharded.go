@@ -56,7 +56,7 @@ type ShardedCollection struct {
 
 	covMark epoch.Marks // visited ids for CoverageRangeSeeds, grows to Len()
 
-	snap *snapFile // recovered-from snapshot; keeps its mapping alive
+	snap *blockFile // recovered-from snapshot; keeps its mappings alive
 }
 
 // genEpoch records how one growth call's global id range [from, to) was

@@ -54,7 +54,7 @@ type ShardServer struct {
 	max      int
 	spill    *spillState // shared across all resident shards; nil ⇒ disabled
 	stateDir string      // "" ⇒ no shard-state durability
-	snap     *snapFile   // recovered-from snapshot; keeps its mapping alive
+	snap     *blockFile  // recovered-from snapshot; keeps its mappings alive
 
 	mu        sync.Mutex
 	shards    map[string]*workerShard

@@ -17,17 +17,13 @@ import (
 // This file is the durable half of the RR-set store: a versioned on-disk
 // snapshot format plus the atomic manifest protocol that commits it.
 //
-// A snapshot is a sequence of 64-byte-aligned blocks in the spill file's
-// block format (blockfile.go): a 64-byte header (magic, kind, payload
-// length, CRC32C) followed by the payload, padded to the next 64-byte
-// boundary. The first block is the store meta — seed, model, a reserved
-// zero byte, shard topology, epoch table and per-segment descriptors — and
-// the rest are the raw offset tables, gid tables, arena extents and CSR
-// index blocks, in the order the meta declares them. Payloads are host-order
-// images (like the spill file, the snapshot is per-host state, not an
-// interchange format), so recovery maps the file read-only and casts the
-// arena and index payloads in place: a warm restart costs one sequential
-// checksum pass, not a resample.
+// A snapshot is a blockFile (blockfile.go): a meta block — seed, model, a
+// reserved zero byte, shard topology, epoch table and per-segment
+// descriptors — followed by every segment's offset table, gid table, arena
+// extents and CSR index blocks, in the order the meta declares them. Arena
+// and index blocks are the very blocks a spill file holds, so recovery
+// aliases them through mapBlock exactly as a spilled unit is aliased: a
+// warm restart costs one sequential checksum pass, not a resample.
 //
 // Commit protocol: write snapshot-<gen>.rrsnap → fsync file → fsync dir →
 // write manifest.json.tmp → fsync → rename over manifest.json → fsync dir.
@@ -44,33 +40,13 @@ import (
 // discarded and resampled deterministically from the (seed, i) streams,
 // which reproduces it bit-identically.
 
-const (
-	// snapMagic is "RRSN" read as a little-endian uint32.
-	snapMagic = 0x4E535252
-	// snapAlign is the block alignment granularity.
-	snapAlign = 64
-	// snapVersion is the snapshot format version (manifest and meta block).
-	snapVersion = 1
-)
-
-// Snapshot block kinds (header byte 4).
-const (
-	snapKindMeta    byte = 10 // store meta (wbuf-encoded)
-	snapKindOffsets byte = 11 // segment offset table: []int64 image
-	snapKindGids    byte = 12 // segment gid table: []int32 image
-	snapKindArena   byte = 13 // arena extent items: []uint32 image
-	snapKindIndex   byte = 14 // CSR index block: []int32 starts ++ []int32 ids
-	snapKindWorker  byte = 15 // worker-shard meta (imworker state snapshots)
-)
+// snapVersion is the snapshot format version (manifest and meta block).
+const snapVersion = 1
 
 const (
 	manifestName = "manifest.json"
 	snapSuffix   = ".rrsnap"
 )
-
-var snapZeros [snapAlign]byte
-
-func snapAlignUp(v int64) int64 { return (v + snapAlign - 1) &^ (snapAlign - 1) }
 
 // ErrNoSnapshot reports that a state directory holds no committed snapshot
 // (no manifest). Callers start cold; this is the expected first-boot path.
@@ -197,37 +173,6 @@ func ReadSnapshotInfo(dir string) (SnapshotInfo, error) {
 	}, nil
 }
 
-// snapWriter appends blocks to a SnapshotFile, tracking offset and the first
-// error (after which writes become no-ops, like rbuf's sticky error).
-type snapWriter struct {
-	f   SnapshotFile
-	off int64
-	err error
-}
-
-func (sw *snapWriter) write(p []byte) {
-	if sw.err != nil || len(p) == 0 {
-		return
-	}
-	if _, err := sw.f.Write(p); err != nil {
-		sw.err = err
-		return
-	}
-	sw.off += int64(len(p))
-}
-
-// block appends one header + payload-parts block, padded to snapAlign.
-func (sw *snapWriter) block(kind byte, parts ...[]byte) {
-	hdr, plen := blockHeader(snapMagic, kind, parts)
-	sw.write(hdr[:])
-	for _, p := range parts {
-		sw.write(p)
-	}
-	if pad := snapAlignUp(plen) - plen; pad > 0 {
-		sw.write(snapZeros[:pad])
-	}
-}
-
 // storeMeta is everything the meta block carries besides the per-segment
 // descriptors: the identity a recovery must match and the tables that cannot
 // be derived from the segments alone.
@@ -335,19 +280,20 @@ func encodeSegMeta(w *wbuf, sg *segment) {
 
 // writeSegBlocks appends one segment's data blocks in the order its
 // descriptor declares: offsets, gids (segments with a gid table), arena
-// extents, CSR index blocks.
-func writeSegBlocks(sw *snapWriter, sg *segment) {
+// extents, CSR index blocks. Append errors are sticky, so the caller checks
+// bf.err once after the last block.
+func writeSegBlocks(bf *blockFile, sg *segment) {
 	ns := sg.nsets()
-	sw.block(snapKindOffsets, rawBytes(sg.offsets[:ns+1]))
+	bf.append(snapKindOffsets, rawBytes(sg.offsets[:ns+1]))
 	if sg.gids != nil {
-		sw.block(snapKindGids, rawBytes(sg.gids[:ns]))
+		bf.append(snapKindGids, rawBytes(sg.gids[:ns]))
 	}
 	for _, x := range persistExtents(sg) {
-		sw.block(snapKindArena, rawBytes(x.data))
+		bf.append(snapKindArena, rawBytes(x.data))
 	}
 	for i := range sg.blocks {
 		b := &sg.blocks[i]
-		sw.block(snapKindIndex, rawBytes(b.starts), rawBytes(b.ids))
+		bf.append(snapKindIndex, rawBytes(b.starts), rawBytes(b.ids))
 	}
 }
 
@@ -445,32 +391,36 @@ func persistSnapshot(dir string, fs SnapshotFS, metaKind byte, meta []byte, segs
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("ris: snapshot create %s: %w", path, err)
 	}
-	sw := &snapWriter{f: f}
-	sw.block(metaKind, meta)
+	bf := &blockFile{path: path, w: f}
+	bf.append(metaKind, meta)
 	for _, sg := range segs {
-		writeSegBlocks(sw, sg)
+		writeSegBlocks(bf, sg)
 	}
-	if sw.err == nil {
-		sw.err = f.Sync()
+	err = bf.err
+	if err == nil {
+		err = f.Sync()
 	}
-	if cerr := f.Close(); sw.err == nil {
-		sw.err = cerr
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if sw.err != nil {
-		return SnapshotInfo{}, fmt.Errorf("ris: snapshot write %s: %w", path, sw.err)
+	if err != nil {
+		return SnapshotInfo{}, fmt.Errorf("ris: snapshot write %s: %w", path, err)
 	}
 	if err := fs.SyncDir(dir); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("ris: snapshot sync %s: %w", dir, err)
 	}
 	man := snapManifest{
 		Version: snapVersion, Generation: gen, Snapshot: name,
-		Bytes: sw.off, Sets: sets, CreatedUnix: time.Now().Unix(),
+		Bytes: bf.size, Sets: sets, CreatedUnix: time.Now().Unix(),
 	}
 	if err := commitManifest(dir, fs, man); err != nil {
 		return SnapshotInfo{}, err
 	}
-	sweepStale(dir, fs, name)
-	return SnapshotInfo{Generation: gen, Path: path, Bytes: sw.off, Sets: sets}, nil
+	// Best effort: a recovered store may still be mapping an older snapshot
+	// (unlink-while-mapped is fine on unix; elsewhere the remove fails and
+	// the next sweep retries).
+	sweepDir(dir, fs.Remove, snapshotDebris(name))
+	return SnapshotInfo{Generation: gen, Path: path, Bytes: bf.size, Sets: sets}, nil
 }
 
 // commitManifest atomically replaces the committed manifest: write tmp,
@@ -504,24 +454,33 @@ func commitManifest(dir string, fs SnapshotFS, man snapManifest) error {
 	return fs.SyncDir(dir)
 }
 
-// sweepStale removes superseded snapshot files and stale manifest temp files
-// after a successful commit. Best effort: a recovered store may still be
-// mapping an older snapshot (unlink-while-mapped is fine on unix; elsewhere
-// the remove fails and the next sweep retries).
-func sweepStale(dir string, fs SnapshotFS, keep string) {
+// sweepDir removes, through remove, every file of dir that match accepts,
+// and returns the names removed. A missing dir is not an error.
+func sweepDir(dir string, remove func(string) error, match func(string) bool) ([]string, error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	var removed []string
 	for _, ent := range ents {
 		name := ent.Name()
-		if name == keep || ent.IsDir() {
-			continue
+		if !ent.IsDir() && match(name) && remove(filepath.Join(dir, name)) == nil {
+			removed = append(removed, name)
 		}
-		if strings.HasSuffix(name, ".tmp") ||
-			(strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, snapSuffix)) {
-			fs.Remove(filepath.Join(dir, name))
-		}
+	}
+	return removed, nil
+}
+
+// snapshotDebris matches the files of a state directory that the snapshot
+// keep does not need: *.tmp files from an interrupted manifest commit and
+// every other snapshot file.
+func snapshotDebris(keep string) func(string) bool {
+	return func(name string) bool {
+		return name != keep && (strings.HasSuffix(name, ".tmp") ||
+			strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, snapSuffix))
 	}
 }
 
@@ -530,31 +489,11 @@ func sweepStale(dir string, fs SnapshotFS, keep string) {
 // referenced by the committed manifest. Run at startup, before Recover.
 // Returns the removed file names.
 func CleanStateDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	keep := ""
 	if man, err := loadManifest(dir); err == nil {
 		keep = man.Snapshot
 	}
-	var removed []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || name == keep || name == manifestName {
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") ||
-			(strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, snapSuffix)) {
-			if os.Remove(filepath.Join(dir, name)) == nil {
-				removed = append(removed, name)
-			}
-		}
-	}
-	return removed, nil
+	return sweepDir(dir, os.Remove, snapshotDebris(keep))
 }
 
 // CleanSpillDir removes leftover spill files from a spill directory. Live
@@ -562,22 +501,7 @@ func CleanStateDir(dir string) ([]string, error) {
 // anything still visible is a leftover from a crash on a platform without
 // anonymous unlink. Returns the removed file names.
 func CleanSpillDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var removed []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, "rrspill-") || !strings.HasSuffix(name, ".spill") {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			removed = append(removed, name)
-		}
-	}
-	return removed, nil
+	return sweepDir(dir, os.Remove, func(name string) bool {
+		return strings.HasPrefix(name, "rrspill-") && strings.HasSuffix(name, ".spill")
+	})
 }

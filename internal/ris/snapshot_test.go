@@ -151,7 +151,7 @@ func snapBlockTable(t *testing.T, path string) []snapBlockPos {
 		}
 		plen := int64(binary.LittleEndian.Uint64(hdr[8:]))
 		out = append(out, snapBlockPos{off: off, plen: plen, kind: hdr[4]})
-		off = snapAdvance(off, plen)
+		off = nextBlock(off, plen)
 	}
 	return out
 }
@@ -709,23 +709,27 @@ func TestSpillPayloadBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
+	defer sf.close()
 	payload := make([]byte, 1000)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
+	var offs []int64
 	for i := 0; i < 2; i++ {
-		if _, err := sf.append(spillKindArena, payload); err != nil {
+		off, err := sf.append(snapKindArena, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
+		offs = append(offs, off)
 	}
-	if _, err := sf.f.WriteAt([]byte{payload[500] ^ 1}, sf.blocks[0].off+blockHdrSize+500); err != nil {
+	if _, err := sf.f.WriteAt([]byte{payload[500] ^ 1}, offs[0]+blockHdrSize+500); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sf.mapPayload(0, spillKindArena); !errors.Is(err, ErrBadSpill) {
+	plen := int64(len(payload))
+	if _, err := sf.mapBlock(offs[0], snapKindArena, plen); !errors.Is(err, ErrBadSpill) {
 		t.Fatalf("flipped payload: %v, want ErrBadSpill", err)
 	}
-	if got, err := sf.mapPayload(1, spillKindArena); err != nil || !slices.Equal(got, payload) {
+	if got, err := sf.mapBlock(offs[1], snapKindArena, plen); err != nil || !slices.Equal(got, payload) {
 		t.Fatalf("intact block: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package ris
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -10,43 +9,26 @@ import (
 
 // This file is the disk spill tier of the RR-set store: when a store is
 // built with StoreOptions.SpillBudgetBytes, cold frozen arena extents and
-// cold CSR index blocks are serialized to an append-only SpillFile and
+// cold CSR index blocks are appended to a spill file — a blockFile
+// (blockfile.go) of arena and index blocks, the layout snapshots use — and
 // immediately re-read through a shared read-only mapping, so every access
 // path (Set, ForEachSet, PostingsRange, the coverage walks) keeps working on
 // the exact same slices-of-block layout — "fault-in" is the OS paging the
-// bytes back through the mapping, and the page cache is the hot tier.
-//
-// Layout: blocks (see blockfile.go for the shared header codec) are appended
-// at mapping-granularity-aligned offsets, so each can be mapped on its own.
-// Payload bytes are raw host-order []uint32 / []int32 images: the file is
-// process-private scratch (created in SpillDir, never an interchange
-// format), so casting them back in the same process is endian-agnostic.
+// bytes back through the mapping, and the page cache is the hot tier. The
+// file is process-private scratch, created in SpillDir and unlinked at
+// creation where the OS allows it, so a crash leaks nothing.
 //
 // Concurrency: spilling happens only under the store's mutation exclusivity
 // (the same discipline as growth — the session layer holds its write lock
 // across both), and a mapping, once created, is never released until the
-// whole SpillFile closes. Concurrent readers therefore never observe a unit
+// whole file closes. Concurrent readers therefore never observe a unit
 // mid-move and can never fault on an unmapped page. LRU recency stamps are
 // the single spill-tier field readers touch, and they are atomic.
 
-// spillMagic is "SPIL" read as a little-endian uint32.
-const spillMagic = 0x4C495053
-
-// Spill block kinds (header byte 4).
-const (
-	spillKindArena byte = 1 // frozen arena extent: []uint32 items
-	spillKindIndex byte = 2 // CSR index block: []int32 starts ++ []int32 ids
-)
-
-// ErrBadSpill reports a structurally invalid spill block: bad magic, kind or
-// length in the header, or a file too short to hold the recorded payload.
-// Mirrors graph.ErrBadMapped for .sasg files.
-var ErrBadSpill = errors.New("ris: bad spill block")
-
-// SpillWriteError reports a failed spill-file create, append or truncate
-// (disk full, I/O error). The store that hit it stays consistent and fully
-// resident: the unit being spilled keeps its heap copy and the store stops
-// spilling (SpillStats.Err surfaces the cause).
+// SpillWriteError reports a failed spill-file create or append (disk full,
+// I/O error). The store that hit it stays consistent and fully resident:
+// the unit being spilled keeps its heap copy and the store stops spilling
+// (SpillStats.Err surfaces the cause).
 type SpillWriteError struct {
 	Path string
 	Err  error
@@ -58,125 +40,18 @@ func (e *SpillWriteError) Error() string {
 
 func (e *SpillWriteError) Unwrap() error { return e.Err }
 
-// spillBlockMeta is the in-memory record of one appended block, validated
-// against the block's on-disk header on every map.
-type spillBlockMeta struct {
-	off    int64 // aligned file offset of the 64-byte header
-	length int64 // payload bytes following the header
-	kind   byte
-}
-
-// SpillFile is an append-only file of spill blocks plus the read-only
-// mappings handed out over them. It is created lazily on the first spill,
-// unlinked immediately where the OS allows it (crash leaks nothing), and
-// finalized when the owning store becomes unreachable — stores have no Close
-// in their lifecycle, eviction just drops references.
-type SpillFile struct {
-	f       *os.File
-	path    string
-	removed bool
-	align   int64 // block offset granularity: max(page size, 64)
-	size    int64 // file size == next aligned append offset
-	blocks  []spillBlockMeta
-	maps    []*spillMapping
-
-	// writeAt is the append write path; tests inject failures here.
-	writeAt func(p []byte, off int64) (int, error)
-}
-
-func newSpillFile(dir string) (*SpillFile, error) {
+// newSpillFile creates an empty spill file in dir. Stores have no Close in
+// their lifecycle (eviction just drops references), so the file is closed
+// by its finalizer once the owning store becomes unreachable.
+func newSpillFile(dir string) (*blockFile, error) {
 	f, err := os.CreateTemp(dir, "rrspill-*.spill")
 	if err != nil {
 		return nil, &SpillWriteError{Path: dir, Err: err}
 	}
-	sf := &SpillFile{f: f, path: f.Name(), align: max(int64(os.Getpagesize()), blockHdrSize)}
-	sf.writeAt = f.WriteAt
-	if runtime.GOOS != "windows" {
-		if os.Remove(sf.path) == nil {
-			sf.removed = true
-		}
-	}
-	runtime.SetFinalizer(sf, func(sf *SpillFile) { sf.Close() })
-	return sf, nil
-}
-
-// append writes one block (header + concatenated parts) at the next aligned
-// offset and returns its id. The file is extended to the next alignment
-// boundary so every byte of a future mapping is file-backed. On error
-// nothing is recorded and the file is reused at the same offset.
-func (sf *SpillFile) append(kind byte, parts ...[]byte) (int, error) {
-	off := sf.size
-	hdr, plen := blockHeader(spillMagic, kind, parts)
-	if _, err := sf.writeAt(hdr[:], off); err != nil {
-		return 0, &SpillWriteError{Path: sf.path, Err: err}
-	}
-	pos := off + blockHdrSize
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if _, err := sf.writeAt(p, pos); err != nil {
-			return 0, &SpillWriteError{Path: sf.path, Err: err}
-		}
-		pos += int64(len(p))
-	}
-	end := (pos + sf.align - 1) / sf.align * sf.align
-	if err := sf.f.Truncate(end); err != nil {
-		return 0, &SpillWriteError{Path: sf.path, Err: err}
-	}
-	id := len(sf.blocks)
-	sf.blocks = append(sf.blocks, spillBlockMeta{off: off, length: plen, kind: kind})
-	sf.size = end
-	return id, nil
-}
-
-// mapPayload maps block id read-only and returns its payload bytes. The
-// file's size is checked before mapping (touching a mapped page past EOF
-// faults) and the mapped block is validated before it is handed out, so a
-// truncated or corrupted spill file surfaces as ErrBadSpill instead of a
-// fault. The returned slice stays valid until the SpillFile closes.
-func (sf *SpillFile) mapPayload(id int, kind byte) ([]byte, error) {
-	if id < 0 || id >= len(sf.blocks) {
-		return nil, fmt.Errorf("%w: block %d out of range (%d blocks)", ErrBadSpill, id, len(sf.blocks))
-	}
-	meta := sf.blocks[id]
-	if meta.kind != kind {
-		return nil, fmt.Errorf("%w: block %d kind %d, want %d", ErrBadSpill, id, meta.kind, kind)
-	}
-	fi, err := sf.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrBadSpill, id, err)
-	}
-	if need := meta.off + blockHdrSize + meta.length; fi.Size() < need {
-		return nil, fmt.Errorf("%w: block %d truncated: file is %d bytes, need %d", ErrBadSpill, id, fi.Size(), need)
-	}
-	m, err := mapSpillBlock(sf.f, meta.off, blockHdrSize+meta.length)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := blockPayload(m.data, 0, spillMagic, kind, meta.length)
-	if err != nil {
-		m.release()
-		return nil, fmt.Errorf("%w: block %d: %v", ErrBadSpill, id, err)
-	}
-	sf.maps = append(sf.maps, m)
-	return payload, nil
-}
-
-// Close releases every mapping and the backing file. It must only run once
-// no slice aliasing a mapping can be reached — the finalizer path, or test
-// teardown of a store that is done.
-func (sf *SpillFile) Close() error {
-	runtime.SetFinalizer(sf, nil)
-	for _, m := range sf.maps {
-		m.release()
-	}
-	sf.maps = nil
-	err := sf.f.Close()
-	if !sf.removed {
-		os.Remove(sf.path)
-	}
-	return err
+	bf := &blockFile{path: f.Name(), w: f, f: f}
+	bf.remove = runtime.GOOS == "windows" || os.Remove(bf.path) != nil
+	runtime.SetFinalizer(bf, (*blockFile).close)
+	return bf, nil
 }
 
 // spillState is the spill tier shared by every segment of one store (or
@@ -188,13 +63,9 @@ func (sf *SpillFile) Close() error {
 type spillState struct {
 	budget int64
 	dir    string
-	f      *SpillFile
+	f      *blockFile
 	clock  uint64 // atomic LRU recency source
 	err    error  // first spill failure; sticky
-
-	// testWriteAt, when set, replaces the file's append write path (disk
-	// full / I/O error injection).
-	testWriteAt func(p []byte, off int64) (int, error)
 }
 
 func newSpillState(budget int64, dir string) *spillState {
@@ -204,14 +75,11 @@ func newSpillState(budget int64, dir string) *spillState {
 // tick returns the next LRU recency stamp.
 func (sp *spillState) tick() uint64 { return atomic.AddUint64(&sp.clock, 1) }
 
-func (sp *spillState) file() (*SpillFile, error) {
+func (sp *spillState) file() (*blockFile, error) {
 	if sp.f == nil {
 		f, err := newSpillFile(sp.dir)
 		if err != nil {
 			return nil, err
-		}
-		if sp.testWriteAt != nil {
-			f.writeAt = sp.testWriteAt
 		}
 		sp.f = f
 	}
@@ -247,7 +115,7 @@ func (sp *spillState) enforce(budget int64, segs []*segment) error {
 		for _, sg := range segs {
 			for ei := range sg.exts {
 				e := &sg.exts[ei]
-				if e.mapped != nil {
+				if e.mapped {
 					continue
 				}
 				if use := atomic.LoadUint64(&e.lastUse); !found || use < oldest {
@@ -256,7 +124,7 @@ func (sp *spillState) enforce(budget int64, segs []*segment) error {
 			}
 			for bi := range sg.blocks {
 				b := &sg.blocks[bi]
-				if b.spilled != nil {
+				if b.mapped {
 					continue
 				}
 				if use := atomic.LoadUint64(&b.lastUse); !found || use < oldest {
@@ -290,54 +158,50 @@ func (sp *spillState) enforce(budget int64, segs []*segment) error {
 	}
 }
 
-// spillExtent moves one frozen arena extent's items onto the spill file,
-// re-pointing data at the shared mapping. The heap copy is only dropped
-// after the mapped bytes are in place, so failure leaves the extent
-// resident and untouched.
-func (sp *spillState) spillExtent(e *arenaExtent) error {
+// spill appends one unit's bytes to the spill file as a block of the given
+// kind and maps it back, returning the payload that replaces the unit's
+// heap copy. The heap copy is only dropped after the mapped bytes are in
+// place, so failure leaves the unit resident and untouched.
+func (sp *spillState) spill(kind byte, parts ...[]byte) ([]byte, error) {
 	f, err := sp.file()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	id, err := f.append(spillKindArena, rawBytes(e.data))
+	off, err := f.append(kind, parts...)
+	if err != nil {
+		return nil, &SpillWriteError{Path: f.path, Err: err}
+	}
+	var plen int64
+	for _, p := range parts {
+		plen += int64(len(p))
+	}
+	return f.mapBlock(off, kind, plen)
+}
+
+// spillExtent moves one frozen arena extent's items onto the spill file,
+// re-pointing data at the shared mapping.
+func (sp *spillState) spillExtent(e *arenaExtent) error {
+	payload, err := sp.spill(snapKindArena, rawBytes(e.data))
 	if err != nil {
 		return err
-	}
-	payload, err := f.mapPayload(id, spillKindArena)
-	if err != nil {
-		return err
-	}
-	if int64(len(payload)) != 4*int64(len(e.data)) {
-		return fmt.Errorf("%w: arena block %d payload %d bytes, want %d", ErrBadSpill, id, len(payload), 4*len(e.data))
 	}
 	e.data = castSlice[uint32](payload)
-	e.mapped = f.maps[len(f.maps)-1]
+	e.mapped = true
 	return nil
 }
 
 // spillBlock moves one CSR index block's starts+ids onto the spill file as a
 // single payload, re-pointing both slices at the shared mapping.
 func (sp *spillState) spillBlock(b *csrBlock) error {
-	f, err := sp.file()
-	if err != nil {
-		return err
-	}
-	id, err := f.append(spillKindIndex, rawBytes(b.starts), rawBytes(b.ids))
-	if err != nil {
-		return err
-	}
-	payload, err := f.mapPayload(id, spillKindIndex)
+	payload, err := sp.spill(snapKindIndex, rawBytes(b.starts), rawBytes(b.ids))
 	if err != nil {
 		return err
 	}
 	ns, ni := len(b.starts), len(b.ids)
-	if int64(len(payload)) != 4*int64(ns+ni) {
-		return fmt.Errorf("%w: index block %d payload %d bytes, want %d", ErrBadSpill, id, len(payload), 4*(ns+ni))
-	}
 	all := castSlice[int32](payload)
 	b.starts = all[:ns:ns]
 	b.ids = all[ns : ns+ni]
-	b.spilled = f.maps[len(f.maps)-1]
+	b.mapped = true
 	return nil
 }
 
@@ -352,7 +216,7 @@ type SpillStats struct {
 	// from the shared mapping / page cache, not from the heap).
 	SpilledBytes int64
 	// FileBytes is the spill file's on-disk size, block headers and
-	// alignment padding included.
+	// 64-byte alignment padding included.
 	FileBytes int64
 	// Blocks is the number of spill blocks written (arena + index).
 	Blocks int
@@ -371,7 +235,7 @@ func spillStatsOf(sp *spillState, segs []*segment) SpillStats {
 	}
 	if sp.f != nil {
 		st.FileBytes = sp.f.size
-		st.Blocks = len(sp.f.blocks)
+		st.Blocks = sp.f.blocks
 	}
 	if sp.err != nil {
 		st.Err = sp.err.Error()

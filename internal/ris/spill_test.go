@@ -24,14 +24,14 @@ func spilledStore(t *testing.T, s *Sampler, seed uint64, shards int, budget int6
 
 // TestSpillFileRoundTrip pins the block format end to end: payloads of
 // irregular sizes (empty, sub-header, multi-page unaligned) come back
-// bit-equal through mapPayload, block offsets stay aligned, and kind or id
-// mismatches surface as ErrBadSpill.
+// bit-equal through mapBlock, block offsets stay 64-byte aligned, and kind,
+// length or offset mismatches surface as ErrBadSpill.
 func TestSpillFileRoundTrip(t *testing.T) {
 	sf, err := newSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
+	defer sf.close()
 
 	big := make([]byte, 3*4096+7)
 	for i := range big {
@@ -45,72 +45,77 @@ func TestSpillFileRoundTrip(t *testing.T) {
 		{{7, 7}, big[:13], nil, {1}}, // many parts concatenated
 	}
 	for i, parts := range cases {
-		id, err := sf.append(spillKindArena, parts...)
+		off, err := sf.append(snapKindArena, parts...)
 		if err != nil {
 			t.Fatalf("append case %d: %v", i, err)
 		}
-		if id != i {
-			t.Fatalf("append case %d: id %d", i, id)
+		if off%blockAlign != 0 {
+			t.Fatalf("case %d: block at unaligned offset %d", i, off)
 		}
-		payload, err := sf.mapPayload(id, spillKindArena)
+		want := bytes.Join(parts, nil)
+		payload, err := sf.mapBlock(off, snapKindArena, int64(len(want)))
 		if err != nil {
 			t.Fatalf("map case %d: %v", i, err)
 		}
-		want := bytes.Join(parts, nil)
 		if !bytes.Equal(payload, want) {
 			t.Fatalf("case %d: payload %d bytes differs from written %d bytes", i, len(payload), len(want))
 		}
 	}
-	for i, m := range sf.blocks {
-		if m.off%sf.align != 0 {
-			t.Fatalf("block %d at unaligned offset %d (align %d)", i, m.off, sf.align)
-		}
+	if sf.blocks != len(cases) {
+		t.Fatalf("%d blocks counted, want %d", sf.blocks, len(cases))
 	}
-	if _, err := sf.mapPayload(0, spillKindIndex); !errors.Is(err, ErrBadSpill) {
+	if _, err := sf.mapBlock(0, snapKindIndex, 5); !errors.Is(err, ErrBadSpill) {
 		t.Fatalf("kind mismatch: %v, want ErrBadSpill", err)
 	}
-	if _, err := sf.mapPayload(len(sf.blocks), spillKindArena); !errors.Is(err, ErrBadSpill) {
-		t.Fatalf("out-of-range id: %v, want ErrBadSpill", err)
+	if _, err := sf.mapBlock(0, snapKindArena, 4); !errors.Is(err, ErrBadSpill) {
+		t.Fatalf("length mismatch: %v, want ErrBadSpill", err)
+	}
+	if _, err := sf.mapBlock(sf.size, snapKindArena, 0); !errors.Is(err, ErrBadSpill) {
+		t.Fatalf("offset past the end: %v, want ErrBadSpill", err)
 	}
 }
 
 // TestSpillFileCorruption mirrors sasg_errors_test.go for the spill tier: a
 // clobbered block header and a truncated file both surface as ErrBadSpill
-// from mapPayload, while untouched blocks keep mapping fine.
+// from mapBlock, while untouched blocks keep mapping fine.
 func TestSpillFileCorruption(t *testing.T) {
 	sf, err := newSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
+	defer sf.close()
 	payload := make([]byte, 1000)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
+	var offs []int64
 	for i := 0; i < 3; i++ {
-		if _, err := sf.append(spillKindIndex, payload); err != nil {
+		off, err := sf.append(snapKindIndex, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
+		offs = append(offs, off)
 	}
+	plen := int64(len(payload))
 
 	// Clobber block 1's magic.
-	if _, err := sf.f.WriteAt([]byte{0xde, 0xad, 0xbe, 0xef}, sf.blocks[1].off); err != nil {
+	if _, err := sf.f.WriteAt([]byte{0xde, 0xad, 0xbe, 0xef}, offs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sf.mapPayload(1, spillKindIndex); !errors.Is(err, ErrBadSpill) {
+	if _, err := sf.mapBlock(offs[1], snapKindIndex, plen); !errors.Is(err, ErrBadSpill) {
 		t.Fatalf("corrupt magic: %v, want ErrBadSpill", err)
 	}
 
 	// Truncate block 2's payload away (header survives).
-	if err := sf.f.Truncate(sf.blocks[2].off + blockHdrSize); err != nil {
+	if err := sf.f.Truncate(offs[2] + blockHdrSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sf.mapPayload(2, spillKindIndex); !errors.Is(err, ErrBadSpill) {
+	if _, err := sf.mapBlock(offs[2], snapKindIndex, plen); !errors.Is(err, ErrBadSpill) {
 		t.Fatalf("truncated payload: %v, want ErrBadSpill", err)
 	}
 
 	// Block 0 is untouched.
-	if got, err := sf.mapPayload(0, spillKindIndex); err != nil || !bytes.Equal(got, payload) {
+	if got, err := sf.mapBlock(offs[0], snapKindIndex, plen); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("intact block after corruption elsewhere: %v", err)
 	}
 }
@@ -190,7 +195,7 @@ func TestSpillEdgeCases(t *testing.T) {
 	if err := sp.enforce(0, []*segment{sg}); err != nil {
 		t.Fatal(err)
 	}
-	if sg.exts[0].mapped == nil {
+	if !sg.exts[0].mapped {
 		t.Fatal("sealed extent was not spilled")
 	}
 	want := [][]uint32{{}, {1, 2}, {}, {3}}
@@ -200,6 +205,14 @@ func TestSpillEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// fullDisk is a SnapshotFile whose every write fails with err: the disk
+// full / I/O error injection for a block file's append path.
+type fullDisk struct{ err error }
+
+func (d fullDisk) Write([]byte) (int, error) { return 0, d.err }
+func (fullDisk) Sync() error                 { return nil }
+func (fullDisk) Close() error                { return nil }
 
 // TestSpillDiskFull injects an append failure: the typed *SpillWriteError
 // is recorded and sticky, the store stops spilling but stays consistent and
@@ -214,7 +227,11 @@ func TestSpillDiskFull(t *testing.T) {
 
 	c := spilledStore(t, s, 3, 0, 1).(*ShardedCollection)
 	diskFull := errors.New("no space left on device")
-	c.spill.testWriteAt = func(p []byte, off int64) (int, error) { return 0, diskFull }
+	f, err := c.spill.file()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.w = fullDisk{diskFull}
 	c.GenerateTo(400) // growth crosses the 1-byte budget; the spill attempt fails
 
 	var we *SpillWriteError
@@ -267,7 +284,7 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatalf("file accounting misses header/padding overhead: %+v", stats)
 	}
 	// The spilled session stats split must agree with the store.
-	if spillMappedResident {
+	if mappedResident {
 		if stats.SpilledBytes != 0 {
 			t.Fatalf("fallback platform reported %d spilled bytes", stats.SpilledBytes)
 		}
@@ -277,7 +294,7 @@ func TestSpillAccounting(t *testing.T) {
 
 	// The point of tiering: a budget of a tenth of the unspilled footprint
 	// (~90% of the bytes on disk) leaves at most half of them resident.
-	if !spillMappedResident {
+	if !mappedResident {
 		flat := spilledStore(t, s, 17, 0, 1<<40)
 		flat.GenerateTo(900)
 		tight := spilledStore(t, s, 17, 0, flat.Bytes()/10)

@@ -11,8 +11,8 @@ import (
 
 // Worker shard-state snapshots: a ShardServer configured with a StateDir
 // persists every resident shard — key, nonce, spec, and the shard's segment
-// — using the same block format, checksums, and atomic manifest protocol as
-// store snapshots (snapshot.go). A restarted worker recovers its shards from
+// — as a block file with the same blocks, checksums and atomic manifest
+// protocol as store snapshots (snapshot.go), under a worker meta block. A restarted worker recovers its shards from
 // the snapshot; a coordinator that re-opens a shard under its persisted
 // (key, nonce) then finds the worker's state already grown to the snapshot
 // point and replays only the missing suffix, instead of regenerating the
@@ -102,8 +102,12 @@ func decodeWorkerMeta(payload []byte, path string, n int) ([]workerShardMeta, er
 	if gn := r.u64(); gn != uint64(n) {
 		return nil, &SnapshotMismatchError{Reason: fmt.Sprintf("snapshot graph has %d nodes, worker has %d", gn, n)}
 	}
+	// A shard record is at least a key length, a nonce, a spec without
+	// weights and a segment without extents or blocks, so the payload bounds
+	// the count before anything is allocated for it.
+	const minRecord = 4 + 8 + 22 + 25
 	count := int(r.u32())
-	if r.err != nil || count < 0 || count > 1<<20 {
+	if r.err != nil || count < 0 || count > r.remaining()/minRecord {
 		return nil, &SnapshotCorruptError{Path: path, Reason: "bad worker meta header"}
 	}
 	out := make([]workerShardMeta, 0, count)
@@ -161,18 +165,18 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 		}
 		return 0, err
 	}
-	sf, err := openSnapFile(filepath.Join(dir, man.Snapshot))
+	bf, err := openSnapshot(filepath.Join(dir, man.Snapshot))
 	if err != nil {
 		return 0, err
 	}
-	payload, off, err := sf.metaPayload(snapKindWorker)
+	payload, off, err := metaBlock(bf, snapKindWorker)
 	if err != nil {
-		sf.close()
+		bf.close()
 		return 0, err
 	}
-	metas, err := decodeWorkerMeta(payload, sf.path, s.g.NumNodes())
+	metas, err := decodeWorkerMeta(payload, bf.path, s.g.NumNodes())
 	if err != nil {
-		sf.close()
+		bf.close()
 		return 0, err
 	}
 
@@ -180,7 +184,7 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 	for i := range metas {
 		wm := &metas[i]
 		var r segRestore
-		r, off = readSegBlocks(sf, &wm.sm, off)
+		r, off = readSegBlocks(bf, &wm.sm, off)
 		if int(wm.spec.n) != s.g.NumNodes() {
 			continue
 		}
@@ -197,7 +201,7 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 		seg.spill = s.spill
 		// The local cutoff is the first unrestorable local set: the worker
 		// keeps its good prefix and the coordinator replays the rest.
-		restoreSegment(seg, &r, r.badFrom, sf, s.g, true)
+		restoreSegment(seg, &r, r.badFrom, s.g, true)
 		s.mu.Lock()
 		s.clock++
 		s.shards[wm.key] = &workerShard{
@@ -209,9 +213,9 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 		restored++
 	}
 	if restored == 0 {
-		sf.close()
+		bf.close()
 		return 0, nil
 	}
-	s.snap = sf
+	s.snap = bf
 	return restored, nil
 }
