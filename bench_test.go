@@ -1,5 +1,5 @@
 // Package-level benchmarks: one testing.B benchmark per table and figure of
-// the paper's evaluation (§7), as indexed in DESIGN.md §5. Each benchmark
+// the paper's evaluation (§7), as registered in internal/bench. Each benchmark
 // executes the registered harness experiment in Quick mode (reduced dataset
 // scale and k sweep) so `go test -bench=. -benchmem` regenerates every
 // artifact's shape in minutes; `cmd/imbench` runs the full-scale versions.

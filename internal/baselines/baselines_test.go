@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"stopandstare/internal/core"
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
@@ -93,45 +92,6 @@ func TestTIMAndTIMPlus(t *testing.T) {
 	// TIM+ refinement can only raise KPT, hence needs no more samples.
 	if timp.TotalSamples > tim.TotalSamples {
 		t.Fatalf("TIM+ used more final samples than TIM: %d vs %d", timp.TotalSamples, tim.TotalSamples)
-	}
-}
-
-func TestSSAFewerSamplesThanIMMAndTIM(t *testing.T) {
-	// The headline shape of the paper: SSA/D-SSA ≪ IMM ≤ TIM+ in samples.
-	g := midGraph(t, 4000, 20000, 17)
-	s := sampler(t, g, diffusion.LT)
-	opts := Options{K: 50, Epsilon: 0.1, Seed: 19, Workers: 2}
-	imm, err := IMM(s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timp, err := TIMPlus(s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dssa, err := core.DSSA(s, core.Options{K: 50, Epsilon: 0.1, Seed: 19, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssa, err := core.SSA(s, core.Options{K: 50, Epsilon: 0.1, Seed: 19, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dssa.TotalSamples >= imm.TotalSamples {
-		t.Fatalf("D-SSA (%d) should use fewer RR sets than IMM (%d)", dssa.TotalSamples, imm.TotalSamples)
-	}
-	if ssa.TotalSamples >= imm.TotalSamples {
-		t.Fatalf("SSA (%d) should use fewer RR sets than IMM (%d)", ssa.TotalSamples, imm.TotalSamples)
-	}
-	if imm.TotalSamples > timp.TotalSamples*4 {
-		t.Fatalf("IMM (%d) and TIM+ (%d) should be within the same regime", imm.TotalSamples, timp.TotalSamples)
-	}
-	// All four must deliver comparable influence (within 10%).
-	base := imm.Influence
-	for name, inf := range map[string]float64{"ssa": ssa.Influence, "dssa": dssa.Influence, "tim+": timp.Influence} {
-		if math.Abs(inf-base) > 0.1*base {
-			t.Fatalf("%s influence %.1f deviates from IMM %.1f", name, inf, base)
-		}
 	}
 }
 
@@ -308,5 +268,19 @@ func TestTIMPlusSamplesGrowWithSmallerDelta(t *testing.T) {
 	if b.TotalSamples <= a.TotalSamples {
 		t.Fatalf("smaller delta should need more samples: %d vs %d",
 			b.TotalSamples, a.TotalSamples)
+	}
+}
+
+// TestCeilPosCapsAtMaxSets: an IMM/TIM θ past the int32 id space is capped
+// at ris.MaxSets, never passed on to wrap RR-set ids.
+func TestCeilPosCapsAtMaxSets(t *testing.T) {
+	if got := ceilPos(1e15); got > ris.MaxSets {
+		t.Fatalf("ceilPos(1e15) = %d, above ris.MaxSets = %d", got, ris.MaxSets)
+	}
+	if got := ceilPos(float64(ris.MaxSets) + 0.5); got != ris.MaxSets {
+		t.Fatalf("ceilPos just past ris.MaxSets = %d, want %d", got, ris.MaxSets)
+	}
+	if ceilPos(0.3) != 1 || ceilPos(math.NaN()) != 1 || ceilPos(41.2) != 42 {
+		t.Fatal("ceilPos below the cap must round up to a count ≥ 1")
 	}
 }

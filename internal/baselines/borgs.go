@@ -45,11 +45,11 @@ func Borgs(s *ris.Sampler, opt BorgsOptions) (*Result, error) {
 	// Generate until the width budget is exhausted (the SODA paper
 	// interleaves generation and width counting; predictive batching from
 	// the running average width preserves the stopping point to within a
-	// small batch).
+	// small batch). The stream stops at ris.MaxSets, the int32 id space.
 	batch := 256
-	for float64(col.Width()) < tau {
+	for float64(col.Width()) < tau && col.Len() < ris.MaxSets {
 		iterations++
-		col.GenerateTo(col.Len() + batch)
+		col.GenerateTo(col.Len() + min(batch, ris.MaxSets-col.Len()))
 		if col.Len() > 0 && col.Width() > 0 {
 			avg := float64(col.Width()) / float64(col.Len())
 			need := (tau - float64(col.Width())) / avg

@@ -147,15 +147,15 @@ func IMM(s *ris.Sampler, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// ceilPos converts a positive sample-count threshold θ to a count in
+// [1, ris.MaxSets]. RR-set ids are int32, so a θ past 2³¹−1 (reachable on
+// 64-bit for tiny OPT bounds) is capped instead of wrapping the ids.
 func ceilPos(x float64) int {
 	if x < 1 || math.IsNaN(x) {
 		return 1
 	}
-	// Derived from the platform int size (a fixed 1<<40 literal itself
-	// overflows int on 32-bit builds — the CI GOARCH=386 check guards this).
-	const hardCap = float64(math.MaxInt / 4)
-	if x > hardCap {
-		x = hardCap
+	if x >= ris.MaxSets {
+		return ris.MaxSets
 	}
 	return int(math.Ceil(x))
 }

@@ -1,9 +1,9 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (§7) on the synthetic dataset stand-ins.
 // Each experiment is registered by the paper artifact it reproduces
-// ("table2", "fig4", "fig8", …) and emits both a human-readable table and
-// machine-readable CSV rows, so EXPERIMENTS.md can record paper-vs-measured
-// side by side.
+// ("table2", "fig4", "fig8", …) and emits a human-readable table. Every
+// algorithm runs through the public API (stopandstare.Maximize), so the
+// harness measures the path users run.
 package bench
 
 import (
@@ -11,12 +11,10 @@ import (
 	"runtime"
 	"time"
 
-	"stopandstare/internal/baselines"
-	"stopandstare/internal/core"
+	"stopandstare"
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
-	"stopandstare/internal/ris"
 )
 
 // Config controls dataset scale and algorithm parameters for a harness run.
@@ -191,6 +189,13 @@ const (
 	AlgoRandom  AlgoID = "Random"
 )
 
+// algorithms maps each harness id onto the public API's algorithm.
+var algorithms = map[AlgoID]stopandstare.Algorithm{
+	AlgoDSSA: stopandstare.DSSA, AlgoSSA: stopandstare.SSA, AlgoIMM: stopandstare.IMM,
+	AlgoTIMPlus: stopandstare.TIMPlus, AlgoTIM: stopandstare.TIM,
+	AlgoCELFPP: stopandstare.CELFPlusPlus, AlgoDegree: stopandstare.Degree, AlgoRandom: stopandstare.Random,
+}
+
 // IMAlgos is the RIS comparison set used by the figure sweeps.
 var IMAlgos = []AlgoID{AlgoDSSA, AlgoSSA, AlgoIMM, AlgoTIMPlus, AlgoTIM}
 
@@ -207,79 +212,29 @@ type Metrics struct {
 	Memory    int64 // approximate bytes held by RR collections
 }
 
-// RunIM executes one algorithm on one dataset under one model.
+// options returns the public API's options for a run at seed budget k.
+func (c Config) options(k int) stopandstare.Options {
+	return stopandstare.Options{K: k, Epsilon: c.Epsilon, Delta: c.Delta, Seed: c.Seed,
+		Workers: c.Workers, Shards: c.Shards, ShardWorkers: c.ShardWorkers}
+}
+
+// RunIM executes one algorithm on one dataset under one model, then scores
+// its seed set by forward Monte-Carlo.
 func RunIM(d *Dataset, model diffusion.Model, algo AlgoID, k int, cfg Config) (*Metrics, error) {
 	cfg = cfg.Normalize()
-	g := d.Graph
-	m := &Metrics{Algo: algo, K: k}
-	s, err := ris.NewSampler(g, model)
+	a, ok := algorithms[algo]
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown algorithm %q", algo)
+	}
+	opt := cfg.options(k)
+	opt.MCRuns = max(cfg.MCRuns/10, 100) // CELF++'s per-candidate estimates
+	res, err := stopandstare.Maximize(d.Graph, model, a, opt)
 	if err != nil {
 		return nil, err
 	}
-	switch algo {
-	case AlgoDSSA, AlgoSSA:
-		opt := core.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers}
-		var res *core.Result
-		if algo == AlgoDSSA {
-			res, err = core.DSSA(s, opt)
-		} else {
-			res, err = core.SSA(s, opt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		m.Seeds, m.Influence, m.Elapsed = res.Seeds, res.Influence, res.Elapsed
-		m.Samples, m.Memory = res.TotalSamples, res.MemoryBytes
-	case AlgoIMM, AlgoTIM, AlgoTIMPlus:
-		opt := baselines.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers}
-		var res *baselines.Result
-		switch algo {
-		case AlgoIMM:
-			res, err = baselines.IMM(s, opt)
-		case AlgoTIM:
-			res, err = baselines.TIM(s, opt)
-		default:
-			res, err = baselines.TIMPlus(s, opt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		m.Seeds, m.Influence, m.Elapsed = res.Seeds, res.Influence, res.Elapsed
-		m.Samples, m.Memory = res.TotalSamples, res.MemoryBytes
-	case AlgoCELFPP:
-		runs := cfg.MCRuns / 10
-		if runs < 100 {
-			runs = 100
-		}
-		res, err := baselines.CELFPlusPlus(g, baselines.GreedyOptions{
-			K: k, Model: model, MCRuns: runs, Seed: cfg.Seed, Workers: cfg.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.Seeds, m.Influence, m.Elapsed = res.Seeds, res.Influence, res.Elapsed
-	case AlgoDegree:
-		start := time.Now()
-		m.Seeds, err = baselines.HighDegree(g, k)
-		if err != nil {
-			return nil, err
-		}
-		m.Elapsed = time.Since(start)
-	case AlgoRandom:
-		start := time.Now()
-		m.Seeds, err = baselines.RandomSeeds(g, k, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m.Elapsed = time.Since(start)
-	default:
-		return nil, fmt.Errorf("bench: unknown algorithm %q", algo)
-	}
-	m.Spread, m.SpreadErr, err = diffusion.Spread(g, model, m.Seeds, diffusion.SpreadOptions{
-		Runs: cfg.MCRuns, Seed: cfg.Seed + 1, Workers: cfg.Workers,
-	})
+	m := &Metrics{Algo: algo, K: k, Seeds: res.Seeds, Influence: res.InfluenceEstimate,
+		Elapsed: res.Elapsed, Samples: res.Samples, Memory: res.MemoryBytes}
+	m.Spread, m.SpreadErr, err = stopandstare.EvaluateSpread(d.Graph, model, m.Seeds, cfg.MCRuns, cfg.Seed+1, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

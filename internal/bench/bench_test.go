@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,8 +79,69 @@ func TestRunIMAllAlgos(t *testing.T) {
 	}
 }
 
+// TestRunIMSampleCountsPinned pins what imbench reports for the paper's
+// Table 3 algorithms on the quick enron preset (LT): exact RR-set counts and
+// seed sets. Counts are deterministic in the seed at any worker count, so a
+// change to the sampling stream, a stopping rule or the path RunIM takes
+// moves a number here visibly. It also pins the default-split row of the
+// ε-split ablation as imbench prints it.
+func TestRunIMSampleCountsPinned(t *testing.T) {
+	d, err := LoadDataset("enron", Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top20 := []uint32{0x2fe, 0x44f, 0xdae, 0x596, 0x2a0, 0xc71, 0x8db, 0x357, 0x6, 0x43a,
+		0xca, 0xb01, 0x8cd, 0xabc, 0x3ee, 0xc66, 0xb2c, 0xd0f, 0xc4b, 0x542}
+	for _, want := range []struct {
+		algo    AlgoID
+		k       int
+		samples int64
+		seeds   []uint32
+	}{
+		{AlgoDSSA, 1, 39952, []uint32{0x2fe}},
+		{AlgoSSA, 1, 242159, []uint32{0x2fe}},
+		{AlgoIMM, 1, 38793, []uint32{0x2fe}},
+		{AlgoDSSA, 20, 19752, top20},
+		{AlgoSSA, 20, 16080, top20},
+		{AlgoIMM, 20, 40926, []uint32{0x2fe, 0xdae, 0x44f, 0x2a0, 0x596, 0x6, 0x43a, 0x357, 0x8db, 0xc71,
+			0xca, 0xabc, 0x8cd, 0x3ee, 0xb01, 0xc66, 0xb2c, 0x542, 0xd0f, 0x8fd}},
+	} {
+		m, err := RunIM(d, diffusion.LT, want.algo, want.k, Config{Quick: true, Workers: 2, MCRuns: 100})
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", want.algo, want.k, err)
+		}
+		if m.Samples != want.samples || !slices.Equal(m.Seeds, want.seeds) {
+			t.Fatalf("%s k=%d: %d RR sets, seeds %#v; want %d, %#v",
+				want.algo, want.k, m.Samples, m.Seeds, want.samples, want.seeds)
+		}
+	}
+
+	e, _ := Find("ablation-eps")
+	var buf bytes.Buffer
+	if err := e.Run(Config{Quick: true, Workers: 2}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var row []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "default(19-20)") {
+			row = strings.Split(line, "  ")
+		}
+	}
+	var cells []string
+	for _, c := range row {
+		if c = strings.TrimSpace(c); c != "" {
+			cells = append(cells, c)
+		}
+	}
+	// label, rr-sets, verify-sets, time, influence
+	if len(cells) != 5 || cells[1] != "36 K" || cells[2] != "18 K" || cells[4] != "1023" {
+		t.Fatalf("ablation-eps default row %q, want rr-sets 36 K, verify-sets 18 K, influence 1023:\n%s",
+			cells, buf.String())
+	}
+}
+
 func TestExperimentRegistryComplete(t *testing.T) {
-	// DESIGN.md §5 promises these artifact ids.
+	// The artifact ids of the paper's evaluation (§7) and the three ablations.
 	want := []string{"table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"table3", "table4", "fig8", "ablation-eps", "ablation-theta", "ablation-certify"}
 	for _, id := range want {

@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"stopandstare"
-	"stopandstare/internal/baselines"
-	"stopandstare/internal/core"
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
-	"stopandstare/internal/ris"
 	"stopandstare/internal/stats"
 )
 
@@ -23,8 +20,8 @@ type Experiment struct {
 	Run         func(cfg Config, w io.Writer) error
 }
 
-// Experiments registers every reproducible artifact of §7 plus the two
-// ablations called out in DESIGN.md.
+// Experiments registers every reproducible artifact of §7 plus three
+// ablations: SSA's ε-split, Eq. 14's oracle threshold and the certificate.
 var Experiments = []Experiment{
 	{"table2", "Table 2: dataset statistics of the synthetic stand-ins", runTable2},
 	{"fig2", "Fig 2: expected influence vs k under LT", figInfluence(diffusion.LT)},
@@ -278,10 +275,6 @@ func runAblationEps(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s, err := ris.NewSampler(d.Graph, diffusion.LT)
-	if err != nil {
-		return err
-	}
 	k := 50
 	if cfg.Quick {
 		k = 20
@@ -301,10 +294,13 @@ func runAblationEps(cfg Config, w io.Writer) error {
 		{eps / 8, eps / 2, eps / 2},
 	}
 	for _, sp := range splits {
-		opt := core.Options{K: k, Epsilon: eps, Delta: cfg.Delta, Seed: cfg.Seed, Workers: cfg.Workers,
-			Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers,
-			Eps1: sp.e1, Eps2: sp.e2, Eps3: sp.e3}
-		res, err := core.SSA(s, opt)
+		opt := cfg.options(k)
+		opt.Eps1, opt.Eps2, opt.Eps3 = sp.e1, sp.e2, sp.e3
+		// SSA's last checkpoint holds its coverage collection R; every other
+		// sample it reports went to Estimate-Inf.
+		var coverage int64
+		opt.OnCheckpoint = func(c stopandstare.Checkpoint) { coverage = c.Samples }
+		res, err := stopandstare.Maximize(d.Graph, diffusion.LT, stopandstare.SSA, opt)
 		if err != nil {
 			// Splits violating Eq. 18 are reported, not fatal.
 			t.AddRow(fmt.Sprintf("%.3f:%.3f:%.3f", sp.e1, sp.e2, sp.e3), "-", "-", err.Error(), "-")
@@ -314,7 +310,7 @@ func runAblationEps(cfg Config, w io.Writer) error {
 		if sp.e1 != 0 {
 			label = fmt.Sprintf("%.3f:%.3f:%.3f", sp.e1, sp.e2, sp.e3)
 		}
-		t.AddRow(label, res.CoverageSamples, res.VerifySamples, res.Elapsed, res.Influence)
+		t.AddRow(label, coverage, res.Samples-coverage, res.Elapsed, res.InfluenceEstimate)
 	}
 	return t.Format(w)
 }
@@ -325,29 +321,26 @@ func runAblationTheta(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s, err := ris.NewSampler(d.Graph, diffusion.LT)
-	if err != nil {
-		return err
-	}
 	n := d.Graph.NumNodes()
 	k := 50
 	if cfg.Quick {
 		k = 20
 	}
-	delta := cfg.Delta
-	if delta == 0 {
-		delta = 1 / float64(n)
+	if cfg.Delta == 0 {
+		cfg.Delta = 1 / float64(n)
+	}
+	algos := []AlgoID{AlgoDSSA, AlgoSSA, AlgoIMM, AlgoTIMPlus}
+	results := make([]*stopandstare.Result, len(algos))
+	for i, id := range algos {
+		if results[i], err = stopandstare.Maximize(d.Graph, diffusion.LT, algorithms[id], cfg.options(k)); err != nil {
+			return err
+		}
 	}
 	// Oracle threshold of Eq. 14 with OPT replaced by the best influence
 	// estimate observed (D-SSA's): N = 4(1-1/e)·n·(2ln(2/δ)+lnC(n,k))/(ε²·OPT).
-	dres, err := core.DSSA(s, core.Options{K: k, Epsilon: cfg.Epsilon, Delta: delta, Seed: cfg.Seed,
-		Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers})
-	if err != nil {
-		return err
-	}
-	opt := dres.Influence
+	opt := results[0].InfluenceEstimate
 	oracle := 4 * stats.OneMinusInvE * float64(n) *
-		(2*math.Log(2/delta) + stats.LnChoose(n, k)) / (cfg.Epsilon * cfg.Epsilon * opt)
+		(2*math.Log(2/cfg.Delta) + stats.LnChoose(n, k)) / (cfg.Epsilon * cfg.Epsilon * opt)
 	t := &Table{
 		Title:   fmt.Sprintf("Ablation: RR sets vs the Eq. 14 oracle threshold (netphy, LT, k=%d)", k),
 		Headers: []string{"method", "rr-sets", "x oracle", "time"},
@@ -356,23 +349,8 @@ func runAblationTheta(cfg Config, w io.Writer) error {
 			"stop-and-stare stays within a small constant of the oracle; union-bound methods overshoot",
 		},
 	}
-	t.AddRow("D-SSA", dres.TotalSamples, fmt.Sprintf("%.2fx", float64(dres.TotalSamples)/oracle), dres.Elapsed)
-	sres, err := core.SSA(s, core.Options{K: k, Epsilon: cfg.Epsilon, Delta: delta, Seed: cfg.Seed,
-		Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers})
-	if err != nil {
-		return err
-	}
-	t.AddRow("SSA", sres.TotalSamples, fmt.Sprintf("%.2fx", float64(sres.TotalSamples)/oracle), sres.Elapsed)
-	for _, pair := range []struct {
-		id  AlgoID
-		run func(*ris.Sampler, baselines.Options) (*baselines.Result, error)
-	}{{AlgoIMM, baselines.IMM}, {AlgoTIMPlus, baselines.TIMPlus}} {
-		res, err := pair.run(s, baselines.Options{K: k, Epsilon: cfg.Epsilon, Delta: delta, Seed: cfg.Seed,
-			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers})
-		if err != nil {
-			return err
-		}
-		t.AddRow(string(pair.id), res.TotalSamples, fmt.Sprintf("%.2fx", float64(res.TotalSamples)/oracle), res.Elapsed)
+	for i, res := range results {
+		t.AddRow(string(algos[i]), res.Samples, fmt.Sprintf("%.2fx", float64(res.Samples)/oracle), res.Elapsed)
 	}
 	return t.Format(w)
 }
@@ -380,10 +358,6 @@ func runAblationTheta(cfg Config, w io.Writer) error {
 func runAblationCertify(cfg Config, w io.Writer) error {
 	cfg = cfg.Normalize()
 	d, err := LoadDataset("nethept", cfg)
-	if err != nil {
-		return err
-	}
-	s, err := ris.NewSampler(d.Graph, diffusion.LT)
 	if err != nil {
 		return err
 	}
@@ -400,20 +374,16 @@ func runAblationCertify(cfg Config, w io.Writer) error {
 		ks = []int{1, 10}
 	}
 	for _, k := range ks {
-		res, err := core.DSSA(s, core.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta,
-			Seed: cfg.Seed, Workers: cfg.Workers,
-			Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers})
+		res, err := stopandstare.Maximize(d.Graph, diffusion.LT, stopandstare.DSSA, cfg.options(k))
 		if err != nil {
 			return err
 		}
-		cert, err := core.Certify(s, res.Seeds, 0.05, 0.001, cfg.Seed+9)
+		cert, err := stopandstare.CertifySpread(d.Graph, diffusion.LT, res.Seeds, 0.05, 0.001, cfg.Seed+9)
 		if err != nil {
 			return err
 		}
 		mcStart := time.Now()
-		mc, _, err := diffusion.Spread(d.Graph, diffusion.LT, res.Seeds, diffusion.SpreadOptions{
-			Runs: cfg.MCRuns, Seed: cfg.Seed + 10, Workers: cfg.Workers,
-		})
+		mc, _, err := stopandstare.EvaluateSpread(d.Graph, diffusion.LT, res.Seeds, cfg.MCRuns, cfg.Seed+10, cfg.Workers)
 		if err != nil {
 			return err
 		}

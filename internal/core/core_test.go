@@ -88,15 +88,12 @@ func TestOptionValidation(t *testing.T) {
 		{K: 2, Epsilon: 0.1, Delta: 2},
 	}
 	for i, opt := range cases {
-		if _, err := SSA(s, opt); err == nil {
+		if _, err := runSSA(s, opt); err == nil {
 			t.Fatalf("case %d: SSA should reject %+v", i, opt)
 		}
-		if _, err := DSSA(s, opt); err == nil {
+		if _, err := runDSSA(s, opt); err == nil {
 			t.Fatalf("case %d: DSSA should reject %+v", i, opt)
 		}
-	}
-	if _, err := SSA(nil, Options{K: 1, Epsilon: 0.1}); !errors.Is(err, ErrNilSampler) {
-		t.Fatalf("nil sampler: %v", err)
 	}
 }
 
@@ -138,7 +135,7 @@ func TestSSAGuaranteeTinyIC(t *testing.T) {
 	k, eps := 2, 0.3
 	opt, _ := exactOPT(t, g, diffusion.IC, k)
 	for seed := uint64(1); seed <= 3; seed++ {
-		res, err := SSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: seed, Workers: 2})
+		res, err := runSSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +159,7 @@ func TestDSSAGuaranteeTinyIC(t *testing.T) {
 	k, eps := 2, 0.3
 	opt, _ := exactOPT(t, g, diffusion.IC, k)
 	for seed := uint64(1); seed <= 3; seed++ {
-		res, err := DSSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: seed, Workers: 2})
+		res, err := runDSSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +188,7 @@ func TestSSAGuaranteeTinyLT(t *testing.T) {
 	s := sampler(t, g, diffusion.LT)
 	k, eps := 2, 0.3
 	opt, _ := exactOPT(t, g, diffusion.LT, k)
-	res, err := SSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 9, Workers: 2})
+	res, err := runSSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +199,7 @@ func TestSSAGuaranteeTinyLT(t *testing.T) {
 	if bound := (1 - 1/math.E - eps) * opt; got < bound {
 		t.Fatalf("LT: I(Ŝ)=%.4f below bound %.4f", got, bound)
 	}
-	res2, err := DSSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 9, Workers: 2})
+	res2, err := runDSSA(s, Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +217,7 @@ func TestInfluenceEstimateAccuracy(t *testing.T) {
 	g := midGraph(t, 1000, 5000, 3)
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := sampler(t, g, model)
-		res, err := DSSA(s, Options{K: 10, Epsilon: 0.1, Seed: 4, Workers: 2})
+		res, err := runDSSA(s, Options{K: 10, Epsilon: 0.1, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,48 +231,10 @@ func TestInfluenceEstimateAccuracy(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	g := midGraph(t, 800, 4000, 7)
-	s := sampler(t, g, diffusion.IC)
-	opt := Options{K: 5, Epsilon: 0.2, Seed: 11}
-	opt.Workers = 1
-	r1, err := SSA(s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 4
-	r4, err := SSA(s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.TotalSamples != r4.TotalSamples || r1.Iterations != r4.Iterations {
-		t.Fatalf("SSA not deterministic: %d/%d vs %d/%d samples/iters",
-			r1.TotalSamples, r1.Iterations, r4.TotalSamples, r4.Iterations)
-	}
-	for i := range r1.Seeds {
-		if r1.Seeds[i] != r4.Seeds[i] {
-			t.Fatal("SSA seed sets differ across worker counts")
-		}
-	}
-	d1, err := DSSA(s, Options{K: 5, Epsilon: 0.2, Seed: 11, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d4, err := DSSA(s, Options{K: 5, Epsilon: 0.2, Seed: 11, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d1.Seeds {
-		if d1.Seeds[i] != d4.Seeds[i] {
-			t.Fatal("DSSA seed sets differ across worker counts")
-		}
-	}
-}
-
 func TestDSSAEpsilonTAtTermination(t *testing.T) {
 	g := midGraph(t, 1500, 8000, 13)
 	s := sampler(t, g, diffusion.LT)
-	res, err := DSSA(s, Options{K: 20, Epsilon: 0.15, Seed: 17, Workers: 2})
+	res, err := runDSSA(s, Options{K: 20, Epsilon: 0.15, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +252,7 @@ func TestDSSAEpsilonTAtTermination(t *testing.T) {
 func TestSSACountsVerifySamples(t *testing.T) {
 	g := midGraph(t, 1500, 8000, 13)
 	s := sampler(t, g, diffusion.LT)
-	res, err := SSA(s, Options{K: 20, Epsilon: 0.15, Seed: 17, Workers: 2})
+	res, err := runSSA(s, Options{K: 20, Epsilon: 0.15, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +272,7 @@ func TestHitCapPath(t *testing.T) {
 	s := sampler(t, g, diffusion.IC)
 	// An absurd OPT lower bound shrinks Nmax below the first checkpoint, so
 	// the run must exit via the cap and still return k seeds.
-	res, err := SSA(s, Options{K: 3, Epsilon: 0.2, Seed: 23, Workers: 2, OptLowerBound: 1e18})
+	res, err := runSSA(s, Options{K: 3, Epsilon: 0.2, Seed: 23, OptLowerBound: 1e18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +282,7 @@ func TestHitCapPath(t *testing.T) {
 	if len(res.Seeds) != 3 {
 		t.Fatalf("cap exit must still return k seeds, got %d", len(res.Seeds))
 	}
-	resD, err := DSSA(s, Options{K: 3, Epsilon: 0.2, Seed: 23, Workers: 2, OptLowerBound: 1e18})
+	resD, err := runDSSA(s, Options{K: 3, Epsilon: 0.2, Seed: 23, OptLowerBound: 1e18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +294,7 @@ func TestHitCapPath(t *testing.T) {
 func TestMaxIterationsCap(t *testing.T) {
 	g := midGraph(t, 500, 2500, 29)
 	s := sampler(t, g, diffusion.IC)
-	res, err := SSA(s, Options{K: 3, Epsilon: 0.1, Seed: 1, Workers: 1, MaxIterations: 1})
+	res, err := runSSA(s, Options{K: 3, Epsilon: 0.1, Seed: 1, MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +369,7 @@ func TestSSAFasterThanCap(t *testing.T) {
 	// statistical conditions well before Nmax.
 	g := midGraph(t, 3000, 15000, 61)
 	s := sampler(t, g, diffusion.LT)
-	res, err := SSA(s, Options{K: 10, Epsilon: 0.2, Seed: 67, Workers: 2})
+	res, err := runSSA(s, Options{K: 10, Epsilon: 0.2, Seed: 67})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"stopandstare/internal/maxcover"
-	"stopandstare/internal/ris"
 	"stopandstare/internal/stats"
 )
 
@@ -18,18 +17,6 @@ import (
 // data* at every checkpoint (lines 11–13), which is how D-SSA attains the
 // type-2 minimum threshold (Theorem 6) without parameter tuning.
 //
-// DSSA is the one-shot entry point: a fresh store and solver per run. A
-// query stream over one graph should run DSSAWith against a long-lived
-// environment (stopandstare.Session), which extends the same no-sample-
-// discarded principle ACROSS runs: the store only tops up past its current
-// size and results stay bit-identical to a cold run at the same seed.
-func DSSA(s *ris.Sampler, opt Options) (*Result, error) {
-	if err := opt.normalize(s); err != nil {
-		return nil, err
-	}
-	return DSSAWith(opt, newSoloExec(opt.newStore(s)))
-}
-
 // DSSAWith runs D-SSA inside the given execution environment, sampling
 // through the environment store's sampler. Every size the loop
 // consumes — prefix, holdout window, reported sample counts — comes from

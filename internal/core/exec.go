@@ -8,19 +8,14 @@ import (
 // Exec is the execution environment a stop-and-stare run works in: where
 // the RR sets live, how the stream grows, how max-coverage candidates and
 // holdout coverages are computed, and what locking (if any) brackets
-// store reads. SSA and D-SSA are written against this interface so the
-// same loop serves two callers:
-//
-//   - the one-shot path (SSA/DSSA): a fresh store and a fresh solver per
-//     run, no locking — soloExec below. Its schedule never returns to a
-//     prefix, so the solver retains one greedy run and recycles its arrays
-//     from checkpoint to checkpoint;
-//   - the serving path (stopandstare.Session): a long-lived store shared by
-//     a query stream, one solver for every k that retains a resumable
-//     greedy run per checkpoint prefix (queries at other k, and repeats,
-//     copy or resume instead of selecting again), and an RWMutex discipline
-//     where read-only queries run concurrently and only store growth takes
-//     the write lock.
+// store reads. SSA and D-SSA are written against this interface. The one
+// product implementation is stopandstare.Session: a long-lived store
+// shared by a query stream, one solver for every k that retains a resumable
+// greedy run per checkpoint prefix, and an RWMutex discipline where
+// read-only queries run concurrently and only store growth takes the write
+// lock. A one-shot Maximize is a Session serving a single query. Besides
+// it, only tests (over reference and topology-specific stores) and the
+// benchmark's traced session implement Exec.
 //
 // The algorithms promise to call Ensure with no read lock held, and to
 // bracket every store read (Solve, Coverage, Stats reads like Bytes)
@@ -38,7 +33,7 @@ type Exec interface {
 	// actually generated (false when the store was already large enough —
 	// the "warm" case). Must be called with the read lock NOT held.
 	Ensure(target int) bool
-	// Acquire takes the environment's read lock (no-op for solo runs).
+	// Acquire takes the environment's read lock (a no-op where nothing is shared).
 	Acquire()
 	// Release drops the read lock.
 	Release()
@@ -59,30 +54,4 @@ func locked(env Exec, f func()) {
 	env.Acquire()
 	defer env.Release()
 	f()
-}
-
-// soloExec is the one-shot environment: a private store and a one-run
-// solver, no locking. SSA and DSSA build one per run.
-type soloExec struct {
-	col ris.Store
-	sol *maxcover.Solver
-}
-
-func newSoloExec(col ris.Store) *soloExec {
-	return &soloExec{col: col, sol: maxcover.NewSolver(col)}
-}
-
-func (e *soloExec) Store() ris.Store { return e.col }
-func (e *soloExec) Ensure(target int) bool {
-	grew := e.col.Len() < target
-	e.col.GenerateTo(target)
-	return grew
-}
-func (e *soloExec) Acquire() {}
-func (e *soloExec) Release() {}
-func (e *soloExec) Solve(upto, k int) maxcover.Result {
-	return e.sol.Solve(upto, k)
-}
-func (e *soloExec) Coverage(seeds []uint32, from, to int) int64 {
-	return e.col.CoverageRangeSeeds(seeds, from, to)
 }

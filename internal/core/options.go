@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"stopandstare/internal/ris"
@@ -34,38 +33,16 @@ type Options struct {
 	// All-zero selects the paper's recommended setting (Eqs. 19–20).
 	// Ignored by D-SSA, which chooses them dynamically.
 	Eps1, Eps2, Eps3 float64
-	// Seed drives all randomness; runs are deterministic in (Seed, Workers-
-	// independent).
+	// Seed drives SSA's Estimate-Inf stream. The Exec's store samples its
+	// own stream; callers build it at the same seed.
 	Seed uint64
-	// Workers bounds sampling parallelism; ≤0 selects
-	// runtime.GOMAXPROCS(0). Results are bit-identical at any worker
-	// count, so the default costs nothing in reproducibility.
+	// Workers is not read by the loops: the Exec's store owns its sampling
+	// parallelism. It stays only because the benchmark's traced session
+	// names it in a literal; it goes with the next change to the benchmark.
 	Workers int
-	// Shards is the number of id shards of the RR store, generated
-	// shard-parallel; ≤ 1 = one shard (default). Results are bit-identical
-	// at any shard count — sharding only changes the memory topology.
-	Shards int
-	// ShardWorkers bounds per-shard generation parallelism; ≤0 derives
-	// max(1, Workers/Shards) so the total worker budget holds.
-	ShardWorkers int
-	// RemoteWorkers lists shard-worker addresses; non-empty stores RR sets
-	// in a remote-sharded store (one shard per worker process), overriding
-	// Shards. Results remain bit-identical to every in-process topology.
-	RemoteWorkers []string
-	// RemoteDial overrides the remote-shard transport (tests inject
-	// net.Pipe-backed dialers).
-	RemoteDial ris.DialFunc
-	// RemoteTimeout bounds one remote-shard RPC exchange; ≤0 selects
-	// ris.DefaultRemoteTimeout.
-	RemoteTimeout time.Duration
-	// SpillBudgetBytes > 0 enables the store's disk spill tier (see
-	// ris.StoreOptions.SpillBudgetBytes). Bit-identical at every budget.
-	SpillBudgetBytes int64
-	// SpillDir is where spill files are created ("" ⇒ the OS temp dir).
-	SpillDir string
 	// OptLowerBound is a known lower bound on OPT_k used only to size the
 	// Nmax safety cap. Defaults to K for IM (each seed influences at least
-	// itself); the TVM wrapper passes the top-K benefit sum.
+	// itself); a weighted (TVM) session passes the top-K benefit sum.
 	OptLowerBound float64
 	// MaxIterations caps the doubling loop as a defensive bound on top of
 	// the paper's Nmax cap. ≤0 selects imax+8.
@@ -121,7 +98,7 @@ type Result struct {
 	// MemoryBytes approximates the RR-collection footprint at termination.
 	MemoryBytes int64
 	// Grew reports whether the run generated new RR sets into its store:
-	// always true for one-shot runs, false for a session query answered
+	// always true for a cold run, false for a session query answered
 	// entirely from already-resident samples. (SSA's ephemeral Estimate-Inf
 	// samples are not store growth and do not set it.)
 	Grew bool
@@ -161,25 +138,10 @@ func (o *Options) normalize(s *ris.Sampler) error {
 	if !(o.Delta > 0 && o.Delta < 1) {
 		return fmt.Errorf("core: delta=%v outside (0,1)", o.Delta)
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.OptLowerBound <= 0 {
 		o.OptLowerBound = float64(o.K)
 	}
 	return nil
-}
-
-// newStore builds the RR-set store the options describe: Shards in-process
-// shards (≤ 1 = one shard), or one remote shard per RemoteWorkers address.
-// All are bit-identical in results.
-func (o *Options) newStore(s *ris.Sampler) ris.Store {
-	return ris.NewStore(s, o.Seed, ris.StoreOptions{
-		Workers: o.Workers, Shards: o.Shards, ShardWorkers: o.ShardWorkers,
-		RemoteWorkers: o.RemoteWorkers, RemoteDial: o.RemoteDial,
-		RemoteTimeout:    o.RemoteTimeout,
-		SpillBudgetBytes: o.SpillBudgetBytes, SpillDir: o.SpillDir,
-	})
 }
 
 // epsSplit returns SSA's (ε₁,ε₂,ε₃): the user's values when set (validated

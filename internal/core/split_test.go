@@ -70,7 +70,7 @@ func TestRecommendedSplitRunsInSSA(t *testing.T) {
 	if !ok {
 		t.Fatal("split infeasible")
 	}
-	res, err := SSA(s, Options{K: 5, Epsilon: 0.2, Seed: 283, Workers: 2,
+	res, err := runSSA(s, Options{K: 5, Epsilon: 0.2, Seed: 283,
 		Eps1: e1, Eps2: e2, Eps3: e3})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"stopandstare/internal/maxcover"
-	"stopandstare/internal/ris"
 	"stopandstare/internal/stats"
 )
 
@@ -20,17 +19,6 @@ import (
 // an independent stopping-rule estimate I^c(Ŝ_k) (within ε₂) agree with
 // Î(Ŝ_k) up to (1+ε₁)? Stop at the first checkpoint passing both.
 //
-// SSA is the one-shot entry point: a fresh store and solver per run. A
-// query stream over one graph should run SSAWith against a long-lived
-// environment (stopandstare.Session) instead, which reuses the RR stream —
-// bit-identical results, near-zero sampling cost on warm queries.
-func SSA(s *ris.Sampler, opt Options) (*Result, error) {
-	if err := opt.normalize(s); err != nil {
-		return nil, err
-	}
-	return SSAWith(opt, newSoloExec(opt.newStore(s)))
-}
-
 // SSAWith runs SSA inside the given execution environment, sampling through
 // the environment store's sampler. Every size the loop consumes comes
 // from the deterministic doubling schedule, never from Store.Len(), so a

@@ -10,7 +10,7 @@ func TestSSATraceCheckpoints(t *testing.T) {
 	g := midGraph(t, 1000, 5000, 131)
 	s := sampler(t, g, diffusion.LT)
 	var cps []Checkpoint
-	res, err := SSA(s, Options{K: 10, Epsilon: 0.2, Seed: 137, Workers: 2,
+	res, err := runSSA(s, Options{K: 10, Epsilon: 0.2, Seed: 137,
 		Trace: func(c Checkpoint) { cps = append(cps, c) }})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestDSSATraceCheckpoints(t *testing.T) {
 	g := midGraph(t, 1000, 5000, 139)
 	s := sampler(t, g, diffusion.LT)
 	var cps []Checkpoint
-	res, err := DSSA(s, Options{K: 10, Epsilon: 0.2, Seed: 149, Workers: 2,
+	res, err := runDSSA(s, Options{K: 10, Epsilon: 0.2, Seed: 149,
 		Trace: func(c Checkpoint) { cps = append(cps, c) }})
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +71,10 @@ func TestDSSATraceCheckpoints(t *testing.T) {
 func TestTraceNilIsSafe(t *testing.T) {
 	g := midGraph(t, 300, 1500, 151)
 	s := sampler(t, g, diffusion.IC)
-	if _, err := SSA(s, Options{K: 3, Epsilon: 0.3, Seed: 1, Workers: 1}); err != nil {
+	if _, err := runSSA(s, Options{K: 3, Epsilon: 0.3, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DSSA(s, Options{K: 3, Epsilon: 0.3, Seed: 1, Workers: 1}); err != nil {
+	if _, err := runDSSA(s, Options{K: 3, Epsilon: 0.3, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,9 @@
 // Package gen provides the synthetic network generators that stand in for
 // the paper's eight evaluation datasets (Table 2). The real datasets (SNAP
 // crawls of Twitter, Friendster, etc.) are not redistributable and far
-// exceed this machine; per the substitution policy in DESIGN.md §4 each
-// dataset is replaced by a generator matched on the properties that drive
-// RIS behaviour: node count, edge count, degree skew, and directedness.
+// exceed a single machine, so each dataset is replaced by a generator
+// matched on the properties that drive RIS behaviour: node count, edge
+// count, degree skew, and directedness.
 package gen
 
 import (

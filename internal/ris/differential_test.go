@@ -67,33 +67,14 @@ func assertResultsIdentical(t *testing.T, ctx string, ref, got *core.Result, ref
 	}
 }
 
-// runCore executes SSA or D-SSA with a trace recorder and the given store
-// topology, on a fixed (seed, k, epsilon) workload.
-func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int) (*core.Result, []core.Checkpoint) {
-	t.Helper()
-	var trace []core.Checkpoint
-	opt := core.Options{
-		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		Shards: shards, ShardWorkers: workers,
-		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
-	}
-	var res *core.Result
-	var err error
-	if algo == "ssa" {
-		res, err = core.SSA(s, opt)
-	} else {
-		res, err = core.DSSA(s, opt)
-	}
-	if err != nil {
-		t.Fatalf("%s shards=%d workers=%d: %v", algo, shards, workers, err)
-	}
-	return res, trace
+// refExec is the core.Exec the differential legs run the loops through:
+// no locking, and coverage counted by the store itself. With a nil solver
+// every candidate is solved from scratch (the reference side); otherwise
+// the production maxcover.Solver does it, as a session's would.
+type refExec struct {
+	st  ris.Store
+	sol *maxcover.Solver
 }
-
-// refExec is the core.Exec of the reference side: the definition-level
-// stream, every candidate solved from scratch (no incremental solver state),
-// coverage counted by scanning the window's sets.
-type refExec struct{ st ris.Store }
 
 func (e refExec) Store() ris.Store { return e.st }
 func (e refExec) Ensure(target int) bool {
@@ -104,22 +85,27 @@ func (e refExec) Ensure(target int) bool {
 func (e refExec) Acquire() {}
 func (e refExec) Release() {}
 func (e refExec) Solve(upto, k int) maxcover.Result {
-	return maxcover.Greedy(e.st, upto, k)
+	if e.sol == nil {
+		return maxcover.Greedy(e.st, upto, k)
+	}
+	return e.sol.Solve(upto, k)
 }
 func (e refExec) Coverage(seeds []uint32, from, to int) int64 {
 	return e.st.CoverageRangeSeeds(seeds, from, to)
 }
 
-// runCoreRef executes runCore's workload on the reference stream: what the
-// Store contract says the answer is, computed without any store code.
-func runCoreRef(t *testing.T, s *ris.Sampler, algo string) (*core.Result, []core.Checkpoint) {
+// diffSeed is the stream seed of every differential workload.
+const diffSeed = 71
+
+// runOn executes SSA or D-SSA with a trace recorder through env, on a fixed
+// (seed, k, epsilon) workload.
+func runOn(t *testing.T, algo string, env refExec) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	var trace []core.Checkpoint
 	opt := core.Options{
-		K: 8, Epsilon: 0.3, Seed: 71,
+		K: 8, Epsilon: 0.3, Seed: diffSeed,
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
-	env := refExec{ris.NewRefStore(s, opt.Seed)}
 	var res *core.Result
 	var err error
 	if algo == "ssa" {
@@ -128,9 +114,30 @@ func runCoreRef(t *testing.T, s *ris.Sampler, algo string) (*core.Result, []core
 		res, err = core.DSSAWith(opt, env)
 	}
 	if err != nil {
-		t.Fatalf("%s reference: %v", algo, err)
+		t.Fatalf("%s: %v", algo, err)
 	}
 	return res, trace
+}
+
+// runStore runs the workload on a production store of the given topology.
+func runStore(t *testing.T, s *ris.Sampler, algo string, opt ris.StoreOptions) (*core.Result, []core.Checkpoint) {
+	t.Helper()
+	st := ris.NewStore(s, diffSeed, opt)
+	return runOn(t, algo, refExec{st: st, sol: maxcover.NewSolver(st)})
+}
+
+// runCore is runStore on an in-process store with the given shard and
+// per-shard worker counts.
+func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int) (*core.Result, []core.Checkpoint) {
+	t.Helper()
+	return runStore(t, s, algo, ris.StoreOptions{Workers: 2, Shards: shards, ShardWorkers: workers})
+}
+
+// runCoreRef executes the workload on the reference stream: what the Store
+// contract says the answer is, computed without any store code.
+func runCoreRef(t *testing.T, s *ris.Sampler, algo string) (*core.Result, []core.Checkpoint) {
+	t.Helper()
+	return runOn(t, algo, refExec{st: ris.NewRefStore(s, diffSeed)})
 }
 
 // TestDifferentialSSAFlatVsSharded and its D-SSA sibling run the full

@@ -101,23 +101,7 @@ func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nw
 		addrs[i] = fmt.Sprintf("worker-%d", i)
 	}
 	cluster := newRemoteCluster(g, addrs...)
-	var trace []core.Checkpoint
-	opt := core.Options{
-		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		RemoteWorkers: addrs, RemoteDial: cluster.dial,
-		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
-	}
-	var res *core.Result
-	var err error
-	if algo == "ssa" {
-		res, err = core.SSA(s, opt)
-	} else {
-		res, err = core.DSSA(s, opt)
-	}
-	if err != nil {
-		t.Fatalf("%s remote workers=%d: %v", algo, nworkers, err)
-	}
-	return res, trace
+	return runStore(t, s, algo, ris.StoreOptions{Workers: 2, RemoteWorkers: addrs, RemoteDial: cluster.dial})
 }
 
 // TestDifferentialRemoteVsFlat runs SSA and D-SSA on the reference stream and on in-process-sharded and remote-sharded stores

@@ -20,24 +20,8 @@ import (
 // runCoreSpilled is runCore with a spill budget on the store.
 func runCoreSpilled(t *testing.T, s *ris.Sampler, algo string, shards int, budget int64) (*core.Result, []core.Checkpoint) {
 	t.Helper()
-	var trace []core.Checkpoint
-	opt := core.Options{
-		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		Shards: shards, ShardWorkers: 2,
-		SpillBudgetBytes: budget, SpillDir: t.TempDir(),
-		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
-	}
-	var res *core.Result
-	var err error
-	if algo == "ssa" {
-		res, err = core.SSA(s, opt)
-	} else {
-		res, err = core.DSSA(s, opt)
-	}
-	if err != nil {
-		t.Fatalf("%s shards=%d budget=%d: %v", algo, shards, budget, err)
-	}
-	return res, trace
+	return runStore(t, s, algo, ris.StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2,
+		SpillBudgetBytes: budget, SpillDir: t.TempDir()})
 }
 
 // spillBudgets derives the 0%/50%/90% spill points from an unspilled run's
@@ -107,15 +91,8 @@ func TestDifferentialRemoteSpilledWorkers(t *testing.T) {
 			addrs[i] = fmt.Sprintf("spill-worker-%d", i)
 		}
 		cluster := newSpillCluster(t, g, 1, addrs...)
-		var trace []core.Checkpoint
-		res, err := core.DSSA(s, core.Options{
-			K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-			RemoteWorkers: addrs, RemoteDial: cluster.dial,
-			Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
-		})
-		if err != nil {
-			t.Fatalf("remote spilled workers=%d: %v", nw, err)
-		}
+		res, trace := runStore(t, s, "dssa", ris.StoreOptions{Workers: 2,
+			RemoteWorkers: addrs, RemoteDial: cluster.dial})
 		ctx := fmt.Sprintf("dssa/remote-spilled-workers=%d", nw)
 		assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
 		spilled := false

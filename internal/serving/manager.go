@@ -2,9 +2,8 @@
 // many (graph, model) Sessions under a global memory budget, answering a
 // concurrent query stream with request coalescing, admission control and
 // backpressure. It is the seam between the single-session serving objects
-// (stopandstare.Session, PR 5) and a fleet front end — cmd/imserve wires a
-// Manager behind HTTP, and the load bench (internal/bench, cmd/imload)
-// drives the same stack over localhost to measure p50/p99 and queries/sec.
+// (stopandstare.Session) and a fleet front end: cmd/imserve wires a
+// Manager behind HTTP.
 //
 // The design leans on the same amortization argument as the sampling core:
 // StaticGreedy-style reuse of one sampled state across all consumers only

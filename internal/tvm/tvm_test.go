@@ -9,6 +9,8 @@ import (
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
+	"stopandstare/internal/maxcover"
+	"stopandstare/internal/ris"
 )
 
 func topicInstance(t testing.TB, n int, m int64, seed uint64) *Instance {
@@ -28,6 +30,33 @@ func topicInstance(t testing.TB, n int, m int64, seed uint64) *Instance {
 	return inst
 }
 
+// testExec is a core.Exec over a fresh one-shard store and one solver, no
+// locking: a cold run without the Session around it.
+type testExec struct {
+	st  ris.Store
+	sol *maxcover.Solver
+}
+
+func (e testExec) Store() ris.Store { return e.st }
+func (e testExec) Ensure(target int) bool {
+	grew := e.st.Len() < target
+	e.st.GenerateTo(target)
+	return grew
+}
+func (e testExec) Acquire()                          {}
+func (e testExec) Release()                          {}
+func (e testExec) Solve(upto, k int) maxcover.Result { return e.sol.Solve(upto, k) }
+func (e testExec) Coverage(seeds []uint32, from, to int) int64 {
+	return e.st.CoverageRangeSeeds(seeds, from, to)
+}
+
+// runLoop runs one stop-and-stare loop (core.SSAWith or core.DSSAWith)
+// cold on s at opt.Seed.
+func runLoop(s *ris.Sampler, opt core.Options, loop func(core.Options, core.Exec) (*core.Result, error)) (*core.Result, error) {
+	st := ris.NewStore(s, opt.Seed, ris.StoreOptions{})
+	return loop(opt, testExec{st: st, sol: maxcover.NewSolver(st)})
+}
+
 // runSSA and runDSSA run the stop-and-stare loops on the instance's WRIS
 // stream with OPT lower-bounded by the top-k benefit sum, as a weighted
 // session does.
@@ -37,7 +66,7 @@ func runSSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result,
 		return nil, err
 	}
 	opt.OptLowerBound = t.OptLowerBound(opt.K)
-	return core.SSA(s, opt)
+	return runLoop(s, opt, core.SSAWith)
 }
 
 func runDSSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result, error) {
@@ -46,7 +75,7 @@ func runDSSA(t *Instance, model diffusion.Model, opt core.Options) (*core.Result
 		return nil, err
 	}
 	opt.OptLowerBound = t.OptLowerBound(opt.K)
-	return core.DSSA(s, opt)
+	return runLoop(s, opt, core.DSSAWith)
 }
 
 func TestNewInstanceValidation(t *testing.T) {
@@ -101,11 +130,11 @@ func TestOptLowerBound(t *testing.T) {
 func TestTVMSSAAndDSSA(t *testing.T) {
 	inst := topicInstance(t, 1500, 7500, 5)
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		ssa, err := runSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7, Workers: 2})
+		ssa, err := runSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dssa, err := runDSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7, Workers: 2})
+		dssa, err := runDSSA(inst, model, core.Options{K: 10, Epsilon: 0.2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +151,7 @@ func TestTVMSSAAndDSSA(t *testing.T) {
 
 func TestTVMBenefitEstimateMatchesMC(t *testing.T) {
 	inst := topicInstance(t, 1500, 7500, 11)
-	res, err := runDSSA(inst, diffusion.LT, core.Options{K: 10, Epsilon: 0.1, Seed: 13, Workers: 2})
+	res, err := runDSSA(inst, diffusion.LT, core.Options{K: 10, Epsilon: 0.1, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +172,7 @@ func TestTVMBeatsUntargetedIM(t *testing.T) {
 	// benefit as optimising plain influence with the same budget.
 	inst := topicInstance(t, 2000, 10000, 19)
 	k := 10
-	tvmRes, err := runDSSA(inst, diffusion.LT, core.Options{K: k, Epsilon: 0.15, Seed: 23, Workers: 2})
+	tvmRes, err := runDSSA(inst, diffusion.LT, core.Options{K: k, Epsilon: 0.15, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +180,7 @@ func TestTVMBeatsUntargetedIM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imRes, err := core.DSSA(imSampler, core.Options{K: k, Epsilon: 0.15, Seed: 23, Workers: 2})
+	imRes, err := runLoop(imSampler, core.Options{K: k, Epsilon: 0.15, Seed: 23}, core.DSSAWith)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +220,7 @@ func TestStopAndStareFewerSamplesThanKBTIM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dssa, err := runDSSA(inst, diffusion.LT, core.Options{K: 20, Epsilon: 0.1, Seed: 43, Workers: 2})
+	dssa, err := runDSSA(inst, diffusion.LT, core.Options{K: 20, Epsilon: 0.1, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +263,7 @@ func TestTVMGuaranteeOnTinyInstance(t *testing.T) {
 			}
 		}
 	}
-	res, err := runDSSA(inst, diffusion.IC, core.Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 53, Workers: 2})
+	res, err := runDSSA(inst, diffusion.IC, core.Options{K: k, Epsilon: eps, Delta: 0.05, Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -347,8 +347,7 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 		q.Epsilon = 0.1
 	}
 	copt := core.Options{
-		K: q.K, Epsilon: q.Epsilon, Delta: q.Delta,
-		Seed: s.opt.Seed, Workers: s.opt.Workers,
+		K: q.K, Epsilon: q.Epsilon, Delta: q.Delta, Seed: s.opt.Seed,
 		Eps1: q.Eps1, Eps2: q.Eps2, Eps3: q.Eps3,
 		Trace: q.OnCheckpoint,
 	}

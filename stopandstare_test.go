@@ -340,3 +340,76 @@ func TestMaximizeTargetedForwardsStopAndStareOptions(t *testing.T) {
 			got.Samples, want.Seeds, want.InfluenceEstimate, want.Samples)
 	}
 }
+
+// TestSSAFewerSamplesThanIMMAndTIM is the headline shape of the paper:
+// SSA/D-SSA ≪ IMM ≤ TIM+ in RR sets, at comparable influence.
+func TestSSAFewerSamplesThanIMMAndTIM(t *testing.T) {
+	g, err := GeneratePowerLaw(4000, 20000, 2.1, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := map[Algorithm]*Result{}
+	for _, algo := range []Algorithm{IMM, TIMPlus, DSSA, SSA} {
+		if res[algo], err = Maximize(g, LT, algo, Options{K: 50, Epsilon: 0.1, Seed: 19, Workers: 2}); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+	}
+	imm := res[IMM]
+	for _, algo := range []Algorithm{DSSA, SSA} {
+		if res[algo].Samples >= imm.Samples {
+			t.Fatalf("%s (%d) should use fewer RR sets than IMM (%d)", algo, res[algo].Samples, imm.Samples)
+		}
+	}
+	if imm.Samples > res[TIMPlus].Samples*4 {
+		t.Fatalf("IMM (%d) and TIM+ (%d) should be within the same regime", imm.Samples, res[TIMPlus].Samples)
+	}
+	// All four must deliver comparable influence (within 10%).
+	for algo, r := range res {
+		if math.Abs(r.InfluenceEstimate-imm.InfluenceEstimate) > 0.1*imm.InfluenceEstimate {
+			t.Fatalf("%s influence %.1f deviates from IMM %.1f", algo, r.InfluenceEstimate, imm.InfluenceEstimate)
+		}
+	}
+}
+
+// TestOneShotRecyclesSolverArrays is the one-shot allocation guard. A cold
+// Maximize never returns to a prefix, so its session's solver keeps ONE
+// greedy run and hands that run's arrays from checkpoint to checkpoint. A
+// serving session's first query is the same cold run, but its solver
+// retains every checkpoint's run and allocates each afresh; were the
+// one-shot path to do that, it would show up in its peak memory. Counted,
+// not timed, and against the serving twin in the same binary, so neither
+// the toolchain nor the race detector moves it: every checkpoint after the
+// first must save at least the run's O(n) arrays and heap.
+func TestOneShotRecyclesSolverArrays(t *testing.T) {
+	g, err := GeneratePowerLaw(3000, 15000, 2.1, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer DropCachedPlans(g)
+	q := Query{Algorithm: DSSA, K: 5, Epsilon: 0.3}
+	checkpoints := 0
+	oneShot := testing.AllocsPerRun(5, func() {
+		res, err := Maximize(g, IC, DSSA, Options{K: q.K, Epsilon: q.Epsilon, Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpoints = res.Iterations
+	})
+	serving := testing.AllocsPerRun(5, func() {
+		sess, err := NewSession(g, IC, SessionOptions{Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Maximize(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if checkpoints < 3 {
+		t.Fatalf("only %d checkpoints: the run is too short to show recycling", checkpoints)
+	}
+	if saved := serving - oneShot; saved < float64(4*(checkpoints-1)) {
+		t.Fatalf("one-shot D-SSA: %.0f allocations, %.0f as a serving session's first query over %d checkpoints: saved %.0f, want ≥ %d",
+			oneShot, serving, checkpoints, saved, 4*(checkpoints-1))
+	}
+	t.Logf("%.0f vs %.0f allocations over %d checkpoints", oneShot, serving, checkpoints)
+}
