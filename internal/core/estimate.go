@@ -14,7 +14,7 @@ import (
 // Alg. 3.
 //
 // The estimator consumes PRNG streams from the reserved verification id
-// space (ris.VerifyStream), guaranteeing independence from the coverage
+// space (ris.SeedVerifyStream), guaranteeing independence from the coverage
 // collection as Alg. 1 line 10 requires ("independently generates another
 // collection of RR sets R′").
 //

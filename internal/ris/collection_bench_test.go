@@ -53,6 +53,36 @@ func BenchmarkGenerateSingleWorker(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateOutOfCache measures the sampling kernel alone, one
+// worker, on the dblp preset at scale 0.4 (262 k nodes, 800 k edges): a
+// graph whose plan and marks do not fit in cache, so the cost per item is
+// dominated by the walks' cache misses, which benchGraph's 20 k nodes hide.
+// It reports ns/item, the time per RR-set member generated.
+func BenchmarkGenerateOutOfCache(b *testing.B) {
+	pre, err := gen.PresetByName("dblp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := pre.Generate(0.4, 1, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		b.Run(model.String(), func(b *testing.B) {
+			s := mustSampler(b, g, model)
+			s.Plan()
+			var items int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, res := range sampleChunks(s, uint64(i)+1, 0, 20000, 1) {
+					items += int64(len(res.buf))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(items), "ns/item")
+		})
+	}
+}
+
 // BenchmarkGenerateSharded measures cold generation at 2 and 4 shards with
 // the same total worker budget as BenchmarkGenerate (4), which is the
 // one-shard point of the same sweep.

@@ -188,3 +188,64 @@ func TestIndexBlockLayoutIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexBlockCap lowers the per-block postings cap (math.MaxInt32 in
+// production, where starts' int32 prefix sum would otherwise wrap) and
+// checks that one large growth is split at set boundaries, that the
+// size-tiered merge of many small growths stops before the cap, and that
+// the recovery rebuild splits the same way — all with postings and
+// coverage equal to the reference stream.
+func TestIndexBlockCap(t *testing.T) {
+	defer func(c int64) { maxBlockItems = c }(maxBlockItems)
+	maxBlockItems = 3000
+	g, err := gen.ChungLu(400, 2400, 2.1, 51, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSampler(t, g, diffusion.IC)
+	checkBlocks := func(ctx string, sg *segment) {
+		t.Helper()
+		next := 0
+		for bi, b := range sg.blocks {
+			if int64(len(b.ids)) > maxBlockItems {
+				t.Fatalf("%s: block %d holds %d postings, cap %d", ctx, bi, len(b.ids), maxBlockItems)
+			}
+			if b.lfrom != next || b.lto <= b.lfrom {
+				t.Fatalf("%s: block %d covers [%d,%d), want a run from %d", ctx, bi, b.lfrom, b.lto, next)
+			}
+			if want := int(sg.offsets[b.lto] - sg.offsets[b.lfrom]); len(b.ids) != want || int(b.starts[sg.n]) != want {
+				t.Fatalf("%s: block %d holds %d postings (starts end %d), its sets %d", ctx, bi, len(b.ids), b.starts[sg.n], want)
+			}
+			next = b.lto
+		}
+		if next != sg.nsets() {
+			t.Fatalf("%s: blocks cover %d of %d sets", ctx, next, sg.nsets())
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		schedule []int
+		workers  int
+	}{
+		{"one-growth", []int{6000}, 1},
+		{"one-growth-parallel", []int{6000}, 4},
+		{"small-growths", []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1100, 1200, 1300, 1400, 1500, 1600, 1700, 1800, 1900, 2000}, 1},
+	} {
+		col := NewShardedCollection(s, 99, 1, tc.workers)
+		for _, target := range tc.schedule {
+			col.GenerateTo(target)
+		}
+		sg := col.segs[0]
+		if col.Items() <= 2*maxBlockItems {
+			t.Fatalf("%s: %d items do not need three blocks", tc.name, col.Items())
+		}
+		checkBlocks(tc.name, sg)
+		ref := refStream(s, 99, col.Len())
+		AssertStoresEqual(t, tc.name, ref, col)
+
+		sg.blocks = nil
+		rebuildIndexBlocks(sg, 0, sg.nsets())
+		checkBlocks(tc.name+"/rebuilt", sg)
+		AssertStoresEqual(t, tc.name+"/rebuilt", ref, col)
+	}
+}

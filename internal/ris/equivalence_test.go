@@ -8,6 +8,7 @@ import (
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
+	"stopandstare/internal/rng"
 )
 
 // TestRISEqualsForwardOnReverseGraph validates the defining identity of
@@ -149,7 +150,7 @@ func pairActivation(t *testing.T, g *graph.Graph, seed, target uint32) float64 {
 // icReaches samples one IC possible world lazily and reports whether
 // target is reached from seed.
 func icReaches(g *graph.Graph, seed, target uint32, trial uint64) bool {
-	r := streamFor(7777, trial)
+	r := rng.NewStream(7777, trial)
 	visited := map[uint32]bool{seed: true}
 	queue := []uint32{seed}
 	for head := 0; head < len(queue); head++ {

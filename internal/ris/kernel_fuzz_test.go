@@ -1,0 +1,185 @@
+package ris
+
+import (
+	"slices"
+	"testing"
+
+	"stopandstare/internal/diffusion"
+	"stopandstare/internal/epoch"
+	"stopandstare/internal/graph"
+	"stopandstare/internal/rng"
+)
+
+// fuzzKernelGraph builds a small random graph from graphSeed whose nodes mix
+// every kernel case: all-zero, all-one and shared-weight in-edge lists
+// (uniform IC nodes), mixed weights with zeros and ones among them (general
+// IC nodes), and for LT a per-node stop mass anywhere in [0, 1].
+func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion.Model) *graph.Graph {
+	t.Helper()
+	r := rng.New(graphSeed)
+	n := 2 + int(size)%40
+	var edges []graph.Edge
+	srcs := make([]int, n)
+	for v := 0; v < n; v++ {
+		r.Perm(srcs)
+		d := r.Intn(min(n-1, 7) + 1)
+		ws := make([]float64, 0, d)
+		mode := r.Intn(5)
+		shared := r.Float64()
+		for len(ws) < d {
+			var w float64
+			switch mode {
+			case 0:
+				w = 0
+			case 1:
+				w = 1
+			case 2:
+				w = shared
+			default:
+				switch r.Intn(4) {
+				case 0:
+					w = 0
+				case 1:
+					w = 1
+				default:
+					w = r.Float64()
+				}
+			}
+			ws = append(ws, w)
+		}
+		if model == diffusion.LT {
+			// Scale the in-weights to sum to 1 − stop; stop is 0 for a third
+			// of the nodes, so the walk never stops there by the deficit.
+			var sum float64
+			for _, w := range ws {
+				sum += w
+			}
+			stop := 0.0
+			if r.Intn(3) > 0 {
+				stop = r.Float64()
+			}
+			for i := range ws {
+				if sum > 0 {
+					ws[i] = ws[i] / sum * (1 - stop) * (1 - 1e-7)
+				}
+			}
+		}
+		k := 0
+		for _, u := range srcs {
+			if k == len(ws) {
+				break
+			}
+			if u == v {
+				continue
+			}
+			edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v), W: ws[k]})
+			k++
+		}
+	}
+	g, err := graph.FromEdges(n, edges, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// FuzzKernelAgainstSequential checks the production kernel — the chunk path
+// (lane-interleaved LT walks, frontier-batched IC draws), AppendSample and
+// HitsMarked — against seqSample, the one-walk-at-a-time kernel, set by
+// set: same nodes in the same order, same widths, same hits.
+func FuzzKernelAgainstSequential(f *testing.F) {
+	f.Add(uint64(1), uint8(12), false, false, uint64(7), uint16(0), uint16(600), uint64(3))
+	f.Add(uint64(2), uint8(30), true, false, uint64(9), uint16(5), uint16(1031), uint64(4))
+	f.Add(uint64(3), uint8(39), false, true, uint64(11), uint16(3), uint16(77), uint64(5))
+	f.Add(uint64(4), uint8(25), true, true, uint64(13), uint16(509), uint16(6), uint64(6))
+	f.Add(uint64(5), uint8(0), true, false, uint64(15), uint16(1), uint16(1), uint64(7))
+	f.Fuzz(func(t *testing.T, graphSeed uint64, size uint8, lt, weighted bool, seed uint64, lo, count uint16, stopSeed uint64) {
+		model := diffusion.IC
+		if lt {
+			model = diffusion.LT
+		}
+		g := fuzzKernelGraph(t, graphSeed, size, model)
+		n := g.NumNodes()
+		s := mustSampler(t, g, model)
+		if weighted {
+			wr := rng.New(graphSeed ^ 0x5eed)
+			bw := make([]float64, n)
+			for v := range bw {
+				if wr.Intn(3) > 0 {
+					bw[v] = wr.Float64()
+				}
+			}
+			bw[wr.Intn(n)] = 1
+			var err error
+			if s, err = NewWeightedSampler(g, model, bw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from, to := int(lo), int(lo)+int(count)%1200
+		var m epoch.Marks
+		var r rng.Source
+		var want []uint32
+		var wantOff []int
+		var wantW []int64
+		for id := from; id < to; id++ {
+			r.SeedStream(seed, uint64(id))
+			wantOff = append(wantOff, len(want))
+			var w int64
+			want, w, _ = seqSample(s, &r, &m, want, nil)
+			wantW = append(wantW, w)
+		}
+		wantOff = append(wantOff, len(want))
+
+		// The chunk path, at worker counts that split the chunks differently.
+		for _, workers := range []int{1, 3} {
+			id := from
+			for ci, res := range sampleChunks(s, seed, from, to, workers) {
+				var w int64
+				for j := 1; j < len(res.offsets); j++ {
+					got := res.buf[res.offsets[j-1]:res.offsets[j]]
+					k := id - from
+					if !slices.Equal(got, want[wantOff[k]:wantOff[k+1]]) {
+						t.Fatalf("workers %d chunk %d: set %d = %v, sequential %v", workers, ci, id, got, want[wantOff[k]:wantOff[k+1]])
+					}
+					w += wantW[k]
+					id++
+				}
+				if res.width != w {
+					t.Fatalf("workers %d chunk %d: width %d, sequential %d", workers, ci, res.width, w)
+				}
+			}
+			if id != to {
+				t.Fatalf("workers %d: chunks hold %d sets, want %d", workers, id-from, to-from)
+			}
+		}
+
+		// One set at a time, and the hit test against a random stop set.
+		st := s.NewState()
+		stop := make([]bool, n)
+		sr := rng.New(stopSeed)
+		for v := range stop {
+			stop[v] = sr.Intn(4) == 0
+		}
+		var buf, hbuf, sbuf []uint32
+		for id := from; id < to; id++ {
+			k := id - from
+			r.SeedStream(seed, uint64(id))
+			var setLen int
+			var w int64
+			buf, setLen, w = s.AppendSample(&r, st, buf[:0])
+			if !slices.Equal(buf, want[wantOff[k]:wantOff[k+1]]) || setLen != len(buf) || w != wantW[k] {
+				t.Fatalf("AppendSample set %d = %v (len %d, width %d), sequential %v (width %d)",
+					id, buf, setLen, w, want[wantOff[k]:wantOff[k+1]], wantW[k])
+			}
+			SeedVerifyStream(&r, seed, uint64(id))
+			var hit bool
+			hit, hbuf = s.HitsMarked(&r, st, hbuf, stop)
+			SeedVerifyStream(&r, seed, uint64(id))
+			var wantHit bool
+			sbuf, _, wantHit = seqSample(s, &r, &m, sbuf[:0], stop)
+			if hit != wantHit || !slices.Equal(hbuf, sbuf) {
+				t.Fatalf("HitsMarked id %d = %v after %v, sequential %v after %v", id, hit, hbuf, wantHit, sbuf)
+			}
+		}
+	})
+}

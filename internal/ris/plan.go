@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"stopandstare/internal/diffusion"
+	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/rng"
 )
@@ -26,6 +27,23 @@ import (
 //   - LT nodes get per-node alias tables over (in-neighbours + stop), so a
 //     reverse-walk step costs one draw and O(1) work instead of the
 //     O(log d_in) binary search of graph.SampleLTInNeighbor.
+//
+// On a graph larger than the cache, what is left of a sample's cost is
+// stalls on dependent loads, so the kernel is shaped to keep several
+// misses in flight at once:
+//
+//   - IC expands the reverse BFS one frontier at a time (icFrontier): it
+//     first draws every live edge of the whole frontier in queue order,
+//     then visits the edges' sources in the same order;
+//   - LT advances ltLanes independent walks per sampler worker
+//     (Sampler.sampleChunk), one step of each per round, in passes that
+//     each take one link of every lane's miss chain (ltRound).
+//
+// AppendSample, HitsMarked and the chunk path all run these two kernels
+// (a single walk is one lane), and both keep each set's draws and visit
+// order exactly those of a one-walk-at-a-time loop (seqSample,
+// reference_test.go, pinned by FuzzKernelAgainstSequential and
+// TestStreamPinned).
 //
 // The plan is the only production sampler. Its draw sequence differs from
 // the direct per-edge Bernoulli translation of Def. 2 (refSampler in
@@ -234,78 +252,106 @@ func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32)
 	}
 }
 
-// appendSample runs one RR-set generation under the compiled kernels. The
-// caller has drawn the root, reset st, marked and appended the root at
-// buf[start]. Returns the grown buffer and the set's width Σ d_in.
-//
-// A non-nil stop turns the walk into a hit test: it ends with hit = true at
-// the first newly visited node u with stop[u], before appending u. Up to
-// that point it makes exactly the draws of the full walk, so hit is
-// "the full set meets stop". The store path passes nil.
-func (p *Plan) appendSample(r *rng.Source, st *State, buf []uint32, start int, root uint32, stop []bool) (_ []uint32, width int64, hit bool) {
-	width = int64(p.deg[root])
-	if p.model == diffusion.IC {
-		for head := start; head < len(buf); head++ {
-			x := buf[head]
-			if p.class[x] != classUniform {
-				// Fused threshold records: one integer compare per edge.
-				for _, e := range p.gen[p.genOff[x]:p.genOff[x+1]] {
-					if r.Bernoulli64(e.thr) {
-						if u := e.nbr; st.marks.Visit(int32(u)) {
-							if stop != nil && stop[u] {
-								return buf, width, true
-							}
-							buf = append(buf, u)
-							width += int64(p.deg[u])
-						}
-					}
-				}
-				continue
-			}
-			adj := p.inAdj[p.inIdx[x]:p.inIdx[x+1]]
-			if len(adj) == 0 {
-				continue
-			}
-			// Geometric skipping: each draw jumps to the next live edge, so
-			// the node costs 1 + #live draws instead of d_in.
-			lnq := p.lnq[x]
-			for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
-				if u := adj[i]; st.marks.Visit(int32(u)) {
-					if stop != nil && stop[u] {
-						return buf, width, true
-					}
-					buf = append(buf, u)
-					width += int64(p.deg[u])
+// icFrontier expands one level of the IC reverse BFS: buf[head:] is the
+// frontier, and the members it newly reaches are appended to buf in exactly
+// the order the one-node-at-a-time BFS visits them. It runs in two phases.
+// The draw phase walks the frontier in queue order and appends the source
+// of every live in-edge to buf as a candidate. Those draws depend on the
+// RNG, the plan's per-node parameters and the degree, never on the marks,
+// so they are the draws of the sequential BFS. The visit phase then marks
+// the candidates in the same order and keeps the first visits, compacting
+// buf in place. Neither phase carries a dependence from one node or
+// candidate to the next, so the CPU keeps the frontier's adjacency and mark
+// misses in flight together.
+func (p *Plan) icFrontier(r *rng.Source, m *epoch.Marks, buf []uint32, head int) []uint32 {
+	end := len(buf)
+	for k := head; k < end; k++ {
+		x := buf[k]
+		if p.class[x] != classUniform {
+			// Fused threshold records: one integer compare per edge.
+			for _, e := range p.gen[p.genOff[x]:p.genOff[x+1]] {
+				if r.Bernoulli64(e.thr) {
+					buf = append(buf, e.nbr)
 				}
 			}
+			continue
 		}
-		return buf, width, false
+		adj := p.inAdj[p.inIdx[x]:p.inIdx[x+1]]
+		if len(adj) == 0 {
+			continue
+		}
+		// Geometric skipping: each draw jumps to the next live edge, so the
+		// node costs 1 + #live draws instead of d_in.
+		lnq := p.lnq[x]
+		for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
+			buf = append(buf, adj[i])
+		}
 	}
-	// LT reverse walk over alias tables: one draw per step — high product
-	// bits pick the slot, low bits resolve the alias redirect.
-	x := root
-	for {
-		base := p.ltOff[x]
-		nslots := uint64(p.ltOff[x+1] - base)
-		j, frac := bits.Mul64(r.Uint64(), nslots)
-		s := &p.lt[base+int64(j)]
+	w := end
+	for _, u := range buf[end:] {
+		if m.Visit(int32(u)) {
+			buf[w] = u
+			w++
+		}
+	}
+	return buf[:w]
+}
+
+// ltRound advances each live lane of ls (bit i of live set) one step of its
+// LT reverse walk, and returns the set of lanes whose walk ended. A step is
+// one draw whose high product bits pick the alias slot of the lane's node
+// and whose low bits resolve the redirect; it either moves the lane to the
+// picked in-neighbour, newly marked and appended to the lane's buf, or ends
+// the walk: by the stop outcome (the threshold deficit) or by a revisit
+// (Def. 2's LT reverse walk). Each step is a chain of dependent misses —
+// the node's slot offsets, the slot, the neighbour's mark — so the round
+// runs in three passes, one link of every lane's chain per pass, and the
+// lanes' misses of one link are in flight together.
+func (p *Plan) ltRound(ls []lane, live uint) (ended uint) {
+	var base [ltLanes]int64
+	var nslots [ltLanes]uint64
+	for i := range ls {
+		if live&(1<<i) != 0 {
+			base[i] = p.ltOff[ls[i].x]
+			nslots[i] = uint64(p.ltOff[ls[i].x+1] - base[i])
+		}
+	}
+	var nbr [ltLanes]uint32
+	for i := range ls {
+		if live&(1<<i) == 0 {
+			continue
+		}
+		j, frac := bits.Mul64(ls[i].r.Uint64(), nslots[i])
+		s := &p.lt[base[i]+int64(j)]
 		if frac >= s.thr {
 			j = uint64(s.alt)
-			s = &p.lt[base+int64(j)]
+			s = &p.lt[base[i]+int64(j)]
 		}
-		if j == nslots-1 {
-			break // stop outcome: the threshold deficit won
+		if j == nslots[i]-1 {
+			ended |= 1 << i // stop outcome: the threshold deficit won
 		}
-		u := s.nbr
-		if !st.marks.Visit(int32(u)) {
-			break // revisit terminates the walk (Def. 2's LT reverse walk)
-		}
-		if stop != nil && stop[u] {
-			return buf, width, true
-		}
-		buf = append(buf, u)
-		width += int64(p.deg[u])
-		x = u
+		nbr[i] = s.nbr
 	}
-	return buf, width, false
+	for i := range ls {
+		if live&^ended&(1<<i) == 0 {
+			continue
+		}
+		l := &ls[i]
+		if u := nbr[i]; l.marks.Visit(int32(u)) {
+			l.buf = append(l.buf, u)
+			l.x = u
+		} else {
+			ended |= 1 << i
+		}
+	}
+	return ended
+}
+
+// width returns w(R) = Σ_{v∈R} d_in(v) for a set.
+func (p *Plan) width(set []uint32) int64 {
+	var w int64
+	for _, v := range set {
+		w += int64(p.deg[v])
+	}
+	return w
 }

@@ -460,16 +460,26 @@ func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex
 		lcov = bm.lto
 	}
 	if lcov < c {
-		rebuildIndexBlock(sg, lcov, c)
+		rebuildIndexBlocks(sg, lcov, c)
 		return 1
 	}
 	return 0
 }
 
-// rebuildIndexBlock builds one CSR block over local sets [from, to) reading
-// through setAt (the sets live in mapped extents, outside the tail the
-// normal build path slices). Only the recovery path uses it: dropped or
-// truncated index blocks are derived data, reconstructed from the arena.
+// rebuildIndexBlocks indexes local sets [from, to) reading through setAt
+// (the sets live in mapped extents, outside the tail the normal build path
+// slices), in as many blocks as maxBlockItems requires. Only the recovery
+// path uses it: dropped or truncated index blocks are derived data,
+// reconstructed from the arena.
+func rebuildIndexBlocks(sg *segment, from, to int) {
+	for from < to {
+		end := sg.blockEnd(from, to)
+		rebuildIndexBlock(sg, from, end)
+		from = end
+	}
+}
+
+// rebuildIndexBlock builds one CSR block over local sets [from, to).
 func rebuildIndexBlock(sg *segment, from, to int) {
 	n := sg.n
 	starts := make([]int32, n+1)

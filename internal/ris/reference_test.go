@@ -3,11 +3,13 @@ package ris
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
 
 	"stopandstare/internal/diffusion"
+	"stopandstare/internal/epoch"
 	"stopandstare/internal/rng"
 )
 
@@ -29,6 +31,10 @@ import (
 //
 // refSampler is the sampling DEFINITION (Def. 2) that the compiled plan is
 // checked against in plan_test.go.
+//
+// seqSample is the compiled plan's kernel written as one walk at a time:
+// the bit-identity oracle for the lane-interleaved LT walks and the
+// frontier-batched IC draws (FuzzKernelAgainstSequential).
 
 // refSampler draws RR sets by the direct translation of Def. 2: one float
 // Bernoulli draw per IC in-edge examined, one binary search
@@ -51,9 +57,9 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 	} else {
 		root = uint32(r.Intn(g.NumNodes()))
 	}
-	st.marks.Reset(st.n)
+	st.lanes[0].marks.Reset(g.NumNodes())
 	start := len(buf)
-	st.marks.Visit(int32(root))
+	st.lanes[0].marks.Visit(int32(root))
 	buf = append(buf, root)
 	width := int64(g.InDegree(root))
 	if s.model == diffusion.IC {
@@ -63,11 +69,11 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 			x := buf[head]
 			adj, ws := g.InNeighbors(x)
 			for i, u := range adj {
-				if st.marks.Contains(int32(u)) {
+				if st.lanes[0].marks.Contains(int32(u)) {
 					continue
 				}
 				if r.Float64() < float64(ws[i]) {
-					st.marks.Visit(int32(u))
+					st.lanes[0].marks.Visit(int32(u))
 					buf = append(buf, u)
 					width += int64(g.InDegree(u))
 				}
@@ -79,7 +85,7 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 		x := root
 		for {
 			u, ok := g.SampleLTInNeighbor(x, r.Float64())
-			if !ok || !st.marks.Visit(int32(u)) {
+			if !ok || !st.lanes[0].marks.Visit(int32(u)) {
 				break
 			}
 			buf = append(buf, u)
@@ -88,6 +94,90 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 		}
 	}
 	return buf, len(buf) - start, width
+}
+
+// seqSample draws RR set (r's stream) through s's compiled plan one walk at
+// a time: the IC reverse BFS draws and visits each queued node's in-edges
+// before moving to the next node, the LT walk takes one step per loop. It
+// appends the set to buf and returns its width. A non-nil stop ends the
+// walk with hit = true at the first visited node in stop (the root
+// included), before appending it; up to there it makes exactly the draws
+// of the full walk.
+func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []bool) (_ []uint32, width int64, hit bool) {
+	p := s.Plan()
+	var root uint32
+	if s.root != nil {
+		root = uint32(s.root.Sample(r))
+	} else {
+		root = uint32(r.Intn(s.g.NumNodes()))
+	}
+	if stop != nil && stop[root] {
+		return buf, 0, true
+	}
+	m.Reset(s.g.NumNodes())
+	start := len(buf)
+	m.Visit(int32(root))
+	buf = append(buf, root)
+	width = int64(p.deg[root])
+	if p.model == diffusion.IC {
+		for head := start; head < len(buf); head++ {
+			x := buf[head]
+			if p.class[x] != classUniform {
+				for _, e := range p.gen[p.genOff[x]:p.genOff[x+1]] {
+					if r.Bernoulli64(e.thr) {
+						if u := e.nbr; m.Visit(int32(u)) {
+							if stop != nil && stop[u] {
+								return buf, width, true
+							}
+							buf = append(buf, u)
+							width += int64(p.deg[u])
+						}
+					}
+				}
+				continue
+			}
+			adj := p.inAdj[p.inIdx[x]:p.inIdx[x+1]]
+			if len(adj) == 0 {
+				continue
+			}
+			lnq := p.lnq[x]
+			for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
+				if u := adj[i]; m.Visit(int32(u)) {
+					if stop != nil && stop[u] {
+						return buf, width, true
+					}
+					buf = append(buf, u)
+					width += int64(p.deg[u])
+				}
+			}
+		}
+		return buf, width, false
+	}
+	x := root
+	for {
+		base := p.ltOff[x]
+		nslots := uint64(p.ltOff[x+1] - base)
+		j, frac := bits.Mul64(r.Uint64(), nslots)
+		sl := &p.lt[base+int64(j)]
+		if frac >= sl.thr {
+			j = uint64(sl.alt)
+			sl = &p.lt[base+int64(j)]
+		}
+		if j == nslots-1 {
+			break
+		}
+		u := sl.nbr
+		if !m.Visit(int32(u)) {
+			break
+		}
+		if stop != nil && stop[u] {
+			return buf, width, true
+		}
+		buf = append(buf, u)
+		width += int64(p.deg[u])
+		x = u
+	}
+	return buf, width, false
 }
 
 type refStore struct {

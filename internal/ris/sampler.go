@@ -7,6 +7,8 @@ package ris
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/epoch"
@@ -103,18 +105,47 @@ func (s *Sampler) Scale() float64 { return s.scale }
 // Weighted reports whether this is a WRIS sampler.
 func (s *Sampler) Weighted() bool { return s.root != nil }
 
-// State is the per-goroutine scratch for RR-set generation: the visited set
-// is the shared epoch-stamped epoch.Marks, so clearing between samples is a
-// generation bump, not an O(n) sweep.
-type State struct {
+// ltLanes is the number of LT reverse walks one sampler worker advances
+// round-robin in the chunk path (sampleChunk). Each step of a walk is a
+// chain of dependent cache misses (the node's alias slot, then the mark of
+// the neighbour it picks); independent walks overlap their chains. On the
+// dblp preset at scale 0.4, one worker, two lanes measured about 1.5× one
+// and four about 1.9×; eight were no better than four.
+const ltLanes = 4
+
+// lane is one reverse walk: its own stream, visited set and arena. In the
+// chunk path the arena holds the lane's finished sets of the chunk, then
+// the walk in progress from start on.
+type lane struct {
+	r     rng.Source
 	marks epoch.Marks
-	n     int
+	buf   []uint32
+	start int    // offset in buf of the walk in progress
+	x     uint32 // the walk's current node
+	id    int    // global id of the walk in progress (chunk path)
+}
+
+// laneSpan locates one finished set of a chunk in its lane's arena.
+type laneSpan struct {
+	lane     int
+	from, to int
+}
+
+// State is the per-goroutine scratch for RR-set generation. Visited sets
+// are epoch-stamped epoch.Marks, so clearing between samples is a
+// generation bump, not an O(n) sweep. Single-set walks (AppendSample,
+// HitsMarked, the IC chunk path) use lane 0; the LT chunk path sizes the
+// other lanes' marks on first use, so a worker holds at most ltLanes·4n
+// bytes of them.
+type State struct {
+	lanes [ltLanes]lane
+	spans []laneSpan // LT chunk path: finished sets by chunk position
 }
 
 // NewState allocates sampling scratch for the sampler's graph.
 func (s *Sampler) NewState() *State {
-	st := &State{n: s.g.NumNodes()}
-	st.marks.Reset(st.n) // size the backing array once, up front
+	st := &State{}
+	st.lanes[0].marks.Reset(s.g.NumNodes()) // size the single-walk marks once, up front
 	return st
 }
 
@@ -125,38 +156,146 @@ func (s *Sampler) NewState() *State {
 // nodes appear in reverse-walk order (root first), which tests rely on.
 func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf []uint32, setLen int, width int64) {
 	start := len(buf)
-	buf, width, _ = s.walk(r, st, buf, nil)
-	return buf, len(buf) - start, width
+	buf, _ = s.walk(r, st, buf, nil)
+	return buf, len(buf) - start, s.Plan().width(buf[start:])
 }
 
 // HitsMarked reports whether the RR set AppendSample would draw from r
 // contains a node v with marked[v]. It is the same walk with the same
-// draws, stopped at the root or at the first marked node it visits, so a
-// hit costs a fraction of the full set. buf is the walk's queue scratch;
-// the grown buffer is returned for reuse and holds the nodes visited
-// before the stop.
+// draws, stopped at the root or at the first marked node in visit order
+// (IC tests a whole frontier once it is visited), so a hit costs a
+// fraction of the full set. buf is the walk's queue scratch; the grown
+// buffer is returned for reuse and holds the nodes visited before the stop.
 func (s *Sampler) HitsMarked(r *rng.Source, st *State, buf []uint32, marked []bool) (hit bool, newBuf []uint32) {
-	buf, _, hit = s.walk(r, st, buf[:0], marked)
+	buf, hit = s.walk(r, st, buf[:0], marked)
 	return hit, buf
 }
 
-// walk draws the root and runs the plan's kernel from it, appending to buf;
-// a non-nil stop ends it at the first node in stop (see Plan.appendSample).
-func (s *Sampler) walk(r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, int64, bool) {
+// open draws the root of r's set and starts the walk: m is reset to hold
+// just the root, which is appended to buf.
+func (s *Sampler) open(r *rng.Source, m *epoch.Marks, buf []uint32) ([]uint32, uint32) {
 	var root uint32
 	if s.root != nil {
 		root = uint32(s.root.Sample(r))
 	} else {
 		root = uint32(r.Intn(s.g.NumNodes()))
 	}
-	if stop != nil && stop[root] {
-		return buf, 0, true
-	}
-	st.marks.Reset(st.n)
+	m.Reset(s.g.NumNodes())
+	m.Visit(int32(root))
+	return append(buf, root), root
+}
+
+// walk draws one RR set from r on lane 0's marks and appends it to buf. A
+// non-nil stop ends the walk with true at the first node in stop, truncated
+// before it; the walk's draws up to there are those of the full set. IC
+// tests stop once per frontier, LT once per step.
+func (s *Sampler) walk(r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, bool) {
+	p := s.Plan()
+	m := &st.lanes[0].marks
 	start := len(buf)
-	st.marks.Visit(int32(root))
-	buf = append(buf, root)
-	return s.Plan().appendSample(r, st, buf, start, root, stop)
+	buf, root := s.open(r, m, buf)
+	if stop != nil && stop[root] {
+		return buf[:start], true
+	}
+	if p.model == diffusion.IC {
+		for head := start; head < len(buf); {
+			end := len(buf)
+			buf = p.icFrontier(r, m, buf, head)
+			if stop != nil {
+				for k := end; k < len(buf); k++ {
+					if stop[buf[k]] {
+						return buf[:k], true
+					}
+				}
+			}
+			head = end
+		}
+		return buf, false
+	}
+	// One lane of the chunk path's LT kernel, run on the caller's stream
+	// and buffer.
+	l := &st.lanes[0]
+	l.r, l.buf, l.x = *r, buf, root
+	hit := false
+	for p.ltRound(st.lanes[:1], 1) == 0 {
+		if stop != nil && stop[l.x] {
+			l.buf, hit = l.buf[:len(l.buf)-1], true
+			break
+		}
+	}
+	*r, buf = l.r, l.buf
+	l.buf = nil // the caller owns buf
+	return buf, hit
+}
+
+// sampleChunk generates the RR sets with global ids [lo, hi), set id from
+// stream (seed, id), into one chunk result. IC draws one set at a time
+// (each frontier is already batched, see Plan.icFrontier). LT runs ltLanes
+// walks round-robin, one step each per turn: a finished lane records its
+// set and takes the chunk's next id, and the sets are emitted in id order
+// at the end, so the chunk is exactly the one a one-walk loop produces.
+func (s *Sampler) sampleChunk(st *State, seed uint64, lo, hi int) chunkResult {
+	p := s.Plan()
+	res := chunkResult{offsets: make([]int32, 1, hi-lo+1)}
+	if p.model == diffusion.IC {
+		buf := make([]uint32, 0, 4*(hi-lo))
+		r := &st.lanes[0].r
+		for id := lo; id < hi; id++ {
+			r.SeedStream(seed, uint64(id))
+			var w int64
+			buf, _, w = s.AppendSample(r, st, buf)
+			res.offsets = append(res.offsets, int32(len(buf)))
+			res.width += w
+		}
+		res.buf = buf
+		return res
+	}
+	st.spans = slices.Grow(st.spans[:0], hi-lo)[:hi-lo]
+	next, live := lo, uint(0)
+	for i := range st.lanes {
+		l := &st.lanes[i]
+		// A lane walks about a quarter of the chunk's sets; LT sets average
+		// a few nodes, so this usually covers the lane for every chunk.
+		l.buf = slices.Grow(l.buf[:0], hi-lo)
+		if next < hi {
+			s.openLane(l, seed, next)
+			next++
+			live |= 1 << i
+		}
+	}
+	for live != 0 {
+		for ended := p.ltRound(st.lanes[:], live); ended != 0; ended &= ended - 1 {
+			i := bits.TrailingZeros(ended)
+			l := &st.lanes[i]
+			st.spans[l.id-lo] = laneSpan{lane: i, from: l.start, to: len(l.buf)}
+			if next < hi {
+				s.openLane(l, seed, next)
+				next++
+			} else {
+				live &^= 1 << i
+			}
+		}
+	}
+	items := 0
+	for i := range st.lanes {
+		items += len(st.lanes[i].buf)
+	}
+	res.buf = make([]uint32, 0, items)
+	for _, sp := range st.spans {
+		set := st.lanes[sp.lane].buf[sp.from:sp.to]
+		res.buf = append(res.buf, set...)
+		res.offsets = append(res.offsets, int32(len(res.buf)))
+		res.width += p.width(set)
+	}
+	return res
+}
+
+// openLane starts lane l on the walk of set id.
+func (s *Sampler) openLane(l *lane, seed uint64, id int) {
+	l.r.SeedStream(seed, uint64(id))
+	l.start = len(l.buf)
+	l.buf, l.x = s.open(&l.r, &l.marks, l.buf)
+	l.id = id
 }
 
 // Sample generates one RR set into a fresh slice (convenience for tests).

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"stopandstare/internal/rng"
 )
 
 // This file is the storage engine the RR-set store is built from:
@@ -255,7 +253,6 @@ func sampleChunksCtx(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, w
 		go func() {
 			defer wg.Done()
 			st := s.NewState()
-			var r rng.Source // re-seeded per RR set: no per-set allocation
 			for {
 				if ctx.Err() != nil {
 					return
@@ -265,21 +262,8 @@ func sampleChunksCtx(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, w
 					return
 				}
 				lo := gfrom + ci*chunkSize
-				hi := lo + chunkSize
-				if hi > gto {
-					hi = gto
-				}
-				res := chunkResult{offsets: make([]int32, 1, hi-lo+1)}
-				buf := make([]uint32, 0, 4*(hi-lo))
-				for id := lo; id < hi; id++ {
-					r.SeedStream(seed, uint64(id))
-					var w int64
-					buf, _, w = s.AppendSample(&r, st, buf)
-					res.offsets = append(res.offsets, int32(len(buf)))
-					res.width += w
-				}
-				res.buf = buf
-				results[ci] = res
+				hi := min(lo+chunkSize, gto)
+				results[ci] = s.sampleChunk(st, seed, lo, hi)
 			}
 		}()
 	}
@@ -312,12 +296,33 @@ func (sg *segment) appendResults(results []chunkResult) {
 	}
 }
 
-// appendIndexBlock indexes local sets [from, to) into a new CSR block.
+// maxBlockItems caps the postings of one CSR block: starts holds int32
+// offsets into ids, so a larger block would wrap its prefix sum. A variable
+// only so tests can lower it.
+var maxBlockItems int64 = math.MaxInt32
+
+// blockEnd returns the end of the longest run of local sets starting at
+// from (and ending by to) whose postings fit in one block. The run holds at
+// least one set; a set has at most n < MaxInt32 members, so under the real
+// cap it always fits.
+func (sg *segment) blockEnd(from, to int) int {
+	base := sg.offsets[from]
+	if sg.offsets[to]-base <= maxBlockItems {
+		return to
+	}
+	end := from + sort.Search(to-from, func(i int) bool { return sg.offsets[from+i+1]-base > maxBlockItems })
+	return max(end, from+1)
+}
+
+// appendIndexBlock indexes local sets [from, to) into new CSR blocks: one,
+// unless the batch holds more than maxBlockItems postings, in which case it
+// is split at set boundaries into blocks that each fit.
 // Small trailing blocks are first absorbed (size-tiered, Bentley–Saxe
 // style): any block no larger than the batch being appended is merged into
-// it, so pathological many-small-growth loops still leave O(log |R|)
-// blocks and every posting is re-placed O(log |R|) times in total, while a
-// doubling schedule keeps exactly one block per call. The build itself is
+// it, as long as the merged block stays within the cap, so pathological
+// many-small-growth loops still leave O(log |R|) blocks and every posting is
+// re-placed O(log |R|) times in total, while a doubling schedule keeps
+// exactly one block per call. The build itself is
 // O(items + n): a counting pass, a prefix sum, and a placement pass in
 // ascending set order (which makes every per-node run ascending by
 // construction — ascending local order is ascending global order, since a
@@ -325,30 +330,41 @@ func (sg *segment) appendResults(results []chunkResult) {
 // batches build in parallel (see buildBlockParallel) with a layout
 // bit-identical to the serial pass for any worker count.
 func (sg *segment) appendIndexBlock(from, to, workers int) {
-	newItems := int(sg.offsets[to] - sg.offsets[from])
+	for from < to {
+		end := sg.blockEnd(from, to)
+		sg.appendBlock(from, end, workers)
+		from = end
+	}
+}
+
+// appendBlock indexes local sets [from, to), whose postings fit in one
+// block, after absorbing the trailing blocks appendIndexBlock describes.
+func (sg *segment) appendBlock(from, to, workers int) {
+	newItems := sg.offsets[to] - sg.offsets[from]
 	for len(sg.blocks) > 0 {
 		last := &sg.blocks[len(sg.blocks)-1]
 		// Spilled blocks are immutable, and blocks over frozen extents are
 		// outside the tail a rebuild would slice — merging stops at either.
-		if last.mapped || last.lfrom < sg.tailSet || len(last.ids) > newItems {
+		lastItems := int64(len(last.ids))
+		if last.mapped || last.lfrom < sg.tailSet || lastItems > newItems || newItems+lastItems > maxBlockItems {
 			break
 		}
-		newItems += len(last.ids)
+		newItems += lastItems
 		from = last.lfrom
 		sg.blocks = sg.blocks[:len(sg.blocks)-1]
 	}
 	n := sg.n
 	starts := make([]int32, n+1)
 	ids := make([]int32, newItems)
-	if max := newItems / indexItemsPerWorker; workers > max {
-		workers = max
+	if max := newItems / indexItemsPerWorker; int64(workers) > max {
+		workers = int(max)
 	}
 	// The parallel build's counting scratch is workers·n int32s; keep that
 	// proportional to the block being indexed, or a huge-graph/small-block
 	// build would pay O(cores·n) transient memory for little speedup.
 	if n > 0 {
-		if max := 2 * newItems / n; workers > max {
-			workers = max
+		if max := 2 * newItems / int64(n); int64(workers) > max {
+			workers = int(max)
 		}
 	}
 	if workers > 1 {

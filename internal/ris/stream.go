@@ -2,24 +2,13 @@ package ris
 
 import "stopandstare/internal/rng"
 
-// streamFor returns the PRNG for RR set id under the given seed. Split out
-// so the verification stream used by SSA's Estimate-Inf can reserve a
-// disjoint id space (see core): verification RR sets use VerifyStream.
-func streamFor(seed, id uint64) *rng.Source {
-	return rng.NewStream(seed, id)
-}
-
-// VerifyStream returns a PRNG stream disjoint from the Generate stream for
-// any realistic id (< 2^62). SSA's Estimate-Inf must use samples that are
-// independent of the coverage collection (Alg. 1 line 10 generates a fresh
-// collection R′), which this separation guarantees.
-func VerifyStream(seed, id uint64) *rng.Source {
-	return rng.NewStream(seed, id|1<<62)
-}
-
-// SeedVerifyStream re-seeds r in place to VerifyStream(seed, id)'s sequence,
-// for callers that draw one verification RR set per loop iteration and want
-// to avoid a Source allocation per sample.
+// SeedVerifyStream re-seeds r in place to the verification stream of id:
+// a PRNG stream disjoint from the Generate stream rng.NewStream(seed, id)
+// for any realistic id (< 2^62). SSA's Estimate-Inf must use samples that
+// are independent of the coverage collection (Alg. 1 line 10 generates a
+// fresh collection R′), which this separation guarantees. Re-seeding in
+// place spares the loop that draws one verification RR set per iteration
+// a Source allocation per sample.
 func SeedVerifyStream(r *rng.Source, seed, id uint64) {
 	r.SeedStream(seed, id|1<<62)
 }

@@ -307,9 +307,9 @@ func TestSessionWarmQueryAllocations(t *testing.T) {
 // scratch — the seed marks, the visited set and the walk queue — is
 // allocated once per run, not per checkpoint or per verification set.
 // c = 10 covers the estimator, the visited set (two allocations), the seed
-// marks and the queue, which doubles up to the longest walk of the run
-// (measured: 13 allocations over 2 checkpoints at n = 300, 16 over 3 at
-// n = 30 000).
+// marks and the queue, which doubles up to the longest walk of the run plus
+// one IC frontier's candidates (measured: 14 allocations over 2 checkpoints
+// at n = 300, 17 over 3 at n = 30 000).
 func TestSessionWarmSSAQueryAllocations(t *testing.T) {
 	for _, n := range []int{300, 30000} {
 		g, err := stopandstare.GeneratePowerLaw(n, int64(6*n), 2.1, 5)
