@@ -33,6 +33,17 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// prefixedLine returns the first line of a tool's output that starts with
+// label, or "".
+func prefixedLine(out, label string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, label) {
+			return line
+		}
+	}
+	return ""
+}
+
 // TestCLIPipeline exercises the documented workflow end to end:
 // generate → stats → run → eval → tvm → bench.
 func TestCLIPipeline(t *testing.T) {
@@ -41,19 +52,29 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	bin := buildTools(t)
 	work := t.TempDir()
-	graphFile := filepath.Join(work, "g.ssg")
+	graphFile := filepath.Join(work, "g.sasg")
 
-	// imgen: preset at small scale.
+	// imgen: preset at small scale, written as a mapped .sasg graph.
 	out := run(t, filepath.Join(bin, "imgen"),
 		"-preset", "nethept", "-scale", "0.2", "-seed", "5", "-out", graphFile)
 	if !strings.Contains(out, "wrote") || !strings.Contains(out, "lt-valid=true") {
 		t.Fatalf("imgen output: %s", out)
 	}
 
-	// imstats: readable statistics.
+	// imstats: readable statistics, with the graph on mapped storage.
 	out = run(t, filepath.Join(bin, "imstats"), "-graph", graphFile)
-	if !strings.Contains(out, "nodes:") || !strings.Contains(out, "lt-valid:      true") {
+	if !strings.Contains(out, "nodes:") || !strings.Contains(out, "lt-valid:      true") ||
+		!strings.Contains(out, "storage:       mapped") {
 		t.Fatalf("imstats output: %s", out)
+	}
+	// The same preset as a gzipped text edge list reads back through
+	// imstats -format text with the same shape.
+	textFile := filepath.Join(work, "g.txt.gz")
+	run(t, filepath.Join(bin, "imgen"),
+		"-preset", "nethept", "-scale", "0.2", "-seed", "5", "-text", "-out", textFile)
+	textOut := run(t, filepath.Join(bin, "imstats"), "-graph", textFile, "-format", "text")
+	if edges := prefixedLine(out, "edges:"); edges == "" || prefixedLine(textOut, "edges:") != edges {
+		t.Fatalf("imstats on %s: %s\nwant the edges line of: %s", textFile, textOut, out)
 	}
 
 	// imrun: D-SSA with evaluation.
@@ -67,12 +88,7 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("imrun -certify output: %s", out)
 	}
 	// Extract the seed list for imeval.
-	var seedLine string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "seeds: ") {
-			seedLine = strings.TrimPrefix(line, "seeds: ")
-		}
-	}
+	seedLine := strings.TrimPrefix(prefixedLine(out, "seeds: "), "seeds: ")
 	if seedLine == "" {
 		t.Fatalf("no seeds line in imrun output: %s", out)
 	}
@@ -110,25 +126,6 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("imtvm -budget NaN succeeded: %s", out)
 	}
 
-	// The out-of-core leg: write the same preset as a mmap-able .sasg,
-	// check imstats reports mapped storage, and run the solver on it.
-	mappedFile := filepath.Join(work, "g.sasg")
-	out = run(t, filepath.Join(bin, "imgen"),
-		"-preset", "nethept", "-scale", "0.2", "-seed", "5", "-obin", "-out", mappedFile)
-	if !strings.Contains(out, "wrote") || !strings.Contains(out, "lt-valid=true") {
-		t.Fatalf("imgen -obin output: %s", out)
-	}
-	out = run(t, filepath.Join(bin, "imstats"), "-graph", mappedFile)
-	if !strings.Contains(out, "storage:       mapped") || !strings.Contains(out, "lt-valid:      true") {
-		t.Fatalf("imstats on .sasg output: %s", out)
-	}
-	out = run(t, filepath.Join(bin, "imrun"),
-		"-graph", mappedFile, "-algo", "dssa", "-k", "10", "-model", "LT",
-		"-eps", "0.2", "-seed", "3")
-	if !strings.Contains(out, "seeds: "+seedLine) {
-		t.Fatalf("imrun on .sasg drifted from .ssg seeds %q: %s", seedLine, out)
-	}
-
 	// imbench: registry listing plus one quick experiment.
 	out = run(t, filepath.Join(bin, "imbench"), "-list")
 	if !strings.Contains(out, "table3") || !strings.Contains(out, "fig8") {
@@ -147,12 +144,12 @@ func TestCLIErrors(t *testing.T) {
 	}
 	bin := buildTools(t)
 	cases := [][]string{
-		{filepath.Join(bin, "imgen")},                               // missing -out
-		{filepath.Join(bin, "imgen"), "-out", "/tmp/x.ssg"},         // missing generator
-		{filepath.Join(bin, "imrun"), "-graph", "/nonexistent.ssg"}, // bad file
-		{filepath.Join(bin, "imstats")},                             // missing -graph
-		{filepath.Join(bin, "imeval"), "-graph", "x", "-seeds", ""}, // missing seeds
-		{filepath.Join(bin, "imbench"), "-exp", "bogus"},            // unknown experiment
+		{filepath.Join(bin, "imgen")},                                // missing -out
+		{filepath.Join(bin, "imgen"), "-out", "x.sasg"},              // missing generator
+		{filepath.Join(bin, "imrun"), "-graph", "/nonexistent.sasg"}, // bad file
+		{filepath.Join(bin, "imstats")},                              // missing -graph
+		{filepath.Join(bin, "imeval"), "-graph", "x", "-seeds", ""},  // missing seeds
+		{filepath.Join(bin, "imbench"), "-exp", "bogus"},             // unknown experiment
 	}
 	for _, c := range cases {
 		cmd := exec.Command(c[0], c[1:]...)

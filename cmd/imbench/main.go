@@ -27,9 +27,7 @@ func main() {
 		delta    = flag.Float64("delta", 0, "delta (0 = 1/n per dataset)")
 		seed     = flag.Uint64("seed", 0, "base seed (0 = default)")
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel workers")
-		shards   = flag.Int("shards", 0, "RR-store id shards (≤ 1 = one shard (default); results identical)")
-		shardW   = flag.Int("shard-workers", 0, "per-shard workers (0 = workers/shards)")
-		graphF   = flag.String("graph", "", "run experiments on this graph file (.ssg or .sasg) instead of generated presets")
+		graphF   = flag.String("graph", "", "run experiments on this .sasg graph file instead of generated presets")
 		scaleMul = flag.Float64("scale", 1.0, "multiplier on default dataset scales")
 		mcRuns   = flag.Int("mc", 0, "MC runs for scoring seed sets (0 = default)")
 		kList    = flag.String("k", "", "override k sweep, comma-separated")
@@ -48,8 +46,8 @@ func main() {
 	}
 	cfg := bench.Config{
 		Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-		Shards: *shards, ShardWorkers: *shardW, GraphFile: *graphF,
-		ScaleMul: *scaleMul, MCRuns: *mcRuns, Quick: *quick,
+		GraphFile: *graphF,
+		ScaleMul:  *scaleMul, MCRuns: *mcRuns, Quick: *quick,
 		IncludeCELF: *celf,
 	}
 	if *kList != "" {

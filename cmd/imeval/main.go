@@ -1,7 +1,7 @@
 // Command imeval scores a seed set on a graph by forward Monte-Carlo
 // simulation — the evaluation step behind the paper's Figures 2–3.
 //
-//	imeval -graph nethept.ssg -model LT -seeds "12 99 1043" -runs 10000
+//	imeval -graph nethept.sasg -model LT -seeds "12 99 1043" -runs 10000
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 
 func main() {
 	var (
-		path    = flag.String("graph", "", "graph file, .ssg binary or mmap-able .sasg (required)")
+		path    = flag.String("graph", "", ".sasg graph file (required)")
 		model   = flag.String("model", "LT", "propagation model: IC or LT")
 		seedStr = flag.String("seeds", "", "whitespace-separated seed node ids (required)")
 		runs    = flag.Int("runs", 10000, "Monte-Carlo simulations")

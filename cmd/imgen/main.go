@@ -1,15 +1,14 @@
 // Command imgen generates synthetic influence graphs: either stand-ins for
 // the paper's Table 2 datasets (-preset) or raw generator output
-// (-generator er|ba|powerlaw|ws). Output is the compact binary format
-// (default), the mmap-able out-of-core format (-obin), or a text edge list
-// (-text).
+// (-generator er|ba|powerlaw|ws). Output is the mmap-able .sasg graph
+// format (default) or, with -text, a text edge list (gzip-compressed when
+// the path ends in .gz).
 //
 // Examples:
 //
-//	imgen -preset nethept -scale 1.0 -out nethept.ssg
-//	imgen -preset friendster -obin -out friendster.sasg
-//	imgen -generator powerlaw -n 100000 -m 1000000 -gamma 2.1 -out pl.ssg
-//	imgen -preset enron -text -out enron.txt
+//	imgen -preset nethept -scale 1.0 -out nethept.sasg
+//	imgen -generator powerlaw -n 100000 -m 1000000 -gamma 2.1 -out pl.sasg
+//	imgen -preset enron -text -out enron.txt.gz
 package main
 
 import (
@@ -36,8 +35,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "generator seed")
 		model     = flag.String("weights", "wc", "edge weights: wc, uniform, trivalency")
 		uniformP  = flag.Float64("p", 0.1, "probability for -weights uniform")
-		text      = flag.Bool("text", false, "write a text edge list instead of binary")
-		obin      = flag.Bool("obin", false, "write the mmap-able out-of-core .sasg format instead of .ssg")
+		text      = flag.Bool("text", false, "write a text edge list (.gz path: compressed) instead of .sasg")
 		out       = flag.String("out", "", "output path (required)")
 	)
 	flag.Parse()
@@ -85,26 +83,12 @@ func main() {
 		fail("generate: %v", err)
 	}
 
-	switch {
-	case *text:
-		f, err := os.Create(*out)
-		if err != nil {
-			fail("create: %v", err)
-		}
-		if err := g.SaveEdgeList(f); err != nil {
-			fail("write: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("close: %v", err)
-		}
-	case *obin:
-		if err := g.WriteMappedFile(*out); err != nil {
-			fail("write: %v", err)
-		}
-	default:
-		if err := g.SaveBinaryFile(*out); err != nil {
-			fail("write: %v", err)
-		}
+	write := g.WriteMappedFile
+	if *text {
+		write = g.SaveEdgeListFile
+	}
+	if err := write(*out); err != nil {
+		fail("write: %v", err)
 	}
 	s := g.Stats()
 	fmt.Printf("wrote %s: n=%d m=%d avg-deg=%.2f max-out=%d lt-valid=%v\n",

@@ -1,8 +1,8 @@
 // Command imrun executes one influence-maximization algorithm on a graph
 // file and prints the seed set with run metrics.
 //
-//	imrun -graph nethept.ssg -algo dssa -k 50 -model LT -eps 0.1
-//	imrun -graph pl.ssg -algo imm -k 100 -model IC -eval 10000
+//	imrun -graph nethept.sasg -algo dssa -k 50 -model LT -eps 0.1
+//	imrun -graph pl.sasg -algo imm -k 100 -model IC -eval 10000
 package main
 
 import (
@@ -16,7 +16,7 @@ import (
 
 func main() {
 	var (
-		path    = flag.String("graph", "", "graph file, .ssg binary or mmap-able .sasg (required)")
+		path    = flag.String("graph", "", ".sasg graph file (required)")
 		algo    = flag.String("algo", "dssa", "algorithm: dssa, ssa, imm, tim+, tim, celf++, celf, degree, random")
 		k       = flag.Int("k", 50, "seed budget")
 		model   = flag.String("model", "LT", "propagation model: IC or LT")

@@ -7,7 +7,7 @@
 //
 //	imserve -graph nethept.sasg -model IC -addr :8377
 //	imserve -preset nethept -scale 0.5 -model LT
-//	imserve -tenants 'acme=acme.sasg,globex=globex.ssg' -budget 2GiB
+//	imserve -tenants 'acme=acme.sasg,globex=globex.sasg' -budget 2GiB
 //	imserve -graph nethept.sasg -workers 127.0.0.1:8378,127.0.0.1:8379
 //
 //	curl -s localhost:8377/maximize -d '{"k":50,"epsilon":0.1}'
@@ -233,7 +233,7 @@ func serveAndDrain(hs *http.Server, ln net.Listener, drain time.Duration, sig <-
 
 func main() {
 	var o options
-	flag.StringVar(&o.graphPath, "graph", "", "graph file for the default tenant, .ssg binary or mmap-able .sasg")
+	flag.StringVar(&o.graphPath, "graph", "", ".sasg graph file for the default tenant")
 	flag.StringVar(&o.preset, "preset", "", "synthetic preset graph for the default tenant (see imgen)")
 	flag.Float64Var(&o.scale, "scale", 1.0, "preset scale multiplier")
 	flag.StringVar(&o.model, "model", "IC", "propagation model: IC or LT")

@@ -40,15 +40,15 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestParseTenants(t *testing.T) {
-	specs, err := parseTenants(" acme = a.sasg , globex=b.ssg ,")
+	specs, err := parseTenants(" acme = a.sasg , globex=b.sasg ,")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []tenantSpec{{"acme", "a.sasg"}, {"globex", "b.ssg"}}
+	want := []tenantSpec{{"acme", "a.sasg"}, {"globex", "b.sasg"}}
 	if len(specs) != len(want) || specs[0] != want[0] || specs[1] != want[1] {
 		t.Fatalf("specs %v, want %v", specs, want)
 	}
-	for _, bad := range []string{"acme", "=x.ssg", "acme=", "a=x.ssg,a=y.ssg"} {
+	for _, bad := range []string{"acme", "=x.sasg", "acme=", "a=x.sasg,a=y.sasg"} {
 		if _, err := parseTenants(bad); err == nil {
 			t.Errorf("parseTenants(%q): no error", bad)
 		}

@@ -1,5 +1,5 @@
 // Command imstats prints Table 2-style statistics for a graph file
-// (binary .ssg, mmap-able .sasg, or text edge list). With -rr it also
+// (.sasg, or a text edge list, gzip-compressed or not). With -rr it also
 // samples that many RR sets into a store and reports the store's
 // accounting, including the resident/spilled byte split when -spill-budget
 // gives the store a disk spill tier, and what a max-coverage solver holds on
@@ -9,9 +9,8 @@
 // durability state directory (imserve tenant subdirectory or imworker
 // state dir) instead of, or in addition to, the graph stats.
 //
-//	imstats -graph nethept.ssg
 //	imstats -graph friendster.sasg
-//	imstats -graph edges.txt -format text -directed
+//	imstats -graph edges.txt.gz -format text -directed
 //	imstats -graph nethept.sasg -rr 200000 -spill-budget 16MiB
 //	imstats -state-dir /var/lib/imserve/state/default
 package main
@@ -31,7 +30,7 @@ import (
 func main() {
 	var (
 		path     = flag.String("graph", "", "graph file (required)")
-		format   = flag.String("format", "binary", "binary (.ssg/.sasg, sniffed) or text")
+		format   = flag.String("format", "binary", "binary (.sasg) or text (.gz path: compressed)")
 		directed = flag.Bool("directed", true, "text edge lists: one arc per line")
 
 		rr          = flag.Int("rr", 0, "sample this many RR sets and report store accounting (0 = graph stats only)")
@@ -59,7 +58,7 @@ func main() {
 	var err error
 	switch *format {
 	case "binary":
-		g, err = graph.OpenFileAuto(*path)
+		g, err = graph.OpenMapped(*path)
 	case "text":
 		g, err = graph.LoadEdgeListFile(*path, graph.LoadOptions{Directed: *directed, Relabel: true})
 	default:

@@ -3,10 +3,10 @@
 // with D-SSA/SSA/KB-TIM — optionally under a seeding budget with per-node
 // costs (the cost-aware extension).
 //
-//	imtvm -graph twitter.ssg -algo dssa -k 100
-//	imtvm -graph twitter.ssg -algo dssa -budget 250 -cost-exponent 0.5
-//	imtvm -graph twitter.ssg -budgets 50,100,200,400
-//	imtvm -graph twitter.ssg -weights weights.txt -algo tim+ -k 100
+//	imtvm -graph twitter.sasg -algo dssa -k 100
+//	imtvm -graph twitter.sasg -algo dssa -budget 250 -cost-exponent 0.5
+//	imtvm -graph twitter.sasg -budgets 50,100,200,400
+//	imtvm -graph twitter.sasg -weights weights.txt -algo tim+ -k 100
 //
 // -budgets sweeps several spending caps over one shared sample collection
 // (one RR stream scan for the whole sweep instead of one per budget);
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		path     = flag.String("graph", "", "graph file, .ssg binary or mmap-able .sasg (required)")
+		path     = flag.String("graph", "", ".sasg graph file (required)")
 		weightsF = flag.String("weights", "", "optional 'node weight' file; default synthesises topic 1")
 		topicIdx = flag.Int("topic", 1, "synthetic topic number (1 or 2) when -weights is absent")
 		algo     = flag.String("algo", "dssa", "dssa, ssa, or tim+ (KB-TIM)")
@@ -42,8 +42,6 @@ func main() {
 		delta    = flag.Float64("delta", 0, "delta (0 = 1/n)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel workers")
-		shards   = flag.Int("shards", 0, "RR-store id shards (≤ 1 = one shard (default); results identical)")
-		shardW   = flag.Int("shard-workers", 0, "per-shard workers (0 = workers/shards)")
 		eval     = flag.Int("eval", 5000, "MC runs to score the result (0 to skip)")
 	)
 	flag.Parse()
@@ -96,7 +94,6 @@ func main() {
 	if sweep != nil {
 		results, err := stopandstare.MaximizeBudgetedSweep(g, mdl, weights, sweep, stopandstare.BudgetedOptions{
 			Costs: degreeCosts(g, *costExp), Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-			Shards: *shards, ShardWorkers: *shardW,
 		})
 		if err != nil {
 			fail("cost-aware: %v", err)
@@ -115,7 +112,6 @@ func main() {
 	}
 	res, err := stopandstare.MaximizeTargeted(g, mdl, weights, al, stopandstare.Options{
 		K: *k, Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-		Shards: *shards, ShardWorkers: *shardW,
 	})
 	if err != nil {
 		fail("maximize: %v", err)

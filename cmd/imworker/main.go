@@ -40,7 +40,7 @@ import (
 
 func main() {
 	var (
-		graphPath   = flag.String("graph", "", "graph file, .ssg binary or mmap-able .sasg (pages shared across workers)")
+		graphPath   = flag.String("graph", "", ".sasg graph file (pages shared across workers)")
 		preset      = flag.String("preset", "", "synthetic preset graph (see imgen); alternative to -graph")
 		scale       = flag.Float64("scale", 1.0, "preset scale multiplier")
 		genSeed     = flag.Uint64("gen-seed", 1, "preset generation seed (must match the coordinator's)")

@@ -51,31 +51,20 @@ func LoadGraph(r io.Reader, opt LoadGraphOptions) (*Graph, error) {
 	return graph.LoadEdgeList(r, opt)
 }
 
-// LoadGraphFile parses an edge-list file.
+// LoadGraphFile parses an edge-list file, decompressing it when the path
+// ends in ".gz" (the form SNAP distributes its datasets in).
 func LoadGraphFile(path string, opt LoadGraphOptions) (*Graph, error) {
 	return graph.LoadEdgeListFile(path, opt)
 }
 
-// LoadGraphBinaryFile reads the compact binary graph format.
-func LoadGraphBinaryFile(path string) (*Graph, error) {
-	return graph.LoadBinaryFile(path)
-}
-
-// OpenGraphMapped opens an mmap-able .sasg graph file (written by
-// Graph.WriteMappedFile or `imgen -obin`): the graph's arrays alias a
+// OpenGraphFile opens a .sasg graph file (written by Graph.WriteMappedFile
+// or imgen). On a little-endian unix host the graph's arrays alias a
 // read-only file mapping, so opening is O(1) regardless of edge count and
-// the pages are shared by every process serving the same file. Call
-// Graph.Close to release the mapping when retiring the graph (and
-// DropCachedPlans first if it was served).
-func OpenGraphMapped(path string) (*Graph, error) {
-	return graph.OpenMapped(path)
-}
-
-// OpenGraphFile opens a binary graph file of either on-disk format by
-// sniffing the magic: .sasg mapped graphs open via OpenGraphMapped, .ssg
-// binaries via LoadGraphBinaryFile.
+// the pages are shared by every process serving the same file; elsewhere
+// the file is decoded onto the heap. Call Graph.Close to release the mapping
+// when retiring the graph (and DropCachedPlans first if it was served).
 func OpenGraphFile(path string) (*Graph, error) {
-	return graph.OpenFileAuto(path)
+	return graph.OpenMapped(path)
 }
 
 // GeneratePreset builds a synthetic stand-in for one of the paper's Table 2

@@ -25,11 +25,6 @@ type Options struct {
 	Delta   float64 // 0 ⇒ 1/n, the paper's setting
 	Seed    uint64
 	Workers int
-	// Shards is the number of id shards of the RR store; ≤ 1 = one shard
-	// (default), bit-identical results for any count. ShardWorkers bounds
-	// per-shard parallelism (≤0 derives Workers/Shards).
-	Shards       int
-	ShardWorkers int
 }
 
 // Result reports a baseline run with the same metrics as core.Result.
@@ -72,9 +67,7 @@ func (o *Options) normalize(s *ris.Sampler) error {
 
 // newStore builds the RR-set store the options describe.
 func (o *Options) newStore(s *ris.Sampler) ris.Store {
-	return ris.NewStore(s, o.Seed, ris.StoreOptions{
-		Workers: o.Workers, Shards: o.Shards, ShardWorkers: o.ShardWorkers,
-	})
+	return ris.NewStore(s, o.Seed, ris.StoreOptions{Workers: o.Workers})
 }
 
 // IMM implements the IMM algorithm: a LowerBound estimation phase that

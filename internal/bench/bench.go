@@ -25,18 +25,12 @@ type Config struct {
 	// Seed drives the generators and algorithms.
 	Seed uint64
 	// GraphFile, when set, replaces every generated preset with the graph
-	// loaded from this file (.ssg binary or mmap-able .sasg, sniffed) — so
+	// opened from this .sasg file — so
 	// the harness runs its experiments against a real on-disk graph instead
 	// of a synthetic stand-in.
 	GraphFile string
 	// Workers for sampling and Monte-Carlo evaluation.
 	Workers int
-	// Shards is the number of id shards of the RR store; ≤ 1 = one shard
-	// (default). The harness can compare shard counts on identical
-	// workloads; results are bit-identical. ShardWorkers bounds per-shard
-	// parallelism (≤0 derives Workers/Shards).
-	Shards       int
-	ShardWorkers int
 	// ScaleMul multiplies each preset's default scale (1.0 = harness
 	// defaults from gen.DefaultScales; raise toward the paper's full sizes
 	// on bigger machines).
@@ -87,12 +81,12 @@ type Dataset struct {
 }
 
 // LoadDataset generates the named preset at cfg's scale — or, when
-// cfg.GraphFile is set, opens that file instead (a .sasg file mmaps in O(1);
-// the preset name only labels the output rows).
+// cfg.GraphFile is set, opens that .sasg file instead (mapped in O(1) where
+// the host allows; the preset name only labels the output rows).
 func LoadDataset(name string, cfg Config) (*Dataset, error) {
 	cfg = cfg.Normalize()
 	if cfg.GraphFile != "" {
-		g, err := graph.OpenFileAuto(cfg.GraphFile)
+		g, err := graph.OpenMapped(cfg.GraphFile)
 		if err != nil {
 			return nil, fmt.Errorf("bench: opening %s: %w", cfg.GraphFile, err)
 		}
@@ -215,7 +209,7 @@ type Metrics struct {
 // options returns the public API's options for a run at seed budget k.
 func (c Config) options(k int) stopandstare.Options {
 	return stopandstare.Options{K: k, Epsilon: c.Epsilon, Delta: c.Delta, Seed: c.Seed,
-		Workers: c.Workers, Shards: c.Shards, ShardWorkers: c.ShardWorkers}
+		Workers: c.Workers}
 }
 
 // RunIM executes one algorithm on one dataset under one model, then scores

@@ -252,9 +252,7 @@ func runFig8(cfg Config, w io.Writer) error {
 		}
 		for _, k := range ks {
 			for _, a := range algos {
-				res, err := stopandstare.MaximizeTargeted(d.Graph, diffusion.LT, topic.Weights, a.algo,
-					stopandstare.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-						Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers})
+				res, err := stopandstare.MaximizeTargeted(d.Graph, diffusion.LT, topic.Weights, a.algo, cfg.options(k))
 				if err != nil {
 					return err
 				}

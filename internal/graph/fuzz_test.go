@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzLoadEdgeList checks the text parser never panics and that any graph
@@ -46,45 +49,60 @@ func FuzzLoadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzLoadBinary checks the binary loader rejects corrupt input without
-// panicking or accepting inconsistent graphs.
-func FuzzLoadBinary(f *testing.F) {
-	// Seed with a valid file and some mutations.
-	b := NewBuilder(5)
-	b.AddEdge(0, 1, 0.5)
-	b.AddEdge(1, 2, 0.25)
-	b.AddEdge(3, 4, 1)
-	g, err := b.Build(BuildOptions{})
-	if err != nil {
-		f.Fatal(err)
+// allocDuring reports the bytes fn allocated (runtime-wide, so callers keep
+// the rest of the process quiet while measuring).
+func allocDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// alignedCopy copies data into 8-byte-aligned memory, as a file mapping is.
+func alignedCopy(data []byte) []byte {
+	words := make([]uint64, (len(data)+7)/8)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data))
+	copy(b, data)
+	return b
+}
+
+// FuzzOpenMapped runs arbitrary bytes through both .sasg opens: the header
+// and section-table parser over an aligned in-memory image (the sections the
+// mapped open casts in place), and the heap decode over a reader. Each must
+// fail with an error wrapping ErrBadMapped, never panic, and allocate at
+// most a constant times the input length; the two must accept the same
+// inputs and hold the same sections. The seed corpus
+// (testdata/fuzz/FuzzOpenMapped) holds valid images, truncations of one,
+// and two bare 192-byte headers: one claiming huge n and m, one claiming a
+// 2 MiB layout that a decoder allocating before it checks the file size
+// would pay for.
+func FuzzOpenMapped(f *testing.F) {
+	if !hostLittleEndian {
+		f.Skip("the mapped leg casts little-endian sections in place")
 	}
-	var buf bytes.Buffer
-	if err := g.SaveBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:10])
-	f.Add([]byte{})
-	corrupt := append([]byte(nil), valid...)
-	if len(corrupt) > 30 {
-		corrupt[28] ^= 0xFF
-	}
-	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := LoadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
+		image := alignedCopy(data)
+		var mapped, decoded *Graph
+		var merr, derr error
+		got := allocDuring(func() {
+			mapped, merr = graphFromMapped(image, heapView{})
+			decoded, derr = decodeSasg(bytes.NewReader(data), int64(len(data)))
+		})
+		if merr != nil && !errors.Is(merr, ErrBadMapped) {
+			t.Fatalf("mapped: untyped error %v", merr)
 		}
-		// Accepted graphs must be internally consistent.
-		n := g.NumNodes()
-		for v := 0; v < n; v++ {
-			adj, _ := g.OutNeighbors(uint32(v))
-			for _, u := range adj {
-				if int(u) >= n {
-					t.Fatal("out-of-range adjacency in accepted binary graph")
-				}
-			}
+		if derr != nil && !errors.Is(derr, ErrBadMapped) {
+			t.Fatalf("decoded: untyped error %v", derr)
+		}
+		if limit := 64*uint64(len(data)) + 64<<10; got > limit {
+			t.Fatalf("a %d-byte input allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+		if (merr == nil) != (derr == nil) {
+			t.Fatalf("opens disagree: mapped %v, decoded %v", merr, derr)
+		}
+		if merr == nil {
+			requireSectionsEqual(t, mapped, decoded)
 		}
 	})
 }

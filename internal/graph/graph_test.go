@@ -404,62 +404,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	r := rng.New(5)
-	b := NewBuilder(50)
-	for i := 0; i < 300; i++ {
-		b.AddEdge(uint32(r.Intn(50)), uint32(r.Intn(50)), r.Float64())
-	}
-	g, err := b.Build(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.SaveBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatal("binary round trip changed size")
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		a1, w1 := g.OutNeighbors(uint32(v))
-		a2, w2 := g2.OutNeighbors(uint32(v))
-		if len(a1) != len(a2) {
-			t.Fatal("out degree mismatch")
-		}
-		for i := range a1 {
-			if a1[i] != a2[i] || w1[i] != w2[i] {
-				t.Fatal("adjacency mismatch")
-			}
-		}
-		if math.Abs(g.InWeightSum(uint32(v))-g2.InWeightSum(uint32(v))) > 1e-9 {
-			t.Fatal("inSum mismatch after reload")
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := LoadBinary(bytes.NewReader(make([]byte, 24))); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("want ErrBadFormat, got %v", err)
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	g := diamond(t)
-	var buf bytes.Buffer
-	if err := g.SaveBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := LoadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated file should fail")
-	}
-}
-
 func TestFromEdges(t *testing.T) {
 	g, err := FromEdges(3, []Edge{{0, 1, 0.5}, {1, 2, 0.5}}, BuildOptions{})
 	if err != nil {

@@ -12,10 +12,10 @@ func TestGzipRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"plain.txt", "packed.txt.gz"} {
 		path := filepath.Join(dir, name)
-		if err := g.SaveEdgeListFileAuto(path); err != nil {
+		if err := g.SaveEdgeListFile(path); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
-		g2, err := LoadEdgeListFileAuto(path, LoadOptions{Directed: true})
+		g2, err := LoadEdgeListFile(path, LoadOptions{Directed: true})
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
@@ -34,10 +34,10 @@ func TestGzipBadFile(t *testing.T) {
 	if err := writeFile(path, []byte("this is not gzip")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEdgeListFileAuto(path, LoadOptions{Directed: true}); err == nil {
+	if _, err := LoadEdgeListFile(path, LoadOptions{Directed: true}); err == nil {
 		t.Fatal("corrupt gzip should fail")
 	}
-	if _, err := LoadEdgeListFileAuto(filepath.Join(dir, "missing.txt"), LoadOptions{}); err == nil {
+	if _, err := LoadEdgeListFile(filepath.Join(dir, "missing.txt"), LoadOptions{}); err == nil {
 		t.Fatal("missing file should fail")
 	}
 }

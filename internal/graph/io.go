@@ -2,7 +2,7 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -119,14 +119,25 @@ func LoadEdgeList(r io.Reader, opt LoadOptions) (*Graph, error) {
 	return b.Build(opt.Build)
 }
 
-// LoadEdgeListFile opens path and calls LoadEdgeList.
+// LoadEdgeListFile opens path and calls LoadEdgeList, decompressing when the
+// path ends in ".gz" — the format SNAP distributes its datasets in, so the
+// loader reads the original archives.
 func LoadEdgeListFile(path string, opt LoadOptions) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadEdgeList(f, opt)
+	var r io.Reader = f
+	if strings.HasSuffix(path, ".gz") {
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			return nil, err
+		}
+		defer zr.Close()
+		r = zr
+	}
+	return LoadEdgeList(r, opt)
 }
 
 // SaveEdgeList writes the graph as "u v w" lines.
@@ -143,143 +154,28 @@ func (g *Graph) SaveEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Binary format: little-endian; magic, version, n, m, then the six arrays.
-const (
-	binMagic   = 0x53534742 // "SSGB"
-	binVersion = 1
-)
-
-// ErrBadFormat reports a corrupt or foreign binary graph file.
-var ErrBadFormat = errors.New("graph: bad binary format")
-
-// SaveBinary writes the graph in the compact binary format.
-func (g *Graph) SaveBinary(w io.Writer) error {
-	sw := newSectionWriter(w)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], binMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], binVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.n))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(g.outAdj)))
-	if err := sw.bytes(hdr[:]); err != nil {
-		return err
-	}
-	// outIdx/inIdx are reconstructed from degrees on load; store only the
-	// adjacency and weight arrays plus the per-node out/in degrees.
-	degs := make([]uint32, 2*g.n)
-	for v := 0; v < g.n; v++ {
-		degs[v] = uint32(g.outIdx[v+1] - g.outIdx[v])
-		degs[g.n+v] = uint32(g.inIdx[v+1] - g.inIdx[v])
-	}
-	if err := sw.u32s(degs); err != nil {
-		return err
-	}
-	if err := sw.u32s(g.outAdj); err != nil {
-		return err
-	}
-	if err := sw.f32s(g.outW); err != nil {
-		return err
-	}
-	if err := sw.u32s(g.inAdj); err != nil {
-		return err
-	}
-	if err := sw.f32s(g.inW); err != nil {
-		return err
-	}
-	return sw.flush()
-}
-
-// LoadBinary reads a graph written by SaveBinary.
-func LoadBinary(r io.Reader) (*Graph, error) {
-	sr := newSectionReader(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binMagic {
-		return nil, ErrBadFormat
-	}
-	if binary.LittleEndian.Uint32(hdr[4:]) != binVersion {
-		return nil, fmt.Errorf("%w: unsupported version", ErrBadFormat)
-	}
-	n := int(binary.LittleEndian.Uint64(hdr[8:]))
-	m := int(binary.LittleEndian.Uint64(hdr[16:]))
-	if n <= 0 || m < 0 {
-		return nil, ErrBadFormat
-	}
-	s := sections{
-		outIdx: make([]int64, n+1),
-		outAdj: make([]uint32, m),
-		outW:   make([]float32, m),
-		inIdx:  make([]int64, n+1),
-		inAdj:  make([]uint32, m),
-		inW:    make([]float32, m),
-		inCum:  make([]float64, m),
-		inSum:  make([]float64, n),
-	}
-	degs := make([]uint32, 2*n)
-	if err := sr.u32s(degs); err != nil {
-		return nil, err
-	}
-	for v := 0; v < n; v++ {
-		s.outIdx[v+1] = s.outIdx[v] + int64(degs[v])
-		s.inIdx[v+1] = s.inIdx[v] + int64(degs[n+v])
-	}
-	if s.outIdx[n] != int64(m) || s.inIdx[n] != int64(m) {
-		return nil, fmt.Errorf("%w: degree sums disagree with m", ErrBadFormat)
-	}
-	if err := sr.u32s(s.outAdj); err != nil {
-		return nil, err
-	}
-	if err := sr.f32s(s.outW); err != nil {
-		return nil, err
-	}
-	if err := sr.u32s(s.inAdj); err != nil {
-		return nil, err
-	}
-	if err := sr.f32s(s.inW); err != nil {
-		return nil, err
-	}
-	for _, v := range s.outAdj {
-		if int(v) >= n {
-			return nil, fmt.Errorf("%w: adjacency id out of range", ErrBadFormat)
-		}
-	}
-	for _, v := range s.inAdj {
-		if int(v) >= n {
-			return nil, fmt.Errorf("%w: adjacency id out of range", ErrBadFormat)
-		}
-	}
-	for v := 0; v < n; v++ {
-		lo, hi := s.inIdx[v], s.inIdx[v+1]
-		sum := 0.0
-		for i := lo; i < hi; i++ {
-			sum += float64(s.inW[i])
-			s.inCum[i] = sum
-		}
-		s.inSum[v] = sum
-	}
-	return newHeapGraph(n, s), nil
-}
-
-// SaveBinaryFile writes the binary format to path.
-func (g *Graph) SaveBinaryFile(path string) error {
+// SaveEdgeListFile writes a text edge list to path, gzip-compressing when the
+// path ends in ".gz".
+func (g *Graph) SaveEdgeListFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := g.SaveBinary(f); err != nil {
+	var w io.Writer = f
+	var zw *gzip.Writer
+	if strings.HasSuffix(path, ".gz") {
+		zw = gzip.NewWriter(f)
+		w = zw
+	}
+	if err := g.SaveEdgeList(w); err != nil {
 		f.Close()
 		return err
 	}
-	return f.Close()
-}
-
-// LoadBinaryFile reads the binary format from path.
-func LoadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	if zw != nil {
+		if err := zw.Close(); err != nil {
+			f.Close()
+			return err
+		}
 	}
-	defer f.Close()
-	return LoadBinary(f)
+	return f.Close()
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -13,9 +12,8 @@ import (
 )
 
 // These tests cover the io.go error paths the happy-path suites skip:
-// truncated gzip archives, out-of-range endpoints (both the text loader's
-// uint32 overflow and the binary loader's adjacency bounds), empty inputs,
-// and duplicate edge lines.
+// truncated gzip archives, the text loader's uint32 id overflow, empty
+// inputs, and duplicate edge lines.
 
 func TestLoadEdgeListEmptyInput(t *testing.T) {
 	for name, input := range map[string]string{
@@ -87,39 +85,7 @@ func TestLoadTruncatedGzip(t *testing.T) {
 	if err := os.WriteFile(path, full.Bytes()[:full.Len()/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEdgeListFileAuto(path, LoadOptions{Directed: true}); err == nil {
+	if _, err := LoadEdgeListFile(path, LoadOptions{Directed: true}); err == nil {
 		t.Fatal("truncated gzip should fail to load")
-	}
-}
-
-func TestLoadBinaryOutOfRangeAdjacency(t *testing.T) {
-	// Serialize a valid 2-node graph, then corrupt an adjacency id to point
-	// past n: LoadBinary must reject it (ErrBadFormat), not index out of
-	// bounds later.
-	b := NewBuilder(2)
-	b.AddEdge(0, 1, 0.5)
-	g, err := b.Build(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.SaveBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Layout: 24-byte header, then degs (2n u32), then outAdj (m u32).
-	outAdjOff := 24 + 2*2*4
-	binary.LittleEndian.PutUint32(data[outAdjOff:], 7) // node 7 of 2
-	if _, err := LoadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("want ErrBadFormat for out-of-range adjacency, got %v", err)
-	}
-}
-
-func TestLoadBinaryEmptyAndShortHeader(t *testing.T) {
-	if _, err := LoadBinary(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty binary input should fail")
-	}
-	if _, err := LoadBinary(bytes.NewReader(make([]byte, 10))); err == nil {
-		t.Fatal("short header should fail")
 	}
 }

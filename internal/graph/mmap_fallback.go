@@ -2,48 +2,8 @@
 
 package graph
 
-import (
-	"fmt"
-	"io"
-	"math"
-	"os"
-	"unsafe"
-)
+import "os"
 
-// OpenMapped on platforms without a usable mmap reads the whole .sasg file
-// into 8-byte-aligned private memory and aliases the sections there: the
-// same format and validation, but an O(file) open charged as resident heap
-// (Kind "heap", MappedBytes 0) — no page sharing. Close is a no-op; the GC
-// reclaims the copy.
-func OpenMapped(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	if size < sasgHeaderBytes {
-		return nil, fmt.Errorf("%w: %s is %d bytes, smaller than the %d-byte header",
-			ErrBadMapped, path, size, sasgHeaderBytes)
-	}
-	if size > math.MaxInt-8 {
-		return nil, fmt.Errorf("%w: %s is %d bytes, too large to load on this platform",
-			ErrBadMapped, path, size)
-	}
-	// A []uint64 backing guarantees the 8-byte base alignment the section
-	// casts rely on; a plain []byte does not.
-	words := make([]uint64, (size+7)/8)
-	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, fmt.Errorf("graph: reading %s: %w", path, err)
-	}
-	g, err := graphFromMapped(data, heapView{bytes: size})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return g, nil
-}
+// openSasg has no mmap to alias the file with on this platform, so it
+// decodes the .sasg sections onto the heap (View().Kind() "heap").
+func openSasg(f *os.File, size int64) (*Graph, error) { return decodeSasg(f, size) }

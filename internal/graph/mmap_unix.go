@@ -29,40 +29,25 @@ func (v *mapView) Close() error {
 	return syscall.Munmap(data)
 }
 
-// OpenMapped maps a .sasg file read-only and returns a Graph whose arrays
-// alias the mapping in place: no parsing, no copying, O(1) in the edge
-// count. Pages fault in on first touch and are shared with every other
-// process that mapped the same file. The caller owns the mapping: Close the
-// graph to release it (the file descriptor itself is released before
-// OpenMapped returns; the mapping keeps the file pinned).
-func OpenMapped(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	if size < sasgHeaderBytes {
-		return nil, fmt.Errorf("%w: %s is %d bytes, smaller than the %d-byte header",
-			ErrBadMapped, path, size, sasgHeaderBytes)
+// openSasg maps the .sasg file f of size bytes read-only, so the graph's
+// arrays alias the mapping in place; a big-endian host decodes it instead.
+// The mapping keeps the file pinned after f is closed.
+func openSasg(f *os.File, size int64) (*Graph, error) {
+	if !hostLittleEndian {
+		return decodeSasg(f, size)
 	}
 	if size > math.MaxInt {
-		return nil, fmt.Errorf("%w: %s is %d bytes, too large to map on this platform",
-			ErrBadMapped, path, size)
+		return nil, fmt.Errorf("%w: %d bytes is too large to map on this platform", ErrBadMapped, size)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
+		return nil, fmt.Errorf("graph: mmap: %w", err)
 	}
 	view := &mapView{data: data}
 	g, err := graphFromMapped(data, view)
 	if err != nil {
 		view.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return g, nil
 }

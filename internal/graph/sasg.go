@@ -10,15 +10,16 @@ import (
 	"unsafe"
 )
 
-// The .sasg ("Stop-And-Stare Graph") format is the out-of-core twin of the
-// .ssg binary format: instead of a stream that LoadBinary parses and copies
-// into heap slices, the file IS the graph's memory layout. Every array the
-// Graph needs at query time — both CSR offset tables, adjacency, weights,
-// the LT cumulative in-weights and per-node in-weight sums — is a 64-byte-
-// aligned little-endian section, so OpenMapped can mmap the file read-only,
-// cast the sections in place, and return a working graph in O(1) regardless
-// of edge count. Pages fault in on first touch and are shared by every
-// process that mapped the same file.
+// The .sasg ("Stop-And-Stare Graph") format is the one on-disk binary graph
+// format, and the file IS the graph's memory layout. Every array the Graph
+// needs at query time — both CSR offset tables, adjacency, weights, the LT
+// cumulative in-weights and per-node in-weight sums — is a 64-byte-aligned
+// little-endian section, so on a little-endian unix host OpenMapped mmaps
+// the file read-only, casts the sections in place, and returns a working
+// graph in O(1) regardless of edge count. Pages fault in on first touch and
+// are shared by every process that mapped the same file. Hosts that cannot
+// map the file (big-endian, or no mmap) decode the same sections onto the
+// heap instead.
 //
 // Layout (all fields little-endian):
 //
@@ -46,7 +47,7 @@ import (
 //	6  inCum   m×float64       per-destination running in-weight sums (LT)
 //	7  inSum   n×float64       per-node total in-weight
 //
-// OpenMapped performs structural validation only (magic, version, byte
+// Both opens perform structural validation only (magic, version, byte
 // order, count overflow, table alignment/length/placement, CSR endpoint
 // sums): content such as adjacency ids is trusted, exactly like any other
 // mmap-ed database file — validating it would force every page and defeat
@@ -65,11 +66,8 @@ var ErrBadMapped = errors.New("graph: bad mapped graph (.sasg) file")
 
 // hostLittleEndian reports whether this machine stores integers in the
 // byte order the mapped sections are cast with. The format is defined
-// little-endian; big-endian hosts must fall back to LoadBinary.
-var hostLittleEndian = func() bool {
-	x := uint16(0x0102)
-	return *(*byte)(unsafe.Pointer(&x)) == 0x02
-}()
+// little-endian; big-endian hosts decode it instead of mapping it.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // sasgSection is one entry of the section table.
 type sasgSection struct {
@@ -125,8 +123,7 @@ func sasgCheckCounts(n, m uint64) error {
 }
 
 // WriteMapped writes the graph in the mmap-able .sasg format. The writer
-// streams through the same section-writer helper as SaveBinary; it never
-// builds the padded image in memory.
+// streams the sections out; it never builds the padded image in memory.
 func (g *Graph) WriteMapped(w io.Writer) error {
 	n, m := uint64(g.n), uint64(len(g.outAdj))
 	if err := sasgCheckCounts(n, m); err != nil {
@@ -267,14 +264,89 @@ func castF64(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// graphFromMapped validates data (a complete .sasg image, mmap-ed or read
-// into aligned memory) and builds the Graph whose sections alias it, charging
-// the backing bytes to the supplied view. No section data is read beyond the
-// two CSR endpoints checked against m — opening stays O(1) in the edge count.
-func graphFromMapped(data []byte, view View) (*Graph, error) {
-	if !hostLittleEndian {
-		return nil, fmt.Errorf("%w: mapped graphs require a little-endian host (use LoadBinary)", ErrBadMapped)
+// OpenMapped opens a .sasg file. On a little-endian unix host the graph's
+// arrays alias a read-only mapping of the file: no parsing, no copying, O(1)
+// in the edge count, pages shared with every other process mapping the same
+// file (View().Kind() "mapped"; Close the graph to release the mapping).
+// Elsewhere the sections are decoded onto the heap (Kind "heap").
+func OpenMapped(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
+	if size < sasgHeaderBytes {
+		return nil, fmt.Errorf("%w: %s is %d bytes, smaller than the %d-byte header",
+			ErrBadMapped, path, size, sasgHeaderBytes)
+	}
+	g, err := openSasg(f, size)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
+}
+
+// decodeSasg reads a .sasg image of size bytes from r into heap sections:
+// the open for hosts that cannot alias the file in place. The header is
+// checked against size before anything is allocated, so a header that
+// claims more than the file holds costs nothing.
+func decodeSasg(r io.Reader, size int64) (*Graph, error) {
+	sr := newSectionReader(r, size)
+	var hdr [sasgHeaderBytes]byte
+	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("%w: reading header: %w", ErrBadMapped, err)
+	}
+	n, m, secs, err := parseSasgHeader(hdr[:], uint64(size))
+	if err != nil {
+		return nil, err
+	}
+	s := sections{
+		outIdx: make([]int64, n+1),
+		outAdj: make([]uint32, m),
+		outW:   make([]float32, m),
+		inIdx:  make([]int64, n+1),
+		inAdj:  make([]uint32, m),
+		inW:    make([]float32, m),
+		inCum:  make([]float64, m),
+		inSum:  make([]float64, n),
+	}
+	read := []func() error{
+		func() error { return sr.i64s(s.outIdx) },
+		func() error { return sr.u32s(s.outAdj) },
+		func() error { return sr.f32s(s.outW) },
+		func() error { return sr.i64s(s.inIdx) },
+		func() error { return sr.u32s(s.inAdj) },
+		func() error { return sr.f32s(s.inW) },
+		func() error { return sr.f64s(s.inCum) },
+		func() error { return sr.f64s(s.inSum) },
+	}
+	off := uint64(sasgHeaderBytes)
+	for i, fn := range read {
+		if _, err := sr.r.Discard(int(secs[i].off - off)); err != nil {
+			return nil, fmt.Errorf("%w: section %d: %w", ErrBadMapped, i, err)
+		}
+		if err := fn(); err != nil {
+			return nil, fmt.Errorf("%w: section %d: %w", ErrBadMapped, i, err)
+		}
+		off = secs[i].off + secs[i].len
+	}
+	if err := checkEndpoints(&s, n, m); err != nil {
+		return nil, err
+	}
+	return newHeapGraph(int(n), s), nil
+}
+
+// graphFromMapped validates data (a complete .sasg image in memory at least
+// 8-byte aligned, on a little-endian host) and builds the Graph whose
+// sections alias it, charging the backing bytes to the supplied view. No
+// section data is read beyond the two CSR endpoints checked against m —
+// opening stays O(1) in the edge count.
+func graphFromMapped(data []byte, view View) (*Graph, error) {
 	n, m, secs, err := parseSasgHeader(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
@@ -290,34 +362,18 @@ func graphFromMapped(data []byte, view View) (*Graph, error) {
 		inCum:  castF64(sec(6)),
 		inSum:  castF64(sec(7)),
 	}
-	// Cheap endpoint sanity: both offset tables must start at 0 and end at
-	// m. Touches four pages, catches swapped or zeroed sections early.
-	if s.outIdx[0] != 0 || s.inIdx[0] != 0 || s.outIdx[n] != int64(m) || s.inIdx[n] != int64(m) {
-		return nil, fmt.Errorf("%w: CSR offset tables disagree with edge count %d", ErrBadMapped, m)
+	if err := checkEndpoints(&s, n, m); err != nil {
+		return nil, err
 	}
 	return &Graph{n: int(n), sections: s, view: view}, nil
 }
 
-// OpenFileAuto opens a binary graph file of either on-disk format, sniffing
-// the magic: .sasg mapped graphs open via OpenMapped (O(1), pages shared),
-// .ssg binaries load via LoadBinaryFile (full read + heap copy). Text edge
-// lists are not sniffed — use LoadEdgeListFileAuto for those.
-func OpenFileAuto(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// checkEndpoints is the cheap CSR sanity check both opens share: both offset
+// tables must start at 0 and end at m. On a mapped graph it touches four
+// pages and catches swapped or zeroed sections early.
+func checkEndpoints(s *sections, n, m uint64) error {
+	if s.outIdx[0] != 0 || s.inIdx[0] != 0 || s.outIdx[n] != int64(m) || s.inIdx[n] != int64(m) {
+		return fmt.Errorf("%w: CSR offset tables disagree with edge count %d", ErrBadMapped, m)
 	}
-	var magic [4]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("graph: %s: %w", path, ErrBadFormat)
-	}
-	switch binary.LittleEndian.Uint32(magic[:]) {
-	case sasgMagic:
-		return OpenMapped(path)
-	case binMagic:
-		return LoadBinaryFile(path)
-	}
-	return nil, fmt.Errorf("%w: %s is neither a .ssg binary nor a .sasg mapped graph (text edge lists need the text loader)", ErrBadFormat, path)
+	return nil
 }

@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// These tests cover the .sasg structural-validation paths OpenMapped must
+// These tests cover the .sasg structural-validation paths both opens must
 // take before trusting a byte of section data: every corruption is applied
 // to a known-good image, written to a real file, and must be rejected with
-// ErrBadMapped — never a panic, never a silently wrong graph. They mirror
-// the io_errors_test.go discipline for the .ssg loader.
+// ErrBadMapped by the mapped open and by the decoded open alike — never a
+// panic, never a silently wrong graph.
 
 // validSasgImage serializes a small real graph and returns the raw bytes.
 func validSasgImage(t *testing.T) []byte {
@@ -26,27 +26,53 @@ func validSasgImage(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// openImage writes data to a temp file and opens it mapped.
-func openImage(t *testing.T, data []byte) (*Graph, error) {
+// opens are the two ways OpenMapped reads a file: mapping it (on this host)
+// and decoding it onto the heap.
+var opens = []struct {
+	name string
+	open func(t *testing.T, path string) (*Graph, error)
+}{
+	{"mapped", func(_ *testing.T, path string) (*Graph, error) { return OpenMapped(path) }},
+	{"decoded", openDecoded},
+}
+
+// requireRejected writes data to a temp file and opens it with each open,
+// failing the test unless both return ErrBadMapped.
+func requireRejected(t *testing.T, data []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "corrupt.sasg")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := OpenMapped(path)
-	if err == nil {
-		t.Cleanup(func() { g.Close() })
+	for _, o := range opens {
+		g, err := o.open(t, path)
+		if err == nil {
+			n := g.NumNodes()
+			g.Close()
+			t.Fatalf("%s: corrupt image opened: %d nodes", o.name, n)
+		}
+		if !errors.Is(err, ErrBadMapped) {
+			t.Fatalf("%s: want ErrBadMapped, got %v", o.name, err)
+		}
 	}
-	return g, err
 }
 
 func TestOpenMappedRejectsCorruption(t *testing.T) {
 	valid := validSasgImage(t)
 	// The image must be good as-is, or every case below is vacuous.
-	if g, err := openImage(t, valid); err != nil {
-		t.Fatalf("pristine image failed to open: %v", err)
-	} else if g.NumNodes() != 20 {
-		t.Fatalf("pristine image has %d nodes, want 20", g.NumNodes())
+	path := filepath.Join(t.TempDir(), "valid.sasg")
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range opens {
+		g, err := o.open(t, path)
+		if err != nil {
+			t.Fatalf("%s: pristine image failed to open: %v", o.name, err)
+		}
+		if g.NumNodes() != 20 {
+			t.Fatalf("%s: pristine image has %d nodes, want 20", o.name, g.NumNodes())
+		}
+		g.Close()
 	}
 
 	n := binary.LittleEndian.Uint64(valid[16:])
@@ -126,22 +152,13 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := tc.corrupt(append([]byte(nil), valid...))
-			g, err := openImage(t, data)
-			if err == nil {
-				t.Fatalf("corrupt image opened: %d nodes", g.NumNodes())
-			}
-			if !errors.Is(err, ErrBadMapped) {
-				t.Fatalf("want ErrBadMapped, got %v", err)
-			}
+			requireRejected(t, tc.corrupt(append([]byte(nil), valid...)))
 		})
 	}
 }
 
 func TestOpenMappedEmptyFile(t *testing.T) {
-	if _, err := openImage(t, nil); !errors.Is(err, ErrBadMapped) {
-		t.Fatalf("empty file: want ErrBadMapped, got %v", err)
-	}
+	requireRejected(t, nil)
 }
 
 // TestWriteMappedRejectsOverflow: the writer refuses graphs whose counts

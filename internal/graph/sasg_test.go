@@ -2,10 +2,8 @@ package graph
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -245,41 +243,54 @@ func TestMappedClose(t *testing.T) {
 	}
 }
 
-// TestOpenFileAuto sniffs both on-disk formats and rejects everything else.
-func TestOpenFileAuto(t *testing.T) {
-	g := randomTestGraph(t, 40, 200, 11)
-	dir := t.TempDir()
-	ssg := filepath.Join(dir, "g.ssg")
-	sasg := filepath.Join(dir, "g.sasg")
-	if err := g.SaveBinaryFile(ssg); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteMappedFile(sasg); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := OpenFileAuto(ssg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromBin.View().Kind() != "heap" {
-		t.Fatalf(".ssg opened as %q, want heap", fromBin.View().Kind())
-	}
-	fromMap, err := OpenFileAuto(sasg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromMap.Close()
-	requireSectionsEqual(t, g, fromBin)
-	requireSectionsEqual(t, g, fromMap)
+// openDecoded opens path the way a host that cannot map the file does: it
+// sets hostLittleEndian to false for the call, so OpenMapped decodes the
+// sections onto the heap, and restores it before returning.
+func openDecoded(t *testing.T, path string) (*Graph, error) {
+	t.Helper()
+	saved := hostLittleEndian
+	hostLittleEndian = false
+	defer func() { hostLittleEndian = saved }()
+	return OpenMapped(path)
+}
 
-	junk := filepath.Join(dir, "junk.bin")
-	if err := os.WriteFile(junk, []byte("0 1 0.5\n1 2 0.5\n"), 0o644); err != nil {
+// TestOpenMappedDecodePath: the decoded open of a .sasg file holds the same
+// sections as the mapped open of it and as the graph it was written from,
+// and is charged as heap.
+func TestOpenMappedDecodePath(t *testing.T) {
+	graphs := map[string]*Graph{
+		"tiny":   randomTestGraph(t, 5, 12, 1),
+		"medium": randomTestGraph(t, 300, 2000, 3),
+	}
+	single, err := NewBuilder(1).Build(BuildOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileAuto(junk); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("junk file: want ErrBadFormat, got %v", err)
-	}
-	if _, err := OpenFileAuto(filepath.Join(dir, "missing.sasg")); err == nil {
-		t.Fatal("missing file should fail")
+	graphs["single-node"] = single
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.sasg")
+			if err := g.WriteMappedFile(path); err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mapped.Close()
+			decoded, err := openDecoded(t, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSectionsEqual(t, mapped, decoded)
+			requireSectionsEqual(t, g, decoded)
+			if kind := decoded.View().Kind(); kind != "heap" {
+				t.Fatalf("decoded graph kind %q, want heap", kind)
+			}
+			if decoded.ResidentBytes() != g.ResidentBytes() || decoded.MappedBytes() != 0 {
+				t.Fatalf("decoded accounting: resident=%d mapped=%d, want %d/0",
+					decoded.ResidentBytes(), decoded.MappedBytes(), g.ResidentBytes())
+			}
+		})
 	}
 }

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
+	"math"
 )
 
 // This file is the one place that knows how numeric graph sections get on and
-// off disk: both binary writers — SaveBinary (.ssg) and WriteMapped (.sasg) —
-// stream through sectionWriter, and LoadBinary reads back through
-// sectionReader, so the two formats share buffer sizes, chunking and
-// little-endian encoding and cannot drift apart.
+// off disk: WriteMapped streams the .sasg sections out through sectionWriter,
+// and hosts that cannot map the file decode them back through sectionReader,
+// so both directions share chunking and little-endian encoding.
 
 const (
 	// ioBufBytes sizes the bufio layer of every binary graph path.
@@ -106,41 +106,46 @@ func (sw *sectionWriter) padTo(align int64) error {
 
 func (sw *sectionWriter) flush() error { return sw.w.Flush() }
 
-// sectionReader is the decoding twin: chunked little-endian reads through
-// the same scratch sizing.
+// sectionReader is the decoding twin: chunked little-endian reads.
 type sectionReader struct {
 	r   *bufio.Reader
 	buf []byte
 }
 
-func newSectionReader(r io.Reader) *sectionReader {
-	return &sectionReader{r: bufio.NewReaderSize(r, ioBufBytes), buf: make([]byte, ioScratchBytes)}
+// newSectionReader sizes its buffers for a stream of size bytes, so decoding
+// a small file never allocates much more than the file holds.
+func newSectionReader(r io.Reader, size int64) *sectionReader {
+	b := int(min(max(size, sasgAlign), ioBufBytes))
+	return &sectionReader{r: bufio.NewReaderSize(r, b), buf: make([]byte, min(b, ioScratchBytes))}
+}
+
+// readLE fills xs with little-endian elements of width bytes each.
+func readLE[T any](sr *sectionReader, xs []T, width int, decode func([]byte) T) error {
+	for len(xs) > 0 {
+		k := min(len(xs), len(sr.buf)/width)
+		if _, err := io.ReadFull(sr.r, sr.buf[:k*width]); err != nil {
+			return err
+		}
+		for i := 0; i < k; i++ {
+			xs[i] = decode(sr.buf[i*width:])
+		}
+		xs = xs[k:]
+	}
+	return nil
 }
 
 func (sr *sectionReader) u32s(xs []uint32) error {
-	for len(xs) > 0 {
-		k := min(len(xs), len(sr.buf)/4)
-		if _, err := io.ReadFull(sr.r, sr.buf[:k*4]); err != nil {
-			return err
-		}
-		for i := 0; i < k; i++ {
-			xs[i] = binary.LittleEndian.Uint32(sr.buf[i*4:])
-		}
-		xs = xs[k:]
-	}
-	return nil
+	return readLE(sr, xs, 4, binary.LittleEndian.Uint32)
 }
 
 func (sr *sectionReader) f32s(xs []float32) error {
-	for len(xs) > 0 {
-		k := min(len(xs), len(sr.buf)/4)
-		if _, err := io.ReadFull(sr.r, sr.buf[:k*4]); err != nil {
-			return err
-		}
-		for i := 0; i < k; i++ {
-			xs[i] = floatFrom(binary.LittleEndian.Uint32(sr.buf[i*4:]))
-		}
-		xs = xs[k:]
-	}
-	return nil
+	return readLE(sr, xs, 4, func(b []byte) float32 { return floatFrom(binary.LittleEndian.Uint32(b)) })
+}
+
+func (sr *sectionReader) i64s(xs []int64) error {
+	return readLE(sr, xs, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
+}
+
+func (sr *sectionReader) f64s(xs []float64) error {
+	return readLE(sr, xs, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }

@@ -3,9 +3,9 @@ package graph
 // This file is the storage seam behind Graph: the eight CSR arrays live in a
 // `sections` value, and a View handle says where those arrays' backing bytes
 // actually are — ordinary heap allocations (heapView: everything built by the
-// Builder, LoadEdgeList, LoadBinary, the generators) or a read-only file
-// mapping whose pages the kernel shares across every process that opened the
-// same .sasg file (mapView, see OpenMapped). The accessor hot paths never go
+// Builder, LoadEdgeList, the generators, or a decoded .sasg file) or a
+// read-only file mapping whose pages the kernel shares across every process
+// that opened the same .sasg file (mapView, see OpenMapped). The accessor hot paths never go
 // through the interface: Graph embeds the sections directly, so OutNeighbors,
 // SampleLTInNeighbor and ReverseCSR compile to the same code for both
 // backends. The View only answers accounting (resident vs mapped bytes) and

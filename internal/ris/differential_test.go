@@ -215,8 +215,10 @@ func assertSweepsIdentical(t *testing.T, ctx string, budgets []float64, ref, got
 
 // TestDifferentialBudgetedSweepFlatVsSharded runs the cost-aware TVM sweep
 // (WRIS sampling + one-scan ratio greedy + KMN fix-up) over several
-// budgets on one shared store per topology, asserting seeds, benefit
+// budgets on one shared store per worker count, asserting seeds, benefit
 // estimates, costs and sample counts identical to the reference per budget.
+// The sweep's store is one shard; the budgeted solver on sharded stores is
+// checked against the same reference by TestDifferentialSolversOnShardedStore.
 func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 	g := diffGraph(t)
 	weights := make([]float64, g.NumNodes())
@@ -232,23 +234,19 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 		costs[v] = float64((v*7)%4) + 1
 	}
 	budgets := []float64{3, 9, 27, 81}
-	run := func(shards, workers int) []*tvm.BudgetedResult {
+	run := func(workers int) []*tvm.BudgetedResult {
 		res, err := tvm.BudgetedSweep(inst, diffusion.LT, budgets, tvm.BudgetedOptions{
-			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: 2,
-			Samples: 3000, Shards: shards, ShardWorkers: workers,
+			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: workers, Samples: 3000,
 		})
 		if err != nil {
-			t.Fatalf("sweep shards=%d workers=%d: %v", shards, workers, err)
+			t.Fatalf("sweep workers=%d: %v", workers, err)
 		}
 		return res
 	}
 	ref := sweepRef(t, inst, diffusion.LT, costs, budgets, 13, 3000)
-	assertSweepsIdentical(t, "sweep/default", budgets, ref, run(0, 0))
-	for _, shards := range diffShardCounts {
-		for _, workers := range diffWorkerCounts {
-			ctx := fmt.Sprintf("sweep/shards=%d/workers=%d", shards, workers)
-			assertSweepsIdentical(t, ctx, budgets, ref, run(shards, workers))
-		}
+	assertSweepsIdentical(t, "sweep/default", budgets, ref, run(0))
+	for _, workers := range diffWorkerCounts {
+		assertSweepsIdentical(t, fmt.Sprintf("sweep/workers=%d", workers), budgets, ref, run(workers))
 	}
 }
 

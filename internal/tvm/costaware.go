@@ -26,11 +26,6 @@ type BudgetedOptions struct {
 	// Workers bounds sampling parallelism; ≤0 selects
 	// runtime.GOMAXPROCS(0) (results are worker-count-independent).
 	Workers int
-	// Shards is the number of id shards of the WRIS sample store; ≤ 1 = one
-	// shard (default), bit-identical results for any count. ShardWorkers
-	// bounds per-shard parallelism (≤0 derives Workers/Shards).
-	Shards       int
-	ShardWorkers int
 	// Samples optionally fixes the number of WRIS samples; 0 derives an
 	// Eq. 14-style threshold from the instance (see sampleSize).
 	Samples int
@@ -153,9 +148,7 @@ func BudgetedSweep(t *Instance, model diffusion.Model, budgets []float64, opt Bu
 	for _, b := range budgets {
 		samples = max(samples, t.sampleSize(opt, b))
 	}
-	store := ris.NewStore(s, opt.Seed, ris.StoreOptions{
-		Workers: opt.Workers, Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-	})
+	store := ris.NewStore(s, opt.Seed, ris.StoreOptions{Workers: opt.Workers})
 	store.GenerateTo(samples)
 	sol := maxcover.NewBudgetedSolver(store, samples, opt.Costs)
 	out := make([]*BudgetedResult, len(budgets))

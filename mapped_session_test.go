@@ -19,7 +19,7 @@ func mappedSessionTwin(t *testing.T, g *stopandstare.Graph) *stopandstare.Graph 
 	if err := g.WriteMappedFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := stopandstare.OpenGraphMapped(path)
+	m, err := stopandstare.OpenGraphFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,10 @@ type SessionOptions struct {
 	Seed uint64
 	// Workers bounds sampling parallelism (≤0 ⇒ runtime.GOMAXPROCS(0)).
 	Workers int
-	// Shards is the number of in-process id shards of the RR store;
-	// ≤ 1 = one shard (default). Bit-identical at every count (see
-	// Options.Shards).
+	// Shards is the number of in-process id shards of the RR store (one
+	// arena + index per shard, generated shard-parallel); ≤ 1 = one shard
+	// (default). Results are bit-identical at every count: sharding only
+	// changes memory topology and generation parallelism.
 	Shards int
 	// ShardWorkers bounds per-shard generation parallelism. For remote
 	// shards it is the sampling parallelism requested on each worker (0 =
@@ -181,7 +182,7 @@ type SessionStats struct {
 	// summing it across such sessions double-counts.
 	GraphResidentBytes int64
 	// GraphMappedBytes is the portion of the graph aliasing a read-only
-	// file mapping (graphs opened with OpenGraphMapped): paged in on
+	// file mapping (graphs opened with OpenGraphFile): paged in on
 	// demand and shared across every process serving the same file, so it
 	// is reported separately from resident memory.
 	GraphMappedBytes int64

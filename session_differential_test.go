@@ -75,7 +75,7 @@ func assertSameResult(t *testing.T, ctx string, warm, cold *stopandstare.Result,
 
 // TestSessionDifferentialWarmVsCold runs randomized query sequences on warm
 // sessions across flat/sharded stores, comparing every query against a
-// cold Maximize run with identical parameters.
+// cold (one-shard) Maximize run with identical parameters.
 func TestSessionDifferentialWarmVsCold(t *testing.T) {
 	g, err := stopandstare.GeneratePowerLaw(220, 1400, 2.1, 99)
 	if err != nil {
@@ -103,7 +103,6 @@ func TestSessionDifferentialWarmVsCold(t *testing.T) {
 			var coldTrace []stopandstare.Checkpoint
 			cold, err := stopandstare.Maximize(g, stopandstare.IC, q.algo, stopandstare.Options{
 				K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
-				Shards: shards, ShardWorkers: 2,
 				OnCheckpoint: func(cp stopandstare.Checkpoint) { coldTrace = append(coldTrace, cp) },
 			})
 			if err != nil {

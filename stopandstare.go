@@ -100,15 +100,6 @@ type Options struct {
 	// Workers bounds parallelism (≤0 ⇒ runtime.GOMAXPROCS(0); results are
 	// bit-identical at any worker count).
 	Workers int
-	// Shards is the number of id shards of the RR store (one arena + index
-	// per shard, generated shard-parallel); ≤ 1 = one shard (default).
-	// Results are bit-identical at any shard count — sharding only changes
-	// memory topology and generation parallelism. Applies to the RIS
-	// algorithms (SSA/D-SSA/IMM/TIM/TIM+/Borgs).
-	Shards int
-	// ShardWorkers bounds per-shard generation parallelism (≤0 derives
-	// max(1, Workers/Shards)).
-	ShardWorkers int
 	// MCRuns is the Monte-Carlo budget for CELF/CELF++ spread estimates
 	// (0 ⇒ 10,000, the paper's setting).
 	MCRuns int
@@ -190,8 +181,7 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 			return nil, err
 		}
 		bopt := baselines.Options{K: opt.K, Epsilon: opt.Epsilon, Delta: opt.Delta,
-			Seed: opt.Seed, Workers: opt.Workers,
-			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers}
+			Seed: opt.Seed, Workers: opt.Workers}
 		var res *baselines.Result
 		switch algo {
 		case IMM:
@@ -214,8 +204,7 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 		}
 		res, err := baselines.Borgs(s, baselines.BorgsOptions{
 			Options: baselines.Options{K: opt.K, Epsilon: opt.Epsilon, Delta: opt.Delta,
-				Seed: opt.Seed, Workers: opt.Workers,
-				Shards: opt.Shards, ShardWorkers: opt.ShardWorkers},
+				Seed: opt.Seed, Workers: opt.Workers},
 			C: opt.BorgsC,
 		})
 		if err != nil {
@@ -264,11 +253,7 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 // apart. Its schedule never returns to a prefix, so the solver retains one
 // greedy run, not a serving session's cache of them. opt must be filled.
 func maximizeOnce(g *Graph, model Model, algo Algorithm, opt Options, weights []float64) (*Result, error) {
-	sess, err := newSession(g, model, SessionOptions{
-		Seed: opt.Seed, Workers: opt.Workers,
-		Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-		Weights: weights,
-	}, 1)
+	sess, err := newSession(g, model, SessionOptions{Seed: opt.Seed, Workers: opt.Workers, Weights: weights}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,10 @@
 package stopandstare
 
 import (
+	"compress/gzip"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -154,6 +157,33 @@ func TestGraphAPIRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadGraph(strings.NewReader("0 1 0.5\n1 2 0.5\n"), LoadGraphOptions{Directed: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadGraphFileGzip: LoadGraphFile reads a SNAP-style .txt.gz archive
+// as it reads the plain text.
+func TestLoadGraphFileGzip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "edges.txt.gz")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw := gzip.NewWriter(f)
+	if _, err := zw.Write([]byte("# FromNodeId\tToNodeId\n0\t1\n1\t2\n2\t0\n7\t2\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadGraphFile(path, LoadGraphOptions{Directed: true, Relabel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 4 || g.NumEdges() != 4 {
+		t.Fatalf("n=%d m=%d, want 4/4", g.NumNodes(), g.NumEdges())
 	}
 }
 

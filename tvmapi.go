@@ -53,8 +53,7 @@ func MaximizeTargeted(g *Graph, model Model, weights []float64, algo Algorithm, 
 			Gamma: inst.Gamma, Samples: res.Samples, Elapsed: res.Elapsed}, nil
 	case TIMPlus:
 		res, err := tvm.KBTIM(inst, model, baselines.Options{K: opt.K,
-			Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers})
+			Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -78,10 +77,6 @@ type BudgetedOptions struct {
 	Delta   float64
 	Seed    uint64
 	Workers int
-	// Shards/ShardWorkers shape the RR store, as in Options (≤ 1 = one
-	// shard (default)).
-	Shards       int
-	ShardWorkers int
 }
 
 // BudgetedTVMResult reports a cost-aware targeted run.
@@ -123,7 +118,6 @@ func MaximizeBudgetedSweep(g *Graph, model Model, weights []float64, budgets []f
 	sweep, err := tvm.BudgetedSweep(inst, model, budgets, tvm.BudgetedOptions{
 		Costs: opt.Costs, Epsilon: opt.Epsilon,
 		Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-		Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
 	})
 	if err != nil {
 		return nil, err
