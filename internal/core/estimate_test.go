@@ -71,6 +71,24 @@ func (e *refEstimator) refEstimate(seeds []uint32, epsPrime, deltaPrime float64,
 	return -1, tmax, false
 }
 
+// storeVerifier is the Verifier of a test: a store on the verification
+// stream, grown on demand.
+type storeVerifier struct {
+	st    ris.Store
+	words []uint64
+}
+
+func newStoreVerifier(s *ris.Sampler, seed uint64) *storeVerifier {
+	return &storeVerifier{st: ris.NewStore(s.VerifySampler(), seed, ris.StoreOptions{Workers: 2})}
+}
+
+func (v *storeVerifier) VerifyStopIndex(seeds []uint32, from, to int, need int64) (int, int64, bool) {
+	grew := v.st.Len() < to
+	v.st.GenerateTo(to)
+	id, cov := ris.StopIndex(v.st, &v.words, seeds, from, to, need)
+	return id, cov, grew
+}
+
 // estimatorSamplers returns one sampler per plan class the hit walk runs
 // through: IC weighted cascade (uniform nodes), IC trivalency (general
 // nodes), LT, and a WRIS sampler.
@@ -113,8 +131,10 @@ type estimateCall struct {
 }
 
 // TestEstimatorMatchesSerialLoop is the estimator's differential test: the
-// early-exit estimator returns the full-set loop's (inf, used, ok) and
-// leaves the same total and nextID, call after call.
+// early-exit estimator and the retained one — on a fresh verification store,
+// and on one every earlier case of the sampler has grown — return the
+// full-set loop's (inf, used, ok) and leave the same total and nextID, call
+// after call.
 func TestEstimatorMatchesSerialLoop(t *testing.T) {
 	big := []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	cases := []struct {
@@ -137,23 +157,33 @@ func TestEstimatorMatchesSerialLoop(t *testing.T) {
 		}},
 	}
 	for _, smp := range estimatorSamplers(t) {
+		warm := newStoreVerifier(smp.s, 83)
 		for _, tc := range cases {
-			name := smp.name + "/" + tc.name
 			ref := newRefEstimator(smp.s, 83)
-			est := newEstimator(smp.s, 83)
+			ests := []struct {
+				leg string
+				e   *estimator
+			}{
+				{"hits", newEstimator(smp.s, 83)},
+				{"retained", newRetainedEstimator(smp.s, 83, newStoreVerifier(smp.s, 83))},
+				{"retained-warm", newRetainedEstimator(smp.s, 83, warm)},
+			}
 			for i, c := range tc.calls {
 				rInf, rUsed, rOK := ref.refEstimate(c.seeds, c.eps, c.delta, c.tmax)
-				inf, used, ok := est.estimate(c.seeds, c.eps, c.delta, c.tmax)
-				if inf != rInf || used != rUsed || ok != rOK {
-					t.Fatalf("%s call %d: (inf, used, ok) = (%v, %d, %v), full-set loop (%v, %d, %v)",
-						name, i, inf, used, ok, rInf, rUsed, rOK)
+				if !c.eitherOK && rOK != c.wantOK {
+					t.Fatalf("%s/%s call %d: ok = %v, the case wants %v", smp.name, tc.name, i, rOK, c.wantOK)
 				}
-				if est.total != ref.total || est.nextID != ref.nextID {
-					t.Fatalf("%s call %d: total %d nextID %d, full-set loop %d %d",
-						name, i, est.total, est.nextID, ref.total, ref.nextID)
-				}
-				if !c.eitherOK && ok != c.wantOK {
-					t.Fatalf("%s call %d: ok = %v, the case wants %v", name, i, ok, c.wantOK)
+				for _, est := range ests {
+					name := smp.name + "/" + tc.name + "/" + est.leg
+					inf, used, ok := est.e.estimate(c.seeds, c.eps, c.delta, c.tmax)
+					if inf != rInf || used != rUsed || ok != rOK {
+						t.Fatalf("%s call %d: (inf, used, ok) = (%v, %d, %v), full-set loop (%v, %d, %v)",
+							name, i, inf, used, ok, rInf, rUsed, rOK)
+					}
+					if est.e.total != ref.total || est.e.nextID != ref.nextID {
+						t.Fatalf("%s call %d: total %d nextID %d, full-set loop %d %d",
+							name, i, est.e.total, est.e.nextID, ref.total, ref.nextID)
+					}
 				}
 			}
 		}
@@ -186,6 +216,137 @@ func TestEstimatorScratchIndependentOfTmax(t *testing.T) {
 	}
 }
 
+// TestRetainedEstimatorStoreTracksStopIndex is the retained estimator's
+// memory bound: a call whose cap is math.MaxInt64 grows the verification
+// store to about the stopping index — the windows are sized from the hits
+// seen, not from the cap — and a repeat call, as the next SSA run of a
+// session makes it, grows nothing and allocates nothing.
+func TestRetainedEstimatorStoreTracksStopIndex(t *testing.T) {
+	s := sampler(t, midGraph(t, 2000, 12000, 89), diffusion.IC)
+	seeds := []uint32{0, 1, 2, 3, 4}
+	v := newStoreVerifier(s, 97)
+	est := newRetainedEstimator(s, 97, v)
+	_, used, ok := est.estimate(seeds, 0.2, 0.05, math.MaxInt64)
+	if !ok {
+		t.Fatal("a reachable Λ₂ did not stop the rule")
+	}
+	grown := v.st.Len()
+	if grown < int(used) || grown > 2*int(used) {
+		t.Fatalf("store grew to %d sets for a rule that stopped at %d, want [%d, %d]", grown, used, used, 2*used)
+	}
+	if !est.grew {
+		t.Fatal("a call that grew the store did not report it")
+	}
+	est.grew = false
+	allocs := testing.AllocsPerRun(5, func() {
+		est.nextID = 0
+		if _, again, _ := est.estimate(seeds, 0.2, 0.05, math.MaxInt64); again != used {
+			t.Fatalf("repeat call stopped at %d, first at %d", again, used)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("a repeat call made %.0f allocations, want 0", allocs)
+	}
+	if v.st.Len() != grown || est.grew {
+		t.Fatalf("a repeat call grew the store from %d to %d sets", grown, v.st.Len())
+	}
+	t.Logf("stopped at %d, store %d sets", used, grown)
+}
+
+// TestRetainedEstimatorWalksPastStoreLimit lowers the id range a store can
+// hold: a call whose window reaches it finishes over fresh sets, and later
+// calls start past it, with the serial loop's answers throughout.
+func TestRetainedEstimatorWalksPastStoreLimit(t *testing.T) {
+	defer func(old int64) { retainedIDs = old }(retainedIDs)
+	retainedIDs = 1200
+	s := sampler(t, midGraph(t, 2000, 12000, 91), diffusion.LT)
+	seeds := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	ref := newRefEstimator(s, 5)
+	v := newStoreVerifier(s, 5)
+	est := newRetainedEstimator(s, 5, v)
+	for i := 0; i < 4; i++ {
+		rInf, rUsed, rOK := ref.refEstimate(seeds, 0.3, 0.1, 1<<40)
+		inf, used, ok := est.estimate(seeds, 0.3, 0.1, 1<<40)
+		if inf != rInf || used != rUsed || ok != rOK || est.nextID != ref.nextID || est.total != ref.total {
+			t.Fatalf("call %d: (%v, %d, %v, next %d), full-set loop (%v, %d, %v, next %d)",
+				i, inf, used, ok, est.nextID, rInf, rUsed, rOK, ref.nextID)
+		}
+	}
+	if ref.nextID <= 1200 {
+		t.Fatalf("the calls stopped at id %d and never crossed the store's limit", ref.nextID)
+	}
+	if v.st.Len() > 1200 {
+		t.Fatalf("store grew to %d sets past its limit of 1200", v.st.Len())
+	}
+}
+
+// FuzzRetainedEstimate checks the retained estimator against the one-id
+// walk over a sequence of calls on a random small graph: IC or LT, plain or
+// WRIS, with random seed sets, ε′, δ′ and caps. A second retained run over
+// the store the first one grew must agree too.
+func FuzzRetainedEstimate(f *testing.F) {
+	f.Add(uint64(1), uint8(60), false, false, uint8(3), uint8(30), uint8(20), uint16(4000), uint8(3))
+	f.Add(uint64(2), uint8(150), true, false, uint8(1), uint8(10), uint8(50), uint16(900), uint8(4))
+	f.Add(uint64(3), uint8(20), false, true, uint8(5), uint8(80), uint8(5), uint16(1), uint8(2))
+	f.Add(uint64(4), uint8(90), true, true, uint8(2), uint8(5), uint8(90), uint16(0), uint8(3))
+	f.Fuzz(func(t *testing.T, graphSeed uint64, size uint8, lt, weighted bool, k, eps, delta uint8, tmax uint16, calls uint8) {
+		n := 20 + int(size)
+		model, bopt := diffusion.IC, graph.BuildOptions{Model: graph.WeightedCascade}
+		if lt {
+			model = diffusion.LT
+		} else if graphSeed%2 == 1 {
+			bopt = graph.BuildOptions{Model: graph.Trivalency, TrivalencySeed: graphSeed}
+		}
+		g, err := gen.ChungLu(n, int64(4*n), 2.1, graphSeed, bopt)
+		if err != nil {
+			t.Skip(err)
+		}
+		s, err := ris.NewSampler(g, model)
+		if weighted {
+			w := make([]float64, n)
+			r := rng.New(graphSeed ^ 0x5a)
+			for v := range w {
+				w[v] = r.Float64()
+			}
+			s, err = ris.NewWeightedSampler(g, model, w)
+		}
+		if err != nil {
+			t.Skip(err)
+		}
+		type call struct {
+			seeds      []uint32
+			eps, delta float64
+			tmax       int64
+		}
+		r := rng.New(graphSeed + uint64(k))
+		seq := make([]call, 1+int(calls)%4)
+		for i := range seq {
+			c := call{
+				eps:   0.05 + float64((int(eps)+7*i)%90)/100,
+				delta: 0.01 + float64((int(delta)+13*i)%90)/100,
+				tmax:  int64(tmax) + int64(i)*int64(r.Intn(500)),
+			}
+			for j := 0; j < 1+int(k)%6; j++ {
+				c.seeds = append(c.seeds, uint32(r.Intn(n)))
+			}
+			seq[i] = c
+		}
+		const seed = 11
+		v := newStoreVerifier(s, seed)
+		for run := 0; run < 2; run++ {
+			walk, kept := newEstimator(s, seed), newRetainedEstimator(s, seed, v)
+			for i, c := range seq {
+				wInf, wUsed, wOK := walk.estimate(c.seeds, c.eps, c.delta, c.tmax)
+				inf, used, ok := kept.estimate(c.seeds, c.eps, c.delta, c.tmax)
+				if inf != wInf || used != wUsed || ok != wOK || kept.nextID != walk.nextID || kept.total != walk.total {
+					t.Fatalf("run %d call %d %+v: retained (%v, %d, %v, next %d, total %d), walk (%v, %d, %v, next %d, total %d)",
+						run, i, c, inf, used, ok, kept.nextID, kept.total, wInf, wUsed, wOK, walk.nextID, walk.total)
+				}
+			}
+		}
+	})
+}
+
 // topOutDegree returns the k nodes of largest out-degree: a cheap stand-in
 // for a selected seed set.
 func topOutDegree(g *graph.Graph, k int) []uint32 {
@@ -197,9 +358,11 @@ func topOutDegree(g *graph.Graph, k int) []uint32 {
 	return nodes[:k]
 }
 
-// BenchmarkEstimateInf compares the full-set loop (ref) with the early-exit
-// estimator (hits) on one Estimate-Inf call at SSA's ε₂ for ε = 0.1.
-// sets/op is the call's RR-set count, the same on both sides.
+// BenchmarkEstimateInf compares the full-set loop (ref), the early-exit
+// estimator (hits) and the retained one (retained) on one Estimate-Inf call
+// at SSA's ε₂ for ε = 0.1. The retained leg is the second call on a warm
+// verification store: a session's later SSA queries, which read the seeds'
+// postings instead of walking. sets/op is the call's RR-set count.
 func BenchmarkEstimateInf(b *testing.B) {
 	g := midGraph(b, 20000, 120000, 101)
 	const eps2, delta = 0.079, 1e-6
@@ -219,6 +382,18 @@ func BenchmarkEstimateInf(b *testing.B) {
 				var used int64
 				for i := 0; i < b.N; i++ {
 					_, used, _ = newEstimator(s, uint64(i)).estimate(seeds, eps2, delta, 1<<40)
+				}
+				b.ReportMetric(float64(used), "sets/op")
+			})
+			b.Run(prefix+"retained", func(b *testing.B) {
+				v := newStoreVerifier(s, 1)
+				newRetainedEstimator(s, 1, v).estimate(seeds, eps2, delta, 1<<40)
+				est := newRetainedEstimator(s, 1, v)
+				b.ResetTimer()
+				var used int64
+				for i := 0; i < b.N; i++ {
+					est.nextID = 0
+					_, used, _ = est.estimate(seeds, eps2, delta, 1<<40)
 				}
 				b.ReportMetric(float64(used), "sets/op")
 			})

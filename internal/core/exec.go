@@ -45,6 +45,21 @@ type Exec interface {
 	Coverage(seeds []uint32, from, to int) int64
 }
 
+// Verifier is an optional Exec extension for an environment that retains
+// SSA's Estimate-Inf sets: a second store on the verification id space,
+// whose RR set i is the one ris.SeedVerifyStream(seed, i) draws (a store
+// built on Sampler.VerifySampler). SSAWith type-asserts for it; without it,
+// every Estimate-Inf call walks fresh verification sets one id at a time.
+// Either way the estimate is the same, so a retained run is bit-identical
+// to a streaming one.
+type Verifier interface {
+	// VerifyStopIndex grows the verification store to at least to sets and
+	// returns ris.StopIndex over it for the window [from, to), plus whether
+	// it generated sets. Called with no lock held; it takes whatever locks
+	// the environment needs.
+	VerifyStopIndex(seeds []uint32, from, to int, need int64) (id int, cov int64, grew bool)
+}
+
 // locked runs f between Acquire and Release, releasing on panic as well.
 // The Store interface is error-free, so a remote-sharded store escapes
 // worker failures as *ris.ShardError panics (recovered at the Session

@@ -97,10 +97,11 @@ type Result struct {
 	Elapsed time.Duration
 	// MemoryBytes approximates the RR-collection footprint at termination.
 	MemoryBytes int64
-	// Grew reports whether the run generated new RR sets into its store:
+	// Grew reports whether the run generated new RR sets into a store:
 	// always true for a cold run, false for a session query answered
-	// entirely from already-resident samples. (SSA's ephemeral Estimate-Inf
-	// samples are not store growth and do not set it.)
+	// entirely from already-resident samples. SSA's Estimate-Inf sets count
+	// when the environment retains them (Verifier) and grew that store to
+	// answer; the sets a streaming Estimate-Inf draws and drops do not.
 	Grew bool
 }
 

@@ -51,7 +51,12 @@ func SSAWith(opt Options, env Exec) (*Result, error) {
 	size := ceilPos(lambda)
 	res := &Result{Eps1: e1, Eps2: e2, Eps3: e3}
 	res.Grew = env.Ensure(size) // line 4
-	est := newEstimator(s, opt.Seed)
+	var est *estimator
+	if v, ok := env.(Verifier); ok {
+		est = newRetainedEstimator(s, opt.Seed, v)
+	} else {
+		est = newEstimator(s, opt.Seed)
+	}
 	scale := s.Scale()
 
 	var mc maxcover.Result
@@ -93,6 +98,7 @@ func SSAWith(opt Options, env Exec) (*Result, error) {
 	res.Influence = mc.Influence(scale)
 	res.CoverageSamples = int64(size)
 	res.VerifySamples = est.total
+	res.Grew = res.Grew || est.grew
 	res.TotalSamples = res.CoverageSamples + res.VerifySamples
 	locked(env, func() { res.MemoryBytes = env.Store().Bytes() })
 	res.Elapsed = time.Since(start)

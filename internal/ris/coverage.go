@@ -1,6 +1,11 @@
 package ris
 
-import "stopandstare/internal/epoch"
+import (
+	"math/bits"
+	"slices"
+
+	"stopandstare/internal/epoch"
+)
 
 // This file implements index-driven coverage counting: Cov_R(S) over an id
 // window computed as a union walk of the seeds' postings runs, so the cost
@@ -58,4 +63,49 @@ func CoverageRangeSeedsMarks(st Store, m *epoch.Marks, seeds []uint32, from, to 
 		return sc.remoteCoverageSeeds(seeds, from, to)
 	}
 	return coverageRangeSeeds(st, m, seeds, from, to)
+}
+
+// StopIndex answers a stopping rule that tests the ids of [from, to) in
+// order and fires at its need-th hit, a hit being a set that contains a
+// seed. It returns the id of that hit and need, or to and the window's hit
+// count when the window holds fewer than need (need ≥ 1). SSA's
+// Estimate-Inf asks this of a retained verification store, in place of
+// drawing and testing the sets one at a time. The seeds' postings are
+// marked in a bitset over the window, words, which the caller owns and may
+// pool; the cost is the window's seed postings plus one bit per id.
+func StopIndex(st Store, words *[]uint64, seeds []uint32, from, to int, need int64) (id int, cov int64) {
+	from = max(from, 0)
+	to = min(to, st.Len())
+	if from >= to {
+		return to, 0
+	}
+	nw := (to - from + 63) >> 6
+	b := slices.Grow((*words)[:0], nw)[:nw]
+	clear(b)
+	*words = b
+	for _, v := range seeds {
+		it := st.PostingsRange(v, from, to)
+		for {
+			run, ok := it.Next()
+			if !ok {
+				break
+			}
+			for _, id := range run {
+				off := int(id) - from
+				b[off>>6] |= 1 << (off & 63)
+			}
+		}
+	}
+	for i, w := range b {
+		c := int64(bits.OnesCount64(w))
+		if cov+c < need {
+			cov += c
+			continue
+		}
+		for k := need - cov; k > 1; k-- {
+			w &= w - 1 // drop the lowest hit
+		}
+		return from + i<<6 + bits.TrailingZeros64(w), need
+	}
+	return to, cov
 }

@@ -1,11 +1,13 @@
 package ris
 
 import (
+	"slices"
 	"testing"
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
+	"stopandstare/internal/rng"
 )
 
 // coverageSchedules are the growth schedules the coverage equivalence runs
@@ -247,5 +249,69 @@ func TestIndexBlockCap(t *testing.T) {
 		rebuildIndexBlocks(sg, 0, sg.nsets())
 		checkBlocks(tc.name+"/rebuilt", sg)
 		AssertStoresEqual(t, tc.name+"/rebuilt", ref, col)
+	}
+}
+
+// TestStopIndexMatchesArenaScan pins StopIndex against a scan of the sets in
+// id order, on a three-shard store (whose postings runs interleave) built
+// over the verification stream: every window and every need returns the id
+// of the need-th hit, or the window's end and its hit count.
+func TestStopIndexMatchesArenaScan(t *testing.T) {
+	g, err := gen.ChungLu(250, 1400, 2.1, 89, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		st := NewStore(mustSampler(t, g, model).VerifySampler(), 7, StoreOptions{Shards: 3, Workers: 2})
+		for _, target := range []int{300, 301, 1900} {
+			st.GenerateTo(target)
+		}
+		var words []uint64
+		for _, seeds := range [][]uint32{nil, {0}, {4, 4, 90}, manyNodes(40)} {
+			mark := make([]bool, g.NumNodes())
+			for _, v := range seeds {
+				mark[v] = true
+			}
+			for _, w := range [][2]int{{0, 1900}, {0, 1}, {63, 64}, {299, 1303}, {1000, 5000}, {700, 700}} {
+				for _, need := range []int64{1, 2, 7, 64, 65, 500, 2000} {
+					wantID, wantCov := min(w[1], st.Len()), int64(0)
+					for i := w[0]; i < min(w[1], st.Len()); i++ {
+						if slices.ContainsFunc(st.Set(i), func(v uint32) bool { return mark[v] }) {
+							if wantCov++; wantCov == need {
+								wantID = i
+								break
+							}
+						}
+					}
+					id, cov := StopIndex(st, &words, seeds, w[0], w[1], need)
+					if id != wantID || cov != wantCov {
+						t.Fatalf("%v seeds %v window %v need %d: (%d, %d), scan (%d, %d)",
+							model, seeds, w, need, id, cov, wantID, wantCov)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVerifySamplerStoreIsVerifyStream pins what a store on VerifySampler
+// holds: set i is the set SeedVerifyStream(seed, i) draws, for both models.
+func TestVerifySamplerStoreIsVerifyStream(t *testing.T) {
+	g, err := gen.ChungLu(250, 1400, 2.1, 97, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		s := mustSampler(t, g, model)
+		st := NewStore(s.VerifySampler(), 5, StoreOptions{Workers: 2})
+		st.GenerateTo(1500)
+		state := s.NewState()
+		var r rng.Source
+		for i := 0; i < st.Len(); i++ {
+			SeedVerifyStream(&r, 5, uint64(i))
+			if want, _ := s.Sample(&r, state); !slices.Equal(st.Set(i), want) {
+				t.Fatalf("%v set %d = %v, verification stream draws %v", model, i, st.Set(i), want)
+			}
+		}
 	}
 }

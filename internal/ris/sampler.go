@@ -33,6 +33,7 @@ type Sampler struct {
 	weights []float64  // WRIS benefit weights; retained so remote shards can rebuild the alias table
 	scale   float64    // n for RIS, Γ for WRIS
 	pc      *planCache // lazily compiled, shared per (graph, model)
+	stream  uint64     // ORed into every set id's stream: 0, or verifyStream (VerifySampler)
 }
 
 // ErrNilGraph reports a missing graph.
@@ -65,6 +66,17 @@ func NewWeightedSampler(g *graph.Graph, model diffusion.Model, weights []float64
 	}
 	return &Sampler{g: g, model: model, root: al, weights: weights, scale: al.Total(),
 		pc: sharedPlanCache(g, model)}, nil
+}
+
+// VerifySampler returns a copy of s whose set id i is drawn from the
+// verification stream SeedVerifyStream(seed, i) instead of (seed, i). A
+// store built on it holds exactly the RR sets SSA's Estimate-Inf walks, so a
+// long-lived session can keep them across queries. The copy shares s's
+// compiled plan.
+func (s *Sampler) VerifySampler() *Sampler {
+	v := *s
+	v.stream = verifyStream
+	return &v
 }
 
 // Plan returns the compiled sampling plan, compiling it on first use
@@ -241,7 +253,7 @@ func (s *Sampler) sampleChunk(st *State, seed uint64, lo, hi int) chunkResult {
 		buf := make([]uint32, 0, 4*(hi-lo))
 		r := &st.lanes[0].r
 		for id := lo; id < hi; id++ {
-			r.SeedStream(seed, uint64(id))
+			r.SeedStream(seed, uint64(id)|s.stream)
 			var w int64
 			buf, _, w = s.AppendSample(r, st, buf)
 			res.offsets = append(res.offsets, int32(len(buf)))
@@ -292,7 +304,7 @@ func (s *Sampler) sampleChunk(st *State, seed uint64, lo, hi int) chunkResult {
 
 // openLane starts lane l on the walk of set id.
 func (s *Sampler) openLane(l *lane, seed uint64, id int) {
-	l.r.SeedStream(seed, uint64(id))
+	l.r.SeedStream(seed, uint64(id)|s.stream)
 	l.start = len(l.buf)
 	l.buf, l.x = s.open(&l.r, &l.marks, l.buf)
 	l.id = id

@@ -10,5 +10,8 @@ import "stopandstare/internal/rng"
 // place spares the loop that draws one verification RR set per iteration
 // a Source allocation per sample.
 func SeedVerifyStream(r *rng.Source, seed, id uint64) {
-	r.SeedStream(seed, id|1<<62)
+	r.SeedStream(seed, id|verifyStream)
 }
+
+// verifyStream is the bit that moves an id into the verification stream.
+const verifyStream = 1 << 62

@@ -58,8 +58,10 @@ type MaximizeResponse struct {
 	HitCap      bool     `json:"hit_cap,omitempty"`
 	MemoryBytes int64    `json:"memory_bytes"`
 	ElapsedMS   float64  `json:"elapsed_ms"`
-	// Warm reports whether this query was served without growing the RR
-	// store (pure selection over already-resident samples).
+	// Warm reports whether this query was served without growing the
+	// session's RR stores: neither the coverage store nor, for SSA, the
+	// verification store that keeps its Estimate-Inf sets (pure selection
+	// and verification over already-resident samples).
 	Warm bool `json:"warm"`
 	// Coalesced reports a response copied from a concurrent identical
 	// query's execution — bit-identical to running it, minus the cost.
@@ -79,6 +81,8 @@ type TenantStatsResponse struct {
 	Items              int64  `json:"items"`
 	Growths            int64  `json:"growths"`
 	StoreBytes         int64  `json:"store_bytes"`
+	VerifySamples      int    `json:"verify_samples"`
+	VerifyBytes        int64  `json:"verify_bytes"`
 	StoreSpilledBytes  int64  `json:"store_spilled_bytes,omitempty"`
 	SpillFileBytes     int64  `json:"spill_file_bytes,omitempty"`
 	PlanBytes          int64  `json:"plan_bytes"`
@@ -388,6 +392,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Items:              t.Session.Items,
 			Growths:            t.Session.Growths,
 			StoreBytes:         t.Session.StoreBytes,
+			VerifySamples:      t.Session.VerifySamples,
+			VerifyBytes:        t.Session.VerifyBytes,
 			StoreSpilledBytes:  t.Session.StoreSpilledBytes,
 			SpillFileBytes:     t.Session.SpillFileBytes,
 			PlanBytes:          t.Session.PlanBytes,

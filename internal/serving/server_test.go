@@ -95,6 +95,44 @@ func TestServeTenantRouting(t *testing.T) {
 	}
 }
 
+// TestServeStatsVerifyStore checks the verification store's /stats
+// fields: zero until a tenant serves an SSA query, then its retained sets
+// and bytes, which the tenant's store_bytes (the budgeted number) includes.
+func TestServeStatsVerifyStore(t *testing.T) {
+	_, ts := newTestStack(t, Config{}, ServerConfig{})
+	if resp, _ := post(t, ts, `{"tenant":"alpha","k":6,"epsilon":0.3}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("dssa query: status %d", resp.StatusCode)
+	}
+	dssa := getStats(t, ts).Tenants[0]
+	if dssa.VerifySamples != 0 || dssa.VerifyBytes != 0 {
+		t.Fatalf("D-SSA query touched the verification store: %+v", dssa)
+	}
+	resp, out := post(t, ts, `{"tenant":"alpha","k":6,"epsilon":0.3,"algorithm":"ssa"}`)
+	if resp.StatusCode != http.StatusOK || out.Warm {
+		t.Fatalf("ssa query: status %d warm %v", resp.StatusCode, out.Warm)
+	}
+	ssa := getStats(t, ts).Tenants[0]
+	if ssa.VerifySamples <= 0 || ssa.VerifyBytes <= 0 || ssa.StoreBytes < dssa.StoreBytes+ssa.VerifyBytes {
+		t.Fatalf("after an SSA query: %+v (before it: %+v)", ssa, dssa)
+	}
+	raw, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Body.Close()
+	var body struct {
+		Tenants []map[string]any `json:"tenants"`
+	}
+	if err := json.NewDecoder(raw.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"verify_samples", "verify_bytes"} {
+		if _, ok := body.Tenants[0][key]; !ok {
+			t.Fatalf("/stats tenant has no %q: %v", key, body.Tenants[0])
+		}
+	}
+}
+
 // TestServeWarmAndCoalesced checks the serving metadata flags over HTTP:
 // a repeat is Warm, and concurrent identical queries come back with one
 // leader and a Coalesced follower.

@@ -12,8 +12,15 @@ import (
 // blocks to disk — keeping every session resident and warm — and eviction
 // only happens when spilling cannot fit the budget. The budget is derived
 // from twin solo sessions' post-spill floors, so spilling alone is
-// provably sufficient and any eviction is a bug.
+// provably sufficient and any eviction is a bug. Tenant b serves D-SSA,
+// then SSA, whose verification store the budget and the spills cover too.
 func TestSpillBeforeEvict(t *testing.T) {
+	for _, algo := range []stopandstare.Algorithm{stopandstare.DSSA, stopandstare.SSA} {
+		t.Run(string(algo), func(t *testing.T) { testSpillBeforeEvict(t, algo) })
+	}
+}
+
+func testSpillBeforeEvict(t *testing.T, algoB stopandstare.Algorithm) {
 	gA, gB := testGraph(t, 7), testGraph(t, 8)
 	// A huge per-session budget arms the spill tier without ever
 	// triggering it on the session's own account; only the manager's
@@ -22,7 +29,7 @@ func TestSpillBeforeEvict(t *testing.T) {
 	optA := stopandstare.SessionOptions{Seed: 11, Workers: 2, SpillBudgetBytes: selfBudget, SpillDir: t.TempDir()}
 	optB := stopandstare.SessionOptions{Seed: 12, Workers: 2, SpillBudgetBytes: selfBudget, SpillDir: t.TempDir()}
 	qA := stopandstare.Query{K: 8, Epsilon: 0.3}
-	qB := stopandstare.Query{K: 5, Epsilon: 0.3}
+	qB := stopandstare.Query{Algorithm: algoB, K: 5, Epsilon: 0.3}
 
 	// Twin solo sessions establish each store's full and post-spill
 	// resident footprints — and the reference answers.
@@ -49,6 +56,9 @@ func TestSpillBeforeEvict(t *testing.T) {
 	wantB, err := twinB.Maximize(qB)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := twinB.Stats(); (algoB == stopandstare.SSA) != (st.VerifyBytes > 0) {
+		t.Fatalf("%s query left %d verification bytes", algoB, st.VerifyBytes)
 	}
 	if _, err := twinB.SpillTo(0); err != nil {
 		t.Fatal(err)

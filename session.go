@@ -34,7 +34,14 @@ var ErrShardUnreachable = ris.ErrShardUnreachable
 //   - one max-coverage solver for every k, caching a resumable greedy run
 //     per checkpoint prefix: a query whose checkpoints an earlier query
 //     (at any k) already solved copies the picks, and a larger k resumes
-//     the run where the smaller one stopped.
+//     the run where the smaller one stopped;
+//   - a second, verification store holding SSA's Estimate-Inf sets. Every
+//     SSA query tests the same verification ids from 0 up, so the first
+//     one that reaches an id samples it and later ones read the seeds'
+//     postings instead of walking the sets again. It is flat and
+//     in-process, created by the first SSA query, grown under the query's
+//     context and the session's spill budget, counted in StoreBytes, and
+//     not persisted: a recovered session regrows it on demand.
 //
 // Because RR set i is a pure function of (seed, i), warm reuse is not an
 // approximation: Session.Maximize returns results bit-identical — Seeds,
@@ -54,6 +61,7 @@ type Session struct {
 	sampler *ris.Sampler
 	inst    *tvm.Instance // non-nil for weighted (TVM) sessions
 	store   ris.Store
+	verify  *verifyStore // retained Estimate-Inf sets; nil for a one-shot session
 
 	mu      sync.RWMutex     // store growth: writers top up, readers query
 	solver  *maxcover.Solver // one for every k; locks itself
@@ -63,6 +71,15 @@ type Session struct {
 
 	recovered     int          // RR sets restored from a snapshot at build
 	snapshotBytes atomic.Int64 // last committed/recovered snapshot file size
+}
+
+// verifyStore is a Session's retained Estimate-Inf stream, with its own
+// lock so SSA verification never waits on coverage growth or the reverse.
+// Where a caller holds both locks, Session.mu is taken first.
+type verifyStore struct {
+	mu    sync.RWMutex
+	store ris.Store // nil until the first SSA query; guarded by mu
+	words sync.Pool // *[]uint64, per-call ris.StopIndex bitsets
 }
 
 // sessionRunLimit bounds the greedy runs the session's solver retains, so a
@@ -162,14 +179,21 @@ type SessionStats struct {
 	Samples int
 	// Items is the total number of node entries across resident RR sets.
 	Items int64
-	// StoreBytes approximates the store's own RESIDENT memory: arena,
-	// offset tables and CSR index blocks held on the heap — excluding the
-	// shared plan and excluding data spilled to disk.
+	// StoreBytes approximates the stores' own RESIDENT memory: arena,
+	// offset tables and CSR index blocks held on the heap, of the coverage
+	// store and the verification store (VerifyBytes) together — excluding
+	// the shared plan and excluding data spilled to disk.
 	StoreBytes int64
-	// StoreSpilledBytes is RR data tiered onto the session's spill file and
-	// served through a read-only mapping (0 without a spill budget).
+	// VerifySamples is the number of SSA Estimate-Inf sets the verification
+	// store retains (0 until the first SSA query).
+	VerifySamples int
+	// VerifyBytes is the verification store's share of StoreBytes.
+	VerifyBytes int64
+	// StoreSpilledBytes is RR data of either store tiered onto the session's
+	// spill files and served through a read-only mapping (0 without a
+	// spill budget).
 	StoreSpilledBytes int64
-	// SpillFileBytes is the spill file's on-disk size, headers and
+	// SpillFileBytes is the spill files' on-disk size, headers and
 	// alignment padding included (the spill-tier overhead is the difference
 	// from StoreSpilledBytes).
 	SpillFileBytes int64
@@ -208,13 +232,15 @@ type SessionStats struct {
 // lazy: the plan compiles (once per graph and model, process-wide) on first
 // sampling, and the store grows on first query.
 func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
-	return newSession(g, model, opt, sessionRunLimit)
+	return newSession(g, model, opt, false)
 }
 
-// newSession is NewSession with the solver's run limit as a parameter: the
-// throw-away session of a one-shot Maximize never revisits a prefix and
-// retains one run.
-func newSession(g *Graph, model Model, opt SessionOptions, runLimit int) (*Session, error) {
+// newSession is NewSession for a long-lived session or, with oneShot, the
+// throw-away session of a one-shot Maximize. That one never revisits a
+// checkpoint prefix or a verification id, so its solver retains one greedy
+// run and it keeps no verification store: SSA streams its Estimate-Inf
+// sets, which holds a cold run's memory to the coverage store.
+func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("stopandstare: nil graph")
 	}
@@ -262,12 +288,20 @@ func newSession(g *Graph, model Model, opt SessionOptions, runLimit int) (*Sessi
 	if s.store == nil {
 		s.store = ris.NewStore(sampler, opt.Seed, sopt)
 	}
+	runLimit := sessionRunLimit
+	if oneShot {
+		runLimit = 1
+	} else {
+		s.verify = &verifyStore{}
+		s.verify.words.New = func() any { return new([]uint64) }
+	}
 	s.solver = maxcover.NewCachedSolver(s.store, runLimit)
 	s.marks.New = func() any { return new(epoch.Marks) }
 	return s, nil
 }
 
-// Persist writes a crash-safe snapshot of the session's RR store into the
+// Persist writes a crash-safe snapshot of the session's RR store (the
+// coverage store; the verification store is not persisted) into the
 // session's StateDir and commits it atomically (snapshot file fsynced, then
 // the manifest renamed over the previous one — a crash at any point leaves
 // either the old or the new snapshot committed, never a torn mix). It takes
@@ -299,12 +333,14 @@ func (s *Session) Maximize(q Query) (res *Result, err error) {
 }
 
 // MaximizeContext is Maximize with cooperative cancellation: when ctx fires
-// while the query is growing the RR store, the top-up aborts having mutated
-// NOTHING — the stream, index and width stay exactly as before, so an
-// abandoned query leaves no partial growth behind and the next identical
-// query regenerates the same bit-identical sets. Read-only phases
-// (selection, coverage walks) run to completion; cancellation is honoured
-// at the growth boundaries, where all the unbounded work happens.
+// while the query is growing either RR store, the top-up aborts having
+// mutated NOTHING — the stream, index and width stay exactly as before, so
+// an abandoned query leaves no partial growth behind and the next identical
+// query regenerates the same bit-identical sets. SSA's verification stops
+// at cancellation too: ctx is checked before every window of verification
+// ids, grown or not. Selection and D-SSA's coverage walks run to
+// completion; cancellation is honoured at the growth and verification
+// boundaries, where all the unbounded work happens.
 func (s *Session) MaximizeContext(ctx context.Context, q Query) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -357,9 +393,12 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 	}
 	env := sessionEnv{s: s, ctx: ctx}
 	var cres *core.Result
-	if algo == DSSA {
+	switch {
+	case algo == DSSA:
 		cres, err = core.DSSAWith(copt, env)
-	} else {
+	case s.verify != nil:
+		cres, err = core.SSAWith(copt, verifyEnv{env})
+	default:
 		cres, err = core.SSAWith(copt, env)
 	}
 	if err != nil {
@@ -395,13 +434,28 @@ func (s *Session) Stats() SessionStats {
 	total := s.store.Bytes()
 	spill := s.store.SpillStats()
 	s.mu.RUnlock()
+	var vsamples int
+	var vbytes int64
+	if v := s.verify; v != nil {
+		v.mu.RLock()
+		if v.store != nil {
+			vsamples = v.store.Len()
+			vbytes = v.store.Bytes() - plan // the verification sampler shares the plan
+			vspill := v.store.SpillStats()
+			spill.SpilledBytes += vspill.SpilledBytes
+			spill.FileBytes += vspill.FileBytes
+		}
+		v.mu.RUnlock()
+	}
 	runs, solverBytes := s.solver.Retained()
 	return SessionStats{
 		Queries:            s.queries.Load(),
 		Growths:            s.growths.Load(),
 		Samples:            samples,
 		Items:              items,
-		StoreBytes:         total - plan, // Store.Bytes includes the shared plan
+		StoreBytes:         total - plan + vbytes, // Store.Bytes includes the shared plan
+		VerifySamples:      vsamples,
+		VerifyBytes:        vbytes,
 		StoreSpilledBytes:  spill.SpilledBytes,
 		SpillFileBytes:     spill.FileBytes,
 		PlanBytes:          plan,
@@ -414,26 +468,40 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
-// SpillTo spills the store's coldest units until its resident RR bytes drop
-// to budget (0 spills everything spillable), taking the session write lock
-// for the move. It returns the resident bytes freed; (0, nil) when the
-// session has no spill tier. The serving manager uses this as
-// spill-before-evict: a tenant over the byte budget sheds residency without
-// losing its warm store. Results of subsequent queries are unchanged —
-// spilling only moves bytes.
+// SpillTo spills the stores' coldest units until their resident RR bytes
+// drop to budget (0 spills everything spillable), taking the session write
+// locks for the move. The verification store goes first, down to what the
+// coverage store leaves of the budget: only SSA queries read it. It returns
+// the resident bytes freed; (0, nil) when the session has no spill tier.
+// The serving manager uses this as spill-before-evict: a tenant over the
+// byte budget sheds residency without losing its warm stores. Results of
+// subsequent queries are unchanged — spilling only moves bytes.
 func (s *Session) SpillTo(budget int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.store.SpillStats().Enabled {
 		return 0, nil
 	}
-	before := s.store.Bytes()
-	err := s.store.SpillTo(budget)
-	freed := before - s.store.Bytes()
-	if freed < 0 {
-		freed = 0
+	var vst ris.Store
+	if s.verify != nil {
+		s.verify.mu.Lock()
+		defer s.verify.mu.Unlock()
+		vst = s.verify.store
 	}
-	return freed, err
+	plan := s.sampler.PlanBytes() // both stores' Bytes include it
+	before := s.store.Bytes()
+	var freed int64
+	var err error
+	if vst != nil {
+		vbefore := vst.Bytes()
+		err = vst.SpillTo(max(budget-(before-plan), 0))
+		freed = vbefore - vst.Bytes()
+		budget -= vst.Bytes() - plan
+	}
+	if err == nil {
+		err = s.store.SpillTo(max(budget, 0))
+	}
+	return max(freed+before-s.store.Bytes(), 0), err
 }
 
 // DropCachedPlans evicts g's compiled sampling plans from the process-wide
@@ -489,4 +557,47 @@ func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
 	m := e.s.marks.Get().(*epoch.Marks)
 	defer e.s.marks.Put(m) // returned to the pool even if a remote shard panics
 	return ris.CoverageRangeSeedsMarks(e.s.store, m, seeds, from, to)
+}
+
+// verifyEnv is sessionEnv with the core.Verifier extension: SSA queries of
+// a long-lived session answer Estimate-Inf from its verification store.
+type verifyEnv struct{ sessionEnv }
+
+func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (int, int64, bool) {
+	if err := e.ctx.Err(); err != nil {
+		panic(&growthCanceled{err: err})
+	}
+	v := e.s.verify
+	grew := e.growVerify(to)
+	w := v.words.Get().(*[]uint64)
+	defer v.words.Put(w)
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	id, cov := ris.StopIndex(v.store, w, seeds, from, to, need)
+	return id, cov, grew
+}
+
+// growVerify is Ensure for the verification store, which it creates on
+// first use. Verification growth is not counted in Session.growths: that
+// counter is the coverage store's, and request coalescing is pinned to it.
+func (e verifyEnv) growVerify(target int) bool {
+	s, v := e.s, e.s.verify
+	v.mu.RLock()
+	ok := v.store != nil && v.store.Len() >= target
+	v.mu.RUnlock()
+	if ok {
+		return false
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock() // also on the panics below
+	if v.store == nil {
+		v.store = ris.NewStore(s.sampler.VerifySampler(), s.opt.Seed, ris.StoreOptions{
+			Workers: s.opt.Workers, SpillBudgetBytes: s.opt.SpillBudgetBytes, SpillDir: s.opt.SpillDir,
+		})
+	}
+	grew := v.store.Len() < target
+	if err := v.store.GenerateToCtx(e.ctx, target); err != nil {
+		panic(&growthCanceled{err: err}) // canceled top-ups mutate nothing
+	}
+	return grew
 }

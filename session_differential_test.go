@@ -302,13 +302,13 @@ func TestSessionWarmQueryAllocations(t *testing.T) {
 }
 
 // TestSessionWarmSSAQueryAllocations is the SSA twin of the guard above. A
-// warm SSA query still runs Estimate-Inf on fresh verification sets, whose
-// scratch — the seed marks, the visited set and the walk queue — is
-// allocated once per run, not per checkpoint or per verification set.
-// c = 10 covers the estimator, the visited set (two allocations), the seed
-// marks and the queue, which doubles up to the longest walk of the run plus
-// one IC frontier's candidates (measured: 14 allocations over 2 checkpoints
-// at n = 300, 17 over 3 at n = 30 000).
+// warm SSA query answers Estimate-Inf from the session's verification
+// store: the estimator is one allocation and the window bitsets come from
+// a pool, so nothing is allocated per checkpoint or per verification set
+// (measured: 5 allocations over 2 checkpoints at n = 300, 6 over 3 at
+// n = 30 000). c = 10 is the ceiling from when every query walked fresh
+// verification sets and allocated their scratch — the visited set, the
+// seed marks and the walk queue — once per run (14 and 17 allocations).
 func TestSessionWarmSSAQueryAllocations(t *testing.T) {
 	for _, n := range []int{300, 30000} {
 		g, err := stopandstare.GeneratePowerLaw(n, int64(6*n), 2.1, 5)

@@ -208,3 +208,55 @@ func TestSessionMaximizeContextCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionSSAVerificationCancel pins cancellation inside SSA's
+// verification: on a session whose coverage store is already warm, a
+// context that fires during Estimate-Inf stops the query with
+// context.Canceled, and the uncanceled query then answers, and leaves the
+// verification store, exactly as a never-canceled twin does.
+func TestSessionSSAVerificationCancel(t *testing.T) {
+	g, err := GeneratePowerLaw(400, 2400, 2.1, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions [2]*Session
+	for i := range sessions {
+		if sessions[i], err = NewSession(g, IC, SessionOptions{Seed: 5, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sessions[i].Maximize(Query{K: 5, Epsilon: 0.1}); err != nil { // warms coverage
+			t.Fatal(err)
+		}
+	}
+	sess, ref := sessions[0], sessions[1]
+	q := Query{Algorithm: SSA, K: 5, Epsilon: 0.3}
+	samples := sess.Stats().Samples
+	canceled := 0
+	for _, after := range []int64{1, 2, 3, 5, 8} {
+		ctx := &cancelAfterCtx{Context: context.Background(), after: after}
+		if _, err := sess.MaximizeContext(ctx, q); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("after=%d err = %v", after, err)
+			}
+			canceled++
+		}
+		if st := sess.Stats(); st.Samples != samples {
+			t.Fatalf("after=%d: the coverage store moved %d → %d; the test needs it warm", after, samples, st.Samples)
+		}
+	}
+	if canceled == 0 {
+		t.Fatal("no flip point canceled — test exercised nothing")
+	}
+	want, err := ref.Maximize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Maximize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSessionAnswer(t, "post-cancel SSA query", got, want)
+	if a, b := sess.Stats().VerifySamples, ref.Stats().VerifySamples; a != b {
+		t.Fatalf("verification stores diverged: %d vs never-canceled %d sets", a, b)
+	}
+}

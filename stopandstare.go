@@ -137,8 +137,8 @@ type Result struct {
 	// Elapsed is the wall-clock time of the algorithm.
 	Elapsed time.Duration
 	// Warm reports a Session query answered entirely from already-resident
-	// RR samples (no store growth; SSA's ephemeral verification samples
-	// don't count). Always false for one-shot Maximize calls.
+	// RR samples: it grew neither the coverage store nor, for SSA, the
+	// verification store. Always false for one-shot Maximize calls.
 	Warm bool
 	// Coalesced reports a query answered by joining another identical
 	// in-flight query's execution instead of running its own: the
@@ -250,10 +250,12 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 // maximizeOnce runs SSA/D-SSA as a session serving a single query — over
 // the weighted (WRIS) stream when weights is non-nil: the same loops, store
 // and solver machinery, so the cold path and the serving path cannot drift
-// apart. Its schedule never returns to a prefix, so the solver retains one
-// greedy run, not a serving session's cache of them. opt must be filled.
+// apart. Its schedule never returns to a prefix or a verification id, so the
+// solver retains one greedy run, not a serving session's cache of them, and
+// SSA streams its Estimate-Inf sets instead of keeping them. opt must be
+// filled.
 func maximizeOnce(g *Graph, model Model, algo Algorithm, opt Options, weights []float64) (*Result, error) {
-	sess, err := newSession(g, model, SessionOptions{Seed: opt.Seed, Workers: opt.Workers, Weights: weights}, 1)
+	sess, err := newSession(g, model, SessionOptions{Seed: opt.Seed, Workers: opt.Workers, Weights: weights}, true)
 	if err != nil {
 		return nil, err
 	}
