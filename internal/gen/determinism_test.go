@@ -34,7 +34,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		{"chunglu", func(s uint64) (*graph.Graph, error) { return ChungLu(500, 2500, 2.1, s, opt) }},
 		{"ba", func(s uint64) (*graph.Graph, error) { return BarabasiAlbert(300, 3, s, opt) }},
 		{"ws", func(s uint64) (*graph.Graph, error) { return WattsStrogatz(300, 3, 0.2, s, opt) }},
-		{"sbm", func(s uint64) (*graph.Graph, error) { return SBM([]int{100, 100}, 5, 1, s, opt) }},
 	}
 	for _, c := range cases {
 		g1, err := c.gen(42)

@@ -3,7 +3,10 @@
 // crawls of Twitter, Friendster, etc.) are not redistributable and far
 // exceed a single machine, so each dataset is replaced by a generator
 // matched on the properties that drive RIS behaviour: node count, edge
-// count, degree skew, and directedness.
+// count, degree skew, and directedness. The presets draw ChungLu power-law
+// graphs; ErdosRenyi, BarabasiAlbert and WattsStrogatz are the other raw
+// generators (imgen -generator), and GenerateTopic adds the TVM topic
+// weights to any graph.
 package gen
 
 import (
@@ -26,19 +29,14 @@ func ErdosRenyi(n int, m int64, seed uint64, opt graph.BuildOptions) (*graph.Gra
 	}
 	r := rng.New(seed)
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, m)
-	for int64(len(seen)) < m {
+	b.Reserve(int(m))
+	seen := newArcSet(m)
+	for int64(seen.len()) < m {
 		u := uint32(r.Intn(n))
 		v := uint32(r.Intn(n))
-		if u == v {
-			continue
+		if u != v && seen.add(uint64(u)<<32|uint64(v)) {
+			b.AddEdge(u, v, 1)
 		}
-		key := uint64(u)<<32 | uint64(v)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v, 1)
 	}
 	return b.Build(opt)
 }
@@ -124,6 +122,17 @@ func WattsStrogatz(n, k int, beta float64, seed uint64, opt graph.BuildOptions) 
 // degree distributions of the SNAP social networks (gamma ≈ 2.1 for OSNs,
 // ≈ 2.6 for citation graphs).
 func ChungLu(n int, m int64, gamma float64, seed uint64, opt graph.BuildOptions) (*graph.Graph, error) {
+	b, err := chungLu(n, m, gamma, seed, false)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(opt)
+}
+
+// chungLu draws ChungLu's distinct arcs into a builder. With undirected set
+// it adds each drawn arc in both directions, the paper's treatment of an
+// undirected network (§7.1 Remark), so no intermediate graph is built.
+func chungLu(n int, m int64, gamma float64, seed uint64, undirected bool) (*graph.Builder, error) {
 	if n < 2 || m < 1 {
 		return nil, fmt.Errorf("gen: ChungLu needs n >= 2, m >= 1 (n=%d m=%d)", n, m)
 	}
@@ -144,89 +153,26 @@ func ChungLu(n int, m int64, gamma float64, seed uint64, opt graph.BuildOptions)
 		return nil, err
 	}
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, m)
-	attempts := int64(0)
-	maxAttempts := 20 * m
-	for int64(len(seen)) < m && attempts < maxAttempts {
-		attempts++
+	if undirected {
+		b.Reserve(2 * int(m))
+	} else {
+		b.Reserve(int(m))
+	}
+	seen := newArcSet(m)
+	for attempts := int64(0); int64(seen.len()) < m && attempts < 20*m; attempts++ {
 		u := uint32(al.Sample(r))
 		v := uint32(al.Sample(r))
-		if u == v {
+		if u == v || !seen.add(uint64(u)<<32|uint64(v)) {
 			continue
 		}
-		key := uint64(u)<<32 | uint64(v)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v, 1)
-	}
-	if int64(len(seen)) < m/2 {
-		return nil, fmt.Errorf("gen: ChungLu saturated at %d of %d edges", len(seen), m)
-	}
-	return b.Build(opt)
-}
-
-// SBM generates a stochastic block model with the given community sizes.
-// Expected within-community arcs per node = degIn, across = degOut.
-// Used to give the TVM topic generator realistic community structure.
-func SBM(sizes []int, degIn, degOut float64, seed uint64, opt graph.BuildOptions) (*graph.Graph, error) {
-	n := 0
-	for _, s := range sizes {
-		if s <= 1 {
-			return nil, fmt.Errorf("gen: SBM community sizes must exceed 1")
-		}
-		n += s
-	}
-	if n == 0 {
-		return nil, graph.ErrNoNodes
-	}
-	r := rng.New(seed)
-	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{})
-	addRandom := func(loU, hiU, loV, hiV int, count int64) {
-		for added := int64(0); added < count; {
-			u := uint32(loU + r.Intn(hiU-loU))
-			v := uint32(loV + r.Intn(hiV-loV))
-			if u == v {
-				continue
-			}
-			key := uint64(u)<<32 | uint64(v)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
+		if undirected {
+			b.AddUndirected(u, v, 1)
+		} else {
 			b.AddEdge(u, v, 1)
-			added++
 		}
 	}
-	start := 0
-	bounds := make([][2]int, len(sizes))
-	for i, s := range sizes {
-		bounds[i] = [2]int{start, start + s}
-		start += s
+	if int64(seen.len()) < m/2 {
+		return nil, fmt.Errorf("gen: ChungLu saturated at %d of %d edges", seen.len(), m)
 	}
-	for i, bd := range bounds {
-		addRandom(bd[0], bd[1], bd[0], bd[1], int64(float64(sizes[i])*degIn))
-		// cross-community edges to a random other block
-		if len(sizes) > 1 {
-			for added := int64(0); added < int64(float64(sizes[i])*degOut); {
-				j := r.Intn(len(sizes))
-				if j == i {
-					continue
-				}
-				od := bounds[j]
-				u := uint32(bd[0] + r.Intn(sizes[i]))
-				v := uint32(od[0] + r.Intn(sizes[j]))
-				key := uint64(u)<<32 | uint64(v)
-				if _, dup := seen[key]; dup {
-					continue
-				}
-				seen[key] = struct{}{}
-				b.AddEdge(u, v, 1)
-				added++
-			}
-		}
-	}
-	return b.Build(opt)
+	return b, nil
 }

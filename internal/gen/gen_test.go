@@ -127,36 +127,6 @@ func TestChungLuErrors(t *testing.T) {
 	}
 }
 
-func TestSBMCommunityStructure(t *testing.T) {
-	g, err := SBM([]int{100, 100, 100}, 8, 1, 19, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 300 {
-		t.Fatalf("n=%d", g.NumNodes())
-	}
-	within, across := 0, 0
-	for u := 0; u < 300; u++ {
-		adj, _ := g.OutNeighbors(uint32(u))
-		for _, v := range adj {
-			if u/100 == int(v)/100 {
-				within++
-			} else {
-				across++
-			}
-		}
-	}
-	if within <= 3*across {
-		t.Fatalf("no community structure: within=%d across=%d", within, across)
-	}
-}
-
-func TestSBMErrors(t *testing.T) {
-	if _, err := SBM([]int{1, 50}, 2, 1, 1, graph.BuildOptions{}); err == nil {
-		t.Fatal("community of size 1 should fail")
-	}
-}
-
 func TestPresetsMirrorTable2(t *testing.T) {
 	if len(Presets) != 8 {
 		t.Fatalf("Table 2 has 8 datasets, presets has %d", len(Presets))

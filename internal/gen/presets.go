@@ -55,44 +55,19 @@ func PresetNames() []string {
 // (0 < scale ≤ 1; nodes and edges are multiplied by scale). The paper's
 // weighted-cascade edge weights (§7.1) are applied via opt; pass
 // graph.BuildOptions{Model: graph.WeightedCascade} for the paper's setting.
+// An undirected preset draws m/2 edges and adds each as two arcs into the
+// one builder, so it builds no intermediate graph.
 func (p Preset) Generate(scale float64, seed uint64, opt graph.BuildOptions) (*graph.Graph, error) {
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("gen: scale must be in (0,1], got %v", scale)
 	}
-	n := int(float64(p.Nodes) * scale)
-	if n < 100 {
-		n = 100
-	}
-	m := int64(float64(p.Edges) * scale)
+	n, m := p.ScaledSize(scale)
 	if !p.Directed {
-		// Undirected source: generate m/2 undirected edges as arcs in both
-		// directions by doubling after generation; ChungLu emits arcs, so
-		// generate m/2 and mirror.
-		half := m / 2
-		if half < int64(n) {
-			half = int64(n)
-		}
-		g, err := ChungLu(n, half, p.Gamma, seed, graph.BuildOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return mirror(g, opt)
+		m = max(m/2, int64(n))
 	}
-	if m < int64(n) {
-		m = int64(n)
-	}
-	return ChungLu(n, m, p.Gamma, seed, opt)
-}
-
-// mirror rebuilds g with every arc duplicated in the reverse direction,
-// reproducing the paper's Remark on Orkut/Friendster.
-func mirror(g *graph.Graph, opt graph.BuildOptions) (*graph.Graph, error) {
-	b := graph.NewBuilder(g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		adj, _ := g.OutNeighbors(uint32(u))
-		for _, v := range adj {
-			b.AddUndirected(uint32(u), v, 1)
-		}
+	b, err := chungLu(n, m, p.Gamma, seed, !p.Directed)
+	if err != nil {
+		return nil, err
 	}
 	return b.Build(opt)
 }

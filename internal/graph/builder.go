@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // WeightModel selects how edge influence probabilities are assigned at build
@@ -32,9 +32,11 @@ type BuildOptions struct {
 	TrivalencySeed uint64  // used by Trivalency
 }
 
-// Builder accumulates directed edges and produces an immutable Graph.
-// Duplicate edges are merged (weights summed, clamped to 1) and self-loops
-// are dropped, matching the preprocessing used by the reference RIS codes.
+// Builder accumulates directed edges and produces an immutable Graph in
+// O(m + n) time. Duplicate edges are merged (weights summed in AddEdge order,
+// clamped to 1) and self-loops are dropped, matching the preprocessing used
+// by the reference RIS codes. It holds 16 bytes per AddEdge call, and Build
+// needs as much again while it runs.
 type Builder struct {
 	n     int
 	edges []packedEdge
@@ -69,6 +71,9 @@ func (b *Builder) AddUndirected(u, v uint32, w float64) {
 	b.AddEdge(v, u, w)
 }
 
+// Reserve makes room for arcs more AddEdge calls without reallocating.
+func (b *Builder) Reserve(arcs int) { b.edges = slices.Grow(b.edges, arcs) }
+
 // Grow raises the node count (useful when streaming edges with unknown n).
 func (b *Builder) Grow(n int) {
 	if n > b.n {
@@ -95,14 +100,23 @@ func trivalencyWeight(key, seed uint64) float64 {
 }
 
 // Build validates, de-duplicates, applies the weight model, and assembles
-// the dual-CSR graph. The builder may be reused afterwards.
+// the dual-CSR graph in O(m + n) time: a stable two-pass counting sort of
+// the arcs (by destination, then by source) replaces any comparison sort.
+// Duplicate arcs merge by summing their weights in AddEdge order, clamped
+// to 1. Besides the graph itself it needs one transient 16-byte-per-arc
+// buffer and an (n+1)-entry count array.
+//
+// Build leaves the builder's arcs permuted into (u,v) order, self-loops
+// last, but keeps every one of them in their relative AddEdge order, so the
+// builder may be reused and a second Build returns the same graph.
 func (b *Builder) Build(opt BuildOptions) (*Graph, error) {
 	if b.n <= 0 {
 		return nil, ErrNoNodes
 	}
 	n := b.n
-	// Validate endpoints, drop self-loops.
-	edges := make([]packedEdge, 0, len(b.edges))
+	// Pass 1 counts: validate endpoints and weights, and count the arcs that
+	// are not self-loops by destination.
+	count := make([]int64, n+1)
 	for _, e := range b.edges {
 		u := uint32(e.key >> 32)
 		v := uint32(e.key)
@@ -117,25 +131,58 @@ func (b *Builder) Build(opt BuildOptions) (*Graph, error) {
 				return nil, fmt.Errorf("%w: w(%d,%d)=%v", ErrBadWeight, u, v, e.w)
 			}
 		}
-		edges = append(edges, e)
+		count[v+1]++
 	}
-	// Sort by (u,v) and merge duplicates (sum weights, clamp to 1).
-	sort.Slice(edges, func(i, j int) bool { return edges[i].key < edges[j].key })
-	dedup := edges[:0]
-	for i := 0; i < len(edges); {
+	if opt.Model == Uniform && (opt.UniformP < 0 || opt.UniformP > 1) {
+		return nil, fmt.Errorf("%w: uniform p=%v", ErrBadWeight, opt.UniformP)
+	}
+	for v := 0; v < n; v++ {
+		count[v+1] += count[v]
+	}
+	kept := int(count[n])
+	// Pass 1 scatters the arcs into tmp by destination, self-loops parked
+	// after the kept arcs; pass 2 scatters them back by source, so b.edges
+	// ends sorted by (u,v) with equal arcs in AddEdge order.
+	tmp := make([]packedEdge, len(b.edges))
+	loops := kept
+	for _, e := range b.edges {
+		u, v := uint32(e.key>>32), uint32(e.key)
+		if u == v {
+			tmp[loops] = e
+			loops++
+			continue
+		}
+		tmp[count[v]] = e
+		count[v]++
+	}
+	clear(count)
+	for _, e := range tmp[:kept] {
+		count[e.key>>32+1]++
+	}
+	for u := 0; u < n; u++ {
+		count[u+1] += count[u]
+	}
+	for _, e := range tmp[:kept] {
+		u := e.key >> 32
+		b.edges[count[u]] = e
+		count[u]++
+	}
+	copy(b.edges[kept:], tmp[kept:])
+	// Merge duplicates into tmp (sum weights, clamp to 1).
+	edges := tmp[:0]
+	for i := 0; i < kept; {
 		j := i + 1
-		w := float64(edges[i].w)
-		for j < len(edges) && edges[j].key == edges[i].key {
-			w += float64(edges[j].w)
+		w := float64(b.edges[i].w)
+		for j < kept && b.edges[j].key == b.edges[i].key {
+			w += float64(b.edges[j].w)
 			j++
 		}
 		if w > 1 {
 			w = 1
 		}
-		dedup = append(dedup, packedEdge{key: edges[i].key, w: float32(w)})
+		edges = append(edges, packedEdge{key: b.edges[i].key, w: float32(w)})
 		i = j
 	}
-	edges = dedup
 	m := len(edges)
 
 	g := newHeapGraph(n, sections{
@@ -174,28 +221,21 @@ func (b *Builder) Build(opt BuildOptions) (*Graph, error) {
 			return float64(e.w)
 		}
 	}
-	if opt.Model == Uniform && (opt.UniformP < 0 || opt.UniformP > 1) {
-		return nil, fmt.Errorf("%w: uniform p=%v", ErrBadWeight, opt.UniformP)
-	}
 
-	// Fill-in passes. Edges are sorted by (u,v), so the out segments come
-	// out sorted by destination; a per-node cursor fills the in segments
-	// sorted by source (stable because edges are scanned in (u,v) order).
-	outCur := make([]int64, n)
-	inCur := make([]int64, n)
-	copy(outCur, g.outIdx[:n])
+	// Fill-in pass. Edges are sorted by (u,v), so they are the out segments
+	// in order; the count array, reused as a per-destination cursor, fills
+	// the in segments sorted by source.
+	inCur := count[:n]
 	copy(inCur, g.inIdx[:n])
-	for _, e := range edges {
+	for i, e := range edges {
 		u := uint32(e.key >> 32)
 		v := uint32(e.key)
-		w := resolve(e)
-		oi := outCur[u]
-		g.outAdj[oi] = v
-		g.outW[oi] = float32(w)
-		outCur[u] = oi + 1
+		w := float32(resolve(e))
+		g.outAdj[i] = v
+		g.outW[i] = w
 		ii := inCur[v]
 		g.inAdj[ii] = u
-		g.inW[ii] = float32(w)
+		g.inW[ii] = w
 		inCur[v] = ii + 1
 	}
 
