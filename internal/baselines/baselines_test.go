@@ -171,27 +171,6 @@ func TestHighDegree(t *testing.T) {
 	}
 }
 
-func TestSingleDiscount(t *testing.T) {
-	g := midGraph(t, 200, 1200, 59)
-	seeds, err := SingleDiscount(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seeds) != 8 {
-		t.Fatalf("got %d seeds", len(seeds))
-	}
-	seen := map[uint32]bool{}
-	for _, s := range seeds {
-		if seen[s] {
-			t.Fatal("duplicate seed")
-		}
-		seen[s] = true
-	}
-	if _, err := SingleDiscount(g, 0); err == nil {
-		t.Fatal("k=0 should fail")
-	}
-}
-
 func TestRandomSeeds(t *testing.T) {
 	g := midGraph(t, 100, 500, 61)
 	a, err := RandomSeeds(g, 10, 7)

@@ -29,42 +29,6 @@ func HighDegree(g *graph.Graph, k int) ([]uint32, error) {
 	return nodes[:k], nil
 }
 
-// SingleDiscount is the degree-discount heuristic in its simplest form:
-// repeatedly take the node with the highest remaining out-degree, then
-// discount one degree from each selected node's neighbours.
-func SingleDiscount(g *graph.Graph, k int) ([]uint32, error) {
-	n := g.NumNodes()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d n=%d", ErrBadK, k, n)
-	}
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.OutDegree(uint32(v))
-	}
-	picked := make([]bool, n)
-	seeds := make([]uint32, 0, k)
-	for len(seeds) < k {
-		best, bestDeg := -1, -1
-		for v := 0; v < n; v++ {
-			if !picked[v] && deg[v] > bestDeg {
-				best, bestDeg = v, deg[v]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		picked[best] = true
-		seeds = append(seeds, uint32(best))
-		adj, _ := g.OutNeighbors(uint32(best))
-		for _, u := range adj {
-			if deg[u] > 0 {
-				deg[u]--
-			}
-		}
-	}
-	return seeds, nil
-}
-
 // RandomSeeds returns k distinct uniformly random nodes.
 func RandomSeeds(g *graph.Graph, k int, seed uint64) ([]uint32, error) {
 	n := g.NumNodes()

@@ -212,13 +212,6 @@ func TestTableFormatting(t *testing.T) {
 	if !strings.Contains(out, "2.00 s") {
 		t.Fatalf("duration formatting missing:\n%s", out)
 	}
-	var csv bytes.Buffer
-	if err := tb.CSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(csv.String(), "a,bb\n") {
-		t.Fatalf("csv output:\n%s", csv.String())
-	}
 }
 
 func TestFormatHelpers(t *testing.T) {

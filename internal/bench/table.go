@@ -134,16 +134,3 @@ func pad(s string, w int) string {
 	}
 	return s + strings.Repeat(" ", w-len(s))
 }
-
-// CSV writes comma-separated rows (quotes are not needed for our cells).
-func (t *Table) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Headers, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -195,15 +195,6 @@ func TestPresetScaleValidation(t *testing.T) {
 	}
 }
 
-func TestSortedPresetNames(t *testing.T) {
-	names := SortedPresetNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 func TestGenerateTopicShapes(t *testing.T) {
 	g, err := ChungLu(5000, 25000, 2.1, 31, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"stopandstare/internal/graph"
 )
@@ -97,12 +96,4 @@ func (p Preset) ScaledSize(scale float64) (n int, m int64) {
 		m = int64(n)
 	}
 	return n, m
-}
-
-// SortedPresetNames returns preset names sorted alphabetically (for stable
-// CLI help output).
-func SortedPresetNames() []string {
-	names := PresetNames()
-	sort.Strings(names)
-	return names
 }

@@ -192,8 +192,6 @@ func (b *Builder) Build(opt BuildOptions) (*Graph, error) {
 		inIdx:  make([]int64, n+1),
 		inAdj:  make([]uint32, m),
 		inW:    make([]float32, m),
-		inCum:  make([]float64, m),
-		inSum:  make([]float64, n),
 	})
 
 	// Degree counting.
@@ -237,17 +235,6 @@ func (b *Builder) Build(opt BuildOptions) (*Graph, error) {
 		g.inAdj[ii] = u
 		g.inW[ii] = w
 		inCur[v] = ii + 1
-	}
-
-	// Per-destination cumulative weights for LT reverse-walk sampling.
-	for v := 0; v < n; v++ {
-		lo, hi := g.inIdx[v], g.inIdx[v+1]
-		sum := 0.0
-		for i := lo; i < hi; i++ {
-			sum += float64(g.inW[i])
-			g.inCum[i] = sum
-		}
-		g.inSum[v] = sum
 	}
 	return g, nil
 }

@@ -58,8 +58,6 @@ func refBuild(n int, arcs []Edge, opt BuildOptions) (*Graph, error) {
 		inIdx:  make([]int64, n+1),
 		inAdj:  make([]uint32, m),
 		inW:    make([]float32, m),
-		inCum:  make([]float64, m),
-		inSum:  make([]float64, n),
 	})
 	for _, e := range edges {
 		g.outIdx[uint32(e.key>>32)+1]++
@@ -95,14 +93,6 @@ func refBuild(n int, arcs []Edge, opt BuildOptions) (*Graph, error) {
 		g.inAdj[inCur[v]] = u
 		g.inW[inCur[v]] = float32(w)
 		inCur[v]++
-	}
-	for v := 0; v < n; v++ {
-		sum := 0.0
-		for i := g.inIdx[v]; i < g.inIdx[v+1]; i++ {
-			sum += float64(g.inW[i])
-			g.inCum[i] = sum
-		}
-		g.inSum[v] = sum
 	}
 	return g, nil
 }

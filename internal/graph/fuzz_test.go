@@ -2,8 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -72,11 +76,12 @@ func alignedCopy(data []byte) []byte {
 // mapped open casts in place), and the heap decode over a reader. Each must
 // fail with an error wrapping ErrBadMapped, never panic, and allocate at
 // most a constant times the input length; the two must accept the same
-// inputs and hold the same sections. The seed corpus
-// (testdata/fuzz/FuzzOpenMapped) holds valid images, truncations of one,
-// and two bare 192-byte headers: one claiming huge n and m, one claiming a
-// 2 MiB layout that a decoder allocating before it checks the file size
-// would pay for.
+// inputs and hold the same sections, and neither may accept a file of
+// another version. The seed corpus (testdata/fuzz/FuzzOpenMapped) holds
+// valid images, truncations of one, a version 1 image, and two bare
+// 192-byte headers: one claiming huge n and m, one claiming a 2 MiB layout
+// that a decoder allocating before it checks the file size would pay for.
+// TestFuzzOpenMappedSeeds pins which check each seed reaches.
 func FuzzOpenMapped(f *testing.F) {
 	if !hostLittleEndian {
 		f.Skip("the mapped leg casts little-endian sections in place")
@@ -101,8 +106,67 @@ func FuzzOpenMapped(f *testing.F) {
 		if (merr == nil) != (derr == nil) {
 			t.Fatalf("opens disagree: mapped %v, decoded %v", merr, derr)
 		}
+		if merr == nil && binary.LittleEndian.Uint32(data[4:]) != sasgVersion {
+			t.Fatalf("accepted a version %d image", binary.LittleEndian.Uint32(data[4:]))
+		}
 		if merr == nil {
 			requireSectionsEqual(t, mapped, decoded)
 		}
 	})
+}
+
+// TestFuzzOpenMappedSeeds pins the check each FuzzOpenMapped seed was
+// written to reach: the valid images open, and every other seed fails both
+// opens with an error naming its check. A format change that left a seed
+// failing earlier, at the version check say, would turn its fuzz leg into a
+// test of that check alone. seed-version-1 is a version 1 image as the
+// version 1 writer produced it, derived sections included.
+func TestFuzzOpenMappedSeeds(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the mapped leg casts little-endian sections in place")
+	}
+	want := map[string]string{ // seed → error substring, "" = accepted
+		"seed-valid":              "",
+		"seed-valid-single-node":  "",
+		"seed-truncated-header":   "header",
+		"seed-truncated-last":     "truncated: file is 555 bytes",
+		"seed-truncated-sections": "truncated: file is 278 bytes",
+		"seed-huge-counts":        "1099511627776",
+		"seed-header-claims-2mib": "truncated: file is 192 bytes, layout for n=16384 m=114688 needs 2097472",
+		"seed-version-1":          "unsupported version 1",
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOpenMapped", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(want) {
+		t.Fatalf("%d seeds, want %d", len(paths), len(want))
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit := strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte(")
+			s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+			if err != nil {
+				t.Fatalf("unreadable seed: %v", err)
+			}
+			data := []byte(s)
+			_, merr := graphFromMapped(alignedCopy(data), heapView{})
+			_, derr := decodeSasg(bytes.NewReader(data), int64(len(data)))
+			for leg, err := range map[string]error{"mapped": merr, "decoded": derr} {
+				switch w, ok := want[name]; {
+				case !ok:
+					t.Fatalf("unexpected seed")
+				case w == "" && err != nil:
+					t.Fatalf("%s: valid seed rejected: %v", leg, err)
+				case w != "" && (!errors.Is(err, ErrBadMapped) || !strings.Contains(err.Error(), w)):
+					t.Fatalf("%s: got %v, want ErrBadMapped containing %q", leg, err, w)
+				}
+			}
+		})
+	}
 }

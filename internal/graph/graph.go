@@ -2,9 +2,8 @@
 // paper operates on (§2): G = (V, E, w) with w(u,v) ∈ [0,1] interpreted as
 // influence probabilities. The representation is a dual CSR (compressed
 // sparse row) — one adjacency in forward orientation for diffusion
-// simulation, one in reverse orientation for RIS sampling — plus per-node
-// cumulative in-weights so the LT reverse walk can pick an in-neighbour
-// proportionally to w(u,v) in O(log d_in(v)).
+// simulation, one in reverse orientation for RIS sampling. Nothing derived
+// from them is stored: the two CSRs are the whole graph.
 package graph
 
 import (
@@ -63,9 +62,16 @@ func (g *Graph) InNeighbors(v uint32) ([]uint32, []float32) {
 	return g.inAdj[lo:hi], g.inW[lo:hi]
 }
 
-// InWeightSum returns Σ_u w(u,v), the total incoming influence weight of v.
-// Under the LT model this must be ≤ 1 (§2.1).
-func (g *Graph) InWeightSum(v uint32) float64 { return g.inSum[v] }
+// InWeightSum returns Σ_u w(u,v), the total incoming influence weight of v,
+// summed in float64 over v's in-edges in CSR order. Under the LT model this
+// must be ≤ 1 (§2.1).
+func (g *Graph) InWeightSum(v uint32) float64 {
+	sum := 0.0
+	for _, w := range g.inW[g.inIdx[v]:g.inIdx[v+1]] {
+		sum += float64(w)
+	}
+	return sum
+}
 
 // ReverseCSR exposes the reverse-adjacency arrays directly: idx has length
 // n+1 and node v's in-edges are adj[idx[v]:idx[v+1]] (sources) with weights
@@ -76,23 +82,6 @@ func (g *Graph) InWeightSum(v uint32) float64 { return g.inSum[v] }
 // slices alias internal storage and must not be modified.
 func (g *Graph) ReverseCSR() (idx []int64, adj []uint32, w []float32) {
 	return g.inIdx, g.inAdj, g.inW
-}
-
-// SampleLTInNeighbor maps a uniform draw u01 ∈ [0,1) to the LT reverse-walk
-// step at node v: with probability InWeightSum(v) it returns an in-neighbour
-// chosen proportionally to its edge weight, otherwise ok=false (the walk
-// stops, i.e. v's threshold was not met by any single live edge).
-func (g *Graph) SampleLTInNeighbor(v uint32, u01 float64) (u uint32, ok bool) {
-	if u01 >= g.inSum[v] {
-		return 0, false
-	}
-	lo, hi := int(g.inIdx[v]), int(g.inIdx[v+1])
-	// First index i in [lo,hi) with inCum[i] > u01.
-	i := lo + sort.Search(hi-lo, func(k int) bool { return g.inCum[lo+k] > u01 })
-	if i >= hi { // numerical edge: u01 == inSum(v) after rounding
-		i = hi - 1
-	}
-	return g.inAdj[i], true
 }
 
 // EdgeWeight returns w(u,v) and whether the edge (u,v) exists.
@@ -111,13 +100,27 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	return ok
 }
 
+// Reverse returns the transpose graph (every arc flipped, weights kept).
+// RIS on G is forward reachability on Reverse(G); exposing it makes that
+// equivalence testable.
+func (g *Graph) Reverse() (*Graph, error) {
+	b := NewBuilder(g.n)
+	for v := 0; v < g.n; v++ {
+		adj, ws := g.OutNeighbors(uint32(v))
+		for i, u := range adj {
+			b.AddEdge(u, uint32(v), float64(ws[i]))
+		}
+	}
+	return b.Build(BuildOptions{})
+}
+
 // CheckLT validates the LT side condition Σ_u w(u,v) ≤ 1 for every node,
 // returning a descriptive error for the first violation.
 func (g *Graph) CheckLT() error {
 	const tol = 1e-6
 	for v := 0; v < g.n; v++ {
-		if g.inSum[v] > 1+tol {
-			return fmt.Errorf("%w: node %d has incoming weight %.6f", ErrLTViolation, v, g.inSum[v])
+		if sum := g.InWeightSum(uint32(v)); sum > 1+tol {
+			return fmt.Errorf("%w: node %d has incoming weight %.6f", ErrLTViolation, v, sum)
 		}
 	}
 	return nil
@@ -158,8 +161,8 @@ func (g *Graph) Stats() Stats {
 		if od == 0 && id == 0 {
 			s.Isolated++
 		}
-		if g.inSum[v] > s.MaxInWeight {
-			s.MaxInWeight = g.inSum[v]
+		if sum := g.InWeightSum(uint32(v)); sum > s.MaxInWeight {
+			s.MaxInWeight = sum
 		}
 	}
 	if s.MaxInWeight > 1+1e-6 {

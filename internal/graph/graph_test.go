@@ -182,46 +182,6 @@ func TestCheckLTViolation(t *testing.T) {
 	}
 }
 
-func TestSampleLTInNeighborDistribution(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 3, 0.2)
-	b.AddEdge(1, 3, 0.3)
-	b.AddEdge(2, 3, 0.1) // total 0.6 < 1: walk stops w.p. 0.4
-	g, err := b.Build(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7)
-	const draws = 300000
-	counts := map[uint32]int{}
-	stops := 0
-	for i := 0; i < draws; i++ {
-		u, ok := g.SampleLTInNeighbor(3, r.Float64())
-		if !ok {
-			stops++
-			continue
-		}
-		counts[u]++
-	}
-	check := func(got int, p float64, label string) {
-		want := p * draws
-		if math.Abs(float64(got)-want) > 6*math.Sqrt(want) {
-			t.Fatalf("%s: got %d want ~%.0f", label, got, want)
-		}
-	}
-	check(counts[0], 0.2, "neighbor 0")
-	check(counts[1], 0.3, "neighbor 1")
-	check(counts[2], 0.1, "neighbor 2")
-	check(stops, 0.4, "stop")
-}
-
-func TestSampleLTNoInNeighbors(t *testing.T) {
-	g := diamond(t)
-	if _, ok := g.SampleLTInNeighbor(0, 0.0); ok {
-		t.Fatal("node with no in-edges must always stop")
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := diamond(t)
 	s := g.Stats()
@@ -249,7 +209,7 @@ func NewBuilderCopy(b *Builder) *Builder {
 func TestCSRInvariantsProperty(t *testing.T) {
 	// For random edge lists, the dual CSR must be self-consistent:
 	// (u,v) appears in u's out-list iff it appears in v's in-list, with the
-	// same weight; adjacency segments sorted; inCum matches prefix sums.
+	// same weight; adjacency segments sorted; InWeightSum is Σ of inW.
 	f := func(seed uint64, edgeBytes []byte) bool {
 		n := 12
 		b := NewBuilder(n)
@@ -282,7 +242,6 @@ func TestCSRInvariantsProperty(t *testing.T) {
 				}
 				inPairs = append(inPairs, uint64(u)<<32|uint64(v))
 			}
-			// inCum consistency
 			_, ws := g.InNeighbors(uint32(v))
 			sum := 0.0
 			for _, w := range ws {
@@ -423,5 +382,50 @@ func TestGraphString(t *testing.T) {
 func TestBytesPositive(t *testing.T) {
 	if diamond(t).Bytes() <= 0 {
 		t.Fatal("Bytes() should be positive")
+	}
+}
+
+func TestReverseTwiceIsIdentity(t *testing.T) {
+	r := rng.New(7)
+	b := NewBuilder(20)
+	for i := 0; i < 80; i++ {
+		b.AddEdge(uint32(r.Intn(20)), uint32(r.Intn(20)), r.Float64())
+	}
+	g, err := b.Build(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := g.Reverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rev.NumEdges() != g.NumEdges() {
+		t.Fatal("reverse changed edge count")
+	}
+	// every edge flipped
+	for u := 0; u < 20; u++ {
+		adj, ws := g.OutNeighbors(uint32(u))
+		for i, v := range adj {
+			w, ok := rev.EdgeWeight(v, uint32(u))
+			if !ok || float32(w) != ws[i] {
+				t.Fatalf("edge (%d,%d) not reversed correctly", u, v)
+			}
+		}
+	}
+	back, err := rev.Reverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < 20; u++ {
+		a1, w1 := g.OutNeighbors(uint32(u))
+		a2, w2 := back.OutNeighbors(uint32(u))
+		if len(a1) != len(a2) {
+			t.Fatal("double reverse changed degrees")
+		}
+		for i := range a1 {
+			if a1[i] != a2[i] || w1[i] != w2[i] {
+				t.Fatal("double reverse not identity")
+			}
+		}
 	}
 }

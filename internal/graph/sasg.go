@@ -11,10 +11,10 @@ import (
 )
 
 // The .sasg ("Stop-And-Stare Graph") format is the one on-disk binary graph
-// format, and the file IS the graph's memory layout. Every array the Graph
-// needs at query time — both CSR offset tables, adjacency, weights, the LT
-// cumulative in-weights and per-node in-weight sums — is a 64-byte-aligned
-// little-endian section, so on a little-endian unix host OpenMapped mmaps
+// format, and the file IS the graph's memory layout. The graph is its two
+// CSRs — forward and reverse offset tables, adjacency and weights — and each
+// of those six arrays is a 64-byte-aligned little-endian section; nothing
+// derived from them is stored. On a little-endian unix host OpenMapped mmaps
 // the file read-only, casts the sections in place, and returns a working
 // graph in O(1) regardless of edge count. Pages fault in on first touch and
 // are shared by every process that mapped the same file. Hosts that cannot
@@ -25,13 +25,13 @@ import (
 //
 //	off   size  field
 //	0     4     magic "SASG"
-//	4     4     version (currently 1)
+//	4     4     version (currently 2)
 //	8     4     endian tag 0x01020304 (raw byte order probe)
 //	12    4     reserved (0)
 //	16    8     n, node count (uint64)
 //	24    8     m, edge count (uint64)
-//	32    128   section table: 8 × {byte offset uint64, byte length uint64}
-//	160   32    zero padding to the 192-byte header boundary
+//	32    96    section table: 6 × {byte offset uint64, byte length uint64}
+//	128   64    zero padding to the 192-byte header boundary
 //	192   ...   sections, each starting on a 64-byte boundary
 //
 // Sections, in canonical order (offsets in the table must match the packed
@@ -44,8 +44,10 @@ import (
 //	3  inIdx   (n+1)×int64     reverse CSR offsets
 //	4  inAdj   m×uint32        reverse adjacency
 //	5  inW     m×float32       reverse edge weights
-//	6  inCum   m×float64       per-destination running in-weight sums (LT)
-//	7  inSum   n×float64       per-node total in-weight
+//
+// A file is 192 + 16(n+1) + 16m bytes plus at most 5×63 bytes of alignment
+// padding. Any other version, such as version 1 with its two derived LT
+// sections, is rejected with ErrBadMapped; regenerate such files with imgen.
 //
 // Both opens perform structural validation only (magic, version, byte
 // order, count overflow, table alignment/length/placement, CSR endpoint
@@ -54,11 +56,11 @@ import (
 // the O(1) open.
 const (
 	sasgMagic       = 0x47534153 // "SASG" little-endian
-	sasgVersion     = 1
+	sasgVersion     = 2
 	sasgEndianTag   = 0x01020304
 	sasgAlign       = 64
 	sasgHeaderBytes = 192
-	sasgNumSections = 8
+	sasgNumSections = 6
 )
 
 // ErrBadMapped reports a corrupt, foreign or unsupported .sasg file.
@@ -87,8 +89,6 @@ func sasgLayout(n, m uint64) ([sasgNumSections]sasgSection, uint64) {
 		(n + 1) * 8, // inIdx
 		m * 4,       // inAdj
 		m * 4,       // inW
-		m * 8,       // inCum
-		n * 8,       // inSum
 	}
 	var secs [sasgNumSections]sasgSection
 	off := uint64(sasgHeaderBytes)
@@ -151,8 +151,6 @@ func (g *Graph) WriteMapped(w io.Writer) error {
 		func() error { return sw.i64s(g.inIdx) },
 		func() error { return sw.u32s(g.inAdj) },
 		func() error { return sw.f32s(g.inW) },
-		func() error { return sw.f64s(g.inCum) },
-		func() error { return sw.f64s(g.inSum) },
 	}
 	for i, fn := range write {
 		if err := sw.padTo(sasgAlign); err != nil {
@@ -198,7 +196,7 @@ func parseSasgHeader(hdr []byte, fileSize uint64) (n, m uint64, secs [sasgNumSec
 		return fail("bad magic 0x%08x", got)
 	}
 	if got := binary.LittleEndian.Uint32(hdr[4:]); got != sasgVersion {
-		return fail("unsupported version %d", got)
+		return fail("unsupported version %d (this build reads version %d; regenerate the file with imgen)", got, sasgVersion)
 	}
 	if got := binary.LittleEndian.Uint32(hdr[8:]); got != sasgEndianTag {
 		return fail("foreign byte order (endian tag 0x%08x)", got)
@@ -233,7 +231,7 @@ func parseSasgHeader(hdr []byte, fileSize uint64) (n, m uint64, secs [sasgNumSec
 	return n, m, secs, nil
 }
 
-// castI64 / castU32 / castF32 / castF64 alias a section's bytes in place.
+// castI64 / castU32 / castF32 alias a section's bytes in place.
 // The base pointer is at least 8-byte aligned (page-aligned for mmap) and
 // section offsets are 64-byte aligned, so every element is aligned.
 func castI64(b []byte) []int64 {
@@ -255,13 +253,6 @@ func castF32(b []byte) []float32 {
 		return nil
 	}
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func castF64(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
 // OpenMapped opens a .sasg file. On a little-endian unix host the graph's
@@ -312,8 +303,6 @@ func decodeSasg(r io.Reader, size int64) (*Graph, error) {
 		inIdx:  make([]int64, n+1),
 		inAdj:  make([]uint32, m),
 		inW:    make([]float32, m),
-		inCum:  make([]float64, m),
-		inSum:  make([]float64, n),
 	}
 	read := []func() error{
 		func() error { return sr.i64s(s.outIdx) },
@@ -322,8 +311,6 @@ func decodeSasg(r io.Reader, size int64) (*Graph, error) {
 		func() error { return sr.i64s(s.inIdx) },
 		func() error { return sr.u32s(s.inAdj) },
 		func() error { return sr.f32s(s.inW) },
-		func() error { return sr.f64s(s.inCum) },
-		func() error { return sr.f64s(s.inSum) },
 	}
 	off := uint64(sasgHeaderBytes)
 	for i, fn := range read {
@@ -359,8 +346,6 @@ func graphFromMapped(data []byte, view View) (*Graph, error) {
 		inIdx:  castI64(sec(3)),
 		inAdj:  castU32(sec(4)),
 		inW:    castF32(sec(5)),
-		inCum:  castF64(sec(6)),
-		inSum:  castF64(sec(7)),
 	}
 	if err := checkEndpoints(&s, n, m); err != nil {
 		return nil, err

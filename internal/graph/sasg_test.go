@@ -92,24 +92,12 @@ func requireSectionsEqual(t *testing.T, want, got *Graph) {
 			}
 		}
 	}
-	eqF64 := func(name string, a, b []float64) {
-		if len(a) != len(b) {
-			t.Fatalf("%s: len %d vs %d", name, len(b), len(a))
-		}
-		for i := range a {
-			if float64Bits(a[i]) != float64Bits(b[i]) {
-				t.Fatalf("%s[%d] = %v, want %v (bitwise)", name, i, b[i], a[i])
-			}
-		}
-	}
 	eqI64("outIdx", want.outIdx, got.outIdx)
 	eqU32("outAdj", want.outAdj, got.outAdj)
 	eqF32("outW", want.outW, got.outW)
 	eqI64("inIdx", want.inIdx, got.inIdx)
 	eqU32("inAdj", want.inAdj, got.inAdj)
 	eqF32("inW", want.inW, got.inW)
-	eqF64("inCum", want.inCum, got.inCum)
-	eqF64("inSum", want.inSum, got.inSum)
 }
 
 func TestMappedRoundTrip(t *testing.T) {

@@ -56,7 +56,7 @@ func (sw *sectionWriter) f32s(xs []float32) error {
 	for len(xs) > 0 {
 		k := min(len(xs), len(sw.buf)/4)
 		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(sw.buf[i*4:], floatBits(xs[i]))
+			binary.LittleEndian.PutUint32(sw.buf[i*4:], math.Float32bits(xs[i]))
 		}
 		if err := sw.bytes(sw.buf[:k*4]); err != nil {
 			return err
@@ -71,20 +71,6 @@ func (sw *sectionWriter) i64s(xs []int64) error {
 		k := min(len(xs), len(sw.buf)/8)
 		for i := 0; i < k; i++ {
 			binary.LittleEndian.PutUint64(sw.buf[i*8:], uint64(xs[i]))
-		}
-		if err := sw.bytes(sw.buf[:k*8]); err != nil {
-			return err
-		}
-		xs = xs[k:]
-	}
-	return nil
-}
-
-func (sw *sectionWriter) f64s(xs []float64) error {
-	for len(xs) > 0 {
-		k := min(len(xs), len(sw.buf)/8)
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(sw.buf[i*8:], float64Bits(xs[i]))
 		}
 		if err := sw.bytes(sw.buf[:k*8]); err != nil {
 			return err
@@ -139,13 +125,9 @@ func (sr *sectionReader) u32s(xs []uint32) error {
 }
 
 func (sr *sectionReader) f32s(xs []float32) error {
-	return readLE(sr, xs, 4, func(b []byte) float32 { return floatFrom(binary.LittleEndian.Uint32(b)) })
+	return readLE(sr, xs, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
 }
 
 func (sr *sectionReader) i64s(xs []int64) error {
 	return readLE(sr, xs, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
-}
-
-func (sr *sectionReader) f64s(xs []float64) error {
-	return readLE(sr, xs, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }

@@ -1,15 +1,15 @@
 package graph
 
-// This file is the storage seam behind Graph: the eight CSR arrays live in a
+// This file is the storage seam behind Graph: the six CSR arrays live in a
 // `sections` value, and a View handle says where those arrays' backing bytes
 // actually are — ordinary heap allocations (heapView: everything built by the
 // Builder, LoadEdgeList, the generators, or a decoded .sasg file) or a
 // read-only file mapping whose pages the kernel shares across every process
 // that opened the same .sasg file (mapView, see OpenMapped). The accessor hot paths never go
 // through the interface: Graph embeds the sections directly, so OutNeighbors,
-// SampleLTInNeighbor and ReverseCSR compile to the same code for both
-// backends. The View only answers accounting (resident vs mapped bytes) and
-// lifecycle (Close) questions.
+// InNeighbors and ReverseCSR compile to the same code for both backends.
+// The View only answers accounting (resident vs mapped bytes) and lifecycle
+// (Close) questions.
 
 // sections holds the dual-CSR arrays of one graph. For a heap graph they are
 // ordinary slices; for a mapped graph they alias disjoint 64-byte-aligned
@@ -22,8 +22,6 @@ type sections struct {
 	inIdx  []int64   // len n+1
 	inAdj  []uint32  // len m, per-destination sorted by source
 	inW    []float32 // parallel to inAdj
-	inCum  []float64 // per-destination running sums of inW (for LT sampling)
-	inSum  []float64 // total incoming weight per node
 }
 
 // bytes is the raw footprint of the arrays, independent of backing.
@@ -31,7 +29,6 @@ func (s *sections) bytes() int64 {
 	b := int64(len(s.outIdx)+len(s.inIdx)) * 8
 	b += int64(len(s.outAdj)+len(s.inAdj)) * 4
 	b += int64(len(s.outW)+len(s.inW)) * 4
-	b += int64(len(s.inCum)+len(s.inSum)) * 8
 	return b
 }
 

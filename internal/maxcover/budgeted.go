@@ -141,7 +141,7 @@ func (s *BudgetedSolver) Solve(budget float64) BudgetedResult {
 		res.Cost += cost
 		res.Seeds = append(res.Seeds, v)
 		res.Coverage += int64(s.work[v])
-		it := c.PostingsUpto(v, upto)
+		it := c.PostingsRange(v, 0, upto)
 		for {
 			run, ok := it.Next()
 			if !ok {

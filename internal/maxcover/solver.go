@@ -262,7 +262,7 @@ func (r *run) extend(c ris.Store, k int) {
 		// A remote-sharded store fetches the postings here and raises a worker
 		// failure as a panic: before anything below mutates the run, so the
 		// run a retry finds is still exact.
-		it := c.PostingsUpto(v, r.upto)
+		it := c.PostingsRange(v, 0, r.upto)
 		heapPop(&r.h)
 		// Select v: cover its uncovered sets, decrement other members.
 		r.seeds = append(r.seeds, v)

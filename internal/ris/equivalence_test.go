@@ -104,7 +104,7 @@ func TestPostingsMatchIndexUpto(t *testing.T) {
 		for v := uint32(0); int(v) < g.NumNodes(); v += 5 {
 			want := scanIndex(col, v, upto)
 			var got []int32
-			it := col.PostingsUpto(v, upto)
+			it := col.PostingsRange(v, 0, upto)
 			prev := int32(-1)
 			for {
 				run, ok := it.Next()

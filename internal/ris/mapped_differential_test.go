@@ -69,10 +69,9 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 }
 
 // TestDifferentialBudgetedSweepHeapVsMapped runs the LT-model TVM budget
-// sweep on heap vs mapped. LT plans compile their alias tables from the
-// mapped weight and in-sum sections, which the IC harness never touches.
-// (The mapped inCum prefix sums feed only the test reference sampler; the
-// .sasg round-trip tests in internal/graph pin them.)
+// sweep on heap vs mapped. LT plans compile their alias tables and stop
+// thresholds from the mapped reverse weights, summed per node by
+// InWeightSum: a path the IC harness never takes.
 func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 	heap := diffGraph(t)
 	mapped := mappedTwin(t, heap)

@@ -26,7 +26,7 @@ import (
 //     conversion and no second cache stream for the weights;
 //   - LT nodes get per-node alias tables over (in-neighbours + stop), so a
 //     reverse-walk step costs one draw and O(1) work instead of the
-//     O(log d_in) binary search of graph.SampleLTInNeighbor.
+//     O(d_in) scan of the in-edge weights (refLTStep, reference_test.go).
 //
 // On a graph larger than the cache, what is left of a sample's cost is
 // stalls on dependent loads, so the kernel is shaped to keep several

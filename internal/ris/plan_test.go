@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -193,6 +194,47 @@ func TestPlanLTStepFrequencies(t *testing.T) {
 	// χ²(5): 1-1e-6 quantile ≈ 35.
 	if x2 > 45 {
 		t.Fatalf("alias kernel chi-square %.1f (counts %v, stopped %d)", x2, counts[1:], stopped)
+	}
+}
+
+// TestRefLTStepDistribution checks the reference sampler's LT step itself:
+// in-neighbour i is taken with probability w_i and the walk stops with
+// probability 1 − Σw.
+func TestRefLTStepDistribution(t *testing.T) {
+	ws := []float64{0.2, 0.3, 0.1} // Σw = 0.6: the walk stops w.p. 0.4
+	g := starGraph(t, ws)
+	r := rng.New(7)
+	const draws = 300000
+	counts := make([]int, g.NumNodes())
+	stops := 0
+	for i := 0; i < draws; i++ {
+		u, ok := refLTStep(g, 0, r.Float64())
+		if !ok {
+			stops++
+			continue
+		}
+		counts[u]++
+	}
+	check := func(got int, p float64, label string) {
+		want := p * draws
+		if math.Abs(float64(got)-want) > 6*math.Sqrt(want) {
+			t.Fatalf("%s: got %d want ~%.0f", label, got, want)
+		}
+	}
+	for i, p := range ws {
+		check(counts[i+1], p, fmt.Sprintf("in-neighbour %d", i+1))
+	}
+	check(stops, 0.4, "stop")
+}
+
+// TestRefLTStepNoInNeighbors checks that the reference sampler's LT step
+// always stops at a node with no in-edges.
+func TestRefLTStepNoInNeighbors(t *testing.T) {
+	g := starGraph(t, []float64{0.2, 0.3, 0.1})
+	for _, u01 := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+		if _, ok := refLTStep(g, 1, u01); ok {
+			t.Fatalf("u01 = %v: a node with no in-edges must always stop", u01)
+		}
 	}
 }
 

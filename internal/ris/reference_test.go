@@ -10,6 +10,7 @@ import (
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/epoch"
+	"stopandstare/internal/graph"
 	"stopandstare/internal/rng"
 )
 
@@ -37,8 +38,8 @@ import (
 // frontier-batched IC draws (FuzzKernelAgainstSequential).
 
 // refSampler draws RR sets by the direct translation of Def. 2: one float
-// Bernoulli draw per IC in-edge examined, one binary search
-// (graph.SampleLTInNeighbor) per LT step, the graph read only through its
+// Bernoulli draw per IC in-edge examined, one linear scan of the in-edge
+// weights (refLTStep) per LT step, the graph read only through its
 // accessors. It draws the root exactly as Sampler.AppendSample does and
 // shares nothing else with the compiled plan, so the two consume different
 // draw sequences and agree only in distribution — which is what the
@@ -84,7 +85,7 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 		// w(u,x) (stop with probability 1 − Σw); terminate on revisit.
 		x := root
 		for {
-			u, ok := g.SampleLTInNeighbor(x, r.Float64())
+			u, ok := refLTStep(g, x, r.Float64())
 			if !ok || !st.lanes[0].marks.Visit(int32(u)) {
 				break
 			}
@@ -94,6 +95,22 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 		}
 	}
 	return buf, len(buf) - start, width
+}
+
+// refLTStep maps a uniform draw u01 ∈ [0,1) to the LT reverse-walk step at
+// v: the first in-neighbour whose running weight sum, in CSR order, exceeds
+// u01, or ok = false (the walk stops) when u01 ≥ Σ_u w(u,v). Each
+// in-neighbour is chosen with probability w(u,v), and the walk stops with
+// probability 1 − Σ_u w(u,v).
+func refLTStep(g *graph.Graph, v uint32, u01 float64) (u uint32, ok bool) {
+	adj, ws := g.InNeighbors(v)
+	sum := 0.0
+	for i, w := range ws {
+		if sum += float64(w); u01 < sum {
+			return adj[i], true
+		}
+	}
+	return 0, false
 }
 
 // seqSample draws RR set (r's stream) through s's compiled plan one walk at
@@ -239,10 +256,6 @@ func (r *refStore) GenerateToCtx(ctx context.Context, target int) error {
 	return nil
 }
 
-func (r *refStore) PostingsUpto(v uint32, upto int) Postings {
-	return r.PostingsRange(v, 0, upto)
-}
-
 func (r *refStore) PostingsRange(v uint32, from, upto int) Postings {
 	ids := r.post[v]
 	lo := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= from })
@@ -288,7 +301,7 @@ func scanCoverage(st Store, seedMark []bool, from, to int) int64 {
 }
 
 // scanIndex returns the ascending ids < upto of the sets containing v, found
-// by scanning the sets themselves — the oracle for PostingsUpto/Range.
+// by scanning the sets themselves — the oracle for PostingsRange.
 func scanIndex(st Store, v uint32, upto int) []int32 {
 	var out []int32
 	st.ForEachSet(0, upto, func(i int, set []uint32) {

@@ -378,7 +378,7 @@ func TestIndexUpto(t *testing.T) {
 		pre := gatherPostings(col, v, 0, 400)
 		for _, id := range pre {
 			if id >= 400 {
-				t.Fatal("PostingsUpto returned id beyond cutoff")
+				t.Fatal("PostingsRange returned id beyond cutoff")
 			}
 		}
 		full := gatherPostings(col, v, 0, col.Len())
@@ -389,7 +389,7 @@ func TestIndexUpto(t *testing.T) {
 			}
 		}
 		if count != len(pre) {
-			t.Fatal("PostingsUpto dropped ids")
+			t.Fatal("PostingsRange dropped ids")
 		}
 	}
 }

@@ -474,8 +474,8 @@ func (sg *segment) buildBlockParallel(from, to int, starts, ids []int32, workers
 }
 
 // Postings iterates over the RR sets containing a node as contiguous
-// ascending runs (one per CSR block). Obtain one via PostingsUpto or
-// PostingsRange on a Store. Within every run the global ids are strictly
+// ascending runs (one per CSR block). Obtain one via PostingsRange on a
+// Store. Within every run the global ids are strictly
 // ascending and each id appears exactly once across the whole iteration;
 // each shard's runs are yielded in turn, so across shards they are disjoint
 // but interleaved in global id. No consumer of the Store interface may rely

@@ -469,12 +469,6 @@ func (sc *ShardedCollection) generateRemote(ctx context.Context, e *genEpoch) er
 	return nil
 }
 
-// PostingsUpto returns an iterator over the ids < upto of RR sets
-// containing v, walking each shard's blocks in turn. No allocation.
-func (sc *ShardedCollection) PostingsUpto(v uint32, upto int) Postings {
-	return sc.PostingsRange(v, 0, upto)
-}
-
 // PostingsRange returns an iterator over the ids in [from, upto) of RR
 // sets containing v. Runs are ascending and disjoint; runs from different
 // shards interleave in global id (see Store). No allocation for in-process

@@ -64,8 +64,6 @@ type Store interface {
 	// stream, index and width are exactly as before the call, so a later
 	// identical top-up regenerates the same bit-identical sets.
 	GenerateToCtx(ctx context.Context, target int) error
-	// PostingsUpto iterates the ids < upto of RR sets containing v.
-	PostingsUpto(v uint32, upto int) Postings
 	// PostingsRange iterates the ids in [from, upto) of RR sets containing v.
 	PostingsRange(v uint32, from, upto int) Postings
 	// CoverageRangeSeeds counts sets in [from, to) containing at least one
