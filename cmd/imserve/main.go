@@ -8,7 +8,6 @@
 //	imserve -graph nethept.sasg -model IC -addr :8377
 //	imserve -preset nethept -scale 0.5 -model LT
 //	imserve -tenants 'acme=acme.sasg,globex=globex.sasg' -budget 2GiB
-//	imserve -graph nethept.sasg -workers 127.0.0.1:8378,127.0.0.1:8379
 //
 //	curl -s localhost:8377/maximize -d '{"k":50,"epsilon":0.1}'
 //	curl -s localhost:8377/maximize -d '{"tenant":"acme","k":50}'
@@ -19,7 +18,7 @@
 //	POST /maximize     {"tenant":"acme","k":50,"epsilon":0.1,"algorithm":"dssa","timeout_ms":5000}
 //	GET  /stats        fleet snapshot: admission, coalescing and eviction counters plus per-tenant stores
 //	GET  /healthz      liveness (200 whenever the process is up)
-//	GET  /readyz       readiness (503 while recovering snapshots or while every remote worker is unreachable)
+//	GET  /readyz       readiness (503 while recovering snapshots)
 //	GET  /debug/pprof  profiling, only with -pprof
 //
 // Tenants named via -tenants open their graph files lazily on first
@@ -65,14 +64,12 @@ import (
 // options collects the flag values; split from main so tests build the
 // same stack without flags or sockets.
 type options struct {
-	graphPath     string
-	preset        string
-	scale         float64
-	model         string
-	seed          uint64
-	workers       int
-	shards        int
-	remoteWorkers string // imworker addresses, "host:port,host:port"
+	graphPath string
+	preset    string
+	scale     float64
+	model     string
+	seed      uint64
+	workers   int
 
 	tenants       string // extra tenants, "name=path,name=path"
 	defaultTenant string
@@ -89,17 +86,6 @@ type options struct {
 // parseSize parses a byte count with an optional binary-unit suffix:
 // "1048576", "64KiB", "512MiB", "2GiB". A bare number is bytes.
 func parseSize(s string) (int64, error) { return cliutil.ParseSize(s) }
-
-// parseWorkers splits a comma-separated imworker address list.
-func parseWorkers(s string) []string {
-	var addrs []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			addrs = append(addrs, part)
-		}
-	}
-	return addrs
-}
 
 // tenantSpec is one -tenants entry: a named graph file, opened lazily.
 type tenantSpec struct{ name, path string }
@@ -152,8 +138,7 @@ func buildManager(o options) (*serving.Manager, serving.ServerConfig, error) {
 		return nil, scfg, fmt.Errorf("need -graph, -preset or -tenants")
 	}
 	sessOpts := stopandstare.SessionOptions{
-		Seed: o.seed, Workers: o.workers, Shards: o.shards,
-		RemoteWorkers:    parseWorkers(o.remoteWorkers),
+		Seed: o.seed, Workers: o.workers,
 		SpillBudgetBytes: spillBudget, SpillDir: o.spillDir,
 	}
 
@@ -239,8 +224,6 @@ func main() {
 	flag.StringVar(&o.model, "model", "IC", "propagation model: IC or LT")
 	flag.Uint64Var(&o.seed, "seed", 1, "session RR-stream seed")
 	flag.IntVar(&o.workers, "sampling-workers", runtime.NumCPU(), "sampling workers per session")
-	flag.IntVar(&o.shards, "shards", 0, "RR-store id shards (≤ 1 = one shard (default))")
-	flag.StringVar(&o.remoteWorkers, "workers", "", "imworker shard-worker addresses, comma-separated (host:port or unix:/path); one RR-store shard per worker process, overriding -shards")
 	flag.StringVar(&o.tenants, "tenants", "", "additional tenants as name=path,... (graph files opened lazily)")
 	flag.StringVar(&o.defaultTenant, "default-tenant", "", "tenant answering requests that omit one")
 	flag.StringVar(&o.budget, "budget", "", "global RR-store budget, e.g. 512MiB or 2GiB (empty = unbounded)")

@@ -6,8 +6,8 @@
 // top of it (solver_bytes, as in a serving session's /stats).
 //
 // With -state-dir it reports the committed RR-store snapshot in a
-// durability state directory (imserve tenant subdirectory or imworker
-// state dir) instead of, or in addition to, the graph stats.
+// durability state directory (an imserve tenant subdirectory) instead of,
+// or in addition to, the graph stats.
 //
 //	imstats -graph friendster.sasg
 //	imstats -graph edges.txt.gz -format text -directed
@@ -90,9 +90,9 @@ func main() {
 }
 
 // snapshotStats prints the committed snapshot manifest of a durability
-// state directory (imserve's state-dir/<tenant>/ or imworker's -state-dir):
-// what a recovery from it would start from, without opening or verifying
-// the snapshot payload itself.
+// state directory (imserve's state-dir/<tenant>/): what a recovery from it
+// would start from, without opening or verifying the snapshot payload
+// itself.
 func snapshotStats(dir string) error {
 	info, err := ris.ReadSnapshotInfo(dir)
 	if err != nil {

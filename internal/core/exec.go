@@ -62,9 +62,8 @@ type Verifier interface {
 
 // locked runs f between Acquire and Release, releasing on panic as well.
 // The Store interface is error-free, so a remote-sharded store escapes
-// worker failures as *ris.ShardError panics (recovered at the Session
-// surface); without the deferred release such a panic would leak a serving
-// session's read lock and deadlock every later query.
+// worker failures as *ris.ShardError panics; an environment whose caller
+// recovers one must not be left holding its read lock.
 func locked(env Exec, f func()) {
 	env.Acquire()
 	defer env.Release()

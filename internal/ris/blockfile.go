@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the one on-disk layout of the RR store. Spill files
-// (spill.go) and snapshot files (snapshot.go, recover.go, workersnap.go) are
-// both a blockFile: a sequence of blocks, each a 64-byte header — magic (u32
+// (spill.go) and snapshot files (snapshot.go, recover.go) are both a
+// blockFile: a sequence of blocks, each a 64-byte header — magic (u32
 // LE at byte 0), kind (byte 4), payload length (u64 LE at byte 8), CRC32C of
 // the payload (u32 LE at byte 16) — followed by the payload and zero padding
 // to the next 64-byte boundary, mirroring the .sasg convention of 64-byte-
@@ -47,7 +47,6 @@ const (
 	snapKindGids    byte = 12 // segment gid table: []int32 image
 	snapKindArena   byte = 13 // arena extent items: []uint32 image
 	snapKindIndex   byte = 14 // CSR index block: []int32 starts ++ []int32 ids
-	snapKindWorker  byte = 15 // worker-shard meta (imworker state snapshots)
 )
 
 // ErrBadSpill reports a structurally invalid block in a spill or snapshot

@@ -29,13 +29,12 @@ func (c *remoteCountCtx) Err() error {
 }
 
 func TestGenerateCtxRemoteRollback(t *testing.T) {
-	g := snapClusterGraph(t)
+	g := remoteTestGraph(t)
 	s := mustRemoteSampler(t, g)
-	cl := newSnapCluster(t, g, "w0", "w1")
+	cl := newRemoteCluster(g, "w0", "w1")
 	const seed = 772
 	opt := ris.StoreOptions{
 		Workers:       2,
-		ShardWorkers:  2,
 		RemoteWorkers: []string{"w0", "w1"},
 		RemoteDial:    cl.dial,
 	}

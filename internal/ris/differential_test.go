@@ -130,7 +130,7 @@ func runStore(t *testing.T, s *ris.Sampler, algo string, opt ris.StoreOptions) (
 // per-shard worker counts.
 func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int) (*core.Result, []core.Checkpoint) {
 	t.Helper()
-	return runStore(t, s, algo, ris.StoreOptions{Workers: 2, Shards: shards, ShardWorkers: workers})
+	return runStore(t, s, algo, ris.StoreOptions{Workers: max(shards, 1) * workers, Shards: shards})
 }
 
 // runCoreRef executes the workload on the reference stream: what the Store

@@ -68,16 +68,16 @@ func openSnapshot(path string) (*blockFile, error) {
 	return bf, nil
 }
 
-// metaBlock maps the leading meta block of the given kind — its length is
-// not known in advance, so it is read from the header first — and returns
-// its payload and the offset of the first data block.
-func metaBlock(bf *blockFile, kind byte) ([]byte, int64, error) {
+// metaBlock maps the leading meta block — its length is not known in
+// advance, so it is read from the header first — and returns its payload
+// and the offset of the first data block.
+func metaBlock(bf *blockFile) ([]byte, int64, error) {
 	var hdr [blockHdrSize]byte
 	if _, err := bf.f.ReadAt(hdr[:], 0); err != nil {
 		return nil, 0, &SnapshotCorruptError{Path: bf.path, Reason: "meta block header: " + err.Error()}
 	}
 	plen := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	payload, err := bf.mapBlock(0, kind, plen)
+	payload, err := bf.mapBlock(0, snapKindMeta, plen)
 	if err != nil {
 		return nil, 0, &SnapshotCorruptError{Path: bf.path, Reason: "meta block: " + err.Error()}
 	}
@@ -640,7 +640,7 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 // readStoreMeta validates and decodes the leading meta block, returning the
 // decoded meta and the offset of the first data block.
 func readStoreMeta(bf *blockFile) (*snapMetaD, int64, error) {
-	payload, off, err := metaBlock(bf, snapKindMeta)
+	payload, off, err := metaBlock(bf)
 	if err != nil {
 		return nil, 0, err
 	}

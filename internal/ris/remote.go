@@ -1,7 +1,6 @@
 package ris
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,15 +23,14 @@ import (
 //
 // Frame layout: [u32 payload length][u8 kind][payload]. Request kinds are
 // the op* constants, response kinds the resp* constants. Every request
-// except opPing names a shard key, so one worker connection can multiplex
-// any number of logical shards.
+// names a shard key, so one worker connection can multiplex any number of
+// logical shards.
 //
 //	opOpen     key, nonce, spec     → respOK
 //	opStats    key                  → respData{nsets, items, width, bytes}
 //	opGenerate key, gfrom, gto, mir → respData{chunk}… then respEnd
 //	opPostings key, v, from, upto   → respData{ids}
 //	opCoverage key, from, to, seeds → respData{count}
-//	opPing     —                    → respOK
 //
 // Errors come back as respErr{kind, message}. errFatal means the request
 // itself is wrong (bad spec, node out of range) and retrying is pointless;
@@ -40,9 +38,9 @@ import (
 // coordinator's (worker restarted, shard evicted, or the coordinator rolled
 // back a partial Generate) and the client should re-open and replay.
 
-// Request ops.
+// Request ops. Op 1, a retired liveness ping, stays unassigned so the
+// other ops keep their wire numbers; a worker answers it as an unknown op.
 const (
-	opPing     = 1
 	opOpen     = 2
 	opGenerate = 3
 	opPostings = 4
@@ -68,8 +66,8 @@ const (
 // or generate request larger than this must be mis-framed.
 const maxFrame = 1 << 30
 
-// DefaultRemoteTimeout bounds one RPC exchange (including the sampling work
-// a Generate triggers on the worker) when StoreOptions.RemoteTimeout is 0.
+// DefaultRemoteTimeout bounds one RPC exchange, including the sampling work
+// a Generate triggers on the worker.
 const DefaultRemoteTimeout = 2 * time.Minute
 
 // DialFunc opens a transport to a shard worker. The default dialer
@@ -86,42 +84,6 @@ func defaultDial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, 5*time.Second)
 }
 
-// PingWorker probes a shard worker's liveness with one opPing exchange on a
-// fresh connection: dial, ping, respOK, close. dial == nil selects the
-// default TCP/unix dialer, timeout ≤ 0 a short probe default (readiness
-// checks must not hang behind an unplugged worker). The readiness endpoint
-// of the serving layer is the caller; stores never ping — their reconnect
-// loop subsumes it.
-func PingWorker(addr string, dial DialFunc, timeout time.Duration) error {
-	if dial == nil {
-		dial = defaultDial
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	conn, err := dial(addr)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrShardUnreachable, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, opPing, nil); err != nil {
-		return fmt.Errorf("%w: %v", ErrShardUnreachable, err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("%w: %v", ErrShardUnreachable, err)
-	}
-	kind, _, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrShardUnreachable, err)
-	}
-	if kind != respOK {
-		return fmt.Errorf("%w: unexpected ping response kind %d", ErrShardUnreachable, kind)
-	}
-	return nil
-}
-
 // ErrShardUnreachable reports that a remote shard worker could not be
 // reached (dial, deadline or transport failure) after the client's
 // reconnect attempts. It is wrapped inside the *ShardError a remote-sharded
@@ -132,7 +94,7 @@ var ErrShardUnreachable = errors.New("ris: shard worker unreachable")
 // ShardError is the typed failure a remote-sharded store surfaces when a
 // worker RPC cannot be completed. The Store interface is error-free by
 // design (see Store), so remote implementations raise *ShardError as a
-// panic; Session.Maximize recovers it into an ordinary error return.
+// panic, which the caller that built the remote store recovers.
 type ShardError struct {
 	Addr string // worker address
 	Op   string // logical operation: "generate", "postings", "coverage", …

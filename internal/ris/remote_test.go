@@ -17,6 +17,7 @@ import (
 
 	"stopandstare/internal/core"
 	"stopandstare/internal/diffusion"
+	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/ris"
 )
@@ -90,6 +91,26 @@ func (c *remoteCluster) kill(addr string) {
 	if srv != nil {
 		srv.Close()
 	}
+}
+
+// remoteTestGraph is a small weighted-cascade graph for the remote legs
+// that drive a store directly.
+func remoteTestGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.ChungLu(120, 700, 2.1, 5, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func mustRemoteSampler(t *testing.T, g *graph.Graph) *ris.Sampler {
+	t.Helper()
+	s, err := ris.NewSampler(g, diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // runCoreRemote is runCore on a remote-sharded store: one shard per
@@ -261,4 +282,43 @@ func TestRemoteWorkerKillTypedError(t *testing.T) {
 		t.Fatalf("after failed generate: len/items %d/%d, want %d/%d (rollback leaked)",
 			st.Len(), st.Items(), wantLen, wantItems)
 	}
+}
+
+// TestRecoverRemoteOverEmptyWorkers pins coordinator durability when the
+// workers lost everything, process and disk: a remote-sharded store is
+// persisted, both workers restart with empty state, and Recover re-opens
+// every shard from the persisted spec and replays it deterministically, so
+// the recovered store, and its later growth, match the reference stream.
+func TestRecoverRemoteOverEmptyWorkers(t *testing.T) {
+	g := remoteTestGraph(t)
+	s := mustRemoteSampler(t, g)
+	cluster := newRemoteCluster(g, "w0", "w1")
+	opt := ris.StoreOptions{
+		Workers: 2, RemoteWorkers: []string{"w0", "w1"}, RemoteDial: cluster.dial,
+	}
+	ref := ris.NewRefStore(s, 42)
+	st := ris.NewStore(s, 42, opt)
+	for _, c := range []int{1, 3, 40, 2, 90, 17} {
+		st.GenerateTo(st.Len() + c)
+		ref.GenerateTo(ref.Len() + c)
+	}
+	dir := t.TempDir()
+	if _, err := st.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	cluster.restart("w0")
+	cluster.restart("w1")
+	rec, info, err := ris.Recover(s, 42, opt, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Discarded != 0 || info.Sets != ref.Len() {
+		t.Fatalf("recovery info %+v, want clean %d sets", info, ref.Len())
+	}
+	ris.AssertStoresEqual(t, "recovered", ref, rec)
+
+	ref.GenerateTo(ref.Len() + 60)
+	rec.GenerateTo(rec.Len() + 60)
+	ris.AssertStoresEqual(t, "regrown", ref, rec)
 }

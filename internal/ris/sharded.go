@@ -121,19 +121,11 @@ func NewRemoteShardedCollection(s *Sampler, seed uint64, opt StoreOptions) *Shar
 	if dial == nil {
 		dial = defaultDial
 	}
-	timeout := opt.RemoteTimeout
-	if timeout <= 0 {
-		timeout = DefaultRemoteTimeout
-	}
-	workers := opt.ShardWorkers
-	if workers < 0 {
-		workers = 0 // worker-side default
-	}
+	// spec.workers stays 0: each worker samples with its own default.
 	spec := shardSpec{
 		n:       uint32(n),
 		model:   uint8(s.model),
 		seed:    seed,
-		workers: uint32(workers),
 		weights: s.weights,
 	}
 	instance := nextShardInstance()
@@ -143,7 +135,7 @@ func NewRemoteShardedCollection(s *Sampler, seed uint64, opt StoreOptions) *Shar
 		sc.remotes[i] = &RemoteShard{
 			addr:    addrs[i],
 			dial:    dial,
-			timeout: timeout,
+			timeout: DefaultRemoteTimeout,
 			key:     fmt.Sprintf("%x-%d/%d", instance, i, S),
 			spec:    spec,
 			seg:     sc.segs[i],

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"stopandstare/internal/diffusion"
 	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 )
@@ -15,9 +16,9 @@ import (
 // ShardServer is the worker side of cross-process sharding: it opens the
 // graph once (read-only — a mapped .sasg costs one set of pages shared by
 // every worker on the host) and owns the arena + CSR index of any number of
-// logical shards, keyed by the coordinator-chosen shard key. cmd/imworker
-// wraps one ShardServer per process; tests drive ServeConn directly over
-// net.Pipe.
+// logical shards, keyed by the coordinator-chosen shard key. Only the
+// frozen benchmarks/imperf topology sweep and tests serve it; tests drive
+// ServeConn directly over net.Pipe.
 //
 // The server is deliberately stateless-recoverable: a shard's spec plus the
 // deterministic (seed, gid) PRNG streams fully determine its contents, so a
@@ -27,10 +28,6 @@ type ShardServerOptions struct {
 	// SamplingWorkers bounds generation parallelism for shards whose spec
 	// asks for the worker default (0); ≤0 selects GOMAXPROCS.
 	SamplingWorkers int
-	// MaxShards caps resident shard states; beyond it the least-recently
-	// used shard is dropped (coordinators recover via deterministic
-	// replay). ≤0 selects 64.
-	MaxShards int
 	// SpillBudgetBytes > 0 enables the disk spill tier for the whole worker
 	// process: after any shard growth that leaves more than this many
 	// resident RR bytes across ALL resident shards, the globally-coldest
@@ -39,30 +36,25 @@ type ShardServerOptions struct {
 	// SpillDir is where the worker's spill file is created ("" selects the
 	// OS temp directory).
 	SpillDir string
-	// StateDir enables worker shard-state durability: Persist snapshots
-	// every resident shard there, and NewShardServer recovers the committed
-	// snapshot, so a coordinator re-opening a shard under its persisted
-	// (key, nonce) replays only the delta instead of the whole stream.
-	// Stale temporaries are swept at construction. "" disables persistence.
-	StateDir string
 }
+
+// maxWorkerShards caps a ShardServer's resident shard states; beyond it the
+// least-recently used shard is dropped (coordinators recover via
+// deterministic replay).
+const maxWorkerShards = 64
 
 // ShardServer serves one graph's RR-set shards to remote coordinators.
 type ShardServer struct {
-	g        *graph.Graph
-	workers  int
-	max      int
-	spill    *spillState // shared across all resident shards; nil ⇒ disabled
-	stateDir string      // "" ⇒ no shard-state durability
-	snap     *blockFile  // recovered-from snapshot; keeps its mappings alive
+	g       *graph.Graph
+	workers int
+	spill   *spillState // shared across all resident shards; nil ⇒ disabled
 
-	mu        sync.Mutex
-	shards    map[string]*workerShard
-	clock     uint64 // LRU clock, bumped on every shard touch
-	recovered int    // shards restored from the state dir at construction
-	lns       map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
+	mu     sync.Mutex
+	shards map[string]*workerShard
+	clock  uint64 // LRU clock, bumped on every shard touch
+	lns    map[net.Listener]struct{}
+	conns  map[net.Conn]struct{}
+	closed bool
 }
 
 // workerShard is one resident shard: a sampler bound to the shard's spec
@@ -80,28 +72,15 @@ type workerShard struct {
 
 // NewShardServer creates a shard server over g.
 func NewShardServer(g *graph.Graph, opt ShardServerOptions) *ShardServer {
-	max := opt.MaxShards
-	if max <= 0 {
-		max = 64
-	}
 	s := &ShardServer{
 		g:       g,
 		workers: opt.SamplingWorkers,
-		max:     max,
 		shards:  make(map[string]*workerShard),
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	if opt.SpillBudgetBytes > 0 {
 		s.spill = newSpillState(opt.SpillBudgetBytes, opt.SpillDir)
-	}
-	if opt.StateDir != "" {
-		s.stateDir = opt.StateDir
-		// Durability is best-effort on the worker: an unusable snapshot must
-		// never block serving, because every shard is recoverable by
-		// deterministic replay from the coordinator.
-		CleanStateDir(opt.StateDir)
-		s.recovered, _ = s.recoverShards(opt.StateDir)
 	}
 	return s
 }
@@ -216,8 +195,6 @@ func (s *ShardServer) Close() error {
 // error is a transport failure and drops the connection.
 func (s *ShardServer) dispatch(bw *bufio.Writer, kind byte, payload []byte) error {
 	switch kind {
-	case opPing:
-		return writeFrame(bw, respOK, nil)
 	case opOpen:
 		return s.handleOpen(bw, payload)
 	case opStats:
@@ -271,7 +248,7 @@ func (s *ShardServer) handleOpen(bw *bufio.Writer, payload []byte) error {
 		return writeFrame(bw, respOK, nil)
 	}
 	// New instance (or an explicit wipe request): build fresh state.
-	sampler, err := samplerForSpec(s, spec)
+	sampler, err := s.samplerForSpec(spec)
 	if err != nil {
 		return &fatalError{msg: err.Error()}
 	}
@@ -291,6 +268,24 @@ func (s *ShardServer) handleOpen(bw *bufio.Writer, payload []byte) error {
 	s.evictLocked(key)
 	s.mu.Unlock()
 	return writeFrame(bw, respOK, nil)
+}
+
+// samplerForSpec turns a shard spec into a sampler. A spec arrives from
+// the network, so its bytes are validated here: an unknown model or a
+// non-zero reserved kernel byte is an error, never a silently different RR
+// stream.
+func (s *ShardServer) samplerForSpec(spec shardSpec) (*Sampler, error) {
+	model := diffusion.Model(spec.model)
+	if model != diffusion.IC && model != diffusion.LT {
+		return nil, fmt.Errorf("ris: unknown model %d in shard spec", spec.model)
+	}
+	if spec.kernel != 0 {
+		return nil, fmt.Errorf("ris: unsupported kernel %d in shard spec", spec.kernel)
+	}
+	if len(spec.weights) > 0 {
+		return NewWeightedSampler(s.g, model, spec.weights)
+	}
+	return NewSampler(s.g, model)
 }
 
 // enforceSpill brings the worker's total resident RR bytes across all
@@ -354,7 +349,7 @@ func (s *ShardServer) SpillStats() SpillStats {
 // evictLocked drops least-recently-used shards beyond the cap, never the
 // one just touched. Evicted coordinators recover by deterministic replay.
 func (s *ShardServer) evictLocked(keep string) {
-	for len(s.shards) > s.max {
+	for len(s.shards) > maxWorkerShards {
 		var victim string
 		var oldest uint64 = ^uint64(0)
 		for k, sh := range s.shards {

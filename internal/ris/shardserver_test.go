@@ -48,19 +48,6 @@ func (sc *shardConn) open(key string, sp shardSpec) (byte, []byte) {
 	return sc.call(opOpen, w)
 }
 
-// generate appends sets [0, n) to key's shard, without mirroring.
-func (sc *shardConn) generate(key string, n int) {
-	sc.t.Helper()
-	var w wbuf
-	w.str(key)
-	w.u64(0)
-	w.u64(uint64(n))
-	w.u8(0)
-	if kind, _ := sc.call(opGenerate, w); kind != respEnd {
-		sc.t.Fatalf("generate %s: response kind %d", key, kind)
-	}
-}
-
 // TestShardSpecRejectsBadBytes: a shard spec arrives from the network in an
 // open frame, so an unknown model or a non-zero reserved kernel byte must be
 // a fatal error, never a shard that silently samples another stream.
@@ -89,52 +76,5 @@ func TestShardSpecRejectsBadBytes(t *testing.T) {
 	}
 	if n := srv.NumShards(); n != 1 {
 		t.Fatalf("%d resident shards, want only the good one", n)
-	}
-}
-
-// TestWorkerSnapshotSkipsBadSpec: the same bytes also arrive from a worker
-// snapshot on disk. A shard record whose spec carries an unknown model or a
-// non-zero kernel byte is skipped on recovery (the coordinator replays it
-// under a valid spec), while the good shard stored after it is restored.
-func TestWorkerSnapshotSkipsBadSpec(t *testing.T) {
-	g := snapTestSampler(t).Graph()
-	dir := t.TempDir()
-	srv := NewShardServer(g, ShardServerOptions{SamplingWorkers: 1, StateDir: dir})
-	sc := dialShardServer(t, srv)
-	spec := shardSpec{n: uint32(g.NumNodes()), model: uint8(diffusion.IC), seed: 42, workers: 1}
-	// Sorted key order puts both bad records before the good one, so the
-	// recovery walk must step over their blocks to reach it.
-	for _, key := range []string{"a-bad-kernel", "b-bad-model", "c-good"} {
-		if kind, _ := sc.open(key, spec); kind != respOK {
-			t.Fatalf("open %s: response kind %d", key, kind)
-		}
-		sc.generate(key, 50)
-	}
-	// Corrupt the specs as a damaged snapshot would carry them.
-	srv.mu.Lock()
-	srv.shards["a-bad-kernel"].spec.kernel = 1
-	srv.shards["b-bad-model"].spec.model = 2
-	srv.mu.Unlock()
-	if _, err := srv.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-
-	rec := NewShardServer(g, ShardServerOptions{SamplingWorkers: 1, StateDir: dir})
-	defer rec.Close()
-	if n := rec.RecoveredShards(); n != 1 {
-		t.Fatalf("recovered %d shards, want 1", n)
-	}
-	for _, key := range []string{"a-bad-kernel", "b-bad-model"} {
-		if _, err := rec.shard(key); err == nil {
-			t.Fatalf("shard %s restored from a bad spec", key)
-		}
-	}
-	sh, err := rec.shard("c-good")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.seg.nsets() != 50 {
-		t.Fatalf("good shard restored %d sets, want 50", sh.seg.nsets())
 	}
 }

@@ -338,8 +338,8 @@ func encodeStoreMeta(m storeMeta, segs []*segment) []byte {
 // Persist writes a snapshot of the store into dir and commits it.
 // For a remote-sharded store the mirrors and the per-shard keys and nonces
 // are persisted: a recovered coordinator re-opens each worker shard under
-// its old identity, so a worker that kept (or itself recovered) that state
-// resyncs by delta replay instead of a full wipe.
+// its old identity, so a worker that kept that state resyncs by delta
+// replay instead of a full wipe.
 func (sc *ShardedCollection) Persist(dir string) (SnapshotInfo, error) {
 	return sc.PersistFS(dir, OSSnapshotFS)
 }
@@ -368,13 +368,13 @@ func (sc *ShardedCollection) PersistFS(dir string, fs SnapshotFS) (SnapshotInfo,
 // committed; partial files are swept by the next successful Persist or by
 // CleanStateDir.
 func persistStore(dir string, fs SnapshotFS, m storeMeta, segs []*segment) (SnapshotInfo, error) {
-	return persistSnapshot(dir, fs, snapKindMeta, encodeStoreMeta(m, segs), segs, m.length)
+	return persistSnapshot(dir, fs, encodeStoreMeta(m, segs), segs, m.length)
 }
 
-// persistSnapshot is the protocol core shared by store snapshots (meta kind
-// snapKindMeta) and worker shard-state snapshots (snapKindWorker): the meta
-// block, then every segment's data blocks, fsync, atomic manifest commit.
-func persistSnapshot(dir string, fs SnapshotFS, metaKind byte, meta []byte, segs []*segment, sets int) (SnapshotInfo, error) {
+// persistSnapshot is persistStore over an already encoded meta block: the
+// meta block, then every segment's data blocks, fsync, atomic manifest
+// commit.
+func persistSnapshot(dir string, fs SnapshotFS, meta []byte, segs []*segment, sets int) (SnapshotInfo, error) {
 	if fs == nil {
 		fs = OSSnapshotFS
 	}
@@ -392,7 +392,7 @@ func persistSnapshot(dir string, fs SnapshotFS, metaKind byte, meta []byte, segs
 		return SnapshotInfo{}, fmt.Errorf("ris: snapshot create %s: %w", path, err)
 	}
 	bf := &blockFile{path: path, w: f}
-	bf.append(metaKind, meta)
+	bf.append(snapKindMeta, meta)
 	for _, sg := range segs {
 		writeSegBlocks(bf, sg)
 	}

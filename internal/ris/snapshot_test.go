@@ -126,7 +126,7 @@ func growPattern(st Store) {
 }
 
 func snapOpt(shards int) StoreOptions {
-	return StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2}
+	return StoreOptions{Workers: 2 * max(shards, 1), Shards: shards} // two workers per shard
 }
 
 // snapBlockPos locates every block of a committed snapshot file by walking
@@ -373,7 +373,7 @@ func TestSnapshotMismatch(t *testing.T) {
 	for _, kb := range []byte{0, 1} {
 		kdir := t.TempDir()
 		meta[kernelByte] = kb
-		if _, err := persistSnapshot(kdir, OSSnapshotFS, snapKindMeta, meta, sc.segs, sc.length); err != nil {
+		if _, err := persistSnapshot(kdir, OSSnapshotFS, meta, sc.segs, sc.length); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := Recover(s, 42, snapOpt(0), kdir)

@@ -17,7 +17,7 @@ import (
 func spilledStore(t *testing.T, s *Sampler, seed uint64, shards int, budget int64) Store {
 	t.Helper()
 	return NewStore(s, seed, StoreOptions{
-		Workers: 2, Shards: shards, ShardWorkers: 2,
+		Workers: 2 * max(shards, 1), Shards: shards, // two workers per shard
 		SpillBudgetBytes: budget, SpillDir: t.TempDir(),
 	})
 }
@@ -140,7 +140,7 @@ func TestSpillStoreBitIdentical(t *testing.T) {
 	ref := refStream(s, 42, total)
 	for _, shards := range []int{0, 3} {
 		// A never-spilled twin sizes the ~50% budget.
-		unspilled := NewStore(s, 42, StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2})
+		unspilled := NewStore(s, 42, StoreOptions{Workers: 2 * max(shards, 1), Shards: shards})
 		unspilled.GenerateTo(total)
 
 		for _, budget := range []int64{1, unspilled.Bytes() / 2} {

@@ -20,7 +20,7 @@ import (
 // runCoreSpilled is runCore with a spill budget on the store.
 func runCoreSpilled(t *testing.T, s *ris.Sampler, algo string, shards int, budget int64) (*core.Result, []core.Checkpoint) {
 	t.Helper()
-	return runStore(t, s, algo, ris.StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2,
+	return runStore(t, s, algo, ris.StoreOptions{Workers: 2 * max(shards, 1), Shards: shards,
 		SpillBudgetBytes: budget, SpillDir: t.TempDir()})
 }
 

@@ -1,9 +1,6 @@
 package ris
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // Store is the RR-set store surface that SSA, D-SSA, IMM, TIM/TIM+, the
 // max-coverage solvers, the TVM sweeps and the serving layer consume. The
@@ -96,28 +93,27 @@ type (
 
 var _ Store = (*ShardedCollection)(nil)
 
-// StoreOptions sizes a Store and selects its topology.
+// StoreOptions sizes a Store and selects its topology. Every product
+// path — a Session, a serving tenant, the one-shot solvers — builds one
+// in-process shard sized by Workers, with an optional spill tier. Shards,
+// RemoteWorkers and RemoteDial stay only because the frozen
+// benchmarks/imperf topology sweep and the ris differential harness set
+// them; they go with the multi-shard and remote paths.
 type StoreOptions struct {
-	// Workers is the total generation/index-build parallelism the per-shard
-	// worker count is derived from; ≤0 selects runtime.GOMAXPROCS(0).
+	// Workers is the total generation/index-build parallelism; ≤0 selects
+	// runtime.GOMAXPROCS(0). Each in-process shard gets max(Workers/Shards,
+	// 1) workers; remote shards sample with the worker process's default.
 	Workers int
 	// Shards is the number of in-process id shards; ≤ 1 = one shard
 	// (default). Results are bit-identical at every count.
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism; ≤0 derives
-	// max(1, Workers/Shards) so the total worker budget holds. For remote
-	// shards this is the sampling parallelism requested on each worker
-	// (0 = the worker's own default).
-	ShardWorkers int
 	// RemoteWorkers lists shard-worker addresses ("host:port" TCP or
 	// "unix:/path"); non-empty puts one shard on each worker, and Shards is
 	// ignored. Results remain bit-identical to every in-process topology.
+	// Each worker RPC exchange is bounded by DefaultRemoteTimeout.
 	RemoteWorkers []string
 	// RemoteDial overrides the worker transport (tests inject net.Pipe).
 	RemoteDial DialFunc
-	// RemoteTimeout bounds one worker RPC exchange; ≤0 selects
-	// DefaultRemoteTimeout.
-	RemoteTimeout time.Duration
 	// SpillBudgetBytes > 0 enables the disk spill tier: after any growth
 	// that leaves more than this many resident RR bytes (arena + index,
 	// excluding the shared compiled plan), cold frozen arena extents and
@@ -144,11 +140,11 @@ func newStore(s *Sampler, seed uint64, opt StoreOptions) *ShardedCollection {
 		sc = NewRemoteShardedCollection(s, seed, opt)
 	} else {
 		shards := max(opt.Shards, 1)
-		w := opt.ShardWorkers
-		if w <= 0 && opt.Workers > 0 {
+		w := 0 // ⇒ GOMAXPROCS/shards
+		if opt.Workers > 0 {
 			w = max(opt.Workers/shards, 1)
 		}
-		sc = NewShardedCollection(s, seed, shards, w) // w ≤ 0 ⇒ GOMAXPROCS/shards
+		sc = NewShardedCollection(s, seed, shards, w)
 	}
 	if opt.SpillBudgetBytes > 0 {
 		sc.spill = newSpillState(opt.SpillBudgetBytes, opt.SpillDir)

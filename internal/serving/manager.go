@@ -35,6 +35,12 @@ import (
 // hold. The HTTP layer maps it to 404.
 var ErrUnknownTenant = errors.New("serving: unknown tenant")
 
+// ErrTenantUnavailable wraps a failure to bring a tenant's session up: its
+// graph file cannot be opened or decoded, or NewSession rejects it. The
+// fault is the server's, not the request's, so the HTTP layer maps it to
+// 500; the tenant stays admitted and its next query tries again.
+var ErrTenantUnavailable = errors.New("serving: tenant unavailable")
+
 // Config sizes a Manager.
 type Config struct {
 	// BudgetBytes is the global RR-store budget summed across resident
@@ -91,7 +97,7 @@ type TenantConfig struct {
 	// Model is the propagation model.
 	Model stopandstare.Model
 	// Session carries the per-session sampling parameters (seed, workers,
-	// shards, weights).
+	// spill tier, weights).
 	Session stopandstare.SessionOptions
 }
 
@@ -128,7 +134,7 @@ func (t *tenant) session() (*stopandstare.Session, error) {
 	if t.g == nil {
 		g, err := stopandstare.OpenGraphFile(t.cfg.GraphFile)
 		if err != nil {
-			return nil, fmt.Errorf("serving: tenant %q: %w", t.name, err)
+			return nil, fmt.Errorf("%w: %q: %w", ErrTenantUnavailable, t.name, err)
 		}
 		t.g = g
 		t.ownsGraph = true
@@ -141,7 +147,7 @@ func (t *tenant) session() (*stopandstare.Session, error) {
 	}
 	sess, err := stopandstare.NewSession(t.g, t.cfg.Model, sopt)
 	if err != nil {
-		return nil, fmt.Errorf("serving: tenant %q: %w", t.name, err)
+		return nil, fmt.Errorf("%w: %q: %w", ErrTenantUnavailable, t.name, err)
 	}
 	t.sess = sess
 	return sess, nil
@@ -354,26 +360,6 @@ func (m *Manager) StartRecovery() {
 // would work — sessions build on demand — but would pay recovery latency
 // the caller asked to hide by probing readiness.
 func (m *Manager) Recovering() bool { return m.recovering.Load() > 0 }
-
-// WorkerAddrs returns the union of remote shard-worker addresses across
-// all tenants, sorted — the set the readiness probe pings. Empty for
-// in-process topologies.
-func (m *Manager) WorkerAddrs() []string {
-	m.mu.Lock()
-	seen := map[string]bool{}
-	for _, t := range m.tenants {
-		for _, a := range t.cfg.Session.RemoteWorkers {
-			seen[a] = true
-		}
-	}
-	m.mu.Unlock()
-	addrs := make([]string, 0, len(seen))
-	for a := range seen {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	return addrs
-}
 
 // RemoveTenant retires a tenant: new queries get ErrUnknownTenant
 // immediately, in-flight queries on it are drained, then its cached plans

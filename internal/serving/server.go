@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"stopandstare"
-	"stopandstare/internal/ris"
 )
 
 // maxRequestBytes bounds a /maximize request body: queries are a handful
@@ -127,12 +125,10 @@ type StatsResponse struct {
 }
 
 // ReadyzResponse is the GET /readyz body: overall readiness plus the
-// conditions that gate it. Workers maps each configured remote shard-worker
-// address to its probe result (absent for in-process topologies).
+// condition that gates it.
 type ReadyzResponse struct {
-	Ready      bool            `json:"ready"`
-	Recovering bool            `json:"recovering,omitempty"`
-	Workers    map[string]bool `json:"workers,omitempty"`
+	Ready      bool `json:"ready"`
+	Recovering bool `json:"recovering,omitempty"`
 }
 
 // Server exposes a Manager over JSON/HTTP. Endpoints:
@@ -141,18 +137,18 @@ type ReadyzResponse struct {
 //	GET  /stats     manager + per-tenant snapshot
 //	GET  /healthz   liveness: 200 whenever the process can answer at all
 //	GET  /readyz    readiness: 503 while durable tenants are still
-//	                recovering, or while every remote shard worker is
-//	                unreachable (degraded to zero capacity); body reports
-//	                per-worker reachability
+//	                recovering
 //
-// Liveness and readiness are deliberately split: a recovering or degraded
-// process must NOT be restarted (that would lose exactly the state it is
-// rebuilding) but must not receive traffic either — orchestrators probe
-// /healthz to decide restarts and /readyz to decide routing.
+// Liveness and readiness are deliberately split: a recovering process must
+// NOT be restarted (that would lose exactly the state it is rebuilding) but
+// must not receive traffic either — orchestrators probe /healthz to decide
+// restarts and /readyz to decide routing.
 //
 // Backpressure surfaces as status codes: 429 (admission queue full) and
 // 503 (deadline expired while waiting), both with Retry-After, so an
-// overloaded server sheds load instead of accumulating it.
+// overloaded server sheds load instead of accumulating it. A tenant whose
+// session cannot be built (ErrTenantUnavailable) answers 500; every other
+// query failure is the request's and answers 400.
 type Server struct {
 	mgr   *Manager
 	cfg   ServerConfig
@@ -272,12 +268,8 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 			w.Header().Set("Retry-After", s.retryAfter())
 			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, stopandstare.ErrShardUnreachable):
-			// Degraded mode: a remote shard worker is down. The session
-			// recovers by reconnect-and-replay once the worker returns, so
-			// this is retryable capacity loss, not a bad request.
-			w.Header().Set("Retry-After", s.retryAfter())
-			writeError(w, http.StatusServiceUnavailable, err)
+		case errors.Is(err, ErrTenantUnavailable):
+			writeError(w, http.StatusInternalServerError, err)
 		case errors.Is(err, ErrUnknownTenant):
 			writeError(w, http.StatusNotFound, err)
 		default:
@@ -299,52 +291,16 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// workerProbeTimeout bounds one readiness ping; probes run in parallel, so
-// it also bounds the whole /readyz worker sweep. Short by design — a probe
-// that needs longer than this is unreachable for routing purposes.
-const workerProbeTimeout = 2 * time.Second
-
-// handleReadyz reports routing readiness. Not-ready conditions:
-//
-//   - a StartRecovery pass is still warming durable tenants (queries would
-//     work but pay the recovery latency readiness exists to hide);
-//   - every configured remote shard worker fails its liveness ping — the
-//     process has zero sampling capacity and each query would burn its
-//     whole reconnect budget before failing. A single unreachable worker
-//     does NOT flip readiness: stores reconnect-and-replay through blips,
-//     and parking the whole process over one flapping worker sheds far
-//     more capacity than the blip itself. The body's per-worker map gives
-//     operators the partial picture.
+// handleReadyz reports routing readiness: not ready while a StartRecovery
+// pass is still warming durable tenants (queries would work but pay the
+// recovery latency readiness exists to hide).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	resp := ReadyzResponse{Ready: true, Recovering: s.mgr.Recovering()}
-	if resp.Recovering {
-		resp.Ready = false
-	}
-	if addrs := s.mgr.WorkerAddrs(); len(addrs) > 0 {
-		resp.Workers = make(map[string]bool, len(addrs))
-		results := make([]bool, len(addrs))
-		var wg sync.WaitGroup
-		for i, a := range addrs {
-			wg.Add(1)
-			go func(i int, a string) {
-				defer wg.Done()
-				results[i] = ris.PingWorker(a, nil, workerProbeTimeout) == nil
-			}(i, a)
-		}
-		wg.Wait()
-		reachable := false
-		for i, a := range addrs {
-			resp.Workers[a] = results[i]
-			reachable = reachable || results[i]
-		}
-		if !reachable {
-			resp.Ready = false
-		}
-	}
+	resp := ReadyzResponse{Recovering: s.mgr.Recovering()}
+	resp.Ready = !resp.Recovering
 	status := http.StatusOK
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable

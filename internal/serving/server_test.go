@@ -1,9 +1,13 @@
 package serving
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -343,5 +347,49 @@ func TestServeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /stats: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServeTenantUnavailable pins the status of server-side faults: a
+// tenant whose graph file is missing, or is not a valid .sasg, answers 500
+// (its session cannot be built, whatever the request), while a bad request
+// to a healthy tenant still answers 400.
+func TestServeTenantUnavailable(t *testing.T) {
+	dir := t.TempDir()
+	junk := filepath.Join(dir, "junk.sasg")
+	if err := os.WriteFile(junk, []byte("not a graph file, just junk bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{})
+	t.Cleanup(m.Close)
+	for name, cfg := range map[string]TenantConfig{
+		"missing": {GraphFile: filepath.Join(dir, "missing.sasg")},
+		"junk":    {GraphFile: junk},
+		"good":    {Graph: testGraph(t, 12)},
+	} {
+		cfg.Model = stopandstare.IC
+		cfg.Session = stopandstare.SessionOptions{Seed: 1, Workers: 2}
+		if err := m.AddTenant(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(NewServer(m, ServerConfig{}).Handler())
+	t.Cleanup(ts.Close)
+
+	for _, name := range []string{"missing", "junk"} {
+		_, err := m.Maximize(context.Background(), name, stopandstare.Query{K: 5})
+		if !errors.Is(err, ErrTenantUnavailable) {
+			t.Fatalf("%s: Maximize error %v, want ErrTenantUnavailable", name, err)
+		}
+		resp, _ := post(t, ts, `{"tenant":"`+name+`","k":5}`)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d, want 500", name, resp.StatusCode)
+		}
+	}
+	if resp, _ := post(t, ts, `{"tenant":"good","k":0}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`good {"k":0}: status %d, want 400`, resp.StatusCode)
+	}
+	if resp, out := post(t, ts, `{"tenant":"good","k":5}`); resp.StatusCode != http.StatusOK || len(out.Seeds) != 5 {
+		t.Fatalf("good tenant: status %d, %d seeds", resp.StatusCode, len(out.Seeds))
 	}
 }

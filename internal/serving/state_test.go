@@ -1,15 +1,13 @@
 // Durability wiring of the serving layer: budget evictions and retirement
 // snapshot durable tenants, re-admission and process "restarts" recover
 // them bit-identically, startup sweeps crash debris, and the
-// liveness/readiness split gates traffic while recovery or worker outages
-// are in progress.
+// liveness/readiness split gates traffic while recovery is in progress.
 package serving
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -322,72 +320,5 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	m.recovering.Add(-1)
 	if status, body = getReadyz(t, ts); status != http.StatusOK || !body.Ready {
 		t.Fatalf("/readyz after recovery = %d %+v, want 200 ready=true", status, body)
-	}
-}
-
-// TestReadyzWorkerReachability pins the degraded-capacity condition: with
-// remote workers configured, /readyz reports per-worker reachability and
-// returns 503 only when EVERY worker is unreachable — one live worker (or
-// one coming back) keeps the process in rotation.
-func TestReadyzWorkerReachability(t *testing.T) {
-	g := testGraph(t, 9)
-
-	// Two real shard workers on localhost TCP, exactly what imworker runs.
-	var addrs []string
-	var servers []*ris.ShardServer
-	var listeners []net.Listener
-	for i := 0; i < 2; i++ {
-		srv := ris.NewShardServer(g, ris.ShardServerOptions{SamplingWorkers: 1})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		servers = append(servers, srv)
-		listeners = append(listeners, ln)
-		addrs = append(addrs, ln.Addr().String())
-	}
-	defer func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
-	}()
-
-	m := NewManager(Config{})
-	t.Cleanup(m.Close)
-	if err := m.AddTenant("a", TenantConfig{
-		Graph: g, Model: stopandstare.IC,
-		Session: stopandstare.SessionOptions{Seed: 5, Workers: 2, RemoteWorkers: addrs},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(m, ServerConfig{}).Handler())
-	t.Cleanup(ts.Close)
-
-	status, body := getReadyz(t, ts)
-	if status != http.StatusOK || !body.Ready || !body.Workers[addrs[0]] || !body.Workers[addrs[1]] {
-		t.Fatalf("/readyz with live workers = %d %+v", status, body)
-	}
-
-	// One worker down: degraded but still ready, and the body says which.
-	servers[0].Close()
-	listeners[0].Close()
-	status, body = getReadyz(t, ts)
-	if status != http.StatusOK || !body.Ready {
-		t.Fatalf("/readyz with one worker down = %d %+v, want ready", status, body)
-	}
-	if body.Workers[addrs[0]] || !body.Workers[addrs[1]] {
-		t.Fatalf("per-worker reachability wrong: %+v", body.Workers)
-	}
-
-	// All workers down: zero sampling capacity, out of rotation.
-	servers[1].Close()
-	listeners[1].Close()
-	status, body = getReadyz(t, ts)
-	if status != http.StatusServiceUnavailable || body.Ready {
-		t.Fatalf("/readyz with all workers down = %d %+v, want 503", status, body)
-	}
-	if body.Workers[addrs[0]] || body.Workers[addrs[1]] {
-		t.Fatalf("per-worker reachability wrong: %+v", body.Workers)
 	}
 }

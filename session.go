@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"stopandstare/internal/core"
 	"stopandstare/internal/epoch"
@@ -15,11 +14,6 @@ import (
 	"stopandstare/internal/ris"
 	"stopandstare/internal/tvm"
 )
-
-// ErrShardUnreachable is the sentinel wrapped by the error a Session with
-// RemoteWorkers returns when a shard worker cannot be reached: test with
-// errors.Is to distinguish degraded serving capacity from a bad request.
-var ErrShardUnreachable = ris.ErrShardUnreachable
 
 // Session is a long-lived, concurrency-safe serving object for a stream of
 // influence-maximization queries against one (graph, model). It owns:
@@ -96,29 +90,10 @@ type SessionOptions struct {
 	// Seed drives the RR stream; RR set i is a pure function of (Seed, i).
 	// 0 is a valid seed.
 	Seed uint64
-	// Workers bounds sampling parallelism (≤0 ⇒ runtime.GOMAXPROCS(0)).
+	// Workers bounds sampling and index-build parallelism of the session's
+	// one in-process RR store (≤0 ⇒ runtime.GOMAXPROCS(0)). Results are
+	// bit-identical at every count.
 	Workers int
-	// Shards is the number of in-process id shards of the RR store (one
-	// arena + index per shard, generated shard-parallel); ≤ 1 = one shard
-	// (default). Results are bit-identical at every count: sharding only
-	// changes memory topology and generation parallelism.
-	Shards int
-	// ShardWorkers bounds per-shard generation parallelism. For remote
-	// shards it is the sampling parallelism requested on each worker (0 =
-	// the worker process's own default).
-	ShardWorkers int
-	// RemoteWorkers lists imworker addresses ("host:port" TCP or
-	// "unix:/path"); non-empty keeps the RR stream in a remote-sharded
-	// store, one shard per worker process, overriding Shards. Workers open
-	// the same graph (a mapped .sasg shares pages across every worker on a
-	// host) and must be started with a node count matching this session's
-	// graph. Results are bit-identical to every in-process topology; an
-	// unreachable worker surfaces from Maximize as an error wrapping
-	// ErrShardUnreachable after the client's reconnect budget is spent.
-	RemoteWorkers []string
-	// RemoteTimeout bounds one worker RPC exchange (including the sampling
-	// a top-up triggers worker-side); 0 selects a generous default.
-	RemoteTimeout time.Duration
 	// SpillBudgetBytes > 0 enables the store's disk spill tier: whenever a
 	// top-up leaves more than this many resident RR bytes, the coldest
 	// arena extents and CSR index blocks are spilled to disk and served
@@ -129,13 +104,16 @@ type SessionOptions struct {
 	SpillDir string
 	// StateDir, when non-empty, makes the session durable: NewSession
 	// recovers the RR store from the directory's committed snapshot (if its
-	// seed, model and shard topology match — verified, with
-	// corrupted block suffixes discarded and resampled deterministically),
-	// and Session.Persist writes crash-safe snapshots back. Recovery is
+	// seed, model and one-shard topology match — verified, with corrupted
+	// block suffixes discarded and resampled deterministically), and
+	// Session.Persist writes crash-safe snapshots back. Recovery is
 	// best-effort: a missing, mismatched or unreadable snapshot simply
-	// starts the session cold; it never blocks serving. Results are
-	// bit-identical either way — a recovered store holds exactly the sets a
-	// cold one would regenerate.
+	// starts the session cold; it never blocks serving. A snapshot of a
+	// multi-shard or remote-sharded store, which sessions wrote while they
+	// had shard options, is such a mismatch: the session starts cold, and
+	// its first Persist replaces that snapshot. Results are bit-identical
+	// either way — a recovered store holds exactly the sets a cold one
+	// would regenerate.
 	StateDir string
 	// Weights, when non-nil, makes this a weighted (targeted viral
 	// marketing) session: roots are drawn proportionally to Weights[v] ≥ 0
@@ -263,9 +241,7 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 		return nil, err
 	}
 	sopt := ris.StoreOptions{
-		Workers: opt.Workers, Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-		RemoteWorkers: opt.RemoteWorkers, RemoteTimeout: opt.RemoteTimeout,
-		SpillBudgetBytes: opt.SpillBudgetBytes, SpillDir: opt.SpillDir,
+		Workers: opt.Workers, SpillBudgetBytes: opt.SpillBudgetBytes, SpillDir: opt.SpillDir,
 	}
 	s := &Session{
 		opt:     opt,
@@ -276,8 +252,8 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 	if opt.StateDir != "" {
 		// Best-effort recovery: a committed, matching snapshot warms the
 		// store (corrupt suffixes are discarded and resampled inside
-		// Recover); anything else — no snapshot, wrong topology, corrupt
-		// beyond the store header — starts cold. Either way the session is
+		// Recover); anything else — no snapshot, a multi-shard topology,
+		// corrupt beyond the store header — starts cold. Either way the session is
 		// usable, and bit-identical to a cold one at every query.
 		if st, info, err := ris.Recover(sampler, opt.Seed, sopt, opt.StateDir); err == nil {
 			s.store = st
@@ -349,28 +325,22 @@ func (s *Session) MaximizeContext(ctx context.Context, q Query) (*Result, error)
 }
 
 // growthCanceled carries a context error out of sessionEnv.Ensure (the
-// error-free core.Exec surface) to maximize's recover, mirroring how
-// *ris.ShardError escapes the error-free Store interface.
+// error-free core.Exec surface) to maximize's recover.
 type growthCanceled struct{ err error }
 
 func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error) {
-	// The Store interface is error-free, so a remote-sharded store raises
-	// worker failures as *ris.ShardError panics; this is the surface that
-	// turns them back into ordinary errors (degraded mode: the session
-	// stays usable and retries once workers return). Canceled growths
-	// arrive the same way, as *growthCanceled. Lock discipline is
-	// panic-safe below here — core brackets store reads with deferred
-	// releases — so no session lock is held when we land in this recover.
+	// core.Exec.Ensure cannot return an error, so a canceled growth
+	// arrives as a *growthCanceled panic; this is the surface that turns
+	// it back into an ordinary error. Lock discipline is panic-safe below
+	// here — core brackets store reads with deferred releases — so no
+	// session lock is held when we land in this recover.
 	defer func() {
 		if p := recover(); p != nil {
-			switch v := p.(type) {
-			case *ris.ShardError:
-				res, err = nil, v
-			case *growthCanceled:
-				res, err = nil, v.err
-			default:
+			gc, ok := p.(*growthCanceled)
+			if !ok {
 				panic(p)
 			}
+			res, err = nil, gc.err
 		}
 	}()
 	algo := q.Algorithm
@@ -532,9 +502,8 @@ func (e sessionEnv) Ensure(target int) bool {
 	var grew bool
 	func() {
 		s.mu.Lock()
-		// Deferred so a remote shard's failure panic (*ris.ShardError) or a
-		// canceled growth (*growthCanceled, raised below) cannot leak the
-		// write lock on its way to maximize's recover.
+		// Deferred so a canceled growth (*growthCanceled, raised below)
+		// cannot leak the write lock on its way to maximize's recover.
 		defer s.mu.Unlock()
 		grew = s.store.Len() < target // another query may have topped up first
 		if err := s.store.GenerateToCtx(e.ctx, target); err != nil {
@@ -555,7 +524,7 @@ func (e sessionEnv) Solve(upto, k int) maxcover.Result { return e.s.solver.Solve
 
 func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
 	m := e.s.marks.Get().(*epoch.Marks)
-	defer e.s.marks.Put(m) // returned to the pool even if a remote shard panics
+	defer e.s.marks.Put(m)
 	return ris.CoverageRangeSeedsMarks(e.s.store, m, seeds, from, to)
 }
 

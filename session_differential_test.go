@@ -73,43 +73,40 @@ func assertSameResult(t *testing.T, ctx string, warm, cold *stopandstare.Result,
 	}
 }
 
-// TestSessionDifferentialWarmVsCold runs randomized query sequences on warm
-// sessions across flat/sharded stores, comparing every query against a
-// cold (one-shard) Maximize run with identical parameters.
+// TestSessionDifferentialWarmVsCold runs a randomized query sequence on a
+// warm session, comparing every query against a cold Maximize run with
+// identical parameters.
 func TestSessionDifferentialWarmVsCold(t *testing.T) {
 	g, err := stopandstare.GeneratePowerLaw(220, 1400, 2.1, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const seed = 71
-	for _, shards := range []int{0, 3} {
-		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
-			Seed: seed, Workers: 2, Shards: shards, ShardWorkers: 2,
+	sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
+		Seed: seed, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range randomQuerySequence(5, 8) {
+		ctx := fmt.Sprintf("q%d(%s,k=%d,eps=%v)", qi, q.algo, q.k, q.eps)
+		var warmTrace []stopandstare.Checkpoint
+		warm, err := sess.Maximize(stopandstare.Query{
+			Algorithm: q.algo, K: q.k, Epsilon: q.eps,
+			OnCheckpoint: func(cp stopandstare.Checkpoint) { warmTrace = append(warmTrace, cp) },
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: warm: %v", ctx, err)
 		}
-		for qi, q := range randomQuerySequence(int64(shards)*31+5, 8) {
-			ctx := fmt.Sprintf("shards=%d/q%d(%s,k=%d,eps=%v)",
-				shards, qi, q.algo, q.k, q.eps)
-			var warmTrace []stopandstare.Checkpoint
-			warm, err := sess.Maximize(stopandstare.Query{
-				Algorithm: q.algo, K: q.k, Epsilon: q.eps,
-				OnCheckpoint: func(cp stopandstare.Checkpoint) { warmTrace = append(warmTrace, cp) },
-			})
-			if err != nil {
-				t.Fatalf("%s: warm: %v", ctx, err)
-			}
-			var coldTrace []stopandstare.Checkpoint
-			cold, err := stopandstare.Maximize(g, stopandstare.IC, q.algo, stopandstare.Options{
-				K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
-				OnCheckpoint: func(cp stopandstare.Checkpoint) { coldTrace = append(coldTrace, cp) },
-			})
-			if err != nil {
-				t.Fatalf("%s: cold: %v", ctx, err)
-			}
-			assertSameResult(t, ctx, warm, cold, warmTrace, coldTrace)
+		var coldTrace []stopandstare.Checkpoint
+		cold, err := stopandstare.Maximize(g, stopandstare.IC, q.algo, stopandstare.Options{
+			K: q.k, Epsilon: q.eps, Seed: seed, Workers: 2,
+			OnCheckpoint: func(cp stopandstare.Checkpoint) { coldTrace = append(coldTrace, cp) },
+		})
+		if err != nil {
+			t.Fatalf("%s: cold: %v", ctx, err)
 		}
+		assertSameResult(t, ctx, warm, cold, warmTrace, coldTrace)
 	}
 }
 
@@ -351,7 +348,7 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
-			Seed: uint64(i), Workers: 2, Shards: i, // flat and sharded sessions
+			Seed: uint64(i), Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

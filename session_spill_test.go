@@ -64,7 +64,7 @@ func runSpillSequence(t *testing.T, ctx string, sess *stopandstare.Session, qs [
 // TestSessionDifferentialSpilled runs a randomized query stream on spilled
 // sessions at budgets derived from the flat session's resident footprint
 // (no spill, ~50%, ~90%, and a 1-byte budget that spills everything
-// spillable), flat and sharded, demanding bit-identical per-query results
+// spillable), demanding bit-identical per-query results
 // and checkpoint traces — then hammers the tightest-budget session with
 // concurrent repeats for race coverage over the fault-in paths.
 func TestSessionDifferentialSpilled(t *testing.T) {
@@ -87,22 +87,16 @@ func TestSessionDifferentialSpilled(t *testing.T) {
 		t.Fatalf("flat session reports StoreBytes %d", flatBytes)
 	}
 
-	type cfg struct {
-		budget int64
-		shards int
+	budgets := []int64{
+		2 * flatBytes, // budget above footprint: spill tier armed, nothing moves
+		flatBytes / 2,
+		flatBytes / 10,
+		1,
 	}
-	cfgs := []cfg{
-		{2 * flatBytes, 0}, // budget above footprint: spill tier armed, nothing moves
-		{flatBytes / 2, 0},
-		{flatBytes / 10, 0},
-		{1, 0},
-		{1, 3}, // sharded store, everything spillable on disk
-	}
-	for _, c := range cfgs {
-		ctx := fmt.Sprintf("budget=%d/shards=%d", c.budget, c.shards)
+	for _, budget := range budgets {
+		ctx := fmt.Sprintf("budget=%d", budget)
 		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
-			Seed: seed, Workers: 2, Shards: c.shards, ShardWorkers: 2,
-			SpillBudgetBytes: c.budget, SpillDir: t.TempDir(),
+			Seed: seed, Workers: 2, SpillBudgetBytes: budget, SpillDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
@@ -113,17 +107,17 @@ func TestSessionDifferentialSpilled(t *testing.T) {
 				gotRes[qi], wantRes[qi], gotTraces[qi], wantTraces[qi])
 		}
 		st := sess.Stats()
-		if c.budget < flatBytes/2+1 {
+		if budget < flatBytes/2+1 {
 			// A budget below the flat footprint must actually tier data out.
 			if st.SpillFileBytes <= 0 {
 				t.Fatalf("%s: no spill file despite under-footprint budget: %+v", ctx, st)
 			}
 		}
-		if c.budget == 1 && c.shards == 0 && runtime.GOOS == "linux" && st.StoreBytes >= flatBytes {
+		if budget == 1 && runtime.GOOS == "linux" && st.StoreBytes >= flatBytes {
 			t.Fatalf("%s: resident %d not reduced below flat %d", ctx, st.StoreBytes, flatBytes)
 		}
 
-		if c.budget == 1 {
+		if budget == 1 {
 			// Concurrent warm repeats: every reader faults spilled blocks
 			// back through the shared mappings; run under -race this covers
 			// reader/reader and reader/LRU-stamp interleavings.

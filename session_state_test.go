@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+
+	"stopandstare/internal/ris"
 )
 
 // sameSessionAnswer fails unless two results agree in every deterministic
@@ -20,96 +22,144 @@ func sameSessionAnswer(t *testing.T, ctx string, got, want *Result) {
 	}
 }
 
-// TestSessionDurability pins the session-level durability contract, flat
-// and sharded: Persist commits a snapshot, a rebuilt session with the same
-// StateDir recovers the RR store — Stats reports the recovered sets and
-// snapshot size — and every query on the recovered session, warm repeats
-// and growing refinements alike, answers bit-identically to a session that
+// TestSessionDurability pins the session-level durability contract:
+// Persist commits a snapshot, a rebuilt session with the same StateDir
+// recovers the RR store — Stats reports the recovered sets and snapshot
+// size — and every query on the recovered session, warm repeats and
+// growing refinements alike, answers bit-identically to a session that
 // never restarted.
 func TestSessionDurability(t *testing.T) {
 	g, err := GeneratePowerLaw(300, 1800, 2.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 2} {
-		dir := t.TempDir()
-		opt := SessionOptions{Seed: 21, Workers: 2, Shards: shards, StateDir: dir}
-		ref, err := NewSession(g, IC, SessionOptions{Seed: 21, Workers: 2, Shards: shards})
+	dir := t.TempDir()
+	opt := SessionOptions{Seed: 21, Workers: 2, StateDir: dir}
+	ref, err := NewSession(g, IC, SessionOptions{Seed: 21, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(g, IC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.Recovered != 0 || st.SnapshotBytes != 0 {
+		t.Fatalf("cold durable session reports recovery: %+v", st)
+	}
+	q1 := Query{K: 6, Epsilon: 0.3}
+	q2 := Query{K: 9, Epsilon: 0.25}
+	for _, q := range []Query{q1, q2} {
+		want, err := ref.Maximize(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := NewSession(g, IC, opt)
+		got, err := sess.Maximize(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := sess.Stats(); st.Recovered != 0 || st.SnapshotBytes != 0 {
-			t.Fatalf("shards=%d cold durable session reports recovery: %+v", shards, st)
-		}
-		q1 := Query{K: 6, Epsilon: 0.3}
-		q2 := Query{K: 9, Epsilon: 0.25}
-		for _, q := range []Query{q1, q2} {
-			want, err := ref.Maximize(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sess.Maximize(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSessionAnswer(t, "pre-restart", got, want)
-		}
-		info, err := sess.Persist()
-		if err != nil {
-			t.Fatalf("shards=%d persist: %v", shards, err)
-		}
-		if info.Sets != sess.Stats().Samples || info.Bytes <= 0 {
-			t.Fatalf("shards=%d snapshot info %+v vs %d resident sets", shards, info, sess.Stats().Samples)
-		}
-		if st := sess.Stats(); st.SnapshotBytes != info.Bytes {
-			t.Fatalf("shards=%d SnapshotBytes %d, want %d", shards, st.SnapshotBytes, info.Bytes)
-		}
+		sameSessionAnswer(t, "pre-restart", got, want)
+	}
+	info, err := sess.Persist()
+	if err != nil {
+		t.Fatalf("persist: %v", err)
+	}
+	if info.Sets != sess.Stats().Samples || info.Bytes <= 0 {
+		t.Fatalf("snapshot info %+v vs %d resident sets", info, sess.Stats().Samples)
+	}
+	if st := sess.Stats(); st.SnapshotBytes != info.Bytes {
+		t.Fatalf("SnapshotBytes %d, want %d", st.SnapshotBytes, info.Bytes)
+	}
 
-		// "Restart": a fresh session over the same state dir recovers the
-		// store instead of starting cold.
-		sess2, err := NewSession(g, IC, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := sess2.Stats()
-		if st.Recovered != info.Sets || st.SnapshotBytes != info.Bytes {
-			t.Fatalf("shards=%d recovered session stats %+v, want %d sets / %d bytes", shards, st, info.Sets, info.Bytes)
-		}
-		// Warm repeat: served from recovered samples without growth.
-		want, err := ref.Maximize(q2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sess2.Maximize(q2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSessionAnswer(t, "post-restart warm repeat", got, want)
-		if !got.Warm {
-			t.Fatalf("shards=%d recovered repeat was not warm", shards)
-		}
-		// Growing refinement: the recovered prefix extends bit-identically.
-		q3 := Query{K: 9, Epsilon: 0.15}
-		if want, err = ref.Maximize(q3); err != nil {
-			t.Fatal(err)
-		}
-		if got, err = sess2.Maximize(q3); err != nil {
-			t.Fatal(err)
-		}
-		sameSessionAnswer(t, "post-restart refinement", got, want)
+	// "Restart": a fresh session over the same state dir recovers the
+	// store instead of starting cold.
+	sess2, err := NewSession(g, IC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sess2.Stats()
+	if st.Recovered != info.Sets || st.SnapshotBytes != info.Bytes {
+		t.Fatalf("recovered session stats %+v, want %d sets / %d bytes", st, info.Sets, info.Bytes)
+	}
+	// Warm repeat: served from recovered samples without growth.
+	want, err := ref.Maximize(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess2.Maximize(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSessionAnswer(t, "post-restart warm repeat", got, want)
+	if !got.Warm {
+		t.Fatal("recovered repeat was not warm")
+	}
+	// Growing refinement: the recovered prefix extends bit-identically.
+	q3 := Query{K: 9, Epsilon: 0.15}
+	if want, err = ref.Maximize(q3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = sess2.Maximize(q3); err != nil {
+		t.Fatal(err)
+	}
+	sameSessionAnswer(t, "post-restart refinement", got, want)
 
-		// A mismatched topology must not recover someone else's stream: a
-		// different seed over the same dir starts cold.
-		other, err := NewSession(g, IC, SessionOptions{Seed: 99, Workers: 2, Shards: shards, StateDir: dir})
+	// A mismatched topology must not recover someone else's stream: a
+	// different seed over the same dir starts cold.
+	other, err := NewSession(g, IC, SessionOptions{Seed: 99, Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := other.Stats(); st.Recovered != 0 {
+		t.Fatalf("mismatched seed recovered %d sets", st.Recovered)
+	}
+}
+
+// TestSessionMultiShardStateStartsCold pins what an old state directory
+// does to a session that has no shard options: a committed 3-shard
+// snapshot, the one a sharded durable session or imserve -shards 3
+// -state-dir left behind, is a topology mismatch. The session recovers
+// nothing and answers bit-identically to a fresh one.
+func TestSessionMultiShardStateStartsCold(t *testing.T) {
+	g, err := GeneratePowerLaw(300, 1800, 2.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 21
+	sampler, err := ris.NewSampler(g, IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := ris.NewStore(sampler, seed, ris.StoreOptions{Workers: 2, Shards: 3})
+	old.GenerateTo(5000)
+	dir := t.TempDir()
+	if _, err := old.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err := NewSession(g, IC, SessionOptions{Seed: seed, Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.Recovered != 0 || st.Samples != 0 {
+		t.Fatalf("session over a 3-shard snapshot recovered %d sets (%d resident), want a cold start",
+			st.Recovered, st.Samples)
+	}
+	fresh, err := NewSession(g, IC, SessionOptions{Seed: seed, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{{K: 6, Epsilon: 0.3}, {Algorithm: SSA, K: 9, Epsilon: 0.25}} {
+		want, err := fresh.Maximize(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := other.Stats(); st.Recovered != 0 {
-			t.Fatalf("shards=%d mismatched seed recovered %d sets", shards, st.Recovered)
+		got, err := sess.Maximize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSessionAnswer(t, "over multi-shard state", got, want)
+		if got.Warm != want.Warm {
+			t.Fatalf("warm %v, fresh session %v", got.Warm, want.Warm)
 		}
 	}
 }
@@ -138,74 +188,72 @@ func TestSessionMaximizeContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 2} {
-		ref, err := NewSession(g, IC, SessionOptions{Seed: 31, Workers: 2, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := NewSession(g, IC, SessionOptions{Seed: 31, Workers: 2, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := Query{K: 7, Epsilon: 0.3}
+	ref, err := NewSession(g, IC, SessionOptions{Seed: 31, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(g, IC, SessionOptions{Seed: 31, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{K: 7, Epsilon: 0.3}
 
-		// Pre-canceled: rejected before any work.
-		pre, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := sess.MaximizeContext(pre, q); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d pre-canceled err = %v", shards, err)
-		}
-		if st := sess.Stats(); st.Samples != 0 {
-			t.Fatalf("shards=%d pre-canceled query grew the store to %d", shards, st.Samples)
-		}
+	// Pre-canceled: rejected before any work.
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sess.MaximizeContext(pre, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled err = %v", err)
+	}
+	if st := sess.Stats(); st.Samples != 0 {
+		t.Fatalf("pre-canceled query grew the store to %d", st.Samples)
+	}
 
-		// Mid-flight: the context flips during the query's doubling loop.
-		// Completed top-ups legitimately remain — each is atomic — but a
-		// canceled one must leave nothing: the store may only ever sit at a
-		// clean schedule prefix (a length the never-canceled twin also
-		// passes through), never mid-append. The bit-identical convergence
-		// below is the torn-store detector: any partial append would skew
-		// every later coverage count.
-		canceled := 0
-		for _, after := range []int64{2, 4, 8, 16, 64} {
-			before := sess.Stats()
-			ctx := &cancelAfterCtx{Context: context.Background(), after: after}
-			res, err := sess.MaximizeContext(ctx, q)
-			if err != nil {
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("shards=%d after=%d err = %v", shards, after, err)
-				}
-				canceled++
-				if st := sess.Stats(); st.Samples < before.Samples {
-					t.Fatalf("shards=%d after=%d store shrank: %d → %d", shards, after, before.Samples, st.Samples)
-				}
-				continue
+	// Mid-flight: the context flips during the query's doubling loop.
+	// Completed top-ups legitimately remain — each is atomic — but a
+	// canceled one must leave nothing: the store may only ever sit at a
+	// clean schedule prefix (a length the never-canceled twin also
+	// passes through), never mid-append. The bit-identical convergence
+	// below is the torn-store detector: any partial append would skew
+	// every later coverage count.
+	canceled := 0
+	for _, after := range []int64{2, 4, 8, 16, 64} {
+		before := sess.Stats()
+		ctx := &cancelAfterCtx{Context: context.Background(), after: after}
+		res, err := sess.MaximizeContext(ctx, q)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("after=%d err = %v", after, err)
 			}
-			want, werr := ref.Maximize(q)
-			if werr != nil {
-				t.Fatal(werr)
+			canceled++
+			if st := sess.Stats(); st.Samples < before.Samples {
+				t.Fatalf("after=%d store shrank: %d → %d", after, before.Samples, st.Samples)
 			}
-			sameSessionAnswer(t, "late-cancel full answer", res, want)
+			continue
 		}
-		if canceled == 0 {
-			t.Fatalf("shards=%d no flip point canceled — test exercised nothing", shards)
+		want, werr := ref.Maximize(q)
+		if werr != nil {
+			t.Fatal(werr)
 		}
+		sameSessionAnswer(t, "late-cancel full answer", res, want)
+	}
+	if canceled == 0 {
+		t.Fatalf("no flip point canceled — test exercised nothing")
+	}
 
-		// The abandoned growths left no trace: the same query, uncanceled,
-		// answers exactly like the never-canceled twin (including through
-		// MaximizeContext with a live context).
-		want, err := ref.Maximize(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sess.MaximizeContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSessionAnswer(t, "post-cancel query", got, want)
-		if sess.Stats().Samples != ref.Stats().Samples {
-			t.Fatalf("shards=%d store sizes diverged: %d vs %d", shards, sess.Stats().Samples, ref.Stats().Samples)
-		}
+	// The abandoned growths left no trace: the same query, uncanceled,
+	// answers exactly like the never-canceled twin (including through
+	// MaximizeContext with a live context).
+	want, err := ref.Maximize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.MaximizeContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSessionAnswer(t, "post-cancel query", got, want)
+	if sess.Stats().Samples != ref.Stats().Samples {
+		t.Fatalf("store sizes diverged: %d vs %d", sess.Stats().Samples, ref.Stats().Samples)
 	}
 }
 
