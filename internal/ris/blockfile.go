@@ -40,11 +40,11 @@ const (
 	blockAlign   = 64
 )
 
-// Block kinds (header byte 4).
+// Block kinds (header byte 4). Kind 12 was the gid table of multi-shard
+// snapshots; it stays unassigned.
 const (
 	snapKindMeta    byte = 10 // store meta (wbuf-encoded)
 	snapKindOffsets byte = 11 // segment offset table: []int64 image
-	snapKindGids    byte = 12 // segment gid table: []int32 image
 	snapKindArena   byte = 13 // arena extent items: []uint32 image
 	snapKindIndex   byte = 14 // CSR index block: []int32 starts ++ []int32 ids
 )

@@ -19,11 +19,11 @@ import (
 // not write.
 //
 // Corruption degrades gracefully instead of failing the store: a bad arena
-// or table block discards the stream suffix from the first unrecoverable RR
-// set onward (across every shard — the global stream must stay a prefix),
-// and the discarded suffix is resampled deterministically from the (seed, i)
-// streams, reproducing it bit-identically. A bad CSR index block alone loses
-// nothing: the index is derived data, rebuilt from the arena.
+// or offset block discards the stream suffix from the first unrecoverable RR
+// set onward (the stream must stay a prefix), and the discarded suffix is
+// resampled deterministically from the (seed, i) streams, reproducing it
+// bit-identically. A bad CSR index block alone loses nothing: the index is
+// derived data, rebuilt from the arena.
 
 // RecoveryInfo reports what Recover restored.
 type RecoveryInfo struct {
@@ -31,12 +31,8 @@ type RecoveryInfo struct {
 	// resampling included).
 	Sets int
 	// Discarded is the number of persisted RR sets dropped because a block
-	// failed validation; they are resampled deterministically.
+	// failed validation; Recover resamples them deterministically.
 	Discarded int
-	// Resampled is the number of discarded sets regenerated during Recover
-	// (equal to Discarded unless a remote worker was unreachable, in which
-	// case the remainder is topped up by the first query).
-	Resampled int
 	// RebuiltIndexBlocks counts CSR index blocks rebuilt from the arena.
 	RebuiltIndexBlocks int
 	// SnapshotBytes is the recovered snapshot file's size.
@@ -97,35 +93,25 @@ type snapBlkMeta struct {
 }
 
 type snapSegMeta struct {
-	nsets   int
-	width   int64
-	hasGids bool
-	exts    []snapExtMeta
-	blks    []snapBlkMeta
+	nsets int
+	width int64
+	exts  []snapExtMeta
+	blks  []snapBlkMeta
 }
 
+// snapMetaD is a decoded meta block: the store identity and epoch table,
+// and the one segment's descriptor.
 type snapMetaD struct {
-	seed     uint64
-	model    uint8
-	weighted bool
-	whash    uint64
-	scale    float64
-	n        int
-	length   int
-	shards   int
-	remote   bool
-	keys     []string
-	nonces   []uint64
-	epochs   []genEpoch
-	segs     []snapSegMeta
+	storeMeta
+	seg snapSegMeta
 }
 
-func decodeSegMeta(r *rbuf) snapSegMeta {
-	sm := snapSegMeta{
-		nsets:   int(r.u64()),
-		width:   r.i64(),
-		hasGids: r.u8() != 0,
-	}
+// decodeSegMeta reads a segment descriptor; gids reports the flag byte that
+// announced a gid table in multi-shard snapshots.
+func decodeSegMeta(r *rbuf) (sm snapSegMeta, gids bool) {
+	sm.nsets = int(r.u64())
+	sm.width = r.i64()
+	gids = r.u8() != 0
 	ne := int(r.u32())
 	for i := 0; i < ne && r.err == nil; i++ {
 		sm.exts = append(sm.exts, snapExtMeta{
@@ -139,7 +125,7 @@ func decodeSegMeta(r *rbuf) snapSegMeta {
 			nStarts: int(r.u64()), nIds: int(r.u64()),
 		})
 	}
-	return sm
+	return sm, gids
 }
 
 // validateSegMeta enforces the structural invariants the writer guarantees:
@@ -171,6 +157,10 @@ func validateSegMeta(sm *snapSegMeta, n int) error {
 	return nil
 }
 
+// decodeStoreMeta decodes and checks a meta block. A meta of any topology
+// but one in-process shard is a *SnapshotMismatchError, answered before any
+// table is allocated; a meta whose epochs, segment and declared length do
+// not describe the same [0, length) is a *SnapshotCorruptError.
 func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 	corrupt := func(f string, a ...any) error {
 		return &SnapshotCorruptError{Path: path, Reason: fmt.Sprintf(f, a...)}
@@ -179,97 +169,64 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 	if v := r.u32(); v != snapVersion {
 		return nil, corrupt("meta version %d, want %d", v, snapVersion)
 	}
-	md := &snapMetaD{
-		seed:  r.u64(),
-		model: r.u8(),
-	}
+	md := &snapMetaD{}
+	md.seed = r.u64()
+	md.model = r.u8()
 	reserved := r.u8()
 	md.weighted = r.u8() != 0
 	md.whash = r.u64()
 	md.scale = r.f64()
 	md.n = int(r.u64())
 	md.length = int(r.u64())
-	md.shards = int(r.u32())
-	md.remote = r.u8() != 0
-	if md.n < 0 || md.length < 0 || md.shards < 0 || md.shards > 1<<20 {
-		return nil, corrupt("meta n=%d length=%d shards=%d", md.n, md.length, md.shards)
+	shards, remote := r.u32(), r.u8() != 0
+	if r.err != nil || md.n < 0 || md.length < 0 {
+		return nil, corrupt("meta n=%d length=%d (%v)", md.n, md.length, r.err)
 	}
-	if md.shards == 0 {
-		// Written by the retired flat store: a topology this build cannot
-		// hold, not a damaged file. Callers start cold, as for any other
-		// topology change.
-		return nil, &SnapshotMismatchError{Reason: "snapshot was taken by a flat (shards=0) store"}
+	if shards != 1 || remote {
+		// Written by the retired flat store (shards = 0) or by a multi-shard
+		// or remote store of an earlier build: a topology this build does
+		// not persist, not a damaged file. Callers start cold.
+		return nil, &SnapshotMismatchError{Reason: fmt.Sprintf("snapshot of a %d-shard store (remote=%v)", shards, remote)}
 	}
 	if reserved != 0 {
 		// Written by a sampler other than the compiled plan: a different RR
 		// stream, so nothing in it can be reused.
 		return nil, &SnapshotMismatchError{Reason: fmt.Sprintf("snapshot sampled with kernel %d", reserved)}
 	}
-	if md.remote {
-		for i := 0; i < md.shards && r.err == nil; i++ {
-			md.keys = append(md.keys, r.str())
-			md.nonces = append(md.nonces, r.u64())
-		}
-	}
-	S := md.shards
 	nep := int(r.u32())
-	// An epoch is 16·(S+1)+8 bytes, so the payload bounds the count before
-	// any bounds table is allocated.
-	if nep > r.remaining()/(16*S+24) {
+	// An epoch is five words, so the payload bounds the count before the
+	// table is allocated.
+	if nep > r.remaining()/40 {
 		return nil, corrupt("meta declares %d epochs in %d bytes", nep, r.remaining())
 	}
-	for i := 0; i < nep && r.err == nil; i++ {
-		e := genEpoch{
-			from:   int(r.u64()),
-			to:     int(r.u64()),
-			bounds: make([]int, S+1),
-			base:   make([]int, S),
-		}
-		for s := 0; s <= S; s++ {
-			e.bounds[s] = int(r.u64())
-		}
-		for s := 0; s < S; s++ {
-			e.base[s] = int(r.u64())
-		}
-		md.epochs = append(md.epochs, e)
-	}
-	nsegs := int(r.u32())
-	for i := 0; i < nsegs && r.err == nil; i++ {
-		md.segs = append(md.segs, decodeSegMeta(&r))
-	}
-	if r.err != nil {
-		return nil, corrupt("meta payload: %v", r.err)
-	}
-	if nsegs != md.shards {
-		return nil, corrupt("meta declares %d segments for %d shards", nsegs, md.shards)
-	}
-	for i := range md.segs {
-		sm := &md.segs[i]
-		// Only a lone in-process shard may run on identity ids.
-		if !sm.hasGids && (md.remote || md.shards > 1) {
-			return nil, corrupt("segment %d has no gid table under %d shards (remote=%v)", i, md.shards, md.remote)
-		}
-		if err := validateSegMeta(sm, md.n); err != nil {
-			return nil, corrupt("segment %d: %v", i, err)
-		}
-	}
-	// Epoch sanity: contiguous global ranges, monotone bounds.
+	md.epochs = make([]genEpoch, nep)
 	prev := 0
 	for i := range md.epochs {
-		e := &md.epochs[i]
-		if e.from != prev || e.to <= e.from || e.bounds[0] != e.from || e.bounds[S] != e.to {
-			return nil, corrupt("epoch %d spans [%d,%d) after %d", i, e.from, e.to, prev)
+		from, to := int(r.u64()), int(r.u64())
+		lo, hi, base := int(r.u64()), int(r.u64()), int(r.u64())
+		// The epochs tile [0, length), and one shard's bounds and base are
+		// the epoch's own range.
+		if from != prev || to <= from || lo != from || hi != to || base != from {
+			return nil, corrupt("epoch %d spans [%d,%d) after %d, bounds [%d,%d), base %d", i, from, to, prev, lo, hi, base)
 		}
-		for s := 0; s < S; s++ {
-			if e.bounds[s+1] < e.bounds[s] || e.base[s] < 0 {
-				return nil, corrupt("epoch %d bounds not monotone", i)
-			}
-		}
-		prev = e.to
+		md.epochs[i] = genEpoch{from: from, to: to, bounds: []int{from, to}, base: []int{from}}
+		prev = to
+	}
+	nsegs := r.u32()
+	sm, gids := decodeSegMeta(&r)
+	if r.err != nil {
+		return nil, corrupt("meta payload: %v", r.err)
 	}
 	if prev != md.length {
 		return nil, corrupt("epochs cover %d of %d sets", prev, md.length)
 	}
+	if nsegs != 1 || gids || sm.nsets != md.length {
+		return nil, corrupt("meta declares %d segments (gid table %v) holding %d of %d sets", nsegs, gids, sm.nsets, md.length)
+	}
+	if err := validateSegMeta(&sm, md.n); err != nil {
+		return nil, corrupt("segment: %v", err)
+	}
+	md.seg = sm
 	return md, nil
 }
 
@@ -291,35 +248,29 @@ func validateMeta(md *snapMetaD, s *Sampler, seed uint64, opt StoreOptions) erro
 	if md.weighted != (s.root != nil) || md.whash != weightsHash(s.weights) {
 		return mism("weight vector differs")
 	}
-	remote, shards := len(opt.RemoteWorkers) > 0, max(opt.Shards, 1)
-	if remote {
-		shards = len(opt.RemoteWorkers)
-	}
-	if md.remote != remote || md.shards != shards {
-		return mism("store has %d shards (remote=%v), snapshot %d (remote=%v)", shards, remote, md.shards, md.remote)
+	if opt.Shards > 1 || len(opt.RemoteWorkers) > 0 {
+		return mism("a snapshot holds one in-process shard; the store has %d shards, %d remote", opt.Shards, len(opt.RemoteWorkers))
 	}
 	return nil
 }
 
-// segRestore is the per-segment outcome of the block walk: heap copies of
-// the small tables, mapped payloads for arena and index blocks, and badFrom,
-// the first local set that cannot be restored (nsets when clean).
+// segRestore is the outcome of the block walk: a heap copy of the offset
+// table, mapped payloads for arena and index blocks, and badFrom, the first
+// set that cannot be restored (nsets when clean).
 type segRestore struct {
 	sm      *snapSegMeta
 	offsets []int64  // heap copy; nil ⇒ badFrom == 0
-	gids    []int32  // heap copy; nil unless sm.hasGids and the block is good
 	arenas  [][]byte // one payload per extent entry; nil = unrecoverable
 	iblocks [][]byte // validated prefix of the index block payloads
 	badFrom int
 }
 
-// readSegBlocks walks one segment's blocks starting at off, mapping and
-// validating each against the meta descriptor, and returns the restore plan
-// plus the offset of the next segment's blocks. A block that fails
-// validation maps to nil: that unit is gone, never a store-level error.
-// Block positions depend only on the meta, so one corrupt payload never
-// desynchronizes the walk.
-func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) (segRestore, int64) {
+// readSegBlocks walks the segment's blocks starting at off, mapping and
+// validating each against the meta descriptor, and returns the restore
+// plan. A block that fails validation maps to nil: that unit is gone, never
+// a store-level error. Block positions depend only on the meta, so one
+// corrupt payload never desynchronizes the walk.
+func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 	r := segRestore{sm: sm, badFrom: sm.nsets}
 	plen := int64(sm.nsets+1) * 8
 	if p, _ := bf.mapBlock(off, snapKindOffsets, plen); p != nil {
@@ -336,23 +287,6 @@ func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) (segRestore, int64
 		r.badFrom = 0
 	}
 	off = nextBlock(off, plen)
-	if sm.hasGids {
-		plen = int64(sm.nsets) * 4
-		if p, _ := bf.mapBlock(off, snapKindGids, plen); p != nil {
-			gids := append([]int32(nil), castSlice[int32](p)...)
-			ok := true
-			for i := 1; i < len(gids) && ok; i++ {
-				ok = gids[i] > gids[i-1]
-			}
-			if ok {
-				r.gids = gids
-			}
-		}
-		if r.gids == nil {
-			r.badFrom = 0
-		}
-		off = nextBlock(off, plen)
-	}
 	for _, x := range sm.exts {
 		plen = x.items * 4
 		p, _ := bf.mapBlock(off, snapKindArena, plen)
@@ -365,50 +299,32 @@ func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) (segRestore, int64
 		}
 		r.arenas = append(r.arenas, p)
 	}
-	good := true
 	for _, b := range sm.blks {
 		plen = int64(b.nStarts+b.nIds) * 4
 		p, _ := bf.mapBlock(off, snapKindIndex, plen)
 		off = nextBlock(off, plen)
-		if good && p != nil {
-			all := castSlice[int32](p)
-			if int(all[b.nStarts-1]) == b.nIds {
-				r.iblocks = append(r.iblocks, p)
-				continue
-			}
+		// An index block lists every item of its sets once, so its id count
+		// must be their item count, and its last start must close the ids.
+		if p == nil || r.offsets == nil || int64(b.nIds) != r.offsets[b.lto]-r.offsets[b.lfrom] ||
+			int(castSlice[int32](p)[b.nStarts-1]) != b.nIds {
+			break
 		}
-		good = false
+		r.iblocks = append(r.iblocks, p)
 	}
-	return r, off
-}
-
-// gidOfLocalZero returns the global id of shard s's first local set, from
-// the epoch table (the first epoch that assigned the shard any sets).
-func gidOfLocalZero(epochs []genEpoch, s int) int {
-	for i := range epochs {
-		e := &epochs[i]
-		if e.bounds[s+1] > e.bounds[s] {
-			return e.bounds[s]
-		}
-	}
-	return int(^uint(0) >> 1) // shard never got sets; nothing to discard
+	return r
 }
 
 // restoreSegment populates sg from the restore plan, truncated to its first
-// c local sets. Extents and index blocks alias the snapshot's mappings
-// (marked mapped), so they are excluded from resident accounting and from
-// spill eviction exactly like spilled units; the tail restarts empty, so
-// growth appends normally. keepIndex is false for remote mirror segments
-// (their CSR blocks live worker-side). Returns the number of index blocks
-// rebuilt from the arena.
-func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex bool) int {
+// c sets. Extents and index blocks alias the snapshot's mappings (marked
+// mapped), so they are excluded from resident accounting and from spill
+// eviction exactly like spilled units; the tail restarts empty, so growth
+// appends normally. Returns the number of index blocks rebuilt from the
+// arena.
+func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph) int {
 	if c <= 0 {
 		return 0
 	}
 	sg.offsets = r.offsets[:c+1]
-	if r.sm.hasGids {
-		sg.gids = r.gids[:c]
-	}
 	for ei, x := range r.sm.exts {
 		if x.setFrom >= c {
 			break
@@ -427,6 +343,8 @@ func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex
 	sg.tailBase = sg.offsets[c]
 	sg.buf = nil
 	if c == r.sm.nsets {
+		// Taken from the meta on trust: checking it would cost a pass over
+		// every item, several times the rest of the recovery.
 		sg.width = r.sm.width
 	} else {
 		// The suffix was discarded; per-set widths are not stored, so the
@@ -440,9 +358,6 @@ func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex
 		}
 		sg.width = w
 	}
-	if !keepIndex {
-		return 0
-	}
 	lcov := 0
 	for bi, p := range r.iblocks {
 		bm := &r.sm.blks[bi]
@@ -450,12 +365,10 @@ func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex
 			break
 		}
 		all := castSlice[int32](p)
-		starts := all[:bm.nStarts:bm.nStarts]
-		ids := all[bm.nStarts : bm.nStarts+bm.nIds]
 		sg.blocks = append(sg.blocks, csrBlock{
-			from: sg.gid(bm.lfrom), to: sg.gid(bm.lto-1) + 1,
-			lfrom: bm.lfrom, lto: bm.lto,
-			starts: starts, ids: ids, mapped: true,
+			from: bm.lfrom, to: bm.lto, lfrom: bm.lfrom, lto: bm.lto,
+			starts: all[:bm.nStarts:bm.nStarts], ids: all[bm.nStarts : bm.nStarts+bm.nIds],
+			mapped: true,
 		})
 		lcov = bm.lto
 	}
@@ -466,7 +379,7 @@ func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph, keepIndex
 	return 0
 }
 
-// rebuildIndexBlocks indexes local sets [from, to) reading through setAt
+// rebuildIndexBlocks indexes sets [from, to) reading through setAt
 // (the sets live in mapped extents, outside the tail the normal build path
 // slices), in as many blocks as maxBlockItems requires. Only the recovery
 // path uses it: dropped or truncated index blocks are derived data,
@@ -479,7 +392,8 @@ func rebuildIndexBlocks(sg *segment, from, to int) {
 	}
 }
 
-// rebuildIndexBlock builds one CSR block over local sets [from, to).
+// rebuildIndexBlock builds one CSR block over sets [from, to); a recovered
+// segment is the lone shard, so its local indices are the global ids.
 func rebuildIndexBlock(sg *segment, from, to int) {
 	n := sg.n
 	starts := make([]int32, n+1)
@@ -495,15 +409,13 @@ func rebuildIndexBlock(sg *segment, from, to int) {
 	cursor := make([]int32, n)
 	copy(cursor, starts[:n])
 	for i := from; i < to; i++ {
-		id := int32(sg.gid(i))
 		for _, v := range sg.setAt(i) {
-			ids[cursor[v]] = id
+			ids[cursor[v]] = int32(i)
 			cursor[v]++
 		}
 	}
 	sg.blocks = append(sg.blocks, csrBlock{
-		from: sg.gid(from), to: sg.gid(to-1) + 1,
-		lfrom: from, lto: to,
+		from: from, to: to, lfrom: from, lto: to,
 		starts: starts, ids: ids,
 	})
 }
@@ -512,13 +424,12 @@ func rebuildIndexBlock(sg *segment, from, to int) {
 // snapshot in dir. On success the returned store serves answers
 // bit-identical to the persisted one: RR set i is a pure function of
 // (seed, i), so even a corrupt-suffix discard is repaired exactly by
-// deterministic resampling (performed here; for remote stores an unreachable
-// worker defers the top-up to the first query).
+// deterministic resampling, performed here.
 //
 // Errors mean nothing was recovered and the caller should start cold:
 // ErrNoSnapshot (empty dir — the normal first boot), *SnapshotMismatchError
-// (snapshot belongs to a different store), *SnapshotCorruptError (manifest
-// or meta unusable).
+// (snapshot belongs to a different store, or opt asks for several or remote
+// shards), *SnapshotCorruptError (manifest or meta unusable).
 func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *RecoveryInfo, error) {
 	man, err := loadManifest(dir)
 	if err != nil {
@@ -529,7 +440,11 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	if err != nil {
 		return nil, nil, err
 	}
-	md, off, err := readStoreMeta(bf)
+	payload, off, err := metaBlock(bf)
+	var md *snapMetaD
+	if err == nil {
+		md, err = decodeStoreMeta(payload, bf.path)
+	}
 	if err == nil {
 		err = validateMeta(md, s, seed, opt)
 	}
@@ -538,115 +453,34 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 		return nil, nil, err
 	}
 
-	restores := make([]segRestore, len(md.segs))
-	for i := range md.segs {
-		restores[i], off = readSegBlocks(bf, &md.segs[i], off)
-	}
-
-	// Global cutoff: the stream must stay a prefix of (seed, i), so the
-	// first unrecoverable RR set anywhere truncates every shard to the sets
-	// below its global id.
-	cutoff := md.length
-	for si := range restores {
-		r := &restores[si]
-		if r.badFrom >= r.sm.nsets {
-			continue
-		}
-		var g int
-		switch {
-		case !r.sm.hasGids:
-			g = r.badFrom // identity ids
-		case r.gids != nil:
-			g = int(r.gids[r.badFrom])
-		default:
-			g = gidOfLocalZero(md.epochs, si)
-		}
-		if g < cutoff {
-			cutoff = g
-		}
-	}
-
+	r := readSegBlocks(bf, &md.seg, off)
+	// The stream must stay a prefix of (seed, i): the first unrecoverable
+	// set is the cutoff, and the epoch it falls in is clipped to it.
+	cutoff := r.badFrom
 	epochs := md.epochs
-	if cutoff < md.length {
-		kept := make([]genEpoch, 0, len(epochs))
-		for i := range epochs {
-			e := epochs[i]
-			if e.to <= cutoff {
-				kept = append(kept, e)
-				continue
-			}
-			if e.from >= cutoff {
-				break
-			}
-			e.to = cutoff
-			e.bounds = append([]int(nil), e.bounds...)
-			for s := range e.bounds {
-				if e.bounds[s] > cutoff {
-					e.bounds[s] = cutoff
-				}
-			}
-			kept = append(kept, e)
-			break
-		}
-		epochs = kept
-	}
-
-	// Per-segment kept-set counts under the cutoff.
-	cs := make([]int, len(md.segs))
 	for i := range epochs {
-		e := &epochs[i]
-		for s := range cs {
-			cs[s] += e.bounds[s+1] - e.bounds[s]
+		if e := &epochs[i]; e.to >= cutoff {
+			if e.from == cutoff {
+				epochs = epochs[:i]
+			} else {
+				e.to, e.bounds[1] = cutoff, cutoff
+				epochs = epochs[:i+1]
+			}
+			break
 		}
 	}
 
 	st := newStore(s, seed, opt)
 	info := &RecoveryInfo{
-		Discarded:     md.length - cutoff,
-		SnapshotBytes: bf.size,
-		Generation:    man.Generation,
-	}
-	for i := range st.segs {
-		info.RebuiltIndexBlocks += restoreSegment(st.segs[i], &restores[i], cs[i], s.g, st.remotes == nil)
+		Discarded:          md.length - cutoff,
+		RebuiltIndexBlocks: restoreSegment(st.segs[0], &r, cutoff, s.g),
+		SnapshotBytes:      bf.size,
+		Generation:         man.Generation,
 	}
 	st.epochs = epochs
 	st.length = cutoff
 	st.snap = bf
-	for i, rs := range st.remotes {
-		rs.key = md.keys[i]
-		rs.nonce = md.nonces[i]
-	}
-
-	// Resample the discarded suffix deterministically. A remote store may be
-	// unable to reach its workers yet; that is not a recovery failure — the
-	// store stays at the cutoff and the first query tops it up.
-	if cutoff < md.length {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					if _, ok := p.(*ShardError); !ok {
-						panic(p)
-					}
-				}
-			}()
-			st.GenerateTo(md.length)
-		}()
-	}
+	st.GenerateTo(md.length) // resamples a discarded suffix; a no-op when clean
 	info.Sets = st.Len()
-	info.Resampled = info.Sets - cutoff
 	return st, info, nil
-}
-
-// readStoreMeta validates and decodes the leading meta block, returning the
-// decoded meta and the offset of the first data block.
-func readStoreMeta(bf *blockFile) (*snapMetaD, int64, error) {
-	payload, off, err := metaBlock(bf)
-	if err != nil {
-		return nil, 0, err
-	}
-	md, err := decodeStoreMeta(payload, bf.path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return md, off, nil
 }

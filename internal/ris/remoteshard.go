@@ -25,7 +25,9 @@ import (
 // replaying Generate ranges, and the worker's idempotent redelivery covers
 // the inverse (worker ahead after a coordinator rollback). Only when the
 // reconnect budget is spent does an operation fail, as a *ShardError
-// wrapping ErrShardUnreachable.
+// wrapping ErrShardUnreachable. A remote store is never persisted
+// (ErrSnapshotTopology): its key and nonce live only as long as the
+// coordinator process.
 type RemoteShard struct {
 	addr    string
 	dial    DialFunc

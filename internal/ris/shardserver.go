@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 
 	"stopandstare/internal/diffusion"
@@ -15,10 +14,10 @@ import (
 
 // ShardServer is the worker side of cross-process sharding: it opens the
 // graph once (read-only — a mapped .sasg costs one set of pages shared by
-// every worker on the host) and owns the arena + CSR index of any number of
-// logical shards, keyed by the coordinator-chosen shard key. Only the
-// frozen benchmarks/imperf topology sweep and tests serve it; tests drive
-// ServeConn directly over net.Pipe.
+// every worker on the host) and keeps, resident in memory, the arena + CSR
+// index of any number of logical shards, keyed by the coordinator-chosen
+// shard key. Only the frozen benchmarks/imperf topology sweep and tests
+// serve it; tests drive ServeConn directly over net.Pipe.
 //
 // The server is deliberately stateless-recoverable: a shard's spec plus the
 // deterministic (seed, gid) PRNG streams fully determine its contents, so a
@@ -28,13 +27,9 @@ type ShardServerOptions struct {
 	// SamplingWorkers bounds generation parallelism for shards whose spec
 	// asks for the worker default (0); ≤0 selects GOMAXPROCS.
 	SamplingWorkers int
-	// SpillBudgetBytes > 0 enables the disk spill tier for the whole worker
-	// process: after any shard growth that leaves more than this many
-	// resident RR bytes across ALL resident shards, the globally-coldest
-	// arena extents and CSR index blocks are spilled to a shared file.
-	SpillBudgetBytes int64
-	// SpillDir is where the worker's spill file is created ("" selects the
-	// OS temp directory).
+	// SpillDir is ignored: shard servers keep every shard resident. It stays
+	// only because the frozen benchmarks/imperf topology sweep sets it, and
+	// goes with the shard server.
 	SpillDir string
 }
 
@@ -47,7 +42,6 @@ const maxWorkerShards = 64
 type ShardServer struct {
 	g       *graph.Graph
 	workers int
-	spill   *spillState // shared across all resident shards; nil ⇒ disabled
 
 	mu     sync.Mutex
 	shards map[string]*workerShard
@@ -72,17 +66,13 @@ type workerShard struct {
 
 // NewShardServer creates a shard server over g.
 func NewShardServer(g *graph.Graph, opt ShardServerOptions) *ShardServer {
-	s := &ShardServer{
+	return &ShardServer{
 		g:       g,
 		workers: opt.SamplingWorkers,
 		shards:  make(map[string]*workerShard),
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
-	if opt.SpillBudgetBytes > 0 {
-		s.spill = newSpillState(opt.SpillBudgetBytes, opt.SpillDir)
-	}
-	return s
 }
 
 // NumShards reports the resident shard-state count (tests and stats).
@@ -200,11 +190,7 @@ func (s *ShardServer) dispatch(bw *bufio.Writer, kind byte, payload []byte) erro
 	case opStats:
 		return s.handleStats(bw, payload)
 	case opGenerate:
-		err := s.handleGenerate(bw, payload)
-		if err == nil {
-			s.enforceSpill()
-		}
-		return err
+		return s.handleGenerate(bw, payload)
 	case opPostings:
 		return s.handlePostings(bw, payload)
 	case opCoverage:
@@ -258,7 +244,6 @@ func (s *ShardServer) handleOpen(bw *bufio.Writer, payload []byte) error {
 	}
 	seg := newSegment(s.g.NumNodes())
 	seg.gids = []int32{}
-	seg.spill = s.spill
 	s.mu.Lock()
 	s.clock++
 	s.shards[key] = &workerShard{
@@ -286,64 +271,6 @@ func (s *ShardServer) samplerForSpec(spec shardSpec) (*Sampler, error) {
 		return NewWeightedSampler(s.g, model, spec.weights)
 	}
 	return NewSampler(s.g, model)
-}
-
-// enforceSpill brings the worker's total resident RR bytes across all
-// resident shards back under the spill budget by spilling the
-// globally-coldest units. Every shard mutex is held for the duration, taken
-// in sorted key order; request handlers hold at most one shard mutex and
-// never wait for another, so the ordering cannot deadlock. Called after
-// each successful generate, outside any shard mutex.
-func (s *ShardServer) enforceSpill() {
-	sp := s.spill
-	if sp == nil {
-		return
-	}
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.shards))
-	for k := range s.shards {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	shards := make([]*workerShard, len(keys))
-	for i, k := range keys {
-		shards[i] = s.shards[k]
-	}
-	s.mu.Unlock()
-	segs := make([]*segment, len(shards))
-	for i, sh := range shards {
-		sh.mu.Lock()
-		segs[i] = sh.seg
-	}
-	sp.enforce(sp.budget, segs)
-	for _, sh := range shards {
-		sh.mu.Unlock()
-	}
-}
-
-// SpillStats reports the worker's spill tier accounting across all resident
-// shards (zero value when the server was built without a spill budget).
-func (s *ShardServer) SpillStats() SpillStats {
-	sp := s.spill
-	if sp == nil {
-		return SpillStats{}
-	}
-	s.mu.Lock()
-	shards := make([]*workerShard, 0, len(s.shards))
-	for _, sh := range s.shards {
-		shards = append(shards, sh)
-	}
-	s.mu.Unlock()
-	segs := make([]*segment, len(shards))
-	for i, sh := range shards {
-		sh.mu.Lock()
-		segs[i] = sh.seg
-	}
-	st := spillStatsOf(sp, segs)
-	for _, sh := range shards {
-		sh.mu.Unlock()
-	}
-	return st
 }
 
 // evictLocked drops least-recently-used shards beyond the cap, never the
@@ -483,9 +410,8 @@ func encodeChunk(res *chunkResult) []byte {
 }
 
 // encodeArenaChunk re-serializes local sets [lfrom, lto) straight from the
-// arena in the same chunk layout encodeChunk produces. The range may span
-// frozen (possibly spilled) extents and the tail, so sets are gathered
-// through setAt rather than sliced from one backing array.
+// arena in the same chunk layout encodeChunk produces, gathering the sets
+// through setAt.
 func (s *ShardServer) encodeArenaChunk(seg *segment, lfrom, lto int) []byte {
 	base := seg.offsets[lfrom]
 	buf := make([]uint32, 0, seg.offsets[lto]-base)
@@ -540,7 +466,7 @@ func (s *ShardServer) handlePostings(bw *bufio.Writer, payload []byte) error {
 		return err
 	}
 	sh.mu.Lock()
-	it := Postings{blocks: sh.seg.blocks, sp: sh.seg.spill, v: v, from: from, upto: upto}
+	it := Postings{blocks: sh.seg.blocks, v: v, from: from, upto: upto}
 	var w wbuf
 	var ids []int32
 	for {
@@ -578,7 +504,7 @@ func (s *ShardServer) handleCoverage(bw *bufio.Writer, payload []byte) error {
 	if to > from && len(seeds) > 0 {
 		sh.marks.Reset(to)
 		for _, v := range seeds {
-			it := Postings{blocks: sh.seg.blocks, sp: sh.seg.spill, v: v, from: from, upto: to}
+			it := Postings{blocks: sh.seg.blocks, v: v, from: from, upto: to}
 			for {
 				run, ok := it.Next()
 				if !ok {

@@ -17,13 +17,14 @@ import (
 // This file is the durable half of the RR-set store: a versioned on-disk
 // snapshot format plus the atomic manifest protocol that commits it.
 //
-// A snapshot is a blockFile (blockfile.go): a meta block — seed, model, a
-// reserved zero byte, shard topology, epoch table and per-segment
-// descriptors — followed by every segment's offset table, gid table, arena
-// extents and CSR index blocks, in the order the meta declares them. Arena
-// and index blocks are the very blocks a spill file holds, so recovery
-// aliases them through mapBlock exactly as a spilled unit is aliased: a
-// warm restart costs one sequential checksum pass, not a resample.
+// A snapshot holds one in-process shard. It is a blockFile (blockfile.go):
+// a meta block — seed, model, a reserved zero byte, the topology words
+// (always one shard, not remote), the epoch table and the segment
+// descriptor — followed by the segment's offset table, arena extents and
+// CSR index blocks, in the order the meta declares them. Arena and index
+// blocks are the very blocks a spill file holds, so recovery aliases them
+// through mapBlock exactly as a spilled unit is aliased: a warm restart
+// costs one sequential checksum pass, not a resample.
 //
 // Commit protocol: write snapshot-<gen>.rrsnap → fsync file → fsync dir →
 // write manifest.json.tmp → fsync → rename over manifest.json → fsync dir.
@@ -52,9 +53,15 @@ const (
 // (no manifest). Callers start cold; this is the expected first-boot path.
 var ErrNoSnapshot = errors.New("ris: no snapshot")
 
+// ErrSnapshotTopology reports a Persist on a store with several shards or
+// remote shards: only a one-shard in-process store is persisted, and
+// nothing was written.
+var ErrSnapshotTopology = errors.New("ris: only a one-shard in-process store can be persisted")
+
 // SnapshotMismatchError reports a committed snapshot that describes a
-// different store than the one being recovered (other seed, graph, model or
-// shard topology). Callers start cold and may keep or replace the snapshot.
+// different store than the one being recovered (other seed, graph or
+// model), or a snapshot of a multi-shard or remote store that earlier
+// builds wrote. Callers start cold and may keep or replace the snapshot.
 type SnapshotMismatchError struct{ Reason string }
 
 func (e *SnapshotMismatchError) Error() string {
@@ -173,9 +180,8 @@ func ReadSnapshotInfo(dir string) (SnapshotInfo, error) {
 	}, nil
 }
 
-// storeMeta is everything the meta block carries besides the per-segment
-// descriptors: the identity a recovery must match and the tables that cannot
-// be derived from the segments alone.
+// storeMeta is everything the meta block carries besides the segment
+// descriptor: the identity a recovery must match and the epoch table.
 type storeMeta struct {
 	seed     uint64
 	model    uint8
@@ -184,10 +190,6 @@ type storeMeta struct {
 	scale    float64
 	n        int
 	length   int
-	shards   int
-	remote   bool
-	keys     []string // remote only: per-shard worker keys
-	nonces   []uint64 // remote only: per-shard open nonces
 	epochs   []genEpoch
 }
 
@@ -252,15 +254,16 @@ func persistExtents(sg *segment) []persistExt {
 	return out
 }
 
-// encodeSegMeta appends one segment's descriptor: set count, width, whether
-// a gid table follows, the arena extents and the CSR index blocks. Block
-// payload lengths are all derivable from this, so recovery can locate every
-// block in the file without trusting any payload.
+// encodeSegMeta appends the segment's descriptor: set count, width, a zero
+// byte (no gid table: one shard runs on identity ids), the arena extents and
+// the CSR index blocks. Block payload lengths are all derivable from this,
+// so recovery can locate every block in the file without trusting any
+// payload.
 func encodeSegMeta(w *wbuf, sg *segment) {
 	ns := sg.nsets()
 	w.u64(uint64(ns))
 	w.i64(sg.width)
-	w.u8(b2u(sg.gids != nil))
+	w.u8(0)
 	exts := persistExtents(sg)
 	w.u32(uint32(len(exts)))
 	for _, x := range exts {
@@ -278,16 +281,11 @@ func encodeSegMeta(w *wbuf, sg *segment) {
 	}
 }
 
-// writeSegBlocks appends one segment's data blocks in the order its
-// descriptor declares: offsets, gids (segments with a gid table), arena
-// extents, CSR index blocks. Append errors are sticky, so the caller checks
-// bf.err once after the last block.
+// writeSegBlocks appends the segment's data blocks in the order its
+// descriptor declares: offsets, arena extents, CSR index blocks. Append
+// errors are sticky, so the caller checks bf.err once after the last block.
 func writeSegBlocks(bf *blockFile, sg *segment) {
-	ns := sg.nsets()
-	bf.append(snapKindOffsets, rawBytes(sg.offsets[:ns+1]))
-	if sg.gids != nil {
-		bf.append(snapKindGids, rawBytes(sg.gids[:ns]))
-	}
+	bf.append(snapKindOffsets, rawBytes(sg.offsets[:sg.nsets()+1]))
 	for _, x := range persistExtents(sg) {
 		bf.append(snapKindArena, rawBytes(x.data))
 	}
@@ -297,7 +295,11 @@ func writeSegBlocks(bf *blockFile, sg *segment) {
 	}
 }
 
-func encodeStoreMeta(m storeMeta, segs []*segment) []byte {
+// encodeStoreMeta encodes the meta block of a one-shard snapshot. The
+// topology words and the per-epoch shard bounds are what earlier builds
+// wrote for any shard count; at one shard they are fixed (bounds [from, to),
+// base from), so the format is unchanged.
+func encodeStoreMeta(m storeMeta, sg *segment) []byte {
 	var w wbuf
 	w.u32(snapVersion)
 	w.u64(m.seed)
@@ -308,73 +310,48 @@ func encodeStoreMeta(m storeMeta, segs []*segment) []byte {
 	w.f64(m.scale)
 	w.u64(uint64(m.n))
 	w.u64(uint64(m.length))
-	w.u32(uint32(m.shards))
-	w.u8(b2u(m.remote))
-	if m.remote {
-		for i := range m.keys {
-			w.str(m.keys[i])
-			w.u64(m.nonces[i])
-		}
-	}
+	w.u32(1) // shards
+	w.u8(0)  // remote
 	w.u32(uint32(len(m.epochs)))
 	for i := range m.epochs {
 		e := &m.epochs[i]
 		w.u64(uint64(e.from))
 		w.u64(uint64(e.to))
-		for _, b := range e.bounds {
-			w.u64(uint64(b))
-		}
-		for _, b := range e.base {
-			w.u64(uint64(b))
-		}
+		w.u64(uint64(e.from)) // bounds
+		w.u64(uint64(e.to))
+		w.u64(uint64(e.from)) // base
 	}
-	w.u32(uint32(len(segs)))
-	for _, sg := range segs {
-		encodeSegMeta(&w, sg)
-	}
+	w.u32(1) // segments
+	encodeSegMeta(&w, sg)
 	return w.b
 }
 
-// Persist writes a snapshot of the store into dir and commits it.
-// For a remote-sharded store the mirrors and the per-shard keys and nonces
-// are persisted: a recovered coordinator re-opens each worker shard under
-// its old identity, so a worker that kept that state resyncs by delta
-// replay instead of a full wipe.
+// Persist writes a snapshot of the store into dir and commits it. Only a
+// one-shard in-process store is persisted: any other topology returns
+// ErrSnapshotTopology and writes nothing.
 func (sc *ShardedCollection) Persist(dir string) (SnapshotInfo, error) {
 	return sc.PersistFS(dir, OSSnapshotFS)
 }
 
 // PersistFS is Persist through an injected filesystem (fault tests).
 func (sc *ShardedCollection) PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error) {
+	if len(sc.segs) != 1 || sc.remotes != nil {
+		return SnapshotInfo{}, ErrSnapshotTopology
+	}
 	m := storeMetaOf(sc.sampler, sc.seed)
 	m.length = sc.length
-	m.shards = len(sc.segs)
 	m.epochs = sc.epochs
-	if sc.remotes != nil {
-		m.remote = true
-		for _, rs := range sc.remotes {
-			rs.mu.Lock()
-			m.keys = append(m.keys, rs.key)
-			m.nonces = append(m.nonces, rs.nonce)
-			rs.mu.Unlock()
-		}
-	}
-	return persistStore(dir, fs, m, sc.segs)
+	sg := sc.segs[0]
+	return persistSnapshot(dir, fs, encodeStoreMeta(m, sg), sg, m.length)
 }
 
-// persistStore runs the full snapshot protocol: write every block, fsync the
+// persistSnapshot runs the full snapshot protocol over an encoded meta
+// block: write the meta block and the segment's data blocks, fsync the
 // file, fsync the directory, then commit by atomic manifest replace. On any
 // error the previous manifest — and therefore the previous snapshot — stays
 // committed; partial files are swept by the next successful Persist or by
 // CleanStateDir.
-func persistStore(dir string, fs SnapshotFS, m storeMeta, segs []*segment) (SnapshotInfo, error) {
-	return persistSnapshot(dir, fs, encodeStoreMeta(m, segs), segs, m.length)
-}
-
-// persistSnapshot is persistStore over an already encoded meta block: the
-// meta block, then every segment's data blocks, fsync, atomic manifest
-// commit.
-func persistSnapshot(dir string, fs SnapshotFS, meta []byte, segs []*segment, sets int) (SnapshotInfo, error) {
+func persistSnapshot(dir string, fs SnapshotFS, meta []byte, sg *segment, sets int) (SnapshotInfo, error) {
 	if fs == nil {
 		fs = OSSnapshotFS
 	}
@@ -393,9 +370,7 @@ func persistSnapshot(dir string, fs SnapshotFS, meta []byte, segs []*segment, se
 	}
 	bf := &blockFile{path: path, w: f}
 	bf.append(snapKindMeta, meta)
-	for _, sg := range segs {
-		writeSegBlocks(bf, sg)
-	}
+	writeSegBlocks(bf, sg)
 	err = bf.err
 	if err == nil {
 		err = f.Sync()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -110,7 +111,7 @@ func (fs *crashFS) Crash() {
 	}
 }
 
-func snapTestSampler(t *testing.T) *Sampler {
+func snapTestSampler(t testing.TB) *Sampler {
 	t.Helper()
 	g, err := gen.ChungLu(120, 700, 2.1, 5, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -127,6 +128,34 @@ func growPattern(st Store) {
 
 func snapOpt(shards int) StoreOptions {
 	return StoreOptions{Workers: 2 * max(shards, 1), Shards: shards} // two workers per shard
+}
+
+// Byte offsets of the meta words the tests patch.
+const (
+	metaKernelByte = 4 + 8 + 1                          // after version u32, seed u64, model u8
+	metaLengthWord = metaKernelByte + 1 + 1 + 8 + 8 + 8 // after reserved, weighted, whash, scale, n
+	metaShardsWord = metaLengthWord + 8
+	metaEpochs     = metaShardsWord + 4 + 1 + 4 // after shards u32, remote u8, epoch count u32
+	metaEpochSize  = 5 * 8                      // from, to, bounds[0], bounds[1], base
+)
+
+// storeMetaBytes encodes sc's meta block as Persist writes it.
+func storeMetaBytes(sc *ShardedCollection) []byte {
+	m := storeMetaOf(sc.sampler, sc.seed)
+	m.length, m.epochs = sc.length, sc.epochs
+	return encodeStoreMeta(m, sc.segs[0])
+}
+
+// overclaimMeta is sc's meta block claiming length sets: the length word
+// and the last epoch's end and upper bound are patched, so the epochs still
+// tile [0, length) but the segment holds only sc.Len() sets.
+func overclaimMeta(sc *ShardedCollection, length int) []byte {
+	meta := storeMetaBytes(sc)
+	last := metaEpochs + metaEpochSize*(len(sc.epochs)-1)
+	for _, off := range []int{metaLengthWord, last + 8, last + 24} {
+		binary.LittleEndian.PutUint64(meta[off:], uint64(length))
+	}
+	return meta
 }
 
 // snapBlockPos locates every block of a committed snapshot file by walking
@@ -180,7 +209,7 @@ func flipFileByte(t *testing.T, path string, off int64) {
 // persist/recover generation.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := snapTestSampler(t)
-	for _, shards := range []int{0, 1, 3} {
+	for _, shards := range []int{0, 1} {
 		ctx := fmt.Sprintf("shards=%d", shards)
 		dir := t.TempDir()
 		opt := snapOpt(shards)
@@ -345,14 +374,14 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatalf("wrong model: %v, want SnapshotMismatchError", err)
 	}
 
-	// A meta block with shards == 0 is what the retired flat store wrote (no
-	// epoch table, one segment on identity ids): a topology this build
-	// cannot hold, reported like any other topology change.
-	flatDir := t.TempDir()
+	// A meta block with shards == 0 is what the retired flat store wrote: a
+	// topology this build cannot hold, reported like any other topology
+	// change.
 	sc := st.(*ShardedCollection)
-	m := storeMetaOf(s, 42)
-	m.length = sc.length
-	if _, err := persistStore(flatDir, OSSnapshotFS, m, sc.segs); err != nil {
+	flat := storeMetaBytes(sc)
+	binary.LittleEndian.PutUint32(flat[metaShardsWord:], 0)
+	flatDir := t.TempDir()
+	if _, err := persistSnapshot(flatDir, OSSnapshotFS, flat, sc.segs[0], sc.length); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Recover(s, 42, snapOpt(0), flatDir); !errors.As(err, &mm) {
@@ -363,17 +392,14 @@ func TestSnapshotMismatch(t *testing.T) {
 	// now always written 0. A non-zero byte names another RR stream, so the
 	// snapshot is refused as a mismatch (the caller starts cold), never
 	// reused.
-	const kernelByte = 4 + 8 + 1 // version u32, seed u64, model u8
-	km := storeMetaOf(s, 42)
-	km.length, km.shards, km.epochs = sc.length, len(sc.segs), sc.epochs
-	meta := encodeStoreMeta(km, sc.segs)
-	if meta[kernelByte] != 0 {
-		t.Fatalf("kernel byte written as %d, want 0", meta[kernelByte])
+	meta := storeMetaBytes(sc)
+	if meta[metaKernelByte] != 0 {
+		t.Fatalf("kernel byte written as %d, want 0", meta[metaKernelByte])
 	}
 	for _, kb := range []byte{0, 1} {
 		kdir := t.TempDir()
-		meta[kernelByte] = kb
-		if _, err := persistSnapshot(kdir, OSSnapshotFS, meta, sc.segs, sc.length); err != nil {
+		meta[metaKernelByte] = kb
+		if _, err := persistSnapshot(kdir, OSSnapshotFS, meta, sc.segs[0], sc.length); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := Recover(s, 42, snapOpt(0), kdir)
@@ -403,91 +429,137 @@ func TestSnapshotMismatch(t *testing.T) {
 // offsets table discards the whole segment's stream suffix.
 func TestSnapshotCorruptBlock(t *testing.T) {
 	s := snapTestSampler(t)
-	for _, shards := range []int{0, 3} {
-		ctx := fmt.Sprintf("shards=%d", shards)
-		opt := snapOpt(shards)
-		ref := NewRefStore(s, 11)
-		growPattern(ref)
+	opt := snapOpt(0)
+	ref := NewRefStore(s, 11)
+	growPattern(ref)
 
-		persist := func() (string, string) {
-			t.Helper()
-			st := NewStore(s, 11, opt)
-			// Spill mid-life so the snapshot holds several arena blocks per
-			// segment and a corrupt one leaves a nonempty good prefix.
-			sp := spilledStore(t, s, 11, shards, 1)
-			_ = sp
-			stSp := spilledStore(t, s, 11, shards, 1)
-			growPattern(stSp)
-			_ = st
-			dir := t.TempDir()
-			info, err := stSp.Persist(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dir, info.Path
-		}
-
-		// Arena corruption: suffix discard + deterministic resample.
-		dir, path := persist()
-		var arenas []snapBlockPos
-		for _, b := range snapBlockTable(t, path) {
-			if b.kind == snapKindArena && b.plen > 0 {
-				arenas = append(arenas, b)
-			}
-		}
-		if len(arenas) < 2 {
-			t.Fatalf("%s: %d arena blocks, need >= 2", ctx, len(arenas))
-		}
-		last := arenas[len(arenas)-1]
-		flipFileByte(t, path, last.off+blockHdrSize+last.plen/2)
-		rec, rinfo, err := Recover(s, 11, opt, dir)
+	// Spill mid-life so the snapshot holds several arena blocks and a
+	// corrupt one leaves a nonempty good prefix.
+	persist := func() (string, string) {
+		t.Helper()
+		st := spilledStore(t, s, 11, 0, 1)
+		growPattern(st)
+		dir := t.TempDir()
+		info, err := st.Persist(dir)
 		if err != nil {
-			t.Fatalf("%s: recover with corrupt arena: %v", ctx, err)
+			t.Fatal(err)
 		}
-		if rinfo.Discarded == 0 || rinfo.Discarded >= ref.Len() || rinfo.Resampled != rinfo.Discarded {
-			t.Fatalf("%s: recovery info %+v, want partial discard+resample of %d sets", ctx, rinfo, ref.Len())
+		return dir, info.Path
+	}
+
+	// Arena corruption: suffix discard + deterministic resample.
+	dir, path := persist()
+	var arenas []snapBlockPos
+	for _, b := range snapBlockTable(t, path) {
+		if b.kind == snapKindArena && b.plen > 0 {
+			arenas = append(arenas, b)
 		}
-		AssertStoresEqual(t, ctx+"/corrupt-arena", ref, rec)
+	}
+	if len(arenas) < 2 {
+		t.Fatalf("%d arena blocks, need >= 2", len(arenas))
+	}
+	last := arenas[len(arenas)-1]
+	flipFileByte(t, path, last.off+blockHdrSize+last.plen/2)
+	rec, rinfo, err := Recover(s, 11, opt, dir)
+	if err != nil {
+		t.Fatalf("recover with corrupt arena: %v", err)
+	}
+	if rinfo.Discarded == 0 || rinfo.Discarded >= ref.Len() || rinfo.Sets != ref.Len() {
+		t.Fatalf("recovery info %+v, want partial discard+resample of %d sets", rinfo, ref.Len())
+	}
+	AssertStoresEqual(t, "corrupt-arena", ref, rec)
 
-		// Index corruption: rebuilt from the arena, nothing discarded.
-		if shards == 0 { // remote-less sharded stores also keep indexes, but one leg suffices
-			dir, path = persist()
-			var idx []snapBlockPos
-			for _, b := range snapBlockTable(t, path) {
-				if b.kind == snapKindIndex {
-					idx = append(idx, b)
-				}
-			}
-			if len(idx) == 0 {
-				t.Fatal("no index blocks persisted")
-			}
-			flipFileByte(t, path, idx[0].off+blockHdrSize+idx[0].plen/2)
-			rec, rinfo, err = Recover(s, 11, opt, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rinfo.Discarded != 0 || rinfo.RebuiltIndexBlocks == 0 {
-				t.Fatalf("recovery info %+v, want 0 discarded and a rebuilt index", rinfo)
-			}
-			AssertStoresEqual(t, "corrupt-index", ref, rec)
+	// Index corruption: rebuilt from the arena, nothing discarded.
+	dir, path = persist()
+	var idx []snapBlockPos
+	for _, b := range snapBlockTable(t, path) {
+		if b.kind == snapKindIndex {
+			idx = append(idx, b)
+		}
+	}
+	if len(idx) == 0 {
+		t.Fatal("no index blocks persisted")
+	}
+	flipFileByte(t, path, idx[0].off+blockHdrSize+idx[0].plen/2)
+	rec, rinfo, err = Recover(s, 11, opt, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rinfo.Discarded != 0 || rinfo.RebuiltIndexBlocks == 0 {
+		t.Fatalf("recovery info %+v, want 0 discarded and a rebuilt index", rinfo)
+	}
+	AssertStoresEqual(t, "corrupt-index", ref, rec)
 
-			// Offsets corruption: whole segment gone, fully resampled.
-			dir, path = persist()
-			blocks := snapBlockTable(t, path)
-			for _, b := range blocks {
-				if b.kind == snapKindOffsets {
-					flipFileByte(t, path, b.off+blockHdrSize+b.plen/2)
-					break
-				}
-			}
-			rec, rinfo, err = Recover(s, 11, opt, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rinfo.Discarded != ref.Len() || rec.Len() != ref.Len() {
-				t.Fatalf("recovery info %+v, want full discard and resample to %d", rinfo, ref.Len())
-			}
-			AssertStoresEqual(t, "corrupt-offsets", ref, rec)
+	// Offsets corruption: the whole stream gone, fully resampled.
+	dir, path = persist()
+	for _, b := range snapBlockTable(t, path) {
+		if b.kind == snapKindOffsets {
+			flipFileByte(t, path, b.off+blockHdrSize+b.plen/2)
+			break
+		}
+	}
+	rec, rinfo, err = Recover(s, 11, opt, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rinfo.Discarded != ref.Len() || rec.Len() != ref.Len() {
+		t.Fatalf("recovery info %+v, want full discard and resample to %d", rinfo, ref.Len())
+	}
+	AssertStoresEqual(t, "corrupt-offsets", ref, rec)
+}
+
+// TestRecoverOverclaimedLength persists 100 sets under a CRC-valid meta
+// that claims 200 in one epoch [0, 200). The meta contradicts its own
+// segment, so Recover must answer *SnapshotCorruptError rather than slice
+// the offset table past its end.
+func TestRecoverOverclaimedLength(t *testing.T) {
+	s := snapTestSampler(t)
+	sc := NewStore(s, 42, snapOpt(0)).(*ShardedCollection)
+	sc.GenerateTo(100)
+	dir := t.TempDir()
+	if _, err := persistSnapshot(dir, OSSnapshotFS, overclaimMeta(sc, 200), sc.segs[0], 100); err != nil {
+		t.Fatal(err)
+	}
+	var ce *SnapshotCorruptError
+	if _, _, err := Recover(s, 42, snapOpt(0), dir); !errors.As(err, &ce) {
+		t.Fatalf("recover: %v, want *SnapshotCorruptError", err)
+	}
+}
+
+// TestSnapshotOneShardTopology pins that only a one-shard in-process store
+// is persisted or recovered: a 3-shard store and a remote store return
+// ErrSnapshotTopology from Persist and leave no state directory behind, and
+// Recover under either topology's options refuses a good one-shard
+// snapshot as a mismatch.
+func TestSnapshotOneShardTopology(t *testing.T) {
+	s := snapTestSampler(t)
+	remoteOpt := StoreOptions{
+		RemoteWorkers: []string{"w0"},
+		RemoteDial:    func(string) (net.Conn, error) { return nil, errors.New("no workers in this test") },
+	}
+	sharded := NewStore(s, 42, snapOpt(3))
+	sharded.GenerateTo(40)
+	remote := NewStore(s, 42, remoteOpt)
+	for name, st := range map[string]Store{"shards=3": sharded, "remote": remote} {
+		dir := filepath.Join(t.TempDir(), "state")
+		if _, err := st.Persist(dir); !errors.Is(err, ErrSnapshotTopology) {
+			t.Fatalf("%s: persist: %v, want ErrSnapshotTopology", name, err)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: persist left %s behind (%v)", name, dir, err)
+		}
+	}
+
+	dir := t.TempDir()
+	one := NewStore(s, 42, snapOpt(0))
+	one.GenerateTo(40)
+	if _, err := one.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]StoreOptions{"shards=3": snapOpt(3), "remote": remoteOpt} {
+		var mm *SnapshotMismatchError
+		if _, _, err := Recover(s, 42, opt, dir); !errors.As(err, &mm) {
+			t.Fatalf("%s: recover: %v, want *SnapshotMismatchError", name, err)
 		}
 	}
 }

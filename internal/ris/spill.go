@@ -54,10 +54,10 @@ func newSpillFile(dir string) (*blockFile, error) {
 	return bf, nil
 }
 
-// spillState is the spill tier shared by every segment of one store (or
-// every shard of one worker process): the budget, the lazily created file,
-// the LRU clock, and the first failure (after which spilling stops and the
-// store stays consistent resident-only). All fields except clock are
+// spillState is the spill tier shared by every segment of one store: the
+// budget, the lazily created file, the LRU clock, and the first failure
+// (after which spilling stops and the store stays consistent
+// resident-only). All fields except clock are
 // mutated only under the store's mutation exclusivity; clock is stamped
 // atomically by concurrent readers.
 type spillState struct {

@@ -1,9 +1,9 @@
 // Spilled leg of the differential harness: SSA and D-SSA run on stores
 // whose resident budget forces 0%, ~50% and ~90% of the RR data onto the
-// disk spill tier — one shard, in-process-sharded, and remote-sharded with
-// spilling workers — and every observable must stay bit-identical to the
-// definition-level reference stream. Spilling only moves bytes; this is the
-// test that keeps it that way.
+// disk spill tier — one shard and in-process-sharded — and every
+// observable must stay bit-identical to the definition-level reference
+// stream. Spilling only moves bytes; this is the test that keeps it that
+// way.
 package ris_test
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"stopandstare/internal/core"
 	"stopandstare/internal/diffusion"
-	"stopandstare/internal/graph"
 	"stopandstare/internal/ris"
 )
 
@@ -58,58 +57,6 @@ func TestDifferentialSpilledVsFlat(t *testing.T) {
 					t.Fatalf("%s: spilled store resident %d, want < unspilled %d", ctx, res.MemoryBytes, shapeRef.MemoryBytes)
 				}
 			}
-		}
-	}
-}
-
-// spillCluster is remoteCluster with a spill budget on every worker: shard
-// arenas and index blocks tier to disk inside the worker processes.
-func newSpillCluster(t *testing.T, g *graph.Graph, budget int64, addrs ...string) *remoteCluster {
-	t.Helper()
-	c := &remoteCluster{g: g, servers: make(map[string]*ris.ShardServer)}
-	for _, a := range addrs {
-		c.servers[a] = ris.NewShardServer(g, ris.ShardServerOptions{
-			SamplingWorkers: 2, SpillBudgetBytes: budget, SpillDir: t.TempDir(),
-		})
-	}
-	return c
-}
-
-// TestDifferentialRemoteSpilledWorkers runs D-SSA against remote-sharded
-// stores whose workers spill under a tiny budget, asserting bit-identity
-// with the reference stream and that the workers actually spilled.
-func TestDifferentialRemoteSpilledWorkers(t *testing.T) {
-	g := diffGraph(t)
-	s, err := ris.NewSampler(g, diffusion.IC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes, refTrace := runCoreRef(t, s, "dssa")
-	for _, nw := range []int{1, 2} {
-		addrs := make([]string, nw)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("spill-worker-%d", i)
-		}
-		cluster := newSpillCluster(t, g, 1, addrs...)
-		res, trace := runStore(t, s, "dssa", ris.StoreOptions{Workers: 2,
-			RemoteWorkers: addrs, RemoteDial: cluster.dial})
-		ctx := fmt.Sprintf("dssa/remote-spilled-workers=%d", nw)
-		assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-		spilled := false
-		for _, a := range addrs {
-			st := cluster.servers[a].SpillStats()
-			if !st.Enabled {
-				t.Fatalf("%s: worker %s has no spill tier", ctx, a)
-			}
-			if st.Err != "" {
-				t.Fatalf("%s: worker %s spill error: %s", ctx, a, st.Err)
-			}
-			if st.Blocks > 0 {
-				spilled = true
-			}
-		}
-		if !spilled {
-			t.Fatalf("%s: no worker spilled under a 1-byte budget", ctx)
 		}
 	}
 }

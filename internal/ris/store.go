@@ -8,8 +8,9 @@ import "context"
 // live — only Len, coverage and the doubling schedule matter — so the
 // algorithms are written against this interface. ShardedCollection is the
 // one implementation; its topology (one shard, N in-process shards, remote
-// worker shards; heap, spilled or recovered-from-snapshot) is chosen by
-// StoreOptions and is invisible through this surface.
+// worker shards; heap or spilled; a one-shard store may also be persisted
+// and recovered from a snapshot) is chosen by StoreOptions and is invisible
+// through this surface.
 //
 // Contract (what makes every topology interchangeable bit-for-bit):
 //
@@ -76,8 +77,10 @@ type Store interface {
 	SpillStats() SpillStats
 	// Persist writes a snapshot of the store into dir and atomically commits
 	// it via the manifest. The previous snapshot stays committed until the
-	// new one is durable. Persist reads the store, so callers must hold the
-	// same exclusivity as growth (concurrent reads are fine).
+	// new one is durable. Only a one-shard in-process store is persisted;
+	// any other topology returns ErrSnapshotTopology. Persist reads the
+	// store, so callers must hold the same exclusivity as growth (concurrent
+	// reads are fine).
 	Persist(dir string) (SnapshotInfo, error)
 	// PersistFS is Persist through an injected filesystem (fault tests).
 	PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error)
@@ -95,10 +98,13 @@ var _ Store = (*ShardedCollection)(nil)
 
 // StoreOptions sizes a Store and selects its topology. Every product
 // path — a Session, a serving tenant, the one-shot solvers — builds one
-// in-process shard sized by Workers, with an optional spill tier. Shards,
-// RemoteWorkers and RemoteDial stay only because the frozen
-// benchmarks/imperf topology sweep and the ris differential harness set
-// them; they go with the multi-shard and remote paths.
+// in-process shard sized by Workers, with an optional spill tier, and only
+// that store is persisted and recovered. Shards, RemoteWorkers and
+// RemoteDial stay only because the frozen benchmarks/imperf topology sweep
+// and the ris differential harness set them; a store built with them
+// cannot be persisted (ErrSnapshotTopology) or recovered
+// (*SnapshotMismatchError), and they go with the multi-shard and remote
+// paths.
 type StoreOptions struct {
 	// Workers is the total generation/index-build parallelism; ≤0 selects
 	// runtime.GOMAXPROCS(0). Each in-process shard gets max(Workers/Shards,

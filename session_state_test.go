@@ -3,11 +3,14 @@ package stopandstare
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"testing"
 
-	"stopandstare/internal/ris"
+	"stopandstare/internal/gen"
+	"stopandstare/internal/graph"
 )
 
 // sameSessionAnswer fails unless two results agree in every deterministic
@@ -114,28 +117,53 @@ func TestSessionDurability(t *testing.T) {
 	}
 }
 
-// TestSessionMultiShardStateStartsCold pins what an old state directory
-// does to a session that has no shard options: a committed 3-shard
-// snapshot, the one a sharded durable session or imserve -shards 3
-// -state-dir left behind, is a topology mismatch. The session recovers
-// nothing and answers bit-identically to a fresh one.
-func TestSessionMultiShardStateStartsCold(t *testing.T) {
-	g, err := GeneratePowerLaw(300, 1800, 2.1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seed = 21
-	sampler, err := ris.NewSampler(g, IC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := ris.NewStore(sampler, seed, ris.StoreOptions{Workers: 2, Shards: 3})
-	old.GenerateTo(5000)
+// copyStateDir copies a committed snapshot state directory (manifest and
+// snapshot files) into a fresh directory, so a test may recover or persist
+// over it without touching the checked-in fixture.
+func copyStateDir(t *testing.T, src string) string {
+	t.Helper()
 	dir := t.TempDir()
-	if _, err := old.Persist(dir); err != nil {
+	ents, err := os.ReadDir(src)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestSessionMultiShardStateStartsCold pins what an old state directory
+// does to a session: the checked-in 3-shard v1 snapshot, what a sharded
+// durable session or imserve -shards 3 -state-dir of an earlier build left
+// behind, is a topology mismatch. The session recovers nothing and answers
+// bit-identically to a fresh one. The one-shard fixture of the same store
+// recovers, so the graph, model and seed do match and only the topology
+// sends the 3-shard directory cold.
+func TestSessionMultiShardStateStartsCold(t *testing.T) {
+	// internal/ris's formatPinSampler graph and formatPinSeed.
+	g, err := gen.ChungLu(40, 160, 2.1, 3, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 2016
+	fixtures := filepath.Join("internal", "ris", "testdata")
+
+	one, err := NewSession(g, IC, SessionOptions{Seed: seed, Workers: 2, StateDir: copyStateDir(t, filepath.Join(fixtures, "snapshot-v1-1shard"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := one.Stats(); st.Recovered == 0 {
+		t.Fatal("session over the one-shard fixture recovered nothing")
 	}
 
+	dir := copyStateDir(t, filepath.Join(fixtures, "snapshot-v1"))
 	sess, err := NewSession(g, IC, SessionOptions{Seed: seed, Workers: 2, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
