@@ -62,7 +62,7 @@ func LoadGraphFile(path string, opt LoadGraphOptions) (*Graph, error) {
 // read-only file mapping, so opening is O(1) regardless of edge count and
 // the pages are shared by every process serving the same file; elsewhere
 // the file is decoded onto the heap. Call Graph.Close to release the mapping
-// when retiring the graph (and DropCachedPlans first if it was served).
+// when retiring the graph, once nothing samples or simulates on it.
 func OpenGraphFile(path string) (*Graph, error) {
 	return graph.OpenMapped(path)
 }

@@ -11,17 +11,20 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an immutable directed weighted graph in dual-CSR form.
 // Node ids are dense in [0, NumNodes()). The arrays live behind a View
 // (see view.go): heap slices for built/parsed graphs, windows of a shared
 // read-only file mapping for graphs opened with OpenMapped. The sections are
-// embedded, so every accessor below runs on plain slices either way.
+// embedded, so every accessor below runs on plain slices either way. The
+// graph also carries what is derived from it once (derived.go).
 type Graph struct {
 	n int
 	sections
-	view View
+	view  View
+	plans [PlanSlots]atomic.Pointer[Slot]
 }
 
 // Errors returned by construction and validation.

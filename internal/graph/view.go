@@ -80,6 +80,8 @@ func (g *Graph) Mapped() bool { return g.view.MappedBytes() > 0 }
 
 // Close releases the graph's storage backend. For a mapped graph this unmaps
 // the file and every slice previously returned by accessors becomes invalid;
-// for heap graphs it is a no-op. Callers retiring a served graph should also
-// call ris.DropCachedPlans / stopandstare.DropCachedPlans first.
+// for heap graphs it is a no-op. The graph's compiled sampling plans alias
+// its reverse sections, so no sampler, session or simulation on the graph
+// may run during or after Close; the plans themselves need no release; they
+// are collected with the graph.
 func (g *Graph) Close() error { return g.view.Close() }

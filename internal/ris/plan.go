@@ -84,7 +84,7 @@ type ltSlot struct {
 // Plan is a compiled sampling plan for one (graph, model) pair: immutable
 // after compilation and safe to share across goroutines, like the graph it
 // was compiled from. Samplers compile one lazily on first use (see
-// Sampler.Plan), shared process-wide per (graph, model).
+// Sampler.Plan) into the graph's plan slot for the model.
 type Plan struct {
 	model diffusion.Model
 	n     int

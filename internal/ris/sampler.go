@@ -7,6 +7,7 @@ package ris
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -31,31 +32,43 @@ type Sampler struct {
 	model   diffusion.Model
 	root    *rng.Alias // nil ⇒ uniform root
 	weights []float64  // WRIS benefit weights; retained so remote shards can rebuild the alias table
-	scale   float64    // n for RIS, Γ for WRIS
-	pc      *planCache // lazily compiled, shared per (graph, model)
-	stream  uint64     // ORed into every set id's stream: 0, or verifyStream (VerifySampler)
+	scale   float64     // n for RIS, Γ for WRIS
+	plan    *graph.Slot // the graph's slot for this model's compiled plan
+	stream  uint64      // ORed into every set id's stream: 0, or verifyStream (VerifySampler)
 }
 
 // ErrNilGraph reports a missing graph.
 var ErrNilGraph = errors.New("ris: nil graph")
 
-// NewSampler returns a uniform-root (classic RIS) sampler. The compiled plan
-// is served from the process-wide registry (see plancache.go): every sampler
-// on the same (graph, model) — across Sessions, one-shot runs, WRIS and plain
-// variants — shares one compilation.
+// NewSampler returns a uniform-root (classic RIS) sampler. Its compiled plan
+// lives on the graph (graph.PlanSlot): every sampler on the same *Graph and
+// model — across Sessions, one-shot runs, WRIS and plain variants — shares
+// one compilation.
 func NewSampler(g *graph.Graph, model diffusion.Model) (*Sampler, error) {
+	slot, err := planSlot(g, model)
+	if err != nil {
+		return nil, err
+	}
+	return &Sampler{g: g, model: model, scale: float64(g.NumNodes()), plan: slot}, nil
+}
+
+// planSlot resolves g's plan slot for model.
+func planSlot(g *graph.Graph, model diffusion.Model) (*graph.Slot, error) {
 	if g == nil {
 		return nil, ErrNilGraph
 	}
-	return &Sampler{g: g, model: model, scale: float64(g.NumNodes()),
-		pc: sharedPlanCache(g, model)}, nil
+	if model != diffusion.IC && model != diffusion.LT {
+		return nil, fmt.Errorf("ris: unknown model %v", model)
+	}
+	return g.PlanSlot(int(model)), nil
 }
 
 // NewWeightedSampler returns a WRIS sampler whose roots are drawn
 // proportionally to weights (benefit values b(v) ≥ 0).
 func NewWeightedSampler(g *graph.Graph, model diffusion.Model, weights []float64) (*Sampler, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	slot, err := planSlot(g, model)
+	if err != nil {
+		return nil, err
 	}
 	if len(weights) != g.NumNodes() {
 		return nil, errors.New("ris: weights length must equal NumNodes")
@@ -65,7 +78,7 @@ func NewWeightedSampler(g *graph.Graph, model diffusion.Model, weights []float64
 		return nil, err
 	}
 	return &Sampler{g: g, model: model, root: al, weights: weights, scale: al.Total(),
-		pc: sharedPlanCache(g, model)}, nil
+		plan: slot}, nil
 }
 
 // VerifySampler returns a copy of s whose set id i is drawn from the
@@ -79,26 +92,18 @@ func (s *Sampler) VerifySampler() *Sampler {
 	return &v
 }
 
-// Plan returns the compiled sampling plan, compiling it on first use
-// (shared and immutable afterwards; safe for concurrent callers). The
-// compilation is shared process-wide per (graph, model) through the plan
-// registry, so no matter how many samplers, stores, or sessions touch the
-// same graph, the O(n + m) compile happens once.
+// Plan returns the compiled sampling plan, compiling it into the graph's
+// slot on first use: however many samplers, stores or sessions touch the
+// graph, the O(n + m) compile happens once, and the plan lives as long as
+// the graph. Safe for concurrent callers.
 func (s *Sampler) Plan() *Plan {
-	if p := s.pc.plan.Load(); p != nil {
-		return p
-	}
-	s.pc.once.Do(func() {
-		s.pc.plan.Store(NewPlan(s.g, s.model))
-		s.pc.compiles.Add(1)
-	})
-	return s.pc.plan.Load()
+	return s.plan.Resolve(func() any { return NewPlan(s.g, s.model) }).(*Plan)
 }
 
 // PlanBytes reports the compiled plan's memory, 0 if it was never compiled.
 // Non-forcing, for memory accounting.
 func (s *Sampler) PlanBytes() int64 {
-	if p := s.pc.plan.Load(); p != nil {
+	if p, ok := s.plan.Value().(*Plan); ok {
 		return p.Bytes()
 	}
 	return 0

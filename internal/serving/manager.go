@@ -102,10 +102,10 @@ type TenantConfig struct {
 }
 
 // tenant is one admitted (graph, model) pair. Its session is built lazily
-// and may be evicted (set nil) any number of times; the graph and the
-// process-wide compiled plan survive eviction, so re-admission recomputes
-// only the RR store — exactly, since the stream is a pure function of the
-// session seed.
+// and may be evicted (set nil) any number of times; the graph, and with it
+// the compiled plan it carries, survives eviction, so re-admission
+// recomputes only the RR store — exactly, since the stream is a pure
+// function of the session seed.
 type tenant struct {
 	name     string
 	cfg      TenantConfig
@@ -167,7 +167,7 @@ func (t *tenant) persistLocked() {
 }
 
 // evict drops the tenant's session — the RR store and the solver's retained
-// greedy runs — but keeps the graph open and the compiled plan cached, so a
+// greedy runs — but keeps the graph open with its compiled plan, so a
 // later query rebuilds the store bit-identically without recompiling
 // anything. Durable tenants snapshot first: re-admission then recovers
 // instead of resampling.
@@ -179,8 +179,9 @@ func (t *tenant) evict() {
 	t.evictions.Add(1)
 }
 
-// retire releases everything: the session, the graph's cached plans, and
-// the graph itself if the manager opened it (mapped graphs unmap here).
+// retire releases everything: the session, and the graph itself if the
+// manager opened it (mapped graphs unmap here; the plans on the graph go
+// with it).
 // Durable tenants snapshot first — this is the SIGTERM drain path, so the
 // next process starts from exactly this store.
 func (t *tenant) retire() {
@@ -188,13 +189,10 @@ func (t *tenant) retire() {
 	defer t.mu.Unlock()
 	t.persistLocked()
 	t.sess = nil
-	if t.g != nil {
-		stopandstare.DropCachedPlans(t.g)
-		if t.ownsGraph {
-			t.g.Close()
-		}
-		t.g = nil
+	if t.g != nil && t.ownsGraph {
+		t.g.Close()
 	}
+	t.g = nil
 }
 
 // storeBytes reports the resident session's store footprint (the evictable
@@ -362,8 +360,8 @@ func (m *Manager) StartRecovery() {
 func (m *Manager) Recovering() bool { return m.recovering.Load() > 0 }
 
 // RemoveTenant retires a tenant: new queries get ErrUnknownTenant
-// immediately, in-flight queries on it are drained, then its cached plans
-// are dropped and its graph closed if the manager opened it.
+// immediately, in-flight queries on it are drained, then its graph is closed
+// if the manager opened it.
 func (m *Manager) RemoveTenant(name string) error {
 	m.mu.Lock()
 	t, ok := m.tenants[name]

@@ -24,7 +24,6 @@ func mappedSessionTwin(t *testing.T, g *stopandstare.Graph) *stopandstare.Graph 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		stopandstare.DropCachedPlans(m)
 		if err := m.Close(); err != nil {
 			t.Errorf("closing mapped graph: %v", err)
 		}
@@ -37,7 +36,6 @@ func TestSessionMappedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopandstare.DropCachedPlans(heap)
 	mapped := mappedSessionTwin(t, heap)
 
 	newSess := func(g *stopandstare.Graph) *stopandstare.Session {

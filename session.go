@@ -18,9 +18,9 @@ import (
 // Session is a long-lived, concurrency-safe serving object for a stream of
 // influence-maximization queries against one (graph, model). It owns:
 //
-//   - one sampler whose compiled ris.Plan comes from the process-wide plan
-//     cache, so every session and one-shot run on the same graph compiles
-//     the plan exactly once;
+//   - one sampler whose compiled ris.Plan lives on the graph, so every
+//     session and one-shot run on the same graph compiles the plan exactly
+//     once;
 //   - one persistent RR-set store that only ever grows: a query's doubling
 //     loop tops up past the current stream length and never resamples a
 //     prefix — D-SSA's "no sample is discarded" principle extended across
@@ -140,10 +140,9 @@ type Query struct {
 }
 
 // SessionStats is a point-in-time snapshot of a session's resident state,
-// with plan and store memory reported separately: the plan is shared
-// process-wide per (graph, model), so summing Stats().PlanBytes across
-// sessions on one graph would double-count, while StoreBytes is genuinely
-// per-session.
+// with plan and store memory reported separately: the plan is shared by
+// every session on one (graph, model), so summing Stats().PlanBytes across
+// them would double-count, while StoreBytes is genuinely per-session.
 type SessionStats struct {
 	// Queries is the number of Maximize calls served.
 	Queries int64
@@ -207,8 +206,8 @@ type SessionStats struct {
 }
 
 // NewSession builds a serving session for (g, model). The heavy pieces are
-// lazy: the plan compiles (once per graph and model, process-wide) on first
-// sampling, and the store grows on first query.
+// lazy: the plan compiles (once per graph and model) on first sampling, and
+// the store grows on first query.
 func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
 	return newSession(g, model, opt, false)
 }
@@ -474,11 +473,11 @@ func (s *Session) SpillTo(budget int64) (int64, error) {
 	return max(freed+before-s.store.Bytes(), 0), err
 }
 
-// DropCachedPlans evicts g's compiled sampling plans from the process-wide
-// plan cache, releasing the graph key. Live sessions and samplers keep the
-// plans they already hold; only future compilations are affected. Call this
-// when a serving process retires a graph.
-func DropCachedPlans(g *Graph) { ris.DropCachedPlans(g) }
+// DropCachedPlans makes g forget its compiled sampling plans: sessions and
+// samplers created afterwards compile again, while live ones keep the plans
+// they hold. Retiring a graph needs no call: its plans live on the graph
+// and are collected with it.
+func DropCachedPlans(g *Graph) { g.DropPlans() }
 
 // sessionEnv adapts a Session to core.Exec: read-only query phases share
 // the session's read lock, store top-ups take the write lock (honouring the

@@ -336,16 +336,25 @@ func TestSessionWarmSSAQueryAllocations(t *testing.T) {
 
 // TestSessionPlanCompiledOnce pins the acceptance invariant: any number of
 // sessions, samplers and one-shot runs on one (graph, model) compile the
-// sampling plan exactly once, process-wide.
+// sampling plan exactly once, into the graph. A probe sampler observes it:
+// its non-forcing PlanBytes shows whether the graph holds a plan, and its
+// Plan pointer which one.
 func TestSessionPlanCompiledOnce(t *testing.T) {
 	g, err := stopandstare.GeneratePowerLaw(300, 1500, 2.1, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopandstare.DropCachedPlans(g)
-	if n := ris.PlanCompilations(g, diffusion.IC); n != 0 {
-		t.Fatalf("fresh graph already has %d compilations", n)
+	probe := func(model stopandstare.Model) *ris.Sampler {
+		s, err := ris.NewSampler(g, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	if probe(diffusion.IC).PlanBytes() != 0 {
+		t.Fatal("fresh graph already holds a compiled plan")
+	}
+	var first *ris.Plan
 	for i := 0; i < 3; i++ {
 		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
 			Seed: uint64(i), Workers: 2,
@@ -356,6 +365,15 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 		if _, err := sess.Maximize(stopandstare.Query{K: 4, Epsilon: 0.4}); err != nil {
 			t.Fatal(err)
 		}
+		s := probe(diffusion.IC)
+		if s.PlanBytes() == 0 {
+			t.Fatal("a session query left no plan on the graph")
+		}
+		if first == nil {
+			first = s.Plan()
+		} else if s.Plan() != first {
+			t.Fatalf("session %d compiled its own plan", i)
+		}
 	}
 	// One-shot runs and a certificate on the same graph join the sharing.
 	if _, err := stopandstare.Maximize(g, stopandstare.IC, stopandstare.DSSA,
@@ -365,16 +383,31 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 	if _, err := stopandstare.CertifySpread(g, stopandstare.IC, []uint32{1, 2}, 0.3, 0.1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if n := ris.PlanCompilations(g, diffusion.IC); n != 1 {
-		t.Fatalf("plan compiled %d times for (graph, IC), want exactly 1", n)
+	if probe(diffusion.IC).Plan() != first {
+		t.Fatal("a one-shot run or the certificate compiled the IC plan again")
 	}
-	// The LT plan is a separate entry, also compiled at most once.
-	if _, err := stopandstare.Maximize(g, stopandstare.LT, stopandstare.DSSA,
-		stopandstare.Options{K: 3, Epsilon: 0.4, Seed: 9, Workers: 2}); err != nil {
-		t.Fatal(err)
+	// The LT plan is a separate slot, also compiled once.
+	if probe(diffusion.LT).PlanBytes() != 0 {
+		t.Fatal("IC queries compiled an LT plan")
 	}
-	if n := ris.PlanCompilations(g, diffusion.LT); n != 1 {
-		t.Fatalf("plan compiled %d times for (graph, LT), want exactly 1", n)
+	var lt *ris.Plan
+	for i := 0; i < 2; i++ {
+		if _, err := stopandstare.Maximize(g, stopandstare.LT, stopandstare.DSSA,
+			stopandstare.Options{K: 3, Epsilon: 0.4, Seed: uint64(9 + i), Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		s := probe(diffusion.LT)
+		if s.PlanBytes() == 0 {
+			t.Fatal("an LT run left no plan on the graph")
+		}
+		if lt == nil {
+			lt = s.Plan()
+		} else if s.Plan() != lt {
+			t.Fatal("a second one-shot LT run compiled the LT plan again")
+		}
+	}
+	if lt == first {
+		t.Fatal("IC and LT share one plan")
 	}
 }
 
@@ -386,7 +419,6 @@ func TestSessionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopandstare.DropCachedPlans(g)
 	sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -395,9 +427,13 @@ func TestSessionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := ris.CachedPlanBytes(g, diffusion.IC)
+	probe, err := ris.NewSampler(g, diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := probe.PlanBytes() // non-forcing: the plan the run compiled
 	if plan <= 0 {
-		t.Fatal("run left no cached plan")
+		t.Fatal("run left no compiled plan on the graph")
 	}
 	if res.MemoryBytes < plan {
 		t.Fatalf("Result.MemoryBytes %d excludes the plan (%d bytes)", res.MemoryBytes, plan)

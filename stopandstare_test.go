@@ -415,7 +415,6 @@ func TestOneShotRecyclesSolverArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer DropCachedPlans(g)
 	q := Query{Algorithm: DSSA, K: 5, Epsilon: 0.3}
 	checkpoints := 0
 	oneShot := testing.AllocsPerRun(5, func() {
