@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -64,6 +65,9 @@ func main() {
 	default:
 		err = fmt.Errorf("unknown -format %q", *format)
 	}
+	if err == nil {
+		err = checkContent(g)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "imstats: %v\n", err)
 		os.Exit(1)
@@ -87,6 +91,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkContent checks what a .sasg open does not, before Stats reads it:
+// the forward sections, and the reverse ones through the IC plan compile.
+func checkContent(g *graph.Graph) error {
+	if err := g.CheckForward(); err != nil {
+		return err
+	}
+	s, err := ris.NewSampler(g, diffusion.IC)
+	if err == nil {
+		_, err = s.Plan()
+	}
+	return err
 }
 
 // snapshotStats prints the committed snapshot manifest of a durability
@@ -126,7 +143,9 @@ func sampleStats(g *graph.Graph, rr int, model string, seed uint64, spillBudget,
 	st := ris.NewStore(s, seed, ris.StoreOptions{
 		SpillBudgetBytes: budget, SpillDir: spillDir,
 	})
-	st.GenerateTo(rr)
+	if err := st.GenerateToCtx(context.Background(), rr); err != nil {
+		return err
+	}
 	fmt.Printf("rr-sets:       %d\n", st.Len())
 	fmt.Printf("rr-items:      %d\n", st.Items())
 	fmt.Printf("rr-resident:   %.1f MB\n", float64(st.Bytes())/(1<<20))

@@ -35,6 +35,14 @@ const (
 	TrivalencyWeights = graph.Trivalency
 )
 
+// ErrBadGraphContent matches the error returned for a graph whose sections
+// hold content no valid graph has: offsets out of order, an adjacency id
+// that is not a node, a weight outside [0, 1], or, under LT, an in-weight
+// sum above 1. Opening a .sasg checks structure only; content is checked
+// once per graph, at first use: the first sampling of each model, and the
+// first simulation.
+var ErrBadGraphContent = graph.ErrBadContent
+
 // NewGraphBuilder creates a builder for an n-node graph.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 

@@ -29,6 +29,9 @@ func (o *GreedyOptions) normalize(g *graph.Graph) error {
 	if o.K < 1 || o.K > g.NumNodes() {
 		return fmt.Errorf("%w: k=%d n=%d", ErrBadK, o.K, g.NumNodes())
 	}
+	if err := g.CheckForward(); err != nil {
+		return err
+	}
 	if o.MCRuns <= 0 {
 		o.MCRuns = 10000
 	}

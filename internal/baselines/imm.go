@@ -49,6 +49,9 @@ func (o *Options) normalize(s *ris.Sampler) error {
 	if s == nil {
 		return ErrNilSampler
 	}
+	if _, err := s.Plan(); err != nil { // a graph that fails the content checks
+		return err
+	}
 	n := s.Graph().NumNodes()
 	if o.K < 1 || o.K > n {
 		return fmt.Errorf("%w: k=%d n=%d", ErrBadK, o.K, n)

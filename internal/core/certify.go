@@ -54,6 +54,9 @@ func Certify(s *ris.Sampler, seeds []uint32, eps, delta float64, seed uint64, ma
 			return nil, fmt.Errorf("core: seed %d out of range (n=%d)", v, n)
 		}
 	}
+	if _, err := s.Plan(); err != nil { // a graph that fails the content checks
+		return nil, err
+	}
 	est := newEstimator(s, seed)
 	// Under uniform RIS, seeds cover RR sets rooted at themselves, so
 	// µ = I(S)/n ≥ |S|/n and the stopping rule terminates in

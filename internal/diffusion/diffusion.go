@@ -230,8 +230,12 @@ type SpreadOptions struct {
 
 // Spread estimates I(S) (or the weighted benefit B(S)) by Monte Carlo,
 // returning the mean and the standard error of the mean. Deterministic for
-// a fixed seed regardless of worker count.
+// a fixed seed regardless of worker count. A graph whose forward sections
+// fail graph.CheckForward returns that error before any simulation runs.
 func Spread(g *graph.Graph, model Model, seeds []uint32, opt SpreadOptions) (mean, stderr float64, err error) {
+	if err := g.CheckForward(); err != nil {
+		return 0, 0, err
+	}
 	for _, s := range seeds {
 		if int(s) >= g.NumNodes() {
 			return 0, 0, fmt.Errorf("%w: %d", ErrBadSeedSet, s)

@@ -71,16 +71,26 @@ func alignedCopy(data []byte) []byte {
 	return b
 }
 
+// PastOpen uses a graph the way the product does after open: it compiles
+// the IC and the LT sampling plan and draws 64 RR sets under each, and runs
+// one Monte-Carlo simulation, returning each step's error. pastopen_test.go
+// sets it from package graph_test, which may import the samplers this
+// package cannot.
+var PastOpen func(g *Graph) (ic, lt, sim error)
+
 // FuzzOpenMapped runs arbitrary bytes through both .sasg opens: the header
 // and section-table parser over an aligned in-memory image (the sections the
 // mapped open casts in place), and the heap decode over a reader. Each must
 // fail with an error wrapping ErrBadMapped, never panic, and allocate at
 // most a constant times the input length; the two must accept the same
 // inputs and hold the same sections, and neither may accept a file of
-// another version. The seed corpus (testdata/fuzz/FuzzOpenMapped) holds
-// valid images, truncations of one, a version 1 image, and two bare
-// 192-byte headers: one claiming huge n and m, one claiming a 2 MiB layout
-// that a decoder allocating before it checks the file size would pay for.
+// another version. An accepted graph then goes through PastOpen, whose
+// every step must succeed or fail with a *ContentError; none may panic.
+// The seed corpus (testdata/fuzz/FuzzOpenMapped) holds valid images,
+// truncations of one, a version 1 image, two bare 192-byte headers (one
+// claiming huge n and m, one claiming a 2 MiB layout that a decoder
+// allocating before it checks the file size would pay for), and one word
+// changed in the valid weighted-cascade image for each content check.
 // TestFuzzOpenMappedSeeds pins which check each seed reaches.
 func FuzzOpenMapped(f *testing.F) {
 	if !hostLittleEndian {
@@ -111,16 +121,27 @@ func FuzzOpenMapped(f *testing.F) {
 		}
 		if merr == nil {
 			requireSectionsEqual(t, mapped, decoded)
+			ic, lt, sim := PastOpen(mapped)
+			for step, err := range map[string]error{"IC": ic, "LT": lt, "simulation": sim} {
+				var ce *ContentError
+				if err != nil && !(errors.As(err, &ce) && errors.Is(err, ErrBadContent)) {
+					t.Fatalf("%s: untyped error %v", step, err)
+				}
+			}
 		}
 	})
 }
 
 // TestFuzzOpenMappedSeeds pins the check each FuzzOpenMapped seed was
-// written to reach: the valid images open, and every other seed fails both
-// opens with an error naming its check. A format change that left a seed
-// failing earlier, at the version check say, would turn its fuzz leg into a
-// test of that check alone. seed-version-1 is a version 1 image as the
-// version 1 writer produced it, derived sections included.
+// written to reach: the valid and content seeds open, and every other seed
+// fails both opens with an error naming its check; past open, each content
+// seed fails the step its changed word feeds with that rule's error, and
+// nothing else. A format change that left a seed failing earlier, at the
+// version check say, would turn its fuzz leg into a test of that check
+// alone. seed-version-1 is a version 1 image as the version 1 writer
+// produced it, derived sections included. seed-valid's random weights break
+// the LT in-weight bound; seed-valid-wc is the image the content seeds
+// change one word of.
 func TestFuzzOpenMappedSeeds(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("the mapped leg casts little-endian sections in place")
@@ -128,12 +149,29 @@ func TestFuzzOpenMappedSeeds(t *testing.T) {
 	want := map[string]string{ // seed → error substring, "" = accepted
 		"seed-valid":              "",
 		"seed-valid-single-node":  "",
+		"seed-valid-wc":           "",
+		"seed-inadj-2pow30":       "",
+		"seed-inidx-2pow40":       "",
+		"seed-inw-nan":            "",
+		"seed-inw-lt-sum":         "",
+		"seed-outw-7":             "",
 		"seed-truncated-header":   "header",
 		"seed-truncated-last":     "truncated: file is 555 bytes",
 		"seed-truncated-sections": "truncated: file is 278 bytes",
 		"seed-huge-counts":        "1099511627776",
 		"seed-header-claims-2mib": "truncated: file is 192 bytes, layout for n=16384 m=114688 needs 2097472",
 		"seed-version-1":          "unsupported version 1",
+	}
+	// Past open: each step's error, nil = succeeds; ErrBadContent alone is an
+	// offset out of order. Seeds not listed pass every step.
+	type steps struct{ ic, lt, sim error }
+	wantSteps := map[string]steps{
+		"seed-valid":        {lt: ErrLTViolation},
+		"seed-inadj-2pow30": {ic: ErrBadEndpoint, lt: ErrBadEndpoint},
+		"seed-inidx-2pow40": {ic: ErrBadContent, lt: ErrBadContent},
+		"seed-inw-nan":      {ic: ErrBadWeight, lt: ErrBadWeight},
+		"seed-inw-lt-sum":   {lt: ErrLTViolation},
+		"seed-outw-7":       {sim: ErrBadWeight},
 	}
 	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOpenMapped", "*"))
 	if err != nil {
@@ -155,7 +193,7 @@ func TestFuzzOpenMappedSeeds(t *testing.T) {
 				t.Fatalf("unreadable seed: %v", err)
 			}
 			data := []byte(s)
-			_, merr := graphFromMapped(alignedCopy(data), heapView{})
+			g, merr := graphFromMapped(alignedCopy(data), heapView{})
 			_, derr := decodeSasg(bytes.NewReader(data), int64(len(data)))
 			for leg, err := range map[string]error{"mapped": merr, "decoded": derr} {
 				switch w, ok := want[name]; {
@@ -165,6 +203,19 @@ func TestFuzzOpenMappedSeeds(t *testing.T) {
 					t.Fatalf("%s: valid seed rejected: %v", leg, err)
 				case w != "" && (!errors.Is(err, ErrBadMapped) || !strings.Contains(err.Error(), w)):
 					t.Fatalf("%s: got %v, want ErrBadMapped containing %q", leg, err, w)
+				}
+			}
+			if merr != nil {
+				return
+			}
+			ic, lt, sim := PastOpen(g)
+			w := wantSteps[name]
+			for _, step := range []struct {
+				name      string
+				got, want error
+			}{{"IC", ic, w.ic}, {"LT", lt, w.lt}, {"simulation", sim, w.sim}} {
+				if (step.got == nil) != (step.want == nil) || !errors.Is(step.got, step.want) {
+					t.Fatalf("%s: got %v, want %v", step.name, step.got, step.want)
 				}
 			}
 		})

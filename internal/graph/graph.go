@@ -23,8 +23,9 @@ import (
 type Graph struct {
 	n int
 	sections
-	view  View
-	plans [PlanSlots]atomic.Pointer[Slot]
+	view    View
+	plans   [PlanSlots]atomic.Pointer[Slot]
+	forward Slot // CheckForward's result
 }
 
 // Errors returned by construction and validation.
@@ -33,7 +34,39 @@ var (
 	ErrBadEndpoint = errors.New("graph: edge endpoint out of range")
 	ErrBadWeight   = errors.New("graph: edge weight outside [0,1]")
 	ErrLTViolation = errors.New("graph: LT model requires sum of incoming weights <= 1")
+	// ErrBadContent reports section content no valid graph has: offsets out
+	// of order, an adjacency id that is not a node, a weight that is not a
+	// probability. Every *ContentError matches it. A .sasg open checks
+	// structure only, so such content surfaces at first use: in the plan
+	// compile for the reverse sections, in CheckForward for the forward ones.
+	ErrBadContent = errors.New("graph: bad content")
 )
+
+// ContentError locates a content violation: the section, the index in it,
+// and the rule it breaks (ErrBadEndpoint, ErrBadWeight, ErrLTViolation, or
+// nil for an offset out of order). For an LT in-weight sum, Section is
+// "inW" and Index is the node.
+type ContentError struct {
+	Section string
+	Index   int64
+	Err     error
+}
+
+func (e *ContentError) Error() string {
+	rule := "offset out of order"
+	if e.Err != nil {
+		rule = e.Err.Error()
+	}
+	return fmt.Sprintf("%v: %s[%d]: %s", ErrBadContent, e.Section, e.Index, rule)
+}
+
+// Unwrap makes errors.Is match ErrBadContent and the rule's sentinel.
+func (e *ContentError) Unwrap() []error {
+	if e.Err == nil {
+		return []error{ErrBadContent}
+	}
+	return []error{ErrBadContent, e.Err}
+}
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return g.n }

@@ -51,9 +51,10 @@ import (
 //
 // Both opens perform structural validation only (magic, version, byte
 // order, count overflow, table alignment/length/placement, CSR endpoint
-// sums): content such as adjacency ids is trusted, exactly like any other
-// mmap-ed database file — validating it would force every page and defeat
-// the O(1) open.
+// sums): validating content would force every page and defeat the O(1)
+// open. Content is checked once per graph at first use, by passes that
+// read it anyway: the reverse sections in the sampling plan compile
+// (internal/ris), the forward ones in CheckForward. See ErrBadContent.
 const (
 	sasgMagic       = 0x47534153 // "SASG" little-endian
 	sasgVersion     = 2

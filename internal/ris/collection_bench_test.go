@@ -74,7 +74,7 @@ func BenchmarkGenerateOutOfCache(b *testing.B) {
 			var items int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, res := range sampleChunks(s, uint64(i)+1, 0, 20000, 1) {
+				for _, res := range sampleChunks(b, s, uint64(i)+1, 0, 20000, 1) {
 					items += int64(len(res.buf))
 				}
 			}

@@ -33,7 +33,7 @@ func TestHitsMarkedMatchesAppendSample(t *testing.T) {
 	}
 	general := mustSampler(t, tri, diffusion.IC)
 	hasGeneral := false
-	for _, c := range general.Plan().class {
+	for _, c := range general.mustPlan().class {
 		hasGeneral = hasGeneral || c == classGeneral
 	}
 	if !hasGeneral {

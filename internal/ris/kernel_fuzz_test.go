@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -133,7 +134,7 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 		// The chunk path, at worker counts that split the chunks differently.
 		for _, workers := range []int{1, 3} {
 			id := from
-			for ci, res := range sampleChunks(s, seed, from, to, workers) {
+			for ci, res := range sampleChunks(t, s, seed, from, to, workers) {
 				var w int64
 				for j := 1; j < len(res.offsets); j++ {
 					got := res.buf[res.offsets[j-1]:res.offsets[j]]
@@ -182,4 +183,15 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sampleChunks is sampleChunksCtx without cancellation, on a graph whose
+// plan compiles.
+func sampleChunks(tb testing.TB, s *Sampler, seed uint64, gfrom, gto, workers int) []chunkResult {
+	tb.Helper()
+	results, err := sampleChunksCtx(context.Background(), s, seed, gfrom, gto, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results
 }

@@ -112,16 +112,52 @@ type Plan struct {
 // mapped graph's idx/adj/weight pages are forced exactly one time — and the
 // result shares the graph's adjacency storage where the kernel needs no
 // extra per-edge state.
-func NewPlan(g *graph.Graph, model diffusion.Model) *Plan {
+//
+// The same visit checks the content of the reverse sections, which a .sasg
+// open does not: inIdx monotone, every inAdj entry a node, every inW in
+// [0, 1], and for LT every in-weight sum at most 1+ltTolerance. A violation
+// returns a *graph.ContentError (errors.Is graph.ErrBadContent) and no plan.
+func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 	n := g.NumNodes()
 	idx, adj, w := g.ReverseCSR()
 	p := &Plan{model: model, n: n, deg: make([]int32, n)}
+	var err error
 	if model == diffusion.IC {
-		p.compileIC(idx, adj, w)
+		err = p.compileIC(idx, adj, w)
 	} else {
-		p.compileLT(g, idx, adj, w)
+		err = p.compileLT(idx, adj, w)
 	}
-	return p
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ltTolerance is how far an LT in-weight sum may exceed 1, for float32
+// weights such as weighted cascade's 1/d_in that sum to 1 only up to
+// rounding; the stop outcome of such a node is clamped at 0.
+const ltTolerance = 1e-6
+
+// checkSpan checks node v's window of the reverse offsets, lo = idx[v] to
+// hi = idx[v+1]: monotone and within the m edges. The ends of idx, 0 and m,
+// are checked at open.
+func checkSpan(v int, lo, hi, m int64) error {
+	if hi < lo || hi > m {
+		return &graph.ContentError{Section: "inIdx", Index: int64(v) + 1}
+	}
+	return nil
+}
+
+// checkEdge checks in-edge i: its source is a node and its weight is in
+// [0, 1] (NaN is not).
+func checkEdge(i int64, u uint32, w float32, n int) error {
+	if u >= uint32(n) {
+		return &graph.ContentError{Section: "inAdj", Index: i, Err: graph.ErrBadEndpoint}
+	}
+	if !(w >= 0 && w <= 1) {
+		return &graph.ContentError{Section: "inW", Index: i, Err: graph.ErrBadWeight}
+	}
+	return nil
 }
 
 // Model returns the model the plan was compiled for.
@@ -135,30 +171,32 @@ func (p *Plan) Bytes() int64 {
 		int64(cap(p.lt))*16 + int64(cap(p.ltOff))*8
 }
 
-// compileIC classifies each node, records its degree and lays out the fused
-// records for the general class, all in one pass over the reverse CSR — a
-// mapped graph's pages are touched once. Weighted-cascade graphs classify
-// every node uniform, so gen/genOff stay nil and the plan costs 13
-// bytes/node over the graph.
-func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) {
-	n := p.n
+// compileIC checks each node's in-edges, classifies the node, records its
+// degree and lays out the fused records for the general class, all in one
+// pass over the reverse CSR — a mapped graph's pages are touched once.
+// Weighted-cascade graphs classify every node uniform, so gen/genOff stay
+// nil and the plan costs 13 bytes/node over the graph.
+func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
+	n, m := p.n, int64(len(adj))
 	p.inIdx, p.inAdj = idx, adj
 	p.class = make([]uint8, n)
 	p.lnq = make([]float64, n)
 	for v := 0; v < n; v++ {
 		lo, hi := idx[v], idx[v+1]
+		if err := checkSpan(v, lo, hi, m); err != nil {
+			return err
+		}
 		p.deg[v] = int32(hi - lo)
-		ws := w[lo:hi]
 		uniform := true
-		for i := 1; i < len(ws); i++ {
-			if ws[i] != ws[0] {
-				uniform = false
-				break
+		for i := lo; i < hi; i++ {
+			if err := checkEdge(i, adj[i], w[i], n); err != nil {
+				return err
 			}
+			uniform = uniform && w[i] == w[lo]
 		}
 		if uniform {
-			if len(ws) > 0 {
-				p.lnq[v] = rng.LogQ(float64(ws[0]))
+			if hi > lo {
+				p.lnq[v] = rng.LogQ(float64(w[lo]))
 			}
 			if p.genOff != nil {
 				p.genOff[v+1] = int64(len(p.gen))
@@ -176,19 +214,23 @@ func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) {
 		}
 		p.genOff[v+1] = int64(len(p.gen))
 	}
+	return nil
 }
 
-// compileLT builds one Vose alias table per node over its in-neighbours
-// plus the stop outcome (probability 1 − Σw, clamped at 0 for graphs at the
-// LT tolerance boundary), with slot probabilities stored as uint64
-// thresholds.
-func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32) {
-	n := p.n
+// compileLT checks each node's in-edges and in-weight sum, and builds one
+// Vose alias table per node over its in-neighbours plus the stop outcome
+// (probability 1 − Σw, clamped at 0 within ltTolerance), with slot
+// probabilities stored as uint64 thresholds.
+func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
+	n, m := p.n, int64(len(adj))
 	p.ltOff = make([]int64, n+1)
-	// One pass over the offset table fills degrees, the slot offsets and the
-	// Vose scratch bound together.
+	// One pass over the offset table checks it and fills degrees, the slot
+	// offsets and the Vose scratch bound together.
 	maxOut := 0
 	for v := 0; v < n; v++ {
+		if err := checkSpan(v, idx[v], idx[v+1], m); err != nil {
+			return err
+		}
 		d := int32(idx[v+1] - idx[v])
 		p.deg[v] = d
 		p.ltOff[v+1] = p.ltOff[v] + int64(d) + 1
@@ -203,11 +245,18 @@ func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32)
 	for v := 0; v < n; v++ {
 		d := int(p.deg[v])
 		slots := p.lt[p.ltOff[v]:p.ltOff[v+1]]
-		sum := g.InWeightSum(uint32(v))
-		stop := 1 - sum
-		if stop < 0 { // LT tolerance boundary: Σw may exceed 1 by ~1e-6
-			stop = 0
+		// Σw in float64 in CSR order, as graph.InWeightSum sums it.
+		sum := 0.0
+		for i := idx[v]; i < idx[v+1]; i++ {
+			if err := checkEdge(i, adj[i], w[i], n); err != nil {
+				return err
+			}
+			sum += float64(w[i])
 		}
+		if sum > 1+ltTolerance {
+			return &graph.ContentError{Section: "inW", Index: int64(v), Err: graph.ErrLTViolation}
+		}
+		stop := max(1-sum, 0)
 		total := sum + stop
 		// Outcome weights: the d in-edge weights, then the stop deficit.
 		m := d + 1
@@ -250,6 +299,7 @@ func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32)
 			slots[s].alt = uint32(s)
 		}
 	}
+	return nil
 }
 
 // icFrontier expands one level of the IC reverse BFS: buf[head:] is the

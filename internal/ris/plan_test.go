@@ -81,7 +81,10 @@ func TestPlanClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlan(g, diffusion.IC)
+	p, err := NewPlan(g, diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v, c := range p.class {
 		if c != classUniform {
 			t.Fatalf("WC node %d classified general", v)
@@ -93,7 +96,10 @@ func TestPlanClassification(t *testing.T) {
 	// Mixed weights: node 0 of the star must classify general, its
 	// neighbours (in-degree 0) uniform.
 	gm := starGraph(t, []float64{0.1, 0.5, 0.9})
-	pm := NewPlan(gm, diffusion.IC)
+	pm, err := NewPlan(gm, diffusion.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pm.class[0] != classGeneral {
 		t.Fatal("mixed-weight node classified uniform")
 	}
@@ -146,7 +152,7 @@ func TestPlanICUniformEdgeFrequencies(t *testing.T) {
 	}
 	g := starGraph(t, ws)
 	s := forcedRootSampler(t, g, diffusion.IC)
-	if s.Plan().class[0] != classUniform {
+	if s.mustPlan().class[0] != classUniform {
 		t.Fatal("uniform star classified general")
 	}
 	counts := activationCounts(s, g.NumNodes(), N)
@@ -162,7 +168,7 @@ func TestPlanICGeneralEdgeFrequencies(t *testing.T) {
 	const N = 300000
 	g := starGraph(t, ws)
 	s := forcedRootSampler(t, g, diffusion.IC)
-	if s.Plan().class[0] != classGeneral {
+	if s.mustPlan().class[0] != classGeneral {
 		t.Fatal("mixed star classified uniform")
 	}
 	counts := activationCounts(s, g.NumNodes(), N)

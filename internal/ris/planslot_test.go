@@ -55,7 +55,7 @@ func TestPlanCacheSharedAcrossSamplers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			plans[i] = samplers[i%len(samplers)].Plan()
+			plans[i] = samplers[i%len(samplers)].mustPlan()
 		}(i)
 	}
 	wg.Wait()
@@ -75,7 +75,7 @@ func TestPlanCacheSharedAcrossSamplers(t *testing.T) {
 			t.Fatalf("sampler %d PlanBytes %d != %d", i, s.PlanBytes(), plans[0].Bytes())
 		}
 	}
-	if late.Plan() != plans[0] {
+	if late.mustPlan() != plans[0] {
 		t.Fatal("a later sampler compiled its own plan")
 	}
 }
@@ -92,7 +92,7 @@ func TestPlanCollectedWithGraph(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Plan() == nil || s.PlanBytes() <= 0 {
+			if s.mustPlan() == nil || s.PlanBytes() <= 0 {
 				t.Fatalf("%v: no plan compiled", model)
 			}
 		}
@@ -128,7 +128,7 @@ func TestPlanCacheKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pIC, pLT, pG2 := sIC.Plan(), sLT.Plan(), sG2.Plan()
+	pIC, pLT, pG2 := sIC.mustPlan(), sLT.mustPlan(), sG2.mustPlan()
 	if pIC == pLT || pIC == pG2 {
 		t.Fatal("distinct (graph, model) keys shared a plan")
 	}
@@ -139,7 +139,7 @@ func TestPlanCacheKeying(t *testing.T) {
 	g1.DropPlans()
 	// The old sampler keeps working with its plan; a new sampler finds no
 	// plan on the graph and compiles a fresh one, which later samplers share.
-	if sIC.Plan() != pIC {
+	if sIC.mustPlan() != pIC {
 		t.Fatal("existing sampler lost its plan on DropPlans")
 	}
 	sNew, err := NewSampler(g1, diffusion.IC)
@@ -149,7 +149,7 @@ func TestPlanCacheKeying(t *testing.T) {
 	if sNew.PlanBytes() != 0 {
 		t.Fatal("DropPlans left a compiled plan on the graph")
 	}
-	pNew := sNew.Plan()
+	pNew := sNew.mustPlan()
 	if pNew == pIC {
 		t.Fatal("post-drop sampler reused the dropped plan")
 	}
@@ -157,7 +157,7 @@ func TestPlanCacheKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sNext.Plan() != pNew {
+	if sNext.mustPlan() != pNew {
 		t.Fatal("samplers after the recompile do not share it")
 	}
 	if _, err := NewSampler(g1, diffusion.Model(7)); err == nil {
@@ -189,7 +189,7 @@ func TestPlanCacheMappedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Plan() != s2.Plan() {
+	if s1.mustPlan() != s2.mustPlan() {
 		t.Fatal("two samplers on one mapped graph compiled distinct plans")
 	}
 	if s2.PlanBytes() <= 0 {

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -480,7 +481,13 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	st.epochs = epochs
 	st.length = cutoff
 	st.snap = bf
-	st.GenerateTo(md.length) // resamples a discarded suffix; a no-op when clean
+	// Resample a discarded suffix. A clean recovery has none, so it compiles
+	// no plan; a suffix on a graph that fails the plan's content checks
+	// fails the recovery.
+	if err := st.GenerateToCtx(context.Background(), md.length); err != nil {
+		bf.close()
+		return nil, nil, err
+	}
 	info.Sets = st.Len()
 	return st, info, nil
 }

@@ -121,7 +121,7 @@ func refLTStep(g *graph.Graph, v uint32, u01 float64) (u uint32, ok bool) {
 // included), before appending it; up to there it makes exactly the draws
 // of the full walk.
 func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []bool) (_ []uint32, width int64, hit bool) {
-	p := s.Plan()
+	p := s.mustPlan()
 	var root uint32
 	if s.root != nil {
 		root = uint32(s.root.Sample(r))

@@ -30,8 +30,8 @@ import (
 type Sampler struct {
 	g       *graph.Graph
 	model   diffusion.Model
-	root    *rng.Alias // nil ⇒ uniform root
-	weights []float64  // WRIS benefit weights; retained so remote shards can rebuild the alias table
+	root    *rng.Alias  // nil ⇒ uniform root
+	weights []float64   // WRIS benefit weights; retained so remote shards can rebuild the alias table
 	scale   float64     // n for RIS, Γ for WRIS
 	plan    *graph.Slot // the graph's slot for this model's compiled plan
 	stream  uint64      // ORed into every set id's stream: 0, or verifyStream (VerifySampler)
@@ -95,15 +95,30 @@ func (s *Sampler) VerifySampler() *Sampler {
 // Plan returns the compiled sampling plan, compiling it into the graph's
 // slot on first use: however many samplers, stores or sessions touch the
 // graph, the O(n + m) compile happens once, and the plan lives as long as
-// the graph. Safe for concurrent callers.
-func (s *Sampler) Plan() *Plan {
-	return s.plan.Resolve(func() any { return NewPlan(s.g, s.model) }).(*Plan)
+// the graph. A graph whose reverse sections fail the compile's content
+// checks returns that *graph.ContentError here, to every sampler, without
+// compiling again. Safe for concurrent callers.
+func (s *Sampler) Plan() (*Plan, error) {
+	v, err := s.plan.Resolve(func() (any, error) { return NewPlan(s.g, s.model) })
+	p, _ := v.(*Plan)
+	return p, err
+}
+
+// mustPlan is Plan for the single-walk entry points (AppendSample,
+// HitsMarked, Sample), which return no error: their callers resolve Plan
+// first, so a content error here is a caller's bug and panics.
+func (s *Sampler) mustPlan() *Plan {
+	p, err := s.Plan()
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // PlanBytes reports the compiled plan's memory, 0 if it was never compiled.
 // Non-forcing, for memory accounting.
 func (s *Sampler) PlanBytes() int64 {
-	if p, ok := s.plan.Value().(*Plan); ok {
+	if p, _ := s.plan.Value().(*Plan); p != nil {
 		return p.Bytes()
 	}
 	return 0
@@ -172,9 +187,10 @@ func (s *Sampler) NewState() *State {
 // needs). The set occupies buf[len(buf)-setLen:]. For the LT model the
 // nodes appear in reverse-walk order (root first), which tests rely on.
 func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf []uint32, setLen int, width int64) {
+	p := s.mustPlan()
 	start := len(buf)
-	buf, _ = s.walk(r, st, buf, nil)
-	return buf, len(buf) - start, s.Plan().width(buf[start:])
+	buf, _ = s.walk(p, r, st, buf, nil)
+	return buf, len(buf) - start, p.width(buf[start:])
 }
 
 // HitsMarked reports whether the RR set AppendSample would draw from r
@@ -184,7 +200,7 @@ func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf [
 // fraction of the full set. buf is the walk's queue scratch; the grown
 // buffer is returned for reuse and holds the nodes visited before the stop.
 func (s *Sampler) HitsMarked(r *rng.Source, st *State, buf []uint32, marked []bool) (hit bool, newBuf []uint32) {
-	buf, hit = s.walk(r, st, buf[:0], marked)
+	buf, hit = s.walk(s.mustPlan(), r, st, buf[:0], marked)
 	return hit, buf
 }
 
@@ -202,12 +218,11 @@ func (s *Sampler) open(r *rng.Source, m *epoch.Marks, buf []uint32) ([]uint32, u
 	return append(buf, root), root
 }
 
-// walk draws one RR set from r on lane 0's marks and appends it to buf. A
-// non-nil stop ends the walk with true at the first node in stop, truncated
-// before it; the walk's draws up to there are those of the full set. IC
-// tests stop once per frontier, LT once per step.
-func (s *Sampler) walk(r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, bool) {
-	p := s.Plan()
+// walk draws one RR set from r through p on lane 0's marks and appends it
+// to buf. A non-nil stop ends the walk with true at the first node in stop,
+// truncated before it; the walk's draws up to there are those of the full
+// set. IC tests stop once per frontier, LT once per step.
+func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, bool) {
 	m := &st.lanes[0].marks
 	start := len(buf)
 	buf, root := s.open(r, m, buf)
@@ -250,19 +265,19 @@ func (s *Sampler) walk(r *rng.Source, st *State, buf []uint32, stop []bool) ([]u
 // (each frontier is already batched, see Plan.icFrontier). LT runs ltLanes
 // walks round-robin, one step each per turn: a finished lane records its
 // set and takes the chunk's next id, and the sets are emitted in id order
-// at the end, so the chunk is exactly the one a one-walk loop produces.
-func (s *Sampler) sampleChunk(st *State, seed uint64, lo, hi int) chunkResult {
-	p := s.Plan()
+// at the end, so the chunk is exactly the one a one-walk loop produces. p
+// is s's compiled plan, resolved before the sampler goroutines start.
+func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunkResult {
 	res := chunkResult{offsets: make([]int32, 1, hi-lo+1)}
 	if p.model == diffusion.IC {
 		buf := make([]uint32, 0, 4*(hi-lo))
 		r := &st.lanes[0].r
 		for id := lo; id < hi; id++ {
 			r.SeedStream(seed, uint64(id)|s.stream)
-			var w int64
-			buf, _, w = s.AppendSample(r, st, buf)
+			start := len(buf)
+			buf, _ = s.walk(p, r, st, buf, nil)
 			res.offsets = append(res.offsets, int32(len(buf)))
-			res.width += w
+			res.width += p.width(buf[start:])
 		}
 		res.buf = buf
 		return res

@@ -220,23 +220,24 @@ type chunkResult struct {
 	width   int64
 }
 
-// sampleChunks generates the RR sets with global ids [gfrom, gto) in
+// sampleChunksCtx generates the RR sets with global ids [gfrom, gto) in
 // parallel chunks. RR set i is always produced by the PRNG stream
 // (seed, i), so the output is bit-identical for any worker count — and for
 // any partition of the id space across segments, which is what makes the
 // sample stream independent of the shard count.
-func sampleChunks(s *Sampler, seed uint64, gfrom, gto, workers int) []chunkResult {
-	results, _ := sampleChunksCtx(context.Background(), s, seed, gfrom, gto, workers)
-	return results
-}
-
-// sampleChunksCtx is sampleChunks with cooperative cancellation: workers
-// check ctx between chunk claims and stop claiming once it fires. On
-// cancellation all sampled chunks are discarded and ctx.Err() is returned —
-// the caller appends nothing, so an abandoned top-up can never leave a
-// half-grown store. Chunks are the granularity: a fired ctx waits at most
-// one chunk's sampling time per worker.
+//
+// The sampler's plan is resolved before any worker starts, so a graph that
+// fails the compile's content checks returns that error and no worker runs.
+// Workers check ctx between chunk claims and stop claiming once it fires.
+// On cancellation all sampled chunks are discarded and ctx.Err() is
+// returned — the caller appends nothing, so an abandoned top-up can never
+// leave a half-grown store. Chunks are the granularity: a fired ctx waits
+// at most one chunk's sampling time per worker.
 func sampleChunksCtx(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, workers int) ([]chunkResult, error) {
+	p, err := s.Plan()
+	if err != nil {
+		return nil, err
+	}
 	count := gto - gfrom
 	nChunks := (count + chunkSize - 1) / chunkSize
 	results := make([]chunkResult, nChunks)
@@ -263,7 +264,7 @@ func sampleChunksCtx(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, w
 				}
 				lo := gfrom + ci*chunkSize
 				hi := min(lo+chunkSize, gto)
-				results[ci] = s.sampleChunk(st, seed, lo, hi)
+				results[ci] = s.sampleChunk(p, st, seed, lo, hi)
 			}
 		}()
 	}

@@ -306,10 +306,14 @@ func (sc *ShardedCollection) ForEachSet(from, to int, fn func(i int, set []uint3
 }
 
 // GenerateTo grows the store until it holds at least target RR sets.
+// Background never cancels and remote failures panic as *ShardError inside,
+// so the one error left is the plan's content error, which panics here:
+// callers on a graph of unchecked content resolve Sampler.Plan first or
+// call GenerateToCtx.
 func (sc *ShardedCollection) GenerateTo(target int) {
-	// Background never cancels, and non-cancellation failures panic as
-	// *ShardError inside, so the error is structurally nil.
-	_ = sc.GenerateToCtx(context.Background(), target)
+	if err := sc.GenerateToCtx(context.Background(), target); err != nil {
+		panic(err)
+	}
 }
 
 // GenerateToCtx grows the store to at least target RR sets: the new global

@@ -2,6 +2,7 @@ package ris
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -337,7 +338,10 @@ func (s *ShardServer) handleGenerate(bw *bufio.Writer, payload []byte) error {
 	switch {
 	case len(gids) == 0 || int(gids[len(gids)-1]) < gfrom:
 		// Fresh range beyond everything held: sample and append.
-		results := sampleChunks(sh.sampler, sh.spec.seed, gfrom, gto, sh.workers)
+		results, err := sampleChunksCtx(context.Background(), sh.sampler, sh.spec.seed, gfrom, gto, sh.workers)
+		if err != nil { // the worker's graph failed the plan's content checks
+			return &fatalError{msg: err.Error()}
+		}
 		lfrom := sh.seg.nsets()
 		sh.seg.appendResults(results)
 		for g := gfrom; g < gto; g++ {

@@ -54,10 +54,13 @@ type Store interface {
 	// stream suffixes into gain counts without per-id lookup cost.
 	ForEachSet(from, to int, fn func(i int, set []uint32))
 	// GenerateTo grows the stream to at least target RR sets. Remote shard
-	// failures escape as *ShardError panics (see ShardError).
+	// failures escape as *ShardError panics (see ShardError), and so does a
+	// graph that fails the plan's content checks: resolve Sampler.Plan
+	// first where that is possible.
 	GenerateTo(target int)
 	// GenerateToCtx is GenerateTo with cooperative cancellation, checked
-	// between sampling chunk claims (and between remote RPC attempts). On
+	// between sampling chunk claims (and between remote RPC attempts), and
+	// with the plan's content error returned before any sampling starts. On
 	// cancellation it returns the context's error having mutated NOTHING —
 	// stream, index and width are exactly as before the call, so a later
 	// identical top-up regenerates the same bit-identical sets.

@@ -80,7 +80,7 @@ func TestStreamPinned(t *testing.T) {
 		// The same ids through the store's chunk path, at a worker count and
 		// a range that leave partial chunks.
 		h.Reset()
-		for _, res := range sampleChunks(tc.s, 55, 0, ids, 3) {
+		for _, res := range sampleChunks(t, tc.s, 55, 0, ids, 3) {
 			var width int64
 			for j := 1; j < len(res.offsets); j++ {
 				set := res.buf[res.offsets[j-1]:res.offsets[j]]

@@ -35,10 +35,13 @@ import (
 // hold. The HTTP layer maps it to 404.
 var ErrUnknownTenant = errors.New("serving: unknown tenant")
 
-// ErrTenantUnavailable wraps a failure to bring a tenant's session up: its
-// graph file cannot be opened or decoded, or NewSession rejects it. The
-// fault is the server's, not the request's, so the HTTP layer maps it to
-// 500; the tenant stays admitted and its next query tries again.
+// ErrTenantUnavailable wraps a failure of the tenant rather than the
+// request: its graph file cannot be opened or decoded, NewSession rejects
+// it, or a query finds content the graph may not hold
+// (stopandstare.ErrBadGraphContent). The HTTP layer maps it to 500; the
+// tenant stays admitted and its next query tries again (a content error is
+// kept on the graph, so that query fails fast), while other tenants keep
+// answering.
 var ErrTenantUnavailable = errors.New("serving: tenant unavailable")
 
 // Config sizes a Manager.
@@ -533,7 +536,11 @@ func (m *Manager) admitAndExecute(ctx context.Context, t *tenant, q stopandstare
 	// nobody will read. Cancellation never tears the store — a canceled
 	// top-up mutates nothing — so a coalesced follower whose leader was
 	// canceled can simply retry and resume from the same clean prefix.
-	return sess.MaximizeContext(ctx, q)
+	res, err := sess.MaximizeContext(ctx, q)
+	if errors.Is(err, stopandstare.ErrBadGraphContent) {
+		err = fmt.Errorf("%w: %q: %w", ErrTenantUnavailable, t.name, err)
+	}
+	return res, err
 }
 
 // enforceBudget shrinks the summed resident store bytes under the budget,

@@ -82,7 +82,11 @@ func TestEvictionExactness(t *testing.T) {
 		if s.PlanBytes() == 0 {
 			t.Fatal("no compiled plan on the graph")
 		}
-		return s.Plan()
+		p, err := s.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 	plan := graphPlan()
 	// Querying B pushes the total past the 1-byte budget with A idle: A's

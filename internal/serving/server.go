@@ -147,8 +147,9 @@ type ReadyzResponse struct {
 // Backpressure surfaces as status codes: 429 (admission queue full) and
 // 503 (deadline expired while waiting), both with Retry-After, so an
 // overloaded server sheds load instead of accumulating it. A tenant whose
-// session cannot be built (ErrTenantUnavailable) answers 500; every other
-// query failure is the request's and answers 400.
+// session cannot be built or whose graph fails its content checks
+// (ErrTenantUnavailable) answers 500; every other query failure is the
+// request's and answers 400.
 type Server struct {
 	mgr   *Manager
 	cfg   ServerConfig

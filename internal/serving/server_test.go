@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -391,5 +392,59 @@ func TestServeTenantUnavailable(t *testing.T) {
 	}
 	if resp, out := post(t, ts, `{"tenant":"good","k":5}`); resp.StatusCode != http.StatusOK || len(out.Seeds) != 5 {
 		t.Fatalf("good tenant: status %d, %d seeds", resp.StatusCode, len(out.Seeds))
+	}
+}
+
+// TestServeCorruptTenant: a tenant whose .sasg passes open but holds an
+// in-edge source that is not a node (one inAdj word set to 2³⁰) answers
+// 500 with the typed content error, query after query, and the healthy
+// tenant beside it keeps answering.
+func TestServeCorruptTenant(t *testing.T) {
+	g, err := stopandstare.GenerateErdosRenyi(200, 1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corrupt.sasg")
+	if err := g.WriteMappedFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inAdj := binary.LittleEndian.Uint64(data[32+16*4:]) // section table entry 4
+	binary.LittleEndian.PutUint32(data[inAdj+4*500:], 1<<30)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(Config{})
+	t.Cleanup(m.Close)
+	sopt := stopandstare.SessionOptions{Seed: 1, Workers: 2}
+	if err := m.AddTenant("corrupt", TenantConfig{GraphFile: path, Model: stopandstare.IC, Session: sopt}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddTenant("good", TenantConfig{Graph: testGraph(t, 12), Model: stopandstare.IC, Session: sopt}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(m, ServerConfig{}).Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 2; i++ {
+		_, err := m.Maximize(context.Background(), "corrupt", stopandstare.Query{K: 5})
+		if !errors.Is(err, ErrTenantUnavailable) || !errors.Is(err, stopandstare.ErrBadGraphContent) {
+			t.Fatalf("corrupt tenant: Maximize error %v, want ErrTenantUnavailable wrapping the content error", err)
+		}
+		if resp, _ := post(t, ts, `{"tenant":"corrupt","k":5}`); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("corrupt tenant: status %d, want 500", resp.StatusCode)
+		}
+		if resp, out := post(t, ts, `{"tenant":"good","k":5}`); resp.StatusCode != http.StatusOK || len(out.Seeds) != 5 {
+			t.Fatalf("good tenant: status %d, %d seeds", resp.StatusCode, len(out.Seeds))
+		}
+	}
+	// The corrupt tenant's session stays resident, with no plan to account.
+	for _, ten := range getStats(t, ts).Tenants {
+		if ten.Name == "corrupt" && ten.PlanBytes != 0 {
+			t.Fatalf("corrupt tenant reports a %d-byte plan", ten.PlanBytes)
+		}
 	}
 }

@@ -144,6 +144,9 @@ func BudgetedSweep(t *Instance, model diffusion.Model, budgets []float64, opt Bu
 	if err != nil {
 		return nil, err
 	}
+	if _, err := s.Plan(); err != nil { // a graph that fails the content checks
+		return nil, err
+	}
 	samples := 0
 	for _, b := range budgets {
 		samples = max(samples, t.sampleSize(opt, b))

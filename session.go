@@ -207,7 +207,9 @@ type SessionStats struct {
 
 // NewSession builds a serving session for (g, model). The heavy pieces are
 // lazy: the plan compiles (once per graph and model) on first sampling, and
-// the store grows on first query.
+// the store grows on first query. So a graph whose content fails the plan's
+// checks is reported by the first query that samples, with an error
+// matching ErrBadGraphContent.
 func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
 	return newSession(g, model, opt, false)
 }
@@ -323,23 +325,24 @@ func (s *Session) MaximizeContext(ctx context.Context, q Query) (*Result, error)
 	return s.maximize(ctx, q)
 }
 
-// growthCanceled carries a context error out of sessionEnv.Ensure (the
-// error-free core.Exec surface) to maximize's recover.
-type growthCanceled struct{ err error }
+// growthFailed carries a growth error out of sessionEnv.Ensure (the
+// error-free core.Exec surface) to maximize's recover: the query context's
+// error, or the plan's content error on a graph that fails its checks.
+type growthFailed struct{ err error }
 
 func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error) {
-	// core.Exec.Ensure cannot return an error, so a canceled growth
-	// arrives as a *growthCanceled panic; this is the surface that turns
+	// core.Exec.Ensure cannot return an error, so a failed growth
+	// arrives as a *growthFailed panic; this is the surface that turns
 	// it back into an ordinary error. Lock discipline is panic-safe below
 	// here — core brackets store reads with deferred releases — so no
 	// session lock is held when we land in this recover.
 	defer func() {
 		if p := recover(); p != nil {
-			gc, ok := p.(*growthCanceled)
+			gf, ok := p.(*growthFailed)
 			if !ok {
 				panic(p)
 			}
-			res, err = nil, gc.err
+			res, err = nil, gf.err
 		}
 	}()
 	algo := q.Algorithm
@@ -501,13 +504,13 @@ func (e sessionEnv) Ensure(target int) bool {
 	var grew bool
 	func() {
 		s.mu.Lock()
-		// Deferred so a canceled growth (*growthCanceled, raised below)
-		// cannot leak the write lock on its way to maximize's recover.
+		// Deferred so a failed growth (*growthFailed, raised below) cannot
+		// leak the write lock on its way to maximize's recover.
 		defer s.mu.Unlock()
 		grew = s.store.Len() < target // another query may have topped up first
 		if err := s.store.GenerateToCtx(e.ctx, target); err != nil {
-			grew = false // canceled top-ups mutate nothing
-			panic(&growthCanceled{err: err})
+			grew = false // failed top-ups mutate nothing
+			panic(&growthFailed{err: err})
 		}
 	}()
 	if grew {
@@ -533,7 +536,7 @@ type verifyEnv struct{ sessionEnv }
 
 func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (int, int64, bool) {
 	if err := e.ctx.Err(); err != nil {
-		panic(&growthCanceled{err: err})
+		panic(&growthFailed{err: err})
 	}
 	v := e.s.verify
 	grew := e.growVerify(to)
@@ -565,7 +568,7 @@ func (e verifyEnv) growVerify(target int) bool {
 	}
 	grew := v.store.Len() < target
 	if err := v.store.GenerateToCtx(e.ctx, target); err != nil {
-		panic(&growthCanceled{err: err}) // canceled top-ups mutate nothing
+		panic(&growthFailed{err: err}) // failed top-ups mutate nothing
 	}
 	return grew
 }

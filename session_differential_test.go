@@ -344,14 +344,22 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := func(model stopandstare.Model) *ris.Sampler {
+	// graphPlan returns the plan g holds for model, nil if none is compiled.
+	graphPlan := func(model stopandstare.Model) *ris.Plan {
 		s, err := ris.NewSampler(g, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		if s.PlanBytes() == 0 {
+			return nil
+		}
+		p, err := s.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if probe(diffusion.IC).PlanBytes() != 0 {
+	if graphPlan(stopandstare.IC) != nil {
 		t.Fatal("fresh graph already holds a compiled plan")
 	}
 	var first *ris.Plan
@@ -365,15 +373,11 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 		if _, err := sess.Maximize(stopandstare.Query{K: 4, Epsilon: 0.4}); err != nil {
 			t.Fatal(err)
 		}
-		s := probe(diffusion.IC)
-		if s.PlanBytes() == 0 {
-			t.Fatal("a session query left no plan on the graph")
+		p := graphPlan(stopandstare.IC)
+		if p == nil || (first != nil && p != first) {
+			t.Fatalf("session %d: graph plan %p, want the first session's %p", i, p, first)
 		}
-		if first == nil {
-			first = s.Plan()
-		} else if s.Plan() != first {
-			t.Fatalf("session %d compiled its own plan", i)
-		}
+		first = p
 	}
 	// One-shot runs and a certificate on the same graph join the sharing.
 	if _, err := stopandstare.Maximize(g, stopandstare.IC, stopandstare.DSSA,
@@ -383,11 +387,11 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 	if _, err := stopandstare.CertifySpread(g, stopandstare.IC, []uint32{1, 2}, 0.3, 0.1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if probe(diffusion.IC).Plan() != first {
+	if graphPlan(stopandstare.IC) != first {
 		t.Fatal("a one-shot run or the certificate compiled the IC plan again")
 	}
 	// The LT plan is a separate slot, also compiled once.
-	if probe(diffusion.LT).PlanBytes() != 0 {
+	if graphPlan(stopandstare.LT) != nil {
 		t.Fatal("IC queries compiled an LT plan")
 	}
 	var lt *ris.Plan
@@ -396,15 +400,11 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 			stopandstare.Options{K: 3, Epsilon: 0.4, Seed: uint64(9 + i), Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
-		s := probe(diffusion.LT)
-		if s.PlanBytes() == 0 {
-			t.Fatal("an LT run left no plan on the graph")
+		p := graphPlan(stopandstare.LT)
+		if p == nil || (lt != nil && p != lt) {
+			t.Fatalf("LT run %d: graph plan %p, want the first run's %p", i, p, lt)
 		}
-		if lt == nil {
-			lt = s.Plan()
-		} else if s.Plan() != lt {
-			t.Fatal("a second one-shot LT run compiled the LT plan again")
-		}
+		lt = p
 	}
 	if lt == first {
 		t.Fatal("IC and LT share one plan")

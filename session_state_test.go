@@ -139,6 +139,48 @@ func copyStateDir(t *testing.T, src string) string {
 	return dir
 }
 
+// TestRecoveredSessionCompilesNothing: the plan compile, and with it the
+// reverse sections' content check, stays lazy. A restarted session that
+// recovers its store answers a D-SSA query the store covers without
+// compiling a plan, so its first answer pays for no compile.
+func TestRecoveredSessionCompilesNothing(t *testing.T) {
+	build := func() *Graph { // a new graph value per process, as after a restart
+		g, err := GeneratePowerLaw(300, 1800, 2.1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	opt := SessionOptions{Seed: 21, Workers: 2, StateDir: t.TempDir()}
+	q := Query{K: 6, Epsilon: 0.3}
+	sess, err := NewSession(build(), IC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.Maximize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewSession(build(), IC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restarted.Maximize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSessionAnswer(t, "recovered", got, want)
+	if !got.Warm || restarted.Stats().Recovered == 0 {
+		t.Fatalf("the query was not answered from the recovered store: warm %v, %+v", got.Warm, restarted.Stats())
+	}
+	if n := restarted.sampler.PlanBytes(); n != 0 {
+		t.Fatalf("a warm query on a recovered session compiled a %d-byte plan", n)
+	}
+}
+
 // TestSessionMultiShardStateStartsCold pins what an old state directory
 // does to a session: the checked-in 3-shard v1 snapshot, what a sharded
 // durable session or imserve -shards 3 -state-dir of an earlier build left
