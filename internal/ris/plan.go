@@ -113,10 +113,12 @@ type Plan struct {
 // result shares the graph's adjacency storage where the kernel needs no
 // extra per-edge state.
 //
-// The same visit checks the content of the reverse sections, which a .sasg
-// open does not: inIdx monotone, every inAdj entry a node, every inW in
-// [0, 1], and for LT every in-weight sum at most 1+ltTolerance. A violation
-// returns a *graph.ContentError (errors.Is graph.ErrBadContent) and no plan.
+// Compilation also checks the content of the reverse sections, which a
+// .sasg open does not: inIdx monotone, every inAdj entry a node, every inW
+// in [0, 1], and for LT every in-weight sum at most 1+ltTolerance. Each
+// check rides a loop that reads the value anyway, except IC's one pass over
+// inAdj. A violation returns a *graph.ContentError (errors.Is
+// graph.ErrBadContent) and no plan.
 func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 	n := g.NumNodes()
 	idx, adj, w := g.ReverseCSR()
@@ -125,7 +127,7 @@ func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 	if model == diffusion.IC {
 		err = p.compileIC(idx, adj, w)
 	} else {
-		err = p.compileLT(idx, adj, w)
+		err = p.compileLT(g, idx, adj, w)
 	}
 	if err != nil {
 		return nil, err
@@ -139,25 +141,41 @@ func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 const ltTolerance = 1e-6
 
 // checkSpan checks node v's window of the reverse offsets, lo = idx[v] to
-// hi = idx[v+1]: monotone and within the m edges. The ends of idx, 0 and m,
-// are checked at open.
-func checkSpan(v int, lo, hi, m int64) error {
-	if hi < lo || hi > m {
+// hi = idx[v+1]: monotone and within the graph's edges. The ends of idx, 0
+// and the edge count, are checked at open.
+func checkSpan(v int, lo, hi, edges int64) error {
+	if hi < lo || hi > edges {
 		return &graph.ContentError{Section: "inIdx", Index: int64(v) + 1}
 	}
 	return nil
 }
 
-// checkEdge checks in-edge i: its source is a node and its weight is in
-// [0, 1] (NaN is not).
-func checkEdge(i int64, u uint32, w float32, n int) error {
-	if u >= uint32(n) {
-		return &graph.ContentError{Section: "inAdj", Index: i, Err: graph.ErrBadEndpoint}
-	}
-	if !(w >= 0 && w <= 1) {
-		return &graph.ContentError{Section: "inW", Index: i, Err: graph.ErrBadWeight}
+// checkSources checks that every in-edge source is a node, in one pass of
+// its own: the IC compile's per-node loop reads no sources of uniform nodes.
+func checkSources(adj []uint32, n int) error {
+	for i, u := range adj {
+		if int64(u) >= int64(n) {
+			return &graph.ContentError{Section: "inAdj", Index: int64(i), Err: graph.ErrBadEndpoint}
+		}
 	}
 	return nil
+}
+
+// badWeight reports in-edge i's weight when it is outside [0, 1] (NaN is).
+func badWeight(i int64, w float32) error {
+	if w >= 0 && w <= 1 {
+		return nil
+	}
+	return &graph.ContentError{Section: "inW", Index: i, Err: graph.ErrBadWeight}
+}
+
+// badEdge reports in-edge i when its source u is not a node or its weight
+// w is outside [0, 1].
+func badEdge(i int64, u uint32, w float32, n int) error {
+	if int64(u) >= int64(n) {
+		return &graph.ContentError{Section: "inAdj", Index: i, Err: graph.ErrBadEndpoint}
+	}
+	return badWeight(i, w)
 }
 
 // Model returns the model the plan was compiled for.
@@ -177,26 +195,35 @@ func (p *Plan) Bytes() int64 {
 // Weighted-cascade graphs classify every node uniform, so gen/genOff stay
 // nil and the plan costs 13 bytes/node over the graph.
 func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
-	n, m := p.n, int64(len(adj))
+	n, edges := p.n, int64(len(adj))
+	if err := checkSources(adj, n); err != nil {
+		return err
+	}
 	p.inIdx, p.inAdj = idx, adj
 	p.class = make([]uint8, n)
 	p.lnq = make([]float64, n)
 	for v := 0; v < n; v++ {
 		lo, hi := idx[v], idx[v+1]
-		if err := checkSpan(v, lo, hi, m); err != nil {
+		if err := checkSpan(v, lo, hi, edges); err != nil {
 			return err
 		}
 		p.deg[v] = int32(hi - lo)
+		ws := w[lo:hi]
 		uniform := true
-		for i := lo; i < hi; i++ {
-			if err := checkEdge(i, adj[i], w[i], n); err != nil {
-				return err
+		for i := 1; i < len(ws); i++ {
+			if ws[i] != ws[0] {
+				uniform = false
+				break
 			}
-			uniform = uniform && w[i] == w[lo]
 		}
 		if uniform {
-			if hi > lo {
-				p.lnq[v] = rng.LogQ(float64(w[lo]))
+			if len(ws) > 0 {
+				// Weights equal to ws[0] share its validity: NaN equals
+				// nothing, so a NaN makes the node general.
+				if err := badWeight(lo, ws[0]); err != nil {
+					return err
+				}
+				p.lnq[v] = rng.LogQ(float64(ws[0]))
 			}
 			if p.genOff != nil {
 				p.genOff[v+1] = int64(len(p.gen))
@@ -210,6 +237,9 @@ func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
 			p.genOff = make([]int64, n+1)
 		}
 		for i := lo; i < hi; i++ {
+			if err := badWeight(i, w[i]); err != nil {
+				return err
+			}
 			p.gen = append(p.gen, planEdge{thr: rng.Threshold64(float64(w[i])), nbr: adj[i]})
 		}
 		p.genOff[v+1] = int64(len(p.gen))
@@ -217,18 +247,18 @@ func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
 	return nil
 }
 
-// compileLT checks each node's in-edges and in-weight sum, and builds one
-// Vose alias table per node over its in-neighbours plus the stop outcome
-// (probability 1 − Σw, clamped at 0 within ltTolerance), with slot
-// probabilities stored as uint64 thresholds.
-func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
-	n, m := p.n, int64(len(adj))
+// compileLT builds one Vose alias table per node over its in-neighbours
+// plus the stop outcome (probability 1 − Σw, clamped at 0 within
+// ltTolerance), with slot probabilities stored as uint64 thresholds,
+// checking each in-edge as it reads it and then the node's in-weight sum.
+func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32) error {
+	n, edges := p.n, int64(len(adj))
 	p.ltOff = make([]int64, n+1)
 	// One pass over the offset table checks it and fills degrees, the slot
 	// offsets and the Vose scratch bound together.
 	maxOut := 0
 	for v := 0; v < n; v++ {
-		if err := checkSpan(v, idx[v], idx[v+1], m); err != nil {
+		if err := checkSpan(v, idx[v], idx[v+1], edges); err != nil {
 			return err
 		}
 		d := int32(idx[v+1] - idx[v])
@@ -245,17 +275,7 @@ func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
 	for v := 0; v < n; v++ {
 		d := int(p.deg[v])
 		slots := p.lt[p.ltOff[v]:p.ltOff[v+1]]
-		// Σw in float64 in CSR order, as graph.InWeightSum sums it.
-		sum := 0.0
-		for i := idx[v]; i < idx[v+1]; i++ {
-			if err := checkEdge(i, adj[i], w[i], n); err != nil {
-				return err
-			}
-			sum += float64(w[i])
-		}
-		if sum > 1+ltTolerance {
-			return &graph.ContentError{Section: "inW", Index: int64(v), Err: graph.ErrLTViolation}
-		}
+		sum := g.InWeightSum(uint32(v))
 		stop := max(1-sum, 0)
 		total := sum + stop
 		// Outcome weights: the d in-edge weights, then the stop deficit.
@@ -264,8 +284,12 @@ func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
 		for j := 0; j < m; j++ {
 			var wj float64
 			if j < d {
-				wj = float64(w[idx[v]+int64(j)])
-				slots[j].nbr = adj[idx[v]+int64(j)]
+				i := idx[v] + int64(j)
+				if err := badEdge(i, adj[i], w[i], n); err != nil {
+					return err
+				}
+				wj = float64(w[i])
+				slots[j].nbr = adj[i]
 			} else {
 				wj = stop
 			}
@@ -297,6 +321,9 @@ func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
 		for _, s := range small { // numerical leftovers
 			slots[s].thr = math.MaxUint64
 			slots[s].alt = uint32(s)
+		}
+		if sum > 1+ltTolerance {
+			return &graph.ContentError{Section: "inW", Index: int64(v), Err: graph.ErrLTViolation}
 		}
 	}
 	return nil

@@ -54,9 +54,9 @@ type Store interface {
 	// stream suffixes into gain counts without per-id lookup cost.
 	ForEachSet(from, to int, fn func(i int, set []uint32))
 	// GenerateTo grows the stream to at least target RR sets. Remote shard
-	// failures escape as *ShardError panics (see ShardError), and so does a
-	// graph that fails the plan's content checks: resolve Sampler.Plan
-	// first where that is possible.
+	// failures escape as *ShardError panics (see ShardError), and a graph
+	// that fails the plan's content checks panics with that error: callers
+	// resolve Sampler.Plan first, or use GenerateToCtx.
 	GenerateTo(target int)
 	// GenerateToCtx is GenerateTo with cooperative cancellation, checked
 	// between sampling chunk claims (and between remote RPC attempts), and
