@@ -90,7 +90,10 @@ func main() {
 	if err := write(*out); err != nil {
 		fail("write: %v", err)
 	}
-	s := g.Stats()
+	s, err := g.Stats()
+	if err != nil {
+		fail("stats: %v", err)
+	}
 	fmt.Printf("wrote %s: n=%d m=%d avg-deg=%.2f max-out=%d lt-valid=%v\n",
 		*out, s.Nodes, s.Edges, s.AvgOutDegree, s.MaxOutDegree, s.LTValid)
 }

@@ -68,11 +68,14 @@ func main() {
 	if err == nil {
 		err = checkContent(g)
 	}
+	var s graph.Stats
+	if err == nil {
+		s, err = g.Stats()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "imstats: %v\n", err)
 		os.Exit(1)
 	}
-	s := g.Stats()
 	fmt.Printf("nodes:         %d\n", s.Nodes)
 	fmt.Printf("edges:         %d\n", s.Edges)
 	fmt.Printf("avg-degree:    %.2f\n", s.AvgOutDegree)
@@ -93,8 +96,9 @@ func main() {
 	}
 }
 
-// checkContent checks what a .sasg open does not, before Stats reads it:
-// the forward sections, and the reverse ones through the IC plan compile.
+// checkContent checks what a .sasg open does not, so a corrupt file fails
+// before any figure is printed: the forward sections, and the reverse ones
+// through the IC plan compile.
 func checkContent(g *graph.Graph) error {
 	if err := g.CheckForward(); err != nil {
 		return err

@@ -22,10 +22,10 @@ const (
 	secInW
 )
 
-// corruptSasg writes g as a .sasg file with element i of one section
-// overwritten by val (little-endian, one element wide) and returns its path.
-// The file still passes both opens' structural checks.
-func corruptSasg(t *testing.T, g *stopandstare.Graph, section int, i int64, val []byte) string {
+// corruptSasg writes g as a .sasg file with elements i, i+1, … of one
+// section overwritten by vals (little-endian, one element wide each) and
+// returns its path. The file still passes both opens' structural checks.
+func corruptSasg(t *testing.T, g *stopandstare.Graph, section int, i int64, vals ...[]byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "corrupt.sasg")
 	if err := g.WriteMappedFile(path); err != nil {
@@ -35,8 +35,10 @@ func corruptSasg(t *testing.T, g *stopandstare.Graph, section int, i int64, val 
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int64(binary.LittleEndian.Uint64(data[32+16*section:])) + i*int64(len(val))
-	copy(data[off:], val)
+	off := int64(binary.LittleEndian.Uint64(data[32+16*section:]))
+	for k, val := range vals {
+		copy(data[off+(i+int64(k))*int64(len(val)):], val)
+	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +141,30 @@ func TestCorruptGraphContent(t *testing.T) {
 		"Maximize/celf":   maximize(stopandstare.IC, stopandstare.CELF),
 		"Maximize/celf++": maximize(stopandstare.IC, stopandstare.CELFPlusPlus),
 	}
+	// The LT plan shares one alias table among the nodes of one in-degree
+	// (the graph is weighted cascade), so these corrupt a node whose
+	// in-degree already has a table: its checks must still run.
+	nan := f32(float32(math.NaN()))
+	sharedNaN, sharedSum := laterOfDegree(t, g, 1), laterOfDegree(t, g, 2)
 	for _, tc := range []struct {
 		name    string
 		section int
 		index   int64
-		val     []byte
+		vals    [][]byte
 		rule    error
 		runs    map[string]func(*stopandstare.Graph) error
 	}{
-		{"inAdj-is-2pow30", secInAdj, 500, u32(1 << 30), graph.ErrBadEndpoint, reverse(stopandstare.IC)},
-		{"inIdx50-is-2pow40", secInIdx, 50, i64(1 << 40), nil, reverse(stopandstare.IC)},
-		{"inW-is-NaN-IC", secInW, 500, f32(float32(math.NaN())), graph.ErrBadWeight, reverse(stopandstare.IC)},
-		{"inW-is-NaN-LT", secInW, 500, f32(float32(math.NaN())), graph.ErrBadWeight, reverse(stopandstare.LT)},
-		{"inW-sum-over-1-LT", secInW, 500, f32(0.9), graph.ErrLTViolation, reverse(stopandstare.LT)},
-		{"outW-is-7", secOutW, 500, f32(7), graph.ErrBadWeight, forward},
+		{"inAdj-is-2pow30", secInAdj, 500, [][]byte{u32(1 << 30)}, graph.ErrBadEndpoint, reverse(stopandstare.IC)},
+		{"inIdx50-is-2pow40", secInIdx, 50, [][]byte{i64(1 << 40)}, nil, reverse(stopandstare.IC)},
+		{"inW-is-NaN-IC", secInW, 500, [][]byte{nan}, graph.ErrBadWeight, reverse(stopandstare.IC)},
+		{"inW-is-NaN-LT", secInW, 500, [][]byte{nan}, graph.ErrBadWeight, reverse(stopandstare.LT)},
+		{"inW-sum-over-1-LT", secInW, 500, [][]byte{f32(0.9)}, graph.ErrLTViolation, reverse(stopandstare.LT)},
+		{"outW-is-7", secOutW, 500, [][]byte{f32(7)}, graph.ErrBadWeight, forward},
+		{"inW-is-NaN-LT-shared", secInW, sharedNaN, [][]byte{nan}, graph.ErrBadWeight, reverse(stopandstare.LT)},
+		{"inW-two-0.9-LT-shared", secInW, sharedSum, [][]byte{f32(0.9), f32(0.9)}, graph.ErrLTViolation, reverse(stopandstare.LT)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := corruptSasg(t, g, tc.section, tc.index, tc.val)
+			path := corruptSasg(t, g, tc.section, tc.index, tc.vals...)
 			for name, run := range tc.runs {
 				cg, err := stopandstare.OpenGraphFile(path)
 				if err != nil {
@@ -169,4 +178,41 @@ func TestCorruptGraphContent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// laterOfDegree returns the first in-edge of the second node of g with
+// in-degree d: a node whose degree class already has an LT table.
+func laterOfDegree(t *testing.T, g *stopandstare.Graph, d int) int64 {
+	t.Helper()
+	idx, _, _ := g.ReverseCSR()
+	seen := false
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.InDegree(uint32(v)) != d {
+			continue
+		}
+		if seen {
+			return idx[v]
+		}
+		seen = true
+	}
+	t.Fatalf("fewer than two nodes of in-degree %d", d)
+	return 0
+}
+
+// TestStatsCorruptOffsets opens a .sasg whose inIdx[50] is 2⁴⁰: Stats and
+// CheckLT, which read the reverse offsets directly, return the typed
+// content error instead of indexing past the weights.
+func TestStatsCorruptOffsets(t *testing.T) {
+	g, err := stopandstare.GenerateErdosRenyi(200, 1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := stopandstare.OpenGraphFile(corruptSasg(t, g, secInIdx, 50, i64(1<<40)))
+	if err != nil {
+		t.Fatalf("the corrupt file fails open: %v", err)
+	}
+	defer cg.Close()
+	_, err = cg.Stats()
+	requireContentError(t, "Stats", err, nil)
+	requireContentError(t, "CheckLT", cg.CheckLT(), nil)
 }

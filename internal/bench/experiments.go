@@ -74,7 +74,10 @@ func runTable2(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		s := d.Graph.Stats()
+		s, err := d.Graph.Stats()
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.Name, int64(p.Nodes), p.Edges, fmt.Sprintf("%.4f", d.Scale),
 			s.Nodes, s.Edges, s.AvgOutDegree, s.MaxOutDegree, fmt.Sprint(s.LTValid))
 	}

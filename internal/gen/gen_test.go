@@ -111,7 +111,10 @@ func TestChungLuDegreeSkew(t *testing.T) {
 	if g.NumEdges() < 9000 {
 		t.Fatalf("m=%d want ~10000", g.NumEdges())
 	}
-	s := g.Stats()
+	s, err := g.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Power-law graphs have hubs far above the mean degree.
 	if float64(s.MaxOutDegree) < 5*s.AvgOutDegree {
 		t.Fatalf("no degree skew: max=%d avg=%.1f", s.MaxOutDegree, s.AvgOutDegree)

@@ -77,11 +77,10 @@ func (g *Graph) CheckForward() error {
 // checked at open), every outAdj entry is a node and every outW is in
 // [0, 1].
 func (g *Graph) checkForward() error {
-	m := int64(len(g.outAdj))
 	for v := 0; v < g.n; v++ {
-		lo, hi := g.outIdx[v], g.outIdx[v+1]
-		if hi < lo || hi > m {
-			return &ContentError{Section: "outIdx", Index: int64(v) + 1}
+		lo, hi, err := Span("outIdx", g.outIdx, v, int64(len(g.outAdj)))
+		if err != nil {
+			return err
 		}
 		for i := lo; i < hi; i++ {
 			if g.outAdj[i] >= uint32(g.n) {

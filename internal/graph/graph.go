@@ -151,15 +151,32 @@ func (g *Graph) Reverse() (*Graph, error) {
 }
 
 // CheckLT validates the LT side condition Σ_u w(u,v) ≤ 1 for every node,
-// returning a descriptive error for the first violation.
+// returning a *ContentError for the first node whose in-edge window is out
+// of order or whose sum breaks it (Section "inW", Index the node, Err
+// ErrLTViolation), the error the LT plan compile returns for it.
 func (g *Graph) CheckLT() error {
 	const tol = 1e-6
 	for v := 0; v < g.n; v++ {
+		if _, _, err := Span("inIdx", g.inIdx, v, int64(len(g.inAdj))); err != nil {
+			return err
+		}
 		if sum := g.InWeightSum(uint32(v)); sum > 1+tol {
-			return fmt.Errorf("%w: node %d has incoming weight %.6f", ErrLTViolation, v, sum)
+			return &ContentError{Section: "inW", Index: int64(v), Err: ErrLTViolation}
 		}
 	}
 	return nil
+}
+
+// Span returns node v's window idx[v]:idx[v+1] of the CSR offset section
+// named section, over edges entries, or the *ContentError of an offset out
+// of order: the window must be monotone and within the entries (the ends
+// of idx, 0 and edges, are checked at open).
+func Span(section string, idx []int64, v int, edges int64) (lo, hi int64, err error) {
+	lo, hi = idx[v], idx[v+1]
+	if hi < lo || hi > edges {
+		return 0, 0, &ContentError{Section: section, Index: int64(v) + 1}
+	}
+	return lo, hi, nil
 }
 
 // Bytes returns the approximate total footprint of the graph arrays,
@@ -179,15 +196,24 @@ type Stats struct {
 	LTValid      bool
 }
 
-// Stats computes summary statistics in one pass.
-func (g *Graph) Stats() Stats {
+// Stats computes summary statistics in one pass. It checks the offsets it
+// reads, so a graph whose offset sections are out of order (a .sasg open
+// checks structure only) returns their *ContentError instead.
+func (g *Graph) Stats() (Stats, error) {
 	s := Stats{Nodes: g.n, Edges: g.NumEdges(), LTValid: true}
 	if g.n > 0 {
 		s.AvgOutDegree = float64(s.Edges) / float64(g.n)
 	}
 	for v := 0; v < g.n; v++ {
-		od := int(g.outIdx[v+1] - g.outIdx[v])
-		id := int(g.inIdx[v+1] - g.inIdx[v])
+		olo, ohi, err := Span("outIdx", g.outIdx, v, s.Edges)
+		if err != nil {
+			return Stats{}, err
+		}
+		ilo, ihi, err := Span("inIdx", g.inIdx, v, int64(len(g.inAdj)))
+		if err != nil {
+			return Stats{}, err
+		}
+		od, id := int(ohi-olo), int(ihi-ilo)
 		if od > s.MaxOutDegree {
 			s.MaxOutDegree = od
 		}
@@ -204,7 +230,7 @@ func (g *Graph) Stats() Stats {
 	if s.MaxInWeight > 1+1e-6 {
 		s.LTValid = false
 	}
-	return s
+	return s, nil
 }
 
 // String implements fmt.Stringer with a one-line summary.

@@ -184,7 +184,10 @@ func TestCheckLTViolation(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	g := diamond(t)
-	s := g.Stats()
+	s, err := g.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Nodes != 4 || s.Edges != 4 {
 		t.Fatalf("stats %+v", s)
 	}

@@ -145,8 +145,10 @@ func TestMappedRoundTrip(t *testing.T) {
 				t.Fatalf("mapped shape %d/%d, want %d/%d",
 					m.NumNodes(), m.NumEdges(), g.NumNodes(), g.NumEdges())
 			}
-			if gs, ms := g.Stats(), m.Stats(); gs != ms {
-				t.Fatalf("mapped stats %+v, want %+v", ms, gs)
+			gs, gerr := g.Stats()
+			ms, merr := m.Stats()
+			if gerr != nil || merr != nil || gs != ms {
+				t.Fatalf("mapped stats %+v (%v), want %+v (%v)", ms, merr, gs, gerr)
 			}
 		})
 	}

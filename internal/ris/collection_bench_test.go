@@ -57,7 +57,8 @@ func BenchmarkGenerateSingleWorker(b *testing.B) {
 // worker, on the dblp preset at scale 0.4 (262 k nodes, 800 k edges): a
 // graph whose plan and marks do not fit in cache, so the cost per item is
 // dominated by the walks' cache misses, which benchGraph's 20 k nodes hide.
-// It reports ns/item, the time per RR-set member generated.
+// It reports ns/item, the time per RR-set member generated, and plan_MB,
+// the compiled plan's own memory (Plan.Bytes).
 func BenchmarkGenerateOutOfCache(b *testing.B) {
 	pre, err := gen.PresetByName("dblp")
 	if err != nil {
@@ -70,7 +71,10 @@ func BenchmarkGenerateOutOfCache(b *testing.B) {
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		b.Run(model.String(), func(b *testing.B) {
 			s := mustSampler(b, g, model)
-			s.Plan()
+			p, err := s.Plan()
+			if err != nil {
+				b.Fatal(err)
+			}
 			var items int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -79,6 +83,7 @@ func BenchmarkGenerateOutOfCache(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(items), "ns/item")
+			b.ReportMetric(float64(p.Bytes())/(1<<20), "plan_MB")
 		})
 	}
 }

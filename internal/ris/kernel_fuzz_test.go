@@ -14,7 +14,9 @@ import (
 // fuzzKernelGraph builds a small random graph from graphSeed whose nodes mix
 // every kernel case: all-zero, all-one and shared-weight in-edge lists
 // (uniform IC nodes), mixed weights with zeros and ones among them (general
-// IC nodes), and for LT a per-node stop mass anywhere in [0, 1].
+// IC nodes), and for LT a per-node stop mass anywhere in [0, 1]. Weighted
+// cascade nodes (w = 1/d_in, stop mass 0) share one LT alias table per
+// in-degree.
 func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion.Model) *graph.Graph {
 	t.Helper()
 	r := rng.New(graphSeed)
@@ -25,7 +27,7 @@ func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion
 		r.Perm(srcs)
 		d := r.Intn(min(n-1, 7) + 1)
 		ws := make([]float64, 0, d)
-		mode := r.Intn(5)
+		mode := r.Intn(6)
 		shared := r.Float64()
 		for len(ws) < d {
 			var w float64
@@ -36,6 +38,8 @@ func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion
 				w = 1
 			case 2:
 				w = shared
+			case 3:
+				w = 1 / float64(d)
 			default:
 				switch r.Intn(4) {
 				case 0:
@@ -48,7 +52,7 @@ func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion
 			}
 			ws = append(ws, w)
 		}
-		if model == diffusion.LT {
+		if model == diffusion.LT && mode != 3 {
 			// Scale the in-weights to sum to 1 − stop; stop is 0 for a third
 			// of the nodes, so the walk never stops there by the deficit.
 			var sum float64

@@ -24,9 +24,14 @@ import (
 //     threshold as a uint64, interleaved with the neighbour id in one fused
 //     record, so the inner loop is a single integer compare with no float
 //     conversion and no second cache stream for the weights;
-//   - LT nodes get per-node alias tables over (in-neighbours + stop), so a
-//     reverse-walk step costs one draw and O(1) work instead of the
-//     O(d_in) scan of the in-edge weights (refLTStep, reference_test.go).
+//   - LT nodes get alias tables over (in-edges + stop), so a reverse-walk
+//     step costs one draw and O(1) work instead of the O(d_in) scan of the
+//     in-edge weights (refLTStep, reference_test.go). A table depends only
+//     on the node's in-edge weights, so nodes whose in-edges share one
+//     weight share one table per (d_in, weight): a weighted-cascade graph
+//     has one per distinct in-degree. Outcome j of a table is in-edge j, so
+//     the walk reads the neighbour from the raw adjacency, as IC's uniform
+//     nodes do, and a table holds no per-edge state of its own.
 //
 // On a graph larger than the cache, what is left of a sample's cost is
 // stalls on dependent loads, so the kernel is shaped to keep several
@@ -37,7 +42,7 @@ import (
 //     then visits the edges' sources in the same order;
 //   - LT advances ltLanes independent walks per sampler worker
 //     (Sampler.sampleChunk), one step of each per round, in passes that
-//     each take one link of every lane's miss chain (ltRound).
+//     each take a link of every lane's miss chain (ltRound).
 //
 // AppendSample, HitsMarked and the chunk path all run these two kernels
 // (a single walk is one lane), and both keep each set's draws and visit
@@ -69,16 +74,15 @@ type planEdge struct {
 	_   uint32 // padding, keeps the stride explicit
 }
 
-// ltSlot is one alias-table slot of an LT node. A node with in-degree d has
-// d+1 slots: outcome j < d is "step to in-neighbour nbr", outcome d is
-// "stop" (the 1 − Σw deficit). One 64-bit draw resolves a step: the high
-// product bits pick the slot, the low bits are the within-slot fraction
-// compared against thr, and the alias redirect plus the neighbour id live
-// in the same record.
+// ltSlot is one alias-table slot of an LT table. A table for in-degree d
+// has d+1 slots: outcome j < d is "step along in-edge j" (CSR order),
+// outcome d is "stop" (the 1 − Σw deficit). One 64-bit draw resolves a
+// step: the high product bits pick the slot, the low bits are the
+// within-slot fraction compared against thr, and alt is the redirect. The
+// record is 16 bytes, 4 of them alignment padding.
 type ltSlot struct {
 	thr uint64 // keep outcome j iff fraction < thr
 	alt uint32 // alias outcome when the fraction is ≥ thr
-	nbr uint32 // in-neighbour of outcome j (unused for the stop slot)
 }
 
 // Plan is a compiled sampling plan for one (graph, model) pair: immutable
@@ -90,35 +94,36 @@ type Plan struct {
 	n     int
 	deg   []int32 // in-degree per node: width accounting without inIdx lookups
 
-	// IC state. inIdx/inAdj alias the graph's reverse CSR (uniform nodes
-	// walk the raw adjacency — skipping needs no weights); general nodes
-	// carry their fused records in gen at window genOff[v]:genOff[v+1].
+	// inIdx/inAdj alias the graph's reverse CSR: IC uniform nodes and every
+	// LT node walk the raw adjacency.
+	inIdx []int64
+	inAdj []uint32
+
+	// IC state. General nodes carry their fused records in gen at window
+	// genOff[v]:genOff[v+1].
 	class  []uint8
 	lnq    []float64 // uniform nodes: ln(1−p), the Geometric parameter
-	inIdx  []int64
-	inAdj  []uint32
 	gen    []planEdge
 	genOff []int64 // len n+1; zero-width for uniform nodes, nil if none general
 
-	// LT state: node v's alias slots are lt[ltOff[v]:ltOff[v+1]]
-	// (in-degree + 1 of them; the last is the stop outcome).
+	// LT state: node v's alias table is lt[ltOff[v]:ltOff[v]+deg[v]+1] (the
+	// last slot is the stop outcome). Nodes with equal tables share one.
 	lt    []ltSlot
-	ltOff []int64
+	ltOff []int64 // len n
 }
 
 // NewPlan compiles the sampling plan for g under model. Compilation streams
 // the reverse CSR once — degrees, classification and record emission happen
-// in the same per-node visit (plus the per-node Vose builds for LT), so a
-// mapped graph's idx/adj/weight pages are forced exactly one time — and the
-// result shares the graph's adjacency storage where the kernel needs no
-// extra per-edge state.
+// in the same per-node visit; LT then reads the weights of the nodes that
+// own an alias table once more to build it — and the result shares the
+// graph's adjacency storage where the kernel needs no extra per-edge state.
 //
 // Compilation also checks the content of the reverse sections, which a
 // .sasg open does not: inIdx monotone, every inAdj entry a node, every inW
 // in [0, 1], and for LT every in-weight sum at most 1+ltTolerance. Each
-// check rides a loop that reads the value anyway, except IC's one pass over
-// inAdj. A violation returns a *graph.ContentError (errors.Is
-// graph.ErrBadContent) and no plan.
+// check rides a loop that reads the value anyway, except the one pass over
+// inAdj (checkSources). A violation returns a *graph.ContentError
+// (errors.Is graph.ErrBadContent) and no plan.
 func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 	n := g.NumNodes()
 	idx, adj, w := g.ReverseCSR()
@@ -127,7 +132,7 @@ func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 	if model == diffusion.IC {
 		err = p.compileIC(idx, adj, w)
 	} else {
-		err = p.compileLT(g, idx, adj, w)
+		err = p.compileLT(idx, adj, w)
 	}
 	if err != nil {
 		return nil, err
@@ -140,18 +145,9 @@ func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 // rounding; the stop outcome of such a node is clamped at 0.
 const ltTolerance = 1e-6
 
-// checkSpan checks node v's window of the reverse offsets, lo = idx[v] to
-// hi = idx[v+1]: monotone and within the graph's edges. The ends of idx, 0
-// and the edge count, are checked at open.
-func checkSpan(v int, lo, hi, edges int64) error {
-	if hi < lo || hi > edges {
-		return &graph.ContentError{Section: "inIdx", Index: int64(v) + 1}
-	}
-	return nil
-}
-
 // checkSources checks that every in-edge source is a node, in one pass of
-// its own: the IC compile's per-node loop reads no sources of uniform nodes.
+// its own: the compile's per-node loops read no sources of IC uniform nodes
+// or of LT nodes.
 func checkSources(adj []uint32, n int) error {
 	for i, u := range adj {
 		if int64(u) >= int64(n) {
@@ -169,20 +165,11 @@ func badWeight(i int64, w float32) error {
 	return &graph.ContentError{Section: "inW", Index: i, Err: graph.ErrBadWeight}
 }
 
-// badEdge reports in-edge i when its source u is not a node or its weight
-// w is outside [0, 1].
-func badEdge(i int64, u uint32, w float32, n int) error {
-	if int64(u) >= int64(n) {
-		return &graph.ContentError{Section: "inAdj", Index: i, Err: graph.ErrBadEndpoint}
-	}
-	return badWeight(i, w)
-}
-
 // Model returns the model the plan was compiled for.
 func (p *Plan) Model() diffusion.Model { return p.model }
 
 // Bytes approximates the plan's own memory (excluding the aliased graph
-// arrays).
+// arrays). A shared LT table is counted once.
 func (p *Plan) Bytes() int64 {
 	return int64(cap(p.deg))*4 + int64(cap(p.class)) + int64(cap(p.lnq))*8 +
 		int64(cap(p.gen))*16 + int64(cap(p.genOff))*8 +
@@ -203,8 +190,8 @@ func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
 	p.class = make([]uint8, n)
 	p.lnq = make([]float64, n)
 	for v := 0; v < n; v++ {
-		lo, hi := idx[v], idx[v+1]
-		if err := checkSpan(v, lo, hi, edges); err != nil {
+		lo, hi, err := graph.Span("inIdx", idx, v, edges)
+		if err != nil {
 			return err
 		}
 		p.deg[v] = int32(hi - lo)
@@ -247,84 +234,132 @@ func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
 	return nil
 }
 
-// compileLT builds one Vose alias table per node over its in-neighbours
-// plus the stop outcome (probability 1 − Σw, clamped at 0 within
-// ltTolerance), with slot probabilities stored as uint64 thresholds,
-// checking each in-edge as it reads it and then the node's in-weight sum.
-func (p *Plan) compileLT(g *graph.Graph, idx []int64, adj []uint32, w []float32) error {
+// compileLT builds the LT alias tables over each node's in-edges plus the
+// stop outcome (probability 1 − Σw, clamped at 0 within ltTolerance), with
+// slot probabilities stored as uint64 thresholds. A node's table is a pure
+// function of its in-edge weights, so nodes whose in-edges all carry one
+// weight (bit for bit) share the table of their (d_in, weight) key, built
+// once; a node with mixed weights owns a table. The first pass checks the
+// offsets, keys the nodes and lays the tables out, so the second allocates
+// the slots once and runs one Vose build per table.
+func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
 	n, edges := p.n, int64(len(adj))
-	p.ltOff = make([]int64, n+1)
-	// One pass over the offset table checks it and fills degrees, the slot
-	// offsets and the Vose scratch bound together.
+	if err := checkSources(adj, n); err != nil {
+		return err
+	}
+	p.inIdx, p.inAdj = idx, adj
+	p.ltOff = make([]int64, n)
+	shared := make(map[uint64]int64) // (d_in, weight bits) → table offset
+	var slots int64
 	maxOut := 0
 	for v := 0; v < n; v++ {
-		if err := checkSpan(v, idx[v], idx[v+1], edges); err != nil {
+		lo, hi, err := graph.Span("inIdx", idx, v, edges)
+		if err != nil {
 			return err
 		}
-		d := int32(idx[v+1] - idx[v])
-		p.deg[v] = d
-		p.ltOff[v+1] = p.ltOff[v] + int64(d) + 1
-		if int(d)+1 > maxOut {
-			maxOut = int(d) + 1
+		d := hi - lo
+		p.deg[v] = int32(d)
+		if key, ok := sharedKey(w[lo:hi]); ok {
+			// A node keyed to a built table has its owner's in-weights, bit
+			// for bit, so the owner's build checked them.
+			if off, seen := shared[key]; seen {
+				p.ltOff[v] = off
+				continue
+			}
+			shared[key] = slots
 		}
+		p.ltOff[v] = slots
+		slots += d + 1
+		maxOut = max(maxOut, int(d)+1)
 	}
-	p.lt = make([]ltSlot, p.ltOff[n])
+	p.lt = make([]ltSlot, slots)
 	scaled := make([]float64, maxOut)
 	small := make([]int32, 0, maxOut)
 	large := make([]int32, 0, maxOut)
+	// Tables were laid out in node order, so v owns a table (is the first
+	// node keyed to it, or has mixed weights) iff its offset is where the
+	// next unbuilt table starts.
+	var built int64
 	for v := 0; v < n; v++ {
-		d := int(p.deg[v])
-		slots := p.lt[p.ltOff[v]:p.ltOff[v+1]]
-		sum := g.InWeightSum(uint32(v))
-		stop := max(1-sum, 0)
-		total := sum + stop
-		// Outcome weights: the d in-edge weights, then the stop deficit.
-		m := d + 1
-		small, large = small[:0], large[:0]
-		for j := 0; j < m; j++ {
-			var wj float64
-			if j < d {
-				i := idx[v] + int64(j)
-				if err := badEdge(i, adj[i], w[i], n); err != nil {
-					return err
-				}
-				wj = float64(w[i])
-				slots[j].nbr = adj[i]
-			} else {
-				wj = stop
-			}
-			scaled[j] = wj * float64(m) / total
-			if scaled[j] < 1 {
-				small = append(small, int32(j))
-			} else {
-				large = append(large, int32(j))
-			}
+		if p.ltOff[v] != built {
+			continue
 		}
-		for len(small) > 0 && len(large) > 0 {
-			s := small[len(small)-1]
-			small = small[:len(small)-1]
-			l := large[len(large)-1]
-			large = large[:len(large)-1]
-			slots[s].thr = rng.Threshold64(scaled[s])
-			slots[s].alt = uint32(l)
-			scaled[l] = (scaled[l] + scaled[s]) - 1
-			if scaled[l] < 1 {
-				small = append(small, l)
-			} else {
-				large = append(large, l)
-			}
+		m := int64(p.deg[v]) + 1
+		if err := buildLT(v, idx[v], w[idx[v]:idx[v+1]], p.lt[built:built+m], scaled, small, large); err != nil {
+			return err
 		}
-		for _, l := range large {
-			slots[l].thr = math.MaxUint64
-			slots[l].alt = uint32(l)
+		built += m
+	}
+	return nil
+}
+
+// sharedKey returns the table key (d_in, weight bits) of the node whose
+// in-weights are ws, and whether they all carry one weight.
+func sharedKey(ws []float32) (uint64, bool) {
+	var b uint32
+	if len(ws) > 0 {
+		b = math.Float32bits(ws[0])
+	}
+	for i := 1; i < len(ws); i++ {
+		if math.Float32bits(ws[i]) != b {
+			return 0, false
 		}
-		for _, s := range small { // numerical leftovers
-			slots[s].thr = math.MaxUint64
-			slots[s].alt = uint32(s)
+	}
+	return uint64(len(ws))<<32 | uint64(b), true
+}
+
+// buildLT runs the Vose build of node v's alias table into slots, over the
+// in-weights ws (in-edge lo onward) and the stop deficit, checking each
+// weight and then the in-weight sum. scaled, small and large are scratch of
+// capacity ≥ len(slots).
+func buildLT(v int, lo int64, ws []float32, slots []ltSlot, scaled []float64, small, large []int32) error {
+	sum := 0.0
+	for i, wi := range ws {
+		if err := badWeight(lo+int64(i), wi); err != nil {
+			return err
 		}
-		if sum > 1+ltTolerance {
-			return &graph.ContentError{Section: "inW", Index: int64(v), Err: graph.ErrLTViolation}
+		sum += float64(wi)
+	}
+	stop := max(1-sum, 0)
+	total := sum + stop
+	// Outcome weights: the d in-edge weights, then the stop deficit.
+	d, m := len(ws), len(slots)
+	for j := 0; j < m; j++ {
+		wj := stop
+		if j < d {
+			wj = float64(ws[j])
 		}
+		scaled[j] = wj * float64(m) / total
+		if scaled[j] < 1 {
+			small = append(small, int32(j))
+		} else {
+			large = append(large, int32(j))
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s := small[len(small)-1]
+		small = small[:len(small)-1]
+		l := large[len(large)-1]
+		large = large[:len(large)-1]
+		slots[s].thr = rng.Threshold64(scaled[s])
+		slots[s].alt = uint32(l)
+		scaled[l] = (scaled[l] + scaled[s]) - 1
+		if scaled[l] < 1 {
+			small = append(small, l)
+		} else {
+			large = append(large, l)
+		}
+	}
+	for _, l := range large {
+		slots[l].thr = math.MaxUint64
+		slots[l].alt = uint32(l)
+	}
+	for _, s := range small { // numerical leftovers
+		slots[s].thr = math.MaxUint64
+		slots[s].alt = uint32(s)
+	}
+	if sum > 1+ltTolerance {
+		return &graph.ContentError{Section: "inW", Index: int64(v), Err: graph.ErrLTViolation}
 	}
 	return nil
 }
@@ -376,45 +411,45 @@ func (p *Plan) icFrontier(r *rng.Source, m *epoch.Marks, buf []uint32, head int)
 
 // ltRound advances each live lane of ls (bit i of live set) one step of its
 // LT reverse walk, and returns the set of lanes whose walk ended. A step is
-// one draw whose high product bits pick the alias slot of the lane's node
-// and whose low bits resolve the redirect; it either moves the lane to the
-// picked in-neighbour, newly marked and appended to the lane's buf, or ends
-// the walk: by the stop outcome (the threshold deficit) or by a revisit
-// (Def. 2's LT reverse walk). Each step is a chain of dependent misses —
-// the node's slot offsets, the slot, the neighbour's mark — so the round
-// runs in three passes, one link of every lane's chain per pass, and the
-// lanes' misses of one link are in flight together.
+// one draw whose high product bits pick a slot of the alias table of the
+// lane's node and whose low bits resolve the redirect; it either moves the
+// lane along the picked in-edge to its source, newly marked and appended to
+// the lane's buf, or ends the walk: by the stop outcome (the threshold
+// deficit) or by a revisit (Def. 2's LT reverse walk). Each step is a chain
+// of dependent misses — the node's table offset and in-edge span, the slot,
+// the edge's source, the source's mark — so the round runs in passes that
+// each take a link of every lane's chain, and the lanes' misses of one link
+// are in flight together. The last pass takes two links: reading the
+// sources in a pass of their own measured no faster.
 func (p *Plan) ltRound(ls []lane, live uint) (ended uint) {
-	var base [ltLanes]int64
+	var tab, edge [ltLanes]int64
 	var nslots [ltLanes]uint64
 	for i := range ls {
 		if live&(1<<i) != 0 {
-			base[i] = p.ltOff[ls[i].x]
-			nslots[i] = uint64(p.ltOff[ls[i].x+1] - base[i])
+			x := ls[i].x
+			tab[i], edge[i] = p.ltOff[x], p.inIdx[x]
+			nslots[i] = uint64(p.inIdx[x+1]-edge[i]) + 1
 		}
 	}
-	var nbr [ltLanes]uint32
 	for i := range ls {
 		if live&(1<<i) == 0 {
 			continue
 		}
 		j, frac := bits.Mul64(ls[i].r.Uint64(), nslots[i])
-		s := &p.lt[base[i]+int64(j)]
-		if frac >= s.thr {
+		if s := &p.lt[tab[i]+int64(j)]; frac >= s.thr {
 			j = uint64(s.alt)
-			s = &p.lt[base[i]+int64(j)]
 		}
 		if j == nslots[i]-1 {
 			ended |= 1 << i // stop outcome: the threshold deficit won
 		}
-		nbr[i] = s.nbr
+		edge[i] += int64(j)
 	}
 	for i := range ls {
 		if live&^ended&(1<<i) == 0 {
 			continue
 		}
 		l := &ls[i]
-		if u := nbr[i]; l.marks.Visit(int32(u)) {
+		if u := p.inAdj[edge[i]]; l.marks.Visit(int32(u)) {
 			l.buf = append(l.buf, u)
 			l.x = u
 		} else {

@@ -3,6 +3,7 @@ package ris
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"stopandstare/internal/diffusion"
@@ -109,6 +110,108 @@ func TestPlanClassification(t *testing.T) {
 	for _, e := range pm.gen {
 		if e.thr == 0 {
 			t.Fatal("zero threshold for a positive-probability edge")
+		}
+	}
+}
+
+// TestLTSharedTables checks that sharing LT alias tables among nodes with
+// equal in-weights changes no table: every node's table in the compiled
+// plan equals its own per-node Vose build (refLTTable), slot for slot. It
+// also checks the layout: all nodes whose in-edges carry one weight, bit
+// for bit, and have one in-degree point at one table; the tables tile the
+// slot array with nothing built twice; and Plan.Bytes counts each once.
+func TestLTSharedTables(t *testing.T) {
+	graphs := map[string]*graph.Graph{}
+	wc := map[string]bool{} // weighted cascade: one table per in-degree
+	for _, name := range []string{"nethept", "enron"} {
+		pre, err := gen.PresetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if graphs[name], err = pre.Generate(1, 1, graph.BuildOptions{Model: graph.WeightedCascade}); err != nil {
+			t.Fatal(err)
+		}
+		wc[name] = true
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		graphs[fmt.Sprintf("fuzz/%d", seed)] = fuzzKernelGraph(t, seed, uint8(7*seed), diffusion.LT)
+	}
+	// Shared tables for in-degrees 2 (weighted cascade) and 3 (one weight
+	// below 1/3) and for in-degree 0, two mixed-weight nodes, and a node
+	// with in-degree 2 and a weight of its own.
+	var edges []graph.Edge
+	for v, ws := range map[uint32][]float64{
+		1: {0.5, 0.5}, 2: {0.5, 0.5}, 3: {0.5, 0.5}, 4: {0.2, 0.2, 0.2}, 5: {0.2, 0.2, 0.2},
+		6: {0.1, 0.3, 0.5}, 7: {0.25, 0.5}, 8: {0.2, 0.2}, 10: {0.2, 0.2, 0.2},
+	} {
+		for i, w := range ws {
+			edges = append(edges, graph.Edge{U: (v + uint32(i) + 1) % 12, V: v, W: w})
+		}
+	}
+	mixed, err := graph.FromEdges(12, edges, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["mixed"] = mixed
+	wantTables := map[string]int{"mixed": 6} // (2, 0.5), (3, 0.2), (2, 0.2), (0), nodes 6 and 7
+
+	for name, g := range graphs {
+		p, err := NewPlan(g, diffusion.LT)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := g.NumNodes()
+		size := map[int64]int64{} // table offset → slots
+		byKey := map[[2]uint64]int64{}
+		degrees := map[int]bool{}
+		for v := 0; v < n; v++ {
+			d := g.InDegree(uint32(v))
+			degrees[d] = true
+			off := p.ltOff[v]
+			tab := p.lt[off : off+int64(d)+1]
+			if want := refLTTable(g, uint32(v)); !slices.Equal(tab, want) {
+				t.Fatalf("%s: node %d table %v, per-node build %v", name, v, tab, want)
+			}
+			if m, ok := size[off]; ok && m != int64(d)+1 {
+				t.Fatalf("%s: table at %d read with %d and %d slots", name, off, m, d+1)
+			}
+			size[off] = int64(d) + 1
+			_, ws := g.InNeighbors(uint32(v))
+			if d > 0 && slices.ContainsFunc(ws, func(w float32) bool { return math.Float32bits(w) != math.Float32bits(ws[0]) }) {
+				continue
+			}
+			key := [2]uint64{uint64(d), 0}
+			if d > 0 {
+				key[1] = uint64(math.Float32bits(ws[0]))
+			}
+			if o, ok := byKey[key]; ok && o != off {
+				t.Fatalf("%s: node %d has table %d, an equal node table %d", name, v, off, o)
+			}
+			byKey[key] = off
+		}
+		offs := make([]int64, 0, len(size))
+		for off := range size {
+			offs = append(offs, off)
+		}
+		slices.Sort(offs)
+		var end int64
+		for _, off := range offs {
+			if off != end {
+				t.Fatalf("%s: table at %d, previous table ends at %d", name, off, end)
+			}
+			end += size[off]
+		}
+		if end != int64(len(p.lt)) {
+			t.Fatalf("%s: tables end at %d of %d slots", name, end, len(p.lt))
+		}
+		if want := int64(n)*12 + int64(len(p.lt))*16; p.Bytes() != want {
+			t.Fatalf("%s: Bytes %d, want %d", name, p.Bytes(), want)
+		}
+		if want, ok := wantTables[name]; ok && len(offs) != want {
+			t.Fatalf("%s: %d tables, want %d", name, len(offs), want)
+		}
+		if wc[name] && len(offs) != len(degrees) {
+			t.Fatalf("%s: %d tables for %d in-degrees", name, len(offs), len(degrees))
 		}
 	}
 }

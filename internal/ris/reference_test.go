@@ -3,6 +3,7 @@ package ris
 import (
 	"context"
 	"errors"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -36,6 +37,9 @@ import (
 // seqSample is the compiled plan's kernel written as one walk at a time:
 // the bit-identity oracle for the lane-interleaved LT walks and the
 // frontier-batched IC draws (FuzzKernelAgainstSequential).
+//
+// refLTTable is the LT alias table of one node built for that node alone:
+// the oracle for the plan's shared tables (TestLTSharedTables).
 
 // refSampler draws RR sets by the direct translation of Def. 2: one float
 // Bernoulli draw per IC in-edge examined, one linear scan of the in-edge
@@ -113,6 +117,57 @@ func refLTStep(g *graph.Graph, v uint32, u01 float64) (u uint32, ok bool) {
 	return 0, false
 }
 
+// refLTTable runs the Vose build of node v's LT alias table on its own,
+// over v's in-edge weights (read through the graph's accessors) and the
+// stop deficit 1 − Σw, clamped at 0: the per-node build the compiled plan
+// did before nodes with equal in-weights shared one table. Slot j < d is
+// in-edge j, slot d is the stop outcome.
+func refLTTable(g *graph.Graph, v uint32) []ltSlot {
+	_, ws := g.InNeighbors(v)
+	sum := g.InWeightSum(v)
+	stop := max(1-sum, 0)
+	total := sum + stop
+	d, m := len(ws), len(ws)+1
+	slots := make([]ltSlot, m)
+	scaled := make([]float64, m)
+	var small, large []int32
+	for j := 0; j < m; j++ {
+		wj := stop
+		if j < d {
+			wj = float64(ws[j])
+		}
+		scaled[j] = wj * float64(m) / total
+		if scaled[j] < 1 {
+			small = append(small, int32(j))
+		} else {
+			large = append(large, int32(j))
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s := small[len(small)-1]
+		small = small[:len(small)-1]
+		l := large[len(large)-1]
+		large = large[:len(large)-1]
+		slots[s].thr = rng.Threshold64(scaled[s])
+		slots[s].alt = uint32(l)
+		scaled[l] = (scaled[l] + scaled[s]) - 1
+		if scaled[l] < 1 {
+			small = append(small, l)
+		} else {
+			large = append(large, l)
+		}
+	}
+	for _, l := range large {
+		slots[l].thr = math.MaxUint64
+		slots[l].alt = uint32(l)
+	}
+	for _, s := range small {
+		slots[s].thr = math.MaxUint64
+		slots[s].alt = uint32(s)
+	}
+	return slots
+}
+
 // seqSample draws RR set (r's stream) through s's compiled plan one walk at
 // a time: the IC reverse BFS draws and visits each queued node's in-edges
 // before moving to the next node, the LT walk takes one step per loop. It
@@ -172,18 +227,17 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 	}
 	x := root
 	for {
-		base := p.ltOff[x]
-		nslots := uint64(p.ltOff[x+1] - base)
+		lo := p.inIdx[x]
+		nslots := uint64(p.inIdx[x+1]-lo) + 1
+		tab := p.lt[p.ltOff[x] : p.ltOff[x]+int64(nslots)]
 		j, frac := bits.Mul64(r.Uint64(), nslots)
-		sl := &p.lt[base+int64(j)]
-		if frac >= sl.thr {
-			j = uint64(sl.alt)
-			sl = &p.lt[base+int64(j)]
+		if frac >= tab[j].thr {
+			j = uint64(tab[j].alt)
 		}
 		if j == nslots-1 {
 			break
 		}
-		u := sl.nbr
+		u := p.inAdj[lo+int64(j)]
 		if !m.Visit(int32(u)) {
 			break
 		}

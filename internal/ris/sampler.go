@@ -139,10 +139,10 @@ func (s *Sampler) Weighted() bool { return s.root != nil }
 
 // ltLanes is the number of LT reverse walks one sampler worker advances
 // round-robin in the chunk path (sampleChunk). Each step of a walk is a
-// chain of dependent cache misses (the node's alias slot, then the mark of
-// the neighbour it picks); independent walks overlap their chains. On the
-// dblp preset at scale 0.4, one worker, two lanes measured about 1.5× one
-// and four about 1.9×; eight were no better than four.
+// chain of dependent cache misses (the node's alias slot, the source of the
+// in-edge it picks, that source's mark); independent walks overlap their
+// chains. On the dblp preset at scale 0.4, one worker, two lanes measured
+// about 1.5× one and four about 1.9×; eight were no better than four.
 const ltLanes = 4
 
 // lane is one reverse walk: its own stream, visited set and arena. In the
