@@ -46,13 +46,19 @@ func Borgs(s *ris.Sampler, opt BorgsOptions) (*Result, error) {
 	// interleaves generation and width counting; predictive batching from
 	// the running average width preserves the stopping point to within a
 	// small batch). The stream stops at ris.MaxSets, the int32 id space.
+	// width is the running Σ w(R), folded over each new batch.
 	batch := 256
-	for float64(col.Width()) < tau && col.Len() < ris.MaxSets {
+	var width int64
+	for float64(width) < tau && col.Len() < ris.MaxSets {
 		iterations++
-		col.GenerateTo(col.Len() + min(batch, ris.MaxSets-col.Len()))
-		if col.Len() > 0 && col.Width() > 0 {
-			avg := float64(col.Width()) / float64(col.Len())
-			need := (tau - float64(col.Width())) / avg
+		from := col.Len()
+		col.GenerateTo(from + min(batch, ris.MaxSets-from))
+		col.ForEachSet(from, col.Len(), func(_ int, set []uint32) {
+			width += setWidth(g, set)
+		})
+		if col.Len() > 0 && width > 0 {
+			avg := float64(width) / float64(col.Len())
+			need := (tau - float64(width)) / avg
 			switch {
 			case need < 64:
 				batch = 64

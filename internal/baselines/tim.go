@@ -4,10 +4,22 @@ import (
 	"math"
 	"time"
 
+	"stopandstare/internal/graph"
 	"stopandstare/internal/maxcover"
 	"stopandstare/internal/ris"
 	"stopandstare/internal/stats"
 )
+
+// setWidth returns an RR set's width w(R) = Σ_{v∈R} d_in(v), the number of
+// edges its reverse BFS examines: TIM's KPT estimate and Borgs' stopping
+// rule read it.
+func setWidth(g *graph.Graph, set []uint32) int64 {
+	var w int64
+	for _, v := range set {
+		w += int64(g.InDegree(v))
+	}
+	return w
+}
 
 // kptStar runs TIM's KPT estimation (Alg. 2 of the TIM paper): probe
 // exponentially growing sample counts c_i; for each RR set R compute
@@ -32,11 +44,7 @@ func kptStar(s *ris.Sampler, col ris.Store, k int, delta float64) (float64, int)
 	kappaAt := func(hi int) float64 {
 		// incremental: extend κ sum over sets [widthDone, hi)
 		col.ForEachSet(widthDone, hi, func(_ int, set []uint32) {
-			var w int64
-			for _, v := range set {
-				w += int64(g.InDegree(v))
-			}
-			sumKappa += 1 - math.Pow(1-float64(w)/m, float64(k))
+			sumKappa += 1 - math.Pow(1-float64(setWidth(g, set))/m, float64(k))
 		})
 		widthDone = hi
 		return sumKappa

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"stopandstare/internal/ris"
@@ -80,8 +81,9 @@ func Certify(s *ris.Sampler, seeds []uint32, eps, delta float64, seed uint64, ma
 	// δ/2 per tail makes the one-sided stopping-rule bound two-sided.
 	inf, used, ok := est.estimate(seeds, eps, delta/2, cap64)
 	if !ok {
-		return nil, fmt.Errorf("core: influence below the certifiable floor (%d samples without %0.f successes)",
-			used, stats.StoppingRuleThreshold(eps, delta))
+		// The rule stops at the first count reaching Λ₂(ε, δ/2).
+		return nil, fmt.Errorf("core: influence below the certifiable floor (%d samples without %.0f successes)",
+			used, math.Ceil(stats.StoppingRuleThreshold(eps, delta/2)))
 	}
 	return &Certificate{
 		Influence: inf,

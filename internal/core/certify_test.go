@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/ris"
+	"stopandstare/internal/stats"
 )
 
 func TestCertifyMatchesExact(t *testing.T) {
@@ -116,5 +119,21 @@ func TestCertifyWeightedFloor(t *testing.T) {
 	// otherwise allow an enormous default cap.
 	if _, err := Certify(ws, []uint32{v}, 0.3, 0.1, 191, 100000); err == nil {
 		t.Fatal("benefit-zero certification should be refused")
+	}
+}
+
+// TestCertifyFloorMessage checks the refusal's success count: the rule runs
+// at δ/2 per tail, so the count it misses is ⌈Λ₂(ε, δ/2)⌉.
+func TestCertifyFloorMessage(t *testing.T) {
+	g := tinyGraph(t)
+	s := sampler(t, g, diffusion.IC)
+	const eps, delta = 0.1, 0.01
+	_, err := Certify(s, []uint32{0}, eps, delta, 1, 5)
+	if err == nil {
+		t.Fatal("5 samples certified an influence")
+	}
+	want := fmt.Sprintf("(5 samples without %.0f successes)", math.Ceil(stats.StoppingRuleThreshold(eps, delta/2)))
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error %q, want it to end %q", err, want)
 	}
 }

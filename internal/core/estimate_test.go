@@ -54,7 +54,7 @@ func (e *refEstimator) refEstimate(seeds []uint32, epsPrime, deltaPrime float64,
 		ris.SeedVerifyStream(&e.r, e.seed, e.nextID)
 		e.nextID++
 		var setLen int
-		e.buf, setLen, _ = e.sampler.AppendSample(&e.r, e.state, e.buf[:0])
+		e.buf, setLen = e.sampler.AppendSample(&e.r, e.state, e.buf[:0])
 		set := e.buf[len(e.buf)-setLen:]
 		for _, v := range set {
 			if e.mark[v] {

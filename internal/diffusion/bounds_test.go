@@ -18,8 +18,8 @@ func TestSpreadBoundedByN(t *testing.T) {
 	f := func(seedRaw uint16, trial uint16) bool {
 		s := uint32(seedRaw) % 400
 		r := rng.NewStream(239, uint64(trial))
-		ic := SimulateIC(g, []uint32{s}, r, sc)
-		lt := SimulateLT(g, []uint32{s}, r, sc)
+		ic := Simulate(g, IC, []uint32{s}, nil, r, sc)
+		lt := Simulate(g, LT, []uint32{s}, nil, r, sc)
 		return ic >= 1 && ic <= 400 && lt >= 1 && lt <= 400
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -45,7 +45,7 @@ func TestWeightedSpreadBoundedByGamma(t *testing.T) {
 	f := func(seedRaw uint16, trial uint16) bool {
 		s := uint32(seedRaw) % 300
 		r := rng.NewStream(257, uint64(trial))
-		b := SimulateWeighted(g, LT, []uint32{s}, w, r, sc)
+		b := Simulate(g, LT, []uint32{s}, w, r, sc)
 		return b >= 0 && b <= gamma+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -1,9 +1,9 @@
 // Package diffusion implements the two propagation models of §2.1 —
-// Independent Cascade (IC) and Linear Threshold (LT) — as forward Monte
-// Carlo simulators, plus exact (possible-world enumeration) evaluators used
-// by the test suite to validate Lemma 1 and the samplers.
+// Independent Cascade (IC) and Linear Threshold (LT) — in one forward
+// Monte-Carlo simulator, plus exact (possible-world enumeration) evaluators
+// used by the test suite to validate Lemma 1 and the samplers.
 //
-// The forward simulators are what the paper's figures 2–3 use to score the
+// The forward simulator is what the paper's figures 2–3 use to score the
 // returned seed sets ("expected influence"), and what the CELF/CELF++
 // baselines use as their spread oracle.
 package diffusion
@@ -91,20 +91,17 @@ func (s *Scratch) nextEpoch() {
 	}
 }
 
-// Simulate runs one cascade from seeds under the given model and returns the
-// number of activated nodes (including the seeds).
-func Simulate(g *graph.Graph, model Model, seeds []uint32, r *rng.Source, sc *Scratch) int {
-	switch model {
-	case IC:
-		return SimulateIC(g, seeds, r, sc)
-	default:
-		return SimulateLT(g, seeds, r, sc)
-	}
-}
-
-// SimulateIC runs one Independent Cascade: each newly activated u gets a
-// single chance to activate each out-neighbour v with probability w(u,v).
-func SimulateIC(g *graph.Graph, seeds []uint32, r *rng.Source, sc *Scratch) int {
+// Simulate runs one cascade from seeds under model and returns its benefit
+// Σ_{activated v} weights[v], seeds included (the TVM objective B(S)). A
+// nil weights slice counts each node as 1, so the result is the number of
+// activated nodes.
+//
+// Under IC each newly activated u gets a single chance to activate each
+// out-neighbour v, with probability w(u,v). Under LT node v activates when
+// the total weight of its active in-neighbours reaches its threshold λ_v,
+// drawn uniformly from [0,1] on first contact (lazy drawing is
+// distributionally identical to drawing every threshold up front).
+func Simulate(g *graph.Graph, model Model, seeds []uint32, weights []float64, r *rng.Source, sc *Scratch) float64 {
 	sc.nextEpoch()
 	q := sc.queue[:0]
 	for _, s := range seeds {
@@ -113,93 +110,15 @@ func SimulateIC(g *graph.Graph, seeds []uint32, r *rng.Source, sc *Scratch) int 
 			q = append(q, s)
 		}
 	}
-	active := len(q)
 	for head := 0; head < len(q); head++ {
-		u := q[head]
-		adj, ws := g.OutNeighbors(u)
+		adj, ws := g.OutNeighbors(q[head])
 		for i, v := range adj {
 			if sc.mark[v] == sc.epoch {
 				continue
 			}
-			if r.Float64() < float64(ws[i]) {
-				sc.mark[v] = sc.epoch
-				q = append(q, v)
-				active++
-			}
-		}
-	}
-	sc.queue = q
-	return active
-}
-
-// SimulateLT runs one Linear Threshold cascade: node v activates when the
-// total weight of its active in-neighbours reaches its threshold λ_v,
-// sampled uniformly from [0,1] on first contact (lazy sampling is
-// distributionally identical to sampling all thresholds upfront).
-func SimulateLT(g *graph.Graph, seeds []uint32, r *rng.Source, sc *Scratch) int {
-	sc.nextEpoch()
-	q := sc.queue[:0]
-	for _, s := range seeds {
-		if sc.mark[s] != sc.epoch {
-			sc.mark[s] = sc.epoch
-			q = append(q, s)
-		}
-	}
-	active := len(q)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		adj, ws := g.OutNeighbors(u)
-		for i, v := range adj {
-			if sc.mark[v] == sc.epoch {
-				continue
-			}
-			if sc.tsEpoch[v] != sc.epoch {
-				sc.tsEpoch[v] = sc.epoch
-				sc.acc[v] = 0
-				sc.thresh[v] = r.Float64()
-			}
-			sc.acc[v] += float64(ws[i])
-			if sc.acc[v] >= sc.thresh[v] {
-				sc.mark[v] = sc.epoch
-				q = append(q, v)
-				active++
-			}
-		}
-	}
-	sc.queue = q
-	return active
-}
-
-// SimulateWeighted runs one cascade and returns the total benefit
-// Σ_{activated v} weights[v] (TVM objective). A nil weights slice counts
-// each node as 1 (plain influence).
-func SimulateWeighted(g *graph.Graph, model Model, seeds []uint32, weights []float64, r *rng.Source, sc *Scratch) float64 {
-	sc.nextEpoch()
-	q := sc.queue[:0]
-	benefit := 0.0
-	value := func(v uint32) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[v]
-	}
-	for _, s := range seeds {
-		if sc.mark[s] != sc.epoch {
-			sc.mark[s] = sc.epoch
-			q = append(q, s)
-			benefit += value(s)
-		}
-	}
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		adj, ws := g.OutNeighbors(u)
-		for i, v := range adj {
-			if sc.mark[v] == sc.epoch {
-				continue
-			}
-			activated := false
+			var live bool
 			if model == IC {
-				activated = r.Float64() < float64(ws[i])
+				live = r.Float64() < float64(ws[i])
 			} else {
 				if sc.tsEpoch[v] != sc.epoch {
 					sc.tsEpoch[v] = sc.epoch
@@ -207,16 +126,23 @@ func SimulateWeighted(g *graph.Graph, model Model, seeds []uint32, weights []flo
 					sc.thresh[v] = r.Float64()
 				}
 				sc.acc[v] += float64(ws[i])
-				activated = sc.acc[v] >= sc.thresh[v]
+				live = sc.acc[v] >= sc.thresh[v]
 			}
-			if activated {
+			if live {
 				sc.mark[v] = sc.epoch
 				q = append(q, v)
-				benefit += value(v)
 			}
 		}
 	}
 	sc.queue = q
+	if weights == nil {
+		return float64(len(q))
+	}
+	// q lists the activated nodes in activation order.
+	benefit := 0.0
+	for _, v := range q {
+		benefit += weights[v]
+	}
 	return benefit
 }
 
@@ -268,12 +194,7 @@ func Spread(g *graph.Graph, model Model, seeds []uint32, opt SpreadOptions) (mea
 			defer wg.Done()
 			sc := NewScratch(g.NumNodes())
 			for i := lo; i < hi; i++ {
-				r := rng.NewStream(opt.Seed, uint64(i))
-				if opt.Weights == nil {
-					results[i] = float64(Simulate(g, model, seeds, r, sc))
-				} else {
-					results[i] = SimulateWeighted(g, model, seeds, opt.Weights, r, sc)
-				}
+				results[i] = Simulate(g, model, seeds, opt.Weights, rng.NewStream(opt.Seed, uint64(i)), sc)
 			}
 		}(lo, hi)
 	}

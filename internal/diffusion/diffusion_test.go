@@ -49,11 +49,11 @@ func TestSimulateICDeterministicEdges(t *testing.T) {
 	g0 := line(t, 0)
 	sc := NewScratch(3)
 	r := rng.New(1)
-	if got := SimulateIC(g1, []uint32{0}, r, sc); got != 3 {
-		t.Fatalf("p=1 spread %d want 3", got)
+	if got := Simulate(g1, IC, []uint32{0}, nil, r, sc); got != 3 {
+		t.Fatalf("p=1 spread %v want 3", got)
 	}
-	if got := SimulateIC(g0, []uint32{0}, r, sc); got != 1 {
-		t.Fatalf("p=0 spread %d want 1", got)
+	if got := Simulate(g0, IC, []uint32{0}, nil, r, sc); got != 1 {
+		t.Fatalf("p=0 spread %v want 1", got)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestSimulateLTDeterministicEdges(t *testing.T) {
 	g1 := line(t, 1)
 	sc := NewScratch(3)
 	r := rng.New(2)
-	if got := SimulateLT(g1, []uint32{0}, r, sc); got != 3 {
-		t.Fatalf("w=1 LT spread %d want 3", got)
+	if got := Simulate(g1, LT, []uint32{0}, nil, r, sc); got != 3 {
+		t.Fatalf("w=1 LT spread %v want 3", got)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestSeedsAlwaysActive(t *testing.T) {
 	sc := NewScratch(3)
 	r := rng.New(3)
 	for i := 0; i < 100; i++ {
-		if got := Simulate(g, IC, []uint32{2}, r, sc); got < 1 {
+		if got := Simulate(g, IC, []uint32{2}, nil, r, sc); got < 1 {
 			t.Fatal("seed not counted")
 		}
 	}
@@ -82,8 +82,8 @@ func TestDuplicateSeedsCountedOnce(t *testing.T) {
 	g := line(t, 0)
 	sc := NewScratch(3)
 	r := rng.New(4)
-	if got := SimulateIC(g, []uint32{0, 0, 0}, r, sc); got != 1 {
-		t.Fatalf("duplicate seeds spread %d want 1", got)
+	if got := Simulate(g, IC, []uint32{0, 0, 0}, nil, r, sc); got != 1 {
+		t.Fatalf("duplicate seeds spread %v want 1", got)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestSimulateWeightedSeedBenefit(t *testing.T) {
 	w := []float64{5, 1, 1}
 	sc := NewScratch(3)
 	r := rng.New(14)
-	got := SimulateWeighted(g, IC, []uint32{0}, w, r, sc)
+	got := Simulate(g, IC, []uint32{0}, w, r, sc)
 	if got != 5 {
 		t.Fatalf("seed benefit %v want 5", got)
 	}
@@ -233,7 +233,7 @@ func TestSimulateWeightedNilWeightsCountsNodes(t *testing.T) {
 	g := line(t, 1)
 	sc := NewScratch(3)
 	r := rng.New(15)
-	if got := SimulateWeighted(g, IC, []uint32{0}, nil, r, sc); got != 3 {
+	if got := Simulate(g, IC, []uint32{0}, nil, r, sc); got != 3 {
 		t.Fatalf("nil weights spread %v want 3", got)
 	}
 }
@@ -280,8 +280,8 @@ func TestScratchEpochWraparound(t *testing.T) {
 	sc.epoch = ^uint32(0) - 1 // near wrap
 	r := rng.New(18)
 	for i := 0; i < 5; i++ {
-		if got := SimulateIC(g, []uint32{0}, r, sc); got != 3 {
-			t.Fatalf("wraparound corrupted marks: spread %d", got)
+		if got := Simulate(g, IC, []uint32{0}, nil, r, sc); got != 3 {
+			t.Fatalf("wraparound corrupted marks: spread %v", got)
 		}
 	}
 }
@@ -296,7 +296,7 @@ func BenchmarkSimulateIC(b *testing.B) {
 	seeds := []uint32{0, 1, 2, 3, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateIC(g, seeds, r, sc)
+		Simulate(g, IC, seeds, nil, r, sc)
 	}
 }
 
@@ -310,7 +310,7 @@ func BenchmarkSimulateLT(b *testing.B) {
 	seeds := []uint32{0, 1, 2, 3, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateLT(g, seeds, r, sc)
+		Simulate(g, LT, seeds, nil, r, sc)
 	}
 }
 
@@ -323,15 +323,15 @@ func TestLTAccumulationAcrossParents(t *testing.T) {
 	sc := NewScratch(3)
 	for i := 0; i < 2000; i++ {
 		r := rng.NewStream(271, uint64(i))
-		if got := SimulateLT(g, []uint32{0, 1}, r, sc); got != 3 {
-			t.Fatalf("run %d: spread %d want 3 (accumulation broken)", i, got)
+		if got := Simulate(g, LT, []uint32{0, 1}, nil, r, sc); got != 3 {
+			t.Fatalf("run %d: spread %v want 3 (accumulation broken)", i, got)
 		}
 	}
 	// With only one parent seeded, activation probability is exactly 0.5.
 	hits := 0
 	for i := 0; i < 200000; i++ {
 		r := rng.NewStream(277, uint64(i))
-		if SimulateLT(g, []uint32{0}, r, sc) == 2 {
+		if Simulate(g, LT, []uint32{0}, nil, r, sc) == 2 {
 			hits++
 		}
 	}
@@ -349,7 +349,7 @@ func TestICNoDoubleActivationChance(t *testing.T) {
 	hits := 0
 	for i := 0; i < 200000; i++ {
 		r := rng.NewStream(281, uint64(i))
-		if SimulateIC(g, []uint32{0, 0}, r, sc) == 2 {
+		if Simulate(g, IC, []uint32{0, 0}, nil, r, sc) == 2 {
 			hits++
 		}
 	}

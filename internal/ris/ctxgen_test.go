@@ -39,7 +39,7 @@ func TestGenerateCtxCancellation(t *testing.T) {
 		ref := NewRefStore(s, seed)
 		st.GenerateTo(40)
 		ref.GenerateTo(40)
-		wantLen, wantItems, wantWidth := st.Len(), st.Items(), st.Width()
+		wantLen, wantItems := st.Len(), st.Items()
 
 		// Pre-canceled context: immediate error, nothing mutated.
 		pre, cancel := context.WithCancel(context.Background())
@@ -60,17 +60,17 @@ func TestGenerateCtxCancellation(t *testing.T) {
 			if err == nil {
 				ref.GenerateTo(ref.Len() + 120)
 				AssertStoresEqual(t, "late-cancel full growth", ref, st)
-				wantLen, wantItems, wantWidth = st.Len(), st.Items(), st.Width()
+				wantLen, wantItems = st.Len(), st.Items()
 				continue
 			}
 			canceled++
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("shards=%d after=%d GenerateToCtx err = %v, want Canceled", shards, after, err)
 			}
-			l, it, w := st.Len(), st.Items(), st.Width()
-			if l != wantLen || it != wantItems || w != wantWidth {
-				t.Fatalf("shards=%d after=%d store mutated by canceled growth: len %d→%d items %d→%d width %d→%d",
-					shards, after, wantLen, l, wantItems, it, wantWidth, w)
+			l, it := st.Len(), st.Items()
+			if l != wantLen || it != wantItems {
+				t.Fatalf("shards=%d after=%d store mutated by canceled growth: len %d→%d items %d→%d",
+					shards, after, wantLen, l, wantItems, it)
 			}
 		}
 		if canceled == 0 {

@@ -42,7 +42,7 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 	ref := ris.NewRefStore(s, seed)
 	st.GenerateTo(50)
 	ref.GenerateTo(50)
-	wantLen, wantItems, wantWidth := st.Len(), st.Items(), st.Width()
+	wantLen, wantItems := st.Len(), st.Items()
 
 	// Pre-canceled: upfront check fires before any RPC.
 	pre, cancel := context.WithCancel(context.Background())
@@ -63,16 +63,16 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 		if err == nil {
 			ref.GenerateTo(ref.Len() + 90)
 			ris.AssertStoresEqual(t, "late-cancel full growth", ref, st)
-			wantLen, wantItems, wantWidth = st.Len(), st.Items(), st.Width()
+			wantLen, wantItems = st.Len(), st.Items()
 			continue
 		}
 		canceled++
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("after=%d GenerateToCtx err = %v, want Canceled", after, err)
 		}
-		if st.Len() != wantLen || st.Items() != wantItems || st.Width() != wantWidth {
-			t.Fatalf("after=%d mirrors not rolled back: len %d→%d items %d→%d width %d→%d",
-				after, wantLen, st.Len(), wantItems, st.Items(), wantWidth, st.Width())
+		if st.Len() != wantLen || st.Items() != wantItems {
+			t.Fatalf("after=%d mirrors not rolled back: len %d→%d items %d→%d",
+				after, wantLen, st.Len(), wantItems, st.Items())
 		}
 	}
 	if canceled == 0 {

@@ -62,7 +62,7 @@ func TestHitsMarkedMatchesAppendSample(t *testing.T) {
 			SeedVerifyStream(&r, 21, id)
 			SeedVerifyStream(&hr, 21, id)
 			var setLen int
-			buf, setLen, _ = tc.s.AppendSample(&r, st, buf[:0])
+			buf, setLen = tc.s.AppendSample(&r, st, buf[:0])
 			want := false
 			for _, v := range buf {
 				want = want || marked[v]

@@ -91,7 +91,7 @@ func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion
 // FuzzKernelAgainstSequential checks the production kernel — the chunk path
 // (lane-interleaved LT walks, frontier-batched IC draws), AppendSample and
 // HitsMarked — against seqSample, the one-walk-at-a-time kernel, set by
-// set: same nodes in the same order, same widths, same hits.
+// set: same nodes in the same order, same hits.
 func FuzzKernelAgainstSequential(f *testing.F) {
 	f.Add(uint64(1), uint8(12), false, false, uint64(7), uint16(0), uint16(600), uint64(3))
 	f.Add(uint64(2), uint8(30), true, false, uint64(9), uint16(5), uint16(1031), uint64(4))
@@ -125,13 +125,10 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 		var r rng.Source
 		var want []uint32
 		var wantOff []int
-		var wantW []int64
 		for id := from; id < to; id++ {
 			r.SeedStream(seed, uint64(id))
 			wantOff = append(wantOff, len(want))
-			var w int64
-			want, w, _ = seqSample(s, &r, &m, want, nil)
-			wantW = append(wantW, w)
+			want, _ = seqSample(s, &r, &m, want, nil)
 		}
 		wantOff = append(wantOff, len(want))
 
@@ -139,18 +136,13 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 		for _, workers := range []int{1, 3} {
 			id := from
 			for ci, res := range sampleChunks(t, s, seed, from, to, workers) {
-				var w int64
 				for j := 1; j < len(res.offsets); j++ {
 					got := res.buf[res.offsets[j-1]:res.offsets[j]]
 					k := id - from
 					if !slices.Equal(got, want[wantOff[k]:wantOff[k+1]]) {
 						t.Fatalf("workers %d chunk %d: set %d = %v, sequential %v", workers, ci, id, got, want[wantOff[k]:wantOff[k+1]])
 					}
-					w += wantW[k]
 					id++
-				}
-				if res.width != w {
-					t.Fatalf("workers %d chunk %d: width %d, sequential %d", workers, ci, res.width, w)
 				}
 			}
 			if id != to {
@@ -170,18 +162,17 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 			k := id - from
 			r.SeedStream(seed, uint64(id))
 			var setLen int
-			var w int64
-			buf, setLen, w = s.AppendSample(&r, st, buf[:0])
-			if !slices.Equal(buf, want[wantOff[k]:wantOff[k+1]]) || setLen != len(buf) || w != wantW[k] {
-				t.Fatalf("AppendSample set %d = %v (len %d, width %d), sequential %v (width %d)",
-					id, buf, setLen, w, want[wantOff[k]:wantOff[k+1]], wantW[k])
+			buf, setLen = s.AppendSample(&r, st, buf[:0])
+			if !slices.Equal(buf, want[wantOff[k]:wantOff[k+1]]) || setLen != len(buf) {
+				t.Fatalf("AppendSample set %d = %v (len %d), sequential %v",
+					id, buf, setLen, want[wantOff[k]:wantOff[k+1]])
 			}
 			SeedVerifyStream(&r, seed, uint64(id))
 			var hit bool
 			hit, hbuf = s.HitsMarked(&r, st, hbuf, stop)
 			SeedVerifyStream(&r, seed, uint64(id))
 			var wantHit bool
-			sbuf, _, wantHit = seqSample(s, &r, &m, sbuf[:0], stop)
+			sbuf, wantHit = seqSample(s, &r, &m, sbuf[:0], stop)
 			if hit != wantHit || !slices.Equal(hbuf, sbuf) {
 				t.Fatalf("HitsMarked id %d = %v after %v, sequential %v after %v", id, hit, hbuf, wantHit, sbuf)
 			}

@@ -57,6 +57,10 @@ import (
 // plan_test.go's statistical harness checks that agreement. RR set i is a
 // pure function of (seed, i), generation is worker-count independent, and
 // every store topology stays bit-identical (the differential harness).
+//
+// A plan holds only what drawing needs. An RR set's width w(R) = Σ_{v∈R}
+// d_in(v) is read only by the TIM and Borgs baselines, which compute it
+// from the graph.
 
 // IC node classes.
 const (
@@ -92,7 +96,6 @@ type ltSlot struct {
 type Plan struct {
 	model diffusion.Model
 	n     int
-	deg   []int32 // in-degree per node: width accounting without inIdx lookups
 
 	// inIdx/inAdj alias the graph's reverse CSR: IC uniform nodes and every
 	// LT node walk the raw adjacency.
@@ -106,15 +109,15 @@ type Plan struct {
 	gen    []planEdge
 	genOff []int64 // len n+1; zero-width for uniform nodes, nil if none general
 
-	// LT state: node v's alias table is lt[ltOff[v]:ltOff[v]+deg[v]+1] (the
+	// LT state: node v's alias table is lt[ltOff[v]:ltOff[v]+d_in(v)+1] (the
 	// last slot is the stop outcome). Nodes with equal tables share one.
 	lt    []ltSlot
 	ltOff []int64 // len n
 }
 
 // NewPlan compiles the sampling plan for g under model. Compilation streams
-// the reverse CSR once — degrees, classification and record emission happen
-// in the same per-node visit; LT then reads the weights of the nodes that
+// the reverse CSR once — classification and record emission happen in the
+// same per-node visit; LT then reads the weights of the nodes that
 // own an alias table once more to build it — and the result shares the
 // graph's adjacency storage where the kernel needs no extra per-edge state.
 //
@@ -127,7 +130,7 @@ type Plan struct {
 func NewPlan(g *graph.Graph, model diffusion.Model) (*Plan, error) {
 	n := g.NumNodes()
 	idx, adj, w := g.ReverseCSR()
-	p := &Plan{model: model, n: n, deg: make([]int32, n)}
+	p := &Plan{model: model, n: n}
 	var err error
 	if model == diffusion.IC {
 		err = p.compileIC(idx, adj, w)
@@ -171,16 +174,16 @@ func (p *Plan) Model() diffusion.Model { return p.model }
 // Bytes approximates the plan's own memory (excluding the aliased graph
 // arrays). A shared LT table is counted once.
 func (p *Plan) Bytes() int64 {
-	return int64(cap(p.deg))*4 + int64(cap(p.class)) + int64(cap(p.lnq))*8 +
+	return int64(cap(p.class)) + int64(cap(p.lnq))*8 +
 		int64(cap(p.gen))*16 + int64(cap(p.genOff))*8 +
 		int64(cap(p.lt))*16 + int64(cap(p.ltOff))*8
 }
 
-// compileIC checks each node's in-edges, classifies the node, records its
-// degree and lays out the fused records for the general class, all in one
-// pass over the reverse CSR — a mapped graph's pages are touched once.
-// Weighted-cascade graphs classify every node uniform, so gen/genOff stay
-// nil and the plan costs 13 bytes/node over the graph.
+// compileIC checks each node's in-edges, classifies the node and lays out
+// the fused records for the general class, all in one pass over the reverse
+// CSR — a mapped graph's pages are touched once. Weighted-cascade graphs
+// classify every node uniform, so gen/genOff stay nil and the plan costs
+// 9 bytes/node over the graph.
 func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
 	n, edges := p.n, int64(len(adj))
 	if err := checkSources(adj, n); err != nil {
@@ -194,7 +197,6 @@ func (p *Plan) compileIC(idx []int64, adj []uint32, w []float32) error {
 		if err != nil {
 			return err
 		}
-		p.deg[v] = int32(hi - lo)
 		ws := w[lo:hi]
 		uniform := true
 		for i := 1; i < len(ws); i++ {
@@ -258,7 +260,6 @@ func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
 			return err
 		}
 		d := hi - lo
-		p.deg[v] = int32(d)
 		if key, ok := sharedKey(w[lo:hi]); ok {
 			// A node keyed to a built table has its owner's in-weights, bit
 			// for bit, so the owner's build checked them.
@@ -284,8 +285,9 @@ func (p *Plan) compileLT(idx []int64, adj []uint32, w []float32) error {
 		if p.ltOff[v] != built {
 			continue
 		}
-		m := int64(p.deg[v]) + 1
-		if err := buildLT(v, idx[v], w[idx[v]:idx[v+1]], p.lt[built:built+m], scaled, small, large); err != nil {
+		lo, hi := idx[v], idx[v+1]
+		m := hi - lo + 1
+		if err := buildLT(v, lo, w[lo:hi], p.lt[built:built+m], scaled, small, large); err != nil {
 			return err
 		}
 		built += m
@@ -457,13 +459,4 @@ func (p *Plan) ltRound(ls []lane, live uint) (ended uint) {
 		}
 	}
 	return ended
-}
-
-// width returns w(R) = Σ_{v∈R} d_in(v) for a set.
-func (p *Plan) width(set []uint32) int64 {
-	var w int64
-	for _, v := range set {
-		w += int64(p.deg[v])
-	}
-	return w
 }

@@ -32,7 +32,7 @@ import (
 // *Sampler and the refSampler definition.
 type rrSampler interface {
 	NewState() *State
-	AppendSample(r *rng.Source, st *State, buf []uint32) ([]uint32, int, int64)
+	AppendSample(r *rng.Source, st *State, buf []uint32) ([]uint32, int)
 }
 
 // namedSampler labels one side of a comparison in failure messages.
@@ -204,7 +204,7 @@ func TestLTSharedTables(t *testing.T) {
 		if end != int64(len(p.lt)) {
 			t.Fatalf("%s: tables end at %d of %d slots", name, end, len(p.lt))
 		}
-		if want := int64(n)*12 + int64(len(p.lt))*16; p.Bytes() != want {
+		if want := int64(n)*8 + int64(len(p.lt))*16; p.Bytes() != want {
 			t.Fatalf("%s: Bytes %d, want %d", name, p.Bytes(), want)
 		}
 		if want, ok := wantTables[name]; ok && len(offs) != want {
@@ -225,7 +225,7 @@ func activationCounts(s *Sampler, n, N int) []int {
 	counts := make([]int, n)
 	for i := 0; i < N; i++ {
 		r.SeedStream(4242, uint64(i))
-		buf, setLen, _ := s.AppendSample(&r, st, nil)
+		buf, setLen := s.AppendSample(&r, st, nil)
 		for _, v := range buf[len(buf)-setLen:] {
 			counts[v]++
 		}
@@ -348,8 +348,8 @@ func TestRefLTStepNoInNeighbors(t *testing.T) {
 }
 
 // sampleMoments generates N sets and returns the mean and variance of the
-// set sizes plus the mean width.
-func sampleMoments(s rrSampler, seed uint64, N int) (meanSize, varSize, meanWidth float64) {
+// set sizes plus the mean width w(R) = Σ_{v∈R} d_in(v) on g.
+func sampleMoments(s rrSampler, g *graph.Graph, seed uint64, N int) (meanSize, varSize, meanWidth float64) {
 	st := s.NewState()
 	var r rng.Source
 	var buf []uint32
@@ -357,12 +357,13 @@ func sampleMoments(s rrSampler, seed uint64, N int) (meanSize, varSize, meanWidt
 	for i := 0; i < N; i++ {
 		r.SeedStream(seed, uint64(i))
 		var setLen int
-		var w int64
-		buf, setLen, w = s.AppendSample(&r, st, buf[:0])
+		buf, setLen = s.AppendSample(&r, st, buf[:0])
 		sz := float64(setLen)
 		sum += sz
 		sumSq += sz * sz
-		wsum += float64(w)
+		for _, v := range buf {
+			wsum += float64(g.InDegree(v))
+		}
 	}
 	meanSize = sum / float64(N)
 	varSize = sumSq/float64(N) - meanSize*meanSize
@@ -381,8 +382,8 @@ func TestPlanVsOracleSizeWidthAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, pv, pw := sampleMoments(s, 1009, N)
-		om, ov, ow := sampleMoments(refSampler{s}, 2017, N)
+		pm, pv, pw := sampleMoments(s, g, 1009, N)
+		om, ov, ow := sampleMoments(refSampler{s}, g, 2017, N)
 		// Two-sample z-test on the means; the shared variance estimate is
 		// conservative enough at N = 60k per sampler.
 		se := math.Sqrt((pv + ov) / N)
@@ -421,7 +422,7 @@ func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, seeds []uin
 		var cov int64
 		for i := 0; i < N; i++ {
 			r.SeedStream(97, uint64(i))
-			buf, _, _ = smp.AppendSample(&r, st, buf[:0])
+			buf, _ = smp.AppendSample(&r, st, buf[:0])
 			for _, v := range buf {
 				if mark[v] {
 					cov++
@@ -466,7 +467,7 @@ func TestPlanCertainEdges(t *testing.T) {
 			var r rng.Source
 			for i := 0; i < 2000; i++ {
 				r.SeedStream(7, uint64(i))
-				buf, setLen, _ := s.AppendSample(&r, st, nil)
+				buf, setLen := s.AppendSample(&r, st, nil)
 				if setLen != 4 {
 					t.Fatalf("%v/%s: certain chain gave set %v", model, s.name, buf)
 				}
@@ -485,7 +486,7 @@ func TestPlanZeroWeightEdges(t *testing.T) {
 			var r rng.Source
 			for i := 0; i < 2000; i++ {
 				r.SeedStream(11, uint64(i))
-				_, setLen, _ := s.AppendSample(&r, st, nil)
+				_, setLen := s.AppendSample(&r, st, nil)
 				if setLen != 1 {
 					t.Fatalf("%v/%s: zero-weight edge fired", model, s.name)
 				}

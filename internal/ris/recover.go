@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-
-	"stopandstare/internal/graph"
 )
 
 // This file is the read half of the durability subsystem: ris.Recover opens
@@ -95,7 +93,7 @@ type snapBlkMeta struct {
 
 type snapSegMeta struct {
 	nsets int
-	width int64
+	width int64 // Σ w(R_j); range-checked, otherwise unread (see metaWidth)
 	exts  []snapExtMeta
 	blks  []snapBlkMeta
 }
@@ -321,7 +319,7 @@ func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 // eviction exactly like spilled units; the tail restarts empty, so growth
 // appends normally. Returns the number of index blocks rebuilt from the
 // arena.
-func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph) int {
+func restoreSegment(sg *segment, r *segRestore, c int) int {
 	if c <= 0 {
 		return 0
 	}
@@ -343,22 +341,6 @@ func restoreSegment(sg *segment, r *segRestore, c int, g *graph.Graph) int {
 	sg.tailSet = c
 	sg.tailBase = sg.offsets[c]
 	sg.buf = nil
-	if c == r.sm.nsets {
-		// Taken from the meta on trust: checking it would cost a pass over
-		// every item, several times the rest of the recovery.
-		sg.width = r.sm.width
-	} else {
-		// The suffix was discarded; per-set widths are not stored, so the
-		// kept prefix's width is recomputed from the arena (corruption path
-		// only — a clean recovery never walks the sets).
-		var w int64
-		for i := 0; i < c; i++ {
-			for _, v := range sg.setAt(i) {
-				w += int64(g.InDegree(v))
-			}
-		}
-		sg.width = w
-	}
 	lcov := 0
 	for bi, p := range r.iblocks {
 		bm := &r.sm.blks[bi]
@@ -474,7 +456,7 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	st := newStore(s, seed, opt)
 	info := &RecoveryInfo{
 		Discarded:          md.length - cutoff,
-		RebuiltIndexBlocks: restoreSegment(st.segs[0], &r, cutoff, s.g),
+		RebuiltIndexBlocks: restoreSegment(st.segs[0], &r, cutoff),
 		SnapshotBytes:      bf.size,
 		Generation:         man.Generation,
 	}

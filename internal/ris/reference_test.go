@@ -53,8 +53,8 @@ type refSampler struct{ s *Sampler }
 func (rs refSampler) NewState() *State { return rs.s.NewState() }
 
 // AppendSample has Sampler.AppendSample's contract: one RR set appended to
-// buf, its length and its width Σ d_in.
-func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uint32, int, int64) {
+// buf, and its length.
+func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uint32, int) {
 	s, g := rs.s, rs.s.g
 	var root uint32
 	if s.root != nil {
@@ -66,7 +66,6 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 	start := len(buf)
 	st.lanes[0].marks.Visit(int32(root))
 	buf = append(buf, root)
-	width := int64(g.InDegree(root))
 	if s.model == diffusion.IC {
 		// Reverse BFS: edge (u,x) is live with probability w(u,x); every
 		// in-edge of a member is examined exactly once.
@@ -80,7 +79,6 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 				if r.Float64() < float64(ws[i]) {
 					st.lanes[0].marks.Visit(int32(u))
 					buf = append(buf, u)
-					width += int64(g.InDegree(u))
 				}
 			}
 		}
@@ -94,11 +92,10 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 				break
 			}
 			buf = append(buf, u)
-			width += int64(g.InDegree(u))
 			x = u
 		}
 	}
-	return buf, len(buf) - start, width
+	return buf, len(buf) - start
 }
 
 // refLTStep maps a uniform draw u01 ∈ [0,1) to the LT reverse-walk step at
@@ -171,11 +168,11 @@ func refLTTable(g *graph.Graph, v uint32) []ltSlot {
 // seqSample draws RR set (r's stream) through s's compiled plan one walk at
 // a time: the IC reverse BFS draws and visits each queued node's in-edges
 // before moving to the next node, the LT walk takes one step per loop. It
-// appends the set to buf and returns its width. A non-nil stop ends the
+// appends the set to buf. A non-nil stop ends the
 // walk with hit = true at the first visited node in stop (the root
 // included), before appending it; up to there it makes exactly the draws
 // of the full walk.
-func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []bool) (_ []uint32, width int64, hit bool) {
+func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []bool) (_ []uint32, hit bool) {
 	p := s.mustPlan()
 	var root uint32
 	if s.root != nil {
@@ -184,13 +181,12 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 		root = uint32(r.Intn(s.g.NumNodes()))
 	}
 	if stop != nil && stop[root] {
-		return buf, 0, true
+		return buf, true
 	}
 	m.Reset(s.g.NumNodes())
 	start := len(buf)
 	m.Visit(int32(root))
 	buf = append(buf, root)
-	width = int64(p.deg[root])
 	if p.model == diffusion.IC {
 		for head := start; head < len(buf); head++ {
 			x := buf[head]
@@ -199,10 +195,9 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 					if r.Bernoulli64(e.thr) {
 						if u := e.nbr; m.Visit(int32(u)) {
 							if stop != nil && stop[u] {
-								return buf, width, true
+								return buf, true
 							}
 							buf = append(buf, u)
-							width += int64(p.deg[u])
 						}
 					}
 				}
@@ -216,14 +211,13 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 			for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
 				if u := adj[i]; m.Visit(int32(u)) {
 					if stop != nil && stop[u] {
-						return buf, width, true
+						return buf, true
 					}
 					buf = append(buf, u)
-					width += int64(p.deg[u])
 				}
 			}
 		}
-		return buf, width, false
+		return buf, false
 	}
 	x := root
 	for {
@@ -242,13 +236,12 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 			break
 		}
 		if stop != nil && stop[u] {
-			return buf, width, true
+			return buf, true
 		}
 		buf = append(buf, u)
-		width += int64(p.deg[u])
 		x = u
 	}
-	return buf, width, false
+	return buf, false
 }
 
 type refStore struct {
@@ -258,7 +251,6 @@ type refStore struct {
 	sets  [][]uint32
 	post  [][]int32 // post[v] = ascending ids of the sets containing v
 	items int64
-	width int64
 }
 
 // NewRefStore returns the empty definition-level reference stream for
@@ -278,7 +270,6 @@ func refStream(s *Sampler, seed uint64, count int) Store {
 func (r *refStore) Sampler() *Sampler  { return r.s }
 func (r *refStore) Len() int           { return len(r.sets) }
 func (r *refStore) Items() int64       { return r.items }
-func (r *refStore) Width() int64       { return r.width }
 func (r *refStore) Bytes() int64       { return 0 }
 func (r *refStore) NumNodes() int      { return r.s.g.NumNodes() }
 func (r *refStore) Scale() float64     { return r.s.scale }
@@ -292,13 +283,12 @@ func (r *refStore) ForEachSet(from, to int, fn func(i int, set []uint32)) {
 
 func (r *refStore) GenerateTo(target int) {
 	for i := len(r.sets); i < target; i++ {
-		set, w := r.s.Sample(rng.NewStream(r.seed, uint64(i)), r.st)
+		set := r.s.Sample(rng.NewStream(r.seed, uint64(i)), r.st)
 		r.sets = append(r.sets, set)
 		for _, v := range set {
 			r.post[v] = append(r.post[v], int32(i))
 		}
 		r.items += int64(len(set))
-		r.width += w
 	}
 }
 
@@ -406,9 +396,9 @@ func gatherPostings(st Store, v uint32, from, upto int) []int32 {
 // shards interleave), and both coverage paths over a few windows.
 func AssertStoresEqual(t *testing.T, ctx string, ref, got Store) {
 	t.Helper()
-	if got.Len() != ref.Len() || got.Items() != ref.Items() || got.Width() != ref.Width() {
-		t.Fatalf("%s: aggregates differ: len %d/%d items %d/%d width %d/%d", ctx,
-			got.Len(), ref.Len(), got.Items(), ref.Items(), got.Width(), ref.Width())
+	if got.Len() != ref.Len() || got.Items() != ref.Items() {
+		t.Fatalf("%s: aggregates differ: len %d/%d items %d/%d", ctx,
+			got.Len(), ref.Len(), got.Items(), ref.Items())
 	}
 	for i := 0; i < ref.Len(); i++ {
 		if !slices.Equal(ref.Set(i), got.Set(i)) {

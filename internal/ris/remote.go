@@ -27,8 +27,8 @@ import (
 // logical shards.
 //
 //	opOpen     key, nonce, spec     → respOK
-//	opStats    key                  → respData{nsets, items, width, bytes}
-//	opGenerate key, gfrom, gto, mir → respData{chunk}… then respEnd
+//	opStats    key                  → respData{nsets, items, bytes}
+//	opGenerate key, gfrom, gto, mir → respData{nsets, ends, nodes}… then respEnd
 //	opPostings key, v, from, upto   → respData{ids}
 //	opCoverage key, from, to, seeds → respData{count}
 //

@@ -176,9 +176,9 @@ func TestRemoteStoreParity(t *testing.T) {
 		t.Helper()
 		ref.GenerateTo(upto)
 		st.GenerateTo(upto)
-		if st.Len() != ref.Len() || st.Items() != ref.Items() || st.Width() != ref.Width() {
-			t.Fatalf("%s: len/items/width %d/%d/%d vs reference %d/%d/%d", phase,
-				st.Len(), st.Items(), st.Width(), ref.Len(), ref.Items(), ref.Width())
+		if st.Len() != ref.Len() || st.Items() != ref.Items() {
+			t.Fatalf("%s: len/items %d/%d vs reference %d/%d", phase,
+				st.Len(), st.Items(), ref.Len(), ref.Items())
 		}
 		for i := 0; i < upto; i++ {
 			if !slices.Equal(st.Set(i), ref.Set(i)) {

@@ -80,22 +80,20 @@ func (rs *RemoteShard) dropConnLocked() {
 // blocks and spill enforcement only runs after a fully successful Generate,
 // so between snapshot and restore the segment can only have grown at its
 // arena tail — bufLen is the TAIL length (frozen extents are immutable and
-// need no rollback) and the three scalars cover everything.
+// need no rollback) and the two lengths cover everything.
 type segSnap struct {
 	nsets  int
 	bufLen int
-	width  int64
 }
 
 func (rs *RemoteShard) snapshot() segSnap {
-	return segSnap{nsets: rs.seg.nsets(), bufLen: len(rs.seg.buf), width: rs.seg.width}
+	return segSnap{nsets: rs.seg.nsets(), bufLen: len(rs.seg.buf)}
 }
 
 func (rs *RemoteShard) restore(s segSnap) {
 	rs.seg.buf = rs.seg.buf[:s.bufLen]
 	rs.seg.offsets = rs.seg.offsets[:s.nsets+1]
 	rs.seg.gids = rs.seg.gids[:s.nsets]
-	rs.seg.width = s.width
 }
 
 // generate asks the worker to append RR sets [gfrom, gto) and mirrors the

@@ -3,6 +3,8 @@ package ris
 import (
 	"fmt"
 	"math"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,7 +72,7 @@ func TestRRSetContainsRoot(t *testing.T) {
 		st := s.NewState()
 		for i := 0; i < 200; i++ {
 			r := rng.NewStream(5, uint64(i))
-			set, _ := s.Sample(r, st)
+			set := s.Sample(r, st)
 			if len(set) < 1 {
 				t.Fatalf("%v: empty RR set", model)
 			}
@@ -89,7 +91,7 @@ func TestRRSetStructuralValidityIC(t *testing.T) {
 	st := s.NewState()
 	f := func(id uint16) bool {
 		r := rng.NewStream(11, uint64(id))
-		set, _ := s.Sample(r, st)
+		set := s.Sample(r, st)
 		member := map[uint32]bool{}
 		for _, v := range set {
 			member[v] = true
@@ -125,7 +127,7 @@ func TestRRSetStructuralValidityLT(t *testing.T) {
 	st := s.NewState()
 	f := func(id uint16) bool {
 		r := rng.NewStream(17, uint64(id))
-		set, _ := s.Sample(r, st)
+		set := s.Sample(r, st)
 		for i := 0; i+1 < len(set); i++ {
 			if !g.HasEdge(set[i+1], set[i]) {
 				return false
@@ -394,24 +396,70 @@ func TestIndexUpto(t *testing.T) {
 	}
 }
 
+// TestWidthMatchesDefinition checks the one width the package still
+// writes, the snapshot meta's width word, against its definition: Σ_j w(R_j)
+// with w(R) = Σ_{v∈R} d_in(v), summed here through Set. It covers a heap
+// store, a spilled store whose index blocks are mapped from the spill file,
+// and a recovered store (mapped snapshot blocks) grown again.
 func TestWidthMatchesDefinition(t *testing.T) {
-	// w(R) = Σ_{v∈R} d_in(v), summed over all sets.
-	g, err := gen.ErdosRenyi(60, 400, 67, graph.BuildOptions{Model: graph.WeightedCascade})
+	s := snapTestSampler(t)
+	g := s.Graph()
+	const seed = 71
+	check := func(name string, st Store) {
+		t.Helper()
+		var want int64
+		for i := 0; i < st.Len(); i++ {
+			for _, v := range st.Set(i) {
+				want += int64(g.InDegree(v))
+			}
+		}
+		dir := t.TempDir()
+		if _, err := st.(*ShardedCollection).Persist(dir); err != nil {
+			t.Fatal(err)
+		}
+		man, err := loadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf, err := openSnapshot(filepath.Join(dir, man.Snapshot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bf.close()
+		payload, _, err := metaBlock(bf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md, err := decodeStoreMeta(payload, bf.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if md.seg.width != want || want == 0 {
+			t.Fatalf("%s: meta width word %d, sets sum to %d", name, md.seg.width, want)
+		}
+	}
+
+	heap := NewStore(s, seed, snapOpt(1))
+	growPattern(heap)
+	check("heap", heap)
+
+	spilled := NewStore(s, seed, StoreOptions{Workers: 2, SpillBudgetBytes: 1, SpillDir: t.TempDir()})
+	growPattern(spilled)
+	if !slices.ContainsFunc(spilled.(*ShardedCollection).segs[0].blocks, func(b csrBlock) bool { return b.mapped }) {
+		t.Fatal("spilled store maps no index block")
+	}
+	check("spilled", spilled)
+
+	dir := t.TempDir()
+	if _, err := heap.(*ShardedCollection).Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(s, seed, snapOpt(1), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSampler(t, g, diffusion.IC)
-	col := NewShardedCollection(s, 71, 1, 2)
-	col.GenerateTo(500)
-	var want int64
-	for i := 0; i < col.Len(); i++ {
-		for _, v := range col.Set(i) {
-			want += int64(g.InDegree(v))
-		}
-	}
-	if col.Width() != want {
-		t.Fatalf("width %d want %d", col.Width(), want)
-	}
+	rec.GenerateTo(rec.Len() + 25)
+	check("recovered", rec)
 }
 
 func TestVerifyStreamDisjoint(t *testing.T) {
@@ -492,12 +540,8 @@ func TestEdgelessGraphRRSetsAreSingletons(t *testing.T) {
 		st := s.NewState()
 		for i := 0; i < 200; i++ {
 			r := rng.NewStream(307, uint64(i))
-			set, width := s.Sample(r, st)
-			if len(set) != 1 {
+			if set := s.Sample(r, st); len(set) != 1 {
 				t.Fatalf("%v: RR set %v on edgeless graph", model, set)
-			}
-			if width < 0 {
-				t.Fatal("negative width")
 			}
 		}
 	}

@@ -182,15 +182,13 @@ func (s *Sampler) NewState() *State {
 }
 
 // AppendSample generates one RR set using r and appends its nodes to buf.
-// It returns the grown buffer, the number of nodes appended, and the RR
-// set's width w(R) = Σ_{v∈R} d_in(v) (the quantity TIM's KPT estimator
-// needs). The set occupies buf[len(buf)-setLen:]. For the LT model the
-// nodes appear in reverse-walk order (root first), which tests rely on.
-func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf []uint32, setLen int, width int64) {
-	p := s.mustPlan()
+// It returns the grown buffer and the number of nodes appended; the set
+// occupies buf[len(buf)-setLen:]. For the LT model the nodes appear in
+// reverse-walk order (root first), which tests rely on.
+func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf []uint32, setLen int) {
 	start := len(buf)
-	buf, _ = s.walk(p, r, st, buf, nil)
-	return buf, len(buf) - start, p.width(buf[start:])
+	buf, _ = s.walk(s.mustPlan(), r, st, buf, nil)
+	return buf, len(buf) - start
 }
 
 // HitsMarked reports whether the RR set AppendSample would draw from r
@@ -274,10 +272,8 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 		r := &st.lanes[0].r
 		for id := lo; id < hi; id++ {
 			r.SeedStream(seed, uint64(id)|s.stream)
-			start := len(buf)
 			buf, _ = s.walk(p, r, st, buf, nil)
 			res.offsets = append(res.offsets, int32(len(buf)))
-			res.width += p.width(buf[start:])
 		}
 		res.buf = buf
 		return res
@@ -314,10 +310,8 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 	}
 	res.buf = make([]uint32, 0, items)
 	for _, sp := range st.spans {
-		set := st.lanes[sp.lane].buf[sp.from:sp.to]
-		res.buf = append(res.buf, set...)
+		res.buf = append(res.buf, st.lanes[sp.lane].buf[sp.from:sp.to]...)
 		res.offsets = append(res.offsets, int32(len(res.buf)))
-		res.width += p.width(set)
 	}
 	return res
 }
@@ -331,7 +325,7 @@ func (s *Sampler) openLane(l *lane, seed uint64, id int) {
 }
 
 // Sample generates one RR set into a fresh slice (convenience for tests).
-func (s *Sampler) Sample(r *rng.Source, st *State) ([]uint32, int64) {
-	buf, n, w := s.AppendSample(r, st, nil)
-	return buf[len(buf)-n:], w
+func (s *Sampler) Sample(r *rng.Source, st *State) []uint32 {
+	buf, _ := s.AppendSample(r, st, nil)
+	return buf
 }

@@ -63,7 +63,6 @@ type segment struct {
 	offsets []int64  // len = nsets()+1; absolute item offsets across extents+tail
 	gids    []int32  // global id per local set; nil ⇒ identity (lone in-process shard)
 	blocks  []csrBlock
-	width   int64   // Σ w(R_j) over the segment's sets
 	cursor  []int32 // scratch for CSR construction, len = n
 
 	// Spill tier. Without a spill budget all three stay zero and the arena
@@ -217,7 +216,6 @@ func (sg *segment) spilledBytes() int64 {
 type chunkResult struct {
 	buf     []uint32
 	offsets []int32 // len = sets in chunk + 1
-	width   int64
 }
 
 // sampleChunksCtx generates the RR sets with global ids [gfrom, gto) in
@@ -293,7 +291,6 @@ func (sg *segment) appendResults(results []chunkResult) {
 		for j := 1; j < len(res.offsets); j++ {
 			sg.offsets = append(sg.offsets, off+int64(res.offsets[j]))
 		}
-		sg.width += res.width
 	}
 }
 

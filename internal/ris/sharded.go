@@ -23,7 +23,7 @@ import (
 // contiguous sub-ranges, one per shard, and the shards generate theirs in
 // parallel, each with its own worker pool and per-set re-seeded rng.Source
 // streams. Because RR set i is always produced by the PRNG stream (seed, i)
-// (SeedStream), Set(i), Width, Items, every coverage count, and therefore
+// (SeedStream), Set(i), Items, every coverage count, and therefore
 // every algorithm result (Seeds, Coverage, checkpoint traces) are
 // bit-identical for any shard count and any worker count: the algorithms
 // cannot observe the topology.
@@ -164,15 +164,6 @@ func (sc *ShardedCollection) Items() int64 {
 		items += sg.items()
 	}
 	return items
-}
-
-// Width returns Σ_j w(R_j) over all RR sets.
-func (sc *ShardedCollection) Width() int64 {
-	var w int64
-	for _, sg := range sc.segs {
-		w += sg.width
-	}
-	return w
 }
 
 // NumNodes returns the node count of the underlying graph.

@@ -306,7 +306,6 @@ func (s *ShardServer) handleStats(bw *bufio.Writer, payload []byte) error {
 	var w wbuf
 	w.u64(uint64(sh.seg.nsets()))
 	w.i64(sh.seg.items())
-	w.i64(sh.seg.width)
 	w.i64(sh.seg.residentBytes())
 	sh.mu.Unlock()
 	return writeFrame(bw, respData, w.b)
@@ -358,8 +357,7 @@ func (s *ShardServer) handleGenerate(bw *bufio.Writer, payload []byte) error {
 		return writeFrame(bw, respEnd, nil)
 	case containedRun(gids, gfrom, gto):
 		// Redelivery of a range this shard already holds: re-stream from
-		// the arena in chunk-sized slices. Width is recomputed from
-		// in-degrees — the same Σ d_in(v) the sampler reports.
+		// the arena in chunk-sized slices.
 		if mirror {
 			lo := localIndexOf(gids, gfrom)
 			count := gto - gfrom
@@ -368,7 +366,7 @@ func (s *ShardServer) handleGenerate(bw *bufio.Writer, payload []byte) error {
 				if end > count {
 					end = count
 				}
-				if err := writeFrame(bw, respData, s.encodeArenaChunk(sh.seg, lo+off, lo+end)); err != nil {
+				if err := writeFrame(bw, respData, encodeArenaChunk(sh.seg, lo+off, lo+end)); err != nil {
 					return err
 				}
 			}
@@ -407,7 +405,6 @@ func localIndexOf(gids []int32, g int) int {
 func encodeChunk(res *chunkResult) []byte {
 	var w wbuf
 	w.u32(uint32(len(res.offsets) - 1))
-	w.i64(res.width)
 	w.i32s(res.offsets[1:])
 	w.u32s(res.buf)
 	return w.b
@@ -416,20 +413,15 @@ func encodeChunk(res *chunkResult) []byte {
 // encodeArenaChunk re-serializes local sets [lfrom, lto) straight from the
 // arena in the same chunk layout encodeChunk produces, gathering the sets
 // through setAt.
-func (s *ShardServer) encodeArenaChunk(seg *segment, lfrom, lto int) []byte {
+func encodeArenaChunk(seg *segment, lfrom, lto int) []byte {
 	base := seg.offsets[lfrom]
 	buf := make([]uint32, 0, seg.offsets[lto]-base)
 	for i := lfrom; i < lto; i++ {
 		buf = append(buf, seg.setAt(i)...)
 	}
-	var width int64
-	for _, v := range buf {
-		width += int64(s.g.InDegree(v))
-	}
 	var w wbuf
-	w.u32(uint32(lto - lfrom))
-	w.i64(width)
-	w.u32(uint32(lto - lfrom))
+	w.u32(uint32(lto - lfrom)) // nsets
+	w.u32(uint32(lto - lfrom)) // the ends' count, as i32s writes it
 	for i := lfrom + 1; i <= lto; i++ {
 		w.u32(uint32(seg.offsets[i] - base))
 	}
@@ -441,7 +433,6 @@ func (s *ShardServer) encodeArenaChunk(seg *segment, lfrom, lto int) []byte {
 func decodeChunk(payload []byte) (chunkResult, error) {
 	r := rbuf{b: payload}
 	nsets := int(r.u32())
-	width := r.i64()
 	ends := r.i32s()
 	buf := r.u32s()
 	if r.err != nil || len(ends) != nsets ||
@@ -450,7 +441,7 @@ func decodeChunk(payload []byte) (chunkResult, error) {
 	}
 	offsets := make([]int32, 1, nsets+1)
 	offsets = append(offsets, ends...)
-	return chunkResult{buf: buf, offsets: offsets, width: width}, nil
+	return chunkResult{buf: buf, offsets: offsets}, nil
 }
 
 func (s *ShardServer) handlePostings(bw *bufio.Writer, payload []byte) error {

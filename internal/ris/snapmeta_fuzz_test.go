@@ -114,13 +114,8 @@ func FuzzSnapshotMeta(f *testing.F) {
 // spilled one-shard store. Recover must return a typed snapshot error or a
 // store equal to the reference stream's prefix of the same length, and must
 // never panic. Seeds: the real meta, and one claiming twice the sets its
-// segment holds.
-//
-// The one meta value Recover takes on trust is the segment's width
-// (Σ in-degree over every item): checking it costs a pass over the recovered
-// data, several times the recovery itself. So a clean recovery must report
-// exactly the declared width, and every other observable must match the
-// reference.
+// segment holds. The meta's width word is range-checked and otherwise
+// unread, so a meta that changes only that word recovers the reference.
 //
 // Each input must cost little. When an input adds coverage the fuzz engine
 // minimizes it: it runs the target on every candidate with bytes removed,
@@ -145,8 +140,7 @@ func FuzzRecoverMeta(f *testing.F) {
 	dir := f.TempDir()
 	refs := map[int]Store{} // reference prefix by length
 	f.Fuzz(func(t *testing.T, meta []byte) {
-		md, err := decodeStoreMeta(meta, "fuzz")
-		if err != nil {
+		if _, err := decodeStoreMeta(meta, "fuzz"); err != nil {
 			if !typedMetaError(err) {
 				t.Fatalf("store meta: untyped error %v", err)
 			}
@@ -155,7 +149,7 @@ func FuzzRecoverMeta(f *testing.F) {
 		if _, err := persistSnapshot(dir, &crashFS{dropSync: true}, meta, sc.segs[0], sc.length); err != nil {
 			t.Fatal(err)
 		}
-		rec, info, err := Recover(s, seed, snapOpt(0), dir)
+		rec, _, err := Recover(s, seed, snapOpt(0), dir)
 		if err != nil {
 			if !typedMetaError(err) {
 				t.Fatalf("recover: untyped error %v", err)
@@ -167,21 +161,6 @@ func FuzzRecoverMeta(f *testing.F) {
 			ref = refStream(s, seed, rec.Len())
 			refs[rec.Len()] = ref
 		}
-		if info.Discarded == 0 {
-			if rec.Width() != md.seg.width {
-				t.Fatalf("width %d, meta declares %d", rec.Width(), md.seg.width)
-			}
-			rec = declaredWidth{rec, ref.Width()}
-		}
 		AssertStoresEqual(t, "fuzzed meta", ref, rec)
 	})
 }
-
-// declaredWidth reports w as the store's width: FuzzRecoverMeta checks a
-// recovered width against the meta separately.
-type declaredWidth struct {
-	Store
-	w int64
-}
-
-func (d declaredWidth) Width() int64 { return d.w }

@@ -254,15 +254,15 @@ func persistExtents(sg *segment) []persistExt {
 	return out
 }
 
-// encodeSegMeta appends the segment's descriptor: set count, width, a zero
-// byte (no gid table: one shard runs on identity ids), the arena extents and
-// the CSR index blocks. Block payload lengths are all derivable from this,
-// so recovery can locate every block in the file without trusting any
-// payload.
-func encodeSegMeta(w *wbuf, sg *segment) {
+// encodeSegMeta appends the segment's descriptor: set count, width word, a
+// zero byte (no gid table: one shard runs on identity ids), the arena
+// extents and the CSR index blocks. Block payload lengths are all derivable
+// from this, so recovery can locate every block in the file without
+// trusting any payload. inIdx is the graph's reverse CSR offsets.
+func encodeSegMeta(w *wbuf, sg *segment, inIdx []int64) {
 	ns := sg.nsets()
 	w.u64(uint64(ns))
-	w.i64(sg.width)
+	w.i64(metaWidth(sg, inIdx))
 	w.u8(0)
 	exts := persistExtents(sg)
 	w.u32(uint32(len(exts)))
@@ -279,6 +279,23 @@ func encodeSegMeta(w *wbuf, sg *segment) {
 		w.u64(uint64(len(b.starts)))
 		w.u64(uint64(len(b.ids)))
 	}
+}
+
+// metaWidth returns the descriptor's width word, Σ_j w(R_j) over the
+// segment's sets with w(R) = Σ_{v∈R} d_in(v). The v1 format has the word
+// and earlier builds read it; recovery only range-checks it. Node v's run
+// in an index block counts the block's sets that hold v, so the sum takes
+// O(n) per block from the starts tables and never reads the items. The
+// index covers every set of a store that can be persisted.
+func metaWidth(sg *segment, inIdx []int64) int64 {
+	var w int64
+	for i := range sg.blocks {
+		starts := sg.blocks[i].starts
+		for v := 0; v+1 < len(starts); v++ {
+			w += int64(starts[v+1]-starts[v]) * (inIdx[v+1] - inIdx[v])
+		}
+	}
+	return w
 }
 
 // writeSegBlocks appends the segment's data blocks in the order its
@@ -299,7 +316,7 @@ func writeSegBlocks(bf *blockFile, sg *segment) {
 // topology words and the per-epoch shard bounds are what earlier builds
 // wrote for any shard count; at one shard they are fixed (bounds [from, to),
 // base from), so the format is unchanged.
-func encodeStoreMeta(m storeMeta, sg *segment) []byte {
+func encodeStoreMeta(m storeMeta, sg *segment, inIdx []int64) []byte {
 	var w wbuf
 	w.u32(snapVersion)
 	w.u64(m.seed)
@@ -322,7 +339,7 @@ func encodeStoreMeta(m storeMeta, sg *segment) []byte {
 		w.u64(uint64(e.from)) // base
 	}
 	w.u32(1) // segments
-	encodeSegMeta(&w, sg)
+	encodeSegMeta(&w, sg, inIdx)
 	return w.b
 }
 
@@ -342,7 +359,8 @@ func (sc *ShardedCollection) PersistFS(dir string, fs SnapshotFS) (SnapshotInfo,
 	m.length = sc.length
 	m.epochs = sc.epochs
 	sg := sc.segs[0]
-	return persistSnapshot(dir, fs, encodeStoreMeta(m, sg), sg, m.length)
+	inIdx, _, _ := sc.sampler.g.ReverseCSR()
+	return persistSnapshot(dir, fs, encodeStoreMeta(m, sg, inIdx), sg, m.length)
 }
 
 // persistSnapshot runs the full snapshot protocol over an encoded meta

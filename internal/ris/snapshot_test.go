@@ -143,7 +143,8 @@ const (
 func storeMetaBytes(sc *ShardedCollection) []byte {
 	m := storeMetaOf(sc.sampler, sc.seed)
 	m.length, m.epochs = sc.length, sc.epochs
-	return encodeStoreMeta(m, sc.segs[0])
+	inIdx, _, _ := sc.sampler.g.ReverseCSR()
+	return encodeStoreMeta(m, sc.segs[0], inIdx)
 }
 
 // overclaimMeta is sc's meta block claiming length sets: the length word

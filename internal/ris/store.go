@@ -6,7 +6,9 @@ import "context"
 // max-coverage solvers, the TVM sweeps and the serving layer consume. The
 // paper's optimality arguments (Thms 3–5) are agnostic to where RR sets
 // live — only Len, coverage and the doubling schedule matter — so the
-// algorithms are written against this interface. ShardedCollection is the
+// algorithms are written against this interface. A store holds the sets and
+// their index and nothing derived per set: an RR set's width w(R), which
+// only the TIM and Borgs baselines read, is computed there from the graph. ShardedCollection is the
 // one implementation; its topology (one shard, N in-process shards, remote
 // worker shards; heap or spilled; a one-shard store may also be persisted
 // and recovered from a snapshot) is chosen by StoreOptions and is invisible
@@ -15,7 +17,7 @@ import "context"
 // Contract (what makes every topology interchangeable bit-for-bit):
 //
 //   - RR set i is always the output of the PRNG stream (Seed, i), so
-//     Set(i), Items, Width and every coverage count are identical across
+//     Set(i), Items and every coverage count are identical across
 //     worker counts, shard counts and storage tiers.
 //   - The stream is append-only: growth never moves or mutates an existing
 //     set (D-SSA's prefix-stability requirement).
@@ -38,8 +40,6 @@ type Store interface {
 	Len() int
 	// Items returns the total number of node entries across all RR sets.
 	Items() int64
-	// Width returns Σ_j w(R_j) over all RR sets (TIM's KPT input).
-	Width() int64
 	// Bytes approximates the resident memory of the store.
 	Bytes() int64
 	// NumNodes returns the node count of the underlying graph.
@@ -62,7 +62,7 @@ type Store interface {
 	// between sampling chunk claims (and between remote RPC attempts), and
 	// with the plan's content error returned before any sampling starts. On
 	// cancellation it returns the context's error having mutated NOTHING —
-	// stream, index and width are exactly as before the call, so a later
+	// stream and index are exactly as before the call, so a later
 	// identical top-up regenerates the same bit-identical sets.
 	GenerateToCtx(ctx context.Context, target int) error
 	// PostingsRange iterates the ids in [from, upto) of RR sets containing v.

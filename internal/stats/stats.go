@@ -1,7 +1,7 @@
 // Package stats implements the concentration-bound arithmetic the paper's
-// algorithms are built on: the Υ(ε,δ) sample-size function (Table 1), the
-// Chernoff-style sufficient sample counts of Corollary 1, log-binomials for
-// the δ/C(n,k) union bounds, and the stopping-rule constants of the
+// algorithms are built on: the Υ(ε,δ) sample-size function (Table 1, the
+// sufficient sample count of Corollary 1), log-binomials for the δ/C(n,k)
+// union bounds, and the stopping-rule constants of the
 // Estimate-Inf procedure (Alg. 3, after Dagum–Karp–Luby–Ross).
 //
 // Everything that involves C(n,k) is computed in log space: for the graph
@@ -33,30 +33,6 @@ func UpsilonLn(eps, lnInvDelta float64) float64 {
 	return (2 + 2*eps/3) * lnInvDelta / (eps * eps)
 }
 
-// LowerTailSamples returns T such that Pr[µ̂ < (1−ε)µ] ≤ δ when T ≥ result
-// (Corollary 1, Eq. (8)): T = 2·ln(1/δ)/(ε²µ).
-func LowerTailSamples(eps, delta, mu float64) float64 {
-	return 2 * math.Log(1/delta) / (eps * eps * mu)
-}
-
-// UpperTailSamples returns T such that Pr[µ̂ > (1+ε)µ] ≤ δ when T ≥ result
-// (Corollary 1, Eq. (7)): T = Υ(ε,δ)/µ.
-func UpperTailSamples(eps, delta, mu float64) float64 {
-	return Upsilon(eps, delta) / mu
-}
-
-// ChernoffUpperTail bounds Pr[µ̂ > (1+ε)µ] for T samples of mean µ
-// (Lemma 2, Eq. (5)): exp(−T·µ·ε²/(2 + 2ε/3)).
-func ChernoffUpperTail(eps, mu float64, T float64) float64 {
-	return math.Exp(-T * mu * eps * eps / (2 + 2*eps/3))
-}
-
-// ChernoffLowerTail bounds Pr[µ̂ < (1−ε)µ] for T samples of mean µ
-// (Lemma 2, Eq. (6)): exp(−T·µ·ε²/2).
-func ChernoffLowerTail(eps, mu float64, T float64) float64 {
-	return math.Exp(-T * mu * eps * eps / 2)
-}
-
 // LnChoose returns ln C(n,k) computed with log-gamma. It returns -Inf for
 // k < 0 or k > n, and 0 for k == 0 or k == n.
 func LnChoose(n, k int) float64 {
@@ -84,58 +60,4 @@ func CheckEpsDelta(eps, delta float64) error {
 		return ErrInvalidParam
 	}
 	return nil
-}
-
-// Welford accumulates a running mean and variance in one pass. Used by the
-// Monte-Carlo spread estimators to report confidence half-widths.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Merge folds another accumulator into w (parallel reduction).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 if empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 if fewer than 2 samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.Variance() / float64(w.n))
 }

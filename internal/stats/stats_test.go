@@ -99,30 +99,6 @@ func TestLnChooseHugeDoesNotOverflow(t *testing.T) {
 	}
 }
 
-func TestChernoffBoundsDecreasing(t *testing.T) {
-	// More samples → smaller tail bound.
-	if ChernoffUpperTail(0.1, 0.01, 2000) >= ChernoffUpperTail(0.1, 0.01, 1000) {
-		t.Fatal("upper tail not decreasing in T")
-	}
-	if ChernoffLowerTail(0.1, 0.01, 2000) >= ChernoffLowerTail(0.1, 0.01, 1000) {
-		t.Fatal("lower tail not decreasing in T")
-	}
-}
-
-func TestSampleCountsInvertBounds(t *testing.T) {
-	// Plugging the sufficient sample counts back into the bounds must give
-	// exactly δ (up to float error) — Corollary 1 is tight by construction.
-	eps, delta, mu := 0.2, 0.01, 0.05
-	tUp := UpperTailSamples(eps, delta, mu)
-	if p := ChernoffUpperTail(eps, mu, tUp); math.Abs(p-delta) > 1e-9 {
-		t.Fatalf("upper bound at sufficient T: %v want %v", p, delta)
-	}
-	tLo := LowerTailSamples(eps, delta, mu)
-	if p := ChernoffLowerTail(eps, mu, tLo); math.Abs(p-delta) > 1e-9 {
-		t.Fatalf("lower bound at sufficient T: %v want %v", p, delta)
-	}
-}
-
 func TestStoppingRuleThreshold(t *testing.T) {
 	got := StoppingRuleThreshold(0.1, 0.01)
 	want := 1 + 1.1*Upsilon(0.1, 0.01)
@@ -140,73 +116,5 @@ func TestCheckEpsDelta(t *testing.T) {
 	}
 	if err := CheckEpsDelta(0.1, 0.01); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWelfordMeanVariance(t *testing.T) {
-	var w Welford
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != int64(len(xs)) {
-		t.Fatalf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	// Unbiased variance of this classic dataset is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Fatalf("variance = %v", w.Variance())
-	}
-	if w.StdErr() <= 0 {
-		t.Fatal("stderr should be positive")
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	var all, a, b Welford
-	for i := 0; i < 100; i++ {
-		x := float64(i*i%37) + 0.5
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v want %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %v want %v", a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(3)
-	a.Merge(b) // empty rhs
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed state")
-	}
-	b.Merge(a) // empty lhs
-	if b.N() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty lost state")
-	}
-}
-
-func TestWelfordSmallCounts(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.StdErr() != 0 || w.Mean() != 0 {
-		t.Fatal("empty Welford should be all zeros")
-	}
-	w.Add(5)
-	if w.Variance() != 0 {
-		t.Fatal("single-sample variance should be 0")
 	}
 }
