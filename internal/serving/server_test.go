@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,6 +137,143 @@ func TestServeStatsVerifyStore(t *testing.T) {
 			t.Fatalf("/stats tenant has no %q: %v", key, body.Tenants[0])
 		}
 	}
+}
+
+// TestServeStatsBody pins the whole /stats body: its exact key sets, the
+// omitempty keys absent when zero, and every value. Tenant "hot" is
+// resident with a small spill budget and has answered one D-SSA and one SSA
+// query; tenant "cold" is a GraphFile tenant never queried. Each session
+// value must equal Session.Stats() of a twin session with the same options
+// and queries, and each manager value the manager's own counters.
+func TestServeStatsBody(t *testing.T) {
+	g := testGraph(t, 36)
+	path := filepath.Join(t.TempDir(), "cold.sasg")
+	if err := testGraph(t, 37).WriteMappedFile(path); err != nil {
+		t.Fatal(err)
+	}
+	sopt := func() stopandstare.SessionOptions {
+		return stopandstare.SessionOptions{Seed: 47, Workers: 2, SpillBudgetBytes: 4096, SpillDir: t.TempDir()}
+	}
+	m := NewManager(Config{})
+	t.Cleanup(m.Close)
+	if err := m.AddTenant("hot", TenantConfig{Graph: g, Model: stopandstare.IC, Session: sopt()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddTenant("cold", TenantConfig{GraphFile: path, Model: stopandstare.LT, Session: sopt()}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(m, ServerConfig{}).Handler())
+	t.Cleanup(ts.Close)
+	twin, err := stopandstare.NewSession(g, stopandstare.IC, sopt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"dssa", "ssa"} {
+		if resp, _ := post(t, ts, `{"tenant":"hot","k":6,"epsilon":0.3,"algorithm":"`+algo+`"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s query: status %d", algo, resp.StatusCode)
+		}
+		a, err := stopandstare.ParseAlgorithm(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.Maximize(stopandstare.Query{Algorithm: a, K: 6, Epsilon: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hot := twin.Stats()
+	if hot.StoreSpilledBytes <= 0 || hot.SpillFileBytes <= 0 || hot.VerifySamples <= 0 {
+		t.Fatalf("the hot tenant's twin did not spill or keep verification sets: %+v", hot)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+
+	keysOf := func(m map[string]any) []string {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	sameKeys := func(what string, got map[string]any, want ...string) {
+		t.Helper()
+		slices.Sort(want)
+		if k := keysOf(got); !slices.Equal(k, want) {
+			t.Fatalf("%s keys\n got %v\nwant %v", what, k, want)
+		}
+	}
+	tenantKeys := []string{"name", "resident", "nodes", "edges", "model", "queries", "evictions",
+		"samples", "items", "growths", "store_bytes", "verify_samples", "verify_bytes",
+		"plan_bytes", "graph_resident_bytes", "graph_mapped_bytes", "solvers", "solver_bytes"}
+	// Absent from every body below: recovering, recovered, snapshot_bytes
+	// and persists are zero, and so are the cold tenant's spill keys.
+	sameKeys("/stats", body, "uptime_sec", "queries", "executed", "coalesced", "rejected_429",
+		"timeout_503", "evictions", "spills", "store_bytes", "store_spilled_bytes",
+		"spill_file_bytes", "budget_bytes", "recovered", "persists", "snapshot_bytes",
+		"in_flight", "queued", "tenants")
+	tenants, ok := body["tenants"].([]any)
+	if !ok || len(tenants) != 2 {
+		t.Fatalf("/stats tenants: %v", body["tenants"])
+	}
+	cold, _ := tenants[0].(map[string]any)
+	hotBody, _ := tenants[1].(map[string]any)
+	sameKeys("cold tenant", cold, tenantKeys...)
+	sameKeys("hot tenant", hotBody, append(slices.Clone(tenantKeys), "store_spilled_bytes", "spill_file_bytes")...)
+
+	if up, ok := body["uptime_sec"].(float64); !ok || up <= 0 {
+		t.Fatalf("uptime_sec %v", body["uptime_sec"])
+	}
+	delete(body, "uptime_sec")
+	delete(body, "tenants")
+	sameValues := func(what string, got, want map[string]any) {
+		t.Helper()
+		for k, w := range want {
+			if got[k] != w {
+				t.Fatalf("%s %s = %v, want %v", what, k, got[k], w)
+			}
+		}
+	}
+	sameValues("/stats", body, map[string]any{
+		"queries": 2.0, "executed": 2.0, "coalesced": 0.0, "rejected_429": 0.0, "timeout_503": 0.0,
+		"evictions": 0.0, "spills": 0.0, "store_bytes": float64(hot.StoreBytes),
+		"store_spilled_bytes": float64(hot.StoreSpilledBytes), "spill_file_bytes": float64(hot.SpillFileBytes),
+		"budget_bytes": 0.0, "recovered": 0.0, "persists": 0.0, "snapshot_bytes": 0.0,
+		"in_flight": 0.0, "queued": 0.0,
+	})
+	session := func(st stopandstare.SessionStats) map[string]any {
+		return map[string]any{
+			"samples": float64(st.Samples), "items": float64(st.Items), "growths": float64(st.Growths),
+			"store_bytes": float64(st.StoreBytes), "verify_samples": float64(st.VerifySamples),
+			"verify_bytes": float64(st.VerifyBytes), "plan_bytes": float64(st.PlanBytes),
+			"graph_resident_bytes": float64(st.GraphResidentBytes),
+			"graph_mapped_bytes":   float64(st.GraphMappedBytes),
+			"solvers":              float64(st.Solvers), "solver_bytes": float64(st.SolverBytes),
+		}
+	}
+	wantHot := session(hot)
+	for k, v := range map[string]any{
+		"name": "hot", "resident": true, "nodes": float64(g.NumNodes()), "edges": float64(g.NumEdges()),
+		"model": stopandstare.IC.String(), "queries": 2.0, "evictions": 0.0,
+		"store_spilled_bytes": float64(hot.StoreSpilledBytes), "spill_file_bytes": float64(hot.SpillFileBytes),
+	} {
+		wantHot[k] = v
+	}
+	sameValues("hot tenant", hotBody, wantHot)
+	wantCold := session(stopandstare.SessionStats{})
+	for k, v := range map[string]any{
+		"name": "cold", "resident": false, "nodes": 0.0, "edges": 0.0, "model": "", "queries": 0.0, "evictions": 0.0,
+	} {
+		wantCold[k] = v
+	}
+	sameValues("cold tenant", cold, wantCold)
 }
 
 // TestServeWarmAndCoalesced checks the serving metadata flags over HTTP:
