@@ -470,15 +470,21 @@ func (m *Manager) coalesce(ctx context.Context, t *tenant, q stopandstare.Query)
 		key.eps = 0.1
 	}
 
-	m.flightMu.Lock()
-	if f, ok := m.flights[key]; ok {
+	for {
+		m.flightMu.Lock()
+		f, ok := m.flights[key]
+		if !ok {
+			break // lead a flight, still holding flightMu
+		}
 		m.flightMu.Unlock()
 		m.coalesced.Add(1)
 		select {
 		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
-			}
+		case <-ctx.Done():
+			m.deadlined.Add(1)
+			return nil, ctx.Err()
+		}
+		if f.err == nil {
 			res := *f.res
 			// Each follower gets its own Seeds backing array: the shallow
 			// copy above would alias every follower (and the leader) to one
@@ -487,9 +493,13 @@ func (m *Manager) coalesce(ctx context.Context, t *tenant, q stopandstare.Query)
 			res.Seeds = slices.Clone(f.res.Seeds)
 			res.Coalesced = true
 			return &res, nil
-		case <-ctx.Done():
-			m.deadlined.Add(1)
-			return nil, ctx.Err()
+		}
+		// A leader that failed on its own deadline or cancellation says
+		// nothing about this follower's: while ctx is live, join or lead
+		// the next flight. The canceled top-up mutated nothing, so it
+		// resumes from the same clean prefix.
+		if !isContextErr(f.err) || ctx.Err() != nil {
+			return nil, f.err
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -509,10 +519,16 @@ func (m *Manager) coalesce(ctx context.Context, t *tenant, q stopandstare.Query)
 	return f.res, f.err
 }
 
+// isContextErr reports an error from a context's deadline or cancellation.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
 // admitAndExecute passes the admission gate, then runs q against the
-// tenant's session (building it if evicted). An overload or deadline here
-// propagates to the whole coalescing group: every follower would have
-// faced the same gate.
+// tenant's session (building it if evicted). An overload here propagates
+// to the whole coalescing group: every follower would have faced the same
+// full gate. The leader's own deadline or cancellation does not: a follower
+// whose context is still live retries (see coalesce).
 func (m *Manager) admitAndExecute(ctx context.Context, t *tenant, q stopandstare.Query) (*stopandstare.Result, error) {
 	if err := m.limiter.Acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
@@ -535,7 +551,7 @@ func (m *Manager) admitAndExecute(ctx context.Context, t *tenant, q stopandstare
 	// cancels its top-up between sampling chunks instead of finishing work
 	// nobody will read. Cancellation never tears the store — a canceled
 	// top-up mutates nothing — so a coalesced follower whose leader was
-	// canceled can simply retry and resume from the same clean prefix.
+	// canceled retries and resumes from the same clean prefix.
 	res, err := sess.MaximizeContext(ctx, q)
 	if errors.Is(err, stopandstare.ErrBadGraphContent) {
 		err = fmt.Errorf("%w: %q: %w", ErrTenantUnavailable, t.name, err)
@@ -600,55 +616,14 @@ func (m *Manager) enforceBudget(keep *tenant) {
 	}
 }
 
-// TenantStats is one tenant's slice of Manager.Stats. Session is the zero
-// value while the tenant is evicted or never queried; Nodes/Edges/Model
-// are zero until the graph is first opened (lazy GraphFile tenants).
-type TenantStats struct {
-	Name      string
-	Resident  bool // a live session (RR store) is in memory
-	Nodes     int
-	Edges     int64
-	Model     string
-	Queries   int64
-	Evictions int64
-	Persists  int64 // snapshots committed (eviction + retirement paths)
-	Session   stopandstare.SessionStats
-}
-
-// Stats is a point-in-time manager snapshot.
-type Stats struct {
-	// Tenants holds per-tenant snapshots, sorted by name.
-	Tenants []TenantStats
-	// Queries counts admitted requests; Executed the ones that ran a
-	// session query; Coalesced the followers served from a shared
-	// execution (Queries = Executed + Coalesced + failed lookups).
-	Queries, Executed, Coalesced int64
-	// Rejected counts queue-full admissions (429); Deadlined counts
-	// deadlines expired while waiting (503); Evictions counts sessions
-	// dropped for budget; Spills counts budget-enforcement passes that
-	// moved cold store bytes to a session's disk tier instead.
-	Rejected, Deadlined, Evictions, Spills int64
-	// Recovered sums RR sets restored from snapshots across resident
-	// sessions — samples this process never paid to generate. Persists
-	// counts snapshots committed; SnapshotBytes sums current snapshot file
-	// sizes. Recovering mirrors Manager.Recovering (readiness).
-	Recovered, Persists, SnapshotBytes int64
-	Recovering                         bool
-	// StoreBytes sums resident session stores — the number the budget
-	// bounds. BudgetBytes echoes the configured budget (0 = unlimited).
-	StoreBytes, BudgetBytes int64
-	// StoreSpilledBytes sums the session bytes currently parked in spill
-	// files (excluded from StoreBytes); SpillFileBytes sums the on-disk
-	// spill file sizes backing them.
-	StoreSpilledBytes, SpillFileBytes int64
-	// InFlight and Queued snapshot the admission gate.
-	InFlight, Queued int
-}
-
-// Stats snapshots the manager. Safe concurrently with queries; the
-// per-tenant numbers are each internally consistent but the snapshot as a
-// whole is not atomic across tenants.
-func (m *Manager) Stats() Stats {
+// Stats snapshots the manager as the GET /stats body, UptimeSec left to
+// the server. Safe concurrently with queries; the per-tenant numbers are
+// each internally consistent but the snapshot as a whole is not atomic
+// across tenants. Queries = Executed + Coalesced + failed lookups, except
+// that a follower whose leader failed on the leader's own deadline or
+// cancellation joins or leads the next flight: it is counted again in
+// Coalesced or Executed for each flight it retries in.
+func (m *Manager) Stats() StatsResponse {
 	m.mu.Lock()
 	ts := make([]*tenant, 0, len(m.tenants))
 	for _, t := range m.tenants {
@@ -657,24 +632,25 @@ func (m *Manager) Stats() Stats {
 	m.mu.Unlock()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
 
-	st := Stats{
+	st := StatsResponse{
 		Queries:     m.queries.Load(),
 		Executed:    m.executed.Load(),
 		Coalesced:   m.coalesced.Load(),
-		Rejected:    m.rejected.Load(),
-		Deadlined:   m.deadlined.Load(),
+		Rejected429: m.rejected.Load(),
+		Timeout503:  m.deadlined.Load(),
 		Evictions:   m.evictions.Load(),
 		Spills:      m.spills.Load(),
 		BudgetBytes: m.cfg.BudgetBytes,
 		InFlight:    m.limiter.InFlight(),
 		Queued:      m.limiter.Queued(),
 		Recovering:  m.Recovering(),
+		Tenants:     make([]TenantStatsResponse, 0, len(ts)),
 	}
 	for _, t := range ts {
 		t.mu.Lock()
 		g, sess := t.g, t.sess
 		t.mu.Unlock()
-		tst := TenantStats{
+		tst := TenantStatsResponse{
 			Name:      t.name,
 			Resident:  sess != nil,
 			Queries:   t.queries.Load(),
@@ -688,12 +664,12 @@ func (m *Manager) Stats() Stats {
 			tst.Model = t.cfg.Model.String()
 		}
 		if sess != nil {
-			tst.Session = sess.Stats()
-			st.StoreBytes += tst.Session.StoreBytes
-			st.StoreSpilledBytes += tst.Session.StoreSpilledBytes
-			st.SpillFileBytes += tst.Session.SpillFileBytes
-			st.Recovered += int64(tst.Session.Recovered)
-			st.SnapshotBytes += tst.Session.SnapshotBytes
+			tst.SessionStats = sess.Stats()
+			st.StoreBytes += tst.StoreBytes
+			st.StoreSpilledBytes += tst.StoreSpilledBytes
+			st.SpillFileBytes += tst.SpillFileBytes
+			st.Recovered += int64(tst.Recovered)
+			st.SnapshotBytes += tst.SnapshotBytes
 		}
 		st.Tenants = append(st.Tenants, tst)
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func TestEvictionExactness(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under a 1-byte budget: %+v", st)
 	}
-	var aStats TenantStats
+	var aStats TenantStatsResponse
 	for _, ten := range st.Tenants {
 		if ten.Name == "a" {
 			aStats = ten
@@ -132,7 +133,7 @@ func tenantSession(t *testing.T, m *Manager, name string) stopandstare.SessionSt
 	t.Helper()
 	for _, ten := range m.Stats().Tenants {
 		if ten.Name == name {
-			return ten.Session
+			return ten.SessionStats
 		}
 	}
 	t.Fatalf("tenant %q not in stats", name)
@@ -303,6 +304,69 @@ func TestCoalescedSeedsNotAliased(t *testing.T) {
 	}
 }
 
+// TestCoalescedFollowerOutlivesLeader pins that a follower does not inherit
+// its leader's deadline: the leader runs under a 40 ms deadline and the
+// OnExecute hook holds it for 80 ms, so it fails on its own context; the
+// follower, joined with no deadline at all, must run the query again and
+// answer exactly what a cold twin answers.
+func TestCoalescedFollowerOutlivesLeader(t *testing.T) {
+	g := testGraph(t, 9)
+	opt := stopandstare.SessionOptions{Seed: 23, Workers: 2}
+	var held atomic.Bool
+	var m *Manager
+	m = NewManager(Config{
+		MaxInFlight: 2,
+		OnExecute: func(string) {
+			if held.Swap(true) {
+				return // the follower's own execution runs unheld
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for m.Stats().Coalesced < 1 && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(80 * time.Millisecond)
+		},
+	})
+	defer m.Close()
+	if err := m.AddTenant("t", TenantConfig{Graph: g, Model: stopandstare.IC, Session: opt}); err != nil {
+		t.Fatal(err)
+	}
+	q := stopandstare.Query{K: 8, Epsilon: 0.25}
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+		defer cancel()
+		_, err := m.Maximize(ctx, "t", q)
+		leaderErr <- err
+	}()
+	// The leader holds its execution slot from before the hook runs, so
+	// its flight is registered once InFlight reads 1.
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Stats().InFlight < 1 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	got, err := m.Maximize(context.Background(), "t", q)
+	if lerr := <-leaderErr; !errors.Is(lerr, context.DeadlineExceeded) {
+		t.Fatalf("leader error %v, want its own deadline", lerr)
+	}
+	if err != nil {
+		t.Fatalf("follower without a deadline failed with its leader: %v", err)
+	}
+	twin, err := stopandstare.NewSession(g, stopandstare.IC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Maximize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, "retried follower vs cold twin", got, want)
+	if st := m.Stats(); st.Queries != 2 || st.Executed != 2 || st.Coalesced != 1 {
+		t.Fatalf("queries=%d executed=%d coalesced=%d, want 2/2/1", st.Queries, st.Executed, st.Coalesced)
+	}
+}
+
 // TestLazyGraphFileTenant checks a GraphFile tenant costs nothing until
 // queried, opens on first query, and is fully released on removal.
 func TestLazyGraphFileTenant(t *testing.T) {
@@ -334,8 +398,8 @@ func TestLazyGraphFileTenant(t *testing.T) {
 	if st.Nodes != g.NumNodes() || !st.Resident {
 		t.Fatalf("queried tenant should hold the opened graph: %+v", st)
 	}
-	if total := st.Session.GraphResidentBytes + st.Session.GraphMappedBytes; total <= 0 {
-		t.Fatalf("graph accounting empty after open: %+v", st.Session)
+	if total := st.GraphResidentBytes + st.GraphMappedBytes; total <= 0 {
+		t.Fatalf("graph accounting empty after open: %+v", st.SessionStats)
 	}
 
 	if err := m.RemoveTenant("lazy"); err != nil {
@@ -346,7 +410,7 @@ func TestLazyGraphFileTenant(t *testing.T) {
 	}
 }
 
-func tenantStats(t *testing.T, m *Manager, name string) TenantStats {
+func tenantStats(t *testing.T, m *Manager, name string) TenantStatsResponse {
 	t.Helper()
 	for _, ten := range m.Stats().Tenants {
 		if ten.Name == name {
@@ -354,7 +418,7 @@ func tenantStats(t *testing.T, m *Manager, name string) TenantStats {
 		}
 	}
 	t.Fatalf("tenant %q not in stats", name)
-	return TenantStats{}
+	return TenantStatsResponse{}
 }
 
 // TestManagerConfigErrors exercises the admission bookkeeping edges.

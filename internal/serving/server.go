@@ -66,62 +66,63 @@ type MaximizeResponse struct {
 	Coalesced bool `json:"coalesced"`
 }
 
-// TenantStatsResponse is one tenant's entry in the GET /stats body.
+// TenantStatsResponse is one tenant's entry in the GET /stats body: the
+// tenant's own counters plus its session's SessionStats, so a counter
+// declared there reaches /stats with no further code. SessionStats is the
+// zero value while the tenant is evicted or never queried; Nodes, Edges and
+// Model are zero until the graph is first opened (lazy GraphFile tenants).
+// Queries counts the tenant's admitted requests, coalesced followers
+// included, and shadows SessionStats.Queries.
 type TenantStatsResponse struct {
-	Name               string `json:"name"`
-	Resident           bool   `json:"resident"`
-	Nodes              int    `json:"nodes"`
-	Edges              int64  `json:"edges"`
-	Model              string `json:"model"`
-	Queries            int64  `json:"queries"`
-	Evictions          int64  `json:"evictions"`
-	Samples            int    `json:"samples"`
-	Items              int64  `json:"items"`
-	Growths            int64  `json:"growths"`
-	StoreBytes         int64  `json:"store_bytes"`
-	VerifySamples      int    `json:"verify_samples"`
-	VerifyBytes        int64  `json:"verify_bytes"`
-	StoreSpilledBytes  int64  `json:"store_spilled_bytes,omitempty"`
-	SpillFileBytes     int64  `json:"spill_file_bytes,omitempty"`
-	PlanBytes          int64  `json:"plan_bytes"`
-	GraphResidentBytes int64  `json:"graph_resident_bytes"`
-	GraphMappedBytes   int64  `json:"graph_mapped_bytes"`
-	Solvers            int    `json:"solvers"`
-	SolverBytes        int64  `json:"solver_bytes"`
-	Recovered          int    `json:"recovered,omitempty"`
-	SnapshotBytes      int64  `json:"snapshot_bytes,omitempty"`
-	Persists           int64  `json:"persists,omitempty"`
+	Name      string `json:"name"`
+	Resident  bool   `json:"resident"` // a live session (RR store) is in memory
+	Nodes     int    `json:"nodes"`
+	Edges     int64  `json:"edges"`
+	Model     string `json:"model"`
+	Queries   int64  `json:"queries"`
+	Evictions int64  `json:"evictions"`
+	Persists  int64  `json:"persists,omitempty"` // snapshots committed (eviction and retirement)
+	stopandstare.SessionStats
 }
 
-// StatsResponse is the GET /stats body: the manager-wide counters plus one
-// entry per tenant.
+// StatsResponse is the GET /stats body, as Manager.Stats builds it: the
+// manager-wide counters plus one entry per tenant, sorted by name.
 type StatsResponse struct {
-	UptimeSec   float64 `json:"uptime_sec"`
-	Queries     int64   `json:"queries"`
-	Executed    int64   `json:"executed"`
-	Coalesced   int64   `json:"coalesced"`
-	Rejected429 int64   `json:"rejected_429"`
-	Timeout503  int64   `json:"timeout_503"`
-	Evictions   int64   `json:"evictions"`
-	Spills      int64   `json:"spills"`
-	StoreBytes  int64   `json:"store_bytes"`
-	// StoreSpilledBytes sums session bytes parked in spill files (not in
-	// StoreBytes, which the budget bounds); SpillFileBytes is their on-disk
-	// footprint.
+	UptimeSec float64 `json:"uptime_sec"`
+	// Queries counts admitted requests; Executed the ones that ran a
+	// session query; Coalesced the followers served from a shared
+	// execution.
+	Queries   int64 `json:"queries"`
+	Executed  int64 `json:"executed"`
+	Coalesced int64 `json:"coalesced"`
+	// Rejected429 counts queue-full admissions; Timeout503 deadlines that
+	// expired while queued or coalesced; Evictions sessions dropped for
+	// budget; Spills budget-enforcement passes that moved cold store bytes
+	// to a session's disk tier instead.
+	Rejected429 int64 `json:"rejected_429"`
+	Timeout503  int64 `json:"timeout_503"`
+	Evictions   int64 `json:"evictions"`
+	Spills      int64 `json:"spills"`
+	// StoreBytes sums resident session stores: the number the budget
+	// bounds. StoreSpilledBytes sums session bytes parked in spill files
+	// (not in StoreBytes); SpillFileBytes is their on-disk footprint.
+	// BudgetBytes echoes the configured budget (0 = unlimited).
+	StoreBytes        int64 `json:"store_bytes"`
 	StoreSpilledBytes int64 `json:"store_spilled_bytes"`
 	SpillFileBytes    int64 `json:"spill_file_bytes"`
 	BudgetBytes       int64 `json:"budget_bytes"`
 	// Recovered sums RR sets restored from snapshots across resident
-	// sessions; Persists counts snapshots committed; SnapshotBytes sums
-	// current snapshot file sizes; Recovering mirrors /readyz's warm-up
-	// condition.
-	Recovered     int64                 `json:"recovered"`
-	Persists      int64                 `json:"persists"`
-	SnapshotBytes int64                 `json:"snapshot_bytes"`
-	Recovering    bool                  `json:"recovering,omitempty"`
-	InFlight      int                   `json:"in_flight"`
-	Queued        int                   `json:"queued"`
-	Tenants       []TenantStatsResponse `json:"tenants"`
+	// sessions, samples this process never paid to generate; Persists
+	// counts snapshots committed; SnapshotBytes sums current snapshot file
+	// sizes; Recovering mirrors /readyz's warm-up condition.
+	Recovered     int64 `json:"recovered"`
+	Persists      int64 `json:"persists"`
+	SnapshotBytes int64 `json:"snapshot_bytes"`
+	Recovering    bool  `json:"recovering,omitempty"`
+	// InFlight and Queued snapshot the admission gate.
+	InFlight int                   `json:"in_flight"`
+	Queued   int                   `json:"queued"`
+	Tenants  []TenantStatsResponse `json:"tenants"`
 }
 
 // ReadyzResponse is the GET /readyz body: overall readiness plus the
@@ -266,7 +267,7 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrOverloaded):
 			w.Header().Set("Retry-After", s.retryAfter())
 			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		case isContextErr(err):
 			w.Header().Set("Retry-After", s.retryAfter())
 			writeError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ErrTenantUnavailable):
@@ -315,53 +316,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.mgr.Stats()
-	out := StatsResponse{
-		UptimeSec:         time.Since(s.start).Seconds(),
-		Queries:           st.Queries,
-		Executed:          st.Executed,
-		Coalesced:         st.Coalesced,
-		Rejected429:       st.Rejected,
-		Timeout503:        st.Deadlined,
-		Evictions:         st.Evictions,
-		Spills:            st.Spills,
-		StoreBytes:        st.StoreBytes,
-		StoreSpilledBytes: st.StoreSpilledBytes,
-		SpillFileBytes:    st.SpillFileBytes,
-		BudgetBytes:       st.BudgetBytes,
-		Recovered:         st.Recovered,
-		Persists:          st.Persists,
-		SnapshotBytes:     st.SnapshotBytes,
-		Recovering:        st.Recovering,
-		InFlight:          st.InFlight,
-		Queued:            st.Queued,
-		Tenants:           make([]TenantStatsResponse, 0, len(st.Tenants)),
-	}
-	for _, t := range st.Tenants {
-		out.Tenants = append(out.Tenants, TenantStatsResponse{
-			Name:               t.Name,
-			Resident:           t.Resident,
-			Nodes:              t.Nodes,
-			Edges:              t.Edges,
-			Model:              t.Model,
-			Queries:            t.Queries,
-			Evictions:          t.Evictions,
-			Samples:            t.Session.Samples,
-			Items:              t.Session.Items,
-			Growths:            t.Session.Growths,
-			StoreBytes:         t.Session.StoreBytes,
-			VerifySamples:      t.Session.VerifySamples,
-			VerifyBytes:        t.Session.VerifyBytes,
-			StoreSpilledBytes:  t.Session.StoreSpilledBytes,
-			SpillFileBytes:     t.Session.SpillFileBytes,
-			PlanBytes:          t.Session.PlanBytes,
-			GraphResidentBytes: t.Session.GraphResidentBytes,
-			GraphMappedBytes:   t.Session.GraphMappedBytes,
-			Solvers:            t.Session.Solvers,
-			SolverBytes:        t.Session.SolverBytes,
-			Recovered:          t.Session.Recovered,
-			SnapshotBytes:      t.Session.SnapshotBytes,
-			Persists:           t.Persists,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	st.UptimeSec = time.Since(s.start).Seconds()
+	writeJSON(w, http.StatusOK, st)
 }

@@ -119,8 +119,8 @@ func TestDurableEvictionRecovery(t *testing.T) {
 	}
 	sameAnswer(t, "post-eviction query", again, want)
 	ts = tenantStats(t, m, "a")
-	if ts.Session.Recovered == 0 || ts.Session.Growths != 0 {
-		t.Fatalf("re-admission resampled instead of recovering: %+v", ts.Session)
+	if ts.Recovered == 0 || ts.Growths != 0 {
+		t.Fatalf("re-admission resampled instead of recovering: %+v", ts.SessionStats)
 	}
 	if !again.Warm {
 		t.Fatal("recovered repeat was not warm")
@@ -138,7 +138,7 @@ func TestDurableEvictionRecovery(t *testing.T) {
 		t.Fatalf("restarted manager recovered nothing: %+v", st)
 	}
 	ts = tenantStats(t, m2, "a")
-	if !ts.Resident || ts.Session.Recovered == 0 {
+	if !ts.Resident || ts.Recovered == 0 {
 		t.Fatalf("tenant a not warmed by recovery pass: %+v", ts)
 	}
 	if ts.Persists != 0 && ts.Persists == persistsBefore {

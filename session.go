@@ -3,7 +3,6 @@ package stopandstare
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -51,6 +50,7 @@ import (
 // one of them extends a greedy run the other needs.
 type Session struct {
 	opt     SessionOptions
+	sopt    ris.StoreOptions // both stores'
 	g       *Graph
 	sampler *ris.Sampler
 	inst    *tvm.Instance // non-nil for weighted (TVM) sessions
@@ -71,9 +71,10 @@ type Session struct {
 // lock so SSA verification never waits on coverage growth or the reverse.
 // Where a caller holds both locks, Session.mu is taken first.
 type verifyStore struct {
-	mu    sync.RWMutex
-	store ris.Store // nil until the first SSA query; guarded by mu
-	words sync.Pool // *[]uint64, per-call ris.StopIndex bitsets
+	mu      sync.RWMutex
+	store   ris.Store    // nil until the first SSA query; guarded by mu
+	sampler *ris.Sampler // the session sampler's Estimate-Inf stream
+	words   sync.Pool    // *[]uint64, per-call ris.StopIndex bitsets
 }
 
 // sessionRunLimit bounds the greedy runs the session's solver retains, so a
@@ -142,67 +143,69 @@ type Query struct {
 // SessionStats is a point-in-time snapshot of a session's resident state,
 // with plan and store memory reported separately: the plan is shared by
 // every session on one (graph, model), so summing Stats().PlanBytes across
-// them would double-count, while StoreBytes is genuinely per-session.
+// them would double-count, while StoreBytes is genuinely per-session. The
+// serving layer embeds it in each /stats tenant entry under these json
+// keys, so a counter declared here reaches /stats with no further code.
 type SessionStats struct {
 	// Queries is the number of Maximize calls served.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Growths is the number of write-locked store top-ups taken: how many
 	// times a query found the stream too short and generated RR sets. The
 	// serving layer's request coalescing is pinned against this counter —
 	// N concurrent identical queries must grow the store exactly as often
 	// as one query alone.
-	Growths int64
+	Growths int64 `json:"growths"`
 	// Samples is the number of RR sets resident in the store.
-	Samples int
+	Samples int `json:"samples"`
 	// Items is the total number of node entries across resident RR sets.
-	Items int64
+	Items int64 `json:"items"`
 	// StoreBytes approximates the stores' own RESIDENT memory: arena,
 	// offset tables and CSR index blocks held on the heap, of the coverage
 	// store and the verification store (VerifyBytes) together — excluding
 	// the shared plan and excluding data spilled to disk.
-	StoreBytes int64
+	StoreBytes int64 `json:"store_bytes"`
 	// VerifySamples is the number of SSA Estimate-Inf sets the verification
 	// store retains (0 until the first SSA query).
-	VerifySamples int
+	VerifySamples int `json:"verify_samples"`
 	// VerifyBytes is the verification store's share of StoreBytes.
-	VerifyBytes int64
+	VerifyBytes int64 `json:"verify_bytes"`
 	// StoreSpilledBytes is RR data of either store tiered onto the session's
 	// spill files and served through a read-only mapping (0 without a
 	// spill budget).
-	StoreSpilledBytes int64
+	StoreSpilledBytes int64 `json:"store_spilled_bytes,omitempty"`
 	// SpillFileBytes is the spill files' on-disk size, headers and
 	// alignment padding included (the spill-tier overhead is the difference
 	// from StoreSpilledBytes).
-	SpillFileBytes int64
+	SpillFileBytes int64 `json:"spill_file_bytes,omitempty"`
 	// PlanBytes is the compiled sampling plan's memory (0 until the plan is
 	// first compiled). Shared per (graph, model).
-	PlanBytes int64
+	PlanBytes int64 `json:"plan_bytes"`
 	// GraphResidentBytes is the graph arrays' private heap footprint — the
 	// whole graph for built/loaded graphs, 0 for mmap-ed ones. Like
 	// PlanBytes it is shared by every session on the same graph object, so
 	// summing it across such sessions double-counts.
-	GraphResidentBytes int64
+	GraphResidentBytes int64 `json:"graph_resident_bytes"`
 	// GraphMappedBytes is the portion of the graph aliasing a read-only
 	// file mapping (graphs opened with OpenGraphFile): paged in on
 	// demand and shared across every process serving the same file, so it
 	// is reported separately from resident memory.
-	GraphMappedBytes int64
+	GraphMappedBytes int64 `json:"graph_mapped_bytes"`
 	// Solvers is the number of greedy runs the session's max-coverage
 	// solver retains: one per checkpoint prefix recently solved, shared by
 	// every k.
-	Solvers int
+	Solvers int `json:"solvers"`
 	// SolverBytes is the exact heap footprint of those runs plus the
 	// solver's gain counts. Not part of StoreBytes.
-	SolverBytes int64
+	SolverBytes int64 `json:"solver_bytes"`
 	// Recovered is the number of RR sets restored from a StateDir snapshot
 	// when the session was built (0 for cold starts and non-durable
 	// sessions). Those sets were not resampled: a recovered session's
 	// time-to-first-answer is what this bought.
-	Recovered int
+	Recovered int `json:"recovered,omitempty"`
 	// SnapshotBytes is the size of the session's current snapshot file —
 	// the one recovered from at build, replaced by each successful Persist
 	// (0 when neither happened).
-	SnapshotBytes int64
+	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
 }
 
 // NewSession builds a serving session for (g, model). The heavy pieces are
@@ -241,11 +244,9 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 	} else if sampler, err = ris.NewSampler(g, model); err != nil {
 		return nil, err
 	}
-	sopt := ris.StoreOptions{
-		Workers: opt.Workers, SpillBudgetBytes: opt.SpillBudgetBytes, SpillDir: opt.SpillDir,
-	}
 	s := &Session{
 		opt:     opt,
+		sopt:    ris.StoreOptions{Workers: opt.Workers, SpillBudgetBytes: opt.SpillBudgetBytes, SpillDir: opt.SpillDir},
 		g:       g,
 		sampler: sampler,
 		inst:    inst,
@@ -256,20 +257,20 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 		// Recover); anything else — no snapshot, a multi-shard topology,
 		// corrupt beyond the store header — starts cold. Either way the session is
 		// usable, and bit-identical to a cold one at every query.
-		if st, info, err := ris.Recover(sampler, opt.Seed, sopt, opt.StateDir); err == nil {
+		if st, info, err := ris.Recover(sampler, opt.Seed, s.sopt, opt.StateDir); err == nil {
 			s.store = st
 			s.recovered = info.Sets
 			s.snapshotBytes.Store(info.SnapshotBytes)
 		}
 	}
 	if s.store == nil {
-		s.store = ris.NewStore(sampler, opt.Seed, sopt)
+		s.store = ris.NewStore(sampler, opt.Seed, s.sopt)
 	}
 	runLimit := sessionRunLimit
 	if oneShot {
 		runLimit = 1
 	} else {
-		s.verify = &verifyStore{}
+		s.verify = &verifyStore{sampler: sampler.VerifySampler()}
 		s.verify.words.New = func() any { return new([]uint64) }
 	}
 	s.solver = maxcover.NewCachedSolver(s.store, runLimit)
@@ -287,9 +288,6 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 func (s *Session) Persist() (ris.SnapshotInfo, error) {
 	if s.opt.StateDir == "" {
 		return ris.SnapshotInfo{}, ris.ErrNoSnapshot
-	}
-	if err := os.MkdirAll(s.opt.StateDir, 0o755); err != nil {
-		return ris.SnapshotInfo{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -311,7 +309,7 @@ func (s *Session) Maximize(q Query) (res *Result, err error) {
 
 // MaximizeContext is Maximize with cooperative cancellation: when ctx fires
 // while the query is growing either RR store, the top-up aborts having
-// mutated NOTHING — the stream, index and width stay exactly as before, so
+// mutated NOTHING — the stream and its index stay exactly as before, so
 // an abandoned query leaves no partial growth behind and the next identical
 // query regenerates the same bit-identical sets. SSA's verification stops
 // at cancellation too: ctx is checked before every window of verification
@@ -494,27 +492,32 @@ type sessionEnv struct {
 func (e sessionEnv) Store() ris.Store { return e.s.store }
 
 func (e sessionEnv) Ensure(target int) bool {
-	s := e.s
-	s.mu.RLock()
-	ok := s.store.Len() >= target
-	s.mu.RUnlock()
+	grew := e.s.grow(e.ctx, &e.s.mu, &e.s.store, e.s.sampler, target)
+	if grew {
+		e.s.growths.Add(1)
+	}
+	return grew
+}
+
+// grow tops the store *st, guarded by mu, up to target RR sets, building it
+// on sampler's stream first if it does not exist yet, and reports whether
+// this call added sets (another query may have topped up first). A failed
+// top-up mutates nothing and raises *growthFailed, with mu released.
+func (s *Session) grow(ctx context.Context, mu *sync.RWMutex, st *ris.Store, sampler *ris.Sampler, target int) bool {
+	mu.RLock()
+	ok := *st != nil && (*st).Len() >= target
+	mu.RUnlock()
 	if ok {
 		return false
 	}
-	var grew bool
-	func() {
-		s.mu.Lock()
-		// Deferred so a failed growth (*growthFailed, raised below) cannot
-		// leak the write lock on its way to maximize's recover.
-		defer s.mu.Unlock()
-		grew = s.store.Len() < target // another query may have topped up first
-		if err := s.store.GenerateToCtx(e.ctx, target); err != nil {
-			grew = false // failed top-ups mutate nothing
-			panic(&growthFailed{err: err})
-		}
-	}()
-	if grew {
-		s.growths.Add(1)
+	mu.Lock()
+	defer mu.Unlock() // also on the panic below
+	if *st == nil {
+		*st = ris.NewStore(sampler, s.opt.Seed, s.sopt)
+	}
+	grew := (*st).Len() < target
+	if err := (*st).GenerateToCtx(ctx, target); err != nil {
+		panic(&growthFailed{err: err})
 	}
 	return grew
 }
@@ -539,36 +542,13 @@ func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (in
 		panic(&growthFailed{err: err})
 	}
 	v := e.s.verify
-	grew := e.growVerify(to)
+	// Verification growth is not counted in Session.growths: that counter
+	// is the coverage store's, and request coalescing is pinned to it.
+	grew := e.s.grow(e.ctx, &v.mu, &v.store, v.sampler, to)
 	w := v.words.Get().(*[]uint64)
 	defer v.words.Put(w)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	id, cov := ris.StopIndex(v.store, w, seeds, from, to, need)
 	return id, cov, grew
-}
-
-// growVerify is Ensure for the verification store, which it creates on
-// first use. Verification growth is not counted in Session.growths: that
-// counter is the coverage store's, and request coalescing is pinned to it.
-func (e verifyEnv) growVerify(target int) bool {
-	s, v := e.s, e.s.verify
-	v.mu.RLock()
-	ok := v.store != nil && v.store.Len() >= target
-	v.mu.RUnlock()
-	if ok {
-		return false
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock() // also on the panics below
-	if v.store == nil {
-		v.store = ris.NewStore(s.sampler.VerifySampler(), s.opt.Seed, ris.StoreOptions{
-			Workers: s.opt.Workers, SpillBudgetBytes: s.opt.SpillBudgetBytes, SpillDir: s.opt.SpillDir,
-		})
-	}
-	grew := v.store.Len() < target
-	if err := v.store.GenerateToCtx(e.ctx, target); err != nil {
-		panic(&growthFailed{err: err}) // failed top-ups mutate nothing
-	}
-	return grew
 }
