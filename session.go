@@ -50,7 +50,7 @@ import (
 // one of them extends a greedy run the other needs.
 type Session struct {
 	opt     SessionOptions
-	sopt    ris.StoreOptions // both stores'
+	sopt    ris.StoreOptions // options of both RR stores
 	g       *Graph
 	sampler *ris.Sampler
 	inst    *tvm.Instance // non-nil for weighted (TVM) sessions
