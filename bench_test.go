@@ -125,3 +125,44 @@ func BenchmarkMaximizeIMM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionWarmDSSA measures warm D-SSA answers on one serving
+// session: a fixed k/ε mix is answered once untimed, which grows the store
+// to every checkpoint the mix needs, and the timed loop repeats the mix, so
+// every timed answer is max-coverage and holdout verification over resident
+// RR sets. It reports ns/answer and fails if a timed answer grew the store.
+func BenchmarkSessionWarmDSSA(b *testing.B) {
+	g, err := stopandstare.GeneratePreset("epinions", 0.2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := stopandstare.NewSession(g, stopandstare.LT, stopandstare.SessionOptions{Seed: 7, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mix []stopandstare.Query
+	for _, eps := range []float64{0.1, 0.2} {
+		for _, k := range []int{1, 2, 5, 10, 20, 50} {
+			mix = append(mix, stopandstare.Query{K: k, Epsilon: eps})
+		}
+	}
+	answer := func() {
+		for _, q := range mix {
+			if _, err := s.Maximize(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	answer()
+	growths := s.Stats().Growths
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		answer()
+	}
+	b.StopTimer()
+	if g := s.Stats().Growths; g != growths {
+		b.Fatalf("timed answers grew the store %d times", g-growths)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(mix)), "ns/answer")
+}

@@ -1,9 +1,6 @@
 package maxcover
 
-import (
-	"stopandstare/internal/epoch"
-	"stopandstare/internal/ris"
-)
+import "stopandstare/internal/ris"
 
 // BudgetedResult is a budgeted max-coverage solution.
 type BudgetedResult struct {
@@ -36,8 +33,8 @@ func (c ratioCand) above(o ratioCand) bool { return c.ratio > o.ratio }
 // the whole prefix once per budget when done with GreedyBudgeted. A
 // BudgetedSolver counts the selection-free gains once, at construction, so
 // each Solve(budget) is a selection pass proportional to the covered
-// items. Scratch (the working gain copy, the epoch-stamped covered marks,
-// and the heap backing array) is reused across solves.
+// items. Scratch (the working gain copy, the covered bitset, and the heap
+// backing array) is reused across solves.
 //
 // Equivalence with GreedyBudgeted is exact: the heap is rebuilt per solve
 // in ascending node order under the same affordability filter, and the
@@ -54,7 +51,7 @@ type BudgetedSolver struct {
 	costs   []float64
 	gains   []int32     // selection-free occurrence counts over [0, upto)
 	work    []int32     // per-Solve gain copy, decremented during selection
-	covered epoch.Marks // covered RR-set ids, cleared per Solve by epoch bump
+	covered []uint64    // covered RR-set ids [0, upto), one bit each, cleared per Solve
 	h       []ratioCand // heap backing array reused across Solves
 }
 
@@ -66,11 +63,12 @@ func NewBudgetedSolver(c ris.Store, upto int, costs []float64) *BudgetedSolver {
 	upto = min(upto, c.Len())
 	n := c.NumNodes()
 	s := &BudgetedSolver{
-		c:     c,
-		upto:  upto,
-		costs: costs,
-		gains: make([]int32, n),
-		work:  make([]int32, n),
+		c:       c,
+		upto:    upto,
+		costs:   costs,
+		gains:   make([]int32, n),
+		work:    make([]int32, n),
+		covered: make([]uint64, (upto+63)>>6),
 	}
 	c.ForEachSet(0, upto, func(_ int, set []uint32) {
 		for _, v := range set {
@@ -109,7 +107,7 @@ func (s *BudgetedSolver) Solve(budget float64) BudgetedResult {
 	}
 	heapInit(s.h)
 
-	s.covered.Reset(upto)
+	clear(s.covered)
 
 	remaining := budget
 	// Track the best single affordable node for the KMN fix-up.
@@ -148,9 +146,11 @@ func (s *BudgetedSolver) Solve(budget float64) BudgetedResult {
 				break
 			}
 			for _, id := range run {
-				if !s.covered.Visit(id) {
+				w, bit := &s.covered[id>>6], uint64(1)<<(id&63)
+				if *w&bit != 0 {
 					continue
 				}
+				*w |= bit
 				for _, u := range c.Set(int(id)) {
 					s.work[u]--
 				}

@@ -9,9 +9,9 @@ import (
 // This file is the fuzz harness for the incremental solvers: tiny random
 // collections, randomized checkpoint schedules, and brute-force greedy
 // oracles that recompute every marginal gain from the raw sets — no heaps,
-// no epochs, no incremental state. Anything the lazy heap or the
-// epoch-stamped covered marks get wrong (stale-entry mishandling, a missed
-// generation bump, a gain count drifting across checkpoints) surfaces as a
+// no bitsets, no incremental state. Anything the lazy heap or the covered
+// bitsets get wrong (stale-entry mishandling, a missed clear, a gain count
+// drifting across checkpoints) surfaces as a
 // violated greedy invariant or a coverage recount mismatch. The seed corpus
 // under testdata/fuzz is checked in so `go test` replays it on every run;
 // `go test -fuzz=Fuzz ./internal/maxcover` explores further.

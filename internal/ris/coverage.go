@@ -1,68 +1,38 @@
 package ris
 
 import (
+	"math"
 	"math/bits"
 	"slices"
-
-	"stopandstare/internal/epoch"
 )
 
 // This file implements index-driven coverage counting: Cov_R(S) over an id
 // window computed as a union walk of the seeds' postings runs, so the cost
-// is O(Σ seed postings in the window) instead of O(items in the window).
-// This is what makes D-SSA's per-checkpoint verification (Alg. 4 lines
-// 9–15) proportional to touched postings rather than stream length: the
-// holdout half R^c_t is never rescanned — only the index runs of the k
-// candidate seeds are visited, each id counted once via an epoch-stamped
-// mark (the same trick maxcover's solvers use for covered sets, so a
-// checkpoint costs no per-call allocation in steady state). Each id is
-// counted on first visit, so the per-shard interleaving of a multi-shard
-// store's runs cannot change the count.
-
-// coverageRangeSeeds is the union walk behind CoverageRangeSeeds: count the
-// distinct ids in [from, to) across the seeds' postings, deduplicated
-// through the epoch-stamped marks m.
-func coverageRangeSeeds(st Store, m *epoch.Marks, seeds []uint32, from, to int) int64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > st.Len() {
-		to = st.Len()
-	}
-	if from >= to || len(seeds) == 0 {
-		return 0
-	}
-	m.Reset(to)
-	var cov int64
-	for _, v := range seeds {
-		it := st.PostingsRange(v, from, to)
-		for {
-			run, ok := it.Next()
-			if !ok {
-				break
-			}
-			for _, id := range run {
-				if m.Visit(id) {
-					cov++
-				}
-			}
-		}
-	}
-	return cov
-}
+// is O(Σ seed postings in the window) plus one bit per id of the window,
+// instead of O(items in the window). This is what makes D-SSA's
+// per-checkpoint verification (Alg. 4 lines 9–15) proportional to touched
+// postings rather than stream length: the holdout half R^c_t is never
+// rescanned — only the index runs of the k candidate seeds are visited, each
+// id ORed into a bitset over the window, which is then popcounted (StopIndex
+// with no stop). A caller-owned, pooled bitset makes a checkpoint cost no
+// allocation in steady state. A set bit is an id, whichever seed reached it
+// first, so the per-shard interleaving of a multi-shard store's runs cannot
+// change the count.
 
 // CoverageRangeSeedsMarks is CoverageRangeSeeds with caller-owned scratch:
-// the union walk dedupes ids through m instead of the store-owned mark set.
-// This is the concurrency-safe form the serving layer uses — any number of
-// read-only queries may walk one store in parallel as long as each brings
-// its own marks (and no growth runs concurrently). A remote-sharded store
-// counts worker-side instead (per-shard marks, serialized per connection),
-// which needs no caller scratch and stays safe for concurrent readers.
-func CoverageRangeSeedsMarks(st Store, m *epoch.Marks, seeds []uint32, from, to int) int64 {
+// the union walk marks ids in the bitset words instead of the store-owned
+// one. This is the concurrency-safe form the serving layer uses — any number
+// of read-only queries may walk one store in parallel as long as each
+// brings its own words (and no growth runs concurrently). A remote-sharded
+// store counts worker-side instead (per-shard bitsets, serialized per
+// connection), which needs no caller scratch and stays safe for concurrent
+// readers.
+func CoverageRangeSeedsMarks(st Store, words *[]uint64, seeds []uint32, from, to int) int64 {
 	if sc, ok := st.(*ShardedCollection); ok && sc.remotes != nil {
 		return sc.remoteCoverageSeeds(seeds, from, to)
 	}
-	return coverageRangeSeeds(st, m, seeds, from, to)
+	_, cov := StopIndex(st, words, seeds, from, to, math.MaxInt64)
+	return cov
 }
 
 // StopIndex answers a stopping rule that tests the ids of [from, to) in
@@ -74,8 +44,13 @@ func CoverageRangeSeedsMarks(st Store, m *epoch.Marks, seeds []uint32, from, to 
 // marked in a bitset over the window, words, which the caller owns and may
 // pool; the cost is the window's seed postings plus one bit per id.
 func StopIndex(st Store, words *[]uint64, seeds []uint32, from, to int, need int64) (id int, cov int64) {
-	from = max(from, 0)
-	to = min(to, st.Len())
+	return windowStop(words, seeds, max(from, 0), min(to, st.Len()), need, st.PostingsRange)
+}
+
+// windowStop is StopIndex over a window [from, to) already clamped to the
+// store, whose seed postings postings yields: a shard server walks its own
+// segment's blocks through it.
+func windowStop(words *[]uint64, seeds []uint32, from, to int, need int64, postings func(v uint32, from, upto int) Postings) (id int, cov int64) {
 	if from >= to {
 		return to, 0
 	}
@@ -84,7 +59,7 @@ func StopIndex(st Store, words *[]uint64, seeds []uint32, from, to int, need int
 	clear(b)
 	*words = b
 	for _, v := range seeds {
-		it := st.PostingsRange(v, from, to)
+		it := postings(v, from, to)
 		for {
 			run, ok := it.Next()
 			if !ok {

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -27,7 +28,9 @@ var coverageSchedules = []struct {
 // TestCoverageRangeSeedsMatchesArenaScan pins the index-driven coverage
 // contract: for every window and seed set, the k-way postings union walk
 // returns exactly the arena scan's count, across merged and irregular CSR
-// block layouts and both models.
+// block layouts and both models — on windows whose start is not a multiple
+// of the bitset's 64-id words, on windows straddling each CSR block
+// boundary, and over spilled (mapped) blocks.
 func TestCoverageRangeSeedsMatchesArenaScan(t *testing.T) {
 	g, err := gen.ChungLu(250, 1400, 2.1, 83, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -46,6 +49,33 @@ func TestCoverageRangeSeedsMatchesArenaScan(t *testing.T) {
 	windows := [][2]int{
 		{0, 0}, {0, 1}, {0, 2500}, {1250, 2500}, {699, 702},
 		{700, 701}, {2499, 2500}, {100, 1600}, {-5, 99999}, {1800, 1700},
+		{65, 1999}, // from inside a bitset word
+	}
+	check := func(name string, col *ShardedCollection) {
+		t.Helper()
+		ws := windows
+		for _, b := range col.segs[0].blocks {
+			if b.to < col.Len() {
+				ws = append(ws, [2]int{b.to - 37, b.to + 29}) // straddles a block boundary
+			}
+		}
+		mark := make([]bool, n)
+		for _, seeds := range seedSets {
+			for _, v := range seeds {
+				mark[v] = true
+			}
+			for _, w := range ws {
+				want := scanCoverage(col, mark, w[0], w[1])
+				got := col.CoverageRangeSeeds(seeds, w[0], w[1])
+				if got != want {
+					t.Fatalf("%s seeds=%v window=%v: postings %d, arena scan %d",
+						name, seeds, w, got, want)
+				}
+			}
+			for _, v := range seeds {
+				mark[v] = false
+			}
+		}
 	}
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := mustSampler(t, g, model)
@@ -54,24 +84,25 @@ func TestCoverageRangeSeedsMatchesArenaScan(t *testing.T) {
 			for _, target := range sc.schedule {
 				col.GenerateTo(target)
 			}
-			mark := make([]bool, n)
-			for _, seeds := range seedSets {
-				for _, v := range seeds {
-					mark[v] = true
-				}
-				for _, w := range windows {
-					want := scanCoverage(col, mark, w[0], w[1])
-					got := col.CoverageRangeSeeds(seeds, w[0], w[1])
-					if got != want {
-						t.Fatalf("%v/%s seeds=%v window=%v: postings %d, arena scan %d",
-							model, sc.name, seeds, w, got, want)
-					}
-				}
-				for _, v := range seeds {
-					mark[v] = false
-				}
+			if len(col.segs[0].blocks) < 2 && len(sc.schedule) > 1 {
+				t.Fatalf("%v/%s: %d CSR blocks, want a boundary to straddle", model, sc.name, len(col.segs[0].blocks))
 			}
+			check(fmt.Sprintf("%v/%s", model, sc.name), col)
 		}
+		// The doubling schedule's blocks, all spilled: the walk reads
+		// mapped blocks.
+		st := NewStore(s, 123, StoreOptions{Workers: 2, SpillBudgetBytes: 1, SpillDir: t.TempDir()})
+		for _, target := range coverageSchedules[1].schedule {
+			st.GenerateTo(target)
+		}
+		if err := st.SpillTo(0); err != nil {
+			t.Fatal(err)
+		}
+		col := st.(*ShardedCollection)
+		if !slices.ContainsFunc(col.segs[0].blocks, func(b csrBlock) bool { return b.mapped }) {
+			t.Fatalf("%v: no spilled CSR block", model)
+		}
+		check(fmt.Sprintf("%v/spilled", model), col)
 	}
 }
 

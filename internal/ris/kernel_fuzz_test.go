@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"stopandstare/internal/diffusion"
-	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/rng"
 )
@@ -91,7 +90,8 @@ func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion
 // FuzzKernelAgainstSequential checks the production kernel — the chunk path
 // (lane-interleaved LT walks, frontier-batched IC draws), AppendSample and
 // HitsMarked — against seqSample, the one-walk-at-a-time kernel, set by
-// set: same nodes in the same order, same hits.
+// set: same nodes in the same order, same hits. Every walk must leave the
+// lanes' visited bitsets clear.
 func FuzzKernelAgainstSequential(f *testing.F) {
 	f.Add(uint64(1), uint8(12), false, false, uint64(7), uint16(0), uint16(600), uint64(3))
 	f.Add(uint64(2), uint8(30), true, false, uint64(9), uint16(5), uint16(1031), uint64(4))
@@ -121,14 +121,13 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 			}
 		}
 		from, to := int(lo), int(lo)+int(count)%1200
-		var m epoch.Marks
 		var r rng.Source
 		var want []uint32
 		var wantOff []int
 		for id := from; id < to; id++ {
 			r.SeedStream(seed, uint64(id))
 			wantOff = append(wantOff, len(want))
-			want, _ = seqSample(s, &r, &m, want, nil)
+			want, _ = seqSample(s, &r, want, nil)
 		}
 		wantOff = append(wantOff, len(want))
 
@@ -172,10 +171,17 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 			hit, hbuf = s.HitsMarked(&r, st, hbuf, stop)
 			SeedVerifyStream(&r, seed, uint64(id))
 			var wantHit bool
-			sbuf, wantHit = seqSample(s, &r, &m, sbuf[:0], stop)
+			sbuf, wantHit = seqSample(s, &r, sbuf[:0], stop)
 			if hit != wantHit || !slices.Equal(hbuf, sbuf) {
 				t.Fatalf("HitsMarked id %d = %v after %v, sequential %v after %v", id, hit, hbuf, wantHit, sbuf)
 			}
+			requireVisitedClear(t, "AppendSample and HitsMarked", st)
+		}
+		// Every walk leaves the lanes' visited bitsets clear, the chunk
+		// path's interleaved LT lanes included.
+		if to > from {
+			s.sampleChunk(s.mustPlan(), st, seed, from, to)
+			requireVisitedClear(t, "sampleChunk", st)
 		}
 	})
 }

@@ -3,9 +3,9 @@ package ris
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"stopandstare/internal/diffusion"
-	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/rng"
 )
@@ -82,12 +82,21 @@ type planEdge struct {
 // has d+1 slots: outcome j < d is "step along in-edge j" (CSR order),
 // outcome d is "stop" (the 1 − Σw deficit). One 64-bit draw resolves a
 // step: the high product bits pick the slot, the low bits are the
-// within-slot fraction compared against thr, and alt is the redirect. The
-// record is 16 bytes, 4 of them alignment padding.
+// within-slot fraction compared against thr(), and alt is the redirect.
+// The 64-bit threshold is stored as two 32-bit halves, so the record is 12
+// bytes with 4-byte alignment and no padding.
 type ltSlot struct {
-	thr uint64 // keep outcome j iff fraction < thr
-	alt uint32 // alias outcome when the fraction is ≥ thr
+	thrLo, thrHi uint32 // keep outcome j iff fraction < thr()
+	alt          uint32 // alias outcome when the fraction is ≥ thr()
 }
+
+// makeLTSlot returns the slot with threshold thr and redirect alt.
+func makeLTSlot(thr uint64, alt uint32) ltSlot {
+	return ltSlot{thrLo: uint32(thr), thrHi: uint32(thr >> 32), alt: alt}
+}
+
+// thr returns the slot's 64-bit threshold.
+func (s *ltSlot) thr() uint64 { return uint64(s.thrHi)<<32 | uint64(s.thrLo) }
 
 // Plan is a compiled sampling plan for one (graph, model) pair: immutable
 // after compilation and safe to share across goroutines, like the graph it
@@ -176,7 +185,7 @@ func (p *Plan) Model() diffusion.Model { return p.model }
 func (p *Plan) Bytes() int64 {
 	return int64(cap(p.class)) + int64(cap(p.lnq))*8 +
 		int64(cap(p.gen))*16 + int64(cap(p.genOff))*8 +
-		int64(cap(p.lt))*16 + int64(cap(p.ltOff))*8
+		int64(cap(p.lt))*int64(unsafe.Sizeof(ltSlot{})) + int64(cap(p.ltOff))*8
 }
 
 // compileIC checks each node's in-edges, classifies the node and lays out
@@ -343,8 +352,7 @@ func buildLT(v int, lo int64, ws []float32, slots []ltSlot, scaled []float64, sm
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		slots[s].thr = rng.Threshold64(scaled[s])
-		slots[s].alt = uint32(l)
+		slots[s] = makeLTSlot(rng.Threshold64(scaled[s]), uint32(l))
 		scaled[l] = (scaled[l] + scaled[s]) - 1
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -353,12 +361,10 @@ func buildLT(v int, lo int64, ws []float32, slots []ltSlot, scaled []float64, sm
 		}
 	}
 	for _, l := range large {
-		slots[l].thr = math.MaxUint64
-		slots[l].alt = uint32(l)
+		slots[l] = makeLTSlot(math.MaxUint64, uint32(l))
 	}
 	for _, s := range small { // numerical leftovers
-		slots[s].thr = math.MaxUint64
-		slots[s].alt = uint32(s)
+		slots[s] = makeLTSlot(math.MaxUint64, uint32(s))
 	}
 	if sum > 1+ltTolerance {
 		return &graph.ContentError{Section: "inW", Index: int64(v), Err: graph.ErrLTViolation}
@@ -377,7 +383,7 @@ func buildLT(v int, lo int64, ws []float32, slots []ltSlot, scaled []float64, sm
 // buf in place. Neither phase carries a dependence from one node or
 // candidate to the next, so the CPU keeps the frontier's adjacency and mark
 // misses in flight together.
-func (p *Plan) icFrontier(r *rng.Source, m *epoch.Marks, buf []uint32, head int) []uint32 {
+func (p *Plan) icFrontier(r *rng.Source, vis []uint64, buf []uint32, head int) []uint32 {
 	end := len(buf)
 	for k := head; k < end; k++ {
 		x := buf[k]
@@ -403,7 +409,7 @@ func (p *Plan) icFrontier(r *rng.Source, m *epoch.Marks, buf []uint32, head int)
 	}
 	w := end
 	for _, u := range buf[end:] {
-		if m.Visit(int32(u)) {
+		if visit(vis, u) {
 			buf[w] = u
 			w++
 		}
@@ -438,7 +444,7 @@ func (p *Plan) ltRound(ls []lane, live uint) (ended uint) {
 			continue
 		}
 		j, frac := bits.Mul64(ls[i].r.Uint64(), nslots[i])
-		if s := &p.lt[tab[i]+int64(j)]; frac >= s.thr {
+		if s := &p.lt[tab[i]+int64(j)]; frac >= s.thr() {
 			j = uint64(s.alt)
 		}
 		if j == nslots[i]-1 {
@@ -451,7 +457,7 @@ func (p *Plan) ltRound(ls []lane, live uint) (ended uint) {
 			continue
 		}
 		l := &ls[i]
-		if u := p.inAdj[edge[i]]; l.marks.Visit(int32(u)) {
+		if u := p.inAdj[edge[i]]; visit(l.vis, u) {
 			l.buf = append(l.buf, u)
 			l.x = u
 		} else {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
@@ -121,6 +122,11 @@ func TestPlanClassification(t *testing.T) {
 // for bit, and have one in-degree point at one table; the tables tile the
 // slot array with nothing built twice; and Plan.Bytes counts each once.
 func TestLTSharedTables(t *testing.T) {
+	// The 64-bit threshold is split in two 32-bit halves so the slot packs
+	// into 12 bytes; a field that re-pads it fails here.
+	if sz := unsafe.Sizeof(ltSlot{}); sz != 12 {
+		t.Fatalf("ltSlot is %d bytes, want 12", sz)
+	}
 	graphs := map[string]*graph.Graph{}
 	wc := map[string]bool{} // weighted cascade: one table per in-degree
 	for _, name := range []string{"nethept", "enron"} {
@@ -204,7 +210,7 @@ func TestLTSharedTables(t *testing.T) {
 		if end != int64(len(p.lt)) {
 			t.Fatalf("%s: tables end at %d of %d slots", name, end, len(p.lt))
 		}
-		if want := int64(n)*8 + int64(len(p.lt))*16; p.Bytes() != want {
+		if want := int64(n)*8 + int64(len(p.lt))*12; p.Bytes() != want {
 			t.Fatalf("%s: Bytes %d, want %d", name, p.Bytes(), want)
 		}
 		if want, ok := wantTables[name]; ok && len(offs) != want {

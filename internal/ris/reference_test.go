@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"stopandstare/internal/diffusion"
-	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/rng"
 )
@@ -62,9 +61,8 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 	} else {
 		root = uint32(r.Intn(g.NumNodes()))
 	}
-	st.lanes[0].marks.Reset(g.NumNodes())
+	seen := map[uint32]bool{root: true} // its own visited set, not the State's
 	start := len(buf)
-	st.lanes[0].marks.Visit(int32(root))
 	buf = append(buf, root)
 	if s.model == diffusion.IC {
 		// Reverse BFS: edge (u,x) is live with probability w(u,x); every
@@ -73,11 +71,11 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 			x := buf[head]
 			adj, ws := g.InNeighbors(x)
 			for i, u := range adj {
-				if st.lanes[0].marks.Contains(int32(u)) {
+				if seen[u] {
 					continue
 				}
 				if r.Float64() < float64(ws[i]) {
-					st.lanes[0].marks.Visit(int32(u))
+					seen[u] = true
 					buf = append(buf, u)
 				}
 			}
@@ -88,9 +86,10 @@ func (rs refSampler) AppendSample(r *rng.Source, st *State, buf []uint32) ([]uin
 		x := root
 		for {
 			u, ok := refLTStep(g, x, r.Float64())
-			if !ok || !st.lanes[0].marks.Visit(int32(u)) {
+			if !ok || seen[u] {
 				break
 			}
+			seen[u] = true
 			buf = append(buf, u)
 			x = u
 		}
@@ -145,8 +144,7 @@ func refLTTable(g *graph.Graph, v uint32) []ltSlot {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		slots[s].thr = rng.Threshold64(scaled[s])
-		slots[s].alt = uint32(l)
+		slots[s] = makeLTSlot(rng.Threshold64(scaled[s]), uint32(l))
 		scaled[l] = (scaled[l] + scaled[s]) - 1
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -155,12 +153,10 @@ func refLTTable(g *graph.Graph, v uint32) []ltSlot {
 		}
 	}
 	for _, l := range large {
-		slots[l].thr = math.MaxUint64
-		slots[l].alt = uint32(l)
+		slots[l] = makeLTSlot(math.MaxUint64, uint32(l))
 	}
 	for _, s := range small {
-		slots[s].thr = math.MaxUint64
-		slots[s].alt = uint32(s)
+		slots[s] = makeLTSlot(math.MaxUint64, uint32(s))
 	}
 	return slots
 }
@@ -171,8 +167,9 @@ func refLTTable(g *graph.Graph, v uint32) []ltSlot {
 // appends the set to buf. A non-nil stop ends the
 // walk with hit = true at the first visited node in stop (the root
 // included), before appending it; up to there it makes exactly the draws
-// of the full walk.
-func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []bool) (_ []uint32, hit bool) {
+// of the full walk. Its visited set is its own, a fresh []bool per call,
+// so the oracle shares no state with the production bitsets.
+func seqSample(s *Sampler, r *rng.Source, buf []uint32, stop []bool) (_ []uint32, hit bool) {
 	p := s.mustPlan()
 	var root uint32
 	if s.root != nil {
@@ -183,9 +180,17 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 	if stop != nil && stop[root] {
 		return buf, true
 	}
-	m.Reset(s.g.NumNodes())
+	seen := make([]bool, s.g.NumNodes())
+	// visit marks u and reports whether it was unvisited.
+	visit := func(u uint32) bool {
+		if seen[u] {
+			return false
+		}
+		seen[u] = true
+		return true
+	}
 	start := len(buf)
-	m.Visit(int32(root))
+	seen[root] = true
 	buf = append(buf, root)
 	if p.model == diffusion.IC {
 		for head := start; head < len(buf); head++ {
@@ -193,7 +198,7 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 			if p.class[x] != classUniform {
 				for _, e := range p.gen[p.genOff[x]:p.genOff[x+1]] {
 					if r.Bernoulli64(e.thr) {
-						if u := e.nbr; m.Visit(int32(u)) {
+						if u := e.nbr; visit(u) {
 							if stop != nil && stop[u] {
 								return buf, true
 							}
@@ -209,7 +214,7 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 			}
 			lnq := p.lnq[x]
 			for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
-				if u := adj[i]; m.Visit(int32(u)) {
+				if u := adj[i]; visit(u) {
 					if stop != nil && stop[u] {
 						return buf, true
 					}
@@ -225,14 +230,14 @@ func seqSample(s *Sampler, r *rng.Source, m *epoch.Marks, buf []uint32, stop []b
 		nslots := uint64(p.inIdx[x+1]-lo) + 1
 		tab := p.lt[p.ltOff[x] : p.ltOff[x]+int64(nslots)]
 		j, frac := bits.Mul64(r.Uint64(), nslots)
-		if frac >= tab[j].thr {
+		if frac >= tab[j].thr() {
 			j = uint64(tab[j].alt)
 		}
 		if j == nslots-1 {
 			break
 		}
 		u := p.inAdj[lo+int64(j)]
-		if !m.Visit(int32(u)) {
+		if !visit(u) {
 			break
 		}
 		if stop != nil && stop[u] {

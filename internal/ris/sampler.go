@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"stopandstare/internal/diffusion"
-	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/rng"
 )
@@ -150,7 +149,7 @@ const ltLanes = 4
 // the walk in progress from start on.
 type lane struct {
 	r     rng.Source
-	marks epoch.Marks
+	vis   []uint64 // visited nodes, one bit each; all clear between walks
 	buf   []uint32
 	start int    // offset in buf of the walk in progress
 	x     uint32 // the walk's current node
@@ -163,22 +162,45 @@ type laneSpan struct {
 	from, to int
 }
 
-// State is the per-goroutine scratch for RR-set generation. Visited sets
-// are epoch-stamped epoch.Marks, so clearing between samples is a
-// generation bump, not an O(n) sweep. Single-set walks (AppendSample,
-// HitsMarked, the IC chunk path) use lane 0; the LT chunk path sizes the
-// other lanes' marks on first use, so a worker holds at most ltLanes·4n
-// bytes of them.
+// State is the per-goroutine scratch for RR-set generation. A lane's
+// visited set is a bitset over the nodes that is all clear between walks:
+// when a walk ends, on every path, the words of its members are zeroed
+// (unvisit), which clears it exactly at the cost of the set's size, not an
+// O(n) sweep. Single-set walks (AppendSample, HitsMarked, the IC chunk
+// path) use lane 0; the LT chunk path sizes the other lanes' bitsets on
+// first use, so a worker holds at most ltLanes·n/8 bytes of them.
 type State struct {
 	lanes [ltLanes]lane
 	spans []laneSpan // LT chunk path: finished sets by chunk position
 }
 
-// NewState allocates sampling scratch for the sampler's graph.
+// NewState allocates sampling scratch for the sampler's graph; a State
+// serves samplers on that graph only.
 func (s *Sampler) NewState() *State {
 	st := &State{}
-	st.lanes[0].marks.Reset(s.g.NumNodes()) // size the single-walk marks once, up front
+	st.lanes[0].vis = make([]uint64, visWords(s.g.NumNodes())) // size the single-walk bitset once, up front
 	return st
+}
+
+// visWords is the length of a visited bitset over n nodes.
+func visWords(n int) int { return (n + 63) >> 6 }
+
+// visit marks u in vis and reports whether it was clear.
+func visit(vis []uint64, u uint32) bool {
+	w, bit := &vis[u>>6], uint64(1)<<(u&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+// unvisit clears vis after a walk that marked exactly the nodes of set:
+// every set bit is a member, so zeroing each member's word clears them all.
+func unvisit(vis []uint64, set []uint32) {
+	for _, u := range set {
+		vis[u>>6] = 0
+	}
 }
 
 // AppendSample generates one RR set using r and appends its nodes to buf.
@@ -202,60 +224,66 @@ func (s *Sampler) HitsMarked(r *rng.Source, st *State, buf []uint32, marked []bo
 	return hit, buf
 }
 
-// open draws the root of r's set and starts the walk: m is reset to hold
-// just the root, which is appended to buf.
-func (s *Sampler) open(r *rng.Source, m *epoch.Marks, buf []uint32) ([]uint32, uint32) {
+// open draws the root of r's set and starts l's walk: the root is marked
+// in l's visited set, which is all clear before, and appended to buf.
+func (s *Sampler) open(r *rng.Source, l *lane, buf []uint32) ([]uint32, uint32) {
 	var root uint32
 	if s.root != nil {
 		root = uint32(s.root.Sample(r))
 	} else {
 		root = uint32(r.Intn(s.g.NumNodes()))
 	}
-	m.Reset(s.g.NumNodes())
-	m.Visit(int32(root))
+	visit(l.vis, root)
 	return append(buf, root), root
 }
 
-// walk draws one RR set from r through p on lane 0's marks and appends it
-// to buf. A non-nil stop ends the walk with true at the first node in stop,
+// walk draws one RR set from r through p on lane 0 and appends it to buf.
+// A non-nil stop ends the walk with true at the first node in stop,
 // truncated before it; the walk's draws up to there are those of the full
-// set. IC tests stop once per frontier, LT once per step.
+// set. IC tests stop once per frontier, LT once per step. Every path
+// leaves lane 0's visited set clear.
 func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, bool) {
-	m := &st.lanes[0].marks
+	l := &st.lanes[0]
 	start := len(buf)
-	buf, root := s.open(r, m, buf)
-	if stop != nil && stop[root] {
-		return buf[:start], true
-	}
-	if p.model == diffusion.IC {
+	buf, root := s.open(r, l, buf)
+	cut := -1 // the hit's offset in buf
+	switch {
+	case stop != nil && stop[root]:
+		cut = start
+	case p.model == diffusion.IC:
+	frontiers:
 		for head := start; head < len(buf); {
 			end := len(buf)
-			buf = p.icFrontier(r, m, buf, head)
+			buf = p.icFrontier(r, l.vis, buf, head)
 			if stop != nil {
 				for k := end; k < len(buf); k++ {
 					if stop[buf[k]] {
-						return buf[:k], true
+						cut = k
+						break frontiers
 					}
 				}
 			}
 			head = end
 		}
-		return buf, false
-	}
-	// One lane of the chunk path's LT kernel, run on the caller's stream
-	// and buffer.
-	l := &st.lanes[0]
-	l.r, l.buf, l.x = *r, buf, root
-	hit := false
-	for p.ltRound(st.lanes[:1], 1) == 0 {
-		if stop != nil && stop[l.x] {
-			l.buf, hit = l.buf[:len(l.buf)-1], true
-			break
+	default:
+		// One lane of the chunk path's LT kernel, run on the caller's
+		// stream and buffer.
+		l.r, l.buf, l.x = *r, buf, root
+		for p.ltRound(st.lanes[:1], 1) == 0 {
+			if stop != nil && stop[l.x] {
+				cut = len(l.buf) - 1
+				break
+			}
 		}
+		*r, buf = l.r, l.buf
+		l.buf = nil // the caller owns buf
 	}
-	*r, buf = l.r, l.buf
-	l.buf = nil // the caller owns buf
-	return buf, hit
+	// The nodes past a hit were marked too: clear before truncating.
+	unvisit(l.vis, buf[start:])
+	if cut >= 0 {
+		return buf[:cut], true
+	}
+	return buf, false
 }
 
 // sampleChunk generates the RR sets with global ids [lo, hi), set id from
@@ -295,6 +323,7 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 		for ended := p.ltRound(st.lanes[:], live); ended != 0; ended &= ended - 1 {
 			i := bits.TrailingZeros(ended)
 			l := &st.lanes[i]
+			unvisit(l.vis, l.buf[l.start:])
 			st.spans[l.id-lo] = laneSpan{lane: i, from: l.start, to: len(l.buf)}
 			if next < hi {
 				s.openLane(l, seed, next)
@@ -318,9 +347,12 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 
 // openLane starts lane l on the walk of set id.
 func (s *Sampler) openLane(l *lane, seed uint64, id int) {
+	if l.vis == nil {
+		l.vis = make([]uint64, visWords(s.g.NumNodes()))
+	}
 	l.r.SeedStream(seed, uint64(id)|s.stream)
 	l.start = len(l.buf)
-	l.buf, l.x = s.open(&l.r, &l.marks, l.buf)
+	l.buf, l.x = s.open(&l.r, l, l.buf)
 	l.id = id
 }
 

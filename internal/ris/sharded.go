@@ -8,8 +8,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"stopandstare/internal/epoch"
 )
 
 // ShardedCollection is the RR-set store: the global stream of RR sets
@@ -54,7 +52,7 @@ type ShardedCollection struct {
 	length  int
 	spill   *spillState // shared spill tier across all segs; nil ⇒ disabled
 
-	covMark epoch.Marks // visited ids for CoverageRangeSeeds, grows to Len()
+	covWords []uint64 // CoverageRangeSeeds' window bitset, one bit per id
 
 	snap *blockFile // recovered-from snapshot; keeps its mappings alive
 }
@@ -180,7 +178,7 @@ func (sc *ShardedCollection) Scale() float64 { return sc.sampler.scale }
 // is exactly what a coordinator's byte budget (serving eviction) should
 // meter.
 func (sc *ShardedCollection) Bytes() int64 {
-	b := int64(sc.covMark.Cap())*4 + sc.sampler.PlanBytes()
+	b := int64(cap(sc.covWords))*8 + sc.sampler.PlanBytes()
 	for _, sg := range sc.segs {
 		b += sg.residentBytes()
 	}
@@ -489,20 +487,18 @@ func (sc *ShardedCollection) PostingsRange(v uint32, from, upto int) Postings {
 }
 
 // CoverageRangeSeeds counts the sets in [from, to) containing at least one
-// seed via per-shard postings walks merged through the shared epoch-stamped
-// mark set — O(Σ seed postings in the window), not O(items in the window).
+// seed via per-shard postings walks ORed into one store-owned bitset over
+// the window — O(Σ seed postings in the window) plus one bit per id, not
+// O(items in the window).
 // Duplicate seeds are tolerated (the union dedupes them). The walk reuses
 // store-owned scratch, so calls must not race each other or growth
 // (concurrent Postings/Set reads remain safe; CoverageRangeSeedsMarks is the
 // caller-scratch form). Remote shards count worker-side — each walks
-// its own CSR blocks and dedupes with its own marks — and since shards own
+// its own CSR blocks into a bitset of its own — and since shards own
 // disjoint global id ranges, the union count is the sum of shard counts and
 // no arena or postings data crosses the wire.
 func (sc *ShardedCollection) CoverageRangeSeeds(seeds []uint32, from, to int) int64 {
-	if sc.remotes != nil {
-		return sc.remoteCoverageSeeds(seeds, from, to)
-	}
-	return coverageRangeSeeds(sc, &sc.covMark, seeds, from, to)
+	return CoverageRangeSeedsMarks(sc, &sc.covWords, seeds, from, to)
 }
 
 // remoteCoverageSeeds fans the coverage count out to the workers in

@@ -5,11 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
 	"stopandstare/internal/diffusion"
-	"stopandstare/internal/epoch"
 	"stopandstare/internal/graph"
 )
 
@@ -61,7 +61,7 @@ type workerShard struct {
 	sampler *Sampler
 	workers int
 	seg     *segment
-	marks   epoch.Marks // coverage scratch, serialized by mu
+	words   []uint64 // coverage window bitset, serialized by mu
 	lastUse uint64
 }
 
@@ -495,24 +495,10 @@ func (s *ShardServer) handleCoverage(bw *bufio.Writer, payload []byte) error {
 		return err
 	}
 	sh.mu.Lock()
-	var cov int64
-	if to > from && len(seeds) > 0 {
-		sh.marks.Reset(to)
-		for _, v := range seeds {
-			it := Postings{blocks: sh.seg.blocks, v: v, from: from, upto: to}
-			for {
-				run, ok := it.Next()
-				if !ok {
-					break
-				}
-				for _, id := range run {
-					if sh.marks.Visit(id) {
-						cov++
-					}
-				}
-			}
-		}
-	}
+	_, cov := windowStop(&sh.words, seeds, max(from, 0), to, math.MaxInt64,
+		func(v uint32, from, upto int) Postings {
+			return Postings{blocks: sh.seg.blocks, v: v, from: from, upto: upto}
+		})
 	sh.mu.Unlock()
 	var w wbuf
 	w.i64(cov)

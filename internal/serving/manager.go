@@ -259,6 +259,11 @@ type Manager struct {
 	clock   int64
 	closed  bool
 
+	enforceMu sync.Mutex          // held by the one running budget pass
+	keepMu    sync.Mutex          // guards keeps
+	keeps     []*tenant           // keep tenants of budget requests no pass has served
+	spillHook func(tenant string) // test hook: runs before a budget spill
+
 	flightMu sync.Mutex
 	flights  map[flightKey]*flight
 
@@ -266,7 +271,7 @@ type Manager struct {
 	executed  atomic.Int64 // queries that ran Session.Maximize
 	coalesced atomic.Int64 // followers that joined an in-flight execution
 	rejected  atomic.Int64 // ErrOverloaded admissions (HTTP 429)
-	deadlined atomic.Int64 // deadlines expired while queued/coalesced (HTTP 503)
+	deadlined atomic.Int64 // requests answered with a context error (HTTP 503)
 	evictions atomic.Int64
 	spills    atomic.Int64 // successful spill passes during budget enforcement
 
@@ -437,7 +442,13 @@ func (m *Manager) Maximize(ctx context.Context, tenantName string, q stopandstar
 	t.inflight.Add(1)
 	defer t.inflight.Add(-1)
 	t.queries.Add(1)
-	return m.coalesce(ctx, t, q)
+	res, err := m.coalesce(ctx, t, q)
+	// Counted once, here, wherever the deadline or cancellation fired: in
+	// the admission queue, waiting on a leader, or inside the session query.
+	if isContextErr(err) {
+		m.deadlined.Add(1)
+	}
+	return res, err
 }
 
 // coalesce runs q, sharing one execution among concurrent identical
@@ -481,7 +492,6 @@ func (m *Manager) coalesce(ctx context.Context, t *tenant, q stopandstare.Query)
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			m.deadlined.Add(1)
 			return nil, ctx.Err()
 		}
 		if f.err == nil {
@@ -533,8 +543,6 @@ func (m *Manager) admitAndExecute(ctx context.Context, t *tenant, q stopandstare
 	if err := m.limiter.Acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			m.rejected.Add(1)
-		} else {
-			m.deadlined.Add(1)
 		}
 		return nil, err
 	}
@@ -559,51 +567,100 @@ func (m *Manager) admitAndExecute(ctx context.Context, t *tenant, q stopandstare
 	return res, err
 }
 
-// enforceBudget shrinks the summed resident store bytes under the budget,
-// cheapest remedy first: spill (cold bytes move to disk, the session keeps
-// answering with pages faulting back in), then evict (the whole store is
-// dropped and must regenerate). Spill candidates are every resident
-// session, least recently used first — including the tenant that just
-// answered (keep) and tenants with in-flight queries, since SpillTo is
-// non-destructive and serializes on the session write lock; each is tried
-// at most once per call so the loop always progresses. Eviction keeps the
-// old rules: keep and busy tenants are never victims, so a single tenant
-// may legitimately exceed the budget alone — the alternative is thrashing
-// the one store every query needs. Lock order: Manager.mu, then tenant.mu
-// (inside storeBytes/evict/trySpill), then session locks; no path
-// reverses it.
+// enforceBudget requests a budget pass (budgetPass) that protects keep
+// from eviction. Passes serialize on enforceMu, but a request never waits
+// for a running one: it leaves keep in m.keeps and returns, and the running
+// pass's caller runs one more pass for every keep left while it worked
+// before it returns itself. So a spill or snapshot never holds up another
+// tenant's answer, and every request is still served by a pass that starts
+// after it.
 func (m *Manager) enforceBudget(keep *tenant) {
 	if m.cfg.BudgetBytes <= 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.keepMu.Lock()
+	m.keeps = append(m.keeps, keep)
+	m.keepMu.Unlock()
+	for m.enforceMu.TryLock() {
+		m.keepMu.Lock()
+		keeps := m.keeps
+		m.keeps = nil
+		m.keepMu.Unlock()
+		if len(keeps) > 0 {
+			m.budgetPass(keeps)
+		}
+		m.enforceMu.Unlock()
+		// A request that failed its TryLock while this pass ran left its
+		// keep behind: serve it (or find its own pass running).
+		m.keepMu.Lock()
+		more := len(m.keeps) > 0
+		m.keepMu.Unlock()
+		if !more {
+			return
+		}
+	}
+}
+
+// budgetPass shrinks the summed resident store bytes under the budget,
+// cheapest remedy first: spill (cold bytes move to disk, the session keeps
+// answering with pages faulting back in), then evict (the whole store is
+// dropped and must regenerate). Spill candidates are every resident
+// session, least recently used first — including the keeps (tenants that
+// just answered) and tenants with in-flight queries, since SpillTo is
+// non-destructive and serializes on the session write lock; each is tried
+// at most once per pass so the loop always progresses. Keeps and busy
+// tenants are never eviction victims, so a single tenant may legitimately
+// exceed the budget alone — the alternative is thrashing the one store
+// every query needs. Manager.mu is held only to read the tenant set and
+// each tenant's lastUsed and in-flight count, never across a store
+// snapshot, spill or eviction, so their disk I/O does not stall other
+// tenants' queries or Stats. Lock order: enforceMu, then tenant.mu (inside
+// storeBytes/evict/trySpill), then session locks; Manager.mu is taken
+// alone.
+func (m *Manager) budgetPass(keeps []*tenant) {
+	// usage is one tenant as the pass's choice sees it.
+	type usage struct {
+		t        *tenant
+		lastUsed int64
+		busy     bool // a keep, or queries in flight: never an eviction victim
+	}
 	tried := make(map[*tenant]bool)
 	for {
-		var total int64
-		var victim, spillee *tenant
+		m.mu.Lock()
+		ts := make([]usage, 0, len(m.tenants))
 		for _, t := range m.tenants {
-			bytes, resident := t.storeBytes()
+			ts = append(ts, usage{t: t, lastUsed: t.lastUsed,
+				busy: slices.Contains(keeps, t) || t.inflight.Load() > 0})
+		}
+		m.mu.Unlock()
+		var total int64
+		var victim, spillee *usage
+		for i := range ts {
+			u := &ts[i]
+			bytes, resident := u.t.storeBytes()
 			if !resident {
 				continue
 			}
 			total += bytes
-			if !tried[t] && (spillee == nil || t.lastUsed < spillee.lastUsed) {
-				spillee = t
+			if !tried[u.t] && (spillee == nil || u.lastUsed < spillee.lastUsed) {
+				spillee = u
 			}
-			if t == keep || t.inflight.Load() > 0 {
+			if u.busy {
 				continue
 			}
-			if victim == nil || t.lastUsed < victim.lastUsed {
-				victim = t
+			if victim == nil || u.lastUsed < victim.lastUsed {
+				victim = u
 			}
 		}
 		if total <= m.cfg.BudgetBytes {
 			return
 		}
 		if spillee != nil {
-			tried[spillee] = true
-			if spillee.trySpill() > 0 {
+			tried[spillee.t] = true
+			if h := m.spillHook; h != nil {
+				h(spillee.t.name)
+			}
+			if spillee.t.trySpill() > 0 {
 				m.spills.Add(1)
 			}
 			continue
@@ -611,7 +668,7 @@ func (m *Manager) enforceBudget(keep *tenant) {
 		if victim == nil {
 			return
 		}
-		victim.evict()
+		victim.t.evict()
 		m.evictions.Add(1)
 	}
 }

@@ -365,6 +365,11 @@ func TestCoalescedFollowerOutlivesLeader(t *testing.T) {
 	if st := m.Stats(); st.Queries != 2 || st.Executed != 2 || st.Coalesced != 1 {
 		t.Fatalf("queries=%d executed=%d coalesced=%d, want 2/2/1", st.Queries, st.Executed, st.Coalesced)
 	}
+	// The leader's deadline fired inside its session query, after admission:
+	// it was answered with a context error, so it counts as one 503.
+	if st := m.Stats(); st.Timeout503 != 1 {
+		t.Fatalf("timeout_503 = %d, want 1", st.Timeout503)
+	}
 }
 
 // TestLazyGraphFileTenant checks a GraphFile tenant costs nothing until

@@ -95,10 +95,11 @@ type StatsResponse struct {
 	Queries   int64 `json:"queries"`
 	Executed  int64 `json:"executed"`
 	Coalesced int64 `json:"coalesced"`
-	// Rejected429 counts queue-full admissions; Timeout503 deadlines that
-	// expired while queued or coalesced; Evictions sessions dropped for
-	// budget; Spills budget-enforcement passes that moved cold store bytes
-	// to a session's disk tier instead.
+	// Rejected429 counts queue-full admissions; Timeout503 requests
+	// answered with a context error (HTTP 503), wherever the deadline or
+	// cancellation fired; Evictions sessions dropped for budget; Spills
+	// budget-enforcement passes that moved cold store bytes to a session's
+	// disk tier instead.
 	Rejected429 int64 `json:"rejected_429"`
 	Timeout503  int64 `json:"timeout_503"`
 	Evictions   int64 `json:"evictions"`

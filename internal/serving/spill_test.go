@@ -2,7 +2,9 @@ package serving
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stopandstare"
 )
@@ -121,5 +123,94 @@ func testSpillBeforeEvict(t *testing.T, algoB stopandstare.Algorithm) {
 	sameAnswer(t, "tenant b after spill", againB, wantB)
 	if st := m.Stats(); st.Evictions != 0 {
 		t.Fatalf("re-queries caused evictions: %+v", st)
+	}
+}
+
+// TestBudgetSpillHoldsNoManagerLock holds a budget pass inside tenant a's
+// spill and checks that a query on tenant b and a Stats call both return
+// meanwhile: the spill's disk I/O must not hold the manager lock every
+// query's tenant lookup takes, nor make b's answer wait for a's pass. Once
+// released, both answers equal cold twins' and the spill is counted.
+func TestBudgetSpillHoldsNoManagerLock(t *testing.T) {
+	gA, gB := testGraph(t, 7), testGraph(t, 8)
+	const selfBudget = int64(1) << 40
+	optA := stopandstare.SessionOptions{Seed: 11, Workers: 2, SpillBudgetBytes: selfBudget, SpillDir: t.TempDir()}
+	optB := stopandstare.SessionOptions{Seed: 12, Workers: 2, SpillBudgetBytes: selfBudget, SpillDir: t.TempDir()}
+	q := stopandstare.Query{K: 5, Epsilon: 0.3}
+
+	// A one-byte budget: every query's pass spills.
+	m := NewManager(Config{BudgetBytes: 1})
+	defer m.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	m.spillHook = func(name string) {
+		if name == "a" && !held.Swap(true) {
+			close(entered)
+			<-release
+		}
+	}
+	if err := m.AddTenant("a", TenantConfig{Graph: gA, Model: stopandstare.IC, Session: optA}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddTenant("b", TenantConfig{Graph: gB, Model: stopandstare.IC, Session: optB}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	type answer struct {
+		res *stopandstare.Result
+		err error
+	}
+	aDone := make(chan answer, 1)
+	go func() {
+		res, err := m.Maximize(ctx, "a", q)
+		aDone <- answer{res, err}
+	}()
+	<-entered
+
+	bDone := make(chan answer, 1)
+	go func() {
+		res, err := m.Maximize(ctx, "b", q)
+		bDone <- answer{res, err}
+	}()
+	statsDone := make(chan StatsResponse, 1)
+	go func() { statsDone <- m.Stats() }()
+	timeout := time.After(10 * time.Second)
+	var gotB answer
+	select {
+	case gotB = <-bDone:
+	case <-timeout:
+		close(release)
+		t.Fatal("a query on tenant b waited for tenant a's budget spill")
+	}
+	select {
+	case <-statsDone:
+	case <-timeout:
+		close(release)
+		t.Fatal("Stats waited for tenant a's budget spill")
+	}
+	close(release)
+	gotA := <-aDone
+
+	for _, c := range []struct {
+		name string
+		g    *stopandstare.Graph
+		opt  stopandstare.SessionOptions
+		got  answer
+	}{{"a", gA, optA, gotA}, {"b", gB, optB, gotB}} {
+		if c.got.err != nil {
+			t.Fatalf("tenant %s: %v", c.name, c.got.err)
+		}
+		twin, err := stopandstare.NewSession(c.g, stopandstare.IC, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Maximize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer(t, "tenant "+c.name, c.got.res, want)
+	}
+	if st := m.Stats(); st.Spills == 0 {
+		t.Fatalf("no spill counted: %+v", st)
 	}
 }

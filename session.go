@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"stopandstare/internal/core"
-	"stopandstare/internal/epoch"
 	"stopandstare/internal/maxcover"
 	"stopandstare/internal/ris"
 	"stopandstare/internal/tvm"
@@ -59,7 +58,7 @@ type Session struct {
 
 	mu      sync.RWMutex     // store growth: writers top up, readers query
 	solver  *maxcover.Solver // one for every k; locks itself
-	marks   sync.Pool        // *epoch.Marks, per-query coverage scratch
+	words   sync.Pool        // *[]uint64, window bitsets of both stores' coverage walks
 	queries atomic.Int64
 	growths atomic.Int64
 
@@ -74,7 +73,6 @@ type verifyStore struct {
 	mu      sync.RWMutex
 	store   ris.Store    // nil until the first SSA query; guarded by mu
 	sampler *ris.Sampler // the session sampler's Estimate-Inf stream
-	words   sync.Pool    // *[]uint64, per-call ris.StopIndex bitsets
 }
 
 // sessionRunLimit bounds the greedy runs the session's solver retains, so a
@@ -271,10 +269,9 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 		runLimit = 1
 	} else {
 		s.verify = &verifyStore{sampler: sampler.VerifySampler()}
-		s.verify.words.New = func() any { return new([]uint64) }
 	}
 	s.solver = maxcover.NewCachedSolver(s.store, runLimit)
-	s.marks.New = func() any { return new(epoch.Marks) }
+	s.words.New = func() any { return new([]uint64) }
 	return s, nil
 }
 
@@ -528,9 +525,9 @@ func (e sessionEnv) Release() { e.s.mu.RUnlock() }
 func (e sessionEnv) Solve(upto, k int) maxcover.Result { return e.s.solver.Solve(upto, k) }
 
 func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
-	m := e.s.marks.Get().(*epoch.Marks)
-	defer e.s.marks.Put(m)
-	return ris.CoverageRangeSeedsMarks(e.s.store, m, seeds, from, to)
+	w := e.s.words.Get().(*[]uint64)
+	defer e.s.words.Put(w)
+	return ris.CoverageRangeSeedsMarks(e.s.store, w, seeds, from, to)
 }
 
 // verifyEnv is sessionEnv with the core.Verifier extension: SSA queries of
@@ -545,8 +542,8 @@ func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (in
 	// Verification growth is not counted in Session.growths: that counter
 	// is the coverage store's, and request coalescing is pinned to it.
 	grew := e.s.grow(e.ctx, &v.mu, &v.store, v.sampler, to)
-	w := v.words.Get().(*[]uint64)
-	defer v.words.Put(w)
+	w := e.s.words.Get().(*[]uint64)
+	defer e.s.words.Put(w)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	id, cov := ris.StopIndex(v.store, w, seeds, from, to, need)
