@@ -495,6 +495,13 @@ func (s *ShardServer) handleCoverage(bw *bufio.Writer, payload []byte) error {
 		return err
 	}
 	sh.mu.Lock()
+	// The window's bitset is sized by it, so clamp the frame's end to the
+	// shard's last id: no stored id lies past it.
+	if nb := len(sh.seg.blocks); nb == 0 {
+		to = 0
+	} else {
+		to = min(to, sh.seg.blocks[nb-1].to)
+	}
 	_, cov := windowStop(&sh.words, seeds, max(from, 0), to, math.MaxInt64,
 		func(v uint32, from, upto int) Postings {
 			return Postings{blocks: sh.seg.blocks, v: v, from: from, upto: upto}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 
 	"stopandstare/internal/diffusion"
@@ -77,4 +78,46 @@ func TestShardSpecRejectsBadBytes(t *testing.T) {
 	if n := srv.NumShards(); n != 1 {
 		t.Fatalf("%d resident shards, want only the good one", n)
 	}
+}
+
+// TestShardCoverageClampsWindow: a coverage frame's window arrives from the
+// network and sizes the worker's bitset, so the worker clamps its end to
+// the shard's last id. A window ending far past the stream counts what the
+// stream holds without allocating a bitset for the rest (2^28 ids would be
+// 32 MB), and an empty shard counts nothing.
+func TestShardCoverageClampsWindow(t *testing.T) {
+	s := snapTestSampler(t)
+	srv := NewShardServer(s.Graph(), ShardServerOptions{SamplingWorkers: 1})
+	defer srv.Close()
+	dial := func(string) (net.Conn, error) {
+		client, server := net.Pipe()
+		go srv.ServeConn(server)
+		return client, nil
+	}
+	st := NewStore(s, 42, StoreOptions{RemoteWorkers: []string{"w"}, RemoteDial: dial})
+	rs := st.(*ShardedCollection).remotes[0]
+	seeds := []uint32{0, 3, 17, 42}
+	const far = 1 << 28
+	// coverage asks the worker for seeds' coverage of [from, far) and
+	// checks the answer and what the call allocated.
+	coverage := func(from int, want int64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cov, err := rs.coverageSeeds(seeds, from, far)
+		runtime.ReadMemStats(&after)
+		if err != nil || cov != want {
+			t.Fatalf("window [%d, 2^28): coverage %d, %v, want %d", from, cov, err, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("window [%d, 2^28): allocated %d bytes", from, grew)
+		}
+	}
+	coverage(0, 0) // empty shard
+	st.GenerateTo(700)
+	want := st.CoverageRangeSeeds(seeds, 100, 700)
+	if want == 0 {
+		t.Fatal("seeds cover no set")
+	}
+	coverage(100, want)
 }
