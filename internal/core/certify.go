@@ -32,7 +32,9 @@ var ErrEmptySeeds = errors.New("core: cannot certify an empty seed set")
 // "score the returned seed set", and orders of magnitude cheaper than
 // forward Monte-Carlo when I(S) ≪ n. The expected sample count is
 // O(Υ(ε,δ)·n/I(S)), within a constant of optimal for this task (the same
-// DKLR optimality that Estimate-Inf builds on).
+// DKLR optimality that Estimate-Inf builds on). The sets are sampled on
+// every CPU and scanned for S (ris.ScanStop), and none is kept, so memory
+// stays at one scan slice whatever the cap.
 //
 // maxSamples bounds the rule: 0 selects min(4·Υ(ε,δ/2)·scale, 2²⁸) —
 // enough to certify any I(S) ≥ scale-units/4 on uniform RIS — and the
@@ -58,7 +60,7 @@ func Certify(s *ris.Sampler, seeds []uint32, eps, delta float64, seed uint64, ma
 	if _, err := s.Plan(); err != nil { // a graph that fails the content checks
 		return nil, err
 	}
-	est := newEstimator(s, seed)
+	est := newEstimator(s, seed, nil, 0)
 	// Under uniform RIS, seeds cover RR sets rooted at themselves, so
 	// µ = I(S)/n ≥ |S|/n and the stopping rule terminates in
 	// O(Υ·n/I(S)) samples in expectation. Under WRIS a pathological S can

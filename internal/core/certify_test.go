@@ -137,3 +137,29 @@ func TestCertifyFloorMessage(t *testing.T) {
 		t.Fatalf("error %q, want it to end %q", err, want)
 	}
 }
+
+// TestCertifyBelowFloorKeepsNoSets is the scan's memory bound on Certify: a
+// seed whose influence lies below the certifiable floor runs the rule to
+// its cap of 2²² ids, and the live heap stays within one scan slice, where
+// keeping the sets would hold tens of MB.
+func TestCertifyBelowFloorKeepsNoSets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("samples 2²² RR sets; skipped in -short")
+	}
+	g := midGraph(t, 5000, 25000, 173)
+	s := sampler(t, g, diffusion.IC)
+	v := uint32(0)
+	for g.OutDegree(v) != 0 {
+		v++ // an out-degree-0 node: it reaches only the sets rooted at it
+	}
+	const cap = 1 << 22
+	var err error
+	peak := peakLiveHeap(func() { _, err = Certify(s, []uint32{v}, 0.02, 0.05, 7, cap) })
+	if want := fmt.Sprintf("(%d samples without", cap); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Certify below the floor: %v, want a refusal after %d samples", err, cap)
+	}
+	if peak > scanBound {
+		t.Fatalf("the rule kept %d B live over %d ids, want ≤ %d", peak, cap, scanBound)
+	}
+	t.Logf("peak live heap %d B over %d ids", peak, cap)
+}

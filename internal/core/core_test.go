@@ -325,7 +325,7 @@ func TestEstimatorOneSidedBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := newEstimator(s, 41)
+	est := newEstimator(s, 41, nil, 2)
 	ic, used, ok := est.estimate(seeds, 0.1, 0.01, 1<<40)
 	if !ok {
 		t.Fatal("estimate should not hit the cap")
@@ -344,23 +344,11 @@ func TestEstimatorOneSidedBound(t *testing.T) {
 func TestEstimatorCapReturnsNotOK(t *testing.T) {
 	g := midGraph(t, 1000, 5000, 43)
 	s := sampler(t, g, diffusion.IC)
-	est := newEstimator(s, 47)
+	est := newEstimator(s, 47, nil, 2)
 	if _, used, ok := est.estimate([]uint32{0}, 0.05, 0.001, 3); ok {
 		t.Fatal("3-sample cap must fail for a tight stopping rule")
 	} else if used != 3 {
 		t.Fatalf("used %d want 3", used)
-	}
-}
-
-func TestEstimatorMarkResetBetweenCalls(t *testing.T) {
-	g := midGraph(t, 300, 1500, 53)
-	s := sampler(t, g, diffusion.IC)
-	est := newEstimator(s, 59)
-	_, _, _ = est.estimate([]uint32{1, 2, 3}, 0.3, 0.1, 10000)
-	for v, m := range est.mark {
-		if m {
-			t.Fatalf("mark %d left set after estimate", v)
-		}
 	}
 }
 

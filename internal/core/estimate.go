@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"stopandstare/internal/ris"
-	"stopandstare/internal/rng"
 	"stopandstare/internal/stats"
 )
 
@@ -22,48 +22,29 @@ import (
 // (seed, i), and every call of one run starts at the id the previous call
 // stopped at.
 //
-// The rule only asks where its ⌈Λ₂⌉-th hit — a set touching S — falls, and
-// there are two ways to answer that with the same result:
-//
-//   - walk: draw the sets one id at a time, each a Sampler.HitsMarked walk
-//     that stops at the first seed; the draws are those of the full set
-//     (refEstimate in estimate_test.go builds the full set);
-//   - retained: when the environment keeps the verification sets in a
-//     store (Verifier), read the hit positions off the seeds' postings with
-//     ris.StopIndex, growing the store window by window. A session's SSA
-//     queries all start at id 0, so after the first one most calls grow
-//     nothing.
+// The rule only asks where its ⌈Λ₂⌉-th hit — a set touching S — falls, so
+// it asks a Verifier, one window of ids at a time, each sized from the hits
+// seen so far. The environment's Verifier may read the hits off a retained
+// verification store (a session's SSA queries all start at id 0, so after
+// the first one most windows grow nothing); without one, scanVerifier
+// samples each window afresh and keeps nothing. Either way the stopping id
+// is that of drawing the full sets one by one (refEstimate in
+// estimate_test.go).
 type estimator struct {
-	sampler  *ris.Sampler
-	seed     uint64
-	nextID   uint64   // monotonically increasing across calls in one SSA run
-	total    int64    // RR sets tested across all calls
-	retained Verifier // nil ⇒ every call walks fresh sets
-	grew     bool     // a retained call grew the verification store
-
-	// Walk scratch, allocated by newEstimator or on a retained estimator's
-	// first walk.
-	state *ris.State
-	mark  []bool
-	buf   []uint32
-	r     rng.Source // re-seeded per sample: no per-sample allocation
+	v      Verifier
+	scale  float64
+	nextID uint64 // monotonically increasing across calls in one SSA run
+	total  int64  // RR sets tested across all calls
+	grew   bool   // a call grew the environment's verification store
 }
 
-func newEstimator(s *ris.Sampler, seed uint64) *estimator {
-	e := &estimator{sampler: s, seed: seed}
-	e.alloc()
-	return e
-}
-
-// newRetainedEstimator answers from v's verification store; it allocates
-// walk scratch only if a call runs past the store's id range.
-func newRetainedEstimator(s *ris.Sampler, seed uint64, v Verifier) *estimator {
-	return &estimator{sampler: s, seed: seed, retained: v}
-}
-
-func (e *estimator) alloc() {
-	e.state = e.sampler.NewState()
-	e.mark = make([]bool, e.sampler.Graph().NumNodes())
+// newEstimator answers from v, or from a scanVerifier on s's verification
+// stream over workers goroutines when v is nil.
+func newEstimator(s *ris.Sampler, seed uint64, v Verifier, workers int) *estimator {
+	if v == nil {
+		v = scanVerifier{s: s.VerifySampler(), seed: seed, workers: workers}
+	}
+	return &estimator{v: v, scale: s.Scale()}
 }
 
 // estimate returns I^c(S) for the seed set, the number of RR sets used,
@@ -71,92 +52,61 @@ func (e *estimator) alloc() {
 // "return −1").
 func (e *estimator) estimate(seeds []uint32, epsPrime, deltaPrime float64, tmax int64) (inf float64, used int64, ok bool) {
 	lambda2 := stats.StoppingRuleThreshold(epsPrime, deltaPrime)
-	var t int64
-	if e.retained != nil {
-		t = e.retainedStop(seeds, lambda2, tmax)
-	} else {
-		t = e.walk(seeds, lambda2, 0, 0, tmax)
-	}
-	if t > 0 {
+	if t := e.stop(seeds, lambda2, tmax); t > 0 {
 		e.nextID += uint64(t)
 		e.total += t
-		return e.sampler.Scale() * lambda2 / float64(t), t, true
+		return e.scale * lambda2 / float64(t), t, true
 	}
 	e.nextID += uint64(max(tmax, 0))
 	e.total += tmax
 	return -1, tmax, false
 }
 
-// walk runs the rule over fresh sets: having seen cov hits in the first t0
-// ids from nextID, it tests the ids at positions t0+1 … tmax in turn and
-// returns the position at which cov reaches lambda2, or 0 when tmax runs
-// out first.
-func (e *estimator) walk(seeds []uint32, lambda2 float64, t0 int64, cov float64, tmax int64) int64 {
-	if e.state == nil {
-		e.alloc()
-	}
-	for _, s := range seeds {
-		e.mark[s] = true
-	}
-	defer func() {
-		for _, s := range seeds {
-			e.mark[s] = false
-		}
-	}()
-	for t := t0 + 1; t <= tmax; t++ {
-		ris.SeedVerifyStream(&e.r, e.seed, e.nextID+uint64(t-1))
-		var hit bool
-		if hit, e.buf = e.sampler.HitsMarked(&e.r, e.state, e.buf, e.mark); hit {
-			cov++
-		}
-		if cov >= lambda2 {
-			return t
-		}
-	}
-	return 0
-}
-
-// retainedIDs is the verification id range a store can hold (ids are int32
-// there). A variable only so tests can lower it.
-var retainedIDs int64 = ris.MaxSets
-
-// retainedStop is walk answered from the verification store: the position
-// of the ⌈lambda2⌉-th hit at or after nextID, or 0. It asks for one window
-// of ids at a time, each sized from the hit rate seen so far, so the store
-// grows to little beyond the stopping id. Ids past retainedIDs, which no
-// store holds, are walked.
-func (e *estimator) retainedStop(seeds []uint32, lambda2 float64, tmax int64) int64 {
+// stop returns the position, counted from nextID, of the ⌈lambda2⌉-th hit,
+// or 0 when tmax ids hold fewer. Λ₂ = 1 + (1+ε′)Υ ≥ 1, so need ≥ 1.
+func (e *estimator) stop(seeds []uint32, lambda2 float64, tmax int64) int64 {
 	need := math.Ceil(lambda2)
 	if !(need <= float64(tmax)) { // also NaN: cov ≥ NaN never holds
 		return 0 // fewer than need ids: the rule cannot fire
 	}
-	if need < 1 || e.nextID >= uint64(retainedIDs) {
-		return e.walk(seeds, lambda2, 0, 0, tmax) // a rule that needs no hit, or ids no store holds
-	}
 	n := int64(need)
 	base := int(e.nextID)
-	limit := min(tmax, retainedIDs-int64(base)) // positions the store can hold
 	var tested, seen int64
-	for w := n; tested < limit; w = nextWindow(n-seen, tested, seen) {
-		hi := tested + min(w, limit-tested)
-		id, cov, grew := e.retained.VerifyStopIndex(seeds, base+int(tested), base+int(hi), n-seen)
+	for w := n; tested < tmax; w = nextWindow(n-seen, tested, seen) {
+		hi := tested + min(w, tmax-tested)
+		id, cov, grew := e.v.VerifyStopIndex(seeds, base+int(tested), base+int(hi), n-seen)
 		e.grew = e.grew || grew
 		if seen += cov; seen == n {
 			return int64(id-base) + 1
 		}
 		tested = hi
 	}
-	if limit == tmax {
-		return 0
-	}
-	return e.walk(seeds, lambda2, tested, float64(seen), tmax)
+	return 0
 }
 
-// nextWindow sizes the next window of a retained call that still needs left
-// hits after seen in tested ids: the ids expected to hold left hits plus one
+// scanVerifier answers each window with ris.ScanStop: the sets are sampled
+// afresh, on workers goroutines, and none is kept. It serves Certify and an
+// Exec that retains no verification sets.
+type scanVerifier struct {
+	s       *ris.Sampler // the verification stream
+	seed    uint64
+	workers int
+}
+
+func (v scanVerifier) VerifyStopIndex(seeds []uint32, from, to int, need int64) (int, int64, bool) {
+	id, cov, err := ris.ScanStop(context.Background(), v.s, v.seed, seeds, from, to, need, v.workers)
+	if err != nil {
+		panic(err) // the plan's content error: callers resolve Sampler.Plan first
+	}
+	return id, cov, false
+}
+
+// nextWindow sizes the next window of a call that still needs left hits
+// after seen in tested ids: the ids expected to hold left hits plus one
 // standard deviation at the observed rate, so one more window usually
-// suffices and overshoots the stopping id by a few percent. With no hit yet
-// it doubles the ids tested.
+// suffices and overshoots the stopping id by a few percent (a store grows,
+// or a scan samples, that much past it). With no hit yet it doubles the
+// ids tested.
 func nextWindow(left, tested, seen int64) int64 {
 	if seen == 0 {
 		return max(tested, left)

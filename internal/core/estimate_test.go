@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"testing"
+	"time"
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
@@ -15,9 +17,9 @@ import (
 	"stopandstare/internal/stats"
 )
 
-// refEstimator is the Estimate-Inf loop before the early-exit walk, kept as
-// the estimator's oracle: one full RR set per verification id, scanned for a
-// seed, the stopping rule checked after every id.
+// refEstimator is the estimator's oracle, the Estimate-Inf loop as Alg. 3
+// writes it: one full RR set per verification id, scanned for a seed, the
+// stopping rule checked after every id.
 type refEstimator struct {
 	sampler *ris.Sampler
 	seed    uint64
@@ -89,7 +91,7 @@ func (v *storeVerifier) VerifyStopIndex(seeds []uint32, from, to int, need int64
 	return id, cov, grew
 }
 
-// estimatorSamplers returns one sampler per plan class the hit walk runs
+// estimatorSamplers returns one sampler per plan class the kernel runs
 // through: IC weighted cascade (uniform nodes), IC trivalency (general
 // nodes), LT, and a WRIS sampler.
 func estimatorSamplers(t testing.TB) []struct {
@@ -131,10 +133,10 @@ type estimateCall struct {
 }
 
 // TestEstimatorMatchesSerialLoop is the estimator's differential test: the
-// early-exit estimator and the retained one — on a fresh verification store,
-// and on one every earlier case of the sampler has grown — return the
-// full-set loop's (inf, used, ok) and leave the same total and nextID, call
-// after call.
+// scan-backed estimator and the store-backed one — on a fresh verification
+// store, and on one every earlier case of the sampler has grown — return
+// the full-set loop's (inf, used, ok) and leave the same total and nextID,
+// call after call.
 func TestEstimatorMatchesSerialLoop(t *testing.T) {
 	big := []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	cases := []struct {
@@ -164,9 +166,9 @@ func TestEstimatorMatchesSerialLoop(t *testing.T) {
 				leg string
 				e   *estimator
 			}{
-				{"hits", newEstimator(smp.s, 83)},
-				{"retained", newRetainedEstimator(smp.s, 83, newStoreVerifier(smp.s, 83))},
-				{"retained-warm", newRetainedEstimator(smp.s, 83, warm)},
+				{"scan", newEstimator(smp.s, 83, nil, 2)},
+				{"retained", newEstimator(smp.s, 83, newStoreVerifier(smp.s, 83), 0)},
+				{"retained-warm", newEstimator(smp.s, 83, warm, 0)},
 			}
 			for i, c := range tc.calls {
 				rInf, rUsed, rOK := ref.refEstimate(c.seeds, c.eps, c.delta, c.tmax)
@@ -190,29 +192,60 @@ func TestEstimatorMatchesSerialLoop(t *testing.T) {
 	}
 }
 
-// TestEstimatorScratchIndependentOfTmax pins the memory bound: a call whose
-// cap is math.MaxInt64 allocates the walk's scratch, not anything in
-// proportion to the cap, and a repeat call allocates nothing.
+// peakLiveHeap runs f and returns how far the live heap that garbage
+// collections during f marked rose above the live heap before it: what f
+// kept, as opposed to what it allocated and dropped.
+func peakLiveHeap(f func()) uint64 {
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	read := func() uint64 {
+		metrics.Read(live)
+		return live[0].Value.Uint64()
+	}
+	runtime.GC()
+	base, peak := read(), uint64(0)
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				peak = max(peak, read())
+			}
+		}
+	}()
+	f()
+	close(done)
+	<-polled
+	return max(peak, read(), base) - base
+}
+
+// scanBound is the live memory a scan may keep: one slice of sets (2¹⁶ ids:
+// offsets and items, the IC chunk buffers' slack included), a few bitsets
+// over the nodes and the collector's slack, far below what the 2²² ids of
+// TestCertifyBelowFloorKeepsNoSets would take.
+const scanBound = 16 << 20
+
+// TestEstimatorScratchIndependentOfTmax is the scan's memory bound: a call
+// whose cap is math.MaxInt64 allocates about one scan slice, not anything
+// in proportion to the cap.
 func TestEstimatorScratchIndependentOfTmax(t *testing.T) {
 	s := sampler(t, midGraph(t, 2000, 12000, 89), diffusion.IC)
 	seeds := []uint32{0, 1, 2, 3, 4}
-	n := uint64(s.Graph().NumNodes())
-	est := newEstimator(s, 97)
+	est := newEstimator(s, 97, nil, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, ok := est.estimate(seeds, 0.2, 0.05, math.MaxInt64); !ok {
+	_, used, ok := est.estimate(seeds, 0.2, 0.05, math.MaxInt64)
+	if !ok {
 		t.Fatal("a reachable Λ₂ did not stop the rule")
 	}
 	runtime.ReadMemStats(&after)
-	// The walk queue grows by doubling up to at most n entries of 4 B.
-	if got, bound := after.TotalAlloc-before.TotalAlloc, 16*n+4<<10; got > bound {
-		t.Fatalf("first call allocated %d B, want ≤ %d", got, bound)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		est.estimate(seeds, 0.2, 0.05, math.MaxInt64)
-	})
-	if allocs > 0 {
-		t.Fatalf("a repeat call made %.0f allocations, want 0", allocs)
+	if got := after.TotalAlloc - before.TotalAlloc; got > scanBound {
+		t.Fatalf("a call that stopped at %d allocated %d B, want ≤ %d", used, got, scanBound)
 	}
 }
 
@@ -225,7 +258,7 @@ func TestRetainedEstimatorStoreTracksStopIndex(t *testing.T) {
 	s := sampler(t, midGraph(t, 2000, 12000, 89), diffusion.IC)
 	seeds := []uint32{0, 1, 2, 3, 4}
 	v := newStoreVerifier(s, 97)
-	est := newRetainedEstimator(s, 97, v)
+	est := newEstimator(s, 97, v, 0)
 	_, used, ok := est.estimate(seeds, 0.2, 0.05, math.MaxInt64)
 	if !ok {
 		t.Fatal("a reachable Λ₂ did not stop the rule")
@@ -253,37 +286,11 @@ func TestRetainedEstimatorStoreTracksStopIndex(t *testing.T) {
 	t.Logf("stopped at %d, store %d sets", used, grown)
 }
 
-// TestRetainedEstimatorWalksPastStoreLimit lowers the id range a store can
-// hold: a call whose window reaches it finishes over fresh sets, and later
-// calls start past it, with the serial loop's answers throughout.
-func TestRetainedEstimatorWalksPastStoreLimit(t *testing.T) {
-	defer func(old int64) { retainedIDs = old }(retainedIDs)
-	retainedIDs = 1200
-	s := sampler(t, midGraph(t, 2000, 12000, 91), diffusion.LT)
-	seeds := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-	ref := newRefEstimator(s, 5)
-	v := newStoreVerifier(s, 5)
-	est := newRetainedEstimator(s, 5, v)
-	for i := 0; i < 4; i++ {
-		rInf, rUsed, rOK := ref.refEstimate(seeds, 0.3, 0.1, 1<<40)
-		inf, used, ok := est.estimate(seeds, 0.3, 0.1, 1<<40)
-		if inf != rInf || used != rUsed || ok != rOK || est.nextID != ref.nextID || est.total != ref.total {
-			t.Fatalf("call %d: (%v, %d, %v, next %d), full-set loop (%v, %d, %v, next %d)",
-				i, inf, used, ok, est.nextID, rInf, rUsed, rOK, ref.nextID)
-		}
-	}
-	if ref.nextID <= 1200 {
-		t.Fatalf("the calls stopped at id %d and never crossed the store's limit", ref.nextID)
-	}
-	if v.st.Len() > 1200 {
-		t.Fatalf("store grew to %d sets past its limit of 1200", v.st.Len())
-	}
-}
-
-// FuzzRetainedEstimate checks the retained estimator against the one-id
-// walk over a sequence of calls on a random small graph: IC or LT, plain or
-// WRIS, with random seed sets, ε′, δ′ and caps. A second retained run over
-// the store the first one grew must agree too.
+// FuzzRetainedEstimate checks both answerers, the scan and the store,
+// against refEstimate, the full-set oracle, over a sequence of calls on a
+// random small graph: IC or LT, plain or WRIS, with random seed sets, ε′,
+// δ′ and caps. A second store-backed run over the store the first one grew
+// must agree too.
 func FuzzRetainedEstimate(f *testing.F) {
 	f.Add(uint64(1), uint8(60), false, false, uint8(3), uint8(30), uint8(20), uint16(4000), uint8(3))
 	f.Add(uint64(2), uint8(150), true, false, uint8(1), uint8(10), uint8(50), uint16(900), uint8(4))
@@ -334,13 +341,16 @@ func FuzzRetainedEstimate(f *testing.F) {
 		const seed = 11
 		v := newStoreVerifier(s, seed)
 		for run := 0; run < 2; run++ {
-			walk, kept := newEstimator(s, seed), newRetainedEstimator(s, seed, v)
+			ref := newRefEstimator(s, seed)
+			ests := map[string]*estimator{"scan": newEstimator(s, seed, nil, 1+run), "store": newEstimator(s, seed, v, 0)}
 			for i, c := range seq {
-				wInf, wUsed, wOK := walk.estimate(c.seeds, c.eps, c.delta, c.tmax)
-				inf, used, ok := kept.estimate(c.seeds, c.eps, c.delta, c.tmax)
-				if inf != wInf || used != wUsed || ok != wOK || kept.nextID != walk.nextID || kept.total != walk.total {
-					t.Fatalf("run %d call %d %+v: retained (%v, %d, %v, next %d, total %d), walk (%v, %d, %v, next %d, total %d)",
-						run, i, c, inf, used, ok, kept.nextID, kept.total, wInf, wUsed, wOK, walk.nextID, walk.total)
+				rInf, rUsed, rOK := ref.refEstimate(c.seeds, c.eps, c.delta, c.tmax)
+				for leg, e := range ests {
+					inf, used, ok := e.estimate(c.seeds, c.eps, c.delta, c.tmax)
+					if inf != rInf || used != rUsed || ok != rOK || e.nextID != ref.nextID || e.total != ref.total {
+						t.Fatalf("run %d call %d %+v: %s (%v, %d, %v, next %d, total %d), full-set loop (%v, %d, %v, next %d, total %d)",
+							run, i, c, leg, inf, used, ok, e.nextID, e.total, rInf, rUsed, rOK, ref.nextID, ref.total)
+					}
 				}
 			}
 		}
@@ -358,8 +368,8 @@ func topOutDegree(g *graph.Graph, k int) []uint32 {
 	return nodes[:k]
 }
 
-// BenchmarkEstimateInf compares the full-set loop (ref), the early-exit
-// estimator (hits) and the retained one (retained) on one Estimate-Inf call
+// BenchmarkEstimateInf compares the full-set loop (ref), the scan-backed
+// estimator (scan) and the store-backed one (retained) on one Estimate-Inf call
 // at SSA's ε₂ for ε = 0.1. The retained leg is the second call on a warm
 // verification store: a session's later SSA queries, which read the seeds'
 // postings instead of walking. sets/op is the call's RR-set count.
@@ -378,17 +388,17 @@ func BenchmarkEstimateInf(b *testing.B) {
 				}
 				b.ReportMetric(float64(used), "sets/op")
 			})
-			b.Run(prefix+"hits", func(b *testing.B) {
+			b.Run(prefix+"scan", func(b *testing.B) {
 				var used int64
 				for i := 0; i < b.N; i++ {
-					_, used, _ = newEstimator(s, uint64(i)).estimate(seeds, eps2, delta, 1<<40)
+					_, used, _ = newEstimator(s, uint64(i), nil, 0).estimate(seeds, eps2, delta, 1<<40)
 				}
 				b.ReportMetric(float64(used), "sets/op")
 			})
 			b.Run(prefix+"retained", func(b *testing.B) {
 				v := newStoreVerifier(s, 1)
-				newRetainedEstimator(s, 1, v).estimate(seeds, eps2, delta, 1<<40)
-				est := newRetainedEstimator(s, 1, v)
+				newEstimator(s, 1, v, 0).estimate(seeds, eps2, delta, 1<<40)
+				est := newEstimator(s, 1, v, 0)
 				b.ResetTimer()
 				var used int64
 				for i := 0; i < b.N; i++ {

@@ -45,18 +45,17 @@ type Exec interface {
 	Coverage(seeds []uint32, from, to int) int64
 }
 
-// Verifier is an optional Exec extension for an environment that retains
-// SSA's Estimate-Inf sets: a second store on the verification id space,
-// whose RR set i is the one ris.SeedVerifyStream(seed, i) draws (a store
-// built on Sampler.VerifySampler). SSAWith type-asserts for it; without it,
-// every Estimate-Inf call walks fresh verification sets one id at a time.
-// Either way the estimate is the same, so a retained run is bit-identical
-// to a streaming one.
+// Verifier is an optional Exec extension that answers SSA's Estimate-Inf
+// windows over the verification id space, whose RR set i is the one
+// ris.SeedVerifyStream(seed, i) draws (Sampler.VerifySampler's stream): from
+// a retained store, or by scanning. SSAWith type-asserts for it; without it,
+// each window is scanned on Options.Workers (ris.ScanStop). Every answerer
+// returns the same stopping id, so runs are bit-identical whichever answers.
 type Verifier interface {
-	// VerifyStopIndex grows the verification store to at least to sets and
-	// returns ris.StopIndex over it for the window [from, to), plus whether
-	// it generated sets. Called with no lock held; it takes whatever locks
-	// the environment needs.
+	// VerifyStopIndex returns ris.StopIndex's answer for the window
+	// [from, to) of the verification stream, plus whether it grew a
+	// retained store to answer. Called with no lock held; it takes whatever
+	// locks the environment needs.
 	VerifyStopIndex(seeds []uint32, from, to int, need int64) (id int, cov int64, grew bool)
 }
 

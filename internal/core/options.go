@@ -36,9 +36,9 @@ type Options struct {
 	// Seed drives SSA's Estimate-Inf stream. The Exec's store samples its
 	// own stream; callers build it at the same seed.
 	Seed uint64
-	// Workers is not read by the loops: the Exec's store owns its sampling
-	// parallelism. It stays only because the benchmark's traced session
-	// names it in a literal; it goes with the next change to the benchmark.
+	// Workers bounds the parallelism (≤0 ⇒ GOMAXPROCS) of SSA's
+	// Estimate-Inf scan when the Exec is not a Verifier; the Exec's store
+	// owns the rest of the sampling parallelism.
 	Workers int
 	// OptLowerBound is a known lower bound on OPT_k used only to size the
 	// Nmax safety cap. Defaults to K for IM (each seed influences at least

@@ -51,12 +51,8 @@ func SSAWith(opt Options, env Exec) (*Result, error) {
 	size := ceilPos(lambda)
 	res := &Result{Eps1: e1, Eps2: e2, Eps3: e3}
 	res.Grew = env.Ensure(size) // line 4
-	var est *estimator
-	if v, ok := env.(Verifier); ok {
-		est = newRetainedEstimator(s, opt.Seed, v)
-	} else {
-		est = newEstimator(s, opt.Seed)
-	}
+	v, _ := env.(Verifier)
+	est := newEstimator(s, opt.Seed, v, opt.Workers)
 	scale := s.Scale()
 
 	var mc maxcover.Result

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"slices"
@@ -83,4 +84,41 @@ func windowStop(words *[]uint64, seeds []uint32, from, to int, need int64, posti
 		return from + i<<6 + bits.TrailingZeros64(w), need
 	}
 	return to, cov
+}
+
+// scanSlice is the number of ids ScanStop samples at once: what it holds
+// of a window, however long the window is.
+const scanSlice = 1 << 16
+
+// ScanStop is StopIndex over s's own stream at seed instead of a store: the
+// same answer a store built on (s, seed) would give for [from, to), with
+// nothing kept. It samples the window through the chunk kernel on workers
+// goroutines (≤ 0 ⇒ GOMAXPROCS), scanSlice ids at a time, and tests each
+// set against the seeds in a bitset over the nodes. Cancellation and the
+// plan's content error are sampleChunksCtx's.
+func ScanStop(ctx context.Context, s *Sampler, seed uint64, seeds []uint32, from, to int, need int64, workers int) (id int, cov int64, err error) {
+	in := make([]uint64, visWords(s.g.NumNodes()))
+	for _, v := range seeds {
+		in[v>>6] |= 1 << (v & 63)
+	}
+	for lo := max(from, 0); lo < to; lo += scanSlice {
+		chunks, err := sampleChunksCtx(ctx, s, seed, lo, lo+min(scanSlice, to-lo), workers)
+		if err != nil {
+			return 0, 0, err
+		}
+		id := lo
+		for _, c := range chunks {
+			for j := 1; j < len(c.offsets); j, id = j+1, id+1 {
+				for _, v := range c.buf[c.offsets[j-1]:c.offsets[j]] {
+					if in[v>>6]&(1<<(v&63)) != 0 {
+						if cov++; cov == need {
+							return id, need, nil
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	return to, cov, nil
 }

@@ -1,7 +1,9 @@
 package ris
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -321,6 +323,46 @@ func TestStopIndexMatchesArenaScan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestScanStopMatchesStopIndex checks the store-free scan against StopIndex
+// over a store on the same stream, for windows inside one scan slice and
+// across slice boundaries, at two worker counts, and that a cancelled scan
+// returns the context's error.
+func TestScanStopMatchesStopIndex(t *testing.T) {
+	g, err := gen.ChungLu(250, 1400, 2.1, 89, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		vs := mustSampler(t, g, model).VerifySampler()
+		st := NewStore(vs, 7, StoreOptions{Workers: 2})
+		st.GenerateTo(scanSlice + 2100)
+		var words []uint64
+		for si, seeds := range [][]uint32{nil, {0}, {4, 4, 90}, manyNodes(40)} {
+			for _, w := range [][2]int{{0, 1}, {63, 64}, {700, 700}, {scanSlice - 40, scanSlice + 40}, {300, scanSlice + 2100}} {
+				for _, need := range []int64{1, 65, 2000, math.MaxInt64} {
+					wantID, wantCov := StopIndex(st, &words, seeds, w[0], w[1], need)
+					for _, workers := range []int{1, 3} {
+						if workers == 3 && si != 3 {
+							continue
+						}
+						id, cov, err := ScanStop(ctx, vs, 7, seeds, w[0], w[1], need, workers)
+						if err != nil || id != wantID || cov != wantCov {
+							t.Fatalf("%v seeds %v window %v need %d workers %d: (%d, %d, %v), StopIndex (%d, %d)",
+								model, seeds, w, need, workers, id, cov, err, wantID, wantCov)
+						}
+					}
+				}
+			}
+		}
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, _, err := ScanStop(cancelled, vs, 7, []uint32{0}, 0, 5000, 10, 2); err != context.Canceled {
+			t.Fatalf("%v: a cancelled scan returned %v", model, err)
 		}
 	}
 }

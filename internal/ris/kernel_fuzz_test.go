@@ -2,6 +2,7 @@ package ris
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
 
@@ -88,10 +89,11 @@ func fuzzKernelGraph(t *testing.T, graphSeed uint64, size uint8, model diffusion
 }
 
 // FuzzKernelAgainstSequential checks the production kernel — the chunk path
-// (lane-interleaved LT walks, frontier-batched IC draws), AppendSample and
-// HitsMarked — against seqSample, the one-walk-at-a-time kernel, set by
-// set: same nodes in the same order, same hits. Every walk must leave the
-// lanes' visited bitsets clear.
+// (lane-interleaved LT walks, frontier-batched IC draws) and AppendSample —
+// against seqSample, the one-walk-at-a-time kernel, set by set: same nodes
+// in the same order. Every walk must leave the lanes' visited bitsets
+// clear. ScanStop over the same ids must stop where seqSample's sets
+// reach a random seed set's need-th hit.
 func FuzzKernelAgainstSequential(f *testing.F) {
 	f.Add(uint64(1), uint8(12), false, false, uint64(7), uint16(0), uint16(600), uint64(3))
 	f.Add(uint64(2), uint8(30), true, false, uint64(9), uint16(5), uint16(1031), uint64(4))
@@ -127,7 +129,7 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 		for id := from; id < to; id++ {
 			r.SeedStream(seed, uint64(id))
 			wantOff = append(wantOff, len(want))
-			want, _ = seqSample(s, &r, want, nil)
+			want = seqSample(s, &r, want)
 		}
 		wantOff = append(wantOff, len(want))
 
@@ -149,14 +151,9 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 			}
 		}
 
-		// One set at a time, and the hit test against a random stop set.
+		// One set at a time.
 		st := s.NewState()
-		stop := make([]bool, n)
-		sr := rng.New(stopSeed)
-		for v := range stop {
-			stop[v] = sr.Intn(4) == 0
-		}
-		var buf, hbuf, sbuf []uint32
+		var buf []uint32
 		for id := from; id < to; id++ {
 			k := id - from
 			r.SeedStream(seed, uint64(id))
@@ -166,16 +163,38 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 				t.Fatalf("AppendSample set %d = %v (len %d), sequential %v",
 					id, buf, setLen, want[wantOff[k]:wantOff[k+1]])
 			}
-			SeedVerifyStream(&r, seed, uint64(id))
-			var hit bool
-			hit, hbuf = s.HitsMarked(&r, st, hbuf, stop)
-			SeedVerifyStream(&r, seed, uint64(id))
-			var wantHit bool
-			sbuf, wantHit = seqSample(s, &r, sbuf[:0], stop)
-			if hit != wantHit || !slices.Equal(hbuf, sbuf) {
-				t.Fatalf("HitsMarked id %d = %v after %v, sequential %v after %v", id, hit, hbuf, wantHit, sbuf)
+			requireVisitedClear(t, "AppendSample", st)
+		}
+
+		// The scan against a random seed set: it stops at the need-th set
+		// of seqSample's that meets the seeds, or counts them all.
+		sr := rng.New(stopSeed)
+		in := make([]bool, n)
+		var seeds []uint32
+		for v := range in {
+			if in[v] = sr.Intn(4) == 0; in[v] {
+				seeds = append(seeds, uint32(v))
 			}
-			requireVisitedClear(t, "AppendSample and HitsMarked", st)
+		}
+		var hitIDs []int
+		for id := from; id < to; id++ {
+			k := id - from
+			if slices.ContainsFunc(want[wantOff[k]:wantOff[k+1]], func(v uint32) bool { return in[v] }) {
+				hitIDs = append(hitIDs, id)
+			}
+		}
+		for _, need := range []int64{1 + int64(stopSeed%16), math.MaxInt64} {
+			wantID, wantCov := to, int64(len(hitIDs))
+			if need <= wantCov {
+				wantID, wantCov = hitIDs[need-1], need
+			}
+			for _, workers := range []int{1, 3} {
+				id, cov, err := ScanStop(context.Background(), s, seed, seeds, from, to, need, workers)
+				if err != nil || id != wantID || cov != wantCov {
+					t.Fatalf("ScanStop need %d workers %d: (%d, %d, %v), sequential (%d, %d)",
+						need, workers, id, cov, err, wantID, wantCov)
+				}
+			}
 		}
 		// Every walk leaves the lanes' visited bitsets clear, the chunk
 		// path's interleaved LT lanes included.

@@ -44,11 +44,10 @@ import (
 //     (Sampler.sampleChunk), one step of each per round, in passes that
 //     each take a link of every lane's miss chain (ltRound).
 //
-// AppendSample, HitsMarked and the chunk path all run these two kernels
-// (a single walk is one lane), and both keep each set's draws and visit
-// order exactly those of a one-walk-at-a-time loop (seqSample,
-// reference_test.go, pinned by FuzzKernelAgainstSequential and
-// TestStreamPinned).
+// AppendSample and the chunk path both run these two kernels (a single
+// walk is one lane), and both keep each set's draws and visit order
+// exactly those of a one-walk-at-a-time loop (seqSample, reference_test.go,
+// pinned by FuzzKernelAgainstSequential and TestStreamPinned).
 //
 // The plan is the only production sampler. Its draw sequence differs from
 // the direct per-edge Bernoulli translation of Def. 2 (refSampler in

@@ -164,21 +164,15 @@ func refLTTable(g *graph.Graph, v uint32) []ltSlot {
 // seqSample draws RR set (r's stream) through s's compiled plan one walk at
 // a time: the IC reverse BFS draws and visits each queued node's in-edges
 // before moving to the next node, the LT walk takes one step per loop. It
-// appends the set to buf. A non-nil stop ends the
-// walk with hit = true at the first visited node in stop (the root
-// included), before appending it; up to there it makes exactly the draws
-// of the full walk. Its visited set is its own, a fresh []bool per call,
-// so the oracle shares no state with the production bitsets.
-func seqSample(s *Sampler, r *rng.Source, buf []uint32, stop []bool) (_ []uint32, hit bool) {
+// appends the set to buf. Its visited set is its own, a fresh []bool per
+// call, so the oracle shares no state with the production bitsets.
+func seqSample(s *Sampler, r *rng.Source, buf []uint32) []uint32 {
 	p := s.mustPlan()
 	var root uint32
 	if s.root != nil {
 		root = uint32(s.root.Sample(r))
 	} else {
 		root = uint32(r.Intn(s.g.NumNodes()))
-	}
-	if stop != nil && stop[root] {
-		return buf, true
 	}
 	seen := make([]bool, s.g.NumNodes())
 	// visit marks u and reports whether it was unvisited.
@@ -199,9 +193,6 @@ func seqSample(s *Sampler, r *rng.Source, buf []uint32, stop []bool) (_ []uint32
 				for _, e := range p.gen[p.genOff[x]:p.genOff[x+1]] {
 					if r.Bernoulli64(e.thr) {
 						if u := e.nbr; visit(u) {
-							if stop != nil && stop[u] {
-								return buf, true
-							}
 							buf = append(buf, u)
 						}
 					}
@@ -215,14 +206,11 @@ func seqSample(s *Sampler, r *rng.Source, buf []uint32, stop []bool) (_ []uint32
 			lnq := p.lnq[x]
 			for i := r.Geometric(lnq); i < int64(len(adj)); i += 1 + r.Geometric(lnq) {
 				if u := adj[i]; visit(u) {
-					if stop != nil && stop[u] {
-						return buf, true
-					}
 					buf = append(buf, u)
 				}
 			}
 		}
-		return buf, false
+		return buf
 	}
 	x := root
 	for {
@@ -240,13 +228,10 @@ func seqSample(s *Sampler, r *rng.Source, buf []uint32, stop []bool) (_ []uint32
 		if !visit(u) {
 			break
 		}
-		if stop != nil && stop[u] {
-			return buf, true
-		}
 		buf = append(buf, u)
 		x = u
 	}
-	return buf, false
+	return buf
 }
 
 type refStore struct {

@@ -104,8 +104,8 @@ func (s *Sampler) Plan() (*Plan, error) {
 }
 
 // mustPlan is Plan for the single-walk entry points (AppendSample,
-// HitsMarked, Sample), which return no error: their callers resolve Plan
-// first, so a content error here is a caller's bug and panics.
+// Sample), which return no error: their callers resolve Plan first, so a
+// content error here is a caller's bug and panics.
 func (s *Sampler) mustPlan() *Plan {
 	p, err := s.Plan()
 	if err != nil {
@@ -164,11 +164,11 @@ type laneSpan struct {
 
 // State is the per-goroutine scratch for RR-set generation. A lane's
 // visited set is a bitset over the nodes that is all clear between walks:
-// when a walk ends, on every path, the words of its members are zeroed
-// (unvisit), which clears it exactly at the cost of the set's size, not an
-// O(n) sweep. Single-set walks (AppendSample, HitsMarked, the IC chunk
-// path) use lane 0; the LT chunk path sizes the other lanes' bitsets on
-// first use, so a worker holds at most ltLanes·n/8 bytes of them.
+// when a walk ends, the words of its members are zeroed (unvisit), which
+// clears it exactly at the cost of the set's size, not an O(n) sweep.
+// Single-set walks (AppendSample, the IC chunk path) use lane 0; the LT
+// chunk path sizes the other lanes' bitsets on first use, so a worker
+// holds at most ltLanes·n/8 bytes of them.
 type State struct {
 	lanes [ltLanes]lane
 	spans []laneSpan // LT chunk path: finished sets by chunk position
@@ -209,19 +209,8 @@ func unvisit(vis []uint64, set []uint32) {
 // reverse-walk order (root first), which tests rely on.
 func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf []uint32, setLen int) {
 	start := len(buf)
-	buf, _ = s.walk(s.mustPlan(), r, st, buf, nil)
+	buf = s.walk(s.mustPlan(), r, st, buf)
 	return buf, len(buf) - start
-}
-
-// HitsMarked reports whether the RR set AppendSample would draw from r
-// contains a node v with marked[v]. It is the same walk with the same
-// draws, stopped at the root or at the first marked node in visit order
-// (IC tests a whole frontier once it is visited), so a hit costs a
-// fraction of the full set. buf is the walk's queue scratch; the grown
-// buffer is returned for reuse and holds the nodes visited before the stop.
-func (s *Sampler) HitsMarked(r *rng.Source, st *State, buf []uint32, marked []bool) (hit bool, newBuf []uint32) {
-	buf, hit = s.walk(s.mustPlan(), r, st, buf[:0], marked)
-	return hit, buf
 }
 
 // open draws the root of r's set and starts l's walk: the root is marked
@@ -237,53 +226,29 @@ func (s *Sampler) open(r *rng.Source, l *lane, buf []uint32) ([]uint32, uint32) 
 	return append(buf, root), root
 }
 
-// walk draws one RR set from r through p on lane 0 and appends it to buf.
-// A non-nil stop ends the walk with true at the first node in stop,
-// truncated before it; the walk's draws up to there are those of the full
-// set. IC tests stop once per frontier, LT once per step. Every path
-// leaves lane 0's visited set clear.
-func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32, stop []bool) ([]uint32, bool) {
+// walk draws one RR set from r through p on lane 0 and appends it to buf,
+// leaving lane 0's visited set clear.
+func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32) []uint32 {
 	l := &st.lanes[0]
 	start := len(buf)
 	buf, root := s.open(r, l, buf)
-	cut := -1 // the hit's offset in buf
-	switch {
-	case stop != nil && stop[root]:
-		cut = start
-	case p.model == diffusion.IC:
-	frontiers:
+	if p.model == diffusion.IC {
 		for head := start; head < len(buf); {
 			end := len(buf)
 			buf = p.icFrontier(r, l.vis, buf, head)
-			if stop != nil {
-				for k := end; k < len(buf); k++ {
-					if stop[buf[k]] {
-						cut = k
-						break frontiers
-					}
-				}
-			}
 			head = end
 		}
-	default:
+	} else {
 		// One lane of the chunk path's LT kernel, run on the caller's
 		// stream and buffer.
 		l.r, l.buf, l.x = *r, buf, root
 		for p.ltRound(st.lanes[:1], 1) == 0 {
-			if stop != nil && stop[l.x] {
-				cut = len(l.buf) - 1
-				break
-			}
 		}
 		*r, buf = l.r, l.buf
 		l.buf = nil // the caller owns buf
 	}
-	// The nodes past a hit were marked too: clear before truncating.
 	unvisit(l.vis, buf[start:])
-	if cut >= 0 {
-		return buf[:cut], true
-	}
-	return buf, false
+	return buf
 }
 
 // sampleChunk generates the RR sets with global ids [lo, hi), set id from
@@ -300,7 +265,7 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 		r := &st.lanes[0].r
 		for id := lo; id < hi; id++ {
 			r.SeedStream(seed, uint64(id)|s.stream)
-			buf, _ = s.walk(p, r, st, buf, nil)
+			buf = s.walk(p, r, st, buf)
 			res.offsets = append(res.offsets, int32(len(buf)))
 		}
 		res.buf = buf

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
@@ -13,8 +14,8 @@ import (
 
 // TestStreamPinned pins the sample stream itself: the FNV-1a hash of every
 // RR set's bytes and width w(R) = Σ_{v∈R} d_in(v) (computed here from the
-// graph) for ids [0, 4096), per plan class, and of the
-// HitsMarked answers for one fixed seed set over the verification ids. The
+// graph) for ids [0, 4096), per plan class, and of the hit sequence of one
+// fixed seed set over the verification ids, as ScanStop reads it. The
 // contract "RR set i is a pure function of (seed, i)" is what every store,
 // snapshot and shard relies on, so a kernel rewrite must reproduce these
 // values exactly; a change here is a change of the sampling stream.
@@ -40,9 +41,9 @@ func TestStreamPinned(t *testing.T) {
 		}
 		return s
 	}
-	marked := make([]bool, wc.NumNodes())
-	for v := 0; v < 30; v++ {
-		marked[v] = true
+	hitSeeds := make([]uint32, 30) // nodes 0 … 29
+	for v := range hitSeeds {
+		hitSeeds[v] = uint32(v)
 	}
 	for _, tc := range []struct {
 		name      string
@@ -90,22 +91,29 @@ func TestStreamPinned(t *testing.T) {
 		if got := h.Sum64(); got != tc.sets {
 			t.Errorf("%s: chunk stream hash %#x, pinned %#x", tc.name, got, tc.sets)
 		}
-		// The early-exit hit test over the verification ids.
+		// The hit sequence over the verification ids, read off the scan
+		// one hit at a time (need = 1, resuming after each hit) in windows
+		// of 97 ids.
 		h.Reset()
 		hits := 0
-		for id := uint64(0); id < ids; id++ {
-			SeedVerifyStream(&r, 55, id)
-			var hit bool
-			hit, buf = tc.s.HitsMarked(&r, st, buf, marked)
-			b[0] = 0
-			if hit {
-				b[0] = 1
-				hits++
+		vs := tc.s.VerifySampler()
+		for id := 0; id < ids; {
+			to := min(id+97, ids)
+			hit, _, err := ScanStop(context.Background(), vs, 55, hitSeeds, id, to, 1, 3)
+			if err != nil {
+				t.Fatal(err)
 			}
-			h.Write(b[:1])
+			for ; id <= hit && id < to; id++ {
+				b[0] = 0
+				if id == hit {
+					b[0] = 1
+					hits++
+				}
+				h.Write(b[:1])
+			}
 		}
 		if got := h.Sum64(); got != tc.hit {
-			t.Errorf("%s: HitsMarked hash %#x (%d hits), pinned %#x", tc.name, got, hits, tc.hit)
+			t.Errorf("%s: ScanStop hit hash %#x (%d hits), pinned %#x", tc.name, got, hits, tc.hit)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func (t *tenant) storeBytes() (int64, bool) {
 	if sess == nil {
 		return 0, false
 	}
-	return sess.Stats().StoreBytes, true
+	return sess.StoreBytes(), true
 }
 
 // trySpill asks the tenant's resident session to push everything spillable

@@ -30,10 +30,11 @@ import (
 //   - a second, verification store holding SSA's Estimate-Inf sets. Every
 //     SSA query tests the same verification ids from 0 up, so the first
 //     one that reaches an id samples it and later ones read the seeds'
-//     postings instead of walking the sets again. It is flat and
+//     postings instead of sampling the sets again. It is flat and
 //     in-process, created by the first SSA query, grown under the query's
 //     context and the session's spill budget, counted in StoreBytes, and
-//     not persisted: a recovered session regrows it on demand.
+//     not persisted: a recovered session regrows it on demand. A one-shot
+//     Maximize's session keeps none and scans each window instead.
 //
 // Because RR set i is a pure function of (seed, i), warm reuse is not an
 // approximation: Session.Maximize returns results bit-identical — Seeds,
@@ -54,7 +55,7 @@ type Session struct {
 	sampler *ris.Sampler
 	inst    *tvm.Instance // non-nil for weighted (TVM) sessions
 	store   ris.Store
-	verify  *verifyStore // retained Estimate-Inf sets; nil for a one-shot session
+	verify  *verifyStore // SSA's Estimate-Inf sets
 
 	mu      sync.RWMutex     // store growth: writers top up, readers query
 	solver  *maxcover.Solver // one for every k; locks itself
@@ -66,14 +67,20 @@ type Session struct {
 	snapshotBytes atomic.Int64 // last committed/recovered snapshot file size
 }
 
-// verifyStore is a Session's retained Estimate-Inf stream, with its own
-// lock so SSA verification never waits on coverage growth or the reverse.
-// Where a caller holds both locks, Session.mu is taken first.
+// verifyStore is a Session's Estimate-Inf stream, with its own lock so SSA
+// verification never waits on coverage growth or the reverse. Where a
+// caller holds both locks, Session.mu is taken first.
 type verifyStore struct {
 	mu      sync.RWMutex
-	store   ris.Store    // nil until the first SSA query; guarded by mu
+	store   ris.Store    // nil until the first retained window; guarded by mu
 	sampler *ris.Sampler // the session sampler's Estimate-Inf stream
+	scan    bool         // a one-shot session's: every window is scanned, none kept
 }
+
+// retainedIDs is the verification id range a store can hold (ids are int32
+// there); windows reaching past it are scanned. A variable only so tests
+// can lower it.
+var retainedIDs = ris.MaxSets
 
 // sessionRunLimit bounds the greedy runs the session's solver retains, so a
 // sweeping ε or δ stream cannot grow per-session memory without bound (a run
@@ -218,8 +225,9 @@ func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
 // newSession is NewSession for a long-lived session or, with oneShot, the
 // throw-away session of a one-shot Maximize. That one never revisits a
 // checkpoint prefix or a verification id, so its solver retains one greedy
-// run and it keeps no verification store: SSA streams its Estimate-Inf
-// sets, which holds a cold run's memory to the coverage store.
+// run and it keeps no verification store: SSA scans its Estimate-Inf
+// windows (ris.ScanStop on Workers), which holds a cold run's memory to the
+// coverage store.
 func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("stopandstare: nil graph")
@@ -267,9 +275,8 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 	runLimit := sessionRunLimit
 	if oneShot {
 		runLimit = 1
-	} else {
-		s.verify = &verifyStore{sampler: sampler.VerifySampler()}
 	}
+	s.verify = &verifyStore{sampler: sampler.VerifySampler(), scan: oneShot}
 	s.solver = maxcover.NewCachedSolver(s.store, runLimit)
 	s.words.New = func() any { return new([]uint64) }
 	return s, nil
@@ -360,13 +367,10 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 	}
 	env := sessionEnv{s: s, ctx: ctx}
 	var cres *core.Result
-	switch {
-	case algo == DSSA:
+	if algo == DSSA {
 		cres, err = core.DSSAWith(copt, env)
-	case s.verify != nil:
+	} else {
 		cres, err = core.SSAWith(copt, verifyEnv{env})
-	default:
-		cres, err = core.SSAWith(copt, env)
 	}
 	if err != nil {
 		return nil, err
@@ -392,35 +396,27 @@ func (s *Session) Stats() SessionStats {
 	s.mu.RLock()
 	samples := s.store.Len()
 	items := s.store.Items()
-	// Plan bytes are read BEFORE the store total inside the same read-lock
-	// section: PlanBytes is monotone (0 → compiled size, once), so total —
-	// which re-reads it inside Store.Bytes — can only see a value ≥ plan,
-	// keeping StoreBytes = total − plan non-negative even if another
-	// sampler on the same graph compiles the plan mid-snapshot.
-	plan := s.sampler.PlanBytes()
-	total := s.store.Bytes()
 	spill := s.store.SpillStats()
 	s.mu.RUnlock()
 	var vsamples int
-	var vbytes int64
-	if v := s.verify; v != nil {
-		v.mu.RLock()
-		if v.store != nil {
-			vsamples = v.store.Len()
-			vbytes = v.store.Bytes() - plan // the verification sampler shares the plan
-			vspill := v.store.SpillStats()
-			spill.SpilledBytes += vspill.SpilledBytes
-			spill.FileBytes += vspill.FileBytes
-		}
-		v.mu.RUnlock()
+	v := s.verify
+	v.mu.RLock()
+	if v.store != nil {
+		vsamples = v.store.Len()
+		vspill := v.store.SpillStats()
+		spill.SpilledBytes += vspill.SpilledBytes
+		spill.FileBytes += vspill.FileBytes
 	}
+	v.mu.RUnlock()
+	plan := s.sampler.PlanBytes()
+	cbytes, vbytes := s.storeBytes()
 	runs, solverBytes := s.solver.Retained()
 	return SessionStats{
 		Queries:            s.queries.Load(),
 		Growths:            s.growths.Load(),
 		Samples:            samples,
 		Items:              items,
-		StoreBytes:         total - plan + vbytes, // Store.Bytes includes the shared plan
+		StoreBytes:         cbytes + vbytes,
 		VerifySamples:      vsamples,
 		VerifyBytes:        vbytes,
 		StoreSpilledBytes:  spill.SpilledBytes,
@@ -433,6 +429,34 @@ func (s *Session) Stats() SessionStats {
 		Recovered:          s.recovered,
 		SnapshotBytes:      s.snapshotBytes.Load(),
 	}
+}
+
+// StoreBytes is Stats().StoreBytes read alone: the stores' resident bytes,
+// under their read locks only. The serving manager's budget reads it for
+// every tenant on every pass.
+func (s *Session) StoreBytes() int64 {
+	cbytes, vbytes := s.storeBytes()
+	return cbytes + vbytes
+}
+
+// storeBytes returns the resident bytes of the coverage store and of the
+// verification store. Store.Bytes includes the shared plan, so the plan is
+// subtracted, read BEFORE each store total: PlanBytes is monotone (0 →
+// compiled size, once), so a total — which re-reads it — can only see a
+// value ≥ plan, keeping both results non-negative even if another sampler
+// on the same graph compiles the plan mid-read.
+func (s *Session) storeBytes() (coverage, verify int64) {
+	s.mu.RLock()
+	plan := s.sampler.PlanBytes()
+	coverage = s.store.Bytes() - plan
+	s.mu.RUnlock()
+	v := s.verify
+	v.mu.RLock()
+	if v.store != nil {
+		verify = v.store.Bytes() - plan
+	}
+	v.mu.RUnlock()
+	return coverage, verify
 }
 
 // SpillTo spills the stores' coldest units until their resident RR bytes
@@ -449,12 +473,9 @@ func (s *Session) SpillTo(budget int64) (int64, error) {
 	if !s.store.SpillStats().Enabled {
 		return 0, nil
 	}
-	var vst ris.Store
-	if s.verify != nil {
-		s.verify.mu.Lock()
-		defer s.verify.mu.Unlock()
-		vst = s.verify.store
-	}
+	s.verify.mu.Lock()
+	defer s.verify.mu.Unlock()
+	vst := s.verify.store
 	plan := s.sampler.PlanBytes() // both stores' Bytes include it
 	before := s.store.Bytes()
 	var freed int64
@@ -530,8 +551,10 @@ func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
 	return ris.CoverageRangeSeedsMarks(e.s.store, w, seeds, from, to)
 }
 
-// verifyEnv is sessionEnv with the core.Verifier extension: SSA queries of
-// a long-lived session answer Estimate-Inf from its verification store.
+// verifyEnv is sessionEnv with the core.Verifier extension: a long-lived
+// session answers SSA's Estimate-Inf windows from its verification store,
+// a one-shot session by scanning them on its Workers under the query's
+// context.
 type verifyEnv struct{ sessionEnv }
 
 func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (int, int64, bool) {
@@ -539,6 +562,13 @@ func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (in
 		panic(&growthFailed{err: err})
 	}
 	v := e.s.verify
+	if v.scan || to > retainedIDs {
+		id, cov, err := ris.ScanStop(e.ctx, v.sampler, e.s.opt.Seed, seeds, from, to, need, e.s.opt.Workers)
+		if err != nil {
+			panic(&growthFailed{err: err})
+		}
+		return id, cov, false
+	}
 	// Verification growth is not counted in Session.growths: that counter
 	// is the coverage store's, and request coalescing is pinned to it.
 	grew := e.s.grow(e.ctx, &v.mu, &v.store, v.sampler, to)

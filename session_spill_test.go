@@ -145,3 +145,34 @@ func TestSessionDifferentialSpilled(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionStoreBytesMatchesStats pins Session.StoreBytes, the serving
+// budget's per-pass read, to Stats().StoreBytes on a session whose coverage
+// and verification stores both grew and spilled under a budget.
+func TestSessionStoreBytesMatchesStats(t *testing.T) {
+	g, err := stopandstare.GeneratePowerLaw(400, 2400, 2.1, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
+		Seed: 3, Workers: 2, SpillBudgetBytes: 64 << 10, SpillDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []stopandstare.Query{
+		{Algorithm: stopandstare.DSSA, K: 8, Epsilon: 0.2},
+		{Algorithm: stopandstare.SSA, K: 8, Epsilon: 0.2},
+	} {
+		if _, err := sess.Maximize(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sess.Stats()
+	if st.Samples == 0 || st.VerifySamples == 0 || st.VerifyBytes <= 0 || st.StoreSpilledBytes == 0 {
+		t.Fatalf("want both stores grown and some data spilled: %+v", st)
+	}
+	if got := sess.StoreBytes(); got != st.StoreBytes {
+		t.Fatalf("StoreBytes() = %d, Stats().StoreBytes = %d", got, st.StoreBytes)
+	}
+}

@@ -328,53 +328,97 @@ func TestSessionMaximizeContextCancel(t *testing.T) {
 }
 
 // TestSessionSSAVerificationCancel pins cancellation inside SSA's
-// verification: on a session whose coverage store is already warm, a
-// context that fires during Estimate-Inf stops the query with
-// context.Canceled, and the uncanceled query then answers, and leaves the
-// verification store, exactly as a never-canceled twin does.
+// verification, for a long-lived session (which grows its verification
+// store) and a one-shot one (which scans): on a session whose coverage
+// store is already warm, a context that fires during Estimate-Inf stops the
+// query with context.Canceled, and the uncanceled query then answers, and
+// leaves the verification store, exactly as a never-canceled twin does.
 func TestSessionSSAVerificationCancel(t *testing.T) {
 	g, err := GeneratePowerLaw(400, 2400, 2.1, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sessions [2]*Session
-	for i := range sessions {
-		if sessions[i], err = NewSession(g, IC, SessionOptions{Seed: 5, Workers: 2}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sessions[i].Maximize(Query{K: 5, Epsilon: 0.1}); err != nil { // warms coverage
-			t.Fatal(err)
-		}
-	}
-	sess, ref := sessions[0], sessions[1]
-	q := Query{Algorithm: SSA, K: 5, Epsilon: 0.3}
-	samples := sess.Stats().Samples
-	canceled := 0
-	for _, after := range []int64{1, 2, 3, 5, 8} {
-		ctx := &cancelAfterCtx{Context: context.Background(), after: after}
-		if _, err := sess.MaximizeContext(ctx, q); err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("after=%d err = %v", after, err)
+	for _, oneShot := range []bool{false, true} {
+		var sessions [2]*Session
+		for i := range sessions {
+			if sessions[i], err = newSession(g, IC, SessionOptions{Seed: 5, Workers: 2}, oneShot); err != nil {
+				t.Fatal(err)
 			}
-			canceled++
+			if _, err := sessions[i].Maximize(Query{K: 5, Epsilon: 0.1}); err != nil { // warms coverage
+				t.Fatal(err)
+			}
 		}
-		if st := sess.Stats(); st.Samples != samples {
-			t.Fatalf("after=%d: the coverage store moved %d → %d; the test needs it warm", after, samples, st.Samples)
+		sess, ref := sessions[0], sessions[1]
+		q := Query{Algorithm: SSA, K: 5, Epsilon: 0.3}
+		samples := sess.Stats().Samples
+		canceled := 0
+		for _, after := range []int64{1, 2, 3, 5, 8} {
+			ctx := &cancelAfterCtx{Context: context.Background(), after: after}
+			if _, err := sess.MaximizeContext(ctx, q); err != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("one-shot %v after=%d err = %v", oneShot, after, err)
+				}
+				canceled++
+			}
+			if st := sess.Stats(); st.Samples != samples {
+				t.Fatalf("one-shot %v after=%d: the coverage store moved %d → %d; the test needs it warm", oneShot, after, samples, st.Samples)
+			}
+		}
+		if canceled == 0 {
+			t.Fatalf("one-shot %v: no flip point canceled — test exercised nothing", oneShot)
+		}
+		want, err := ref.Maximize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Maximize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSessionAnswer(t, "post-cancel SSA query", got, want)
+		a, b := sess.Stats().VerifySamples, ref.Stats().VerifySamples
+		if a != b || oneShot && a != 0 {
+			t.Fatalf("one-shot %v: verification stores diverged: %d vs never-canceled %d sets", oneShot, a, b)
 		}
 	}
-	if canceled == 0 {
-		t.Fatal("no flip point canceled — test exercised nothing")
-	}
-	want, err := ref.Maximize(q)
+}
+
+// TestSessionScansPastRetainedIDs lowers the verification id range a store
+// can hold: windows reaching past it are scanned, so a session's SSA
+// answers equal those it gives at the real limit while its store stops at
+// the lowered one.
+func TestSessionScansPastRetainedIDs(t *testing.T) {
+	g, err := GeneratePowerLaw(400, 2400, 2.1, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Maximize(q)
-	if err != nil {
-		t.Fatal(err)
+	qs := []Query{{Algorithm: SSA, K: 4, Epsilon: 0.3}, {Algorithm: SSA, K: 8, Epsilon: 0.2}, {Algorithm: SSA, K: 4, Epsilon: 0.3}}
+	const limit = 500
+	var answers [2][]*Result
+	var retained [2]int
+	for i, ids := range []int{retainedIDs, limit} {
+		defer func(old int) { retainedIDs = old }(retainedIDs)
+		retainedIDs = ids
+		sess, err := NewSession(g, LT, SessionOptions{Seed: 5, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			res, err := sess.Maximize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = append(answers[i], res)
+		}
+		retained[i] = sess.Stats().VerifySamples
 	}
-	sameSessionAnswer(t, "post-cancel SSA query", got, want)
-	if a, b := sess.Stats().VerifySamples, ref.Stats().VerifySamples; a != b {
-		t.Fatalf("verification stores diverged: %d vs never-canceled %d sets", a, b)
+	for i := range qs {
+		sameSessionAnswer(t, "past the store's limit", answers[1][i], answers[0][i])
+	}
+	if retained[0] <= limit {
+		t.Fatalf("the queries reached verification id %d and never crossed the lowered limit", retained[0])
+	}
+	if n := retained[1]; n == 0 || n > limit {
+		t.Fatalf("verification store holds %d sets, want some and at most %d", n, limit)
 	}
 }

@@ -252,8 +252,8 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 // and solver machinery, so the cold path and the serving path cannot drift
 // apart. Its schedule never returns to a prefix or a verification id, so the
 // solver retains one greedy run, not a serving session's cache of them, and
-// SSA streams its Estimate-Inf sets instead of keeping them. opt must be
-// filled.
+// SSA scans its Estimate-Inf windows on opt.Workers instead of keeping the
+// sets. opt must be filled.
 func maximizeOnce(g *Graph, model Model, algo Algorithm, opt Options, weights []float64) (*Result, error) {
 	sess, err := newSession(g, model, SessionOptions{Seed: opt.Seed, Workers: opt.Workers, Weights: weights}, true)
 	if err != nil {
