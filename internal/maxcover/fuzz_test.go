@@ -82,53 +82,67 @@ func coverSets(col interface{ Set(int) []uint32 }, covered []bool, upto int, see
 // a sched-driven order with k jumping up and down (into the padded tail of
 // the 14-node graph): cached, resumed, evicted and recycled runs must all
 // answer as a fresh Greedy does.
+//
+// Each input runs twice: at the default parallelMin, and at 0, where every
+// new run of the two-worker store is built on the parallel path (split
+// seek, per-range passes, concurrent subtree heapify).
 func FuzzSolverAgainstGreedyOracle(f *testing.F) {
 	f.Add(uint64(1), uint64(40), uint64(3), uint64(0x010307))
 	f.Add(uint64(7), uint64(9), uint64(1), uint64(0x050505))
 	f.Add(uint64(23), uint64(77), uint64(5), uint64(0x3f0101))
 	f.Add(uint64(99), uint64(1), uint64(9), uint64(0))
+	def := parallelMin
+	f.Cleanup(func() { parallelMin = def })
 	f.Fuzz(func(t *testing.T, seed, nSetsRaw, kRaw, sched uint64) {
-		nSets := int(nSetsRaw%96) + 1
-		k := int(kRaw%7) + 1
-		col := buildCollection(t, 14, 45, 0, seed%4096+1)
-		sol := NewSolver(col)
-		cuts := checkpointsFrom(sched, nSets)
-		for _, upto := range cuts {
-			col.GenerateTo(upto)
-			got := sol.Solve(upto, k)
-			want := Greedy(col, upto, k)
-			assertSameResult(t, "fuzz incremental vs fresh", got, want)
-			if rec := CoverageOf(col, got.Seeds, upto); rec != got.Coverage {
-				t.Fatalf("coverage recount %d != reported %d (upto=%d seeds=%v)",
-					rec, got.Coverage, upto, got.Seeds)
-			}
-			covered := make([]bool, upto)
-			var total int64
-			for _, s := range got.Seeds {
-				gains := bruteGains(col, covered, upto)
-				var maxGain int64
-				for _, gv := range gains {
-					if gv > maxGain {
-						maxGain = gv
-					}
-				}
-				if gains[s] != maxGain {
-					t.Fatalf("greedy invariant violated: seed %d has gain %d, max is %d (upto=%d seeds=%v)",
-						s, gains[s], maxGain, upto, got.Seeds)
-				}
-				total += gains[s]
-				coverSets(col, covered, upto, s)
-			}
-			if total != got.Coverage {
-				t.Fatalf("oracle gain sum %d != reported coverage %d", total, got.Coverage)
-			}
-		}
-		inter := NewCachedSolver(col, int(sched>>24)%3+1)
-		for i, w := 0, sched^seed; i < 10; i, w = i+1, bits.RotateLeft64(w, -5) {
-			upto, kk := cuts[w%uint64(len(cuts))], int((w>>2)%16)+1
-			assertSameResult(t, "fuzz interleaved vs fresh", inter.Solve(upto, kk), Greedy(col, upto, kk))
+		for _, pm := range []int{def, 0} {
+			parallelMin = pm
+			checkSolverAgainstOracle(t, seed, nSetsRaw, kRaw, sched)
 		}
 	})
+}
+
+// checkSolverAgainstOracle is one FuzzSolverAgainstGreedyOracle input.
+func checkSolverAgainstOracle(t *testing.T, seed, nSetsRaw, kRaw, sched uint64) {
+	nSets := int(nSetsRaw%96) + 1
+	k := int(kRaw%7) + 1
+	col := buildCollection(t, 14, 45, 0, seed%4096+1)
+	sol := NewSolver(col)
+	cuts := checkpointsFrom(sched, nSets)
+	for _, upto := range cuts {
+		col.GenerateTo(upto)
+		got := sol.Solve(upto, k)
+		want := Greedy(col, upto, k)
+		assertSameResult(t, "fuzz incremental vs fresh", got, want)
+		if rec := CoverageOf(col, got.Seeds, upto); rec != got.Coverage {
+			t.Fatalf("coverage recount %d != reported %d (upto=%d seeds=%v)",
+				rec, got.Coverage, upto, got.Seeds)
+		}
+		covered := make([]bool, upto)
+		var total int64
+		for _, s := range got.Seeds {
+			gains := bruteGains(col, covered, upto)
+			var maxGain int64
+			for _, gv := range gains {
+				if gv > maxGain {
+					maxGain = gv
+				}
+			}
+			if gains[s] != maxGain {
+				t.Fatalf("greedy invariant violated: seed %d has gain %d, max is %d (upto=%d seeds=%v)",
+					s, gains[s], maxGain, upto, got.Seeds)
+			}
+			total += gains[s]
+			coverSets(col, covered, upto, s)
+		}
+		if total != got.Coverage {
+			t.Fatalf("oracle gain sum %d != reported coverage %d", total, got.Coverage)
+		}
+	}
+	inter := NewCachedSolver(col, int(sched>>24)%3+1)
+	for i, w := 0, sched^seed; i < 10; i, w = i+1, bits.RotateLeft64(w, -5) {
+		upto, kk := cuts[w%uint64(len(cuts))], int((w>>2)%16)+1
+		assertSameResult(t, "fuzz interleaved vs fresh", inter.Solve(upto, kk), Greedy(col, upto, kk))
+	}
 }
 
 // FuzzBudgetedSolverAgainstRatioOracle is the budgeted analogue: one

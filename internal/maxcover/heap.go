@@ -1,5 +1,7 @@
 package maxcover
 
+import "math/bits"
+
 // heapOrdered is implemented by heap elements; above reports whether the
 // receiver has strictly higher priority (max-heap order).
 type heapOrdered[T any] interface{ above(T) bool }
@@ -56,6 +58,72 @@ func heapDown[T heapOrdered[T]](h []T, i0, n int) {
 			j = j2 // right child
 		}
 		if !h[j].above(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// heapify is heapInit on the concrete candidate type — Floyd's pass,
+// siftDown(i) for i from len(h)/2−1 down to 0 — with the subtrees rooted
+// at one level sifted concurrently on workers goroutines once h holds
+// parallelMin candidates, and the levels above them serially after.
+// siftDown(i) reads and writes only i's subtree, and every node is still
+// sifted after all of its descendants, so the array is byte-identical to
+// the serial pass for any worker count.
+func heapify(h []candidate, workers int) {
+	inner := len(h) / 2 // nodes [0, inner) have children
+	top := inner        // nodes [0, top) are sifted serially, last
+	// The level with four roots per worker, so that subtrees the partly
+	// filled bottom level leaves unequal still balance, or the lowest level
+	// with children when the heap is shallower.
+	roots := 1 << bits.Len(uint(4*workers-1))
+	for roots > 1 && roots-1 >= inner {
+		roots >>= 1
+	}
+	if workers > 1 && len(h) >= parallelMin && roots > 1 {
+		top = roots - 1
+		last := min(2*roots-1, inner) // the roots with children: [top, last)
+		// Every workers-th root: the bigger subtrees sit left, so this
+		// deals them out evenly.
+		parallel(workers, func(p int) {
+			for r := top + p; r < last; r += workers {
+				siftSubtree(h, r, inner)
+			}
+		})
+	}
+	for i := top - 1; i >= 0; i-- {
+		siftDown(h, i, len(h))
+	}
+}
+
+// siftSubtree runs siftDown over the inner nodes of r's subtree, deepest
+// level first. The nodes d levels below r are [(r+1)·2^d − 1, (r+2)·2^d − 1).
+func siftSubtree(h []candidate, r, inner int) {
+	d := 0
+	for (r+1)<<(d+1)-1 < inner {
+		d++
+	}
+	for ; d >= 0; d-- {
+		lo, hi := (r+1)<<d-1, min((r+2)<<d-1, inner)
+		for i := hi - 1; i >= lo; i-- {
+			siftDown(h, i, len(h))
+		}
+	}
+}
+
+// siftDown is heapDown on the concrete candidate type.
+func siftDown(h []candidate, i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].gain > h[j].gain {
+			j = j2
+		}
+		if h[j].gain <= h[i].gain {
 			break
 		}
 		h[i], h[j] = h[j], h[i]

@@ -33,8 +33,15 @@ import (
 // The solver retains at most limit runs, least recently used first out. An
 // evicted run that no call holds hands its arrays to the next run, so a
 // one-run solver (NewSolver: one-shot schedules never revisit a prefix)
-// allocates per checkpoint only the returned seeds; one still held stays
-// valid for its holder and is left to the collector.
+// allocates per checkpoint only the returned seeds and a few words of
+// goroutine bookkeeping, nothing O(n); one still held stays valid for its
+// holder and is left to the collector.
+//
+// A new run is built on the store's Workers: a long seek counts its two
+// halves on two goroutines, the gain copy and the ascending heap layout run
+// per node range, and the heap's lower subtrees are heapified concurrently.
+// Each step yields the arrays the serial one does, byte for byte (see
+// load, start and heapify), so the worker count never shows in a result.
 //
 // Concurrency: mu covers the run list and the gain cursor and is held only
 // for a lookup or a seek; each run has its own lock for extension and
@@ -43,8 +50,9 @@ import (
 // interface only and is insensitive to its postings-run ordering, so every
 // shard count yields bit-identical Seeds and Coverage.
 type Solver struct {
-	c     ris.Store
-	limit int
+	c       ris.Store
+	limit   int
+	workers int // goroutines a new run is built on
 
 	mu      sync.Mutex // guards the fields below and every run's pins, bytes
 	scanned int        // gains counts RR sets [0, scanned)
@@ -79,8 +87,14 @@ func NewCachedSolver(c ris.Store, limit int) *Solver {
 	if limit < 1 {
 		limit = 1
 	}
-	return &Solver{c: c, limit: limit, gains: make([]int32, c.NumNodes())}
+	return &Solver{c: c, limit: limit, workers: max(c.Workers(), 1), gains: make([]int32, c.NumNodes())}
 }
+
+// parallelMin is the fewest nodes, heap candidates or sets moved by a seek
+// that new-run construction splits across workers: below it a goroutine
+// costs more than its share of the pass. A variable only so tests can
+// lower it.
+var parallelMin = 1 << 15
 
 // Scanned returns the prefix length the gain cursor stands at: the prefix of
 // the most recently created run.
@@ -165,10 +179,14 @@ func (s *Solver) acquire(upto int) *run {
 	s.runs = append(s.runs, r)
 	r.upto, r.pins = upto, 1
 	r.mu.Lock()
-	s.seek(upto)
-	r.work = append(r.work[:0], s.gains...)
+	if n := len(s.gains); cap(r.work) < n {
+		r.work = make([]int32, n)
+	} else {
+		r.work = r.work[:n]
+	}
+	fills := s.load(upto, r.work)
 	s.mu.Unlock()
-	r.start()
+	r.start(fills, s.workers)
 	return r
 }
 
@@ -184,33 +202,102 @@ func (s *Solver) release(r *run) {
 
 // seek moves the gain cursor to upto by adding or subtracting the sets in
 // between (ForEachSet, so a sharded store walks its shard runs without
-// per-id lookups), or recounts from zero when that reads fewer sets.
-func (s *Solver) seek(upto int) {
-	gains := s.gains
+// per-id lookups), or recounts from zero when that reads fewer sets. A move
+// of parallelMin sets or more on several workers counts its second half
+// into spare on a second goroutine and returns the sign with which spare
+// still has to be folded into the cursor (0: spare is unused). Integer
+// addition is associative, so the folded cursor is the serial one.
+func (s *Solver) seek(upto int, spare []int32) (sign int32) {
 	if upto < s.scanned-upto {
-		clear(gains)
+		clear(s.gains)
 		s.scanned = 0
 	}
-	if upto >= s.scanned {
-		s.c.ForEachSet(s.scanned, upto, func(_ int, set []uint32) {
-			for _, v := range set {
-				gains[v]++
-			}
-		})
-	} else {
-		s.c.ForEachSet(upto, s.scanned, func(_ int, set []uint32) {
-			for _, v := range set {
-				gains[v]--
-			}
-		})
+	from, to, d := s.scanned, upto, int32(1)
+	if upto < s.scanned {
+		from, to, d = upto, s.scanned, -1
 	}
 	s.scanned = upto
+	if s.workers < 2 || to-from < parallelMin {
+		addSets(s.c, s.gains, from, to, d)
+		return 0
+	}
+	mid := from + (to-from)/2
+	parallel(2, func(half int) {
+		if half == 0 {
+			addSets(s.c, s.gains, from, mid, d)
+		} else {
+			clear(spare)
+			addSets(s.c, spare, mid, to, 1)
+		}
+	})
+	return d
+}
+
+// addSets adds d to gains[v] for every member v of the sets [from, to).
+func addSets(c ris.Store, gains []int32, from, to int, d int32) {
+	c.ForEachSet(from, to, func(_ int, set []uint32) {
+		for _, v := range set {
+			gains[v] += d
+		}
+	})
+}
+
+// parts is the number of node ranges a new run's passes split into.
+func (s *Solver) parts() int {
+	if s.workers > 1 && len(s.gains) >= parallelMin {
+		return s.workers
+	}
+	return 1
+}
+
+// parallel runs fn(0), …, fn(parts−1) concurrently, fn(0) on the calling
+// goroutine, and waits for all of them.
+func parallel(parts int, fn func(p int)) {
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			fn(p)
+		}(p)
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// nodeRange is the p-th of parts contiguous ranges [lo, hi) of [0, n).
+func nodeRange(n, p, parts int) (lo, hi int) { return n * p / parts, n * (p + 1) / parts }
+
+// load moves the gain cursor to upto and leaves the prefix's gain counts in
+// work, the new run's gain array, which the seek may use as scratch first.
+// One pass per node range folds that scratch into the cursor, copies the
+// counts and counts the positive ones; it returns those counts per range,
+// for start's layout.
+func (s *Solver) load(upto int, work []int32) []int {
+	sign := s.seek(upto, work)
+	fills := make([]int, s.parts())
+	parallel(len(fills), func(p int) {
+		lo, hi := nodeRange(len(work), p, len(fills))
+		gains, work := s.gains[lo:hi], work[lo:hi]
+		fill := 0
+		for v, g := range gains {
+			g += sign * work[v]
+			gains[v], work[v] = g, g
+			if g > 0 {
+				fill++
+			}
+		}
+		fills[p] = fill
+	})
+	return fills
 }
 
 // start resets the selection state around work, which holds the prefix's
 // gain counts: nothing picked, nothing covered, every node with a positive
-// gain on the heap in ascending node order.
-func (r *run) start() {
+// gain on the heap in ascending node order. fills[p] counts the positive
+// gains in load's p-th node range, so each range lays its candidates out at
+// its own offset and the array is the one a serial pass appends.
+func (r *run) start(fills []int, workers int) {
 	r.seeds, r.cum = r.seeds[:0], r.cum[:0]
 	words := (r.upto + 63) / 64
 	if cap(r.covered) < words {
@@ -219,24 +306,33 @@ func (r *run) start() {
 	r.covered = r.covered[:words]
 	clear(r.covered)
 	// Size the heap exactly: a push always follows a pop of the same node,
-	// so it never outgrows its initial fill, and growing by append from a
-	// smaller capacity costs more than this counting pass.
+	// so it never outgrows its initial fill.
 	fill := 0
-	for _, g := range r.work {
-		if g > 0 {
-			fill++
-		}
+	for _, f := range fills {
+		fill += f
 	}
 	if cap(r.h) < fill {
-		r.h = make([]candidate, 0, fill)
+		r.h = make([]candidate, fill)
 	}
-	r.h = r.h[:0]
-	for v, g := range r.work {
-		if g > 0 {
-			r.h = append(r.h, candidate{node: uint32(v), gain: g})
+	r.h = r.h[:fill]
+	parallel(len(fills), func(p int) {
+		lo, _ := nodeRange(len(r.work), p, len(fills))
+		j := 0
+		for _, f := range fills[:p] {
+			j += f
 		}
-	}
-	heapInit(r.h)
+		// Every node is written and only a positive one kept, which spares
+		// a mispredicted branch per node; slot j is this range's own until
+		// its last candidate is placed.
+		for v, end := lo, j+fills[p]; j < end; v++ {
+			g := r.work[v]
+			r.h[j] = candidate{node: uint32(v), gain: g}
+			if g > 0 {
+				j++
+			}
+		}
+	})
+	heapify(r.h, workers)
 }
 
 // extend resumes the lazy-greedy loop until the run has k picks or no node
@@ -276,10 +372,11 @@ func (r *run) extend(c ris.Store, k int) {
 			if !ok {
 				break
 			}
+			sets := ris.NewSetReader(c)
 			for _, id := range ids {
 				if w, bit := id>>6, uint64(1)<<(id&63); r.covered[w]&bit == 0 {
 					r.covered[w] |= bit
-					for _, u := range c.Set(int(id)) {
+					for _, u := range sets.Set(int(id)) {
 						r.work[u]--
 					}
 				}

@@ -3,6 +3,7 @@ package maxcover
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stopandstare/internal/diffusion"
@@ -143,6 +144,63 @@ func TestSolverInterleavedMatchesGreedy(t *testing.T) {
 				if runs, _ := sol.Retained(); runs > limit {
 					t.Fatalf("%s: %d runs retained", ctx, runs)
 				}
+			}
+		}
+	}
+}
+
+// TestRunLayoutMatchesSerial pins the parallel construction of a new run
+// to the serial one: with parallelMin lowered to 64, a solver on 2–4
+// workers must leave the gain cursor, the new run's work array and its heap
+// equal, element for element, to a one-worker solver's after every seek —
+// forward, backward by subtraction, backward by recount, and one shorter
+// than parallelMin — on graphs with fewer and more nodes than parallelMin,
+// whose gains tie heavily (the heap layout decides between ties). Solve
+// sequences across prefixes and k must then equal Greedy.
+func TestRunLayoutMatchesSerial(t *testing.T) {
+	defer func(old int) { parallelMin = old }(parallelMin)
+	parallelMin = 64
+	for _, n := range []int{40, 300} {
+		// At most about ten sets per node, so that gains tie heavily.
+		var ladder []int
+		for _, upto := range []int{300, 1200, 2000, 1500, 200, 900, 940, 2000} {
+			ladder = append(ladder, upto*n/300)
+		}
+		col := buildCollection(t, n, n/2, 2000*n/300, uint64(n))
+		for workers := 1; workers <= 4; workers++ {
+			serial, par := NewSolver(col), NewSolver(col)
+			serial.workers, par.workers = 1, workers
+			for _, upto := range ladder {
+				ctx := fmt.Sprintf("n=%d workers=%d upto=%d", n, workers, upto)
+				rs, rp := serial.acquire(upto), par.acquire(upto)
+				if !slices.Equal(serial.gains, par.gains) {
+					t.Fatalf("%s: gain cursors differ", ctx)
+				}
+				if !slices.Equal(rs.work, rp.work) {
+					t.Fatalf("%s: work arrays differ", ctx)
+				}
+				if !slices.Equal(rs.h, rp.h) {
+					t.Fatalf("%s: heaps differ", ctx)
+				}
+				gains := map[int32]bool{}
+				for _, c := range rs.h {
+					gains[c.gain] = true
+				}
+				if ties := len(rs.h) - len(gains); 3*ties < len(rs.h) {
+					t.Fatalf("%s: %d candidates over %d distinct gains: too few ties", ctx, len(rs.h), len(gains))
+				}
+				serial.release(rs)
+				par.release(rp)
+			}
+			sol := NewCachedSolver(col, 3)
+			sol.workers = workers
+			for i, upto := range ladder {
+				k := []int{1, 5, 12}[i%3]
+				want := NewSolver(col)
+				want.workers = 1
+				ctx := fmt.Sprintf("n=%d workers=%d upto=%d k=%d", n, workers, upto, k)
+				assertSameResult(t, ctx, sol.Solve(upto, k), want.Solve(upto, k))
+				assertSameResult(t, ctx, sol.Solve(upto, k), Greedy(col, upto, k))
 			}
 		}
 	}
@@ -297,4 +355,35 @@ func BenchmarkCheckpointGreedyIncremental(b *testing.B) {
 			sol.Solve(upto, 50)
 		}
 	}
+}
+
+// BenchmarkSolverFirstVisit measures a first visit to a prefix, which builds
+// a new run: each iteration takes a fresh cached solver and solves k = 5
+// over a D-SSA prefix ladder — each prefix half of the store its checkpoint
+// grew to — on a one-shard store over 2^18 nodes, grown by doubling.
+// ns/run is the time per prefix.
+func BenchmarkSolverFirstVisit(b *testing.B) {
+	const n = 1 << 18
+	g, err := gen.ErdosRenyi(n, 2*n, 3, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := ris.NewSampler(g, diffusion.IC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := ris.NewStore(s, 7, ris.StoreOptions{})
+	var ladder []int
+	for half := 1 << 12; half <= 1<<17; half *= 2 {
+		col.GenerateTo(2 * half)
+		ladder = append(ladder, half)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol := NewCachedSolver(col, len(ladder))
+		for _, half := range ladder {
+			sol.Solve(half, 5)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ladder)), "ns/run")
 }

@@ -94,16 +94,18 @@ const scanSlice = 1 << 16
 // same answer a store built on (s, seed) would give for [from, to), with
 // nothing kept. It samples the window through the chunk kernel on workers
 // goroutines (≤ 0 ⇒ GOMAXPROCS), scanSlice ids at a time, and tests each
-// set against the seeds in a bitset over the nodes. Cancellation and the
-// plan's content error are sampleChunksCtx's.
+// set against the seeds in a bitset over the nodes. Every slice is sampled
+// into the first slice's chunk buffers, so a scan allocates about one
+// slice's sets however many ids it tests. Cancellation and the plan's
+// content error are sampleChunksCtx's.
 func ScanStop(ctx context.Context, s *Sampler, seed uint64, seeds []uint32, from, to int, need int64, workers int) (id int, cov int64, err error) {
 	in := make([]uint64, visWords(s.g.NumNodes()))
 	for _, v := range seeds {
 		in[v>>6] |= 1 << (v & 63)
 	}
+	var chunks []chunkResult
 	for lo := max(from, 0); lo < to; lo += scanSlice {
-		chunks, err := sampleChunksCtx(ctx, s, seed, lo, lo+min(scanSlice, to-lo), workers)
-		if err != nil {
+		if chunks, err = sampleChunksInto(ctx, s, seed, lo, lo+min(scanSlice, to-lo), workers, chunks); err != nil {
 			return 0, 0, err
 		}
 		id := lo

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -367,6 +368,33 @@ func TestScanStopMatchesStopIndex(t *testing.T) {
 	}
 }
 
+// TestScanStopAllocatesOneSlice pins ScanStop's garbage: every slice of a
+// window is sampled into the first slice's chunk buffers, so a 2^20-id scan
+// (sixteen slices) allocates at most about two slices' worth of bytes, a
+// slice's worth being what a one-slice scan allocates.
+func TestScanStopAllocatesOneSlice(t *testing.T) {
+	g, err := gen.ChungLu(250, 1400, 2.1, 89, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		vs := mustSampler(t, g, model).VerifySampler()
+		alloc := func(to int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, _, err := ScanStop(context.Background(), vs, 7, []uint32{0}, 0, to, math.MaxInt64, 2); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		alloc(scanSlice) // compiles the plan
+		if one, all := alloc(scanSlice), alloc(1<<20); all > 2*one {
+			t.Fatalf("%v: a 2^20-id scan allocated %d B, a one-slice scan %d B", model, all, one)
+		}
+	}
+}
+
 // TestVerifySamplerStoreIsVerifyStream pins what a store on VerifySampler
 // holds: set i is the set SeedVerifyStream(seed, i) draws, for both models.
 func TestVerifySamplerStoreIsVerifyStream(t *testing.T) {
@@ -385,6 +413,52 @@ func TestVerifySamplerStoreIsVerifyStream(t *testing.T) {
 			if want := s.Sample(&r, state); !slices.Equal(st.Set(i), want) {
 				t.Fatalf("%v set %d = %v, verification stream draws %v", model, i, st.Set(i), want)
 			}
+		}
+	}
+}
+
+// TestSetReaderMatchesSet reads every set of a resident, a spilled (several
+// mapped extents behind a tail) and a three-shard store through one
+// SetReader per postings run, and through one reader in a jumping order,
+// and expects Set's slice each time.
+func TestSetReaderMatchesSet(t *testing.T) {
+	g, err := gen.ChungLu(250, 1400, 2.1, 91, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSampler(t, g, diffusion.IC)
+	stores := map[string]Store{
+		"resident": NewStore(s, 5, StoreOptions{Workers: 2}),
+		"spilled":  NewStore(s, 5, StoreOptions{Workers: 2, SpillBudgetBytes: 1, SpillDir: t.TempDir()}),
+		"shards=3": NewStore(s, 5, StoreOptions{Workers: 2, Shards: 3}),
+	}
+	for name, st := range stores {
+		for _, to := range []int{300, 700, 1500, 4000} {
+			st.GenerateTo(to)
+		}
+		for v := uint32(0); v < uint32(st.NumNodes()); v++ {
+			it := st.PostingsRange(v, 0, st.Len())
+			for {
+				ids, ok := it.Next()
+				if !ok {
+					break
+				}
+				sets := NewSetReader(st)
+				for _, id := range ids {
+					if got, want := sets.Set(int(id)), st.Set(int(id)); !slices.Equal(got, want) {
+						t.Fatalf("%s: node %d set %d: reader %v, Set %v", name, v, id, got, want)
+					}
+				}
+			}
+		}
+		sets := NewSetReader(st)
+		for i, id := 0, 0; i < 3*st.Len(); i, id = i+1, (id+2477)%st.Len() {
+			if got, want := sets.Set(id), st.Set(id); !slices.Equal(got, want) {
+				t.Fatalf("%s: set %d: reader %v, Set %v", name, id, got, want)
+			}
+		}
+		if name == "spilled" && len(st.(*ShardedCollection).segs[0].exts) < 2 {
+			t.Fatalf("the spilled store has %d extents", len(st.(*ShardedCollection).segs[0].exts))
 		}
 	}
 }

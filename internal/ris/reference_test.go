@@ -262,6 +262,7 @@ func (r *refStore) Len() int           { return len(r.sets) }
 func (r *refStore) Items() int64       { return r.items }
 func (r *refStore) Bytes() int64       { return 0 }
 func (r *refStore) NumNodes() int      { return r.s.g.NumNodes() }
+func (r *refStore) Workers() int       { return 1 }
 func (r *refStore) Scale() float64     { return r.s.scale }
 func (r *refStore) Set(i int) []uint32 { return r.sets[i] }
 

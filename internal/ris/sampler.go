@@ -259,9 +259,17 @@ func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32) []uint32
 // at the end, so the chunk is exactly the one a one-walk loop produces. p
 // is s's compiled plan, resolved before the sampler goroutines start.
 func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunkResult {
-	res := chunkResult{offsets: make([]int32, 1, hi-lo+1)}
+	var res chunkResult
+	s.sampleChunkInto(p, st, seed, lo, hi, &res)
+	return res
+}
+
+// sampleChunkInto is sampleChunk writing into res, whose buffers it reuses
+// and grows: a scan that samples window after window keeps one set of them.
+func (s *Sampler) sampleChunkInto(p *Plan, st *State, seed uint64, lo, hi int, res *chunkResult) {
+	res.offsets = append(slices.Grow(res.offsets[:0], hi-lo+1), 0)
 	if p.model == diffusion.IC {
-		buf := make([]uint32, 0, 4*(hi-lo))
+		buf := slices.Grow(res.buf[:0], 4*(hi-lo))
 		r := &st.lanes[0].r
 		for id := lo; id < hi; id++ {
 			r.SeedStream(seed, uint64(id)|s.stream)
@@ -269,7 +277,7 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 			res.offsets = append(res.offsets, int32(len(buf)))
 		}
 		res.buf = buf
-		return res
+		return
 	}
 	st.spans = slices.Grow(st.spans[:0], hi-lo)[:hi-lo]
 	next, live := lo, uint(0)
@@ -302,12 +310,11 @@ func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunk
 	for i := range st.lanes {
 		items += len(st.lanes[i].buf)
 	}
-	res.buf = make([]uint32, 0, items)
+	res.buf = slices.Grow(res.buf[:0], items)
 	for _, sp := range st.spans {
 		res.buf = append(res.buf, st.lanes[sp.lane].buf[sp.from:sp.to]...)
 		res.offsets = append(res.offsets, int32(len(res.buf)))
 	}
-	return res
 }
 
 // openLane starts lane l on the walk of set id.

@@ -232,13 +232,20 @@ type chunkResult struct {
 // leave a half-grown store. Chunks are the granularity: a fired ctx waits
 // at most one chunk's sampling time per worker.
 func sampleChunksCtx(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, workers int) ([]chunkResult, error) {
+	return sampleChunksInto(ctx, s, seed, gfrom, gto, workers, nil)
+}
+
+// sampleChunksInto is sampleChunksCtx writing into results (grown as
+// needed), whose chunks' buffers it reuses: ScanStop samples every slice of
+// a window into one slice's results.
+func sampleChunksInto(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, workers int, results []chunkResult) ([]chunkResult, error) {
 	p, err := s.Plan()
 	if err != nil {
 		return nil, err
 	}
 	count := gto - gfrom
 	nChunks := (count + chunkSize - 1) / chunkSize
-	results := make([]chunkResult, nChunks)
+	results = slices.Grow(results[:0], nChunks)[:nChunks]
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -262,7 +269,7 @@ func sampleChunksCtx(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, w
 				}
 				lo := gfrom + ci*chunkSize
 				hi := min(lo+chunkSize, gto)
-				results[ci] = s.sampleChunk(p, st, seed, lo, hi)
+				s.sampleChunkInto(p, st, seed, lo, hi, &results[ci])
 			}
 		}()
 	}
@@ -319,8 +326,10 @@ func (sg *segment) blockEnd(from, to int) int {
 // style): any block no larger than the batch being appended is merged into
 // it, as long as the merged block stays within the cap, so pathological
 // many-small-growth loops still leave O(log |R|) blocks and every posting is
-// re-placed O(log |R|) times in total, while a doubling schedule keeps
-// exactly one block per call. The build itself is
+// re-placed O(log |R|) times in total. Under a doubling schedule a call's
+// batch is about as large as everything before it, so it usually absorbs
+// the previous block and re-places its postings: one cold_sparse pass
+// places 29.9 M postings for 17.8 M fresh ones (1.68×). The build itself is
 // O(items + n): a counting pass, a prefix sum, and a placement pass in
 // ascending set order (which makes every per-node run ascending by
 // construction — ascending local order is ascending global order, since a

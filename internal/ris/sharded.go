@@ -167,6 +167,16 @@ func (sc *ShardedCollection) Items() int64 {
 // NumNodes returns the node count of the underlying graph.
 func (sc *ShardedCollection) NumNodes() int { return sc.sampler.g.NumNodes() }
 
+// Workers returns the store's in-process parallelism: every shard's
+// generation workers together, or 1 for a remote-sharded store, whose
+// sampling runs worker-side.
+func (sc *ShardedCollection) Workers() int {
+	if sc.remotes != nil {
+		return 1
+	}
+	return sc.shardWorkers * len(sc.segs)
+}
+
 // Scale returns the sampler scale (n or Γ).
 func (sc *ShardedCollection) Scale() float64 { return sc.sampler.scale }
 
@@ -256,6 +266,55 @@ func (sc *ShardedCollection) locate(i int) (*segment, int) {
 func (sc *ShardedCollection) Set(i int) []uint32 {
 	sg, local := sc.locate(i)
 	return sg.setAt(local)
+}
+
+// SetReader reads RR sets by id through one arena cursor: while the ids stay
+// within the arena extent (or the tail) that held the previous one, a set
+// is two offset loads and a slice, with no Store call, shard lookup or
+// extent bisection. One reader per ascending run of ids — a postings run,
+// as the greedy solver walks it — stamps each extent it enters once, where
+// Set stamps it per id. A store with several shards is read through Set.
+type SetReader struct {
+	st      Store
+	sg      *segment // the store's lone segment; nil ⇒ read through st.Set
+	lo, hi  int      // local sets [lo, hi) lie in data
+	data    []uint32
+	base    int64   // absolute item offset of data[0]
+	offsets []int64 // the segment's offsets
+}
+
+// NewSetReader returns a reader over st.
+func NewSetReader(st Store) SetReader {
+	r := SetReader{st: st}
+	if sc, ok := st.(*ShardedCollection); ok && len(sc.segs) == 1 {
+		r.sg = sc.segs[0]
+	}
+	return r
+}
+
+// Set returns RR set i, as Store.Set does.
+func (r *SetReader) Set(i int) []uint32 {
+	if i < r.lo || i >= r.hi {
+		return r.enter(i)
+	}
+	return r.data[r.offsets[i]-r.base : r.offsets[i+1]-r.base]
+}
+
+// enter moves the cursor to the tail or the frozen extent holding set i
+// and returns the set.
+func (r *SetReader) enter(i int) []uint32 {
+	sg := r.sg
+	if sg == nil {
+		return r.st.Set(i)
+	}
+	if i >= sg.tailSet {
+		r.lo, r.hi, r.data, r.base = sg.tailSet, sg.nsets(), sg.buf, sg.tailBase
+	} else {
+		e := sg.extentAt(i)
+		r.lo, r.hi, r.data, r.base = e.setFrom, e.setTo, e.data, e.base
+	}
+	r.offsets = sg.offsets
+	return r.data[r.offsets[i]-r.base : r.offsets[i+1]-r.base]
 }
 
 // ForEachSet calls fn for every RR set with id in [from, to), in ascending

@@ -44,6 +44,10 @@ type Store interface {
 	Bytes() int64
 	// NumNodes returns the node count of the underlying graph.
 	NumNodes() int
+	// Workers returns the in-process parallelism the store grows with
+	// (StoreOptions.Workers); a reader that fans work out over the store,
+	// as the max-coverage solver's run construction does, uses the same.
+	Workers() int
 	// Scale returns the estimator scale (n for RIS, Γ for WRIS).
 	Scale() float64
 	// Set returns RR set i; the slice must not be modified and is
