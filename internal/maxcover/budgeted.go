@@ -145,14 +145,13 @@ func (s *BudgetedSolver) Solve(budget float64) BudgetedResult {
 			if !ok {
 				break
 			}
-			sets := ris.NewSetReader(c)
 			for _, id := range run {
 				w, bit := &s.covered[id>>6], uint64(1)<<(id&63)
 				if *w&bit != 0 {
 					continue
 				}
 				*w |= bit
-				for _, u := range sets.Set(int(id)) {
+				for _, u := range c.Set(int(id)) {
 					s.work[u]--
 				}
 			}

@@ -65,13 +65,21 @@ func heapDown[T heapOrdered[T]](h []T, i0, n int) {
 	}
 }
 
-// heapify is heapInit on the concrete candidate type — Floyd's pass,
-// siftDown(i) for i from len(h)/2−1 down to 0 — with the subtrees rooted
-// at one level sifted concurrently on workers goroutines once h holds
-// parallelMin candidates, and the levels above them serially after.
-// siftDown(i) reads and writes only i's subtree, and every node is still
-// sifted after all of its descendants, so the array is byte-identical to
-// the serial pass for any worker count.
+// The candidate heap of a greedy run — heapify builds it, extend pops and
+// pushes — has its own sifts on the concrete candidate type: through the
+// generic ones every comparison is an above call through the
+// instantiation's dictionary, never inlined, and a first visit to a prefix
+// (BenchmarkSolverFirstVisit, two cores) took about 15 % longer. siftDown and
+// siftUp are heapDown and heapUp with above spelled out, so ties break as
+// in container/heap.
+
+// heapify is heapInit on candidates — Floyd's pass, siftDown(i) for i from
+// len(h)/2−1 down to 0 — with the subtrees rooted at one level sifted
+// concurrently on workers goroutines once h holds parallelMin candidates,
+// and the levels above them serially after. siftDown(i) reads and writes
+// only i's subtree, and every node is still sifted after all of its
+// descendants, so the array is byte-identical to the serial pass for any
+// worker count.
 func heapify(h []candidate, workers int) {
 	inner := len(h) / 2 // nodes [0, inner) have children
 	top := inner        // nodes [0, top) are sifted serially, last
@@ -113,7 +121,20 @@ func siftSubtree(h []candidate, r, inner int) {
 	}
 }
 
-// siftDown is heapDown on the concrete candidate type.
+// popCandidate removes h's top, as heapPop does.
+func popCandidate(h *[]candidate) {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	siftDown(*h, 0, n)
+}
+
+// pushCandidate adds x to h, as heapPush does.
+func pushCandidate(h *[]candidate, x candidate) {
+	*h = append(*h, x)
+	siftUp(*h, len(*h)-1)
+}
+
 func siftDown(h []candidate, i, n int) {
 	for {
 		j := 2*i + 1
@@ -128,5 +149,16 @@ func siftDown(h []candidate, i, n int) {
 		}
 		h[i], h[j] = h[j], h[i]
 		i = j
+	}
+}
+
+func siftUp(h []candidate, j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if h[j].gain <= h[i].gain {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
 }

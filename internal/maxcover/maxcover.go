@@ -32,7 +32,9 @@ type candidate struct {
 	gain int32
 }
 
-// above orders the lazy-greedy max-heap on gain (see heap.go).
+// above is the lazy-greedy max-heap order on gain. The run heap sifts on
+// gain directly (siftDown, siftUp); the generic heap with above is the
+// reference its tests compare against.
 func (c candidate) above(o candidate) bool { return c.gain > o.gain }
 
 // Greedy solves max-coverage over RR sets [0, upto) of c, returning k seeds.

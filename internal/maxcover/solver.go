@@ -349,9 +349,9 @@ func (r *run) extend(c ris.Store, k int) {
 		if top.gain != r.work[v] {
 			// Stale entry (a picked node's gain is 0, so it lands here too):
 			// re-queue at the current gain. Only positive gains are pushed.
-			heapPop(&r.h)
+			popCandidate(&r.h)
 			if r.work[v] > 0 {
-				heapPush(&r.h, candidate{node: v, gain: r.work[v]})
+				pushCandidate(&r.h, candidate{node: v, gain: r.work[v]})
 			}
 			continue
 		}
@@ -359,7 +359,7 @@ func (r *run) extend(c ris.Store, k int) {
 		// failure as a panic: before anything below mutates the run, so the
 		// run a retry finds is still exact.
 		it := c.PostingsRange(v, 0, r.upto)
-		heapPop(&r.h)
+		popCandidate(&r.h)
 		// Select v: cover its uncovered sets, decrement other members.
 		r.seeds = append(r.seeds, v)
 		covered := int64(r.work[v])
@@ -372,11 +372,10 @@ func (r *run) extend(c ris.Store, k int) {
 			if !ok {
 				break
 			}
-			sets := ris.NewSetReader(c)
 			for _, id := range ids {
 				if w, bit := id>>6, uint64(1)<<(id&63); r.covered[w]&bit == 0 {
 					r.covered[w] |= bit
-					for _, u := range sets.Set(int(id)) {
+					for _, u := range c.Set(int(id)) {
 						r.work[u]--
 					}
 				}

@@ -155,8 +155,9 @@ func TestSolverInterleavedMatchesGreedy(t *testing.T) {
 // equal, element for element, to a one-worker solver's after every seek —
 // forward, backward by subtraction, backward by recount, and one shorter
 // than parallelMin — on graphs with fewer and more nodes than parallelMin,
-// whose gains tie heavily (the heap layout decides between ties). Solve
-// sequences across prefixes and k must then equal Greedy.
+// whose gains tie heavily (the heap layout decides between ties). The
+// serial heap must equal the generic heapInit over the ascending
+// candidates, and Solve sequences across prefixes and k must equal Greedy.
 func TestRunLayoutMatchesSerial(t *testing.T) {
 	defer func(old int) { parallelMin = old }(parallelMin)
 	parallelMin = 64
@@ -182,6 +183,16 @@ func TestRunLayoutMatchesSerial(t *testing.T) {
 				if !slices.Equal(rs.h, rp.h) {
 					t.Fatalf("%s: heaps differ", ctx)
 				}
+				var floyd []candidate
+				for v, g := range rs.work {
+					if g > 0 {
+						floyd = append(floyd, candidate{node: uint32(v), gain: g})
+					}
+				}
+				heapInit(floyd)
+				if !slices.Equal(rs.h, floyd) {
+					t.Fatalf("%s: the heap differs from the generic Floyd pass", ctx)
+				}
 				gains := map[int32]bool{}
 				for _, c := range rs.h {
 					gains[c.gain] = true
@@ -201,6 +212,38 @@ func TestRunLayoutMatchesSerial(t *testing.T) {
 				ctx := fmt.Sprintf("n=%d workers=%d upto=%d k=%d", n, workers, upto, k)
 				assertSameResult(t, ctx, sol.Solve(upto, k), want.Solve(upto, k))
 				assertSameResult(t, ctx, sol.Solve(upto, k), Greedy(col, upto, k))
+			}
+		}
+	}
+}
+
+// TestCandidateHeapMatchesGeneric runs the candidate heap's concrete
+// sifts beside the generic heap on the same operations, gains tying
+// heavily: the heaps must stay equal after the build and after every pop
+// and push, so the concrete heap breaks ties as container/heap does.
+func TestCandidateHeapMatchesGeneric(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 7, 100, 1000} {
+		concrete := make([]candidate, n)
+		for v := range concrete {
+			concrete[v] = candidate{node: uint32(v), gain: int32(1 + rnd.Intn(4))}
+		}
+		generic := slices.Clone(concrete)
+		heapify(concrete, 1)
+		heapInit(generic)
+		for op := 0; len(generic) > 0; op++ {
+			if !slices.Equal(concrete, generic) {
+				t.Fatalf("n=%d: heaps differ after %d operations", n, op)
+			}
+			if top := generic[0]; rnd.Intn(3) > 0 && top.gain > 1 {
+				top.gain = int32(1 + rnd.Intn(int(top.gain)))
+				popCandidate(&concrete)
+				heapPop(&generic)
+				pushCandidate(&concrete, top)
+				heapPush(&generic, top)
+			} else {
+				popCandidate(&concrete)
+				heapPop(&generic)
 			}
 		}
 	}

@@ -416,49 +416,3 @@ func TestVerifySamplerStoreIsVerifyStream(t *testing.T) {
 		}
 	}
 }
-
-// TestSetReaderMatchesSet reads every set of a resident, a spilled (several
-// mapped extents behind a tail) and a three-shard store through one
-// SetReader per postings run, and through one reader in a jumping order,
-// and expects Set's slice each time.
-func TestSetReaderMatchesSet(t *testing.T) {
-	g, err := gen.ChungLu(250, 1400, 2.1, 91, graph.BuildOptions{Model: graph.WeightedCascade})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mustSampler(t, g, diffusion.IC)
-	stores := map[string]Store{
-		"resident": NewStore(s, 5, StoreOptions{Workers: 2}),
-		"spilled":  NewStore(s, 5, StoreOptions{Workers: 2, SpillBudgetBytes: 1, SpillDir: t.TempDir()}),
-		"shards=3": NewStore(s, 5, StoreOptions{Workers: 2, Shards: 3}),
-	}
-	for name, st := range stores {
-		for _, to := range []int{300, 700, 1500, 4000} {
-			st.GenerateTo(to)
-		}
-		for v := uint32(0); v < uint32(st.NumNodes()); v++ {
-			it := st.PostingsRange(v, 0, st.Len())
-			for {
-				ids, ok := it.Next()
-				if !ok {
-					break
-				}
-				sets := NewSetReader(st)
-				for _, id := range ids {
-					if got, want := sets.Set(int(id)), st.Set(int(id)); !slices.Equal(got, want) {
-						t.Fatalf("%s: node %d set %d: reader %v, Set %v", name, v, id, got, want)
-					}
-				}
-			}
-		}
-		sets := NewSetReader(st)
-		for i, id := 0, 0; i < 3*st.Len(); i, id = i+1, (id+2477)%st.Len() {
-			if got, want := sets.Set(id), st.Set(id); !slices.Equal(got, want) {
-				t.Fatalf("%s: set %d: reader %v, Set %v", name, id, got, want)
-			}
-		}
-		if name == "spilled" && len(st.(*ShardedCollection).segs[0].exts) < 2 {
-			t.Fatalf("the spilled store has %d extents", len(st.(*ShardedCollection).segs[0].exts))
-		}
-	}
-}

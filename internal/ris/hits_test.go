@@ -53,7 +53,8 @@ func TestVisitedBitsClearAfterWalk(t *testing.T) {
 		{"WRIS", wris},
 	} {
 		st := tc.s.NewState()
-		res := tc.s.sampleChunk(tc.s.mustPlan(), st, 5, 0, 3000)
+		var res chunkResult
+		tc.s.sampleChunk(tc.s.mustPlan(), st, 5, 0, 3000, &res)
 		if len(res.offsets) != 3001 {
 			t.Fatalf("%s: chunk holds %d sets", tc.name, len(res.offsets)-1)
 		}

@@ -199,7 +199,7 @@ func FuzzKernelAgainstSequential(f *testing.F) {
 		// Every walk leaves the lanes' visited bitsets clear, the chunk
 		// path's interleaved LT lanes included.
 		if to > from {
-			s.sampleChunk(s.mustPlan(), st, seed, from, to)
+			s.sampleChunk(s.mustPlan(), st, seed, from, to, &chunkResult{})
 			requireVisitedClear(t, "sampleChunk", st)
 		}
 	})

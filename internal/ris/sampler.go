@@ -252,21 +252,15 @@ func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32) []uint32
 }
 
 // sampleChunk generates the RR sets with global ids [lo, hi), set id from
-// stream (seed, id), into one chunk result. IC draws one set at a time
-// (each frontier is already batched, see Plan.icFrontier). LT runs ltLanes
-// walks round-robin, one step each per turn: a finished lane records its
-// set and takes the chunk's next id, and the sets are emitted in id order
-// at the end, so the chunk is exactly the one a one-walk loop produces. p
-// is s's compiled plan, resolved before the sampler goroutines start.
-func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int) chunkResult {
-	var res chunkResult
-	s.sampleChunkInto(p, st, seed, lo, hi, &res)
-	return res
-}
-
-// sampleChunkInto is sampleChunk writing into res, whose buffers it reuses
-// and grows: a scan that samples window after window keeps one set of them.
-func (s *Sampler) sampleChunkInto(p *Plan, st *State, seed uint64, lo, hi int, res *chunkResult) {
+// stream (seed, id), into res, whose buffers it reuses and grows: a scan
+// that samples window after window keeps one set of them. IC draws one set
+// at a time (each frontier is already batched, see Plan.icFrontier). LT
+// runs ltLanes walks round-robin, one step each per turn: a finished lane
+// records its set and takes the chunk's next id, and the sets are emitted
+// in id order at the end, so the chunk is exactly the one a one-walk loop
+// produces. p is s's compiled plan, resolved before the sampler goroutines
+// start.
+func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int, res *chunkResult) {
 	res.offsets = append(slices.Grow(res.offsets[:0], hi-lo+1), 0)
 	if p.model == diffusion.IC {
 		buf := slices.Grow(res.buf[:0], 4*(hi-lo))

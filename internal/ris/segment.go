@@ -269,7 +269,7 @@ func sampleChunksInto(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, 
 				}
 				lo := gfrom + ci*chunkSize
 				hi := min(lo+chunkSize, gto)
-				s.sampleChunkInto(p, st, seed, lo, hi, &results[ci])
+				s.sampleChunk(p, st, seed, lo, hi, &results[ci])
 			}
 		}()
 	}

@@ -268,55 +268,6 @@ func (sc *ShardedCollection) Set(i int) []uint32 {
 	return sg.setAt(local)
 }
 
-// SetReader reads RR sets by id through one arena cursor: while the ids stay
-// within the arena extent (or the tail) that held the previous one, a set
-// is two offset loads and a slice, with no Store call, shard lookup or
-// extent bisection. One reader per ascending run of ids — a postings run,
-// as the greedy solver walks it — stamps each extent it enters once, where
-// Set stamps it per id. A store with several shards is read through Set.
-type SetReader struct {
-	st      Store
-	sg      *segment // the store's lone segment; nil ⇒ read through st.Set
-	lo, hi  int      // local sets [lo, hi) lie in data
-	data    []uint32
-	base    int64   // absolute item offset of data[0]
-	offsets []int64 // the segment's offsets
-}
-
-// NewSetReader returns a reader over st.
-func NewSetReader(st Store) SetReader {
-	r := SetReader{st: st}
-	if sc, ok := st.(*ShardedCollection); ok && len(sc.segs) == 1 {
-		r.sg = sc.segs[0]
-	}
-	return r
-}
-
-// Set returns RR set i, as Store.Set does.
-func (r *SetReader) Set(i int) []uint32 {
-	if i < r.lo || i >= r.hi {
-		return r.enter(i)
-	}
-	return r.data[r.offsets[i]-r.base : r.offsets[i+1]-r.base]
-}
-
-// enter moves the cursor to the tail or the frozen extent holding set i
-// and returns the set.
-func (r *SetReader) enter(i int) []uint32 {
-	sg := r.sg
-	if sg == nil {
-		return r.st.Set(i)
-	}
-	if i >= sg.tailSet {
-		r.lo, r.hi, r.data, r.base = sg.tailSet, sg.nsets(), sg.buf, sg.tailBase
-	} else {
-		e := sg.extentAt(i)
-		r.lo, r.hi, r.data, r.base = e.setFrom, e.setTo, e.data, e.base
-	}
-	r.offsets = sg.offsets
-	return r.data[r.offsets[i]-r.base : r.offsets[i+1]-r.base]
-}
-
 // ForEachSet calls fn for every RR set with id in [from, to), in ascending
 // id order, walking each epoch's shard sub-ranges directly so the per-id
 // shard lookup of Set is paid once per contiguous run instead of per set.
