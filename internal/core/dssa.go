@@ -81,7 +81,7 @@ func DSSAWith(opt Options, env Exec) (*Result, error) {
 		if opt.Trace != nil {
 			opt.Trace(Checkpoint{Iteration: t, Samples: int64(streamLen),
 				Coverage: mc.Coverage, Influence: iHat, Passed: passed,
-				EpsilonT: res.EpsilonT})
+				EpsilonT: res.EpsilonT, Eps1: res.Eps1})
 		}
 		if passed {
 			break

@@ -67,6 +67,10 @@ type Checkpoint struct {
 	Passed bool
 	// EpsilonT is D-SSA's ε_t at this checkpoint (0 for SSA).
 	EpsilonT float64
+	// Eps1 is D-SSA's ε₁ = Î_t(Ŝ)/Î^c_t(Ŝ) − 1 behind EpsilonT (0 for
+	// SSA). It is negative whenever the holdout covers Ŝ better than the
+	// prefix did, and ε_t uses it unclamped.
+	Eps1 float64
 }
 
 // Result reports a stop-and-stare run.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stopandstare/internal/diffusion"
+	"stopandstare/internal/stats"
 )
 
 func TestSSATraceCheckpoints(t *testing.T) {
@@ -27,6 +28,9 @@ func TestSSATraceCheckpoints(t *testing.T) {
 		}
 		if c.Samples <= 0 {
 			t.Fatal("checkpoint without samples")
+		}
+		if c.EpsilonT != 0 || c.Eps1 != 0 {
+			t.Fatalf("SSA checkpoint %d reports D-SSA's ε_t = %v, ε₁ = %v", c.Iteration, c.EpsilonT, c.Eps1)
 		}
 	}
 	if !res.HitCap && !cps[len(cps)-1].Passed {
@@ -76,5 +80,43 @@ func TestTraceNilIsSafe(t *testing.T) {
 	}
 	if _, err := runDSSA(s, Options{K: 3, Epsilon: 0.3, Seed: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDSSANegativeEps1Unclamped pins one D-SSA run whose stopping checkpoint
+// has ε₁ < 0: the holdout covers Ŝ better than the prefix did. Line 14's
+// ε_t uses ε₁ as computed, unclamped, so this run's ε_t is below what ε₂ and
+// ε₃ alone give. Whether ε₁ should be clamped at 0 is an open question about
+// D-SSA's analysis; this test records what the code does today.
+func TestDSSANegativeEps1Unclamped(t *testing.T) {
+	g := midGraph(t, 1000, 5000, 139)
+	s := sampler(t, g, diffusion.IC)
+	const eps = 0.2
+	var cps []Checkpoint
+	res, err := runDSSA(s, Options{K: 5, Epsilon: eps, Seed: 6,
+		Trace: func(c Checkpoint) { cps = append(cps, c) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := cps[len(cps)-1]
+	if res.HitCap || !last.Passed || res.Iterations != 4 || res.TotalSamples != 9024 {
+		t.Fatalf("run moved: hitCap %v passed %v iterations %d samples %d, want a stop at checkpoint 4 with 9024",
+			res.HitCap, last.Passed, res.Iterations, res.TotalSamples)
+	}
+	if last.Eps1 >= 0 || last.Eps1 != res.Eps1 {
+		t.Fatalf("stopping checkpoint ε₁ = %v (result %v), want the same negative value", last.Eps1, res.Eps1)
+	}
+	c := stats.OneMinusInvE
+	e1, e2, e3 := res.Eps1, res.Eps2, res.Eps3
+	if want := (e1+e2+e1*e2)*(c-eps) + c*e3; last.EpsilonT != want || res.EpsilonT != want {
+		t.Fatalf("ε_t = %v (result %v), want %v from the unclamped ε₁", last.EpsilonT, res.EpsilonT, want)
+	}
+	if clamped := e2*(c-eps) + c*e3; !(last.EpsilonT < clamped) {
+		t.Fatalf("ε_t = %v is not below the clamped %v", last.EpsilonT, clamped)
+	}
+	for _, cp := range cps {
+		if cp.Eps1 != 0 && cp.EpsilonT == 0 {
+			t.Fatalf("checkpoint %d reports ε₁ = %v without an ε_t", cp.Iteration, cp.Eps1)
+		}
 	}
 }

@@ -229,8 +229,9 @@ func TestIndexBlockLayoutIdenticalAcrossWorkers(t *testing.T) {
 // production, where starts' int32 prefix sum would otherwise wrap) and
 // checks that one large growth is split at set boundaries, that the
 // size-tiered merge of many small growths stops before the cap, and that
-// the recovery rebuild splits the same way — all with postings and
-// coverage equal to the reference stream.
+// a rebuild of the whole index over the arena's extents (one per growth, as
+// recovery rebuilds a dropped block) splits the same way — all with
+// postings and coverage equal to the reference stream.
 func TestIndexBlockCap(t *testing.T) {
 	defer func(c int64) { maxBlockItems = c }(maxBlockItems)
 	maxBlockItems = 3000
@@ -280,7 +281,7 @@ func TestIndexBlockCap(t *testing.T) {
 		AssertStoresEqual(t, tc.name, ref, col)
 
 		sg.blocks = nil
-		rebuildIndexBlocks(sg, 0, sg.nsets())
+		sg.appendIndexBlock(0, sg.nsets(), 1)
 		checkBlocks(tc.name+"/rebuilt", sg)
 		AssertStoresEqual(t, tc.name+"/rebuilt", ref, col)
 	}

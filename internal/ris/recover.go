@@ -356,51 +356,10 @@ func restoreSegment(sg *segment, r *segRestore, c int) int {
 		lcov = bm.lto
 	}
 	if lcov < c {
-		rebuildIndexBlocks(sg, lcov, c)
+		sg.appendIndexBlock(lcov, c, 1)
 		return 1
 	}
 	return 0
-}
-
-// rebuildIndexBlocks indexes sets [from, to) reading through setAt
-// (the sets live in mapped extents, outside the tail the normal build path
-// slices), in as many blocks as maxBlockItems requires. Only the recovery
-// path uses it: dropped or truncated index blocks are derived data,
-// reconstructed from the arena.
-func rebuildIndexBlocks(sg *segment, from, to int) {
-	for from < to {
-		end := sg.blockEnd(from, to)
-		rebuildIndexBlock(sg, from, end)
-		from = end
-	}
-}
-
-// rebuildIndexBlock builds one CSR block over sets [from, to); a recovered
-// segment is the lone shard, so its local indices are the global ids.
-func rebuildIndexBlock(sg *segment, from, to int) {
-	n := sg.n
-	starts := make([]int32, n+1)
-	for i := from; i < to; i++ {
-		for _, v := range sg.setAt(i) {
-			starts[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		starts[v+1] += starts[v]
-	}
-	ids := make([]int32, int(sg.offsets[to]-sg.offsets[from]))
-	cursor := make([]int32, n)
-	copy(cursor, starts[:n])
-	for i := from; i < to; i++ {
-		for _, v := range sg.setAt(i) {
-			ids[cursor[v]] = int32(i)
-			cursor[v]++
-		}
-	}
-	sg.blocks = append(sg.blocks, csrBlock{
-		from: from, to: to, lfrom: from, lto: to,
-		starts: starts, ids: ids,
-	})
 }
 
 // Recover rebuilds the Store described by (s, seed, opt) from the committed

@@ -57,6 +57,11 @@ type csrBlock struct {
 // segment is one arena + CSR index over a sub-stream of RR sets. It is not
 // a Store by itself: ShardedCollection layers id mapping, generation and
 // coverage queries on top.
+//
+// The arena is a sequence of frozen extents followed by the active tail.
+// An in-process growth seals the tail before it appends (see
+// ShardedCollection.GenerateToCtx), so each growth's sets are one
+// exact-size slice and no growth copies the sets stored before it.
 type segment struct {
 	n       int      // node count of the underlying graph
 	buf     []uint32 // arena tail: entries of sets not yet frozen into extents
@@ -65,8 +70,6 @@ type segment struct {
 	blocks  []csrBlock
 	cursor  []int32 // scratch for CSR construction, len = n
 
-	// Spill tier. Without a spill budget all three stay zero and the arena
-	// is exactly the flat buf above: tailSet = 0, tailBase = 0, no extents.
 	exts     []arenaExtent // frozen arena extents preceding buf, ascending
 	tailSet  int           // local index of the first set stored in buf
 	tailBase int64         // absolute item offset of buf[0]
@@ -76,9 +79,8 @@ type segment struct {
 // arenaExtent is a frozen, immutable slice of the arena: local sets
 // [setFrom, setTo) whose items span absolute offsets [base, end). data is
 // either the original heap slice (resident) or an alias of a block-file
-// mapping — the spill file's, or a recovered snapshot's (mapped). Extents are created by seal() only under
-// spill pressure, so the unspilled single-slice fast path is untouched
-// when spilling is off.
+// mapping — the spill file's, or a recovered snapshot's (mapped). seal()
+// creates them: once per in-process growth, and under spill pressure.
 type arenaExtent struct {
 	setFrom, setTo int
 	base, end      int64
@@ -101,15 +103,14 @@ func (sg *segment) setAt(i int) []uint32 {
 	if i >= sg.tailSet {
 		return sg.buf[sg.offsets[i]-sg.tailBase : sg.offsets[i+1]-sg.tailBase]
 	}
-	e := sg.extentAt(i)
+	e := &sg.exts[sg.extentIndex(i)]
+	sg.touch(e)
 	return e.data[sg.offsets[i]-e.base : sg.offsets[i+1]-e.base]
 }
 
-// extentAt locates the frozen extent holding local set i and stamps its LRU
-// recency (resident extents only — spilled ones have nothing left to evict).
-// Safe under concurrent reads: extents are immutable and the stamp is
-// atomic.
-func (sg *segment) extentAt(i int) *arenaExtent {
+// extentIndex returns the index of the first extent ending after local set
+// i: the extent holding i, or len(sg.exts) when i is in the tail.
+func (sg *segment) extentIndex(i int) int {
 	lo, hi := 0, len(sg.exts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -119,27 +120,56 @@ func (sg *segment) extentAt(i int) *arenaExtent {
 			hi = mid
 		}
 	}
-	e := &sg.exts[lo]
+	return lo
+}
+
+// touch stamps a resident extent's LRU recency in a spill-armed segment
+// (spilled extents have nothing left to evict). Safe under concurrent
+// reads: extents are immutable and the stamp is atomic.
+func (sg *segment) touch(e *arenaExtent) {
 	if !e.mapped && sg.spill != nil {
 		atomic.StoreUint64(&e.lastUse, sg.spill.tick())
 	}
-	return e
 }
 
-// tailItems returns the arena entries of local sets [from, to), which must
-// lie entirely within the active tail. Index builds always do: the merge
-// guard in appendIndexBlock never reaches behind tailSet.
-func (sg *segment) tailItems(from, to int) []uint32 {
-	return sg.buf[sg.offsets[from]-sg.tailBase : sg.offsets[to]-sg.tailBase]
+// eachPiece calls fn once per arena slice holding local sets [from, to), in
+// ascending order: a piece of each extent they span, then of the tail. Set
+// i of a piece [lo, hi) is data[offsets[i]-base : offsets[i+1]-base]. With
+// touch it stamps each extent it reads once; index builds read untouched.
+func (sg *segment) eachPiece(from, to int, touch bool, fn func(lo, hi int, base int64, data []uint32)) {
+	for ei := sg.extentIndex(from); from < to && ei < len(sg.exts); ei++ {
+		e := &sg.exts[ei]
+		if touch {
+			sg.touch(e)
+		}
+		hi := min(to, e.setTo)
+		fn(from, hi, e.base, e.data)
+		from = hi
+	}
+	if from < to {
+		fn(from, to, sg.tailBase, sg.buf)
+	}
+}
+
+// mappedSets reports whether any of local sets [from, to) lies in a mapped
+// extent.
+func (sg *segment) mappedSets(from, to int) bool {
+	for ei := sg.extentIndex(from); ei < len(sg.exts) && sg.exts[ei].setFrom < to; ei++ {
+		if sg.exts[ei].mapped {
+			return true
+		}
+	}
+	return false
 }
 
 // items returns the total arena entries across extents and tail.
 func (sg *segment) items() int64 { return sg.offsets[sg.nsets()] }
 
 // seal freezes the active tail into an immutable extent — making it a spill
-// candidate — and starts an empty tail after it. Called only by the spill
-// enforcement loop, under the store's mutation exclusivity; the sealed
-// extent is stamped as most recently used, since it holds the newest sets.
+// candidate — and starts an empty tail after it. An in-process growth calls
+// it before appending, and the spill enforcement loop under pressure, both
+// under the store's mutation exclusivity; the sealed extent is stamped as
+// most recently used, since it holds the newest sets.
 func (sg *segment) seal() {
 	if len(sg.buf) == 0 {
 		return
@@ -282,7 +312,8 @@ func sampleChunksInto(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, 
 
 // appendResults merges chunk results into the arena in chunk order (global
 // ids are deterministic). One arena grow and one offset-table grow cover
-// the whole batch.
+// the whole batch; on an empty (just sealed) tail the arena grow is one
+// exact-size allocation.
 func (sg *segment) appendResults(results []chunkResult) {
 	var totalItems, totalSets int
 	for ci := range results {
@@ -329,7 +360,10 @@ func (sg *segment) blockEnd(from, to int) int {
 // re-placed O(log |R|) times in total. Under a doubling schedule a call's
 // batch is about as large as everything before it, so it usually absorbs
 // the previous block and re-places its postings: one cold_sparse pass
-// places 29.9 M postings for 17.8 M fresh ones (1.68×). The build itself is
+// places 29.9 M postings for 17.8 M fresh ones (1.68×). A merged block
+// reads its sets across the arena extents (each growth is one), so it
+// costs no arena copy; merging stops at a mapped block, or at sets in a
+// mapped extent, which a rebuild would fault back in. The build itself is
 // O(items + n): a counting pass, a prefix sum, and a placement pass in
 // ascending set order (which makes every per-node run ascending by
 // construction — ascending local order is ascending global order, since a
@@ -350,10 +384,10 @@ func (sg *segment) appendBlock(from, to, workers int) {
 	newItems := sg.offsets[to] - sg.offsets[from]
 	for len(sg.blocks) > 0 {
 		last := &sg.blocks[len(sg.blocks)-1]
-		// Spilled blocks are immutable, and blocks over frozen extents are
-		// outside the tail a rebuild would slice — merging stops at either.
+		// Mapped blocks are immutable, and a rebuild over mapped extents
+		// would fault their sets back in — merging stops at either.
 		lastItems := int64(len(last.ids))
-		if last.mapped || last.lfrom < sg.tailSet || lastItems > newItems || newItems+lastItems > maxBlockItems {
+		if last.mapped || lastItems > newItems || newItems+lastItems > maxBlockItems || sg.mappedSets(last.lfrom, from) {
 			break
 		}
 		newItems += lastItems
@@ -390,9 +424,7 @@ func (sg *segment) appendBlock(from, to, workers int) {
 // place. It reuses the segment's cursor scratch.
 func (sg *segment) buildBlockSerial(from, to int, starts, ids []int32) {
 	n := sg.n
-	for _, v := range sg.tailItems(from, to) {
-		starts[v+1]++
-	}
+	sg.countItems(from, to, starts[1:])
 	for v := 0; v < n; v++ {
 		starts[v+1] += starts[v]
 	}
@@ -401,13 +433,31 @@ func (sg *segment) buildBlockSerial(from, to int, starts, ids []int32) {
 	}
 	cursor := sg.cursor[:n]
 	copy(cursor, starts[:n])
-	for i := from; i < to; i++ {
-		id := int32(sg.gid(i))
-		for _, v := range sg.setAt(i) {
-			ids[cursor[v]] = id
-			cursor[v]++
+	sg.placeItems(from, to, cursor, ids)
+}
+
+// countItems adds each node's occurrences in local sets [from, to) to
+// counts[v].
+func (sg *segment) countItems(from, to int, counts []int32) {
+	sg.eachPiece(from, to, false, func(lo, hi int, base int64, data []uint32) {
+		for _, v := range data[sg.offsets[lo]-base : sg.offsets[hi]-base] {
+			counts[v]++
 		}
-	}
+	})
+}
+
+// placeItems writes the global id of each of local sets [from, to) at
+// cursor[v] for each member v, advancing the cursor.
+func (sg *segment) placeItems(from, to int, cursor, ids []int32) {
+	sg.eachPiece(from, to, false, func(lo, hi int, base int64, data []uint32) {
+		for i := lo; i < hi; i++ {
+			id := int32(sg.gid(i))
+			for _, v := range data[sg.offsets[i]-base : sg.offsets[i+1]-base] {
+				ids[cursor[v]] = id
+				cursor[v]++
+			}
+		}
+	})
 }
 
 // buildBlockParallel builds the same CSR layout with per-worker passes over
@@ -445,10 +495,7 @@ func (sg *segment) buildBlockParallel(from, to int, starts, ids []int32, workers
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			counts := countsBuf[w*n : (w+1)*n]
-			for _, v := range sg.tailItems(bounds[w], bounds[w+1]) {
-				counts[v]++
-			}
+			sg.countItems(bounds[w], bounds[w+1], countsBuf[w*n:(w+1)*n])
 		}(w)
 	}
 	wg.Wait()
@@ -467,14 +514,7 @@ func (sg *segment) buildBlockParallel(from, to int, starts, ids []int32, workers
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cursor := countsBuf[w*n : (w+1)*n]
-			for i := bounds[w]; i < bounds[w+1]; i++ {
-				id := int32(sg.gid(i))
-				for _, v := range sg.setAt(i) {
-					ids[cursor[v]] = id
-					cursor[v]++
-				}
-			}
+			sg.placeItems(bounds[w], bounds[w+1], countsBuf[w*n:(w+1)*n], ids)
 		}(w)
 	}
 	wg.Wait()

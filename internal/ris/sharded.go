@@ -270,7 +270,8 @@ func (sc *ShardedCollection) Set(i int) []uint32 {
 
 // ForEachSet calls fn for every RR set with id in [from, to), in ascending
 // id order, walking each epoch's shard sub-ranges directly so the per-id
-// shard lookup of Set is paid once per contiguous run instead of per set.
+// shard and extent lookups of Set are paid once per contiguous run instead
+// of per set.
 func (sc *ShardedCollection) ForEachSet(from, to int, fn func(i int, set []uint32)) {
 	if from < 0 {
 		from = 0
@@ -296,10 +297,12 @@ func (sc *ShardedCollection) ForEachSet(from, to int, fn func(i int, set []uint3
 			}
 			sg := sc.segs[s]
 			local := e.base[s] + (glo - e.bounds[s])
-			for g := glo; g < ghi; g++ {
-				fn(g, sg.setAt(local))
-				local++
-			}
+			g := glo - local
+			sg.eachPiece(local, local+ghi-glo, true, func(lo, hi int, base int64, data []uint32) {
+				for i := lo; i < hi; i++ {
+					fn(g+i, data[sg.offsets[i]-base:sg.offsets[i+1]-base])
+				}
+			})
 		}
 	}
 }
@@ -392,6 +395,9 @@ func (sc *ShardedCollection) GenerateToCtx(ctx context.Context, target int) erro
 			go func(sg *segment, results []chunkResult, glo, ghi int) {
 				defer wg.Done()
 				lfrom := sg.nsets()
+				// Each growth is its own extent: appending never copies
+				// the sets already stored.
+				sg.seal()
 				sg.appendResults(results)
 				if sg.gids != nil {
 					sg.gids = slices.Grow(sg.gids, ghi-glo)

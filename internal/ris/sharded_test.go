@@ -164,8 +164,9 @@ func TestShardedSetMatchesForEachSet(t *testing.T) {
 
 // TestOneShardStoreLayout pins what makes one shard the default at no cost:
 // ids are identity (no gid table is ever allocated) and Bytes() carries no
-// per-set term beyond the offset table — what is left after the arena, the
-// offset table and the CSR index is per-growth-call and per-node metadata,
+// per-set term beyond the offset table — what is left after the arena (its
+// tail and its resident extents, one per growth), the offset table and the
+// CSR index is per-growth-call and per-node metadata,
 // far below the 4 bytes per set a gid table would add.
 func TestOneShardStoreLayout(t *testing.T) {
 	g, err := gen.ErdosRenyi(100, 600, 47, graph.BuildOptions{Model: graph.WeightedCascade})
@@ -186,12 +187,55 @@ func TestOneShardStoreLayout(t *testing.T) {
 			t.Fatalf("Shards=%d: one-shard store allocated a gid table (%d entries)", shards, len(sg.gids))
 		}
 		data := int64(cap(sg.buf))*4 + int64(cap(sg.offsets))*8
+		for i := range sg.exts {
+			if !sg.exts[i].mapped {
+				data += int64(cap(sg.exts[i].data)) * 4
+			}
+		}
 		for i := range sg.blocks {
 			data += int64(cap(sg.blocks[i].starts))*4 + int64(cap(sg.blocks[i].ids))*4
 		}
 		if rest := sc.Bytes() - s.PlanBytes() - data; rest < 0 || rest >= 4*int64(sc.Len()) {
 			t.Fatalf("Shards=%d: %d bytes beyond arena+offsets+index for %d sets, want < 4 per set", shards, rest, sc.Len())
 		}
+	}
+}
+
+// TestGrowthNeverCopiesStoredSets pins the arena's growth rule: each growth
+// of an in-process store seals the tail before it appends, so its sets land
+// in one new slice and every set stored before it keeps its memory (the
+// same &set[0]) — a growth never copies, and never holds twice, what the
+// store already has. The index still merges across the sealed extents: the
+// doubling ladder leaves one CSR block, not one n+1 starts table per growth.
+// parentBytes is Bytes() for the same ladder when every growth re-grew one
+// tail slice (go1.24, amd64); the sealed layout must not exceed it.
+func TestGrowthNeverCopiesStoredSets(t *testing.T) {
+	const parentBytes = 13169200
+	g, err := gen.ErdosRenyi(2000, 12000, 53, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSampler(t, g, diffusion.IC)
+	sc := NewStore(s, 11, StoreOptions{Workers: 2}).(*ShardedCollection)
+	var first []*uint32
+	for target := 1000; target <= 64000; target *= 2 {
+		sc.GenerateTo(target)
+		for i, p := range first {
+			if set := sc.Set(i); &set[0] != p {
+				t.Fatalf("growth to %d moved set %d", target, i)
+			}
+		}
+		for i := len(first); i < sc.Len(); i++ {
+			first = append(first, &sc.Set(i)[0])
+		}
+	}
+	sg := sc.segs[0]
+	if len(sg.blocks) != 1 {
+		t.Fatalf("the doubling ladder left %d index blocks, want 1", len(sg.blocks))
+	}
+	AssertStoresEqual(t, "sealed ladder", refStream(s, 11, sc.Len()), sc)
+	if b := sc.Bytes(); b > parentBytes {
+		t.Fatalf("Bytes() = %d, want ≤ %d", b, parentBytes)
 	}
 }
 

@@ -271,9 +271,14 @@ func TestSessionSolverCacheBounded(t *testing.T) {
 // result structs — and allocates nothing that scales with the graph. (Before
 // runs were cached, every warm query built a solver: three O(n) arrays, a
 // heap grown by append and fresh covered marks per checkpoint; 26 allocations
-// at n = 300, 39 at n = 30 000.) The slack of 8 covers the result, the
-// environment and what the race detector's sync.Pool drops.
+// at n = 300, 39 at n = 30 000.) The slack of 8 covers the result and the
+// environment. Under -race it is skipped: the race detector drops sync.Pool
+// items at random, so the count is not exact (CI runs the allocation guards
+// in a step of their own, without -race).
 func TestSessionWarmQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
 	for _, n := range []int{300, 30000} {
 		g, err := stopandstare.GeneratePowerLaw(n, int64(6*n), 2.1, 5)
 		if err != nil {
@@ -306,7 +311,11 @@ func TestSessionWarmQueryAllocations(t *testing.T) {
 // n = 30 000). c = 10 is the ceiling from when every query walked fresh
 // verification sets and allocated their scratch — the visited set, the
 // seed marks and the walk queue — once per run (14 and 17 allocations).
+// Skipped under -race, as its twin is.
 func TestSessionWarmSSAQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
 	for _, n := range []int{300, 30000} {
 		g, err := stopandstare.GeneratePowerLaw(n, int64(6*n), 2.1, 5)
 		if err != nil {
