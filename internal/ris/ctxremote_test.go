@@ -1,12 +1,14 @@
 // Remote-tier cancellation: a GenerateToCtx abandoned mid-flight while some
 // workers already appended must roll back every mirror (segSnap restore) and
-// leave the coordinator exactly at its pre-call state; workers that ran
+// leave the coordinator exactly at its pre-call state, down to each mirror's
+// extent count and offset and gid tables; workers that ran
 // ahead are reconciled by the idempotent redelivery path on the next growth.
 package ris_test
 
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -42,7 +44,7 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 	ref := ris.NewRefStore(s, seed)
 	st.GenerateTo(50)
 	ref.GenerateTo(50)
-	wantLen, wantItems := st.Len(), st.Items()
+	wantLen, wantItems, wantShapes := st.Len(), st.Items(), ris.ArenaShapes(st)
 
 	// Pre-canceled: upfront check fires before any RPC.
 	pre, cancel := context.WithCancel(context.Background())
@@ -63,7 +65,7 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 		if err == nil {
 			ref.GenerateTo(ref.Len() + 90)
 			ris.AssertStoresEqual(t, "late-cancel full growth", ref, st)
-			wantLen, wantItems = st.Len(), st.Items()
+			wantLen, wantItems, wantShapes = st.Len(), st.Items(), ris.ArenaShapes(st)
 			continue
 		}
 		canceled++
@@ -73,6 +75,9 @@ func TestGenerateCtxRemoteRollback(t *testing.T) {
 		if st.Len() != wantLen || st.Items() != wantItems {
 			t.Fatalf("after=%d mirrors not rolled back: len %d→%d items %d→%d",
 				after, wantLen, st.Len(), wantItems, st.Items())
+		}
+		if shapes := ris.ArenaShapes(st); !reflect.DeepEqual(shapes, wantShapes) {
+			t.Fatalf("after=%d mirrors not rolled back: arena %+v, want %+v", after, shapes, wantShapes)
 		}
 	}
 	if canceled == 0 {

@@ -41,8 +41,8 @@ type RecoveryInfo struct {
 }
 
 // openSnapshot opens a committed snapshot file read-only for mapBlock. The
-// store recovered from it holds it, so its mappings outlive every aliasing
-// slice; the finalizer closes it once that store is unreachable.
+// recovered store's segment holds it, so its mappings outlive every aliasing
+// slice; the finalizer closes it once that segment is unreachable.
 func openSnapshot(path string) (*blockFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -316,8 +316,8 @@ func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 // restoreSegment populates sg from the restore plan, truncated to its first
 // c sets. Extents and index blocks alias the snapshot's mappings (marked
 // mapped), so they are excluded from resident accounting and from spill
-// eviction exactly like spilled units; the tail restarts empty, so growth
-// appends normally. Returns the number of index blocks rebuilt from the
+// eviction exactly like spilled units; an extent the cut falls in keeps only
+// its sets before c. Returns the number of index blocks rebuilt from the
 // arena.
 func restoreSegment(sg *segment, r *segRestore, c int) int {
 	if c <= 0 {
@@ -328,19 +328,13 @@ func restoreSegment(sg *segment, r *segRestore, c int) int {
 		if x.setFrom >= c {
 			break
 		}
-		setTo := x.setTo
-		if setTo > c {
-			setTo = c
-		}
+		setTo := min(x.setTo, c)
+		base := sg.offsets[x.setFrom]
 		sg.exts = append(sg.exts, arenaExtent{
-			setFrom: x.setFrom, setTo: setTo,
-			base: sg.offsets[x.setFrom], end: sg.offsets[setTo],
-			data: castSlice[uint32](r.arenas[ei]), mapped: true,
+			setFrom: x.setFrom, setTo: setTo, base: base,
+			data: castSlice[uint32](r.arenas[ei])[:sg.offsets[setTo]-base], mapped: true,
 		})
 	}
-	sg.tailSet = c
-	sg.tailBase = sg.offsets[c]
-	sg.buf = nil
 	lcov := 0
 	for bi, p := range r.iblocks {
 		bm := &r.sm.blks[bi]
@@ -421,7 +415,7 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	}
 	st.epochs = epochs
 	st.length = cutoff
-	st.snap = bf
+	st.segs[0].snap = bf
 	// Resample a discarded suffix. A clean recovery has none, so it compiles
 	// no plan; a suffix on a graph that fails the plan's content checks
 	// fails the recovery.

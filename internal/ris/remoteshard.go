@@ -78,20 +78,18 @@ func (rs *RemoteShard) dropConnLocked() {
 // segSnap captures the mirror's observable extent so a partially failed
 // multi-shard Generate can be rolled back exactly. Mirrors hold no CSR
 // blocks and spill enforcement only runs after a fully successful Generate,
-// so between snapshot and restore the segment can only have grown at its
-// arena tail — bufLen is the TAIL length (frozen extents are immutable and
-// need no rollback) and the two lengths cover everything.
+// so between snapshot and restore the segment can only have gained extents
+// at its end, and truncating the extent, offset and gid tables undoes them.
 type segSnap struct {
-	nsets  int
-	bufLen int
+	nsets, nexts int
 }
 
 func (rs *RemoteShard) snapshot() segSnap {
-	return segSnap{nsets: rs.seg.nsets(), bufLen: len(rs.seg.buf)}
+	return segSnap{nsets: rs.seg.nsets(), nexts: len(rs.seg.exts)}
 }
 
 func (rs *RemoteShard) restore(s segSnap) {
-	rs.seg.buf = rs.seg.buf[:s.bufLen]
+	rs.seg.exts = rs.seg.exts[:s.nexts]
 	rs.seg.offsets = rs.seg.offsets[:s.nsets+1]
 	rs.seg.gids = rs.seg.gids[:s.nsets]
 }
@@ -124,10 +122,7 @@ func (rs *RemoteShard) generate(ctx context.Context, gfrom, gto int) error {
 		return &ShardError{Addr: rs.addr, Op: "generate",
 			Err: fmt.Errorf("worker streamed %d sets for range [%d,%d)", total, gfrom, gto)}
 	}
-	rs.seg.appendResults(chunks)
-	for g := gfrom; g < gto; g++ {
-		rs.seg.gids = append(rs.seg.gids, int32(g))
-	}
+	rs.seg.appendResults(chunks, gfrom)
 	return nil
 }
 

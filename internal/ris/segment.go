@@ -58,32 +58,29 @@ type csrBlock struct {
 // a Store by itself: ShardedCollection layers id mapping, generation and
 // coverage queries on top.
 //
-// The arena is a sequence of frozen extents followed by the active tail.
-// An in-process growth seals the tail before it appends (see
-// ShardedCollection.GenerateToCtx), so each growth's sets are one
-// exact-size slice and no growth copies the sets stored before it.
+// The arena is a sequence of immutable extents that tile the segment's sets.
+// appendResults is the only way sets enter it, one exact-size extent per
+// call, so no growth copies the sets stored before it.
 type segment struct {
-	n       int      // node count of the underlying graph
-	buf     []uint32 // arena tail: entries of sets not yet frozen into extents
-	offsets []int64  // len = nsets()+1; absolute item offsets across extents+tail
-	gids    []int32  // global id per local set; nil ⇒ identity (lone in-process shard)
+	n       int     // node count of the underlying graph
+	offsets []int64 // len = nsets()+1; absolute item offsets across extents
+	gids    []int32 // global id per local set; nil ⇒ identity (lone in-process shard)
 	blocks  []csrBlock
 	cursor  []int32 // scratch for CSR construction, len = n
 
-	exts     []arenaExtent // frozen arena extents preceding buf, ascending
-	tailSet  int           // local index of the first set stored in buf
-	tailBase int64         // absolute item offset of buf[0]
-	spill    *spillState   // shared spill tier; nil ⇒ spilling disabled
+	exts  []arenaExtent // arena extents, ascending; they tile [0, nsets())
+	spill *spillState   // shared spill tier; nil ⇒ spilling disabled
+	snap  *blockFile    // recovered-from snapshot; keeps its mappings alive
 }
 
-// arenaExtent is a frozen, immutable slice of the arena: local sets
-// [setFrom, setTo) whose items span absolute offsets [base, end). data is
-// either the original heap slice (resident) or an alias of a block-file
-// mapping — the spill file's, or a recovered snapshot's (mapped). seal()
-// creates them: once per in-process growth, and under spill pressure.
+// arenaExtent is an immutable slice of the arena: local sets
+// [setFrom, setTo) whose items span absolute offsets [base, base+len(data)).
+// data is either the heap slice one appendResults call filled (resident) or
+// an alias of a block-file mapping — the spill file's, or a recovered
+// snapshot's (mapped).
 type arenaExtent struct {
 	setFrom, setTo int
-	base, end      int64
+	base           int64
 	data           []uint32
 	mapped         bool
 	lastUse        uint64 // spill-LRU recency; read/written atomically
@@ -96,20 +93,20 @@ func newSegment(n int) *segment {
 // nsets returns the number of sets stored in the segment.
 func (sg *segment) nsets() int { return len(sg.offsets) - 1 }
 
-// setAt returns local set i as a sub-slice of the arena: the active tail for
-// recent sets, or the frozen extent holding i (which may alias the spill
-// file — reading it is the transparent fault-in path).
+// setAt returns local set i as a sub-slice of the extent holding it (which
+// may alias the spill file — reading it is the transparent fault-in path).
+// The newest extent is tried first: under doubling it holds about half the
+// sets.
 func (sg *segment) setAt(i int) []uint32 {
-	if i >= sg.tailSet {
-		return sg.buf[sg.offsets[i]-sg.tailBase : sg.offsets[i+1]-sg.tailBase]
+	e := &sg.exts[len(sg.exts)-1]
+	if i < e.setFrom {
+		e = &sg.exts[sg.extentIndex(i)]
 	}
-	e := &sg.exts[sg.extentIndex(i)]
 	sg.touch(e)
 	return e.data[sg.offsets[i]-e.base : sg.offsets[i+1]-e.base]
 }
 
-// extentIndex returns the index of the first extent ending after local set
-// i: the extent holding i, or len(sg.exts) when i is in the tail.
+// extentIndex returns the index of the extent holding local set i.
 func (sg *segment) extentIndex(i int) int {
 	lo, hi := 0, len(sg.exts)
 	for lo < hi {
@@ -123,21 +120,30 @@ func (sg *segment) extentIndex(i int) int {
 	return lo
 }
 
+// stamp returns a fresh LRU recency for a unit the segment just built, or 0
+// without a spill tier.
+func (sg *segment) stamp() uint64 {
+	if sg.spill == nil {
+		return 0
+	}
+	return sg.spill.tick()
+}
+
 // touch stamps a resident extent's LRU recency in a spill-armed segment
 // (spilled extents have nothing left to evict). Safe under concurrent
 // reads: extents are immutable and the stamp is atomic.
 func (sg *segment) touch(e *arenaExtent) {
 	if !e.mapped && sg.spill != nil {
-		atomic.StoreUint64(&e.lastUse, sg.spill.tick())
+		sg.spill.touch(&e.lastUse)
 	}
 }
 
-// eachPiece calls fn once per arena slice holding local sets [from, to), in
-// ascending order: a piece of each extent they span, then of the tail. Set
-// i of a piece [lo, hi) is data[offsets[i]-base : offsets[i+1]-base]. With
-// touch it stamps each extent it reads once; index builds read untouched.
+// eachPiece calls fn once per extent holding local sets [from, to), in
+// ascending order, with the part of [from, to) it holds. Set i of a piece
+// [lo, hi) is data[offsets[i]-base : offsets[i+1]-base]. With touch it
+// stamps each extent it reads once; index builds read untouched.
 func (sg *segment) eachPiece(from, to int, touch bool, fn func(lo, hi int, base int64, data []uint32)) {
-	for ei := sg.extentIndex(from); from < to && ei < len(sg.exts); ei++ {
+	for ei := sg.extentIndex(from); from < to; ei++ {
 		e := &sg.exts[ei]
 		if touch {
 			sg.touch(e)
@@ -145,9 +151,6 @@ func (sg *segment) eachPiece(from, to int, touch bool, fn func(lo, hi int, base 
 		hi := min(to, e.setTo)
 		fn(from, hi, e.base, e.data)
 		from = hi
-	}
-	if from < to {
-		fn(from, to, sg.tailBase, sg.buf)
 	}
 }
 
@@ -162,31 +165,8 @@ func (sg *segment) mappedSets(from, to int) bool {
 	return false
 }
 
-// items returns the total arena entries across extents and tail.
+// items returns the total arena entries across the extents.
 func (sg *segment) items() int64 { return sg.offsets[sg.nsets()] }
-
-// seal freezes the active tail into an immutable extent — making it a spill
-// candidate — and starts an empty tail after it. An in-process growth calls
-// it before appending, and the spill enforcement loop under pressure, both
-// under the store's mutation exclusivity; the sealed extent is stamped as
-// most recently used, since it holds the newest sets.
-func (sg *segment) seal() {
-	if len(sg.buf) == 0 {
-		return
-	}
-	var use uint64
-	if sg.spill != nil {
-		use = sg.spill.tick()
-	}
-	sg.exts = append(sg.exts, arenaExtent{
-		setFrom: sg.tailSet, setTo: sg.nsets(),
-		base: sg.tailBase, end: sg.tailBase + int64(len(sg.buf)),
-		data: sg.buf, lastUse: use,
-	})
-	sg.tailSet = sg.nsets()
-	sg.tailBase += int64(len(sg.buf))
-	sg.buf = nil
-}
 
 // gid maps a local set index to its global stream id.
 func (sg *segment) gid(i int) int {
@@ -196,14 +176,13 @@ func (sg *segment) gid(i int) int {
 	return int(sg.gids[i])
 }
 
-// residentBytes reports the heap memory the segment holds: the tail arena,
+// residentBytes reports the heap memory the segment holds: the
 // offset/gid/cursor tables, resident extents and index blocks, plus the
 // per-block and per-extent metadata records themselves (capacities, since
 // grown backing arrays are what the process actually retains). Units that
 // alias a block-file mapping are excluded — spilledBytes counts those.
 func (sg *segment) residentBytes() int64 {
-	b := int64(cap(sg.buf))*4 + int64(cap(sg.offsets))*8 +
-		int64(cap(sg.gids))*4 + int64(cap(sg.cursor))*4 +
+	b := int64(cap(sg.offsets))*8 + int64(cap(sg.gids))*4 + int64(cap(sg.cursor))*4 +
 		int64(cap(sg.blocks))*int64(unsafe.Sizeof(csrBlock{})) +
 		int64(cap(sg.exts))*int64(unsafe.Sizeof(arenaExtent{}))
 	for i := range sg.blocks {
@@ -310,24 +289,37 @@ func sampleChunksInto(ctx context.Context, s *Sampler, seed uint64, gfrom, gto, 
 	return results, nil
 }
 
-// appendResults merges chunk results into the arena in chunk order (global
-// ids are deterministic). One arena grow and one offset-table grow cover
-// the whole batch; on an empty (just sealed) tail the arena grow is one
-// exact-size allocation.
-func (sg *segment) appendResults(results []chunkResult) {
+// appendResults appends chunk results, the sets with global ids from on in
+// chunk order, as one new exact-size extent, stamped most recently used
+// since it holds the newest sets; a segment with a gid table records their
+// ids. It is the only way sets enter the arena.
+func (sg *segment) appendResults(results []chunkResult, from int) {
 	var totalItems, totalSets int
 	for ci := range results {
 		totalItems += len(results[ci].buf)
 		totalSets += len(results[ci].offsets) - 1
 	}
-	sg.buf = slices.Grow(sg.buf, totalItems)
+	if totalSets == 0 {
+		return
+	}
+	e := arenaExtent{
+		setFrom: sg.nsets(), setTo: sg.nsets() + totalSets,
+		base: sg.items(), data: make([]uint32, 0, totalItems), lastUse: sg.stamp(),
+	}
 	sg.offsets = slices.Grow(sg.offsets, totalSets)
 	for ci := range results {
 		res := &results[ci]
-		off := sg.tailBase + int64(len(sg.buf))
-		sg.buf = append(sg.buf, res.buf...)
+		off := e.base + int64(len(e.data))
+		e.data = append(e.data, res.buf...)
 		for j := 1; j < len(res.offsets); j++ {
 			sg.offsets = append(sg.offsets, off+int64(res.offsets[j]))
+		}
+	}
+	sg.exts = append(sg.exts, e)
+	if sg.gids != nil {
+		sg.gids = slices.Grow(sg.gids, totalSets)
+		for g := from; g < from+totalSets; g++ {
+			sg.gids = append(sg.gids, int32(g))
 		}
 	}
 }
@@ -416,7 +408,7 @@ func (sg *segment) appendBlock(from, to, workers int) {
 	sg.blocks = append(sg.blocks, csrBlock{
 		from: sg.gid(from), to: sg.gid(to-1) + 1,
 		lfrom: from, lto: to,
-		starts: starts, ids: ids,
+		starts: starts, ids: ids, lastUse: sg.stamp(),
 	})
 }
 
@@ -528,14 +520,13 @@ func (sg *segment) buildBlockParallel(from, to int, starts, ids []int32, workers
 // but interleaved in global id. No consumer of the Store interface may rely
 // on cross-run ordering.
 type Postings struct {
-	pre    [][]int32   // pre-fetched runs (remote shards), drained first
-	blocks []csrBlock  // blocks of the segment currently being walked
-	more   []*segment  // remaining segments
-	sp     *spillState // non-nil ⇒ stamp resident blocks' LRU recency
-	v      uint32
-	from   int
-	upto   int
-	bi     int
+	pre  [][]int32  // pre-fetched runs (remote shards), drained first
+	seg  *segment   // segment being walked; holding it keeps its mappings live
+	more []*segment // remaining segments
+	v    uint32
+	from int
+	upto int
+	bi   int
 }
 
 // Next returns the next non-empty ascending run of global set ids, or false
@@ -551,20 +542,20 @@ func (p *Postings) Next() ([]int32, bool) {
 			}
 			continue
 		}
-		for p.bi < len(p.blocks) {
-			b := &p.blocks[p.bi]
+		for sg := p.seg; sg != nil && p.bi < len(sg.blocks); {
+			b := &sg.blocks[p.bi]
 			if b.from >= p.upto {
 				// Blocks ascend by their global lower bound, so the rest of
 				// this segment is out of range.
-				p.bi = len(p.blocks)
+				p.bi = len(sg.blocks)
 				break
 			}
 			p.bi++
 			if b.to <= p.from {
 				continue
 			}
-			if p.sp != nil && !b.mapped {
-				atomic.StoreUint64(&b.lastUse, p.sp.tick())
+			if sg.spill != nil && !b.mapped {
+				sg.spill.touch(&b.lastUse)
 			}
 			run := b.ids[b.starts[p.v]:b.starts[p.v+1]]
 			if b.from < p.from {
@@ -582,8 +573,6 @@ func (p *Postings) Next() ([]int32, bool) {
 		if len(p.more) == 0 {
 			return nil, false
 		}
-		p.blocks = p.more[0].blocks
-		p.more = p.more[1:]
-		p.bi = 0
+		p.seg, p.more, p.bi = p.more[0], p.more[1:], 0
 	}
 }

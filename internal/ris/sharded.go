@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -53,8 +52,6 @@ type ShardedCollection struct {
 	spill   *spillState // shared spill tier across all segs; nil ⇒ disabled
 
 	covWords []uint64 // CoverageRangeSeeds' window bitset, one bit per id
-
-	snap *blockFile // recovered-from snapshot; keeps its mappings alive
 }
 
 // genEpoch records how one growth call's global id range [from, to) was
@@ -392,21 +389,12 @@ func (sc *ShardedCollection) GenerateToCtx(ctx context.Context, target int) erro
 				continue
 			}
 			wg.Add(1)
-			go func(sg *segment, results []chunkResult, glo, ghi int) {
+			go func(sg *segment, results []chunkResult, glo int) {
 				defer wg.Done()
 				lfrom := sg.nsets()
-				// Each growth is its own extent: appending never copies
-				// the sets already stored.
-				sg.seal()
-				sg.appendResults(results)
-				if sg.gids != nil {
-					sg.gids = slices.Grow(sg.gids, ghi-glo)
-					for g := glo; g < ghi; g++ {
-						sg.gids = append(sg.gids, int32(g))
-					}
-				}
+				sg.appendResults(results, glo)
 				sg.appendIndexBlock(lfrom, sg.nsets(), sc.shardWorkers)
-			}(sc.segs[s], sampled[s], glo, ghi)
+			}(sc.segs[s], sampled[s], glo)
 		}
 		wg.Wait()
 	}
@@ -499,7 +487,7 @@ func (sc *ShardedCollection) PostingsRange(v uint32, from, upto int) Postings {
 		}
 		return Postings{pre: pre, v: v, from: from, upto: upto}
 	}
-	return Postings{more: sc.segs, sp: sc.spill, v: v, from: from, upto: upto}
+	return Postings{more: sc.segs, v: v, from: from, upto: upto}
 }
 
 // CoverageRangeSeeds counts the sets in [from, to) containing at least one

@@ -342,10 +342,7 @@ func (s *ShardServer) handleGenerate(bw *bufio.Writer, payload []byte) error {
 			return &fatalError{msg: err.Error()}
 		}
 		lfrom := sh.seg.nsets()
-		sh.seg.appendResults(results)
-		for g := gfrom; g < gto; g++ {
-			sh.seg.gids = append(sh.seg.gids, int32(g))
-		}
+		sh.seg.appendResults(results, gfrom)
 		sh.seg.appendIndexBlock(lfrom, sh.seg.nsets(), sh.workers)
 		if mirror {
 			for ci := range results {
@@ -461,7 +458,7 @@ func (s *ShardServer) handlePostings(bw *bufio.Writer, payload []byte) error {
 		return err
 	}
 	sh.mu.Lock()
-	it := Postings{blocks: sh.seg.blocks, v: v, from: from, upto: upto}
+	it := Postings{seg: sh.seg, v: v, from: from, upto: upto}
 	var w wbuf
 	var ids []int32
 	for {
@@ -504,7 +501,7 @@ func (s *ShardServer) handleCoverage(bw *bufio.Writer, payload []byte) error {
 	}
 	_, cov := windowStop(&sh.words, seeds, max(from, 0), to, math.MaxInt64,
 		func(v uint32, from, upto int) Postings {
-			return Postings{blocks: sh.seg.blocks, v: v, from: from, upto: upto}
+			return Postings{seg: sh.seg, v: v, from: from, upto: upto}
 		})
 	sh.mu.Unlock()
 	var w wbuf

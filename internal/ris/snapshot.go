@@ -226,34 +226,6 @@ func b2u(b bool) byte {
 	return 0
 }
 
-// persistExt is one arena range scheduled for persistence: the frozen
-// extents in order, then the active tail as a final virtual extent. Together
-// they tile the segment's sets [0, nsets).
-type persistExt struct {
-	setFrom, setTo int
-	items          int64
-	data           []uint32
-}
-
-func persistExtents(sg *segment) []persistExt {
-	out := make([]persistExt, 0, len(sg.exts)+1)
-	for i := range sg.exts {
-		e := &sg.exts[i]
-		out = append(out, persistExt{
-			setFrom: e.setFrom, setTo: e.setTo,
-			items: e.end - e.base, data: e.data[:e.end-e.base],
-		})
-	}
-	if ns := sg.nsets(); ns > sg.tailSet {
-		items := sg.offsets[ns] - sg.tailBase
-		out = append(out, persistExt{
-			setFrom: sg.tailSet, setTo: ns,
-			items: items, data: sg.buf[:items],
-		})
-	}
-	return out
-}
-
 // encodeSegMeta appends the segment's descriptor: set count, width word, a
 // zero byte (no gid table: one shard runs on identity ids), the arena
 // extents and the CSR index blocks. Block payload lengths are all derivable
@@ -264,12 +236,12 @@ func encodeSegMeta(w *wbuf, sg *segment, inIdx []int64) {
 	w.u64(uint64(ns))
 	w.i64(metaWidth(sg, inIdx))
 	w.u8(0)
-	exts := persistExtents(sg)
-	w.u32(uint32(len(exts)))
-	for _, x := range exts {
+	w.u32(uint32(len(sg.exts)))
+	for i := range sg.exts {
+		x := &sg.exts[i]
 		w.u64(uint64(x.setFrom))
 		w.u64(uint64(x.setTo))
-		w.i64(x.items)
+		w.i64(int64(len(x.data)))
 	}
 	w.u32(uint32(len(sg.blocks)))
 	for i := range sg.blocks {
@@ -303,8 +275,8 @@ func metaWidth(sg *segment, inIdx []int64) int64 {
 // errors are sticky, so the caller checks bf.err once after the last block.
 func writeSegBlocks(bf *blockFile, sg *segment) {
 	bf.append(snapKindOffsets, rawBytes(sg.offsets[:sg.nsets()+1]))
-	for _, x := range persistExtents(sg) {
-		bf.append(snapKindArena, rawBytes(x.data))
+	for i := range sg.exts {
+		bf.append(snapKindArena, rawBytes(sg.exts[i].data))
 	}
 	for i := range sg.blocks {
 		b := &sg.blocks[i]

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -805,4 +806,64 @@ func TestSpillPayloadBitFlip(t *testing.T) {
 	if got, err := sf.mapBlock(offs[1], snapKindArena, plen); err != nil || !slices.Equal(got, payload) {
 		t.Fatalf("intact block: %v", err)
 	}
+}
+
+// TestPostingsOutliveStore pins that a Postings iterator keeps alive the
+// mappings it reads: once the store it came from is unreachable, the block
+// file's finalizer must not unmap the index pages the iterator still walks.
+// One leg recovers the store from a snapshot, one spills it to disk.
+func TestPostingsOutliveStore(t *testing.T) {
+	s := snapTestSampler(t)
+	ref := NewRefStore(s, 7)
+	growPattern(ref)
+	dir := t.TempDir()
+	st := NewStore(s, 7, snapOpt(0))
+	growPattern(st)
+	if _, err := st.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	spillDir := t.TempDir()
+	legs := map[string]func() []Postings{
+		"recovered": func() []Postings {
+			rec, _, err := Recover(s, 7, snapOpt(0), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return allPostings(rec)
+		},
+		"spilled": func() []Postings {
+			sp := NewStore(s, 7, StoreOptions{Workers: 2, SpillBudgetBytes: 1, SpillDir: spillDir})
+			growPattern(sp)
+			if err := sp.SpillTo(0); err != nil {
+				t.Fatal(err)
+			}
+			return allPostings(sp)
+		},
+	}
+	for name, open := range legs {
+		its := open()
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+		}
+		for v := range its {
+			var got []int32
+			for run, ok := its[v].Next(); ok; run, ok = its[v].Next() {
+				got = append(got, run...)
+			}
+			slices.Sort(got)
+			if want := gatherPostings(ref, uint32(v), 0, ref.Len()); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d postings %v, want %v", name, v, got, want)
+			}
+		}
+	}
+}
+
+// allPostings returns an iterator over every node's postings in st, and
+// nothing else that references st.
+func allPostings(st Store) []Postings {
+	its := make([]Postings, st.NumNodes())
+	for v := range its {
+		its[v] = st.PostingsRange(uint32(v), 0, st.Len())
+	}
+	return its
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the disk spill tier of the RR-set store: when a store is
-// built with StoreOptions.SpillBudgetBytes, cold frozen arena extents and
-// cold CSR index blocks are appended to a spill file — a blockFile
+// built with StoreOptions.SpillBudgetBytes, cold arena extents and cold CSR
+// index blocks are appended to a spill file — a blockFile
 // (blockfile.go) of arena and index blocks, the layout snapshots use — and
 // immediately re-read through a shared read-only mapping, so every access
 // path (Set, ForEachSet, PostingsRange, the coverage walks) keeps working on
@@ -75,6 +75,15 @@ func newSpillState(budget int64, dir string) *spillState {
 // tick returns the next LRU recency stamp.
 func (sp *spillState) tick() uint64 { return atomic.AddUint64(&sp.clock, 1) }
 
+// touch stamps a read of the unit whose recency is *use. A unit that holds
+// the newest stamp already keeps it, which leaves the LRU order unchanged
+// and spares a run of reads of one unit the shared clock's cache line.
+func (sp *spillState) touch(use *uint64) {
+	if atomic.LoadUint64(use) != atomic.LoadUint64(&sp.clock) {
+		atomic.StoreUint64(use, sp.tick())
+	}
+}
+
 func (sp *spillState) file() (*blockFile, error) {
 	if sp.f == nil {
 		f, err := newSpillFile(sp.dir)
@@ -86,11 +95,10 @@ func (sp *spillState) file() (*blockFile, error) {
 	return sp.f, nil
 }
 
-// enforce spills globally-coldest resident units (frozen arena extents and
-// CSR index blocks, across all segs) until their total resident bytes drop
-// to budget. When every frozen unit is already spilled it seals the active
-// arena tails into new extents and continues; the irreducible floor is the
-// offset/gid tables and per-unit metadata, which always stay resident.
+// enforce spills globally-coldest resident units (arena extents and CSR
+// index blocks, across all segs) until their total resident bytes drop to
+// budget. The irreducible floor is the offset/gid tables and per-unit
+// metadata, which always stay resident.
 // Must run under the store's mutation exclusivity (the growth discipline).
 // A spill failure is recorded, returned, and stops all future spilling.
 func (sp *spillState) enforce(budget int64, segs []*segment) error {
@@ -133,17 +141,7 @@ func (sp *spillState) enforce(budget int64, segs []*segment) error {
 			}
 		}
 		if !found {
-			sealed := false
-			for _, sg := range segs {
-				if len(sg.buf) > 0 {
-					sg.seal()
-					sealed = true
-				}
-			}
-			if !sealed {
-				return nil // at the resident floor; nothing left to spill
-			}
-			continue
+			return nil // at the resident floor; nothing left to spill
 		}
 		var err error
 		if vext >= 0 {
@@ -178,7 +176,7 @@ func (sp *spillState) spill(kind byte, parts ...[]byte) ([]byte, error) {
 	return f.mapBlock(off, kind, plen)
 }
 
-// spillExtent moves one frozen arena extent's items onto the spill file,
+// spillExtent moves one arena extent's items onto the spill file,
 // re-pointing data at the shared mapping.
 func (sp *spillState) spillExtent(e *arenaExtent) error {
 	payload, err := sp.spill(snapKindArena, rawBytes(e.data))

@@ -170,7 +170,7 @@ func TestSpillStoreBitIdentical(t *testing.T) {
 
 // TestSpillEdgeCases covers the degenerate shapes: a single-node graph
 // (every RR set is the one-element root set) and hand-built segments with
-// zero-length sets mixed into a sealed, spilled extent.
+// zero-length sets mixed into a spilled extent.
 func TestSpillEdgeCases(t *testing.T) {
 	// n = 1: sets are all {0}.
 	g1 := mustGraph(t, 1, nil)
@@ -189,14 +189,12 @@ func TestSpillEdgeCases(t *testing.T) {
 	sg := newSegment(4)
 	sp := newSpillState(1, t.TempDir())
 	sg.spill = sp
-	sg.buf = []uint32{1, 2, 3}
-	sg.offsets = []int64{0, 0, 2, 2, 3}
-	sg.seal()
+	sg.appendResults([]chunkResult{{buf: []uint32{1, 2, 3}, offsets: []int32{0, 0, 2, 2, 3}}}, 0)
 	if err := sp.enforce(0, []*segment{sg}); err != nil {
 		t.Fatal(err)
 	}
 	if !sg.exts[0].mapped {
-		t.Fatal("sealed extent was not spilled")
+		t.Fatal("the extent was not spilled")
 	}
 	want := [][]uint32{{}, {1, 2}, {}, {3}}
 	for i, w := range want {
@@ -204,6 +202,40 @@ func TestSpillEdgeCases(t *testing.T) {
 			t.Fatalf("set %d = %v, want %v", i, got, w)
 		}
 	}
+}
+
+// TestSpillKeepsFreshIndexBlock pins that an index block is stamped most
+// recently used when it is built. Under doubling the newest block has merged
+// in most of the index, so a spill of one unit's worth must take the oldest
+// arena extent, not an index block.
+func TestSpillKeepsFreshIndexBlock(t *testing.T) {
+	g, err := gen.ErdosRenyi(2000, 12000, 53, graph.BuildOptions{Model: graph.WeightedCascade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSampler(t, g, diffusion.IC)
+	sc := spilledStore(t, s, 11, 0, 1<<40).(*ShardedCollection) // nothing spills on its own
+	for target := 1000; target <= 8000; target *= 2 {
+		sc.GenerateTo(target)
+	}
+	sg := sc.segs[0]
+	if err := sc.SpillTo(sg.residentBytes() - 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sg.blocks {
+		if sg.blocks[i].mapped {
+			t.Fatalf("the spill took index block %d (%d ids)", i, len(sg.blocks[i].ids))
+		}
+	}
+	if len(sg.exts) != 4 {
+		t.Fatalf("the ladder left %d extents, want 4", len(sg.exts))
+	}
+	for i := range sg.exts {
+		if sg.exts[i].mapped != (i == 0) {
+			t.Fatalf("extent %d mapped = %v; only the oldest extent should be spilled", i, sg.exts[i].mapped)
+		}
+	}
+	AssertStoresEqual(t, "one-unit spill", refStream(s, 11, sc.Len()), sc)
 }
 
 // fullDisk is a SnapshotFile whose every write fails with err: the disk

@@ -50,12 +50,14 @@ type Store interface {
 	Workers() int
 	// Scale returns the estimator scale (n for RIS, Γ for WRIS).
 	Scale() float64
-	// Set returns RR set i; the slice must not be modified and is
-	// invalidated (never mutated in place) by the next growth.
+	// Set returns RR set i; the slice must not be modified. It stays valid
+	// while the store is reachable: growth never moves a stored set, and a
+	// spill or snapshot mapping is released only with the store.
 	Set(i int) []uint32
 	// ForEachSet calls fn for every RR set with id in [from, to), in
 	// ascending id order — the bulk-scan primitive solvers use to fold new
-	// stream suffixes into gain counts without per-id lookup cost.
+	// stream suffixes into gain counts without per-id lookup cost. Each set
+	// is a slice as Set returns it, valid while the store is reachable.
 	ForEachSet(from, to int, fn func(i int, set []uint32))
 	// GenerateTo grows the stream to at least target RR sets. Remote shard
 	// failures escape as *ShardError panics (see ShardError), and a graph
@@ -129,7 +131,7 @@ type StoreOptions struct {
 	RemoteDial DialFunc
 	// SpillBudgetBytes > 0 enables the disk spill tier: after any growth
 	// that leaves more than this many resident RR bytes (arena + index,
-	// excluding the shared compiled plan), cold frozen arena extents and
+	// excluding the shared compiled plan), cold arena extents and
 	// cold CSR index blocks are appended to a spill file and served from a
 	// shared read-only mapping instead of the heap. Results stay
 	// bit-identical at every budget — spilling only moves bytes.
