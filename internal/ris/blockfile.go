@@ -25,11 +25,13 @@ import (
 // wrote it), never an interchange format, so casting them back in place is
 // endian-agnostic.
 //
-// A block file has two operations: append, which writes a block through a
-// SnapshotFile, and mapBlock, which maps one block read-only, validates it
-// and hands out its payload. A mapping is never released before the whole
-// file closes — the finalizer path, once the store holding the file is
-// unreachable — so concurrent readers can never fault on an unmapped page.
+// A block file has three operations: append, which writes a block through a
+// SnapshotFile; mapBlock, which maps one block read-only, validates it,
+// drops its pages from the resident set and hands out its payload; and
+// readBlock, which validates a block read into the heap. A mapping is never
+// released before the whole file closes — the finalizer path, once the store
+// holding the file is unreachable — so concurrent readers can never fault on
+// an unmapped page.
 
 const (
 	// snapMagic is "RRSN" read as a little-endian uint32.
@@ -126,16 +128,13 @@ func (bf *blockFile) write(p []byte) {
 // mapBlock maps the block at off read-only, validates it against kind and
 // payload length plen, and returns the payload aliasing the mapping, which
 // stays valid until the file closes. The mapped range starts at the page
-// boundary below off, as mappings must. The file's size is checked first
-// (touching a mapped page past EOF faults), so a truncated or corrupted
-// file surfaces as ErrBadSpill instead of a fault.
+// boundary below off, as mappings must. Once validated, the mapping's pages
+// leave the process's resident set (dropResident): the checksum pass read
+// every one of them, but they stay in the page cache and fault back in only
+// when a query reads them.
 func (bf *blockFile) mapBlock(off int64, kind byte, plen int64) ([]byte, error) {
-	fi, err := bf.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpill, err)
-	}
-	if size := fi.Size(); off < 0 || plen < 0 || off > size-blockHdrSize || plen > size-blockHdrSize-off {
-		return nil, fmt.Errorf("%w: block [%d,+%d) outside %d-byte file", ErrBadSpill, off, blockHdrSize+plen, size)
+	if err := bf.checkBounds(off, plen); err != nil {
+		return nil, err
 	}
 	base := off &^ int64(os.Getpagesize()-1)
 	data, err := mapRange(bf.f, base, off+blockHdrSize+plen-base)
@@ -147,8 +146,55 @@ func (bf *blockFile) mapBlock(off int64, kind byte, plen int64) ([]byte, error) 
 		unmapRange(data)
 		return nil, fmt.Errorf("%w: block at %d: %v", ErrBadSpill, off, err)
 	}
+	dropResident(data)
 	bf.maps = append(bf.maps, data)
 	return payload, nil
+}
+
+// readBlock is mapBlock for a block its caller decodes or copies at once
+// (a snapshot's meta block and offset table): it reads the block into a
+// heap buffer instead, so no mapping is made and no page is read twice. The
+// payload is 8-byte aligned.
+func (bf *blockFile) readBlock(off int64, kind byte, plen int64) ([]byte, error) {
+	if err := bf.checkBounds(off, plen); err != nil {
+		return nil, err
+	}
+	data, err := readRange(bf.f, off, blockHdrSize+plen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpill, err)
+	}
+	payload, err := blockPayload(data, 0, kind, plen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: block at %d: %v", ErrBadSpill, off, err)
+	}
+	return payload, nil
+}
+
+// checkBounds reports ErrBadSpill unless the file holds a whole block with a
+// plen-byte payload at off. It runs before anything is mapped (touching a
+// mapped page past EOF faults) or allocated, so a truncated or corrupted
+// file surfaces as ErrBadSpill instead of a fault or a huge buffer.
+func (bf *blockFile) checkBounds(off, plen int64) error {
+	fi, err := bf.f.Stat()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpill, err)
+	}
+	if size := fi.Size(); off < 0 || plen < 0 || off > size-blockHdrSize || plen > size-blockHdrSize-off {
+		return fmt.Errorf("%w: block [%d,+%d) outside %d-byte file", ErrBadSpill, off, blockHdrSize+plen, size)
+	}
+	return nil
+}
+
+// readRange reads [off, off+length) of f into a heap buffer backed by
+// []uint64, so a payload at a 64-byte offset in it keeps the alignment the
+// in-place casts rely on.
+func readRange(f *os.File, off, length int64) ([]byte, error) {
+	words := make([]uint64, (length+7)/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), length)
+	if _, err := f.ReadAt(data, off); err != nil {
+		return nil, fmt.Errorf("read [%d,+%d): %v", off, length, err)
+	}
+	return data, nil
 }
 
 // blockPayload validates the block at data[off:], which must hold its

@@ -13,9 +13,11 @@ import (
 // a committed snapshot as a blockFile, verifies every block's CRC32C, and
 // rebuilds a Store whose arena extents and CSR index blocks alias the
 // snapshot's mappings through mapBlock — the very path a spilled unit takes,
-// so a recovered store starts near zero-resident and serves bit-identical
-// answers immediately. Recovery is opening a block file this process did
-// not write.
+// which drops each mapping's pages from the resident set once its checksum
+// has passed — so a recovered store starts near zero-resident and serves
+// bit-identical answers immediately. The meta block and the offset table,
+// decoded into the heap at once, are read with readBlock instead of mapped.
+// Recovery is opening a block file this process did not write.
 //
 // Corruption degrades gracefully instead of failing the store: a bad arena
 // or offset block discards the stream suffix from the first unrecoverable RR
@@ -63,16 +65,16 @@ func openSnapshot(path string) (*blockFile, error) {
 	return bf, nil
 }
 
-// metaBlock maps the leading meta block — its length is not known in
-// advance, so it is read from the header first — and returns its payload
-// and the offset of the first data block.
+// metaBlock reads the leading meta block into the heap — its length is not
+// known in advance, so it is read from the header first — and returns its
+// payload and the offset of the first data block.
 func metaBlock(bf *blockFile) ([]byte, int64, error) {
 	var hdr [blockHdrSize]byte
 	if _, err := bf.f.ReadAt(hdr[:], 0); err != nil {
 		return nil, 0, &SnapshotCorruptError{Path: bf.path, Reason: "meta block header: " + err.Error()}
 	}
 	plen := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	payload, err := bf.mapBlock(0, snapKindMeta, plen)
+	payload, err := bf.readBlock(0, snapKindMeta, plen)
 	if err != nil {
 		return nil, 0, &SnapshotCorruptError{Path: bf.path, Reason: "meta block: " + err.Error()}
 	}
@@ -253,27 +255,27 @@ func validateMeta(md *snapMetaD, s *Sampler, seed uint64, opt StoreOptions) erro
 	return nil
 }
 
-// segRestore is the outcome of the block walk: a heap copy of the offset
-// table, mapped payloads for arena and index blocks, and badFrom, the first
-// set that cannot be restored (nsets when clean).
+// segRestore is the outcome of the block walk: the offset table, read into
+// the heap, mapped payloads for arena and index blocks, and badFrom, the
+// first set that cannot be restored (nsets when clean).
 type segRestore struct {
 	sm      *snapSegMeta
-	offsets []int64  // heap copy; nil ⇒ badFrom == 0
+	offsets []int64  // heap; nil ⇒ badFrom == 0
 	arenas  [][]byte // one payload per extent entry; nil = unrecoverable
 	iblocks [][]byte // validated prefix of the index block payloads
 	badFrom int
 }
 
-// readSegBlocks walks the segment's blocks starting at off, mapping and
-// validating each against the meta descriptor, and returns the restore
-// plan. A block that fails validation maps to nil: that unit is gone, never
+// readSegBlocks walks the segment's blocks starting at off, reading the
+// offset table and mapping every other block, validating each against the
+// meta descriptor, and returns the restore plan. A block that fails validation maps to nil: that unit is gone, never
 // a store-level error. Block positions depend only on the meta, so one
 // corrupt payload never desynchronizes the walk.
 func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 	r := segRestore{sm: sm, badFrom: sm.nsets}
 	plen := int64(sm.nsets+1) * 8
-	if p, _ := bf.mapBlock(off, snapKindOffsets, plen); p != nil {
-		offs := append([]int64(nil), castSlice[int64](p)...)
+	if p, _ := bf.readBlock(off, snapKindOffsets, plen); p != nil {
+		offs := castSlice[int64](p)
 		ok := offs[0] == 0
 		for i := 1; i < len(offs) && ok; i++ {
 			ok = offs[i] >= offs[i-1]

@@ -172,6 +172,10 @@ type laneSpan struct {
 type State struct {
 	lanes [ltLanes]lane
 	spans []laneSpan // LT chunk path: finished sets by chunk position
+	// icPerSet is the IC chunk path's items per set in the last chunk this
+	// State sampled (0 before the first), which sizes the next chunk's
+	// buffer so that it is not regrown by append.
+	icPerSet float64
 }
 
 // NewState allocates sampling scratch for the sampler's graph; a State
@@ -263,13 +267,20 @@ func (s *Sampler) walk(p *Plan, r *rng.Source, st *State, buf []uint32) []uint32
 func (s *Sampler) sampleChunk(p *Plan, st *State, seed uint64, lo, hi int, res *chunkResult) {
 	res.offsets = append(slices.Grow(res.offsets[:0], hi-lo+1), 0)
 	if p.model == diffusion.IC {
-		buf := slices.Grow(res.buf[:0], 4*(hi-lo))
+		// The chunks' sets are draws from one distribution, so the last
+		// chunk's items per set, plus an eighth, usually hold this one.
+		perSet := 4.0
+		if st.icPerSet > 0 {
+			perSet = st.icPerSet * 9 / 8
+		}
+		buf := slices.Grow(res.buf[:0], int(perSet*float64(hi-lo))+1)
 		r := &st.lanes[0].r
 		for id := lo; id < hi; id++ {
 			r.SeedStream(seed, uint64(id)|s.stream)
 			buf = s.walk(p, r, st, buf)
 			res.offsets = append(res.offsets, int32(len(buf)))
 		}
+		st.icPerSet = float64(len(buf)) / float64(hi-lo)
 		res.buf = buf
 		return
 	}

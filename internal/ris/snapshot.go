@@ -24,7 +24,8 @@ import (
 // CSR index blocks, in the order the meta declares them. Arena and index
 // blocks are the very blocks a spill file holds, so recovery aliases them
 // through mapBlock exactly as a spilled unit is aliased: a warm restart
-// costs one sequential checksum pass, not a resample.
+// costs one sequential checksum pass, not a resample, and the pages that
+// pass read leave the resident set as each block checks out.
 //
 // Commit protocol: write snapshot-<gen>.rrsnap → fsync file → fsync dir →
 // write manifest.json.tmp → fsync → rename over manifest.json → fsync dir.

@@ -11,10 +11,13 @@ import (
 // built with StoreOptions.SpillBudgetBytes, cold arena extents and cold CSR
 // index blocks are appended to a spill file — a blockFile
 // (blockfile.go) of arena and index blocks, the layout snapshots use — and
-// immediately re-read through a shared read-only mapping, so every access
-// path (Set, ForEachSet, PostingsRange, the coverage walks) keeps working on
-// the exact same slices-of-block layout — "fault-in" is the OS paging the
-// bytes back through the mapping, and the page cache is the hot tier. The
+// mapped back shared and read-only, so every access path (Set, ForEachSet,
+// PostingsRange, the coverage walks) keeps working on the exact same
+// slices-of-block layout. The block's checksum is verified through the new
+// mapping, whose pages then leave the resident set (mapBlock): a spilled
+// unit holds no resident page until a query reads it — "fault-in" is the
+// OS paging the bytes back through the mapping, and the page cache is the
+// hot tier. The
 // file is process-private scratch, created in SpillDir and unlinked at
 // creation where the OS allows it, so a crash leaks nothing.
 //

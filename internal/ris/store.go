@@ -133,7 +133,8 @@ type StoreOptions struct {
 	// that leaves more than this many resident RR bytes (arena + index,
 	// excluding the shared compiled plan), cold arena extents and
 	// cold CSR index blocks are appended to a spill file and served from a
-	// shared read-only mapping instead of the heap. Results stay
+	// shared read-only mapping instead of the heap; on linux a page of it
+	// is resident only once a read faults it in. Results stay
 	// bit-identical at every budget — spilling only moves bytes.
 	SpillBudgetBytes int64
 	// SpillDir is the directory spill files are created in ("" selects the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -455,5 +456,50 @@ func TestManagerConfigErrors(t *testing.T) {
 	m.Close()
 	if err := m.AddTenant("y", cfg); err == nil {
 		t.Fatal("AddTenant after Close accepted")
+	}
+}
+
+// TestEvictedSessionCollectedAfterOneGC is the serving leg of the root
+// package's TestDroppedSessionCollectedAfterOneGC: once the budget evicts a
+// tenant, nothing the manager keeps — the tenant, the coalescing table, the
+// admission gate — holds its session, so the first GC frees its stores.
+func TestEvictedSessionCollectedAfterOneGC(t *testing.T) {
+	m := NewManager(Config{BudgetBytes: 1})
+	defer m.Close()
+	for i, name := range []string{"a", "b"} {
+		cfg := TenantConfig{Graph: testGraph(t, uint64(7+i)), Model: stopandstare.IC,
+			Session: stopandstare.SessionOptions{Seed: uint64(11 + i), Workers: 2}}
+		if err := m.AddTenant(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, algo := range []stopandstare.Algorithm{stopandstare.DSSA, stopandstare.SSA} {
+		if _, err := m.Maximize(ctx, "a", stopandstare.Query{Algorithm: algo, K: 5, Epsilon: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := make(chan struct{})
+	m.mu.Lock()
+	a := m.tenants["a"]
+	m.mu.Unlock()
+	a.mu.Lock()
+	runtime.SetFinalizer(a.sess, func(*stopandstare.Session) { close(collected) })
+	a.mu.Unlock()
+	// Querying b with a idle evicts a under the 1-byte budget.
+	if _, err := m.Maximize(ctx, "b", stopandstare.Query{K: 5, Epsilon: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	evicted := a.sess == nil
+	a.mu.Unlock()
+	if !evicted {
+		t.Fatal("tenant a was not evicted under a 1-byte budget")
+	}
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("an evicted tenant's session outlived one GC")
 	}
 }

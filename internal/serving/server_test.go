@@ -212,7 +212,8 @@ func TestServeStatsBody(t *testing.T) {
 	}
 	tenantKeys := []string{"name", "resident", "nodes", "edges", "model", "queries", "evictions",
 		"samples", "items", "growths", "store_bytes", "verify_samples", "verify_bytes",
-		"plan_bytes", "graph_resident_bytes", "graph_mapped_bytes", "solvers", "solver_bytes"}
+		"plan_bytes", "graph_resident_bytes", "graph_mapped_bytes", "solvers", "solver_bytes",
+		"growth_alloc_bytes", "growth_gc_cycles"}
 	// Absent from every body below: recovering, recovered, snapshot_bytes
 	// and persists are zero, and so are the cold tenant's spill keys.
 	sameKeys("/stats", body, "uptime_sec", "queries", "executed", "coalesced", "rejected_429",
@@ -267,9 +268,15 @@ func TestServeStatsBody(t *testing.T) {
 		wantHot[k] = v
 	}
 	sameValues("hot tenant", hotBody, wantHot)
+	// The growth counters are process-wide reads, so the twin's differ; the
+	// hot tenant's own growths allocated.
+	if v, _ := hotBody["growth_alloc_bytes"].(float64); v <= 0 {
+		t.Fatalf("hot tenant growth_alloc_bytes = %v after growing queries", hotBody["growth_alloc_bytes"])
+	}
 	wantCold := session(stopandstare.SessionStats{})
 	for k, v := range map[string]any{
 		"name": "cold", "resident": false, "nodes": 0.0, "edges": 0.0, "model": "", "queries": 0.0, "evictions": 0.0,
+		"growth_alloc_bytes": 0.0, "growth_gc_cycles": 0.0,
 	} {
 		wantCold[k] = v
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 
@@ -59,9 +60,9 @@ type Session struct {
 
 	mu      sync.RWMutex     // store growth: writers top up, readers query
 	solver  *maxcover.Solver // one for every k; locks itself
-	words   sync.Pool        // *[]uint64, window bitsets of both stores' coverage walks
 	queries atomic.Int64
 	growths atomic.Int64
+	grown   growthCounters // summed over both stores' top-ups
 
 	recovered     int          // RR sets restored from a snapshot at build
 	snapshotBytes atomic.Int64 // last committed/recovered snapshot file size
@@ -76,6 +77,14 @@ type verifyStore struct {
 	sampler *ris.Sampler // the session sampler's Estimate-Inf stream
 	scan    bool         // a one-shot session's: every window is scanned, none kept
 }
+
+// windowWords pools the window bitsets (*[]uint64) of every session's
+// coverage walks, both stores'. It is package-level on purpose: the runtime
+// keeps every pool that has been Put to in its registry until the second GC
+// after the last Put, so a pool embedded in a Session would keep the whole
+// dropped session — stores, greedy runs, spill and snapshot mappings — alive
+// one GC cycle longer than its last reference.
+var windowWords = sync.Pool{New: func() any { return new([]uint64) }}
 
 // retainedIDs is the verification id range a store can hold (ids are int32
 // there); windows reaching past it are scanned. A variable only so tests
@@ -103,8 +112,10 @@ type SessionOptions struct {
 	// SpillBudgetBytes > 0 enables the store's disk spill tier: whenever a
 	// top-up leaves more than this many resident RR bytes, the coldest
 	// arena extents and CSR index blocks are spilled to disk and served
-	// from a read-only mapping. Results stay bit-identical at every budget;
-	// only residency moves. See ris.StoreOptions.SpillBudgetBytes.
+	// from a read-only mapping. On linux a spilled block holds no resident
+	// page once written and checked; a query's read faults in only the
+	// pages it touches. Results stay bit-identical at every budget; only
+	// residency moves. See ris.StoreOptions.SpillBudgetBytes.
 	SpillBudgetBytes int64
 	// SpillDir is where spill files are created ("" ⇒ the OS temp dir).
 	SpillDir string
@@ -211,6 +222,13 @@ type SessionStats struct {
 	// the one recovered from at build, replaced by each successful Persist
 	// (0 when neither happened).
 	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
+	// GrowthAllocBytes and GrowthGCCycles sum, over every top-up of either
+	// store, the heap bytes allocated and the GC cycles completed while it
+	// ran. They are process-wide counters (runtime/metrics) read at each
+	// top-up's edges under the store's write lock, so allocation by other
+	// goroutines in that interval counts too. Warm queries read nothing.
+	GrowthAllocBytes int64 `json:"growth_alloc_bytes"`
+	GrowthGCCycles   int64 `json:"growth_gc_cycles"`
 }
 
 // NewSession builds a serving session for (g, model). The heavy pieces are
@@ -278,7 +296,6 @@ func newSession(g *Graph, model Model, opt SessionOptions, oneShot bool) (*Sessi
 	}
 	s.verify = &verifyStore{sampler: sampler.VerifySampler(), scan: oneShot}
 	s.solver = maxcover.NewCachedSolver(s.store, runLimit)
-	s.words.New = func() any { return new([]uint64) }
 	return s, nil
 }
 
@@ -365,7 +382,7 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 	if s.inst != nil && q.K >= 1 {
 		copt.OptLowerBound = s.inst.OptLowerBound(q.K)
 	}
-	env := sessionEnv{s: s, ctx: ctx}
+	env := &sessionEnv{s: s, ctx: ctx}
 	var cres *core.Result
 	if algo == DSSA {
 		cres, err = core.DSSAWith(copt, env)
@@ -378,7 +395,8 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 	s.queries.Add(1)
 	return &Result{Seeds: cres.Seeds, InfluenceEstimate: cres.Influence,
 		Samples: cres.TotalSamples, Iterations: cres.Iterations, HitCap: cres.HitCap,
-		MemoryBytes: cres.MemoryBytes, Elapsed: cres.Elapsed, Warm: !cres.Grew}, nil
+		MemoryBytes: cres.MemoryBytes, Elapsed: cres.Elapsed, Warm: !cres.Grew,
+		GrowthAllocBytes: env.grown.allocBytes.Load(), GrowthGCCycles: env.grown.gcCycles.Load()}, nil
 }
 
 // Gamma returns Σ_v b(v) for weighted sessions (0 for classic IM sessions):
@@ -428,6 +446,8 @@ func (s *Session) Stats() SessionStats {
 		SolverBytes:        solverBytes,
 		Recovered:          s.recovered,
 		SnapshotBytes:      s.snapshotBytes.Load(),
+		GrowthAllocBytes:   s.grown.allocBytes.Load(),
+		GrowthGCCycles:     s.grown.gcCycles.Load(),
 	}
 }
 
@@ -498,30 +518,52 @@ func (s *Session) SpillTo(budget int64) (int64, error) {
 // and are collected with it.
 func DropCachedPlans(g *Graph) { g.DropPlans() }
 
-// sessionEnv adapts a Session to core.Exec: read-only query phases share
-// the session's read lock, store top-ups take the write lock (honouring the
-// query's context), solves go to the session's one solver, and coverage
-// walks use pooled scratch so concurrent queries never share mutable state.
+// sessionEnv adapts a Session to core.Exec for one query: read-only query
+// phases share the session's read lock, store top-ups take the write lock
+// (honouring the query's context), solves go to the session's one solver,
+// and coverage walks use pooled scratch so concurrent queries never share
+// mutable state.
 type sessionEnv struct {
-	s   *Session
-	ctx context.Context
+	s       *Session
+	ctx     context.Context
+	grown   growthCounters    // this query's top-ups
+	samples [2]metrics.Sample // readAllocGCs' scratch, so a read allocates nothing
 }
 
-func (e sessionEnv) Store() ris.Store { return e.s.store }
+func (e *sessionEnv) Store() ris.Store { return e.s.store }
 
-func (e sessionEnv) Ensure(target int) bool {
-	grew := e.s.grow(e.ctx, &e.s.mu, &e.s.store, e.s.sampler, target)
+func (e *sessionEnv) Ensure(target int) bool {
+	grew := e.grow(&e.s.mu, &e.s.store, e.s.sampler, target)
 	if grew {
 		e.s.growths.Add(1)
 	}
 	return grew
 }
 
+// growthCounters sums what store top-ups cost the process: heap bytes
+// allocated and GC cycles completed between each one's edges.
+type growthCounters struct{ allocBytes, gcCycles atomic.Int64 }
+
+func (c *growthCounters) add(alloc, gcs int64) {
+	c.allocBytes.Add(alloc)
+	c.gcCycles.Add(gcs)
+}
+
+// readAllocGCs reads the process's cumulative heap allocation and completed
+// GC cycles from runtime/metrics.
+func (e *sessionEnv) readAllocGCs() (alloc, gcs int64) {
+	e.samples = [2]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(e.samples[:])
+	return int64(e.samples[0].Value.Uint64()), int64(e.samples[1].Value.Uint64())
+}
+
 // grow tops the store *st, guarded by mu, up to target RR sets, building it
 // on sampler's stream first if it does not exist yet, and reports whether
-// this call added sets (another query may have topped up first). A failed
-// top-up mutates nothing and raises *growthFailed, with mu released.
-func (s *Session) grow(ctx context.Context, mu *sync.RWMutex, st *ris.Store, sampler *ris.Sampler, target int) bool {
+// this call added sets (another query may have topped up first). A top-up's
+// allocation and GC cycles are counted for the query and the session. A
+// failed top-up mutates nothing, counts nothing and raises *growthFailed,
+// with mu released.
+func (e *sessionEnv) grow(mu *sync.RWMutex, st *ris.Store, sampler *ris.Sampler, target int) bool {
 	mu.RLock()
 	ok := *st != nil && (*st).Len() >= target
 	mu.RUnlock()
@@ -531,23 +573,29 @@ func (s *Session) grow(ctx context.Context, mu *sync.RWMutex, st *ris.Store, sam
 	mu.Lock()
 	defer mu.Unlock() // also on the panic below
 	if *st == nil {
-		*st = ris.NewStore(sampler, s.opt.Seed, s.sopt)
+		*st = ris.NewStore(sampler, e.s.opt.Seed, e.s.sopt)
 	}
-	grew := (*st).Len() < target
-	if err := (*st).GenerateToCtx(ctx, target); err != nil {
+	if (*st).Len() >= target {
+		return false // another query topped up first
+	}
+	alloc0, gcs0 := e.readAllocGCs()
+	if err := (*st).GenerateToCtx(e.ctx, target); err != nil {
 		panic(&growthFailed{err: err})
 	}
-	return grew
+	alloc1, gcs1 := e.readAllocGCs()
+	e.grown.add(alloc1-alloc0, gcs1-gcs0)
+	e.s.grown.add(alloc1-alloc0, gcs1-gcs0)
+	return true
 }
 
-func (e sessionEnv) Acquire() { e.s.mu.RLock() }
-func (e sessionEnv) Release() { e.s.mu.RUnlock() }
+func (e *sessionEnv) Acquire() { e.s.mu.RLock() }
+func (e *sessionEnv) Release() { e.s.mu.RUnlock() }
 
-func (e sessionEnv) Solve(upto, k int) maxcover.Result { return e.s.solver.Solve(upto, k) }
+func (e *sessionEnv) Solve(upto, k int) maxcover.Result { return e.s.solver.Solve(upto, k) }
 
-func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
-	w := e.s.words.Get().(*[]uint64)
-	defer e.s.words.Put(w)
+func (e *sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
+	w := windowWords.Get().(*[]uint64)
+	defer windowWords.Put(w)
 	return ris.CoverageRangeSeedsMarks(e.s.store, w, seeds, from, to)
 }
 
@@ -555,7 +603,7 @@ func (e sessionEnv) Coverage(seeds []uint32, from, to int) int64 {
 // session answers SSA's Estimate-Inf windows from its verification store,
 // a one-shot session by scanning them on its Workers under the query's
 // context.
-type verifyEnv struct{ sessionEnv }
+type verifyEnv struct{ *sessionEnv }
 
 func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (int, int64, bool) {
 	if err := e.ctx.Err(); err != nil {
@@ -571,9 +619,9 @@ func (e verifyEnv) VerifyStopIndex(seeds []uint32, from, to int, need int64) (in
 	}
 	// Verification growth is not counted in Session.growths: that counter
 	// is the coverage store's, and request coalescing is pinned to it.
-	grew := e.s.grow(e.ctx, &v.mu, &v.store, v.sampler, to)
-	w := e.s.words.Get().(*[]uint64)
-	defer e.s.words.Put(w)
+	grew := e.grow(&v.mu, &v.store, v.sampler, to)
+	w := windowWords.Get().(*[]uint64)
+	defer windowWords.Put(w)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	id, cov := ris.StopIndex(v.store, w, seeds, from, to, need)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"stopandstare"
 )
@@ -174,5 +175,42 @@ func TestSessionStoreBytesMatchesStats(t *testing.T) {
 	}
 	if got := sess.StoreBytes(); got != st.StoreBytes {
 		t.Fatalf("StoreBytes() = %d, Stats().StoreBytes = %d", got, st.StoreBytes)
+	}
+}
+
+// TestDroppedSessionCollectedAfterOneGC pins that nothing outside a Session
+// keeps it reachable once its caller drops it: after one D-SSA and one SSA
+// query on a spilled session, the first GC collects it, and with it go the
+// finalizers that unmap its spill files. A sync.Pool inside the session
+// fails this: the runtime's pool registry holds every pool Put to since the
+// last GC through the next one.
+func TestDroppedSessionCollectedAfterOneGC(t *testing.T) {
+	g, err := stopandstare.GeneratePowerLaw(2000, 12000, 2.1, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	func() {
+		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
+			Seed: 4, Workers: 2, SpillBudgetBytes: 1 << 12, SpillDir: t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []stopandstare.Algorithm{stopandstare.DSSA, stopandstare.SSA} {
+			if _, err := sess.Maximize(stopandstare.Query{Algorithm: algo, K: 5, Epsilon: 0.3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sess.Stats().StoreSpilledBytes == 0 {
+			t.Fatal("nothing spilled: the session holds no mapping")
+		}
+		runtime.SetFinalizer(sess, func(*stopandstare.Session) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a dropped session outlived one GC")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -420,5 +421,46 @@ func TestSessionScansPastRetainedIDs(t *testing.T) {
 	}
 	if n := retained[1]; n == 0 || n > limit {
 		t.Fatalf("verification store holds %d sets, want some and at most %d", n, limit)
+	}
+}
+
+// TestSessionGrowthCounters pins the growth counters: a query that grows a
+// store reports positive allocated bytes and GC cycles on its Result, the
+// session sums exactly its queries' figures, and a warm query reads nothing
+// and adds nothing. GOGC=1 makes every growth span GC cycles.
+func TestSessionGrowthCounters(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	g, err := GeneratePowerLaw(5000, 30000, 2.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(g, IC, SessionOptions{Seed: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alloc, gcs int64
+	for _, algo := range []Algorithm{DSSA, SSA} {
+		q := Query{Algorithm: algo, K: 10, Epsilon: 0.3}
+		cold, err := sess.Maximize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Warm || cold.GrowthAllocBytes <= 0 || cold.GrowthGCCycles <= 0 {
+			t.Fatalf("%s: a growing query reports warm=%v, %d bytes allocated, %d GC cycles",
+				algo, cold.Warm, cold.GrowthAllocBytes, cold.GrowthGCCycles)
+		}
+		alloc, gcs = alloc+cold.GrowthAllocBytes, gcs+cold.GrowthGCCycles
+		warm, err := sess.Maximize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Warm || warm.GrowthAllocBytes != 0 || warm.GrowthGCCycles != 0 {
+			t.Fatalf("%s: a repeated query reports warm=%v, %d bytes allocated, %d GC cycles",
+				algo, warm.Warm, warm.GrowthAllocBytes, warm.GrowthGCCycles)
+		}
+		if st := sess.Stats(); st.GrowthAllocBytes != alloc || st.GrowthGCCycles != gcs {
+			t.Fatalf("%s: session counts %d bytes, %d GC cycles; its queries %d, %d",
+				algo, st.GrowthAllocBytes, st.GrowthGCCycles, alloc, gcs)
+		}
 	}
 }

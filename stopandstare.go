@@ -149,6 +149,11 @@ type Result struct {
 	// coalesced response is bit-identical to the one the follower would
 	// have computed itself. Always false for direct Session/Maximize calls.
 	Coalesced bool
+	// GrowthAllocBytes and GrowthGCCycles are the heap bytes allocated and
+	// the GC cycles completed during this query's own store top-ups (see
+	// SessionStats.GrowthAllocBytes); both 0 for a warm query.
+	GrowthAllocBytes int64
+	GrowthGCCycles   int64
 }
 
 func (o Options) fill() Options {
