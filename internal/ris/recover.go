@@ -268,9 +268,10 @@ type segRestore struct {
 
 // readSegBlocks walks the segment's blocks starting at off, reading the
 // offset table and mapping every other block, validating each against the
-// meta descriptor, and returns the restore plan. A block that fails validation maps to nil: that unit is gone, never
-// a store-level error. Block positions depend only on the meta, so one
-// corrupt payload never desynchronizes the walk.
+// meta descriptor, and returns the restore plan. A block that fails
+// validation maps to nil: that unit is gone, never a store-level error.
+// Block positions depend only on the meta, so one corrupt payload never
+// desynchronizes the walk.
 func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 	r := segRestore{sm: sm, badFrom: sm.nsets}
 	plen := int64(sm.nsets+1) * 8

@@ -17,9 +17,8 @@ import (
 // mapping, whose pages then leave the resident set (mapBlock): a spilled
 // unit holds no resident page until a query reads it — "fault-in" is the
 // OS paging the bytes back through the mapping, and the page cache is the
-// hot tier. The
-// file is process-private scratch, created in SpillDir and unlinked at
-// creation where the OS allows it, so a crash leaks nothing.
+// hot tier. The file is process-private scratch, created in SpillDir and
+// unlinked at creation where the OS allows it, so a crash leaks nothing.
 //
 // Concurrency: spilling happens only under the store's mutation exclusivity
 // (the same discipline as growth — the session layer holds its write lock
