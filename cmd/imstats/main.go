@@ -84,7 +84,11 @@ func main() {
 	fmt.Printf("isolated:      %d\n", s.Isolated)
 	fmt.Printf("max-in-weight: %.4f\n", s.MaxInWeight)
 	fmt.Printf("lt-valid:      %v\n", s.LTValid)
-	fmt.Printf("storage:       %s\n", g.View().Kind())
+	storage := "heap"
+	if g.Mapped() {
+		storage = "mapped"
+	}
+	fmt.Printf("storage:       %s\n", storage)
 	fmt.Printf("memory:        %.1f MB (%.1f resident + %.1f mapped)\n",
 		float64(g.Bytes())/(1<<20), float64(g.ResidentBytes())/(1<<20), float64(g.MappedBytes())/(1<<20))
 

@@ -120,3 +120,72 @@ func ExampleCertifySpread() {
 	fmt.Println(cert.Influence > 3, cert.Epsilon)
 	// Output: true 0.1
 }
+
+// ExampleMaximize_viralMarketing is the paper's §1 scenario: a brand seeds a
+// campaign with k ambassadors on a trust network and wants a provable
+// answer fast. It runs the §7.2 comparison at a small scale: D-SSA against
+// IMM under both models, with each seed set's reach scored by independent
+// Monte-Carlo. The shape of Figs. 2-5 holds: both reach the same audience,
+// and D-SSA draws several times fewer RR sets than IMM.
+func ExampleMaximize_viralMarketing() {
+	// An Epinions-like trust network at 3 % of its size.
+	g, err := stopandstare.GeneratePreset("epinions", 0.03, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, model := range []stopandstare.Model{stopandstare.LT, stopandstare.IC} {
+		var samples [2]int64
+		var reach [2]float64
+		for i, algo := range []stopandstare.Algorithm{stopandstare.DSSA, stopandstare.IMM} {
+			res, err := stopandstare.Maximize(g, model, algo,
+				stopandstare.Options{K: 20, Epsilon: 0.1, Seed: 3, Workers: 2})
+			if err != nil {
+				log.Fatal(err)
+			}
+			spread, _, err := stopandstare.EvaluateSpread(g, model, res.Seeds, 1000, 99, 2)
+			if err != nil {
+				log.Fatal(err)
+			}
+			samples[i], reach[i] = res.Samples, spread
+		}
+		fmt.Printf("%v: IMM/D-SSA RR sets %.0fx, D-SSA reach within 5%% of IMM's: %v\n",
+			model, float64(samples[1])/float64(samples[0]), reach[0] >= 0.95*reach[1])
+	}
+	// Output:
+	// LT: IMM/D-SSA RR sets 4x, D-SSA reach within 5% of IMM's: true
+	// IC: IMM/D-SSA RR sets 4x, D-SSA reach within 5% of IMM's: true
+}
+
+// ExampleEvaluateSpread_outbreakDetection is influence maximization's dual
+// use (paper §1: epidemic control). The k individuals whose infection would
+// spread furthest are the ones to vaccinate first; simulated outbreaks
+// seeded from them are compared with the classic baselines, degree-chosen
+// and random index cases. Degree targeting is as good on this topology, and
+// random index cases are far weaker, as in Leskovec et al.'s outbreak
+// detection study.
+func ExampleEvaluateSpread_outbreakDetection() {
+	// A contact network: preferential attachment, 5 000 individuals.
+	g, err := stopandstare.GenerateBarabasiAlbert(5000, 4, 13)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const budget = 20 // vaccination budget
+	outbreak := make(map[stopandstare.Algorithm]float64)
+	for _, algo := range []stopandstare.Algorithm{stopandstare.DSSA, stopandstare.Degree, stopandstare.Random} {
+		res, err := stopandstare.Maximize(g, stopandstare.IC, algo,
+			stopandstare.Options{K: budget, Epsilon: 0.1, Seed: 31, Workers: 2})
+		if err != nil {
+			log.Fatal(err)
+		}
+		outbreak[algo], _, err = stopandstare.EvaluateSpread(g, stopandstare.IC, res.Seeds, 5000, 37, 2)
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	worst := outbreak[stopandstare.DSSA]
+	fmt.Printf("degree-chosen index cases: %.0f%% of the D-SSA outbreak\n", 100*outbreak[stopandstare.Degree]/worst)
+	fmt.Printf("random index cases:        %.0f%% of the D-SSA outbreak\n", 100*outbreak[stopandstare.Random]/worst)
+	// Output:
+	// degree-chosen index cases: 100% of the D-SSA outbreak
+	// random index cases:        12% of the D-SSA outbreak
+}

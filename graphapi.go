@@ -69,7 +69,7 @@ func LoadGraphFile(path string, opt LoadGraphOptions) (*Graph, error) {
 // or imgen). On a little-endian unix host the graph's arrays alias a
 // read-only file mapping, so opening is O(1) regardless of edge count and
 // the pages are shared by every process serving the same file; elsewhere
-// the file is decoded onto the heap. Call Graph.Close to release the mapping
+// the file is read onto the heap. Call Graph.Close to release the mapping
 // when retiring the graph, once nothing samples or simulates on it.
 func OpenGraphFile(path string) (*Graph, error) {
 	return graph.OpenMapped(path)

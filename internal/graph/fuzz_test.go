@@ -101,7 +101,7 @@ func FuzzOpenMapped(f *testing.F) {
 		var mapped, decoded *Graph
 		var merr, derr error
 		got := allocDuring(func() {
-			mapped, merr = graphFromMapped(image, heapView{})
+			mapped, merr = graphFromMapped(image)
 			decoded, derr = decodeSasg(bytes.NewReader(data), int64(len(data)))
 		})
 		if merr != nil && !errors.Is(merr, ErrBadMapped) {
@@ -193,7 +193,7 @@ func TestFuzzOpenMappedSeeds(t *testing.T) {
 				t.Fatalf("unreadable seed: %v", err)
 			}
 			data := []byte(s)
-			g, merr := graphFromMapped(alignedCopy(data), heapView{})
+			g, merr := graphFromMapped(alignedCopy(data))
 			_, derr := decodeSasg(bytes.NewReader(data), int64(len(data)))
 			for leg, err := range map[string]error{"mapped": merr, "decoded": derr} {
 				switch w, ok := want[name]; {

@@ -12,20 +12,68 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+
+	"stopandstare/internal/mapfile"
 )
 
 // Graph is an immutable directed weighted graph in dual-CSR form.
-// Node ids are dense in [0, NumNodes()). The arrays live behind a View
-// (see view.go): heap slices for built/parsed graphs, windows of a shared
-// read-only file mapping for graphs opened with OpenMapped. The sections are
-// embedded, so every accessor below runs on plain slices either way. The
-// graph also carries what is derived from it once (derived.go).
+// Node ids are dense in [0, NumNodes()). The arrays are heap slices, or
+// windows of the read-only mapping of a graph opened with OpenMapped, held
+// until Close. They are embedded, so every accessor below runs on plain
+// slices either way. The graph also carries what is derived from it once
+// (derived.go).
 type Graph struct {
 	n int
 	sections
-	view    View
+	mapping []byte // the .sasg mapping the sections alias; nil for a heap graph
 	plans   [PlanSlots]atomic.Pointer[Slot]
 	forward Slot // CheckForward's result
+}
+
+// sections holds the dual-CSR arrays of one graph (sasg.go's on-disk layout
+// mirrors it field by field).
+type sections struct {
+	outIdx []int64   // len n+1
+	outAdj []uint32  // len m, per-source sorted by destination
+	outW   []float32 // parallel to outAdj
+	inIdx  []int64   // len n+1
+	inAdj  []uint32  // len m, per-destination sorted by source
+	inW    []float32 // parallel to inAdj
+}
+
+// newHeapGraph wraps freshly built sections in a Graph.
+func newHeapGraph(n int, s sections) *Graph { return &Graph{n: n, sections: s} }
+
+// ResidentBytes reports the graph arrays' private heap footprint (0 for a
+// mapped graph: its arrays alias the file mapping).
+func (g *Graph) ResidentBytes() int64 {
+	if g.mapping != nil {
+		return 0
+	}
+	return int64(len(g.outIdx)+len(g.inIdx))*8 +
+		int64(len(g.outAdj)+len(g.inAdj)+len(g.outW)+len(g.inW))*4
+}
+
+// MappedBytes reports the bytes aliasing a read-only file mapping (0 for a
+// heap graph). They are shared across processes and reclaimable by the
+// kernel.
+func (g *Graph) MappedBytes() int64 { return int64(len(g.mapping)) }
+
+// Mapped reports whether the graph's arrays alias a file mapping.
+func (g *Graph) Mapped() bool { return g.mapping != nil }
+
+// Close unmaps a mapped graph (on a heap graph, or again, it does nothing):
+// every slice the accessors returned becomes invalid, so no sampler, session
+// or simulation may run on the graph during or after it. A graph unmaps here
+// and never from a finalizer: its compiled plans alias its sections with no
+// Go reference to the mapping, so the collector cannot see its last reader.
+func (g *Graph) Close() error {
+	m := g.mapping
+	if m == nil {
+		return nil
+	}
+	g.mapping = nil
+	return mapfile.Unmap(m)
 }
 
 // Errors returned by construction and validation.

@@ -7,19 +7,23 @@ import (
 	"io"
 	"math"
 	"os"
-	"unsafe"
+
+	"stopandstare/internal/mapfile"
 )
 
 // The .sasg ("Stop-And-Stare Graph") format is the one on-disk binary graph
 // format, and the file IS the graph's memory layout. The graph is its two
 // CSRs — forward and reverse offset tables, adjacency and weights — and each
 // of those six arrays is a 64-byte-aligned little-endian section; nothing
-// derived from them is stored. On a little-endian unix host OpenMapped mmaps
-// the file read-only, casts the sections in place, and returns a working
-// graph in O(1) regardless of edge count. Pages fault in on first touch and
-// are shared by every process that mapped the same file. Hosts that cannot
-// map the file (big-endian, or no mmap) decode the same sections onto the
-// heap instead.
+// derived from them is stored. On a little-endian host OpenMapped maps the
+// file read-only through internal/mapfile (the layer spill and snapshot
+// blocks use too), casts the sections in place, and returns a working graph
+// in O(1) regardless of edge count. Pages fault in on first touch and are
+// shared by every process that mapped the same file; without mmap, mapfile
+// reads the image onto the heap and the same casts run on it. A big-endian
+// host decodes the sections onto the heap instead. WriteMappedFile replaces
+// a file atomically (mapfile.WriteFile), so a graph that has the file mapped
+// never sees it change.
 //
 // Layout (all fields little-endian):
 //
@@ -167,17 +171,12 @@ func (g *Graph) WriteMapped(w io.Writer) error {
 	return sw.flush()
 }
 
-// WriteMappedFile writes the .sasg format to path.
+// WriteMappedFile writes the .sasg format to path atomically
+// (mapfile.WriteFile): a new file is written, synced and renamed over path,
+// so a graph that has path open keeps its own bytes, and a failed write
+// leaves path as it was.
 func (g *Graph) WriteMappedFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteMapped(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return mapfile.WriteFile(path, g.WriteMapped)
 }
 
 // parseSasgHeader validates the header and section table of a .sasg image of
@@ -232,35 +231,9 @@ func parseSasgHeader(hdr []byte, fileSize uint64) (n, m uint64, secs [sasgNumSec
 	return n, m, secs, nil
 }
 
-// castI64 / castU32 / castF32 alias a section's bytes in place.
-// The base pointer is at least 8-byte aligned (page-aligned for mmap) and
-// section offsets are 64-byte aligned, so every element is aligned.
-func castI64(b []byte) []int64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-func castU32(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func castF32(b []byte) []float32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// OpenMapped opens a .sasg file. On a little-endian unix host the graph's
-// arrays alias a read-only mapping of the file: no parsing, no copying, O(1)
-// in the edge count, pages shared with every other process mapping the same
-// file (View().Kind() "mapped"; Close the graph to release the mapping).
-// Elsewhere the sections are decoded onto the heap (Kind "heap").
+// OpenMapped opens a .sasg file. On a little-endian host the graph's arrays
+// alias a read-only mapping of it (mapfile.Map), O(1) in the edge count, and
+// held until the graph's Close; a big-endian host decodes them onto the heap.
 func OpenMapped(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -271,14 +244,33 @@ func OpenMapped(path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := st.Size()
-	if size < sasgHeaderBytes {
-		return nil, fmt.Errorf("%w: %s is %d bytes, smaller than the %d-byte header",
-			ErrBadMapped, path, size, sasgHeaderBytes)
-	}
-	g, err := openSasg(f, size)
+	g, err := openSasg(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
+}
+
+// openSasg maps the .sasg file f of size bytes and casts its sections in
+// place, or decodes them on a big-endian host.
+func openSasg(f *os.File, size int64) (*Graph, error) {
+	if size < sasgHeaderBytes || size > math.MaxInt {
+		return nil, fmt.Errorf("%w: %d bytes, want from the %d-byte header to %d", ErrBadMapped, size, sasgHeaderBytes, math.MaxInt)
+	}
+	if !hostLittleEndian {
+		return decodeSasg(f, size)
+	}
+	data, err := mapfile.Map(f, 0, size)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
+	g, err := graphFromMapped(data)
+	if err != nil {
+		mapfile.Unmap(data)
+		return nil, err
+	}
+	if !mapfile.Resident { // the !unix fallback's image is a heap graph's
+		g.mapping = data
 	}
 	return g, nil
 }
@@ -331,27 +323,27 @@ func decodeSasg(r io.Reader, size int64) (*Graph, error) {
 
 // graphFromMapped validates data (a complete .sasg image in memory at least
 // 8-byte aligned, on a little-endian host) and builds the Graph whose
-// sections alias it, charging the backing bytes to the supplied view. No
-// section data is read beyond the two CSR endpoints checked against m —
-// opening stays O(1) in the edge count.
-func graphFromMapped(data []byte, view View) (*Graph, error) {
+// sections alias it; the caller records data as the graph's mapping if it
+// is one. No section data is read beyond the two CSR endpoints checked
+// against m — opening stays O(1) in the edge count.
+func graphFromMapped(data []byte) (*Graph, error) {
 	n, m, secs, err := parseSasgHeader(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
 	sec := func(i int) []byte { return data[secs[i].off : secs[i].off+secs[i].len] }
 	s := sections{
-		outIdx: castI64(sec(0)),
-		outAdj: castU32(sec(1)),
-		outW:   castF32(sec(2)),
-		inIdx:  castI64(sec(3)),
-		inAdj:  castU32(sec(4)),
-		inW:    castF32(sec(5)),
+		outIdx: mapfile.Cast[int64](sec(0)),
+		outAdj: mapfile.Cast[uint32](sec(1)),
+		outW:   mapfile.Cast[float32](sec(2)),
+		inIdx:  mapfile.Cast[int64](sec(3)),
+		inAdj:  mapfile.Cast[uint32](sec(4)),
+		inW:    mapfile.Cast[float32](sec(5)),
 	}
 	if err := checkEndpoints(&s, n, m); err != nil {
 		return nil, err
 	}
-	return &Graph{n: int(n), sections: s, view: view}, nil
+	return &Graph{n: int(n), sections: s}, nil
 }
 
 // checkEndpoints is the cheap CSR sanity check both opens share: both offset

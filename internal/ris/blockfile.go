@@ -7,7 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime"
-	"unsafe"
+
+	"stopandstare/internal/mapfile"
 )
 
 // This file is the one on-disk layout of the RR store. Spill files
@@ -20,18 +21,18 @@ import (
 // index blocks only; a snapshot is a meta block followed by the same kinds
 // of blocks for every segment, committed by a manifest.
 //
-// Payloads are raw host-order slice images: both files are per-host state
-// (process-private scratch, or a snapshot recovered on the machine that
-// wrote it), never an interchange format, so casting them back in place is
-// endian-agnostic.
+// Payloads are raw host-order slice images (mapfile.Bytes and mapfile.Cast):
+// both files are per-host state, never an interchange format.
 //
 // A block file has three operations: append, which writes a block through a
-// SnapshotFile; mapBlock, which maps one block read-only, validates it,
+// SnapshotFile; mapBlock, which maps one block (mapfile.Map), validates it,
 // drops its pages from the resident set and hands out its payload; and
-// readBlock, which validates a block read into the heap. A mapping is never
-// released before the whole file closes — the finalizer path, once the store
-// holding the file is unreachable — so concurrent readers can never fault on
-// an unmapped page.
+// readBlock, which validates a block read into the heap. A mapping lives
+// until the whole file closes, from its finalizer once the store holding the
+// file is unreachable, so no reader faults on an unmapped page. A graph
+// unmaps at an explicit Close instead; a block file can leave it to the
+// collector because every slice aliasing a block hangs off the segment
+// that holds the file, and stores have no Close.
 
 const (
 	// snapMagic is "RRSN" read as a little-endian uint32.
@@ -125,100 +126,61 @@ func (bf *blockFile) write(p []byte) {
 	bf.size += int64(len(p))
 }
 
-// mapBlock maps the block at off read-only, validates it against kind and
-// payload length plen, and returns the payload aliasing the mapping, which
-// stays valid until the file closes. The mapped range starts at the page
-// boundary below off, as mappings must. Once validated, the mapping's pages
-// leave the process's resident set (dropResident): the checksum pass read
-// every one of them, but they stay in the page cache and fault back in only
-// when a query reads them.
+// mapBlock maps the block at off, validates it against kind and payload
+// length plen, and returns the payload aliasing the mapping. Once validated,
+// the mapping's pages leave the resident set (mapfile.DropResident): they
+// stay in the page cache and fault back in only when a query reads them.
 func (bf *blockFile) mapBlock(off int64, kind byte, plen int64) ([]byte, error) {
-	if err := bf.checkBounds(off, plen); err != nil {
-		return nil, err
+	data, payload, err := bf.block(mapfile.Map, off, kind, plen)
+	switch {
+	case err == nil:
+		mapfile.DropResident(data)
+		bf.maps = append(bf.maps, data)
+	case data != nil:
+		mapfile.Unmap(data)
 	}
-	base := off &^ int64(os.Getpagesize()-1)
-	data, err := mapRange(bf.f, base, off+blockHdrSize+plen-base)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpill, err)
-	}
-	payload, err := blockPayload(data, off-base, kind, plen)
-	if err != nil {
-		unmapRange(data)
-		return nil, fmt.Errorf("%w: block at %d: %v", ErrBadSpill, off, err)
-	}
-	dropResident(data)
-	bf.maps = append(bf.maps, data)
-	return payload, nil
+	return payload, err
 }
 
 // readBlock is mapBlock for a block its caller decodes or copies at once
-// (a snapshot's meta block and offset table): it reads the block into a
-// heap buffer instead, so no mapping is made and no page is read twice. The
-// payload is 8-byte aligned.
+// (a snapshot's meta block and offset table): it reads the block into the
+// heap instead (mapfile.Read), so no page is read twice.
 func (bf *blockFile) readBlock(off int64, kind byte, plen int64) ([]byte, error) {
-	if err := bf.checkBounds(off, plen); err != nil {
-		return nil, err
-	}
-	data, err := readRange(bf.f, off, blockHdrSize+plen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpill, err)
-	}
-	payload, err := blockPayload(data, 0, kind, plen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: block at %d: %v", ErrBadSpill, off, err)
-	}
-	return payload, nil
+	_, payload, err := bf.block(mapfile.Read, off, kind, plen)
+	return payload, err
 }
 
-// checkBounds reports ErrBadSpill unless the file holds a whole block with a
-// plen-byte payload at off. It runs before anything is mapped (touching a
-// mapped page past EOF faults) or allocated, so a truncated or corrupted
-// file surfaces as ErrBadSpill instead of a fault or a huge buffer.
-func (bf *blockFile) checkBounds(off, plen int64) error {
+// block gets the block at off with get and checks its magic, kind, payload
+// length plen and CRC32C, returning its bytes (also when they fail, so a
+// mapping can be released) and its payload. The file's size is checked
+// before anything is mapped or allocated, so a truncated or corrupt file is
+// ErrBadSpill, never a fault past EOF or a huge buffer.
+func (bf *blockFile) block(get func(*os.File, int64, int64) ([]byte, error), off int64, kind byte, plen int64) (data, payload []byte, err error) {
 	fi, err := bf.f.Stat()
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpill, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadSpill, err)
 	}
 	if size := fi.Size(); off < 0 || plen < 0 || off > size-blockHdrSize || plen > size-blockHdrSize-off {
-		return fmt.Errorf("%w: block [%d,+%d) outside %d-byte file", ErrBadSpill, off, blockHdrSize+plen, size)
+		return nil, nil, fmt.Errorf("%w: block [%d,+%d) outside %d-byte file", ErrBadSpill, off, blockHdrSize+plen, size)
 	}
-	return nil
-}
-
-// readRange reads [off, off+length) of f into a heap buffer backed by
-// []uint64, so a payload at a 64-byte offset in it keeps the alignment the
-// in-place casts rely on.
-func readRange(f *os.File, off, length int64) ([]byte, error) {
-	words := make([]uint64, (length+7)/8)
-	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), length)
-	if _, err := f.ReadAt(data, off); err != nil {
-		return nil, fmt.Errorf("read [%d,+%d): %v", off, length, err)
+	if data, err = get(bf.f, off, blockHdrSize+plen); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadSpill, err)
 	}
-	return data, nil
-}
-
-// blockPayload validates the block at data[off:], which must hold its
-// header and plen payload bytes — the header carries the magic, kind and
-// payload length plen, and the payload matches its CRC32C (which catches
-// silent bit rot, not just clobbered headers or truncation) — and returns
-// the payload aliasing data. Nothing is cast or trusted before every check
-// has passed.
-func blockPayload(data []byte, off int64, kind byte, plen int64) ([]byte, error) {
-	hdr := data[off : off+blockHdrSize]
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != snapMagic {
-		return nil, fmt.Errorf("magic %#x, want %#x", got, snapMagic)
+	hdr, payload := data[:blockHdrSize], data[blockHdrSize:]
+	magic, n, crc := binary.LittleEndian.Uint32(hdr), int64(binary.LittleEndian.Uint64(hdr[8:])), binary.LittleEndian.Uint32(hdr[16:])
+	switch {
+	case magic != snapMagic:
+		err = fmt.Errorf("magic %#x, want %#x", magic, snapMagic)
+	case hdr[4] != kind:
+		err = fmt.Errorf("kind %d, want %d", hdr[4], kind)
+	case n != plen:
+		err = fmt.Errorf("payload length %d, want %d", n, plen)
+	case crc32.Checksum(payload, castagnoli) != crc:
+		err = fmt.Errorf("checksum differs from the header's %#x", crc)
+	default:
+		return data, payload, nil
 	}
-	if hdr[4] != kind {
-		return nil, fmt.Errorf("kind %d, want %d", hdr[4], kind)
-	}
-	if got := int64(binary.LittleEndian.Uint64(hdr[8:])); got != plen {
-		return nil, fmt.Errorf("payload length %d, want %d", got, plen)
-	}
-	payload := data[off+blockHdrSize : off+blockHdrSize+plen]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[16:]); got != want {
-		return nil, fmt.Errorf("checksum %#x, want %#x", got, want)
-	}
-	return payload, nil
+	return data, nil, fmt.Errorf("%w: block at %d: %v", ErrBadSpill, off, err)
 }
 
 // close releases every mapping and the map handle. It must only run once no
@@ -227,7 +189,7 @@ func blockPayload(data []byte, off int64, kind byte, plen int64) ([]byte, error)
 func (bf *blockFile) close() error {
 	runtime.SetFinalizer(bf, nil)
 	for _, m := range bf.maps {
-		unmapRange(m)
+		mapfile.Unmap(m)
 	}
 	bf.maps = nil
 	var err error
@@ -238,23 +200,4 @@ func (bf *blockFile) close() error {
 		os.Remove(bf.path)
 	}
 	return err
-}
-
-// rawBytes returns the host-order byte image of s, aliasing it.
-func rawBytes[T int32 | uint32 | int64](s []T) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-}
-
-// castSlice reinterprets a validated, 64-byte-aligned block payload as a
-// []T image written by rawBytes, aliasing it.
-func castSlice[T int32 | uint32 | int64](b []byte) []T {
-	var zero T
-	n := len(b) / int(unsafe.Sizeof(zero))
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }

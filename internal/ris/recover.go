@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+
+	"stopandstare/internal/mapfile"
 )
 
 // This file is the read half of the durability subsystem: ris.Recover opens
@@ -276,7 +278,7 @@ func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 	r := segRestore{sm: sm, badFrom: sm.nsets}
 	plen := int64(sm.nsets+1) * 8
 	if p, _ := bf.readBlock(off, snapKindOffsets, plen); p != nil {
-		offs := castSlice[int64](p)
+		offs := mapfile.Cast[int64](p)
 		ok := offs[0] == 0
 		for i := 1; i < len(offs) && ok; i++ {
 			ok = offs[i] >= offs[i-1]
@@ -308,7 +310,7 @@ func readSegBlocks(bf *blockFile, sm *snapSegMeta, off int64) segRestore {
 		// An index block lists every item of its sets once, so its id count
 		// must be their item count, and its last start must close the ids.
 		if p == nil || r.offsets == nil || int64(b.nIds) != r.offsets[b.lto]-r.offsets[b.lfrom] ||
-			int(castSlice[int32](p)[b.nStarts-1]) != b.nIds {
+			int(mapfile.Cast[int32](p)[b.nStarts-1]) != b.nIds {
 			break
 		}
 		r.iblocks = append(r.iblocks, p)
@@ -335,7 +337,7 @@ func restoreSegment(sg *segment, r *segRestore, c int) int {
 		base := sg.offsets[x.setFrom]
 		sg.exts = append(sg.exts, arenaExtent{
 			setFrom: x.setFrom, setTo: setTo, base: base,
-			data: castSlice[uint32](r.arenas[ei])[:sg.offsets[setTo]-base], mapped: true,
+			data: mapfile.Cast[uint32](r.arenas[ei])[:sg.offsets[setTo]-base], mapped: true,
 		})
 	}
 	lcov := 0
@@ -344,7 +346,7 @@ func restoreSegment(sg *segment, r *segRestore, c int) int {
 		if bm.lto > c {
 			break
 		}
-		all := castSlice[int32](p)
+		all := mapfile.Cast[int32](p)
 		sg.blocks = append(sg.blocks, csrBlock{
 			from: bm.lfrom, to: bm.lto, lfrom: bm.lfrom, lto: bm.lto,
 			starts: all[:bm.nStarts:bm.nStarts], ids: all[bm.nStarts : bm.nStarts+bm.nIds],

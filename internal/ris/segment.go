@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"stopandstare/internal/mapfile"
 )
 
 // This file is the storage engine the RR-set store is built from:
@@ -187,13 +189,13 @@ func (sg *segment) residentBytes() int64 {
 		int64(cap(sg.exts))*int64(unsafe.Sizeof(arenaExtent{}))
 	for i := range sg.blocks {
 		blk := &sg.blocks[i]
-		if !blk.mapped || mappedResident {
+		if !blk.mapped || mapfile.Resident {
 			b += int64(cap(blk.starts))*4 + int64(cap(blk.ids))*4
 		}
 	}
 	for i := range sg.exts {
 		e := &sg.exts[i]
-		if !e.mapped || mappedResident {
+		if !e.mapped || mapfile.Resident {
 			b += int64(cap(e.data)) * 4
 		}
 	}
@@ -203,7 +205,7 @@ func (sg *segment) residentBytes() int64 {
 // spilledBytes reports the RR data aliasing a block-file mapping
 // (zero on platforms whose fallback keeps "mapped" payloads on the heap).
 func (sg *segment) spilledBytes() int64 {
-	if mappedResident {
+	if mapfile.Resident {
 		return 0
 	}
 	var b int64

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"stopandstare/internal/mapfile"
 )
 
 // This file is the durable half of the RR-set store: a versioned on-disk
@@ -108,17 +110,8 @@ func (osSnapshotFS) Create(name string) (SnapshotFile, error) { return os.Create
 func (osSnapshotFS) Rename(oldname, newname string) error     { return os.Rename(oldname, newname) }
 func (osSnapshotFS) Remove(name string) error                 { return os.Remove(name) }
 
-func (osSnapshotFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	// Directory fsync is best-effort: some platforms reject it, and the
-	// protocol stays crash-consistent without it (only the commit latency
-	// window widens).
-	d.Sync()
-	return d.Close()
-}
+// SyncDir's directory fsync is best-effort (mapfile.SyncDir).
+func (osSnapshotFS) SyncDir(dir string) error { return mapfile.SyncDir(dir) }
 
 // OSSnapshotFS is the production SnapshotFS backed by the os package.
 var OSSnapshotFS SnapshotFS = osSnapshotFS{}
@@ -275,13 +268,13 @@ func metaWidth(sg *segment, inIdx []int64) int64 {
 // descriptor declares: offsets, arena extents, CSR index blocks. Append
 // errors are sticky, so the caller checks bf.err once after the last block.
 func writeSegBlocks(bf *blockFile, sg *segment) {
-	bf.append(snapKindOffsets, rawBytes(sg.offsets[:sg.nsets()+1]))
+	bf.append(snapKindOffsets, mapfile.Bytes(sg.offsets[:sg.nsets()+1]))
 	for i := range sg.exts {
-		bf.append(snapKindArena, rawBytes(sg.exts[i].data))
+		bf.append(snapKindArena, mapfile.Bytes(sg.exts[i].data))
 	}
 	for i := range sg.blocks {
 		b := &sg.blocks[i]
-		bf.append(snapKindIndex, rawBytes(b.starts), rawBytes(b.ids))
+		bf.append(snapKindIndex, mapfile.Bytes(b.starts), mapfile.Bytes(b.ids))
 	}
 }
 

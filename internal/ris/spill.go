@@ -5,15 +5,17 @@ import (
 	"os"
 	"runtime"
 	"sync/atomic"
+
+	"stopandstare/internal/mapfile"
 )
 
 // This file is the disk spill tier of the RR-set store: when a store is
 // built with StoreOptions.SpillBudgetBytes, cold arena extents and cold CSR
 // index blocks are appended to a spill file — a blockFile
 // (blockfile.go) of arena and index blocks, the layout snapshots use — and
-// mapped back shared and read-only, so every access path (Set, ForEachSet,
-// PostingsRange, the coverage walks) keeps working on the exact same
-// slices-of-block layout. The block's checksum is verified through the new
+// mapped back shared and read-only (mapfile.Map), so every access path (Set,
+// ForEachSet, PostingsRange, the coverage walks) keeps working on the exact
+// same slices-of-block layout. The block's checksum is verified through the new
 // mapping, whose pages then leave the resident set (mapBlock): a spilled
 // unit holds no resident page until a query reads it — "fault-in" is the
 // OS paging the bytes back through the mapping, and the page cache is the
@@ -181,11 +183,11 @@ func (sp *spillState) spill(kind byte, parts ...[]byte) ([]byte, error) {
 // spillExtent moves one arena extent's items onto the spill file,
 // re-pointing data at the shared mapping.
 func (sp *spillState) spillExtent(e *arenaExtent) error {
-	payload, err := sp.spill(snapKindArena, rawBytes(e.data))
+	payload, err := sp.spill(snapKindArena, mapfile.Bytes(e.data))
 	if err != nil {
 		return err
 	}
-	e.data = castSlice[uint32](payload)
+	e.data = mapfile.Cast[uint32](payload)
 	e.mapped = true
 	return nil
 }
@@ -193,12 +195,12 @@ func (sp *spillState) spillExtent(e *arenaExtent) error {
 // spillBlock moves one CSR index block's starts+ids onto the spill file as a
 // single payload, re-pointing both slices at the shared mapping.
 func (sp *spillState) spillBlock(b *csrBlock) error {
-	payload, err := sp.spill(snapKindIndex, rawBytes(b.starts), rawBytes(b.ids))
+	payload, err := sp.spill(snapKindIndex, mapfile.Bytes(b.starts), mapfile.Bytes(b.ids))
 	if err != nil {
 		return err
 	}
 	ns, ni := len(b.starts), len(b.ids)
-	all := castSlice[int32](payload)
+	all := mapfile.Cast[int32](payload)
 	b.starts = all[:ns:ns]
 	b.ids = all[ns : ns+ni]
 	b.mapped = true

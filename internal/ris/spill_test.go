@@ -11,6 +11,7 @@ import (
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
+	"stopandstare/internal/mapfile"
 )
 
 // spilledStore builds a store with a spill tier over the test's temp dir.
@@ -316,7 +317,7 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatalf("file accounting misses header/padding overhead: %+v", stats)
 	}
 	// The spilled session stats split must agree with the store.
-	if mappedResident {
+	if mapfile.Resident {
 		if stats.SpilledBytes != 0 {
 			t.Fatalf("fallback platform reported %d spilled bytes", stats.SpilledBytes)
 		}
@@ -326,7 +327,7 @@ func TestSpillAccounting(t *testing.T) {
 
 	// The point of tiering: a budget of a tenth of the unspilled footprint
 	// (~90% of the bytes on disk) leaves at most half of them resident.
-	if !mappedResident {
+	if !mapfile.Resident {
 		flat := spilledStore(t, s, 17, 0, 1<<40)
 		flat.GenerateTo(900)
 		tight := spilledStore(t, s, 17, 0, flat.Bytes()/10)

@@ -114,10 +114,11 @@ type tenant struct {
 	cfg      TenantConfig
 	stateDir string // per-tenant snapshot directory ("" = not durable)
 
-	mu        sync.Mutex // guards g/ownsGraph/sess transitions
+	mu        sync.Mutex // guards g/ownsGraph/sess/retired transitions
 	g         *stopandstare.Graph
 	ownsGraph bool
 	sess      *stopandstare.Session
+	retired   bool // set by retire; session then refuses to rebuild
 
 	lastUsed  int64 // manager clock at last admission, under Manager.mu
 	inflight  atomic.Int64
@@ -127,10 +128,16 @@ type tenant struct {
 }
 
 // session returns the tenant's live session, opening the graph and
-// building the session on first use (and after eviction).
+// building the session on first use (and after eviction). A retired tenant
+// answers ErrUnknownTenant: a query that looked the tenant up before
+// RemoveTenant, or a StartRecovery pass, may still call this after retire,
+// and nothing would ever close what it opened.
 func (t *tenant) session() (*stopandstare.Session, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.retired {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, t.name)
+	}
 	if t.sess != nil {
 		return t.sess, nil
 	}
@@ -191,6 +198,7 @@ func (t *tenant) retire() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.persistLocked()
+	t.retired = true
 	t.sess = nil
 	if t.g != nil && t.ownsGraph {
 		t.g.Close()

@@ -416,6 +416,37 @@ func TestLazyGraphFileTenant(t *testing.T) {
 	}
 }
 
+// TestRetiredTenantStaysRetired: a tenant looked up before RemoveTenant (a
+// query that had not yet raised inflight, or a StartRecovery pass) must not
+// reopen its graph and build a session that nothing would close.
+func TestRetiredTenantStaysRetired(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenant.sasg")
+	if err := testGraph(t, 12).WriteMappedFile(path); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{})
+	defer m.Close()
+	if err := m.AddTenant("gone", TenantConfig{
+		GraphFile: path, Model: stopandstare.IC,
+		Session: stopandstare.SessionOptions{Seed: 3, Workers: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	ten := m.tenants["gone"]
+	m.mu.Unlock()
+	if err := m.RemoveTenant("gone"); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := ten.session()
+	if !errors.Is(err, ErrUnknownTenant) || sess != nil {
+		t.Fatalf("session() after retire: built %v, error %v; want ErrUnknownTenant", sess != nil, err)
+	}
+	if ten.g != nil {
+		t.Fatal("session() after retire reopened the graph")
+	}
+}
+
 func tenantStats(t *testing.T, m *Manager, name string) TenantStatsResponse {
 	t.Helper()
 	for _, ten := range m.Stats().Tenants {
